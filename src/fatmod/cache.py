@@ -14,6 +14,7 @@ version mismatch is reported as corruption, never silently reused.
 
 from __future__ import annotations
 
+import os
 import re
 from pathlib import Path
 
@@ -41,7 +42,15 @@ def save_records(path: Path, descriptor: str, records) -> None:
             line += " | %s" % extra
         lines.append(line)
     path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text("\n".join(lines) + "\n")
+    # a reader sees the old file or the whole new one, never a partial one;
+    # the temp name does not end in .census, so no census lookup finds it
+    tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
+    try:
+        tmp.write_text("\n".join(lines) + "\n")
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
 
 
 def load_records(path: Path, descriptor: str):

@@ -84,8 +84,6 @@ def _emit(rows, fmt, command, stream):
             out["match"] = "true" if row["match"] else "false"
             writer.writerow(out)
     else:
-        widths = {"identity": 14, "param": 6, "value_closed": 24,
-                  "value_assembled": 24}
         stream.write("%-14s %-6s %-24s %-24s %-5s %s\n"
                      % ("identity", "param", "closed", "assembled", "match",
                         "mode"))
@@ -192,8 +190,6 @@ def _add_common(parser):
     parser.add_argument("--format", choices=("human", "json", "csv"),
                         default="human")
     parser.add_argument("--cap-edges", type=int, default=None)
-    parser.add_argument("--seed", type=int, default=0,
-                        help="seed for stochastic cross-checks")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -205,7 +201,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="build and cache censuses")
     p_enum.add_argument("--type", help="G,N pair, e.g. 2,1")
-    p_enum.add_argument("--trivalent", action="store_true", default=True)
     p_enum.add_argument("--all-valences", dest="all_valences",
                         action="store_true")
     p_enum.add_argument("--single-k", dest="single_k", type=int)

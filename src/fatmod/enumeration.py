@@ -424,6 +424,14 @@ def _gluing_census(g, n, valence_filter, cap_edges):
     return out
 
 
+def fatgraph_descriptor(g: int, n: int, valence_filter) -> str:
+    """Descriptor of the census built by enumerate_fatgraphs; it also names
+    the census's cache file."""
+    return "fatgraphs g=%d n=%d filter=%s" % (
+        g, n, valence_filter if isinstance(valence_filter, str)
+        else "single%d" % valence_filter[1])
+
+
 def enumerate_fatgraphs(g: int, n: int, valence_filter=TRIVALENT,
                         cap_edges: Optional[int] = None) -> OrbifoldCensus:
     """Census of fatgraph isomorphism classes of type (g, n).
@@ -437,9 +445,7 @@ def enumerate_fatgraphs(g: int, n: int, valence_filter=TRIVALENT,
     if cap_edges is None:
         cap_edges = (DEFAULT_CAP_EDGES_ALL if valence_filter == ALL
                      else DEFAULT_CAP_EDGES)
-    descriptor = "fatgraphs g=%d n=%d filter=%s" % (
-        g, n, valence_filter if isinstance(valence_filter, str)
-        else "single%d" % valence_filter[1])
+    descriptor = fatgraph_descriptor(g, n, valence_filter)
     if n == 1:
         raw = _one_boundary_census(g, valence_filter, cap_edges)
     else:
@@ -447,6 +453,12 @@ def enumerate_fatgraphs(g: int, n: int, valence_filter=TRIVALENT,
     entries = tuple(CensusEntry(tuple(key), graph, aut)
                     for key, graph, aut in raw)
     return OrbifoldCensus(descriptor, entries)
+
+
+def tree_descriptor(leaf_count: int, profile: str, rooting: str) -> str:
+    """Descriptor of the census built by enumerate_trees."""
+    return "trees leaves=%d profile=%s rooting=%s" % (leaf_count, profile,
+                                                      rooting)
 
 
 def enumerate_trees(leaf_count: int, profile: str = _trees.TRIVALENT,
@@ -461,8 +473,7 @@ def enumerate_trees(leaf_count: int, profile: str = _trees.TRIVALENT,
     if leaf_count > cap_leaves:
         raise ResourceLimit("leaf count %d exceeds cap %d"
                             % (leaf_count, cap_leaves))
-    descriptor = "trees leaves=%d profile=%s rooting=%s" % (
-        leaf_count, profile, rooting)
+    descriptor = tree_descriptor(leaf_count, profile, rooting)
     if rooting == "rooted":
         entries = tuple(
             CensusEntry(tree.rooted_key(), tree, 1)

@@ -97,16 +97,6 @@ def perm_inverse(p: Sequence[int]) -> tuple:
     return tuple(inv)
 
 
-def perm_order(p: Sequence[int]) -> int:
-    order = 1
-    q = tuple(p)
-    ident = tuple(range(len(p)))
-    while q != ident:
-        q = perm_compose(p, q)
-        order += 1
-    return order
-
-
 class Fatgraph:
     """Immutable fatgraph; all operations return new instances.
 
@@ -260,10 +250,6 @@ class Fatgraph:
                                        if h < self.alpha[h]))
         return self._edges
 
-    def edge_index(self, h: int) -> int:
-        pair = (min(h, self.alpha[h]), max(h, self.alpha[h]))
-        return self.edges.index(pair)
-
     def _edge_index_table(self):
         table = [0] * self.num_half_edges
         for i, (a, b) in enumerate(self.edges):
@@ -276,12 +262,6 @@ class Fatgraph:
 
     def vertex_flag(self, v: int) -> str:
         return self.flags[self.vertices[v][0]]
-
-    def vertex_of(self, h: int) -> int:
-        for i, cyc in enumerate(self.vertices):
-            if h in cyc:
-                return i
-        raise ValueError(h)
 
     # -- boundary cycles, type -------------------------------------------
 

@@ -271,6 +271,11 @@ def _side_tree(graph, colors, side, fixed_edges, fixed_vertices):
     return PlanarTree(g.sigma, g.alpha, flags=g.flags)
 
 
+def hyperelliptic_descriptor(g: int) -> str:
+    """Descriptor of the census built by hyperelliptic_census."""
+    return "hyperelliptic g=%d maximal cells" % g
+
+
 def hyperelliptic_census(g: int,
                          cap_leaves: int = DEFAULT_CAP_LEAVES) -> OrbifoldCensus:
     """Maximal cells of the genus-g hyperelliptic locus: doubled trivalent
@@ -285,8 +290,7 @@ def hyperelliptic_census(g: int,
         entries.append(CensusEntry(cell.doubled.canonical_key(), cell.doubled,
                                    cell.doubled.aut_order(), payload=cell))
     entries.sort(key=lambda e: e.key)
-    return OrbifoldCensus("hyperelliptic g=%d maximal cells" % g,
-                          tuple(entries))
+    return OrbifoldCensus(hyperelliptic_descriptor(g), tuple(entries))
 
 
 def _component_census(g, leaf_count, profile, descriptor, cap_leaves):
@@ -306,19 +310,28 @@ def _component_census(g, leaf_count, profile, descriptor, cap_leaves):
     return OrbifoldCensus(descriptor, tuple(entries))
 
 
+def w1_component1_descriptor(g: int) -> str:
+    """Descriptor of the census built by w1_component1_census."""
+    return "w1-hyperelliptic g=%d component1 (5-valent pair)" % g
+
+
 def w1_component1_census(g: int,
                          cap_leaves: int = DEFAULT_CAP_LEAVES) -> OrbifoldCensus:
     """Doubled trees with 2g+1 leaves and one 5-valent vertex; the double
     carries two 5-valent vertices swapped by the involution."""
     if g < 2:
         raise WrongType("intersection components need g >= 2")
-    census = _component_census(
-        g, 2 * g + 1, _trees.ONE5,
-        "w1-hyperelliptic g=%d component1 (5-valent pair)" % g, cap_leaves)
+    census = _component_census(g, 2 * g + 1, _trees.ONE5,
+                               w1_component1_descriptor(g), cap_leaves)
     for entry in census:
         if sorted(entry.graph.valences).count(5) != 2:
             raise AssertionError("component1 cell needs two 5-valent vertices")
     return census
+
+
+def w1_component2_descriptor(g: int) -> str:
+    """Descriptor of the census built by w1_component2_census."""
+    return "w1-hyperelliptic g=%d component2 (fixed 6-valent)" % g
 
 
 def w1_component2_census(g: int,
@@ -327,9 +340,8 @@ def w1_component2_census(g: int,
     double carries a single 6-valent vertex fixed by the involution."""
     if g < 2:
         raise WrongType("intersection components need g >= 2")
-    census = _component_census(
-        g, 2 * g, _trees.MARKED,
-        "w1-hyperelliptic g=%d component2 (fixed 6-valent)" % g, cap_leaves)
+    census = _component_census(g, 2 * g, _trees.MARKED,
+                               w1_component2_descriptor(g), cap_leaves)
     for entry in census:
         if 6 not in entry.graph.valences:
             raise AssertionError("component2 cell needs a 6-valent vertex")

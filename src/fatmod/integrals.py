@@ -1,10 +1,12 @@
 """Exact evaluation of the tautological integrals, each by two routes.
 
-Every report carries a closed-form value and an independently assembled
-value (census times Pfaffian volumes where the enumeration caps allow,
-otherwise assembly of the closed sub-formulas), and they must agree exactly.
-The genus parameter is unbounded on the formula route; census routes are
-capped by the workspace.
+Every report carries a closed-form value, which reads no census, and an
+independently assembled value, and they must agree exactly.  The assembled
+route sums Pfaffian cell volumes over a workspace census where the caps
+allow.  Beyond the caps, genus0, hevol, w1h, boundary, main-theorem and
+corollary assemble closed sub-formulas instead, so their parameter is
+unbounded; psi-top and euler have only the census route and raise
+ResourceLimit there.
 """
 
 from __future__ import annotations
@@ -88,25 +90,19 @@ def psi_top_moduli(g: int, workspace: Optional[Workspace] = None
                    ) -> IntegralReport:
     """Top power of the cotangent class over the one-pointed moduli space.
 
-    Closed route: (3g-2)!/(2^g (6g-4)!) times the orbifold class count;
-    assembled route: per-cell Pfaffian volumes.  Both consume the trivalent
-    census, but the closed route uses only automorphism orders.
+    Closed route: the Witten-Kontsevich value 1/(24^g g!); assembled route:
+    the trivalent census with per-cell Pfaffian volumes.
     """
     if g < 1:
         raise WrongType("need g >= 1")
-    ws = _ws(workspace)
-    census = ws.trivalent_census(g)
-    # the closed route rebuilds the weighted class count from a pristine
-    # census, so a corrupted census on the assembled route is detected
-    aut_sum = ws.pristine_trivalent_census(g).orbifold_sum()
-    closed = Fraction(factorial(3 * g - 2),
-                      2 ** g * factorial(6 * g - 4)) * aut_sum
+    census = _ws(workspace).trivalent_census(g)
+    closed = Fraction(1, 24 ** g * factorial(g))
     assembled = census.orbifold_sum(
         weight=lambda e: cell_volume(e.graph).value)
     return IntegralReport(
         "psi-top", "g", g, closed, assembled, "census",
-        ("census %r, %d classes, weighted count %s"
-         % (census.descriptor, len(census), aut_sum),))
+        ("census %r, %d classes; closed form 1/(24^g g!) (Witten-Kontsevich)"
+         % (census.descriptor, len(census)),))
 
 
 def psi_top_hyperelliptic(g: int, workspace: Optional[Workspace] = None

@@ -144,9 +144,9 @@ def odd_valence_shapes(max_edges: int) -> tuple:
         out = []
         arity = 2
         while arity <= e:
-            # children contribute one top edge each plus their own subtrees
-            for parts in _compositions_exact(e - arity, arity):
-                for kids in _shape_products_budget(parts, exact):
+            # each part counts a child's top edge plus its own subtree
+            for parts in _compositions(e, arity):
+                for kids in _shape_products([x - 1 for x in parts], exact):
                     out.append(kids)
             arity += 2
         return tuple(out)
@@ -155,16 +155,6 @@ def odd_valence_shapes(max_edges: int) -> tuple:
     for e in range(max_edges):
         shapes.extend(exact(e))
     return tuple(shapes)
-
-
-def _compositions_exact(total: int, k: int):
-    """Ordered k-tuples of non-negative integers summing to exactly total."""
-    if k == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions_exact(total - first, k - 1):
-            yield (first,) + rest
 
 
 def _compositions(n: int, k: int):
@@ -184,31 +174,6 @@ def _shape_products(parts, gen):
     for head in gen(parts[0]):
         for rest in _shape_products(parts[1:], gen):
             yield (head,) + rest
-
-
-def _shape_products_budget(parts, gen):
-    if not parts:
-        yield ()
-        return
-    for head in gen(parts[0]):
-        for rest in _shape_products_budget(parts[1:], gen):
-            yield (head,) + rest
-
-
-def shape_edge_count(shape) -> int:
-    """Edges of the completed rooted tree (root leaf edge included)."""
-    if shape == LEAF:
-        return 1
-    kids = shape[1:] if shape[0] == "m" else shape
-    return 1 + sum(shape_edge_count(k) for k in kids)
-
-
-def shape_leaf_count(shape) -> int:
-    """Leaves of the completed rooted tree, the root leaf included."""
-    if shape == LEAF:
-        return 2
-    kids = shape[1:] if shape[0] == "m" else shape
-    return 1 + sum(shape_leaf_count(k) - 1 for k in kids)
 
 
 def build_rooted_tree(shape) -> PlanarTree:

@@ -183,6 +183,14 @@ def triangulation_count(k: int) -> int:
     return t(k)
 
 
+def walsh_lehman(g: int) -> int:
+    """Rooted one-face trivalent maps of genus g (Walsh-Lehman 1972):
+    2(6g-3)!/(12^g g!(3g-2)!)."""
+    from math import factorial
+    return (2 * factorial(6 * g - 3)
+            // (12 ** g * factorial(g) * factorial(3 * g - 2)))
+
+
 def bernoulli_oracle(n: int) -> Fraction:
     """Bernoulli number via the double-sum formula (no recurrence shared
     with the package implementation)."""

@@ -91,6 +91,21 @@ class TestCache:
                       "--cache", str(tmp_path))
         assert code == 1
 
+    def test_psi_top_corrupt_aut_order_fails(self, capsys, tmp_path):
+        argv = ("verify", "--identity", "psi-top", "--g", "2",
+                "--cache", str(tmp_path))
+        code, out = run(capsys, *argv)
+        assert code == 0 and "1/1152" in out
+        victim = tmp_path / "fatgraphs_g=2_n=1_filter=trivalent.v1.census"
+        lines = victim.read_text().splitlines()
+        aut, rest = lines[3].split(" | ", 1)
+        assert aut != "1"
+        lines[3] = "1 | " + rest
+        victim.write_text("\n".join(lines) + "\n")
+        code, out = run(capsys, *argv)
+        assert code == 3
+        assert "FAIL" in out
+
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FATMOD_CACHE", str(tmp_path))
         code, _ = run(capsys, "verify", "--identity", "euler", "--g", "1")

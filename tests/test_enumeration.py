@@ -9,7 +9,8 @@ from fatmod.errors import ResourceLimit
 from fatmod.fatgraph import Fatgraph
 from fatmod.trees import ONE5, MARKED, rooted_trees, unrooted_trees
 
-from oracles import bernoulli_oracle, naive_census, triangulation_count
+from oracles import (bernoulli_oracle, naive_census, triangulation_count,
+                     walsh_lehman)
 
 
 class TestCatalan:
@@ -94,6 +95,16 @@ class TestCensusCompleteness:
         mine = [e for e in census if e.graph.num_edges <= 5]
         assert len(mine) == len(reps)
         assert sorted(e.aut_order for e in mine) == oracle_orders
+
+    @pytest.mark.parametrize("g,rooted", [(1, 1), (2, 105), (3, 50050)])
+    def test_trivalent_rooted_count(self, g, rooted, ws):
+        # each class with E edges and automorphism group Aut gives 2E/|Aut|
+        # rooted maps; no closed route reads a census, so this pins the
+        # census itself
+        census = ws.trivalent_census(g)
+        assert walsh_lehman(g) == rooted
+        assert census.orbifold_sum(
+            weight=lambda e: 2 * e.graph.num_edges) == rooted
 
     def test_gluing_census_matches_word_census(self):
         # same machinery cross-check on (1,1): words vs naive oracle

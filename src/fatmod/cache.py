@@ -96,4 +96,7 @@ def permutation_to_field(perm) -> str:
 
 
 def permutation_from_field(field: str) -> tuple:
-    return tuple(int(x) for x in field.split(","))
+    try:
+        return tuple(int(x) for x in field.split(","))
+    except ValueError as exc:
+        raise CacheError("bad permutation field %r" % field) from exc

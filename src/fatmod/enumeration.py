@@ -1,6 +1,12 @@
 """Exhaustive censuses of fatgraph isomorphism classes with automorphism
 orders, supporting exact orbifold-weighted sums.
 
+Each census kind has one entry function that turns an object into its
+:class:`CensusEntry` (key and automorphism order): :func:`graph_entry` for
+one-boundary graphs, :func:`tree_entry` for unrooted trees, and
+``hyperelliptic.cell_entry`` for doubled trees.  The builders and the cache
+loader both call it, so a census has the same keys however it was obtained.
+
 One-boundary graphs are enumerated through their boundary word: a fatgraph of
 type (g, 1) with E edges is the same thing as a fixed-point-free involution
 ``alpha`` of the cyclic set Z_{2E} of boundary slots, with the vertex
@@ -22,7 +28,7 @@ from typing import Callable, Optional
 
 from . import trees as _trees
 from .errors import MalformedGraph, ResourceLimit
-from .fatgraph import Fatgraph
+from .fatgraph import ORDINARY, Fatgraph
 
 DEFAULT_CAP_EDGES = 15          # trivalent / single-k censuses (genus <= 3)
 DEFAULT_CAP_EDGES_ALL = 9       # all-valence censuses (genus <= 2)
@@ -124,31 +130,40 @@ def _least_rotation(seq):
     return k
 
 
-def _gap_sequence(alpha):
-    m = len(alpha)
-    return tuple((alpha[p] - p) % m for p in range(m))
-
-
-def _alpha_from_gaps(gaps):
-    m = len(gaps)
-    return tuple((p + gaps[p]) % m for p in range(m))
-
-
-def canonical_gap_word(alpha) -> tuple:
-    """Rotation-canonical form of a one-boundary pairing."""
-    gaps = _gap_sequence(alpha)
+def _least_word(gaps) -> tuple:
     k = _least_rotation(gaps)
     return gaps[k:] + gaps[:k]
 
 
+def canonical_gap_word(alpha) -> tuple:
+    """Rotation-canonical form of a one-boundary pairing."""
+    m = len(alpha)
+    return _least_word(tuple((alpha[p] - p) % m for p in range(m)))
+
+
+def graph_entry(graph: Fatgraph) -> CensusEntry:
+    """Census entry of an unflagged one-boundary graph.
+
+    The key is the least rotation of the gap sequence read along the boundary
+    cycle ``phi = sigma o alpha``; automorphisms commute with ``phi``, so
+    |Aut| is the rotation stabilizer of that word.
+    """
+    cycles = graph.boundary_cycles().cycles
+    if len(cycles) != 1 or any(f != ORDINARY for f in graph.flags):
+        raise MalformedGraph("expected an unflagged one-boundary graph")
+    boundary = cycles[0]
+    m = len(boundary)
+    pos = [0] * m
+    for i, h in enumerate(boundary):
+        pos[h] = i
+    word = _least_word(tuple((pos[graph.alpha[h]] - i) % m
+                             for i, h in enumerate(boundary)))
+    return CensusEntry(word, graph, rotation_stabilizer_order(word))
+
+
 def rotation_stabilizer_order(gaps) -> int:
-    m = len(gaps)
-    doubled = gaps + gaps
-    count = 0
-    for r in range(m):
-        if doubled[r:r + m] == gaps:
-            count += 1
-    return count
+    """Number of cyclic rotations that fix the word."""
+    return sum(gaps[r:] + gaps[:r] == gaps for r in range(len(gaps)))
 
 
 def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
@@ -339,25 +354,23 @@ def _one_boundary_census(g, valence_filter, cap_edges):
             num_edges = 6 * g - k
             num_vertices = num_edges + 1 - 2 * g
             if num_edges < 1 or num_vertices < 1:
-                return []
+                return ()
             budgets = ({k: 1, 3: num_vertices - 1} if k != 3
                        else {3: num_vertices})
         run(num_edges, budgets=budgets)
 
     out = []
     for word in sorted(classes):
-        mult = classes[word]
         m = len(word)
-        if m % mult:
-            raise AssertionError("orbit size does not divide slot count")
-        aut = rotation_stabilizer_order(word)
-        if aut != m // mult:
-            raise AssertionError("stabilizer disagrees with orbit size")
-        alpha = _alpha_from_gaps(word)
+        alpha = tuple((p + word[p]) % m for p in range(m))
         sigma = tuple((alpha[p] + 1) % m for p in range(m))
-        graph = Fatgraph(sigma, alpha)
-        out.append((word, graph, aut))
-    return out
+        entry = graph_entry(Fatgraph(sigma, alpha))
+        if entry.key != word:
+            raise AssertionError("boundary word disagrees with gap word")
+        if entry.aut_order * classes[word] != m:
+            raise AssertionError("stabilizer disagrees with orbit size")
+        out.append(entry)
+    return tuple(out)
 
 
 # -- naive gluing for n > 1 ---------------------------------------------------
@@ -417,11 +430,8 @@ def _gluing_census(g, n, valence_filter, cap_edges):
                 key = graph.canonical_key()
                 if key not in classes:
                     classes[key] = graph
-    out = []
-    for key in sorted(classes):
-        graph = classes[key]
-        out.append((key, graph, graph.aut_order()))
-    return out
+    return tuple(CensusEntry(key, classes[key], classes[key].aut_order())
+                 for key in sorted(classes))
 
 
 def fatgraph_descriptor(g: int, n: int, valence_filter) -> str:
@@ -447,11 +457,9 @@ def enumerate_fatgraphs(g: int, n: int, valence_filter=TRIVALENT,
                      else DEFAULT_CAP_EDGES)
     descriptor = fatgraph_descriptor(g, n, valence_filter)
     if n == 1:
-        raw = _one_boundary_census(g, valence_filter, cap_edges)
+        entries = _one_boundary_census(g, valence_filter, cap_edges)
     else:
-        raw = _gluing_census(g, n, valence_filter, cap_edges)
-    entries = tuple(CensusEntry(tuple(key), graph, aut)
-                    for key, graph, aut in raw)
+        entries = _gluing_census(g, n, valence_filter, cap_edges)
     return OrbifoldCensus(descriptor, entries)
 
 
@@ -459,6 +467,11 @@ def tree_descriptor(leaf_count: int, profile: str, rooting: str) -> str:
     """Descriptor of the census built by enumerate_trees."""
     return "trees leaves=%d profile=%s rooting=%s" % (leaf_count, profile,
                                                       rooting)
+
+
+def tree_entry(tree) -> CensusEntry:
+    """Census entry of an unrooted planar tree."""
+    return CensusEntry(tree.canonical_key(), tree, tree.aut_order())
 
 
 def enumerate_trees(leaf_count: int, profile: str = _trees.TRIVALENT,
@@ -479,10 +492,8 @@ def enumerate_trees(leaf_count: int, profile: str = _trees.TRIVALENT,
             CensusEntry(tree.rooted_key(), tree, 1)
             for tree in _trees.rooted_trees(leaf_count, profile, cap_leaves))
     elif rooting == "unrooted":
-        entries = tuple(
-            CensusEntry(tree.canonical_key(), tree, tree.aut_order())
-            for tree in _trees.unrooted_trees(leaf_count, profile,
-                                              cap_leaves))
+        entries = tuple(map(tree_entry, _trees.unrooted_trees(
+            leaf_count, profile, cap_leaves)))
     else:
         raise ValueError("rooting must be 'rooted' or 'unrooted'")
     return OrbifoldCensus(descriptor, entries)

@@ -18,12 +18,12 @@ copies of an internal tree edge each carry half of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 
 from . import trees as _trees
 from .enumeration import (CensusEntry, OrbifoldCensus, catalan, catalan5,
-                          DEFAULT_CAP_LEAVES)
+                          graph_entry, DEFAULT_CAP_LEAVES)
 from .errors import BadLeafCount, NotSymmetric, WrongType
 from .fatgraph import Fatgraph, perm_compose
 from .trees import PlanarTree
@@ -271,6 +271,13 @@ def _side_tree(graph, colors, side, fixed_edges, fixed_vertices):
     return PlanarTree(g.sigma, g.alpha, flags=g.flags)
 
 
+def cell_entry(tree: PlanarTree) -> CensusEntry:
+    """Census entry of the cell indexed by a tree: the doubled graph keyed
+    and weighted like any one-boundary census graph, the cell as payload."""
+    cell = double_tree(tree)
+    return replace(graph_entry(cell.doubled), payload=cell)
+
+
 def hyperelliptic_descriptor(g: int) -> str:
     """Descriptor of the census built by hyperelliptic_census."""
     return "hyperelliptic g=%d maximal cells" % g
@@ -283,29 +290,23 @@ def hyperelliptic_census(g: int,
 
     The orbifold count equals C_{2g-1} / (2 (2g+1)).
     """
-    entries = []
-    for tree in _trees.unrooted_trees(2 * g + 1, _trees.TRIVALENT,
-                                      cap_leaves):
-        cell = double_tree(tree)
-        entries.append(CensusEntry(cell.doubled.canonical_key(), cell.doubled,
-                                   cell.doubled.aut_order(), payload=cell))
-    entries.sort(key=lambda e: e.key)
+    entries = sorted(map(cell_entry, _trees.unrooted_trees(
+        2 * g + 1, _trees.TRIVALENT, cap_leaves)), key=lambda e: e.key)
     return OrbifoldCensus(hyperelliptic_descriptor(g), tuple(entries))
 
 
 def _component_census(g, leaf_count, profile, descriptor, cap_leaves):
     entries = []
     for tree in _trees.unrooted_trees(leaf_count, profile, cap_leaves):
-        cell = double_tree(tree)
-        if cell.genus != g:
+        entry = cell_entry(tree)
+        if entry.payload.genus != g:
             raise AssertionError("component cell has genus %d, wanted %d"
-                                 % (cell.genus, g))
-        if max(cell.doubled.valences) < 5:
+                                 % (entry.payload.genus, g))
+        if max(entry.graph.valences) < 5:
             raise AssertionError("component cell misses the Witten locus")
-        if cell.doubled.hyperelliptic_involution() is None:
+        if entry.graph.hyperelliptic_involution() is None:
             raise AssertionError("component cell is not hyperelliptic")
-        entries.append(CensusEntry(cell.doubled.canonical_key(), cell.doubled,
-                                   cell.doubled.aut_order(), payload=cell))
+        entries.append(entry)
     entries.sort(key=lambda e: e.key)
     return OrbifoldCensus(descriptor, tuple(entries))
 

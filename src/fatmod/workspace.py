@@ -12,8 +12,8 @@ from typing import Optional
 from . import cache as _cache
 from . import enumeration as _enum
 from . import hyperelliptic as _hyper
-from .enumeration import CensusEntry, OrbifoldCensus
-from .errors import CacheError
+from .enumeration import OrbifoldCensus
+from .errors import CacheError, FatmodError
 from .trees import PlanarTree
 
 
@@ -109,29 +109,41 @@ class Workspace:
             if self.no_build:
                 raise CacheError("missing cache file %s" % path)
             return None
-        records = _cache.load_records(path, descriptor)
-        entries = []
-        for aut, rec_kind, graph, extra in records:
-            if rec_kind != kind:
-                raise CacheError("record kind %r does not match census kind "
-                                 "%r" % (rec_kind, kind))
-            entries.append(self._entry_from_record(kind, aut, graph, extra))
+        entries = sorted((self._entry_from_record(path, kind, record)
+                          for record in _cache.load_records(path, descriptor)),
+                         key=lambda e: e.key)
+        for a, b in zip(entries, entries[1:]):
+            if a.key == b.key:
+                raise CacheError("duplicate class in %s" % path)
         return OrbifoldCensus(descriptor, tuple(entries))
 
     @staticmethod
-    def _entry_from_record(kind, aut, graph, extra):
-        if kind == "graph":
-            return CensusEntry(graph.canonical_key(), graph, aut)
-        tree = PlanarTree(graph.sigma, graph.alpha, flags=graph.flags)
-        if kind == "tree":
-            return CensusEntry(tree.canonical_key(), tree, aut)
-        cell = _hyper.double_tree(tree)
-        if extra is not None and \
-                _cache.permutation_from_field(extra) != cell.involution:
+    def _entry_from_record(path, kind, record):
+        """Re-derive a record's entry through its kind's entry function and
+        check the stored fields against it."""
+        aut, rec_kind, graph, extra = record
+        if rec_kind != kind:
+            raise CacheError("record kind %r does not match census kind %r "
+                             "in %s" % (rec_kind, kind, path))
+        try:
+            if kind == "graph":
+                entry = _enum.graph_entry(graph)
+            else:
+                tree = PlanarTree(graph.sigma, graph.alpha, flags=graph.flags)
+                entry = (_enum.tree_entry if kind == "tree"
+                         else _hyper.cell_entry)(tree)
+        except FatmodError as exc:
+            raise CacheError("bad %s record in %s: %s"
+                             % (kind, path, exc)) from exc
+        if kind == "cell" and extra is not None and \
+                _cache.permutation_from_field(extra) != \
+                entry.payload.involution:
             raise CacheError("stored involution disagrees with the doubled "
-                             "tree")
-        return CensusEntry(cell.doubled.canonical_key(), cell.doubled, aut,
-                           payload=cell)
+                             "tree in %s" % path)
+        if entry.aut_order != aut:
+            raise CacheError("stored aut order %d, recomputed %d in %s"
+                             % (aut, entry.aut_order, path))
+        return entry
 
     def save(self, census: OrbifoldCensus, kind: str) -> None:
         if self.cache_dir is None:

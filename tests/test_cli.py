@@ -1,6 +1,8 @@
 import json
 from fractions import Fraction
 
+import pytest
+
 from fatmod import cli
 from fatmod.cache import load_records
 from fatmod.integrals import IntegralReport
@@ -53,7 +55,9 @@ class TestEnumerate:
     def test_tree_census(self, capsys):
         code, out = run(capsys, "enumerate", "--trees", "--leaves", "3")
         assert code == 0
-        assert "classes=1" in out.replace(" ", "") or "1" in out
+        assert out.splitlines()[1].split() == [
+            "census", "classes=1", "1/3", "1/3", "ok", "trees", "leaves=3",
+            "profile=trivalent", "rooting=unrooted"]
 
     def test_genus_two_summary(self, capsys):
         code, out = run(capsys, "enumerate", "--type", "2,1")
@@ -92,6 +96,8 @@ class TestCache:
         assert code == 1
 
     def test_psi_top_corrupt_aut_order_fails(self, capsys, tmp_path):
+        # the load re-derives |Aut|, so the file is rejected before psi-top
+        # sums it
         argv = ("verify", "--identity", "psi-top", "--g", "2",
                 "--cache", str(tmp_path))
         code, out = run(capsys, *argv)
@@ -102,9 +108,58 @@ class TestCache:
         assert aut != "1"
         lines[3] = "1 | " + rest
         victim.write_text("\n".join(lines) + "\n")
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert "cache error" in captured.err
+        assert "ok" not in captured.out
+
+    def test_psi_top_missing_class_fails(self, capsys, tmp_path):
+        # a well-formed file that lacks a class passes the load checks; the
+        # closed route still catches it
+        argv = ("verify", "--identity", "psi-top", "--g", "2",
+                "--cache", str(tmp_path))
+        code, out = run(capsys, *argv)
+        assert code == 0
+        victim = tmp_path / "fatgraphs_g=2_n=1_filter=trivalent.v1.census"
+        lines = victim.read_text().splitlines()
+        assert lines[2] == "count=9"
+        victim.write_text("\n".join(lines[:2] + ["count=8"] + lines[4:])
+                          + "\n")
         code, out = run(capsys, *argv)
         assert code == 3
-        assert "FAIL" in out
+        assert "1/1152" in out and "FAIL" in out
+
+    @pytest.mark.parametrize("argv,name,edit", [
+        (("--identity", "genus0", "--n", "6"),
+         "trees_leaves=5_profile=trivalent_rooting=unrooted", "aut"),
+        (("--identity", "hevol", "--g", "2"),
+         "hyperelliptic_g=2_maximal_cells", "aut"),
+        (("--identity", "hevol", "--g", "2"),
+         "hyperelliptic_g=2_maximal_cells", "involution"),
+        (("--identity", "psi-top", "--g", "2"),
+         "fatgraphs_g=2_n=1_filter=trivalent", "duplicate"),
+    ], ids=["tree-aut", "cell-aut", "cell-involution", "graph-duplicate"])
+    def test_load_rejects_edited_record(self, capsys, tmp_path, argv, name,
+                                        edit):
+        argv = ("verify",) + argv + ("--cache", str(tmp_path))
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        victim = tmp_path / (name + ".v1.census")
+        lines = victim.read_text().splitlines()
+        count = int(lines[2].split("=")[1])
+        if edit == "aut":
+            aut, rest = lines[3].split(" | ", 1)
+            lines[3] = "%d | %s" % (int(aut) + 1, rest)
+        elif edit == "involution":
+            lines[3] = lines[3].rsplit(" | ", 1)[0] + " | x"
+        else:
+            lines[2] = "count=%d" % (count + 1)
+            lines.insert(4, lines[3])
+        victim.write_text("\n".join(lines) + "\n")
+        code, out = run(capsys, *argv)
+        assert code == 1
+        assert "ok" not in out
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FATMOD_CACHE", str(tmp_path))

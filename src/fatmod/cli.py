@@ -81,7 +81,8 @@ def _emit(rows, fmt, command, stream):
         writer.writeheader()
         for row in rows:
             out = {k: row[k] for k in fields}
-            out["match"] = "true" if row["match"] else "false"
+            out["match"] = {True: "true", False: "false",
+                            None: ""}[row["match"]]
             writer.writerow(out)
     else:
         stream.write("%-14s %-6s %-24s %-24s %-5s %s\n"
@@ -91,7 +92,8 @@ def _emit(rows, fmt, command, stream):
             stream.write("%-14s %s=%-4d %-24s %-24s %-5s %s\n" % (
                 row["identity"], row["param_name"], row["param"],
                 row["value_closed"], row["value_assembled"],
-                "ok" if row["match"] else "FAIL", row["mode"]))
+                {True: "ok", False: "FAIL", None: "n/a"}[row["match"]],
+                row["mode"]))
 
 
 def _identity_rows(names, args, ws):
@@ -126,17 +128,16 @@ def _check_existing_cache(ws, descriptor):
 
 def cmd_enumerate(args) -> int:
     ws = _build_workspace(args)
-    rows = []
     if args.trees:
         leaves = args.leaves
         if leaves is None:
             raise SystemExit("--trees requires --leaves")
+        rooting = "rooted" if args.rooted else "unrooted"
         census = _enum.enumerate_trees(
-            leaves, args.profile, "rooted" if args.rooted else "unrooted",
+            leaves, args.profile, rooting,
             cap_leaves=max(leaves, _enum.DEFAULT_CAP_LEAVES))
-        if not args.rooted:
-            _check_existing_cache(ws, census.descriptor)
-            ws.save(census, "tree")
+        closed = _enum.tree_closed_count(leaves, args.profile, rooting)
+        kind = None if args.rooted else "tree"
     else:
         if args.type is None:
             raise SystemExit("need --type G,N (or --trees)")
@@ -149,19 +150,25 @@ def cmd_enumerate(args) -> int:
             valence_filter = _enum.TRIVALENT
         census = _enum.enumerate_fatgraphs(g, n, valence_filter,
                                            cap_edges=args.cap_edges)
+        closed = _enum.fatgraph_closed_count(g, n, valence_filter)
+        kind = "graph"
+    assembled = census.orbifold_sum()
+    # None: no closed count is known for this census kind
+    match = None if closed is None else closed == assembled
+    if kind is not None and match is not False:
         _check_existing_cache(ws, census.descriptor)
-        ws.save(census, "graph")
-    rows.append({
+        ws.save(census, kind)
+    row = {
         "identity": "census",
         "param_name": "classes",
         "param": len(census),
-        "value_closed": rational_str(census.orbifold_sum()),
-        "value_assembled": rational_str(census.orbifold_sum()),
-        "match": True,
+        "value_closed": "-" if closed is None else rational_str(closed),
+        "value_assembled": rational_str(assembled),
+        "match": match,
         "mode": census.descriptor,
-    })
-    _emit(rows, args.format, "enumerate", sys.stdout)
-    return 0
+    }
+    _emit([row], args.format, "enumerate", sys.stdout)
+    return 3 if match is False else 0
 
 
 def cmd_verify(args) -> int:

@@ -14,7 +14,14 @@ permutation recovered as ``sigma(p) = alpha(p) + 1 (mod 2E)``.  Rotating the
 slots is exactly an isomorphism, so the gap sequence
 ``(alpha(p) - p mod 2E)_p`` classifies graphs up to isomorphism by its least
 cyclic rotation, and the automorphism group is the rotation stabilizer.
-Generation backtracks over pairings with vertex-valence closure propagation.
+Generation backtracks over pairings with vertex-valence closure propagation
+and is orderly (Read 1978; McKay 1998): a partial pairing is cut as soon as
+some rotation of its known gap word is already smaller, so only canonical
+representatives, each its own least rotation, are emitted, one per class.
+
+Census kinds with a known count have a closed orbifold count beside their
+descriptor function (:func:`fatgraph_closed_count`,
+:func:`tree_closed_count`); these read no census.
 
 Censuses for n > 1 (only needed at toy sizes) glue labeled stars naively.
 """
@@ -169,13 +176,16 @@ def rotation_stabilizer_order(gaps) -> int:
 def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
                                  num_cycles: int = None,
                                  min_len: int = 3):
-    """All pairings of Z_{2E} whose sigma-cycles have prescribed lengths.
+    """Pairings of Z_{2E} whose sigma-cycles have prescribed lengths, one
+    per rotation class: those whose gap sequence is its own least rotation.
 
     ``budgets``: exact multiset as {length: count}; or pass ``num_cycles``
-    for "num_cycles cycles, each of length >= min_len".  Yields alpha tuples.
+    for "num_cycles cycles, each of length >= min_len".  Returns alpha
+    tuples.
     """
     m = 2 * num_edges
     alpha = [-1] * m
+    gap = [-1] * m     # alpha[p] - p mod m where defined; gaps are >= 1
     fwd = [-1] * m     # t(p) = alpha[p] + 1 where defined
     bwd = [-1] * m
     exact = budgets is not None
@@ -225,6 +235,8 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
         nonlocal cycles_left, closed_nodes, max_len
         alpha[p] = q
         alpha[q] = p
+        gap[p] = (q - p) % m
+        gap[q] = (p - q) % m
         trail.append(("a", p, q))
         for a, b in ((p, (q + 1) % m), (q, (p + 1) % m)):
             # add link t(a) = b
@@ -289,8 +301,8 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
             rec = trail.pop()
             kind = rec[0]
             if kind == "a":
-                alpha[rec[1]] = -1
-                alpha[rec[2]] = -1
+                alpha[rec[1]] = gap[rec[1]] = -1
+                alpha[rec[2]] = gap[rec[2]] = -1
             elif kind == "l":
                 fwd[rec[1]] = -1
                 bwd[rec[2]] = -1
@@ -301,6 +313,21 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
             else:
                 cycles_left += 1
                 closed_nodes -= rec[1]
+
+    def rotation_is_smaller():
+        """True when some rotation of the gap word is already smaller than
+        the word itself, whatever the unassigned slots become.  Each pair
+        is compared up to the first slot unknown in either."""
+        for r in range(1, m):
+            j = r
+            for i in range(m):
+                x, y = gap[i], gap[j]
+                if x < 0 or y < 0 or y > x:
+                    break
+                if y < x:
+                    return True
+                j = j + 1 if j + 1 < m else 0
+        return False
 
     def search():
         p = 0
@@ -315,7 +342,7 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
             if alpha[q] != -1:
                 continue
             mark = len(trail)
-            if assign(p, q, trail):
+            if assign(p, q, trail) and not rotation_is_smaller():
                 search()
             undo(trail, mark)
 
@@ -324,16 +351,21 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
 
 
 def _one_boundary_census(g, valence_filter, cap_edges):
-    classes = {}
+    words = set()
 
     def run(num_edges, budgets=None, num_cycles=None):
         if num_edges > cap_edges:
             raise ResourceLimit(
                 "census needs %d edges, cap is %d" % (num_edges, cap_edges))
+        m = 2 * num_edges
         for alpha in _pairings_with_cycle_lengths(
                 num_edges, budgets=budgets, num_cycles=num_cycles):
             word = canonical_gap_word(alpha)
-            classes[word] = classes.get(word, 0) + 1
+            if word != tuple((alpha[p] - p) % m for p in range(m)):
+                raise AssertionError("search emitted a non-canonical pairing")
+            if word in words:
+                raise AssertionError("search emitted a class twice")
+            words.add(word)
 
     if valence_filter == ALL:
         if 6 * g - 3 > cap_edges:
@@ -360,15 +392,13 @@ def _one_boundary_census(g, valence_filter, cap_edges):
         run(num_edges, budgets=budgets)
 
     out = []
-    for word in sorted(classes):
+    for word in sorted(words):
         m = len(word)
         alpha = tuple((p + word[p]) % m for p in range(m))
         sigma = tuple((alpha[p] + 1) % m for p in range(m))
         entry = graph_entry(Fatgraph(sigma, alpha))
         if entry.key != word:
             raise AssertionError("boundary word disagrees with gap word")
-        if entry.aut_order * classes[word] != m:
-            raise AssertionError("stabilizer disagrees with orbit size")
         out.append(entry)
     return tuple(out)
 
@@ -442,6 +472,24 @@ def fatgraph_descriptor(g: int, n: int, valence_filter) -> str:
         else "single%d" % valence_filter[1])
 
 
+def fatgraph_closed_count(g: int, n: int,
+                          valence_filter) -> Optional[Fraction]:
+    """Closed orbifold count sum(1/|Aut|) of the census built by
+    enumerate_fatgraphs, read off no census; None where no formula is known.
+
+    Trivalent one-face maps: the Walsh-Lehman rooted count
+    2(6g-3)!/(12^g g!(3g-2)!) over the 2E rootings of each map.
+
+    >>> fatgraph_closed_count(2, 1, TRIVALENT)
+    Fraction(35, 6)
+    """
+    if n != 1 or valence_filter != TRIVALENT:
+        return None
+    f = math.factorial
+    rooted = 2 * f(6 * g - 3) // (12 ** g * f(g) * f(3 * g - 2))
+    return Fraction(rooted, 2 * (6 * g - 3))
+
+
 def enumerate_fatgraphs(g: int, n: int, valence_filter=TRIVALENT,
                         cap_edges: Optional[int] = None) -> OrbifoldCensus:
     """Census of fatgraph isomorphism classes of type (g, n).
@@ -467,6 +515,29 @@ def tree_descriptor(leaf_count: int, profile: str, rooting: str) -> str:
     """Descriptor of the census built by enumerate_trees."""
     return "trees leaves=%d profile=%s rooting=%s" % (leaf_count, profile,
                                                       rooting)
+
+
+def tree_closed_count(leaf_count: int, profile: str,
+                      rooting: str) -> Fraction:
+    """Closed orbifold count of the census built by enumerate_trees.
+
+    Rooted trees have trivial automorphism groups, so the count is the
+    number of rooted trees: C_{L-2}, catalan5(L) and (L-2) C_{L-2} for the
+    three profiles.  An unrooted class is rooted at each of its L leaves
+    L/|Aut| ways, so the unrooted count is the rooted one over L.
+
+    >>> tree_closed_count(3, _trees.TRIVALENT, "unrooted")
+    Fraction(1, 3)
+    """
+    if profile == _trees.TRIVALENT:
+        rooted = catalan(leaf_count - 2)
+    elif profile == _trees.ONE5:
+        rooted = catalan5(leaf_count) if leaf_count >= 5 else 0
+    elif profile == _trees.MARKED:
+        rooted = (leaf_count - 2) * catalan(leaf_count - 2)
+    else:
+        raise ValueError("unknown profile %r" % profile)
+    return Fraction(rooted, 1 if rooting == "rooted" else leaf_count)
 
 
 def tree_entry(tree) -> CensusEntry:

@@ -106,6 +106,40 @@ def naive_census(g, n, max_edges, valence_filter="all"):
     return reps, sorted(automorphism_order_bruteforce(r) for r in reps)
 
 
+def one_face_census_bruteforce(num_edges, cycle_ok):
+    """Classes of one-face maps with num_edges edges, by listing every
+    fixed-point-free involution alpha of Z_{2E}.
+
+    A pairing is kept when the sorted cycle lengths of sigma = alpha + 1 pass
+    cycle_ok.  Each kept pairing is keyed by the least of the 2E rotations
+    of its gap tuple (alpha(p) - p mod 2E); returns {key: number of pairings
+    with that key}.
+    """
+    m = 2 * num_edges
+    counts = {}
+    for pairs in _matchings(list(range(m))):
+        alpha = [0] * m
+        for p, q in pairs:
+            alpha[p], alpha[q] = q, p
+        seen = [False] * m
+        lengths = []
+        for start in range(m):
+            length = 0
+            p = start
+            while not seen[p]:
+                seen[p] = True
+                p = (alpha[p] + 1) % m
+                length += 1
+            if length:
+                lengths.append(length)
+        if not cycle_ok(sorted(lengths)):
+            continue
+        gaps = tuple((alpha[p] - p) % m for p in range(m))
+        key = min(gaps[r:] + gaps[:r] for r in range(m))
+        counts[key] = counts.get(key, 0) + 1
+    return counts
+
+
 def pfaffian_by_matchings(matrix) -> Fraction:
     """Pfaffian as the signed sum over perfect matchings of the index set."""
     n = len(matrix)

@@ -1,3 +1,5 @@
+import csv
+import io
 import json
 from fractions import Fraction
 
@@ -68,6 +70,40 @@ class TestEnumerate:
         code, _ = run(capsys, "enumerate", "--type", "2,1",
                       "--cap-edges", "5")
         assert code == 2
+
+    @pytest.mark.parametrize("builder,argv", [
+        ("enumerate_fatgraphs", ("--type", "2,1")),
+        ("enumerate_trees", ("--trees", "--leaves", "6")),
+        ("enumerate_trees", ("--trees", "--leaves", "6", "--rooted")),
+    ], ids=["graphs", "trees", "rooted-trees"])
+    def test_missing_class_fails(self, capsys, tmp_path, monkeypatch,
+                                 builder, argv):
+        # the closed count reads no census, so a lost class shows
+        build = getattr(cli._enum, builder)
+        monkeypatch.setattr(cli._enum, builder,
+                            lambda *a, **k: build(*a, **k).without(0))
+        code, out = run(capsys, "enumerate", *argv, "--cache", str(tmp_path))
+        assert code == 3
+        assert out.splitlines()[1].split()[4] == "FAIL"
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("fmt,match", [
+        ("human", "n/a"), ("csv", ""), ("json", None)])
+    def test_no_closed_count(self, capsys, fmt, match):
+        code, out = run(capsys, "enumerate", "--type", "1,1",
+                        "--all-valences", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            row = json.loads(out)["rows"][0]
+        elif fmt == "csv":
+            row = next(csv.DictReader(io.StringIO(out)))
+        else:
+            fields = out.splitlines()[1].split()
+            row = {"value_closed": fields[2], "value_assembled": fields[3],
+                   "match": fields[4]}
+        assert row["value_closed"] == "-"
+        assert row["value_assembled"] == "5/12"
+        assert row["match"] == match
 
 
 class TestCache:

@@ -9,7 +9,8 @@ from fatmod.errors import ResourceLimit
 from fatmod.fatgraph import Fatgraph
 from fatmod.trees import ONE5, MARKED, rooted_trees, unrooted_trees
 
-from oracles import (bernoulli_oracle, naive_census, triangulation_count,
+from oracles import (bernoulli_oracle, naive_census,
+                     one_face_census_bruteforce, triangulation_count,
                      walsh_lehman)
 
 
@@ -105,6 +106,36 @@ class TestCensusCompleteness:
         assert walsh_lehman(g) == rooted
         assert census.orbifold_sum(
             weight=lambda e: 2 * e.graph.num_edges) == rooted
+
+    @pytest.mark.parametrize("g,valence_filter,num_edges,classes", [
+        (1, TRIVALENT, 3, 1), (1, ALL, 2, 1), (1, ALL, 3, 1),
+        (2, ALL, 4, 4), (2, ALL, 5, 21), (2, ALL, 6, 45), (2, ALL, 7, 52),
+        (2, ("single", 5), 7, 19)], ids=[
+        "trivalent-g1-E3", "all-g1-E2", "all-g1-E3", "all-g2-E4",
+        "all-g2-E5", "all-g2-E6", "all-g2-E7", "single5-g2-E7"])
+    def test_orderly_census_matches_bruteforce(self, g, valence_filter,
+                                               num_edges, classes):
+        # the search emits one pairing per class; the brute force lists every
+        # pairing, so it meets each class once per distinct rotation, that is
+        # 2E/|Aut| times
+        vertices = num_edges + 1 - 2 * g
+        if valence_filter == ALL:
+            def cycle_ok(lengths):
+                return len(lengths) == vertices and lengths[0] >= 3
+        else:
+            k = 3 if valence_filter == TRIVALENT else valence_filter[1]
+            want = sorted([3] * (vertices - 1) + [k])
+
+            def cycle_ok(lengths):
+                return lengths == want
+        counts = one_face_census_bruteforce(num_edges, cycle_ok)
+        census = {e.key: e.aut_order
+                  for e in enumerate_fatgraphs(g, 1, valence_filter)
+                  if e.graph.num_edges == num_edges}
+        assert len(counts) == classes
+        assert set(counts) == set(census)
+        for key, count in counts.items():
+            assert count * census[key] == 2 * num_edges
 
     def test_gluing_census_matches_word_census(self):
         # same machinery cross-check on (1,1): words vs naive oracle

@@ -5,11 +5,14 @@ Layout (text, one record per line):
     fatmod-census <format version>
     <descriptor>
     count=<N>
-    <aut order> | <kind> | <canonical graph line>
+    <aut order> | <kind> | <canonical graph line>[ | <involution>]
 
-``kind`` is ``graph`` for plain fatgraph entries and ``tree`` for censuses
-whose entries are rebuilt by doubling the stored tree.  A descriptor or
-version mismatch is reported as corruption, never silently reused.
+``kind`` is ``graph`` for a one-boundary fatgraph, ``tree`` for an unrooted
+planar tree, and ``cell`` for the tree indexing a doubled cell, whose entry
+is rebuilt by doubling the stored tree; only ``cell`` records carry the
+trailing ``| involution`` field, the copy swap as a comma-separated
+permutation.  A descriptor or version mismatch is reported as corruption,
+never silently reused.
 """
 
 from __future__ import annotations

@@ -132,16 +132,21 @@ def cmd_enumerate(args) -> int:
         leaves = args.leaves
         if leaves is None:
             raise SystemExit("--trees requires --leaves")
+        if leaves < 2:
+            raise FatmodError("--leaves must be at least 2, got %d" % leaves)
         rooting = "rooted" if args.rooted else "unrooted"
-        census = _enum.enumerate_trees(
-            leaves, args.profile, rooting,
-            cap_leaves=max(leaves, _enum.DEFAULT_CAP_LEAVES))
+        census = _enum.enumerate_trees(leaves, args.profile, rooting,
+                                       cap_leaves=ws.caps.tree_leaves)
         closed = _enum.tree_closed_count(leaves, args.profile, rooting)
         kind = None if args.rooted else "tree"
     else:
         if args.type is None:
             raise SystemExit("need --type G,N (or --trees)")
-        g, n = (int(x) for x in args.type.split(","))
+        try:
+            g, n = (int(x) for x in args.type.split(","))
+        except ValueError:
+            raise FatmodError("--type needs two integers G,N, got %r"
+                              % args.type) from None
         if args.single_k is not None:
             valence_filter = ("single", args.single_k)
         elif args.all_valences:

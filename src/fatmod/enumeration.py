@@ -7,13 +7,15 @@ one-boundary graphs, :func:`tree_entry` for unrooted trees, and
 ``hyperelliptic.cell_entry`` for doubled trees.  The builders and the cache
 loader both call it, so a census has the same keys however it was obtained.
 
-One-boundary graphs are enumerated through their boundary word: a fatgraph of
-type (g, 1) with E edges is the same thing as a fixed-point-free involution
-``alpha`` of the cyclic set Z_{2E} of boundary slots, with the vertex
-permutation recovered as ``sigma(p) = alpha(p) + 1 (mod 2E)``.  Rotating the
-slots is exactly an isomorphism, so the gap sequence
-``(alpha(p) - p mod 2E)_p`` classifies graphs up to isomorphism by its least
-cyclic rotation, and the automorphism group is the rotation stabilizer.
+Every census holds one-boundary graphs, keyed by the least rotation of their
+boundary word (``Fatgraph.canonical_key``).  They are enumerated through that
+word: a fatgraph of type (g, 1) with E edges is the same thing as a
+fixed-point-free involution ``alpha`` of the cyclic set Z_{2E} of boundary
+slots, with the vertex permutation recovered as
+``sigma(p) = alpha(p) + 1 (mod 2E)``.  Rotating the slots is exactly an
+isomorphism, so the gap sequence ``(alpha(p) - p mod 2E)_p`` classifies
+graphs up to isomorphism by its least cyclic rotation, and the automorphism
+group is the rotation stabilizer.
 Generation backtracks over pairings with vertex-valence closure propagation
 and is orderly (Read 1978; McKay 1998): a partial pairing is cut as soon as
 some rotation of its known gap word is already smaller, so only canonical
@@ -21,9 +23,8 @@ representatives, each its own least rotation, are emitted, one per class.
 
 Census kinds with a known count have a closed orbifold count beside their
 descriptor function (:func:`fatgraph_closed_count`,
-:func:`tree_closed_count`); these read no census.
-
-Censuses for n > 1 (only needed at toy sizes) glue labeled stars naively.
+:func:`tree_closed_count`); these read no census.  Types (g, n) with n > 1
+have no census.
 """
 
 from __future__ import annotations
@@ -34,8 +35,8 @@ from fractions import Fraction
 from typing import Callable, Optional
 
 from . import trees as _trees
-from .errors import MalformedGraph, ResourceLimit
-from .fatgraph import ORDINARY, Fatgraph
+from .errors import MalformedGraph, ResourceLimit, WrongType
+from .fatgraph import ORDINARY, Fatgraph, least_rotation
 
 DEFAULT_CAP_EDGES = 15          # trivalent / single-k censuses (genus <= 3)
 DEFAULT_CAP_EDGES_ALL = 9       # all-valence censuses (genus <= 2)
@@ -113,39 +114,14 @@ class OrbifoldCensus:
         return OrbifoldCensus(self.descriptor + " [mutated]", entries)
 
 
-# -- boundary-word machinery for n = 1 ---------------------------------------
-
-def _least_rotation(seq):
-    """Booth's algorithm; index of the lexicographically least rotation."""
-    s = seq + seq
-    n = len(seq)
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
-
-
-def _least_word(gaps) -> tuple:
-    k = _least_rotation(gaps)
-    return gaps[k:] + gaps[:k]
-
+# -- the one-boundary census -------------------------------------------------
 
 def canonical_gap_word(alpha) -> tuple:
     """Rotation-canonical form of a one-boundary pairing."""
     m = len(alpha)
-    return _least_word(tuple((alpha[p] - p) % m for p in range(m)))
+    gaps = tuple((alpha[p] - p) % m for p in range(m))
+    k = least_rotation(gaps)
+    return gaps[k:] + gaps[:k]
 
 
 def graph_entry(graph: Fatgraph) -> CensusEntry:
@@ -155,22 +131,10 @@ def graph_entry(graph: Fatgraph) -> CensusEntry:
     cycle ``phi = sigma o alpha``; automorphisms commute with ``phi``, so
     |Aut| is the rotation stabilizer of that word.
     """
-    cycles = graph.boundary_cycles().cycles
-    if len(cycles) != 1 or any(f != ORDINARY for f in graph.flags):
+    if graph.boundary_cycles().n != 1 or \
+            any(f != ORDINARY for f in graph.flags):
         raise MalformedGraph("expected an unflagged one-boundary graph")
-    boundary = cycles[0]
-    m = len(boundary)
-    pos = [0] * m
-    for i, h in enumerate(boundary):
-        pos[h] = i
-    word = _least_word(tuple((pos[graph.alpha[h]] - i) % m
-                             for i, h in enumerate(boundary)))
-    return CensusEntry(word, graph, rotation_stabilizer_order(word))
-
-
-def rotation_stabilizer_order(gaps) -> int:
-    """Number of cyclic rotations that fix the word."""
-    return sum(gaps[r:] + gaps[:r] == gaps for r in range(len(gaps)))
+    return CensusEntry(graph.canonical_key(), graph, graph.aut_order())
 
 
 def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
@@ -403,67 +367,6 @@ def _one_boundary_census(g, valence_filter, cap_edges):
     return tuple(out)
 
 
-# -- naive gluing for n > 1 ---------------------------------------------------
-
-def _partitions(total, parts, smallest):
-    if parts == 1:
-        if total >= smallest:
-            yield (total,)
-        return
-    for first in range(smallest, total // parts + 1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
-
-
-def _matchings(stubs):
-    if not stubs:
-        yield []
-        return
-    first = stubs[0]
-    for i in range(1, len(stubs)):
-        rest = stubs[1:i] + stubs[i + 1:]
-        for sub in _matchings(rest):
-            yield [(first, stubs[i])] + sub
-
-
-def _gluing_census(g, n, valence_filter, cap_edges):
-    classes = {}
-    max_edges = 3 * (2 * g - 2 + n)
-    for num_edges in range(1, max_edges + 1):
-        if num_edges > cap_edges:
-            raise ResourceLimit(
-                "census needs %d edges, cap is %d" % (num_edges, cap_edges))
-        num_vertices = num_edges + 2 - 2 * g - n
-        if num_vertices < 1:
-            continue
-        for valences in _partitions(2 * num_edges, num_vertices, 3):
-            if valence_filter == TRIVALENT and set(valences) != {3}:
-                continue
-            if isinstance(valence_filter, tuple):
-                k = valence_filter[1]
-                want = tuple(sorted([3] * (num_vertices - 1) + [k]))
-                if tuple(sorted(valences)) != want:
-                    continue
-            cycles = []
-            base = 0
-            for v in valences:
-                cycles.append(tuple(range(base, base + v)))
-                base += v
-            for pairs in _matchings(list(range(2 * num_edges))):
-                try:
-                    graph = Fatgraph.from_cycles(cycles, pairs)
-                except MalformedGraph:
-                    continue
-                gt = graph.graph_type()
-                if (gt.g, gt.n) != (g, n):
-                    continue
-                key = graph.canonical_key()
-                if key not in classes:
-                    classes[key] = graph
-    return tuple(CensusEntry(key, classes[key], classes[key].aut_order())
-                 for key in sorted(classes))
-
-
 def fatgraph_descriptor(g: int, n: int, valence_filter) -> str:
     """Descriptor of the census built by enumerate_fatgraphs; it also names
     the census's cache file."""
@@ -492,23 +395,21 @@ def fatgraph_closed_count(g: int, n: int,
 
 def enumerate_fatgraphs(g: int, n: int, valence_filter=TRIVALENT,
                         cap_edges: Optional[int] = None) -> OrbifoldCensus:
-    """Census of fatgraph isomorphism classes of type (g, n).
+    """Census of fatgraph isomorphism classes of type (g, 1), g >= 1.
 
     ``valence_filter`` is ``"trivalent"``, ``"all"`` (valences >= 3), or
     ``("single", k)`` for one k-valent vertex among trivalent ones.
-    Raises ResourceLimit when the required edge count exceeds the cap.
+    Raises WrongType for any other type and ResourceLimit when the
+    required edge count exceeds the cap.
     """
-    if 2 * g - 2 + n <= 0:
-        raise ValueError("need 2g-2+n > 0")
+    if n != 1 or g < 1:
+        raise WrongType("censuses need type (g,1) with g >= 1, got (%d,%d)"
+                        % (g, n))
     if cap_edges is None:
         cap_edges = (DEFAULT_CAP_EDGES_ALL if valence_filter == ALL
                      else DEFAULT_CAP_EDGES)
-    descriptor = fatgraph_descriptor(g, n, valence_filter)
-    if n == 1:
-        entries = _one_boundary_census(g, valence_filter, cap_edges)
-    else:
-        entries = _gluing_census(g, n, valence_filter, cap_edges)
-    return OrbifoldCensus(descriptor, entries)
+    return OrbifoldCensus(fatgraph_descriptor(g, n, valence_filter),
+                          _one_boundary_census(g, valence_filter, cap_edges))
 
 
 def tree_descriptor(leaf_count: int, profile: str, rooting: str) -> str:

@@ -13,8 +13,19 @@ Boundary cycles are the orbits of the face permutation ``phi = sigma o alpha``
 here and consumed unchanged by the volume-form construction.
 
 Vertices may carry a flag: ``"o"`` (ordinary), ``"d"`` (delta-labeled, may
-have valence below three) or ``"n"`` (node).  Isomorphisms preserve flags and,
-when attached, boundary labels.
+have valence below three) or ``"n"`` (node).  Isomorphisms preserve flags.
+
+Every graph the pipeline classifies has one boundary cycle: census graphs of
+type (g, 1), planar trees and doubled trees.  Numbering the slots of that
+cycle ``0..m-1`` along ``phi``, an isomorphism commutes with ``phi`` and so
+is a rotation of the slots.  The *boundary word* of a one-boundary graph
+lists, slot by slot, the gap ``pos(alpha h) - i (mod m)`` together with the
+flag of the slot's vertex and an optional per-half-edge mark; since
+``sigma(h) = phi(alpha h)``, the gaps alone rebuild the graph.  Its least
+cyclic rotation (Booth 1980) is the canonical key, and the rotations fixing
+it are the automorphisms: a cyclic group whose only possible involution is
+the half-turn ``phi^E``.  Graphs with more than one boundary cycle have no
+canonical form here and raise :class:`WrongType`.
 """
 
 from __future__ import annotations
@@ -34,6 +45,7 @@ DELTA = "d"
 NODE = "n"
 
 _FLAGS = (ORDINARY, DELTA, NODE)
+_FLAG_INDEX = {flag: i for i, flag in enumerate(_FLAGS)}
 
 
 class GraphType(NamedTuple):
@@ -56,11 +68,9 @@ class BoundaryCycles(NamedTuple):
 
     ``cycles`` lists half-edges in traversal order; each cycle starts at its
     smallest half-edge and cycles are sorted by that smallest element.
-    ``labels`` assigns 1..n unless explicit labels were attached to the graph.
     """
 
     cycles: tuple
-    labels: tuple
 
     @property
     def n(self) -> int:
@@ -83,6 +93,43 @@ def _cycles_of(perm: Sequence[int]):
             h = perm[h]
         out.append(tuple(cyc))
     return tuple(out)
+
+
+def least_rotation(seq) -> int:
+    """Booth's algorithm; index of the lexicographically least rotation.
+
+    >>> least_rotation((2, 1, 3, 1))
+    3
+    """
+    s = seq + seq
+    f = [-1] * len(s)
+    k = 0
+    for j in range(1, len(s)):
+        sj = s[j]
+        i = f[j - k - 1]
+        while i != -1 and sj != s[k + i + 1]:
+            if sj < s[k + i + 1]:
+                k = j - i - 1
+            i = f[i]
+        if sj != s[k + i + 1]:
+            if sj < s[k]:
+                k = j
+            f[j - k] = -1
+        else:
+            f[j - k] = i + 1
+    return k
+
+
+def rotation_period(word) -> int:
+    """Least r > 0 whose rotation fixes the word; it divides len(word), and
+    the rotations fixing the word are its multiples.
+
+    >>> rotation_period((1, 2, 1, 2)), rotation_period((1, 1, 2))
+    (2, 3)
+    """
+    m = len(word)
+    return next(r for r in range(1, m + 1)
+                if m % r == 0 and word[r:] + word[:r] == word)
 
 
 def perm_compose(p: Sequence[int], q: Sequence[int]) -> tuple:
@@ -112,11 +159,9 @@ class Fatgraph:
         GraphType(g=1, n=1)
     """
 
-    __slots__ = ("sigma", "alpha", "flags", "boundary_labels",
-                 "_vertices", "_edges", "_key")
+    __slots__ = ("sigma", "alpha", "flags", "_vertices", "_edges", "_key")
 
-    def __init__(self, sigma, alpha, flags=None, boundary_labels=None,
-                 check: bool = True):
+    def __init__(self, sigma, alpha, flags=None, check: bool = True):
         self.sigma = tuple(sigma)
         self.alpha = tuple(alpha)
         m = len(self.sigma)
@@ -124,8 +169,6 @@ class Fatgraph:
             self.flags = (ORDINARY,) * m
         else:
             self.flags = tuple(flags)
-        self.boundary_labels = (None if boundary_labels is None
-                                else tuple(boundary_labels))
         self._vertices = None
         self._edges = None
         self._key = None
@@ -133,8 +176,8 @@ class Fatgraph:
             self._check()
 
     @classmethod
-    def from_cycles(cls, vertex_cycles, edge_pairs, delta=(), node=(),
-                    boundary_labels=None) -> "Fatgraph":
+    def from_cycles(cls, vertex_cycles, edge_pairs, delta=(),
+                    node=()) -> "Fatgraph":
         """Build from explicit vertex cycles and edge pairs.
 
         ``delta`` and ``node`` are iterables of half-edges; the vertex
@@ -165,7 +208,7 @@ class Fatgraph:
             alpha[b] = a
         if any(x is None for x in alpha):
             raise MalformedGraph("unpaired half-edge")
-        return cls(sigma, alpha, flags=flags, boundary_labels=boundary_labels)
+        return cls(sigma, alpha, flags=flags)
 
     # -- validation ------------------------------------------------------
 
@@ -203,23 +246,6 @@ class Fatgraph:
                     stack.append(nxt)
         if count != m:
             raise MalformedGraph("graph is not connected")
-        if self.boundary_labels is not None:
-            cyc_label = {}
-            for h in range(m):
-                cyc_label.setdefault(self._boundary_root(h),
-                                     self.boundary_labels[h])
-            for h in range(m):
-                if self.boundary_labels[h] != cyc_label[self._boundary_root(h)]:
-                    raise MalformedGraph("boundary labels not constant on "
-                                         "boundary cycles")
-
-    def _boundary_root(self, h: int) -> int:
-        best = h
-        cur = self.sigma[self.alpha[h]]
-        while cur != h:
-            best = min(best, cur)
-            cur = self.sigma[self.alpha[cur]]
-        return best
 
     # -- basic structure -------------------------------------------------
 
@@ -268,12 +294,7 @@ class Fatgraph:
     def boundary_cycles(self) -> BoundaryCycles:
         phi = tuple(self.sigma[self.alpha[h]]
                     for h in range(self.num_half_edges))
-        cycles = _cycles_of(phi)
-        if self.boundary_labels is not None:
-            labels = tuple(self.boundary_labels[c[0]] for c in cycles)
-        else:
-            labels = tuple(range(1, len(cycles) + 1))
-        return BoundaryCycles(cycles, labels)
+        return BoundaryCycles(_cycles_of(phi))
 
     def boundary_edge_cycles(self) -> tuple:
         """Boundary cycles as sequences of edge indices."""
@@ -297,8 +318,7 @@ class Fatgraph:
         """Collapse a non-loop edge, coalescing its endpoints.
 
         ``e`` is an edge index into :attr:`edges`.  The adjoining half-edges
-        inherit the cyclic order of the two endpoints; boundary labels, when
-        present, carry over unchanged.
+        inherit the cyclic order of the two endpoints.
         """
         p, q = self.edges[e]
         cyc_p = self._cycle_from(p)
@@ -331,10 +351,7 @@ class Fatgraph:
                 continue
             alpha[relabel[a]] = relabel[b]
             alpha[relabel[b]] = relabel[a]
-        labels = None
-        if self.boundary_labels is not None:
-            labels = [self.boundary_labels[h] for h in keep]
-        return Fatgraph(sigma, alpha, flags=flags, boundary_labels=labels)
+        return Fatgraph(sigma, alpha, flags=flags)
 
     def _cycle_from(self, h: int) -> tuple:
         cyc = [h]
@@ -426,71 +443,80 @@ class Fatgraph:
 
     # -- canonical form and automorphisms ---------------------------------
 
-    def _traversal_order(self, h0: int):
-        m = self.num_half_edges
-        pos = [-1] * m
-        order = [h0]
-        pos[h0] = 0
-        i = 0
-        while i < len(order):
-            h = order[i]
-            i += 1
-            for nxt in (self.sigma[h], self.alpha[h]):
-                if pos[nxt] < 0:
-                    pos[nxt] = len(order)
-                    order.append(nxt)
-        return order, pos
+    def boundary_word(self, extra=None, start: int = 0):
+        """The boundary cycle read from half-edge ``start``, and its word.
 
-    def _encoding_from(self, h0: int, extra=None):
-        order, pos = self._traversal_order(h0)
-        sig = tuple(pos[self.sigma[h]] for h in order)
-        alp = tuple(pos[self.alpha[h]] for h in order)
-        flg = tuple(self.flags[h] for h in order)
-        lab = () if self.boundary_labels is None else \
-            tuple(self.boundary_labels[h] for h in order)
-        ext = () if extra is None else tuple(extra[h] for h in order)
-        return (sig, alp, flg, lab, ext)
+        Returns ``(boundary, word)``: ``boundary[i]`` is the half-edge in
+        slot i of the cycle ``phi``, and ``word[i]`` encodes the slot's gap
+        ``pos(alpha h) - i (mod m)``, the flag of its vertex and the optional
+        mark ``extra[h]`` (a non-negative integer) as
+        ``gap + m * (flag index + 3 * mark)``.  Unflagged, unmarked graphs
+        get the plain gap word.  Raises WrongType unless the graph has
+        exactly one boundary cycle.
+        """
+        sigma, alpha = self.sigma, self.alpha
+        m = len(sigma)
+        boundary = [start]
+        h = sigma[alpha[start]]
+        while h != start:
+            boundary.append(h)
+            h = sigma[alpha[h]]
+        if len(boundary) != m:
+            raise WrongType("expected one boundary cycle, got %d"
+                            % self.boundary_cycles().n)
+        pos = [0] * m
+        for i, h in enumerate(boundary):
+            pos[h] = i
+        word = []
+        for i, h in enumerate(boundary):
+            code = _FLAG_INDEX[self.flags[h]]
+            if extra is not None:
+                code += 3 * extra[h]
+            word.append((pos[alpha[h]] - i) % m + m * code)
+        return tuple(boundary), tuple(word)
 
     def canonical_key(self, extra=None):
-        """Total-order key; equal keys iff isomorphic (flags, labels and the
-        optional per-half-edge ``extra`` decoration respected)."""
+        """Least rotation of the boundary word; equal keys iff isomorphic
+        (flags and the optional per-half-edge ``extra`` marks respected).
+        One-boundary graphs only."""
         if extra is None and self._key is not None:
             return self._key
-        m = self.num_half_edges
-        best = min(self._encoding_from(h, extra) for h in range(m))
-        gt = self.graph_type()
-        key = (gt.g, gt.n, self.num_edges, best)
+        word = self.boundary_word(extra)[1]
+        k = least_rotation(word)
+        key = word[k:] + word[:k]
         if extra is None:
             self._key = key
         return key
 
     def automorphisms(self):
         """All half-edge permutations commuting with sigma and alpha and
-        preserving flags and boundary labels.
+        preserving flags, for a one-boundary graph.
 
-        An automorphism is determined by the image of a single half-edge, so
-        the group is exactly one map per half-edge whose canonical traversal
-        encoding matches the minimal one.
+        Each is a rotation of the boundary: a rotation by r slots that fixes
+        the boundary word maps ``boundary[i]`` to ``boundary[i + r]``.
         """
-        m = self.num_half_edges
-        encs = [self._encoding_from(h) for h in range(m)]
-        best = min(encs)
-        base_order, _ = self._traversal_order(encs.index(best))
-        auts = []
-        for h1 in range(m):
-            if encs[h1] != best:
-                continue
-            order1, _ = self._traversal_order(h1)
-            perm = [0] * m
-            for a, b in zip(base_order, order1):
-                perm[a] = b
-            auts.append(tuple(perm))
+        boundary, word = self.boundary_word()
+        period = rotation_period(word)
+        auts = [_rotate(boundary, r)
+                for r in range(0, len(boundary), period)]
         for a in auts:
             self._assert_automorphism(a)
         return auts
 
     def aut_order(self) -> int:
         return len(self.automorphisms())
+
+    def half_turn(self):
+        """The half-turn ``phi^E`` when it is an automorphism, else None.
+
+        The automorphism group of a one-boundary graph is cyclic, so this
+        is its only possible involution.
+        """
+        boundary, word = self.boundary_word()
+        e = len(word) // 2
+        if word[e:] + word[:e] != word:
+            return None
+        return _rotate(boundary, e)
 
     def _assert_automorphism(self, a):
         m = self.num_half_edges
@@ -502,9 +528,6 @@ class Fatgraph:
                 raise NotAnAutomorphism("does not commute with the graph")
             if self.flags[a[h]] != self.flags[h]:
                 raise NotAnAutomorphism("does not preserve flags")
-            if self.boundary_labels is not None and \
-                    self.boundary_labels[a[h]] != self.boundary_labels[h]:
-                raise NotAnAutomorphism("does not preserve boundary labels")
 
     def fixed_cells(self, a) -> FixedCells:
         """Counts of vertices, edges and boundary cycles mapped to themselves
@@ -518,22 +541,19 @@ class Fatgraph:
         return FixedCells(fv, fe, fb)
 
     def hyperelliptic_involution(self):
-        """The least order-2 automorphism with 2g+2 fixed cells, or None.
+        """The order-2 automorphism with 2g+2 fixed cells, or None.
 
-        Only defined for graphs of type (g, 1) with g >= 1.
+        Only defined for graphs of type (g, 1) with g >= 1, whose only
+        candidate is the half-turn.
         """
         g, n = self.graph_type()
         if n != 1 or g < 1:
             raise WrongType("expected type (g,1) with g >= 1, got (%d,%d)"
                             % (g, n))
-        ident = tuple(range(self.num_half_edges))
-        found = []
-        for a in self.automorphisms():
-            if a == ident or perm_compose(a, a) != ident:
-                continue
-            if self.fixed_cells(a).total == 2 * g + 2:
-                found.append(a)
-        return min(found) if found else None
+        iota = self.half_turn()
+        if iota is None or self.fixed_cells(iota).total != 2 * g + 2:
+            return None
+        return iota
 
     # -- relabeling, equality, serialization ------------------------------
 
@@ -544,19 +564,16 @@ class Fatgraph:
         sigma = [perm[self.sigma[inv[h]]] for h in range(m)]
         alpha = [perm[self.alpha[inv[h]]] for h in range(m)]
         flags = [self.flags[inv[h]] for h in range(m)]
-        labels = None if self.boundary_labels is None else \
-            [self.boundary_labels[inv[h]] for h in range(m)]
-        return Fatgraph(sigma, alpha, flags=flags, boundary_labels=labels)
+        return Fatgraph(sigma, alpha, flags=flags)
 
     def __eq__(self, other):
         if not isinstance(other, Fatgraph):
             return NotImplemented
-        return (self.sigma, self.alpha, self.flags, self.boundary_labels) == \
-            (other.sigma, other.alpha, other.flags, other.boundary_labels)
+        return (self.sigma, self.alpha, self.flags) == \
+            (other.sigma, other.alpha, other.flags)
 
     def __hash__(self):
-        return hash((self.sigma, self.alpha, self.flags,
-                     self.boundary_labels))
+        return hash((self.sigma, self.alpha, self.flags))
 
     def __repr__(self):
         return "Fatgraph(%r, %r)" % (list(self.sigma), list(self.alpha))
@@ -596,6 +613,15 @@ class Fatgraph:
         if (gt.g, gt.n, graph.num_vertices, graph.num_edges) != (g, n, nv, ne):
             raise MalformedGraph("graph line header disagrees with body")
         return graph
+
+
+def _rotate(boundary, r: int) -> tuple:
+    """The permutation sending boundary[i] to boundary[i + r]."""
+    m = len(boundary)
+    perm = [0] * m
+    for i, h in enumerate(boundary):
+        perm[h] = boundary[(i + r) % m]
+    return tuple(perm)
 
 
 def _noncrossing_diagonal_sets(k: int):

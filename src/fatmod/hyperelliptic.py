@@ -376,15 +376,15 @@ def count_t2(g: int) -> Fraction:
 def full_simplex_involution(graph: Fatgraph):
     """An order-2 automorphism with 2g+2 fixed cells fixing every edge
     setwise, or None.  Such an involution survives on every metric, so the
-    whole closed cell lies in the hyperelliptic locus."""
+    whole closed cell lies in the hyperelliptic locus.  The half-turn is
+    the only candidate."""
     gt = graph.graph_type()
     if gt.n != 1:
         return None
-    ident = tuple(range(graph.num_half_edges))
-    for a in graph.automorphisms():
-        if a == ident or perm_compose(a, a) != ident:
-            continue
-        fc = graph.fixed_cells(a)
-        if fc.total == 2 * gt.g + 2 and fc.edges == graph.num_edges:
-            return a
+    iota = graph.half_turn()
+    if iota is None:
+        return None
+    fc = graph.fixed_cells(iota)
+    if fc.total == 2 * gt.g + 2 and fc.edges == graph.num_edges:
+        return iota
     return None

@@ -66,9 +66,11 @@ class PlanarTree(Fatgraph):
                      if len(cyc) > 1 and self.flags[cyc[0]] == DELTA)
 
     def rooted_key(self):
+        """The boundary word read from the root slot, not rotated: equal
+        iff the rooted trees are isomorphic."""
         if self.root is None:
             raise ValueError("tree is unrooted")
-        return ("rooted",) + self._encoding_from(self.root)
+        return self.boundary_word(start=self.root)[1]
 
     def unrooted(self) -> "PlanarTree":
         return PlanarTree(self.sigma, self.alpha, flags=self.flags,
@@ -249,7 +251,8 @@ def rooted_trees(leaf_count: int, profile: str = TRIVALENT,
 
 def unrooted_trees(leaf_count: int, profile: str = TRIVALENT,
                    cap_leaves: int = 13):
-    """Isomorphism classes of unrooted trees, sorted by canonical key."""
+    """Isomorphism classes of unrooted trees, sorted by canonical key; each
+    class is represented by its first tree in generation order."""
     classes = {}
     for tree in rooted_trees(leaf_count, profile, cap_leaves):
         t = tree.unrooted()

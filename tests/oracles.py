@@ -32,12 +32,8 @@ def extend_flag_map(G, H, start_g, start_h):
                 stack.append(na)
     if len(set(phi.values())) != len(phi):
         return None
-    for a, b in phi.items():
-        if G.flags[a] != H.flags[b]:
-            return None
-        if (G.boundary_labels is not None and H.boundary_labels is not None
-                and G.boundary_labels[a] != H.boundary_labels[b]):
-            return None
+    if any(G.flags[a] != H.flags[b] for a, b in phi.items()):
+        return None
     return phi
 
 

@@ -1,17 +1,23 @@
 """Census entry functions: keys and automorphism orders do not depend on
-half-edge labels."""
+half-edge labels, and agree with the explicit search in ``oracles``."""
+
+from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatmod.enumeration import ALL, TRIVALENT, enumerate_fatgraphs, \
-    graph_entry
+    graph_entry, tree_entry
 from fatmod.errors import MalformedGraph
-from fatmod.fatgraph import Fatgraph
+from fatmod.fatgraph import Fatgraph, perm_compose
 from fatmod.hyperelliptic import hyperelliptic_census, w1_intersection_census
+from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
+    PlanarTree, odd_valence_trees, unrooted_trees
+
+from oracles import automorphism_order_bruteforce, extend_flag_map
 
 
-def _one_boundary_graphs():
+def _one_boundary_censuses():
     censuses = {}
     for g in (1, 2):
         censuses["trivalent-g%d" % g] = enumerate_fatgraphs(g, 1, TRIVALENT)
@@ -27,15 +33,53 @@ def _one_boundary_graphs():
             for i, entry in enumerate(census)]
 
 
-@pytest.mark.parametrize("graph", _one_boundary_graphs())
+def _flagged_trees():
+    pools = {}
+    for profile in (TREE_TRIVALENT, ONE5, MARKED):
+        for leaves in range(2, 9):
+            pools["trees-%s-L%d" % (profile, leaves)] = \
+                unrooted_trees(leaves, profile)
+    pools["odd-valence-E9"] = odd_valence_trees(9)
+    return [pytest.param(tree, id="%s-%d" % (name, i))
+            for name, trees in pools.items()
+            for i, tree in enumerate(trees)]
+
+
+GRAPHS = _one_boundary_censuses()
+
+aut_order_oracle = lru_cache(maxsize=None)(automorphism_order_bruteforce)
+
+
+@pytest.mark.parametrize("graph", GRAPHS + _flagged_trees())
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_graph_entry_is_label_invariant(graph, data):
+    entry_of = tree_entry if isinstance(graph, PlanarTree) else graph_entry
     perm = data.draw(st.permutations(range(graph.num_half_edges)))
-    entry = graph_entry(graph)
-    relabeled = graph_entry(graph.relabeled(perm))
+    entry = entry_of(graph)
+    relabeled = entry_of(graph.relabeled(perm))
     assert relabeled.key == entry.key
-    assert relabeled.aut_order == entry.aut_order == graph.aut_order()
+    assert relabeled.aut_order == entry.aut_order == aut_order_oracle(graph)
+
+
+@pytest.mark.parametrize("graph", GRAPHS)
+def test_half_turn_is_the_only_hyperelliptic_involution(graph):
+    # every automorphism from the oracle's search, kept when it is an
+    # involution with 2g+2 fixed cells
+    m = graph.num_half_edges
+    ident = tuple(range(m))
+    total = 2 * graph.graph_type().g + 2
+    found = set()
+    for h in range(m):
+        phi = extend_flag_map(graph, graph, 0, h)
+        if phi is None:
+            continue
+        a = tuple(phi[x] for x in range(m))
+        if a != ident and perm_compose(a, a) == ident and \
+                graph.fixed_cells(a).total == total:
+            found.add(a)
+    iota = graph.hyperelliptic_involution()
+    assert found == (set() if iota is None else {iota})
 
 
 def test_graph_entry_needs_one_unflagged_boundary():

@@ -87,6 +87,28 @@ class TestEnumerate:
         assert out.splitlines()[1].split()[4] == "FAIL"
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("argv", [
+        ("--type", "2"), ("--type", "a,1"), ("--type", "0,1"),
+        ("--type", "0,3"), ("--trees", "--leaves", "1"),
+    ], ids=["type-one-number", "type-not-integer", "type-genus-zero",
+            "type-three-boundaries", "trees-one-leaf"])
+    def test_bad_arguments_exit_one(self, capsys, tmp_path, argv):
+        code = cli.main(["enumerate", *argv, "--cache", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    def test_tree_leaf_cap_exit_two(self, capsys, tmp_path):
+        code = cli.main(["enumerate", "--trees", "--leaves", "40",
+                         "--cache", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("size cap exceeded")
+        assert not list(tmp_path.iterdir())
+
     @pytest.mark.parametrize("fmt,match", [
         ("human", "n/a"), ("csv", ""), ("json", None)])
     def test_no_closed_count(self, capsys, fmt, match):

@@ -9,7 +9,8 @@ from fatmod.errors import ResourceLimit
 from fatmod.fatgraph import Fatgraph
 from fatmod.trees import ONE5, MARKED, rooted_trees, unrooted_trees
 
-from oracles import (bernoulli_oracle, naive_census,
+from oracles import (are_isomorphic, automorphism_order_bruteforce,
+                     bernoulli_oracle, naive_census,
                      one_face_census_bruteforce, triangulation_count,
                      walsh_lehman)
 
@@ -64,7 +65,8 @@ class TestFatgraphCensus:
 
     def test_word_aut_orders_match_group_search(self):
         for entry in enumerate_fatgraphs(2, 1, TRIVALENT):
-            assert entry.aut_order == entry.graph.aut_order()
+            assert entry.aut_order == \
+                automorphism_order_bruteforce(entry.graph)
 
     def test_single_k_filter(self):
         census = enumerate_fatgraphs(2, 1, ("single", 5))
@@ -88,7 +90,7 @@ class TestCensusCompleteness:
     """The naive oracle enumerates all gluings of labeled stars and
     deduplicates by explicit isomorphism search."""
 
-    @pytest.mark.parametrize("g,n", [(1, 1), (0, 3), (0, 4), (2, 1)])
+    @pytest.mark.parametrize("g,n", [(1, 1), (2, 1)])
     def test_small_all_valence_censuses(self, g, n):
         reps, oracle_orders = naive_census(g, n, max_edges=5)
         census = enumerate_fatgraphs(g, n, ALL,
@@ -214,23 +216,30 @@ class TestEulerCharacteristic:
 
 def test_least_rotation_matches_naive():
     import random
-    from fatmod.enumeration import _least_rotation
+    from fatmod.fatgraph import least_rotation
     rng = random.Random(99)
     for _ in range(500):
         n = rng.randint(1, 12)
         s = tuple(rng.randint(0, 4) for _ in range(n))
-        k = _least_rotation(s)
+        k = least_rotation(s)
         assert s[k:] + s[:k] == min(s[r:] + s[:r] for r in range(n))
 
 
 def test_word_keys_agree_with_canonical_keys():
-    # two graphs in a one-boundary census share a gap word iff their general
-    # canonical keys agree
-    from fatmod.enumeration import canonical_gap_word
+    # two graphs share a word key iff an explicit isomorphism search joins
+    # them: census classes pairwise, and each class against a relabeling
+    import random
+    rng = random.Random(7)
     census = enumerate_fatgraphs(2, 1, TRIVALENT)
-    words = [canonical_gap_word(e.graph.alpha) for e in census]
-    keys = [e.graph.canonical_key() for e in census]
-    assert len(set(words)) == len(words) == len(set(keys))
+    graphs = []
+    for e in census:
+        perm = list(range(e.graph.num_half_edges))
+        rng.shuffle(perm)
+        graphs += [e.graph, e.graph.relabeled(perm)]
+    for G in graphs:
+        for H in graphs:
+            assert (G.canonical_key() == H.canonical_key()) == \
+                are_isomorphic(G, H)
 
 
 def test_census_graphs_all_valid():

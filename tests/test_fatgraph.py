@@ -256,18 +256,28 @@ def _rotate_chords(chords, r, k):
 class TestCanonicalForm:
     def test_invariant_under_relabeling(self):
         rng = random.Random(20240811)
-        for G in (reference_two_boundary_graph(), theta_graph(),
-                  one_vertex_opposite_pairing(2)):
+        for G in (one_boundary_torus_graph(), two_vertex_star_double(2),
+                  one_vertex_opposite_pairing(2), generic_six_valent_tree()):
             key = G.canonical_key()
             m = G.num_half_edges
             for _ in range(100):
                 perm = list(range(m))
                 rng.shuffle(perm)
                 assert G.relabeled(perm).canonical_key() == key
+        for G in (reference_two_boundary_graph(), theta_graph()):
+            with pytest.raises(WrongType):
+                G.canonical_key()
 
     def test_planar_vs_nonplanar_theta(self):
-        assert theta_graph().canonical_key() != \
-            one_boundary_torus_graph().canonical_key()
+        # the planar gluing of two trivalent stars has three boundary cycles
+        # and no canonical form; the other gluing is the one-boundary torus,
+        # whose key sees vertex flags
+        with pytest.raises(WrongType):
+            theta_graph().canonical_key()
+        torus = one_boundary_torus_graph()
+        flagged = Fatgraph(torus.sigma, torus.alpha, flags=("n",) * 6)
+        assert torus.canonical_key() != flagged.canonical_key()
+        assert not are_isomorphic(torus, flagged)
 
     def test_one_edge_expansions_of_generic_four_valent_differ(self):
         tree = _collapse_to_valence(
@@ -295,7 +305,13 @@ def _collapse_to_valence(tree, want):
 
 class TestAutomorphisms:
     def test_reference_graph_order_two(self):
-        assert reference_two_boundary_graph().aut_order() == 2
+        # the doubled 5-leaf trivalent tree: the copy swap is its only
+        # non-trivial automorphism
+        from fatmod.hyperelliptic import double_tree
+        G = double_tree(unrooted_trees(5)[0]).doubled
+        assert G.aut_order() == 2 == automorphism_order_bruteforce(G)
+        with pytest.raises(WrongType):
+            reference_two_boundary_graph().aut_order()
 
     def test_opposite_pairing_order_4g(self):
         for g in (1, 2, 3):
@@ -305,11 +321,13 @@ class TestAutomorphisms:
         assert one_boundary_torus_graph().aut_order() == 6
 
     def test_group_closed_under_composition(self):
-        for G in (theta_graph(), one_vertex_opposite_pairing(2)):
+        for G in (one_boundary_torus_graph(), one_vertex_opposite_pairing(2)):
             auts = set(G.automorphisms())
             for a in auts:
                 for b in auts:
                     assert perm_compose(a, b) in auts
+        with pytest.raises(WrongType):
+            theta_graph().automorphisms()
 
     def test_one_vertex_order_divides_half_edges(self):
         for g in (1, 2, 3):
@@ -317,13 +335,17 @@ class TestAutomorphisms:
             assert G.num_half_edges % G.aut_order() == 0
 
     def test_matches_bruteforce_stabilizer(self):
-        graphs = [theta_graph(), one_boundary_torus_graph(),
-                  reference_two_boundary_graph(),
+        graphs = [one_boundary_torus_graph(),
                   one_vertex_opposite_pairing(2),
-                  two_vertex_star_double(2)]
+                  two_vertex_star_double(2),
+                  build_rooted_tree((LEAF, LEAF)).unrooted(),
+                  build_rooted_tree((LEAF, (LEAF, LEAF))).unrooted()]
         for G in graphs:
             assert G.num_half_edges <= 12
             assert G.aut_order() == automorphism_order_bruteforce(G)
+        for G in (theta_graph(), reference_two_boundary_graph()):
+            with pytest.raises(WrongType):
+                G.aut_order()
 
 
 class TestFixedCells:
@@ -409,12 +431,18 @@ class TestSerialization:
 
 
 def test_isomorphic_iff_oracle_agrees():
-    graphs = [theta_graph(), one_boundary_torus_graph(),
-              one_vertex_opposite_pairing(1)]
+    torus = one_boundary_torus_graph()
+    graphs = [torus, torus.relabeled((3, 5, 4, 0, 2, 1)),
+              one_vertex_opposite_pairing(1),
+              Fatgraph.from_cycles([(0, 1, 2, 3)], [(0, 2), (1, 3)],
+                                   delta=(0,)),
+              build_rooted_tree((LEAF, LEAF)).unrooted()]
     for G in graphs:
         for H in graphs:
             assert (G.canonical_key() == H.canonical_key()) == \
                 are_isomorphic(G, H)
+    with pytest.raises(WrongType):
+        theta_graph().canonical_key()
 
 
 def _cyclic_member(cycle_set, target):

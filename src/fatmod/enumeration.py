@@ -398,13 +398,16 @@ def enumerate_fatgraphs(g: int, n: int, valence_filter=TRIVALENT,
     """Census of fatgraph isomorphism classes of type (g, 1), g >= 1.
 
     ``valence_filter`` is ``"trivalent"``, ``"all"`` (valences >= 3), or
-    ``("single", k)`` for one k-valent vertex among trivalent ones.
+    ``("single", k)`` for one k-valent vertex, k >= 3, among trivalent ones.
     Raises WrongType for any other type and ResourceLimit when the
     required edge count exceeds the cap.
     """
     if n != 1 or g < 1:
         raise WrongType("censuses need type (g,1) with g >= 1, got (%d,%d)"
                         % (g, n))
+    if valence_filter not in (TRIVALENT, ALL) and valence_filter[1] < 3:
+        raise WrongType("a single k-valent vertex needs k >= 3, got %d"
+                        % valence_filter[1])
     if cap_edges is None:
         cap_edges = (DEFAULT_CAP_EDGES_ALL if valence_filter == ALL
                      else DEFAULT_CAP_EDGES)

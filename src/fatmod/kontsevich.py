@@ -94,8 +94,10 @@ def _eliminate(c, num_edges, eliminate) -> SkewForm:
 def pfaffian(form) -> Fraction:
     """Exact Pfaffian of a SkewForm (or raw antisymmetric matrix).
 
-    Computed by memoized expansion along the first remaining row; the result
-    is verified against the determinant (Pf^2 = det) before returning.
+    The matrix is scaled to integers by the lcm of its entries' denominators.
+    The Pfaffian is computed by memoized expansion along the first remaining
+    row, and verified against the Bareiss integer determinant (Pf^2 = det)
+    before returning.
     """
     matrix = form.matrix if isinstance(form, SkewForm) else form
     n = len(matrix)
@@ -107,10 +109,9 @@ def pfaffian(form) -> Fraction:
                 raise ValueError("matrix is not antisymmetric")
     if n == 0:
         return Fraction(1)
-    scale = lcm(*(Fraction(matrix[i][j]).denominator
+    scale = lcm(*(matrix[i][j].denominator
                   for i in range(n) for j in range(i + 1, n)))
-    m = [[int(Fraction(matrix[i][j]) * scale) for j in range(n)]
-         for i in range(n)]
+    m = [[int(x * scale) for x in row] for row in matrix]
     pf_int = _pfaffian_int(m)
     det = _det_fraction(m)
     if pf_int * pf_int != det:
@@ -146,25 +147,30 @@ def _pfaffian_int(m):
     return pf((1 << n) - 1)
 
 
+# Name kept from the Fraction elimination: perfbench/tracer.py patches it.
 def _det_fraction(m):
-    n = len(m)
-    a = [[Fraction(x) for x in row] for row in m]
-    det = Fraction(1)
-    for col in range(n):
-        pivot = next((r for r in range(col, n) if a[r][col]), None)
-        if pivot is None:
-            return Fraction(0)
-        if pivot != col:
-            a[col], a[pivot] = a[pivot], a[col]
-            det = -det
-        det *= a[col][col]
-        inv = 1 / a[col][col]
-        for r in range(col + 1, n):
-            if a[r][col]:
-                f = a[r][col] * inv
-                for cc in range(col, n):
-                    a[r][cc] -= f * a[col][cc]
-    return det
+    """Determinant of an integer matrix by Bareiss's fraction-free
+    elimination (1968): every division is exact, so all work stays in ints.
+    A zero pivot is swapped with a row below that has a nonzero entry."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(n - 1):
+        if not a[k][k]:
+            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
+            if pivot is None:
+                return 0
+            a[k], a[pivot] = a[pivot], a[k]
+            sign = -sign
+        row_k = a[k]
+        pivot_value = row_k[k]
+        for row in a[k + 1:]:
+            factor = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot_value * row[j] - factor * row_k[j]) // prev
+        prev = pivot_value
+    return sign * a[-1][-1] if n else 1
 
 
 def cell_volume(graph: Fatgraph, eliminate: int = None) -> CellVolume:

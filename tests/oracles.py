@@ -2,8 +2,8 @@
 
 Everything here recomputes results by a different route than the package:
 explicit isomorphism search instead of canonical keys, raw matching sums for
-Pfaffians, rejection sampling for volumes, polygon-dissection recursions for
-tree counts.
+Pfaffians, Fraction elimination for determinants, rejection sampling for
+volumes, polygon-dissection recursions for tree counts.
 """
 
 from __future__ import annotations
@@ -161,6 +161,29 @@ def pfaffian_by_matchings(matrix) -> Fraction:
             prod *= Fraction(matrix[i][j])
         total += sign * prod
     return total
+
+
+def det_by_elimination(m):
+    """Determinant by Gaussian elimination in Fractions, swapping rows at a
+    zero pivot."""
+    n = len(m)
+    a = [[Fraction(x) for x in row] for row in m]
+    det = Fraction(1)
+    for col in range(n):
+        pivot = next((r for r in range(col, n) if a[r][col]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != col:
+            a[col], a[pivot] = a[pivot], a[col]
+            det = -det
+        det *= a[col][col]
+        inv = 1 / a[col][col]
+        for r in range(col + 1, n):
+            if a[r][col]:
+                f = a[r][col] * inv
+                for cc in range(col, n):
+                    a[r][cc] -= f * a[col][cc]
+    return det
 
 
 def _permutation_sign(perm):

@@ -90,8 +90,13 @@ class TestEnumerate:
     @pytest.mark.parametrize("argv", [
         ("--type", "2"), ("--type", "a,1"), ("--type", "0,1"),
         ("--type", "0,3"), ("--trees", "--leaves", "1"),
+        ("--type", "2,1", "--single-k", "0"),
+        ("--type", "2,1", "--single-k", "1"),
+        ("--type", "2,1", "--single-k", "-1"),
+        ("--type", "2,1", "--single-k", "2"),
     ], ids=["type-one-number", "type-not-integer", "type-genus-zero",
-            "type-three-boundaries", "trees-one-leaf"])
+            "type-three-boundaries", "trees-one-leaf", "single-k-zero",
+            "single-k-one", "single-k-negative", "single-k-two"])
     def test_bad_arguments_exit_one(self, capsys, tmp_path, argv):
         code = cli.main(["enumerate", *argv, "--cache", str(tmp_path)])
         captured = capsys.readouterr()

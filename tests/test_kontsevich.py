@@ -3,7 +3,9 @@ from fractions import Fraction
 from math import factorial
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fatmod import kontsevich
 from fatmod.enumeration import enumerate_fatgraphs
 from fatmod.errors import WrongBoundaryCount
 from fatmod.fatgraph import Fatgraph
@@ -13,7 +15,8 @@ from fatmod.kontsevich import (cell_volume, hyperelliptic_cell_volume,
 from fatmod.trees import (LEAF, ONE5, MARKED, build_rooted_tree,
                           odd_valence_trees, unrooted_trees)
 
-from oracles import monte_carlo_cell_volume, pfaffian_by_matchings
+from oracles import (det_by_elimination, monte_carlo_cell_volume,
+                     pfaffian_by_matchings)
 
 
 def torus_graph():
@@ -81,6 +84,64 @@ class TestPfaffian:
     def test_rejects_non_antisymmetric(self):
         with pytest.raises(ValueError):
             pfaffian(((0, 1), (1, 0)))
+
+    @pytest.mark.parametrize("graph", [
+        lambda ws: build_rooted_tree((LEAF, LEAF)).unrooted(),
+        lambda ws: next(iter(ws.trivalent_census(2))).graph,
+    ], ids=["three-star", "genus-two-trivalent"])
+    def test_determinant_check_fires(self, monkeypatch, ws, graph):
+        # an expansion that is off by one must fail the Pf^2 = det check
+        form = omega_matrix(graph(ws))
+        expand = kontsevich._pfaffian_int
+        monkeypatch.setattr(kontsevich, "_pfaffian_int",
+                            lambda m: expand(m) + 1)
+        with pytest.raises(AssertionError):
+            pfaffian(form)
+
+
+@st.composite
+def square_matrices(draw):
+    """Integer matrices with a zero leading block (forcing row swaps) and a
+    row copied, negated or zeroed (singular) each drawn half the time."""
+    n = draw(st.integers(0, 8))
+    m = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
+         for _ in range(n)]
+    if n and draw(st.booleans()):
+        zeros = draw(st.integers(1, n))
+        for i in range(zeros):
+            m[i][:zeros] = [0] * zeros
+    if n and draw(st.booleans()):
+        source = draw(st.integers(0, n - 1))
+        target = draw(st.integers(0, n - 1))
+        c = 0 if source == target else draw(st.sampled_from((-1, 0, 1)))
+        m[target] = [c * x for x in m[source]]
+    return m
+
+
+@st.composite
+def skew_matrices(draw):
+    """Antisymmetric matrices with int or half-integer Fraction entries."""
+    n = draw(st.sampled_from((0, 2, 4, 6, 8)))
+    half = draw(st.booleans())
+    m = [[0] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            x = draw(st.integers(-8, 8))
+            m[i][j] = Fraction(x, 2) if half else x
+            m[j][i] = -m[i][j]
+    return m
+
+
+@settings(max_examples=300, deadline=None)
+@given(square_matrices())
+def test_integer_determinant_matches_fraction_elimination(m):
+    assert kontsevich._det_fraction(m) == det_by_elimination(m)
+
+
+@settings(max_examples=200, deadline=None)
+@given(skew_matrices())
+def test_pfaffian_matches_matching_sum(m):
+    assert pfaffian(m) == pfaffian_by_matchings(m)
 
 
 class TestPfaffianLaw:

@@ -5,14 +5,15 @@ Layout (text, one record per line):
     fatmod-census <format version>
     <descriptor>
     count=<N>
-    <aut order> | <kind> | <canonical graph line>[ | <involution>]
+    <aut order> | <kind> | <w0>,<w1>,...
 
 ``kind`` is ``graph`` for a one-boundary fatgraph, ``tree`` for an unrooted
-planar tree, and ``cell`` for the tree indexing a doubled cell, whose entry
-is rebuilt by doubling the stored tree; only ``cell`` records carry the
-trailing ``| involution`` field, the copy swap as a comma-separated
-permutation.  A descriptor or version mismatch is reported as corruption,
-never silently reused.
+planar tree, and ``cell`` for the tree indexing a doubled cell.  The word is
+the canonical key (``Fatgraph.canonical_key``) of the graph or tree, the one
+serialization of a graph: ``Fatgraph.from_word`` rebuilds it, and a cell is
+rebuilt by doubling its tree again.  A descriptor or version mismatch is
+reported as corruption, never silently reused; files of another format
+version have another name and are never read.
 """
 
 from __future__ import annotations
@@ -22,9 +23,8 @@ import re
 from pathlib import Path
 
 from .errors import CacheError
-from .fatgraph import Fatgraph
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 HEADER = "fatmod-census"
 
 
@@ -34,16 +34,12 @@ def cache_path(cache_dir, descriptor: str) -> Path:
 
 
 def save_records(path: Path, descriptor: str, records) -> None:
-    """records: iterable of (aut_order, kind, graph, extra); ``extra`` is an
-    optional trailing field (the involution permutation for cell records)."""
+    """records: iterable of (aut_order, kind, word)."""
     records = list(records)
     lines = ["%s %d" % (HEADER, FORMAT_VERSION), descriptor,
              "count=%d" % len(records)]
-    for aut, kind, graph, extra in records:
-        line = "%d | %s | %s" % (aut, kind, graph.to_line())
-        if extra is not None:
-            line += " | %s" % extra
-        lines.append(line)
+    lines += ["%d | %s | %s" % (aut, kind, ",".join(map(str, word)))
+              for aut, kind, word in records]
     path.parent.mkdir(parents=True, exist_ok=True)
     # a reader sees the old file or the whole new one, never a partial one;
     # the temp name does not end in .census, so no census lookup finds it
@@ -57,8 +53,8 @@ def save_records(path: Path, descriptor: str, records) -> None:
 
 
 def load_records(path: Path, descriptor: str):
-    """Returns the list of (aut_order, kind, Fatgraph, extra) or raises
-    CacheError."""
+    """Returns the list of (aut_order, kind, word) or raises CacheError; the
+    caller rebuilds and checks each object."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -83,23 +79,9 @@ def load_records(path: Path, descriptor: str):
     records = []
     for ln in body:
         try:
-            parts = [p.strip() for p in ln.split("|")]
-            aut_s, kind = parts[0], parts[1]
-            graph_line = " | ".join(parts[2:6])
-            extra = parts[6] if len(parts) > 6 else None
-            records.append((int(aut_s), kind, Fatgraph.from_line(graph_line),
-                            extra))
-        except Exception as exc:
+            aut_s, kind, word_s = (p.strip() for p in ln.split("|"))
+            records.append((int(aut_s), kind,
+                            tuple(int(x) for x in word_s.split(","))))
+        except ValueError as exc:
             raise CacheError("bad record in %s: %r" % (path, ln)) from exc
     return records
-
-
-def permutation_to_field(perm) -> str:
-    return ",".join(str(x) for x in perm)
-
-
-def permutation_from_field(field: str) -> tuple:
-    try:
-        return tuple(int(x) for x in field.split(","))
-    except ValueError as exc:
-        raise CacheError("bad permutation field %r" % field) from exc

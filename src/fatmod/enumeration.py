@@ -101,18 +101,6 @@ class OrbifoldCensus:
             total += w / entry.aut_order
         return total
 
-    def without(self, index: int) -> "OrbifoldCensus":
-        """Copy with one entry removed (fault injection for tests)."""
-        kept = self.entries[:index] + self.entries[index + 1:]
-        return OrbifoldCensus(self.descriptor + " [mutated]", kept)
-
-    def with_aut_order(self, index: int, aut_order: int) -> "OrbifoldCensus":
-        e = self.entries[index]
-        mutated = CensusEntry(e.key, e.graph, aut_order, e.payload)
-        entries = (self.entries[:index] + (mutated,)
-                   + self.entries[index + 1:])
-        return OrbifoldCensus(self.descriptor + " [mutated]", entries)
-
 
 # -- the one-boundary census -------------------------------------------------
 
@@ -357,10 +345,7 @@ def _one_boundary_census(g, valence_filter, cap_edges):
 
     out = []
     for word in sorted(words):
-        m = len(word)
-        alpha = tuple((p + word[p]) % m for p in range(m))
-        sigma = tuple((alpha[p] + 1) % m for p in range(m))
-        entry = graph_entry(Fatgraph(sigma, alpha))
+        entry = graph_entry(Fatgraph.from_word(word))
         if entry.key != word:
             raise AssertionError("boundary word disagrees with gap word")
         out.append(entry)

@@ -21,11 +21,12 @@ cycle ``0..m-1`` along ``phi``, an isomorphism commutes with ``phi`` and so
 is a rotation of the slots.  The *boundary word* of a one-boundary graph
 lists, slot by slot, the gap ``pos(alpha h) - i (mod m)`` together with the
 flag of the slot's vertex and an optional per-half-edge mark; since
-``sigma(h) = phi(alpha h)``, the gaps alone rebuild the graph.  Its least
-cyclic rotation (Booth 1980) is the canonical key, and the rotations fixing
-it are the automorphisms: a cyclic group whose only possible involution is
-the half-turn ``phi^E``.  Graphs with more than one boundary cycle have no
-canonical form here and raise :class:`WrongType`.
+``sigma(h) = phi(alpha h)``, the word alone rebuilds the graph
+(:meth:`Fatgraph.from_word`).  Its least cyclic rotation (Booth 1980) is
+the canonical key, and the rotations fixing it are the automorphisms: a
+cyclic group whose only possible involution is the half-turn ``phi^E``.
+Graphs with more than one boundary cycle have no canonical form here and
+raise :class:`WrongType`.
 """
 
 from __future__ import annotations
@@ -209,6 +210,27 @@ class Fatgraph:
         if any(x is None for x in alpha):
             raise MalformedGraph("unpaired half-edge")
         return cls(sigma, alpha, flags=flags)
+
+    @classmethod
+    def from_word(cls, word) -> "Fatgraph":
+        """The graph whose boundary word read from half-edge 0 is ``word``,
+        the inverse of :meth:`boundary_word`: slot i is half-edge i, with
+        ``alpha(i) = i + w % m``, ``sigma(j) = alpha(j) + 1`` (mod m, the
+        word's length) and the flag ``_FLAGS[w // m]``.
+
+        >>> torus = Fatgraph.from_word((3, 3, 3, 3, 3, 3))
+        >>> torus.graph_type()
+        GraphType(g=1, n=1)
+        >>> torus.canonical_key() == (3, 3, 3, 3, 3, 3)
+        True
+        """
+        m = len(word)
+        if m == 0 or m % 2 or \
+                any(w < 0 or w >= 3 * m or w % m == 0 for w in word):
+            raise MalformedGraph("bad boundary word %r" % (word,))
+        alpha = tuple((i + w) % m for i, w in enumerate(word))
+        return cls(tuple((a + 1) % m for a in alpha), alpha,
+                   flags=tuple(_FLAGS[w // m] for w in word))
 
     # -- validation ------------------------------------------------------
 
@@ -555,7 +577,7 @@ class Fatgraph:
             return None
         return iota
 
-    # -- relabeling, equality, serialization ------------------------------
+    # -- relabeling, equality ---------------------------------------------
 
     def relabeled(self, perm) -> "Fatgraph":
         """Apply a half-edge relabeling ``h -> perm[h]``."""
@@ -577,42 +599,6 @@ class Fatgraph:
 
     def __repr__(self):
         return "Fatgraph(%r, %r)" % (list(self.sigma), list(self.alpha))
-
-    def to_line(self) -> str:
-        """Canonical one-line text form; round-trips bit-exactly."""
-        gt = self.graph_type()
-        cyc = "".join("(%s)" % ",".join(str(h) for h in c)
-                      for c in self.vertices)
-        pairs = "".join("(%d,%d)" % (a, b) for a, b in self.edges)
-        flags = "".join(self.vertex_flag(v) for v in range(self.num_vertices))
-        return "%d %d %d %d | %s | %s | %s" % (
-            gt.g, gt.n, self.num_vertices, self.num_edges, cyc, pairs, flags)
-
-    @classmethod
-    def from_line(cls, line: str) -> "Fatgraph":
-        try:
-            head, cyc_s, pair_s, flag_s = [p.strip()
-                                           for p in line.split("|")]
-            g, n, nv, ne = (int(x) for x in head.split())
-            cycles = [tuple(int(x) for x in grp.split(","))
-                      for grp in cyc_s.strip("()").split(")(")] if cyc_s else []
-            pairs = [tuple(int(x) for x in grp.split(","))
-                     for grp in pair_s.strip("()").split(")(")]
-            delta, node = [], []
-            for v, f in enumerate(flag_s):
-                if f == DELTA:
-                    delta.append(cycles[v][0])
-                elif f == NODE:
-                    node.append(cycles[v][0])
-                elif f != ORDINARY:
-                    raise ValueError(f)
-            graph = cls.from_cycles(cycles, pairs, delta=delta, node=node)
-        except (ValueError, IndexError) as exc:
-            raise MalformedGraph("bad graph line: %r" % line) from exc
-        gt = graph.graph_type()
-        if (gt.g, gt.n, graph.num_vertices, graph.num_edges) != (g, n, nv, ne):
-            raise MalformedGraph("graph line header disagrees with body")
-        return graph
 
 
 def _rotate(boundary, r: int) -> tuple:

@@ -14,6 +14,7 @@ from . import enumeration as _enum
 from . import hyperelliptic as _hyper
 from .enumeration import OrbifoldCensus
 from .errors import CacheError, FatmodError
+from .fatgraph import Fatgraph
 from .trees import PlanarTree
 
 
@@ -119,27 +120,23 @@ class Workspace:
 
     @staticmethod
     def _entry_from_record(path, kind, record):
-        """Re-derive a record's entry through its kind's entry function and
-        check the stored fields against it."""
-        aut, rec_kind, graph, extra = record
+        """Rebuild a record's object from its word, re-derive its entry
+        through the kind's entry function, and check the stored fields
+        against them."""
+        aut, rec_kind, word = record
         if rec_kind != kind:
             raise CacheError("record kind %r does not match census kind %r "
                              "in %s" % (rec_kind, kind, path))
+        cls, entry_of = _RECORD_KINDS[kind]
         try:
-            if kind == "graph":
-                entry = _enum.graph_entry(graph)
-            else:
-                tree = PlanarTree(graph.sigma, graph.alpha, flags=graph.flags)
-                entry = (_enum.tree_entry if kind == "tree"
-                         else _hyper.cell_entry)(tree)
+            obj = cls.from_word(word)
+            entry = entry_of(obj)
         except FatmodError as exc:
             raise CacheError("bad %s record in %s: %s"
                              % (kind, path, exc)) from exc
-        if kind == "cell" and extra is not None and \
-                _cache.permutation_from_field(extra) != \
-                entry.payload.involution:
-            raise CacheError("stored involution disagrees with the doubled "
-                             "tree in %s" % path)
+        if obj.canonical_key() != word:
+            raise CacheError("stored word is not the canonical key of its "
+                             "%s in %s" % (kind, path))
         if entry.aut_order != aut:
             raise CacheError("stored aut order %d, recomputed %d in %s"
                              % (aut, entry.aut_order, path))
@@ -149,12 +146,14 @@ class Workspace:
         if self.cache_dir is None:
             return
         path = _cache.cache_path(self.cache_dir, census.descriptor)
-        records = []
-        for entry in census:
-            if kind == "cell":
-                records.append((entry.aut_order, kind, entry.payload.tree,
-                                _cache.permutation_to_field(
-                                    entry.payload.involution)))
-            else:
-                records.append((entry.aut_order, kind, entry.graph, None))
+        # a cell is stored as the tree it doubles
+        records = [(entry.aut_order, kind,
+                    entry.payload.tree.canonical_key() if kind == "cell"
+                    else entry.key) for entry in census]
         _cache.save_records(path, census.descriptor, records)
+
+
+# census kind -> (the class a record's word rebuilds, its entry function)
+_RECORD_KINDS = {"graph": (Fatgraph, _enum.graph_entry),
+                 "tree": (PlanarTree, _enum.tree_entry),
+                 "cell": (PlanarTree, _hyper.cell_entry)}

@@ -3,14 +3,18 @@
 Everything here recomputes results by a different route than the package:
 explicit isomorphism search instead of canonical keys, raw matching sums for
 Pfaffians, Fraction elimination for determinants, rejection sampling for
-volumes, polygon-dissection recursions for tree counts.
+volumes, polygon-dissection recursions for tree counts.  The fault
+injectors ``census_without`` and ``census_with_aut_order`` build the broken
+censuses that the mutation tests install through ``Workspace.override``.
 """
 
 from __future__ import annotations
 
 import random
+from dataclasses import replace
 from fractions import Fraction
 
+from fatmod.enumeration import OrbifoldCensus
 from fatmod.errors import MalformedGraph
 from fatmod.fatgraph import Fatgraph
 
@@ -256,3 +260,17 @@ def bernoulli_oracle(n: int) -> Fraction:
                                                        k + 1)
         total += inner
     return total
+
+
+def census_without(census, index: int) -> OrbifoldCensus:
+    """Copy of a census with one entry removed."""
+    kept = census.entries[:index] + census.entries[index + 1:]
+    return OrbifoldCensus(census.descriptor + " [mutated]", kept)
+
+
+def census_with_aut_order(census, index: int,
+                          aut_order: int) -> OrbifoldCensus:
+    """Copy of a census with one entry's automorphism order replaced."""
+    entries = list(census.entries)
+    entries[index] = replace(entries[index], aut_order=aut_order)
+    return OrbifoldCensus(census.descriptor + " [mutated]", tuple(entries))

@@ -26,7 +26,8 @@ from fatmod.trees import LEAF, build_rooted_tree, odd_valence_trees, \
     unrooted_trees
 from fatmod.workspace import Workspace
 
-from oracles import bernoulli_oracle
+from oracles import bernoulli_oracle, census_with_aut_order, \
+    census_without
 
 
 def _announce(number, text):
@@ -213,16 +214,16 @@ def test_criterion_12_determinism_and_mutation(ws, tmp_path, child_env):
 
     census = ws.trivalent_census(2)
     removed = Workspace()
-    removed.override(census.descriptor, census.without(0))
+    removed.override(census.descriptor, census_without(census, 0))
     assert not psi_top_moduli(2, removed).match
     hyper = ws.hyperelliptic_census(2)
     perturbed = Workspace()
-    perturbed.override(hyper.descriptor, hyper.with_aut_order(0, 5))
+    perturbed.override(hyper.descriptor, census_with_aut_order(hyper, 0, 5))
     assert not psi_top_hyperelliptic(2, perturbed).match
     comps = ws.w1_components(2)
     broken = Workspace()
     broken.override(comps.component2.descriptor,
-                    comps.component2.without(0))
+                    census_without(comps.component2, 0))
     assert not w1_h_integral(2, broken).match
     _announce(12, "byte-identical reports across processes; injected "
                   "census faults flip match flags")

@@ -46,11 +46,12 @@ def _flagged_trees():
 
 
 GRAPHS = _one_boundary_censuses()
+TREES = _flagged_trees()
 
 aut_order_oracle = lru_cache(maxsize=None)(automorphism_order_bruteforce)
 
 
-@pytest.mark.parametrize("graph", GRAPHS + _flagged_trees())
+@pytest.mark.parametrize("graph", GRAPHS + TREES)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_graph_entry_is_label_invariant(graph, data):
@@ -60,6 +61,20 @@ def test_graph_entry_is_label_invariant(graph, data):
     relabeled = entry_of(graph.relabeled(perm))
     assert relabeled.key == entry.key
     assert relabeled.aut_order == entry.aut_order == aut_order_oracle(graph)
+
+
+@pytest.mark.parametrize("graph", GRAPHS + TREES)
+@settings(max_examples=10, deadline=None)
+@given(data=st.data())
+def test_from_word_reads_back_the_key(graph, data):
+    # the word is the serialization of a cache record: whatever the labels,
+    # the graph it rebuilds reads the key back from half-edge 0
+    key = graph.relabeled(
+        data.draw(st.permutations(range(graph.num_half_edges)))
+    ).canonical_key()
+    rebuilt = type(graph).from_word(key)
+    assert rebuilt.boundary_word()[1] == key
+    assert rebuilt.aut_order() == graph.aut_order()
 
 
 @pytest.mark.parametrize("graph", GRAPHS)

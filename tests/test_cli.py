@@ -6,8 +6,12 @@ from fractions import Fraction
 import pytest
 
 from fatmod import cli
-from fatmod.cache import load_records
+from fatmod.cache import FORMAT_VERSION, HEADER, cache_path, load_records
 from fatmod.integrals import IntegralReport
+
+from oracles import census_without
+
+GENUS_TWO = "fatgraphs g=2 n=1 filter=trivalent"
 
 
 def run(capsys, *argv):
@@ -81,7 +85,8 @@ class TestEnumerate:
         # the closed count reads no census, so a lost class shows
         build = getattr(cli._enum, builder)
         monkeypatch.setattr(cli._enum, builder,
-                            lambda *a, **k: build(*a, **k).without(0))
+                            lambda *a, **k: census_without(build(*a, **k),
+                                                           0))
         code, out = run(capsys, "enumerate", *argv, "--cache", str(tmp_path))
         assert code == 3
         assert out.splitlines()[1].split()[4] == "FAIL"
@@ -152,8 +157,8 @@ class TestCache:
         run(capsys, "verify", "--identity", "euler", "--g", "1",
             "--cache", str(tmp_path))
         victim = next(tmp_path.iterdir())
-        victim.write_text(victim.read_text().replace("fatmod-census 1",
-                                                     "fatmod-census 999"))
+        victim.write_text(victim.read_text().replace(
+            "%s %d" % (HEADER, FORMAT_VERSION), "%s 999" % HEADER))
         code, _ = run(capsys, "verify", "--identity", "euler", "--g", "1",
                       "--cache", str(tmp_path))
         assert code == 1
@@ -165,7 +170,7 @@ class TestCache:
                 "--cache", str(tmp_path))
         code, out = run(capsys, *argv)
         assert code == 0 and "1/1152" in out
-        victim = tmp_path / "fatgraphs_g=2_n=1_filter=trivalent.v1.census"
+        victim = cache_path(tmp_path, GENUS_TWO)
         lines = victim.read_text().splitlines()
         aut, rest = lines[3].split(" | ", 1)
         assert aut != "1"
@@ -184,7 +189,7 @@ class TestCache:
                 "--cache", str(tmp_path))
         code, out = run(capsys, *argv)
         assert code == 0
-        victim = tmp_path / "fatgraphs_g=2_n=1_filter=trivalent.v1.census"
+        victim = cache_path(tmp_path, GENUS_TWO)
         lines = victim.read_text().splitlines()
         assert lines[2] == "count=9"
         victim.write_text("\n".join(lines[:2] + ["count=8"] + lines[4:])
@@ -193,36 +198,67 @@ class TestCache:
         assert code == 3
         assert "1/1152" in out and "FAIL" in out
 
-    @pytest.mark.parametrize("argv,name,edit", [
+    @pytest.mark.parametrize("argv,descriptor,edit", [
         (("--identity", "genus0", "--n", "6"),
-         "trees_leaves=5_profile=trivalent_rooting=unrooted", "aut"),
+         "trees leaves=5 profile=trivalent rooting=unrooted", "aut"),
+        (("--identity", "genus0", "--n", "6"),
+         "trees leaves=5 profile=trivalent rooting=unrooted", "bad-code"),
         (("--identity", "hevol", "--g", "2"),
-         "hyperelliptic_g=2_maximal_cells", "aut"),
+         "hyperelliptic g=2 maximal cells", "aut"),
         (("--identity", "hevol", "--g", "2"),
-         "hyperelliptic_g=2_maximal_cells", "involution"),
-        (("--identity", "psi-top", "--g", "2"),
-         "fatgraphs_g=2_n=1_filter=trivalent", "duplicate"),
-    ], ids=["tree-aut", "cell-aut", "cell-involution", "graph-duplicate"])
-    def test_load_rejects_edited_record(self, capsys, tmp_path, argv, name,
-                                        edit):
+         "hyperelliptic g=2 maximal cells", "rotated-word"),
+        (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "rotated-word"),
+        (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "duplicate"),
+    ], ids=["tree-aut", "tree-bad-code", "cell-aut", "cell-rotated-word",
+            "graph-rotated-word", "graph-duplicate"])
+    def test_load_rejects_edited_record(self, capsys, tmp_path, argv,
+                                        descriptor, edit):
         argv = ("verify",) + argv + ("--cache", str(tmp_path))
         code, _ = run(capsys, *argv)
         assert code == 0
-        victim = tmp_path / (name + ".v1.census")
+        victim = cache_path(tmp_path, descriptor)
         lines = victim.read_text().splitlines()
         count = int(lines[2].split("=")[1])
-        if edit == "aut":
-            aut, rest = lines[3].split(" | ", 1)
-            lines[3] = "%d | %s" % (int(aut) + 1, rest)
-        elif edit == "involution":
-            lines[3] = lines[3].rsplit(" | ", 1)[0] + " | x"
-        else:
+        aut, kind, word = lines[3].split(" | ")
+        word = word.split(",")
+        if edit == "duplicate":
             lines[2] = "count=%d" % (count + 1)
             lines.insert(4, lines[3])
+        else:
+            if edit == "aut":
+                aut = str(int(aut) + 1)
+            elif edit == "rotated-word":
+                assert word[1:] + word[:1] != word
+                word = word[1:] + word[:1]
+            else:  # an entry of 3m or more: a flag code of 3
+                word[0] = str(3 * len(word))
+            lines[3] = " | ".join((aut, kind, ",".join(word)))
         victim.write_text("\n".join(lines) + "\n")
         code, out = run(capsys, *argv)
         assert code == 1
         assert "ok" not in out
+
+    def test_other_format_version_is_never_read(self, capsys, tmp_path):
+        # a leftover file of the line format (version 1) for the census
+        descriptor = "fatgraphs g=1 n=1 filter=trivalent"
+        current = cache_path(tmp_path, descriptor)
+        old = current.with_name(current.name.replace(
+            ".v%d." % FORMAT_VERSION, ".v1."))
+        old.write_text("%s 1\n%s\ncount=1\n6 | graph | 1 1 2 3 | "
+                       "(0,4,2)(1,5,3) | (0,3)(1,4)(2,5) | oo\n"
+                       % (HEADER, descriptor))
+        argv = ("verify", "--identity", "psi-top", "--g", "1",
+                "--format", "json")
+        code = cli.main(list(argv + ("--cache", str(tmp_path),
+                                     "--no-build")))
+        assert code == 1
+        assert capsys.readouterr().out == ""
+        _, fresh = run(capsys, *argv)
+        code, out = run(capsys, *argv, "--cache", str(tmp_path))
+        assert code == 0
+        assert out == fresh
+        assert current.exists()
+        assert load_records(current, descriptor)[0][:2] == (6, "graph")
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FATMOD_CACHE", str(tmp_path))

@@ -1,14 +1,16 @@
 import doctest
+import importlib
+import pkgutil
 
-import fatmod.enumeration
-import fatmod.fatgraph
+import pytest
+
+import fatmod
+
+MODULES = sorted(info.name for info in pkgutil.iter_modules(fatmod.__path__))
 
 
-def test_fatgraph_doctests():
-    failures, _ = doctest.testmod(fatmod.fatgraph)
-    assert failures == 0
-
-
-def test_enumeration_doctests():
-    failures, _ = doctest.testmod(fatmod.enumeration)
+@pytest.mark.parametrize("name", MODULES)
+def test_module_doctests(name):
+    module = importlib.import_module("fatmod." + name)
+    failures, _ = doctest.testmod(module)
     assert failures == 0

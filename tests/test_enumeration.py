@@ -205,13 +205,37 @@ class TestEulerCharacteristic:
         first = ws1.all_valence_census(1)
         ws2 = Workspace(cache_dir=tmp_path)  # reads the file written above
         second = ws2.all_valence_census(1)
-        assert [(e.aut_order, e.graph.to_line()) for e in first] == \
-            [(e.aut_order, e.graph.to_line()) for e in second]
+        assert [(e.key, e.aut_order, e.graph) for e in first] == \
+            [(e.key, e.aut_order, e.graph) for e in second]
         total1 = first.orbifold_sum(
             weight=lambda e: (-1) ** (e.graph.num_edges - 1))
         total2 = second.orbifold_sum(
             weight=lambda e: (-1) ** (e.graph.num_edges - 1))
         assert total1 == total2 == Fraction(-1, 12)
+
+
+@pytest.mark.parametrize("census_of,same_graphs", [
+    (lambda ws: ws.trivalent_census(2), True),
+    (lambda ws: ws.all_valence_census(2), True),
+    (lambda ws: ws.tree_census(7, "trivalent"), False),
+    (lambda ws: ws.tree_census(7, ONE5), False),
+    (lambda ws: ws.tree_census(6, MARKED), False),
+    (lambda ws: ws.hyperelliptic_census(3), False),
+    (lambda ws: ws.w1_components(3).component1, False),
+    (lambda ws: ws.w1_components(3).component2, False),
+], ids=["trivalent-g2", "all-g2", "trees-trivalent", "trees-one5",
+        "trees-marked", "cells-g3", "w1-component1-g3", "w1-component2-g3"])
+def test_cache_load_matches_build(tmp_path, census_of, same_graphs):
+    # a graph rebuilt from its stored word is the census graph itself; a
+    # tree or a cell comes back relabeled, in the same class
+    from fatmod.workspace import Workspace
+    built = census_of(Workspace(cache_dir=tmp_path))
+    loaded = census_of(Workspace(cache_dir=tmp_path))
+    assert len(built) > 1
+    assert [(e.key, e.aut_order) for e in loaded] == \
+        [(e.key, e.aut_order) for e in built]
+    if same_graphs:
+        assert [e.graph for e in loaded] == [e.graph for e in built]
 
 
 def test_least_rotation_matches_naive():

@@ -6,7 +6,8 @@ from fatmod.errors import (LoopCollapse, MalformedGraph, NotAnAutomorphism,
                            NotExpandable, WrongType)
 from fatmod.fatgraph import (Fatgraph, one_vertex_opposite_pairing,
                              perm_compose, two_vertex_star_double)
-from fatmod.trees import LEAF, build_rooted_tree, unrooted_trees
+from fatmod.trees import LEAF, PlanarTree, build_rooted_tree, \
+    unrooted_trees
 
 from oracles import are_isomorphic, automorphism_order_bruteforce
 
@@ -412,22 +413,28 @@ class TestHyperellipticInvolution:
             theta_graph().hyperelliptic_involution()
 
 
-class TestSerialization:
-    def test_round_trip_bit_exact(self):
-        for G in (theta_graph(), reference_two_boundary_graph(),
-                  two_vertex_star_double(3),
+class TestWordFormat:
+    def test_round_trip_reads_back_key(self):
+        for G in (one_boundary_torus_graph(), two_vertex_star_double(3),
+                  one_vertex_opposite_pairing(2),
                   build_rooted_tree((LEAF, (LEAF, LEAF))).unrooted()):
-            line = G.to_line()
-            again = Fatgraph.from_line(line)
-            assert again.sigma == G.sigma
-            assert again.alpha == G.alpha
-            assert again.flags == G.flags
-            assert again.to_line() == line
+            key = G.canonical_key()
+            again = type(G).from_word(key)
+            assert again.boundary_word()[1] == key
+            assert are_isomorphic(again, G)
 
-    def test_rejects_tampered_header(self):
-        line = theta_graph().to_line().replace("0 3", "1 3", 1)
+    @pytest.mark.parametrize("word", [
+        (), (3,), (3, 3, 3, 3, 3), (-3, 3, 3, 3, 3, 3), (21, 3, 3, 3, 3, 3),
+        (0, 3, 3, 3, 3, 3), (6, 3, 3, 3, 3, 3), (1, 1, 1, 1),
+    ], ids=["empty", "one-entry", "odd-length", "negative", "code-three",
+            "gap-zero", "flagged-gap-zero", "not-an-involution"])
+    def test_from_word_rejects(self, word):
         with pytest.raises(MalformedGraph):
-            Fatgraph.from_line(line)
+            Fatgraph.from_word(word)
+
+    def test_tree_from_word_needs_a_tree(self):
+        with pytest.raises(MalformedGraph):
+            PlanarTree.from_word((3, 3, 3, 3, 3, 3))
 
 
 def test_isomorphic_iff_oracle_agrees():

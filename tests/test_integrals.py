@@ -11,7 +11,8 @@ from fatmod.integrals import (bernoulli, boundary_integral,
                               w1_h_integral, zeta_negative)
 from fatmod.workspace import Workspace
 
-from oracles import bernoulli_oracle
+from oracles import bernoulli_oracle, census_with_aut_order, \
+    census_without
 
 
 class TestGenusZero:
@@ -58,12 +59,11 @@ class TestPsiTopModuli:
     def test_mutation_flips_match(self, ws):
         census = ws.trivalent_census(2)
         broken = Workspace()
-        broken.override(census.descriptor, census.without(0))
+        broken.override(census.descriptor, census_without(census, 0))
         assert not psi_top_moduli(2, broken).match
         perturbed = Workspace()
-        perturbed.override(census.descriptor,
-                           census.with_aut_order(0, census.entries[0]
-                                                 .aut_order + 1))
+        perturbed.override(census.descriptor, census_with_aut_order(
+            census, 0, census.entries[0].aut_order + 1))
         assert not psi_top_moduli(2, perturbed).match
 
     def test_resource_limit(self, ws):
@@ -201,7 +201,7 @@ class TestMutationDetection:
     def test_hyperelliptic_census_fault(self, ws):
         census = ws.hyperelliptic_census(2)
         broken = Workspace()
-        broken.override(census.descriptor, census.with_aut_order(0, 3))
+        broken.override(census.descriptor, census_with_aut_order(census, 0, 3))
         assert not psi_top_hyperelliptic(2, broken).match
         assert not main_theorem(3, broken).match  # boundary path uses g=2
 
@@ -209,7 +209,7 @@ class TestMutationDetection:
         comps = ws.w1_components(2)
         broken = Workspace()
         broken.override(comps.component1.descriptor,
-                        comps.component1.with_aut_order(0, 99))
+                        census_with_aut_order(comps.component1, 0, 99))
         assert not w1_h_integral(2, broken).match
         assert not main_theorem(2, broken).match
         assert not hodge_corollary(2, broken).match
@@ -217,5 +217,5 @@ class TestMutationDetection:
     def test_all_valence_census_fault(self, ws):
         census = ws.all_valence_census(1)
         broken = Workspace()
-        broken.override(census.descriptor, census.without(0))
+        broken.override(census.descriptor, census_without(census, 0))
         assert not euler_report(1, broken).match

@@ -1,8 +1,10 @@
 """Command-line interface: census building, identity verification, reports.
 
-Exit codes: 0 success, 1 cache problems, 2 size-cap overrun, 3 at least one
-identity mismatch (the CI signal).  All rationals are printed exactly as
-``p/q``; reports with the same configuration are byte-identical.
+Exit codes: 0 success, 1 cache problems or bad arguments, 2 size-cap
+overrun, 3 at least one identity mismatch from ``verify`` or ``report``, or
+a census count mismatch from ``enumerate`` (the CI signal).  All rationals
+are printed exactly as ``p/q``; reports with the same configuration are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from . import enumeration as _enum
 from . import integrals as _int
 from .cache import cache_path, load_records
 from .errors import CacheError, FatmodError, ResourceLimit
-from .workspace import Caps, Workspace
+from .workspace import Workspace
 
 REPORT_FORMAT_VERSION = 1
 
@@ -33,23 +35,25 @@ def parse_rational(s: str) -> Fraction:
     return Fraction(int(num), int(den) if den else 1)
 
 
-def _parse_range(text):
+def _parse_range(text, option, default):
+    """``A`` or ``A..B`` as a non-empty range; ``default`` when absent."""
     if text is None:
-        return None
+        return default
     lo, sep, hi = text.partition("..")
-    if not sep:
-        value = int(text)
-        return range(value, value + 1)
-    return range(int(lo), int(hi) + 1)
+    try:
+        lo = int(lo)
+        hi = int(hi) if sep else lo
+    except ValueError:
+        raise FatmodError("%s needs an integer or a range A..B, got %r"
+                          % (option, text)) from None
+    if hi < lo:
+        raise FatmodError("%s range %r is empty" % (option, text))
+    return range(lo, hi + 1)
 
 
 def _build_workspace(args) -> Workspace:
-    caps = Caps()
-    if getattr(args, "cap_edges", None) is not None:
-        caps.trivalent_edges = args.cap_edges
-        caps.all_valence_edges = args.cap_edges
-    cache_dir = getattr(args, "cache", None) or os.environ.get("FATMOD_CACHE")
-    return Workspace(caps=caps, cache_dir=cache_dir,
+    return Workspace(cap_edges=args.cap_edges,
+                     cache_dir=args.cache or os.environ.get("FATMOD_CACHE"),
                      no_build=getattr(args, "no_build", False))
 
 
@@ -96,17 +100,22 @@ def _emit(rows, fmt, command, stream):
                 row["mode"]))
 
 
-def _identity_rows(names, args, ws):
+def _run_identities(names, args) -> int:
+    """Print one row per identity and parameter; exit 3 on any FAIL."""
+    n_range = _parse_range(args.n, "--n", range(4, 10))
+    g_range = _parse_range(args.g, "--g", None)
+    ws = _build_workspace(args)
     rows = []
     for name in names:
         param_name, func = _int.IDENTITIES[name]
         if name == "genus0":
-            params = _parse_range(args.n) or range(4, 10)
+            params = n_range
         else:
-            params = _parse_range(args.g) or _default_g_range(name)
+            params = g_range or _default_g_range(name)
         for value in params:
             rows.append(_report_row(func(value, ws)))
-    return rows
+    _emit(rows, args.format, args.command, sys.stdout)
+    return 0 if all(row["match"] for row in rows) else 3
 
 
 def _default_g_range(name):
@@ -135,8 +144,7 @@ def cmd_enumerate(args) -> int:
         if leaves < 2:
             raise FatmodError("--leaves must be at least 2, got %d" % leaves)
         rooting = "rooted" if args.rooted else "unrooted"
-        census = _enum.enumerate_trees(leaves, args.profile, rooting,
-                                       cap_leaves=ws.caps.tree_leaves)
+        census = _enum.enumerate_trees(leaves, args.profile, rooting)
         closed = _enum.tree_closed_count(leaves, args.profile, rooting)
         kind = None if args.rooted else "tree"
     else:
@@ -154,7 +162,7 @@ def cmd_enumerate(args) -> int:
         else:
             valence_filter = _enum.TRIVALENT
         census = _enum.enumerate_fatgraphs(g, n, valence_filter,
-                                           cap_edges=args.cap_edges)
+                                           cap_edges=ws.cap_edges)
         closed = _enum.fatgraph_closed_count(g, n, valence_filter)
         kind = "graph"
     assembled = census.orbifold_sum()
@@ -177,23 +185,17 @@ def cmd_enumerate(args) -> int:
 
 
 def cmd_verify(args) -> int:
-    ws = _build_workspace(args)
-    names = [args.identity] if args.identity else list(_int.IDENTITIES)
-    rows = _identity_rows(names, args, ws)
-    _emit(rows, args.format, "verify", sys.stdout)
-    return 0 if all(row["match"] for row in rows) else 3
+    return _run_identities(
+        [args.identity] if args.identity else list(_int.IDENTITIES), args)
 
 
 def cmd_report(args) -> int:
-    ws = _build_workspace(args)
     names = args.identities.split(",") if args.identities \
         else list(_int.IDENTITIES)
     for name in names:
         if name not in _int.IDENTITIES:
             raise SystemExit("unknown identity %r" % name)
-    rows = _identity_rows(names, args, ws)
-    _emit(rows, args.format, "report", sys.stdout)
-    return 0
+    return _run_identities(names, args)
 
 
 def _add_common(parser):

@@ -16,10 +16,17 @@ slots, with the vertex permutation recovered as
 isomorphism, so the gap sequence ``(alpha(p) - p mod 2E)_p`` classifies
 graphs up to isomorphism by its least cyclic rotation, and the automorphism
 group is the rotation stabilizer.
-Generation backtracks over pairings with vertex-valence closure propagation
-and is orderly (Read 1978; McKay 1998): a partial pairing is cut as soon as
-some rotation of its known gap word is already smaller, so only canonical
-representatives, each its own least rotation, are emitted, one per class.
+
+Every census is a union of vertex-valence profiles, and each profile is one
+search with an exact budget ``{valence: count}``: the trivalent census and
+a single k-valent vertex are one profile each, and the all-valence census
+runs every partition of 2E into V = E + 1 - 2g parts >= 3, for E = 2g ..
+6g-3.  The search backtracks over pairings, closing a sigma-cycle only
+where its length still has budget and forcing the closure of a path that
+reaches the longest length left.  It is orderly (Read 1978; McKay 1998): a
+partial pairing is cut as soon as some rotation of its known gap word is
+already smaller, so only canonical representatives, each its own least
+rotation, are emitted, one per class.
 
 Census kinds with a known count have a closed orbifold count beside their
 descriptor function (:func:`fatgraph_closed_count`,
@@ -30,6 +37,7 @@ have no census.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
@@ -40,7 +48,6 @@ from .fatgraph import ORDINARY, Fatgraph, least_rotation
 
 DEFAULT_CAP_EDGES = 15          # trivalent / single-k censuses (genus <= 3)
 DEFAULT_CAP_EDGES_ALL = 9       # all-valence censuses (genus <= 2)
-DEFAULT_CAP_LEAVES = 13
 
 TRIVALENT = "trivalent"
 ALL = "all"
@@ -125,33 +132,20 @@ def graph_entry(graph: Fatgraph) -> CensusEntry:
     return CensusEntry(graph.canonical_key(), graph, graph.aut_order())
 
 
-def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
-                                 num_cycles: int = None,
-                                 min_len: int = 3):
-    """Pairings of Z_{2E} whose sigma-cycles have prescribed lengths, one
-    per rotation class: those whose gap sequence is its own least rotation.
-
-    ``budgets``: exact multiset as {length: count}; or pass ``num_cycles``
-    for "num_cycles cycles, each of length >= min_len".  Returns alpha
-    tuples.
+def _pairings_with_cycle_lengths(num_edges: int, budgets):
+    """Pairings of Z_{2E} whose sigma-cycles have exactly the lengths of
+    ``budgets`` ({length: count}), one per rotation class: those whose gap
+    sequence is its own least rotation.  Returns alpha tuples.
     """
     m = 2 * num_edges
     alpha = [-1] * m
     gap = [-1] * m     # alpha[p] - p mod m where defined; gaps are >= 1
     fwd = [-1] * m     # t(p) = alpha[p] + 1 where defined
     bwd = [-1] * m
-    exact = budgets is not None
-    if exact:
-        budget = dict(budgets)
-        if sum(l * c for l, c in budget.items()) != m:
-            return []
-        cycles_left = sum(budget.values())
-        max_len = max(l for l, c in budget.items() if c > 0)
-    else:
-        budget = {}
-        cycles_left = num_cycles
-        max_len = 0
-    closed_nodes = 0
+    budget = dict(budgets)
+    if sum(l * c for l, c in budget.items()) != m:
+        return []
+    max_len = max(l for l, c in budget.items() if c > 0)
     results = []
 
     def head_of(p):
@@ -184,7 +178,7 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
     def assign(p, q, trail):
         """Pair p with q; returns False on contradiction.  All state changes
         are recorded on trail for rollback."""
-        nonlocal cycles_left, closed_nodes, max_len
+        nonlocal max_len
         alpha[p] = q
         alpha[q] = p
         gap[p] = (q - p) % m
@@ -197,38 +191,27 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
             if head_of(a) == b:
                 # closes the cycle b -> ... -> a -> b
                 length = path_len(a)
-                if exact:
-                    if budget.get(length, 0) <= 0:
-                        return False
-                    budget[length] -= 1
-                    if length == max_len and budget[length] == 0:
-                        trail.append(("m", max_len))
-                        avail = [l for l, c in budget.items() if c > 0]
-                        max_len = max(avail) if avail else 0
-                    trail.append(("b", length))
-                else:
-                    if length < min_len or cycles_left == 0:
-                        return False
-                cycles_left -= 1
-                closed_nodes += length
-                trail.append(("c", length))
+                if budget.get(length, 0) <= 0:
+                    return False
+                budget[length] -= 1
+                if length == max_len and budget[length] == 0:
+                    trail.append(("m", max_len))
+                    avail = [l for l, c in budget.items() if c > 0]
+                    max_len = max(avail) if avail else 0
+                trail.append(("b", length))
             fwd[a] = b
             bwd[b] = a
             trail.append(("l", a, b))
         # overlength and forced-closure propagation on both touched paths
-        if exact:
-            cap = max_len
-        else:
-            cap = (m - closed_nodes) - min_len * (cycles_left - 1)
         forced = None
         for seed in (p, q):
             t = tail_of(seed)
             if t is None:
                 continue  # closed into a cycle, budget already checked
             length = path_len(seed)
-            if length > cap:
+            if length > max_len:
                 return False
-            if exact and length == cap:
+            if length == max_len:
                 closer = (head_of(seed) - 1) % m
                 if closer == t:
                     return False
@@ -248,7 +231,7 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
         return True
 
     def undo(trail, mark):
-        nonlocal cycles_left, closed_nodes, max_len
+        nonlocal max_len
         while len(trail) > mark:
             rec = trail.pop()
             kind = rec[0]
@@ -260,11 +243,8 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
                 bwd[rec[2]] = -1
             elif kind == "b":
                 budget[rec[1]] += 1
-            elif kind == "m":
-                max_len = rec[1]
             else:
-                cycles_left += 1
-                closed_nodes -= rec[1]
+                max_len = rec[1]
 
     def rotation_is_smaller():
         """True when some rotation of the gap word is already smaller than
@@ -286,8 +266,8 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
         while p < m and alpha[p] != -1:
             p += 1
         if p == m:
-            if cycles_left == 0:
-                results.append(tuple(alpha))
+            # every slot lies on a closed cycle, so every budget is spent
+            results.append(tuple(alpha))
             return
         trail = []
         for q in range(p + 1, m):
@@ -302,46 +282,54 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets=None,
     return results
 
 
-def _one_boundary_census(g, valence_filter, cap_edges):
-    words = set()
+def _partitions(total: int, parts: int, least: int = 3):
+    """Nondecreasing tuples of ``parts`` integers >= ``least`` summing to
+    ``total``.
 
-    def run(num_edges, budgets=None, num_cycles=None):
-        if num_edges > cap_edges:
-            raise ResourceLimit(
-                "census needs %d edges, cap is %d" % (num_edges, cap_edges))
+    >>> list(_partitions(12, 3))
+    [(3, 3, 6), (3, 4, 5), (4, 4, 4)]
+    """
+    if parts == 1:
+        if total >= least:
+            yield (total,)
+        return
+    for first in range(least, total // parts + 1):
+        for rest in _partitions(total - first, parts - 1, first):
+            yield (first,) + rest
+
+
+def _valence_budgets(g, valence_filter):
+    """(E, {valence: count}) for each vertex-valence profile of the census:
+    V = E + 1 - 2g vertices whose valences sum to 2E."""
+    if valence_filter == ALL:
+        # every edge count from one vertex up to the trivalent top
+        for num_edges in range(2 * g, 6 * g - 2):
+            for valences in _partitions(2 * num_edges, num_edges + 1 - 2 * g):
+                yield num_edges, Counter(valences)
+        return
+    k = 3 if valence_filter == TRIVALENT else valence_filter[1]
+    # 2E = k + 3(V-1) and V = E + 1 - 2g force E = 6g - k
+    num_edges = 6 * g - k
+    if num_edges + 1 - 2 * g >= 1:
+        yield num_edges, Counter([k] + [3] * (num_edges - 2 * g))
+
+
+def _one_boundary_census(g, valence_filter, cap_edges):
+    runs = list(_valence_budgets(g, valence_filter))
+    needed = max((num_edges for num_edges, _ in runs), default=0)
+    if needed > cap_edges:
+        raise ResourceLimit("census needs %d edges, cap is %d"
+                            % (needed, cap_edges))
+    words = set()
+    for num_edges, budgets in runs:
         m = 2 * num_edges
-        for alpha in _pairings_with_cycle_lengths(
-                num_edges, budgets=budgets, num_cycles=num_cycles):
+        for alpha in _pairings_with_cycle_lengths(num_edges, budgets):
             word = canonical_gap_word(alpha)
             if word != tuple((alpha[p] - p) % m for p in range(m)):
                 raise AssertionError("search emitted a non-canonical pairing")
             if word in words:
                 raise AssertionError("search emitted a class twice")
             words.add(word)
-
-    if valence_filter == ALL:
-        if 6 * g - 3 > cap_edges:
-            raise ResourceLimit("census needs %d edges, cap is %d"
-                                % (6 * g - 3, cap_edges))
-        # V - E + 1 = 2 - 2g over all edge counts up to the trivalent top
-        for num_edges in range(2 * g, 6 * g - 2):
-            num_vertices = num_edges + 1 - 2 * g
-            if num_vertices >= 1:
-                run(num_edges, num_cycles=num_vertices)
-    else:
-        if valence_filter == TRIVALENT:
-            num_edges = 6 * g - 3
-            budgets = {3: 4 * g - 2}
-        else:
-            k = valence_filter[1]
-            # 2E = k + 3(V-1) and V = E + 1 - 2g force E = 6g - k
-            num_edges = 6 * g - k
-            num_vertices = num_edges + 1 - 2 * g
-            if num_edges < 1 or num_vertices < 1:
-                return ()
-            budgets = ({k: 1, 3: num_vertices - 1} if k != 3
-                       else {3: num_vertices})
-        run(num_edges, budgets=budgets)
 
     out = []
     for word in sorted(words):
@@ -435,40 +423,21 @@ def tree_entry(tree) -> CensusEntry:
 
 
 def enumerate_trees(leaf_count: int, profile: str = _trees.TRIVALENT,
-                    rooting: str = "unrooted",
-                    cap_leaves: int = DEFAULT_CAP_LEAVES) -> OrbifoldCensus:
+                    rooting: str = "unrooted") -> OrbifoldCensus:
     """Census of planar trees with the given leaf count and valence profile.
 
     Profiles: ``trivalent``, ``one5`` (one 5-valent vertex) and ``marked``
     (trivalent with one delta-marked internal vertex).  Rooted trees carry a
-    distinguished leaf and have trivial automorphism group.
+    distinguished leaf and have trivial automorphism group.  Raises
+    ResourceLimit past ``trees.DEFAULT_CAP_LEAVES`` leaves.
     """
-    if leaf_count > cap_leaves:
-        raise ResourceLimit("leaf count %d exceeds cap %d"
-                            % (leaf_count, cap_leaves))
     descriptor = tree_descriptor(leaf_count, profile, rooting)
     if rooting == "rooted":
-        entries = tuple(
-            CensusEntry(tree.rooted_key(), tree, 1)
-            for tree in _trees.rooted_trees(leaf_count, profile, cap_leaves))
+        entries = tuple(CensusEntry(tree.rooted_key(), tree, 1)
+                        for tree in _trees.rooted_trees(leaf_count, profile))
     elif rooting == "unrooted":
-        entries = tuple(map(tree_entry, _trees.unrooted_trees(
-            leaf_count, profile, cap_leaves)))
+        entries = tuple(map(tree_entry,
+                            _trees.unrooted_trees(leaf_count, profile)))
     else:
         raise ValueError("rooting must be 'rooted' or 'unrooted'")
     return OrbifoldCensus(descriptor, entries)
-
-
-def euler_characteristic(g: int,
-                         cap_edges: Optional[int] = None) -> Fraction:
-    """Alternating orbifold sum over the all-valence (g, 1) census.
-
-    The sign is (-1) raised to the dimension of the normalized open cell,
-    i.e. (-1)**(E-1); with this convention the g = 1 value is -1/12.
-    """
-    census = enumerate_fatgraphs(g, 1, ALL, cap_edges=cap_edges)
-    total = Fraction(0)
-    for entry in census:
-        sign = -1 if entry.graph.num_edges % 2 == 0 else 1
-        total += Fraction(sign, entry.aut_order)
-    return total

@@ -162,7 +162,7 @@ class Fatgraph:
 
     __slots__ = ("sigma", "alpha", "flags", "_vertices", "_edges", "_key")
 
-    def __init__(self, sigma, alpha, flags=None, check: bool = True):
+    def __init__(self, sigma, alpha, flags=None):
         self.sigma = tuple(sigma)
         self.alpha = tuple(alpha)
         m = len(self.sigma)
@@ -173,8 +173,7 @@ class Fatgraph:
         self._vertices = None
         self._edges = None
         self._key = None
-        if check:
-            self._check()
+        self._check()
 
     @classmethod
     def from_cycles(cls, vertex_cycles, edge_pairs, delta=(),
@@ -465,8 +464,8 @@ class Fatgraph:
 
     # -- canonical form and automorphisms ---------------------------------
 
-    def boundary_word(self, extra=None, start: int = 0):
-        """The boundary cycle read from half-edge ``start``, and its word.
+    def boundary_word(self, extra=None):
+        """The boundary cycle read from half-edge 0, and its word.
 
         Returns ``(boundary, word)``: ``boundary[i]`` is the half-edge in
         slot i of the cycle ``phi``, and ``word[i]`` encodes the slot's gap
@@ -478,9 +477,9 @@ class Fatgraph:
         """
         sigma, alpha = self.sigma, self.alpha
         m = len(sigma)
-        boundary = [start]
-        h = sigma[alpha[start]]
-        while h != start:
+        boundary = [0]
+        h = sigma[alpha[0]]
+        while h != 0:
             boundary.append(h)
             h = sigma[alpha[h]]
         if len(boundary) != m:

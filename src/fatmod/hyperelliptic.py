@@ -23,7 +23,7 @@ from fractions import Fraction
 
 from . import trees as _trees
 from .enumeration import (CensusEntry, OrbifoldCensus, catalan, catalan5,
-                          graph_entry, DEFAULT_CAP_LEAVES)
+                          graph_entry)
 from .errors import BadLeafCount, NotSymmetric, WrongType
 from .fatgraph import Fatgraph, perm_compose
 from .trees import PlanarTree
@@ -124,17 +124,13 @@ def double_tree(tree: PlanarTree) -> HyperellipticCell:
     return HyperellipticCell(tree, doubled, iota, edge_map)
 
 
-def cut_along_involution(cell_or_graph, involution=None):
+def cut_along_involution(graph: Fatgraph, involution):
     """Split a hyperelliptic graph along the fixed cells of its involution.
 
-    Accepts a :class:`HyperellipticCell` or a (graph, involution) pair.
     Returns two planar trees; for a doubled tree whose delta cells were all
     leaves, both are isomorphic to the original tree.
     """
-    if involution is None:
-        graph, iota = cell_or_graph.doubled, cell_or_graph.involution
-    else:
-        graph, iota = cell_or_graph, tuple(involution)
+    iota = tuple(involution)
     graph._assert_automorphism(iota)
     gt = graph.graph_type()
     if gt.n != 1:
@@ -283,21 +279,20 @@ def hyperelliptic_descriptor(g: int) -> str:
     return "hyperelliptic g=%d maximal cells" % g
 
 
-def hyperelliptic_census(g: int,
-                         cap_leaves: int = DEFAULT_CAP_LEAVES) -> OrbifoldCensus:
+def hyperelliptic_census(g: int) -> OrbifoldCensus:
     """Maximal cells of the genus-g hyperelliptic locus: doubled trivalent
     trees with 2g+1 leaves, weighted by the doubled graph's automorphisms.
 
     The orbifold count equals C_{2g-1} / (2 (2g+1)).
     """
     entries = sorted(map(cell_entry, _trees.unrooted_trees(
-        2 * g + 1, _trees.TRIVALENT, cap_leaves)), key=lambda e: e.key)
+        2 * g + 1, _trees.TRIVALENT)), key=lambda e: e.key)
     return OrbifoldCensus(hyperelliptic_descriptor(g), tuple(entries))
 
 
-def _component_census(g, leaf_count, profile, descriptor, cap_leaves):
+def _component_census(g, leaf_count, profile, descriptor):
     entries = []
-    for tree in _trees.unrooted_trees(leaf_count, profile, cap_leaves):
+    for tree in _trees.unrooted_trees(leaf_count, profile):
         entry = cell_entry(tree)
         if entry.payload.genus != g:
             raise AssertionError("component cell has genus %d, wanted %d"
@@ -316,14 +311,13 @@ def w1_component1_descriptor(g: int) -> str:
     return "w1-hyperelliptic g=%d component1 (5-valent pair)" % g
 
 
-def w1_component1_census(g: int,
-                         cap_leaves: int = DEFAULT_CAP_LEAVES) -> OrbifoldCensus:
+def w1_component1_census(g: int) -> OrbifoldCensus:
     """Doubled trees with 2g+1 leaves and one 5-valent vertex; the double
     carries two 5-valent vertices swapped by the involution."""
     if g < 2:
         raise WrongType("intersection components need g >= 2")
     census = _component_census(g, 2 * g + 1, _trees.ONE5,
-                               w1_component1_descriptor(g), cap_leaves)
+                               w1_component1_descriptor(g))
     for entry in census:
         if sorted(entry.graph.valences).count(5) != 2:
             raise AssertionError("component1 cell needs two 5-valent vertices")
@@ -335,26 +329,23 @@ def w1_component2_descriptor(g: int) -> str:
     return "w1-hyperelliptic g=%d component2 (fixed 6-valent)" % g
 
 
-def w1_component2_census(g: int,
-                         cap_leaves: int = DEFAULT_CAP_LEAVES) -> OrbifoldCensus:
+def w1_component2_census(g: int) -> OrbifoldCensus:
     """Doubled trivalent trees with 2g leaves and one marked vertex; the
     double carries a single 6-valent vertex fixed by the involution."""
     if g < 2:
         raise WrongType("intersection components need g >= 2")
     census = _component_census(g, 2 * g, _trees.MARKED,
-                               w1_component2_descriptor(g), cap_leaves)
+                               w1_component2_descriptor(g))
     for entry in census:
         if 6 not in entry.graph.valences:
             raise AssertionError("component2 cell needs a 6-valent vertex")
     return census
 
 
-def w1_intersection_census(g: int,
-                           cap_leaves: int = DEFAULT_CAP_LEAVES) -> W1HComponents:
+def w1_intersection_census(g: int) -> W1HComponents:
     """Both components of the intersection of the codimension-2 Witten cycle
     with the genus-g hyperelliptic locus (g >= 2), with multiplicities."""
-    return W1HComponents(w1_component1_census(g, cap_leaves),
-                         w1_component2_census(g, cap_leaves))
+    return W1HComponents(w1_component1_census(g), w1_component2_census(g))
 
 
 def count_t1(g: int) -> Fraction:

@@ -2,11 +2,11 @@
 
 Every report carries a closed-form value, which reads no census, and an
 independently assembled value, and they must agree exactly.  The assembled
-route sums Pfaffian cell volumes over a workspace census where the caps
-allow.  Beyond the caps, genus0, hevol, w1h, boundary, main-theorem and
-corollary assemble closed sub-formulas instead, so their parameter is
-unbounded; psi-top and euler have only the census route and raise
-ResourceLimit there.
+route sums Pfaffian cell volumes over a workspace census up to the
+``*_ASSEMBLED_*`` thresholds below.  Beyond them, genus0, hevol, w1h,
+boundary, main-theorem and corollary assemble closed sub-formulas instead,
+so their parameter is unbounded; psi-top and euler have only the census
+route and raise ResourceLimit past the workspace's edge cap.
 """
 
 from __future__ import annotations
@@ -24,6 +24,11 @@ from .workspace import Workspace
 
 KAPPA_DUALITY_DENOMINATOR = 12  # kappa_1 = ([W1] + [boundary]) / 12
 ELLIPTIC_TAIL_FACTOR = Fraction(1, 24)
+
+# largest parameter assembled from a census; above it, closed sub-formulas
+GENUS0_ASSEMBLED_N = 9
+HYPERELLIPTIC_ASSEMBLED_G = 4
+W1_ASSEMBLED_G = 4
 
 
 @dataclass(frozen=True)
@@ -63,7 +68,6 @@ def psi_top_genus0(n: int, workspace: Optional[Workspace] = None
     """
     if n < 3:
         raise WrongType("need n >= 3")
-    ws = _ws(workspace)
     closed = Fraction(factorial(n - 2) * catalan(n - 3) * factorial(n - 3),
                       factorial(2 * n - 6))
     if n == 3:
@@ -71,8 +75,8 @@ def psi_top_genus0(n: int, workspace: Optional[Workspace] = None
                               "formula",
                               ("moduli of three marked points is a single "
                                "unlabeled point",))
-    if n <= ws.caps.genus0_assembled_n:
-        census = ws.tree_census(n - 1, "trivalent")
+    if n <= GENUS0_ASSEMBLED_N:
+        census = _ws(workspace).tree_census(n - 1, "trivalent")
         assembled = census.orbifold_sum(
             weight=lambda e: factorial(n - 1) * cell_volume(e.graph).value)
         mode = "census"
@@ -111,10 +115,9 @@ def psi_top_hyperelliptic(g: int, workspace: Optional[Workspace] = None
     1/(2^(2g) (2g+1)!)."""
     if g < 1:
         raise WrongType("need g >= 1")
-    ws = _ws(workspace)
     closed = Fraction(1, 2 ** (2 * g) * factorial(2 * g + 1))
-    if g <= ws.caps.hyperelliptic_assembled_g:
-        census = ws.hyperelliptic_census(g)
+    if g <= HYPERELLIPTIC_ASSEMBLED_G:
+        census = _ws(workspace).hyperelliptic_census(g)
         assembled = census.orbifold_sum(
             weight=lambda e: hyperelliptic_cell_volume(e.payload).value)
         mode = "census"
@@ -134,11 +137,10 @@ def w1_h_integral(g: int, workspace: Optional[Workspace] = None
     locus: (10g^2-13g+3)/(2^(2g-2) (2g+1)!)."""
     if g < 2:
         raise WrongType("need g >= 2")
-    ws = _ws(workspace)
     closed = Fraction(10 * g * g - 13 * g + 3,
                       2 ** (2 * g - 2) * factorial(2 * g + 1))
-    if g <= ws.caps.w1_assembled_g:
-        comps = ws.w1_components(g)
+    if g <= W1_ASSEMBLED_G:
+        comps = _ws(workspace).w1_components(g)
         vol = lambda e: hyperelliptic_cell_volume(e.payload).value
         assembled = (comps.multiplicity1 * comps.component1.orbifold_sum(vol)
                      + comps.multiplicity2 * comps.component2.orbifold_sum(vol))
@@ -267,9 +269,8 @@ def euler_report(g: int, workspace: Optional[Workspace] = None
     the Bernoulli closed form."""
     if g < 1:
         raise WrongType("need g >= 1")
-    ws = _ws(workspace)
     closed = zeta_negative(g)
-    census = ws.all_valence_census(g)
+    census = _ws(workspace).all_valence_census(g)
     assembled = census.orbifold_sum(
         weight=lambda e: (-1) ** (e.graph.num_edges - 1))
     return IntegralReport(

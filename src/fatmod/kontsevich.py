@@ -26,20 +26,6 @@ from .fatgraph import Fatgraph
 
 
 @dataclass(frozen=True)
-class SkewForm:
-    """Antisymmetric coefficient matrix of the cell form in the free edge
-    coordinates left after eliminating ``eliminated_edge``."""
-
-    matrix: tuple
-    free_edges: tuple
-    eliminated_edge: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.matrix)
-
-
-@dataclass(frozen=True)
 class CellVolume:
     value: Fraction
     half_dim: int
@@ -61,10 +47,11 @@ def _raw_coefficients(seq, num_edges):
     return c
 
 
-def omega_matrix(graph: Fatgraph, eliminate: int = None) -> SkewForm:
-    """Coefficient matrix of the cell form of a one-boundary graph with an
-    odd number of edges, in the coordinates that remain after eliminating
-    the designated edge (default: the last one)."""
+def omega_matrix(graph: Fatgraph, eliminate: int = None) -> tuple:
+    """Antisymmetric coefficient matrix of the cell form of a one-boundary
+    graph with an odd number of edges, as a tuple of rows, in the remaining
+    edge coordinates (in edge order) after eliminating the designated edge
+    (default: the last one)."""
     cycles = graph.boundary_cycles().cycles
     if len(cycles) != 1:
         raise WrongBoundaryCount("expected one boundary cycle, found %d"
@@ -83,23 +70,20 @@ def omega_matrix(graph: Fatgraph, eliminate: int = None) -> SkewForm:
     return _eliminate(c, num_edges, eliminate)
 
 
-def _eliminate(c, num_edges, eliminate) -> SkewForm:
-    free = tuple(e for e in range(num_edges) if e != eliminate)
-    k = eliminate
-    matrix = tuple(
+def _eliminate(c, num_edges, k) -> tuple:
+    free = [e for e in range(num_edges) if e != k]
+    return tuple(
         tuple(c[a][b] - c[a][k] + c[b][k] for b in free) for a in free)
-    return SkewForm(matrix, free, k)
 
 
-def pfaffian(form) -> Fraction:
-    """Exact Pfaffian of a SkewForm (or raw antisymmetric matrix).
+def pfaffian(matrix) -> Fraction:
+    """Exact Pfaffian of an antisymmetric matrix.
 
     The matrix is scaled to integers by the lcm of its entries' denominators.
     The Pfaffian is computed by memoized expansion along the first remaining
     row, and verified against the Bareiss integer determinant (Pf^2 = det)
     before returning.
     """
-    matrix = form.matrix if isinstance(form, SkewForm) else form
     n = len(matrix)
     if n % 2:
         raise ValueError("odd-dimensional antisymmetric matrix")
@@ -173,14 +157,14 @@ def _det_fraction(m):
     return sign * a[-1][-1] if n else 1
 
 
-def cell_volume(graph: Fatgraph, eliminate: int = None) -> CellVolume:
+def cell_volume(graph: Fatgraph) -> CellVolume:
     """Exact integral of omega^d over the normalized open cell of the graph.
 
     Positive by convention; the signed Pfaffian is kept alongside.
     """
-    form = omega_matrix(graph, eliminate)
-    pf = pfaffian(form)
-    d = form.dim // 2
+    matrix = omega_matrix(graph)
+    pf = pfaffian(matrix)
+    d = len(matrix) // 2
     value = Fraction(factorial(d)) * abs(pf) / (2 ** (2 * d)
                                                 * factorial(2 * d))
     return CellVolume(value, d, pf)
@@ -217,9 +201,9 @@ def hyperelliptic_cell_volume(cell) -> CellVolume:
             if row[y]:
                 ay, fy = cell.edge_map[y]
                 ct[ax][ay] += fx * fy * row[y]
-    form = _eliminate(ct, num_tree_edges, num_tree_edges - 1)
-    pf = pfaffian(form)
-    d = form.dim // 2
+    matrix = _eliminate(ct, num_tree_edges, num_tree_edges - 1)
+    pf = pfaffian(matrix)
+    d = len(matrix) // 2
     pulled_back = Fraction(factorial(d)) * abs(pf) / (2 ** (2 * d)
                                                       * factorial(2 * d))
     tree_volume = cell_volume(tree)

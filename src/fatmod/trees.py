@@ -4,8 +4,12 @@ A planar tree is a fatgraph of type (0, 1); its valence-one vertices are the
 leaves and carry the delta flag.  Trees are generated as rooted shapes by
 branch decomposition (a rooted tree is a leaf or an internal vertex with an
 ordered list of subtrees), then optionally quotiented to unrooted isomorphism
-classes.  Rooted trivalent shapes with m internal vertices are counted by the
-Catalan number C_m.
+classes by the least rotation of the boundary word.  Rooted trivalent shapes
+with m internal vertices are counted by the Catalan number C_m.
+
+A tree is its graph and nothing more: the root of a generated tree is the
+leaf at half-edge 0, and its rooted key is the boundary word read from
+there.  Generation stops past ``DEFAULT_CAP_LEAVES`` leaves.
 """
 
 from __future__ import annotations
@@ -23,28 +27,25 @@ MARKED = "marked"
 
 _PROFILES = (TRIVALENT, ONE5, MARKED)
 
+DEFAULT_CAP_LEAVES = 13
+
 
 class PlanarTree(Fatgraph):
     """Fatgraph of type (0,1) whose valence-1 vertices are delta leaves.
 
-    ``root`` is the half-edge sitting at a distinguished root leaf, or None
-    for unrooted trees.
+    A tree holds no state beyond its graph.  A rooted tree from
+    :func:`build_rooted_tree` has its root leaf at half-edge 0.
     """
 
-    __slots__ = ("root",)
+    __slots__ = ()
 
-    def __init__(self, sigma, alpha, flags=None, root=None, check=True):
-        super().__init__(sigma, alpha, flags=flags, check=check)
-        self.root = root
-        if check:
-            gt = self.graph_type()
-            if gt != (0, 1):
-                raise MalformedGraph("tree must have type (0,1), got %s"
-                                     % (gt,))
-            if self.num_edges != self.num_vertices - 1:
-                raise MalformedGraph("not a tree")
-            if root is not None and len(self._cycle_from(root)) != 1:
-                raise MalformedGraph("root must sit at a leaf")
+    def __init__(self, sigma, alpha, flags=None):
+        super().__init__(sigma, alpha, flags=flags)
+        gt = self.graph_type()
+        if gt != (0, 1):
+            raise MalformedGraph("tree must have type (0,1), got %s" % (gt,))
+        if self.num_edges != self.num_vertices - 1:
+            raise MalformedGraph("not a tree")
 
     @property
     def leaf_vertices(self) -> tuple:
@@ -66,15 +67,11 @@ class PlanarTree(Fatgraph):
                      if len(cyc) > 1 and self.flags[cyc[0]] == DELTA)
 
     def rooted_key(self):
-        """The boundary word read from the root slot, not rotated: equal
-        iff the rooted trees are isomorphic."""
-        if self.root is None:
-            raise ValueError("tree is unrooted")
-        return self.boundary_word(start=self.root)[1]
-
-    def unrooted(self) -> "PlanarTree":
-        return PlanarTree(self.sigma, self.alpha, flags=self.flags,
-                          check=False)
+        """The boundary word read from half-edge 0, not rotated: for trees
+        rooted there (a leaf), equal iff the rooted trees are isomorphic."""
+        if self.sigma[0] != 0:
+            raise ValueError("half-edge 0 is not at a leaf")
+        return self.boundary_word()[1]
 
 
 # -- rooted shapes ----------------------------------------------------------
@@ -223,7 +220,7 @@ def build_rooted_tree(shape) -> PlanarTree:
     delta.append(root)
     grow(shape, root)
     g = Fatgraph.from_cycles(cycles, pairs, delta=delta)
-    return PlanarTree(g.sigma, g.alpha, flags=g.flags, root=root, check=True)
+    return PlanarTree(g.sigma, g.alpha, flags=g.flags)
 
 
 def _shapes_for(leaf_count: int, profile: str):
@@ -236,27 +233,24 @@ def _shapes_for(leaf_count: int, profile: str):
     raise ValueError("unknown profile %r" % profile)
 
 
-def rooted_trees(leaf_count: int, profile: str = TRIVALENT,
-                 cap_leaves: int = 13):
+def rooted_trees(leaf_count: int, profile: str = TRIVALENT):
     """All rooted trees with the given total leaf count (root included)."""
     if profile not in _PROFILES:
         raise ValueError("unknown profile %r" % profile)
     if leaf_count < 2:
         raise ValueError("need at least 2 leaves")
-    if leaf_count > cap_leaves:
+    if leaf_count > DEFAULT_CAP_LEAVES:
         raise ResourceLimit("leaf count %d exceeds cap %d"
-                            % (leaf_count, cap_leaves))
+                            % (leaf_count, DEFAULT_CAP_LEAVES))
     return [build_rooted_tree(s) for s in _shapes_for(leaf_count, profile)]
 
 
-def unrooted_trees(leaf_count: int, profile: str = TRIVALENT,
-                   cap_leaves: int = 13):
+def unrooted_trees(leaf_count: int, profile: str = TRIVALENT):
     """Isomorphism classes of unrooted trees, sorted by canonical key; each
     class is represented by its first tree in generation order."""
     classes = {}
-    for tree in rooted_trees(leaf_count, profile, cap_leaves):
-        t = tree.unrooted()
-        classes.setdefault(t.canonical_key(), t)
+    for tree in rooted_trees(leaf_count, profile):
+        classes.setdefault(tree.canonical_key(), tree)
     return [classes[k] for k in sorted(classes)]
 
 
@@ -266,6 +260,6 @@ def odd_valence_trees(max_edges: int):
     for shape in odd_valence_shapes(max_edges):
         if shape == LEAF:
             continue
-        t = build_rooted_tree(shape).unrooted()
+        t = build_rooted_tree(shape)
         classes.setdefault(t.canonical_key(), t)
     return [classes[k] for k in sorted(classes)]

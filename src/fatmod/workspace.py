@@ -1,13 +1,10 @@
-"""Shared census store with size caps and an optional on-disk cache.
+"""Shared census store with an optional on-disk cache.
 
 All integral evaluations pull censuses from a workspace, so a CLI run, a
 cached rerun and a fault-injected test all see the same data path.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
-from typing import Optional
 
 from . import cache as _cache
 from . import enumeration as _enum
@@ -18,20 +15,13 @@ from .fatgraph import Fatgraph
 from .trees import PlanarTree
 
 
-@dataclass
-class Caps:
-    trivalent_edges: int = _enum.DEFAULT_CAP_EDGES        # genus <= 3
-    all_valence_edges: int = _enum.DEFAULT_CAP_EDGES_ALL  # genus <= 2
-    tree_leaves: int = _enum.DEFAULT_CAP_LEAVES
-    genus0_assembled_n: int = 9
-    hyperelliptic_assembled_g: int = 4
-    w1_assembled_g: int = 4
-
-
 class Workspace:
-    def __init__(self, caps: Optional[Caps] = None, cache_dir=None,
+    """``cap_edges`` caps the fatgraph censuses; None keeps the defaults of
+    ``enumerate_fatgraphs``."""
+
+    def __init__(self, cap_edges=None, cache_dir=None,
                  no_build: bool = False):
-        self.caps = caps or Caps()
+        self.cap_edges = cap_edges
         self.cache_dir = cache_dir
         self.no_build = no_build
         self._store = {}
@@ -46,8 +36,7 @@ class Workspace:
         return self._get(_enum.fatgraph_descriptor(g, 1, _enum.TRIVALENT),
                          "graph",
                          lambda: _enum.enumerate_fatgraphs(
-                             g, 1, _enum.TRIVALENT,
-                             cap_edges=self.caps.trivalent_edges))
+                             g, 1, _enum.TRIVALENT, cap_edges=self.cap_edges))
 
     # perfbench/tracer.py patches this name; nothing else may call it
     pristine_trivalent_census = trivalent_census
@@ -55,8 +44,7 @@ class Workspace:
     def all_valence_census(self, g: int) -> OrbifoldCensus:
         return self._get(_enum.fatgraph_descriptor(g, 1, _enum.ALL), "graph",
                          lambda: _enum.enumerate_fatgraphs(
-                             g, 1, _enum.ALL,
-                             cap_edges=self.caps.all_valence_edges))
+                             g, 1, _enum.ALL, cap_edges=self.cap_edges))
 
     def tree_census(self, leaf_count: int, profile: str,
                     rooting: str = "unrooted") -> OrbifoldCensus:
@@ -65,25 +53,21 @@ class Workspace:
             # cheap to regenerate and not representable in the cache format
             if desc not in self._store:
                 self._store[desc] = _enum.enumerate_trees(
-                    leaf_count, profile, "rooted", self.caps.tree_leaves)
+                    leaf_count, profile, "rooted")
             return self._store[desc]
         return self._get(desc, "tree",
                          lambda: _enum.enumerate_trees(
-                             leaf_count, profile, "unrooted",
-                             self.caps.tree_leaves))
+                             leaf_count, profile, "unrooted"))
 
     def hyperelliptic_census(self, g: int) -> OrbifoldCensus:
         return self._get(_hyper.hyperelliptic_descriptor(g), "cell",
-                         lambda: _hyper.hyperelliptic_census(
-                             g, self.caps.tree_leaves))
+                         lambda: _hyper.hyperelliptic_census(g))
 
     def w1_components(self, g: int) -> _hyper.W1HComponents:
         comp1 = self._get(_hyper.w1_component1_descriptor(g), "cell",
-                          lambda: _hyper.w1_component1_census(
-                              g, self.caps.tree_leaves))
+                          lambda: _hyper.w1_component1_census(g))
         comp2 = self._get(_hyper.w1_component2_descriptor(g), "cell",
-                          lambda: _hyper.w1_component2_census(
-                              g, self.caps.tree_leaves))
+                          lambda: _hyper.w1_component2_census(g))
         return _hyper.W1HComponents(comp1, comp2)
 
     # -- cache plumbing ----------------------------------------------------

@@ -41,7 +41,7 @@ def test_criterion_01_expansion_facets():
     for _ in range(5):
         comb = (comb, LEAF)
         arms.append(comb)
-    tree = build_rooted_tree(tuple(arms)).unrooted()
+    tree = build_rooted_tree(tuple(arms))
     v = tree.valences.index(6)
     for dedup in (True, False):
         results = tree.expansions(v, up_to_isomorphism=dedup)
@@ -175,7 +175,7 @@ def test_criterion_10_hyperelliptic_structure():
             iota = cell.doubled.hyperelliptic_involution()
             assert iota is not None
             assert cell.doubled.fixed_cells(iota).total == 2 * g + 2
-            a, b = cut_along_involution(cell)
+            a, b = cut_along_involution(cell.doubled, cell.involution)
             assert a.canonical_key() == tree.canonical_key()
             assert b.canonical_key() == tree.canonical_key()
     for g in range(2, 7):

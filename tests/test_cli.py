@@ -47,6 +47,27 @@ class TestVerify:
         assert "FAIL" in out
 
 
+class TestCapEdges:
+    """--cap-edges reaches the workspace's fatgraph censuses."""
+
+    @pytest.mark.parametrize("identity,g,cap,code", [
+        ("psi-top", "3", "14", 2),
+        ("euler", "2", "8", 2),
+        ("euler", "2", "9", 0),
+    ], ids=["psi-top-g3-cap14", "euler-g2-cap8", "euler-g2-cap9"])
+    def test_cap_applies(self, capsys, monkeypatch, identity, g, cap, code):
+        monkeypatch.delenv("FATMOD_CACHE", raising=False)
+        got = cli.main(["verify", "--identity", identity, "--g", g,
+                        "--cap-edges", cap])
+        captured = capsys.readouterr()
+        assert got == code
+        if code == 2:
+            assert captured.err.startswith("size cap exceeded")
+            assert captured.out == ""
+        else:
+            assert "1/120" in captured.out and "ok" in captured.out
+
+
 class TestEnumerate:
     def test_torus_census_summary(self, capsys, tmp_path):
         code, out = run(capsys, "enumerate", "--type", "1,1",
@@ -104,6 +125,28 @@ class TestEnumerate:
             "single-k-one", "single-k-negative", "single-k-two"])
     def test_bad_arguments_exit_one(self, capsys, tmp_path, argv):
         code = cli.main(["enumerate", *argv, "--cache", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("error: ")
+        assert captured.err.count("\n") == 1
+        assert not list(tmp_path.iterdir())
+
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--identity", "hevol", "--g", "3..1"),
+        ("verify", "--identity", "hevol", "--g", "x"),
+        ("verify", "--identity", "hevol", "--g", "2..x"),
+        ("verify", "--identity", "genus0", "--n", "6..4"),
+        ("report", "--identities", "hevol", "--g", "3..1"),
+        ("report", "--identities", "hevol", "--g", "x"),
+        ("report", "--identities", "genus0,hevol", "--g", "2..x"),
+        ("report", "--identities", "genus0", "--n", "x..5"),
+    ], ids=["verify-g-reversed", "verify-g-not-integer", "verify-g-bad-end",
+            "verify-n-reversed", "report-g-reversed", "report-g-not-integer",
+            "report-g-bad-end", "report-n-bad-start"])
+    def test_bad_range_exit_one(self, capsys, tmp_path, argv):
+        # an empty or malformed range never falls back to the default one
+        code = cli.main([*argv, "--cache", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -197,6 +240,22 @@ class TestCache:
         code, out = run(capsys, *argv)
         assert code == 3
         assert "1/1152" in out and "FAIL" in out
+
+    def test_report_missing_class_exits_three(self, capsys, tmp_path):
+        # report signals a FAIL row by its exit code, as verify does
+        argv = ("report", "--identities", "psi-top", "--g", "2",
+                "--cache", str(tmp_path))
+        code, out = run(capsys, *argv)
+        assert code == 0 and "ok" in out
+        victim = cache_path(tmp_path, GENUS_TWO)
+        lines = victim.read_text().splitlines()
+        assert lines[2] == "count=9"
+        victim.write_text("\n".join(lines[:2] + ["count=8"] + lines[4:])
+                          + "\n")
+        code, out = run(capsys, *argv)
+        assert code == 3
+        assert out.splitlines()[1].split()[2:5] == ["1/1152", "1/1260",
+                                                    "FAIL"]
 
     @pytest.mark.parametrize("argv,descriptor,edit", [
         (("--identity", "genus0", "--n", "6"),

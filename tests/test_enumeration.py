@@ -4,15 +4,14 @@ import pytest
 
 from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT, catalan,
                                 catalan5, enumerate_fatgraphs,
-                                enumerate_trees, euler_characteristic)
+                                enumerate_trees)
 from fatmod.errors import ResourceLimit
 from fatmod.fatgraph import Fatgraph
 from fatmod.trees import ONE5, MARKED, rooted_trees, unrooted_trees
 
 from oracles import (are_isomorphic, automorphism_order_bruteforce,
-                     bernoulli_oracle, naive_census,
-                     one_face_census_bruteforce, triangulation_count,
-                     walsh_lehman)
+                     naive_census, one_face_census_bruteforce,
+                     triangulation_count, walsh_lehman)
 
 
 class TestCatalan:
@@ -191,14 +190,6 @@ class TestOrbifoldSum:
 
 
 class TestEulerCharacteristic:
-    def test_genus_one(self):
-        assert euler_characteristic(1) == Fraction(-1, 12)
-        assert euler_characteristic(1) == -bernoulli_oracle(2) / 2
-
-    def test_genus_two(self):
-        assert euler_characteristic(2) == Fraction(1, 120)
-        assert euler_characteristic(2) == -bernoulli_oracle(4) / 4
-
     def test_cache_round_trip_determinism(self, tmp_path):
         from fatmod.workspace import Workspace
         ws1 = Workspace(cache_dir=tmp_path)

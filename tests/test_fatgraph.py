@@ -38,13 +38,13 @@ def generic_six_valent_tree():
     for _ in range(5):
         comb = (comb, LEAF)
         arms.append(comb)
-    return build_rooted_tree(tuple(arms)).unrooted()
+    return build_rooted_tree(tuple(arms))
 
 
 class TestConstruction:
     def test_alpha_must_be_fixed_point_free_involution(self):
         with pytest.raises(MalformedGraph):
-            Fatgraph((1, 2, 0, 3), (1, 0, 3, 2), check=True) \
+            Fatgraph((1, 2, 0, 3), (1, 0, 3, 2)) \
                 .graph_type()  # 1-valent ordinary vertex
         with pytest.raises(MalformedGraph):
             Fatgraph((1, 0), (0, 1))  # alpha has fixed points
@@ -108,7 +108,7 @@ class TestCollapseEdge:
             assert ghp.collapse_edge(e).canonical_key() == gh.canonical_key()
 
     def test_two_vertex_tree_collapse(self):
-        tree = build_rooted_tree((LEAF, (LEAF, LEAF))).unrooted()
+        tree = build_rooted_tree((LEAF, (LEAF, LEAF)))
         e = next(i for i, (p, q) in enumerate(tree.edges)
                  if len(tree._cycle_from(p)) > 1
                  and len(tree._cycle_from(q)) > 1)
@@ -153,8 +153,7 @@ class TestCollapseEdge:
 
 class TestExpansions:
     def test_four_valent_has_two_maximal_expansions(self):
-        tree = build_rooted_tree(((LEAF, LEAF), (LEAF, (LEAF, LEAF)))) \
-            .unrooted()
+        tree = build_rooted_tree(((LEAF, LEAF), (LEAF, (LEAF, LEAF))))
         # the asymmetric tree gains a 4-valent vertex after one collapse
         collapsed = _collapse_to_valence(tree, 4)
         v = collapsed.valences.index(4)
@@ -182,7 +181,7 @@ class TestExpansions:
         for _ in range(4):
             comb = (comb, LEAF)
             arms.append(comb)
-        tree = build_rooted_tree(tuple(arms)).unrooted()
+        tree = build_rooted_tree(tuple(arms))
         v = tree.valences.index(5)
         maximal = [r for r in tree.expansions(v) if len(r[1]) == 2]
         assert len(maximal) == 5
@@ -282,8 +281,7 @@ class TestCanonicalForm:
 
     def test_one_edge_expansions_of_generic_four_valent_differ(self):
         tree = _collapse_to_valence(
-            build_rooted_tree(((LEAF, LEAF), (LEAF, (LEAF, LEAF))))
-            .unrooted(), 4)
+            build_rooted_tree(((LEAF, LEAF), (LEAF, (LEAF, LEAF)))), 4)
         v = tree.valences.index(4)
         keys = [g.canonical_key() for g, _ in tree.expansions(v)]
         assert len(keys) == len(set(keys)) == 2
@@ -339,8 +337,8 @@ class TestAutomorphisms:
         graphs = [one_boundary_torus_graph(),
                   one_vertex_opposite_pairing(2),
                   two_vertex_star_double(2),
-                  build_rooted_tree((LEAF, LEAF)).unrooted(),
-                  build_rooted_tree((LEAF, (LEAF, LEAF))).unrooted()]
+                  build_rooted_tree((LEAF, LEAF)),
+                  build_rooted_tree((LEAF, (LEAF, LEAF)))]
         for G in graphs:
             assert G.num_half_edges <= 12
             assert G.aut_order() == automorphism_order_bruteforce(G)
@@ -417,7 +415,7 @@ class TestWordFormat:
     def test_round_trip_reads_back_key(self):
         for G in (one_boundary_torus_graph(), two_vertex_star_double(3),
                   one_vertex_opposite_pairing(2),
-                  build_rooted_tree((LEAF, (LEAF, LEAF))).unrooted()):
+                  build_rooted_tree((LEAF, (LEAF, LEAF)))):
             key = G.canonical_key()
             again = type(G).from_word(key)
             assert again.boundary_word()[1] == key
@@ -443,7 +441,7 @@ def test_isomorphic_iff_oracle_agrees():
               one_vertex_opposite_pairing(1),
               Fatgraph.from_cycles([(0, 1, 2, 3)], [(0, 2), (1, 3)],
                                    delta=(0,)),
-              build_rooted_tree((LEAF, LEAF)).unrooted()]
+              build_rooted_tree((LEAF, LEAF))]
     for G in graphs:
         for H in graphs:
             assert (G.canonical_key() == H.canonical_key()) == \

@@ -73,7 +73,7 @@ class TestCutAlongInvolution:
     def test_round_trip(self, leaves):
         for tree in unrooted_trees(leaves):
             cell = double_tree(tree)
-            a, b = cut_along_involution(cell)
+            a, b = cut_along_involution(cell.doubled, cell.involution)
             assert a.canonical_key() == tree.canonical_key()
             assert b.canonical_key() == tree.canonical_key()
 
@@ -81,7 +81,7 @@ class TestCutAlongInvolution:
         for g in (2, 3):
             G = one_vertex_opposite_pairing(g)
             a, b = cut_along_involution(G, G.hyperelliptic_involution())
-            star = build_rooted_tree(tuple([LEAF] * 2 * g)).unrooted()
+            star = build_rooted_tree(tuple([LEAF] * 2 * g))
             assert a.canonical_key() == star.canonical_key()
             assert b.canonical_key() == star.canonical_key()
 
@@ -97,7 +97,7 @@ class TestCutAlongInvolution:
         tree = unrooted_trees(5)[0]
         cell = double_tree(tree)
         assert set(cell.doubled.valences) == {3}
-        a, b = cut_along_involution(cell)
+        a, b = cut_along_involution(cell.doubled, cell.involution)
         assert a.leaf_count == 5
         assert set(a.internal_valences) == {3}
         assert a.canonical_key() == b.canonical_key()
@@ -108,7 +108,7 @@ class TestCutAlongInvolution:
         for leaves in (4, 6):
             for tree in unrooted_trees(leaves, MARKED):
                 cell = double_tree(tree)
-                a, b = cut_along_involution(cell)
+                a, b = cut_along_involution(cell.doubled, cell.involution)
                 assert a.canonical_key() == b.canonical_key()
                 assert a.leaf_count == leaves + 1
                 assert 4 in a.internal_valences
@@ -116,7 +116,7 @@ class TestCutAlongInvolution:
     def test_one5_round_trip(self):
         for tree in unrooted_trees(7, ONE5):
             cell = double_tree(tree)
-            a, b = cut_along_involution(cell)
+            a, b = cut_along_involution(cell.doubled, cell.involution)
             assert a.canonical_key() == tree.canonical_key()
             assert b.canonical_key() == tree.canonical_key()
 

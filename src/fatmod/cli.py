@@ -140,7 +140,7 @@ def cmd_enumerate(args) -> int:
     if args.trees:
         leaves = args.leaves
         if leaves is None:
-            raise SystemExit("--trees requires --leaves")
+            raise FatmodError("--trees requires --leaves")
         if leaves < 2:
             raise FatmodError("--leaves must be at least 2, got %d" % leaves)
         rooting = "rooted" if args.rooted else "unrooted"
@@ -149,7 +149,7 @@ def cmd_enumerate(args) -> int:
         kind = None if args.rooted else "tree"
     else:
         if args.type is None:
-            raise SystemExit("need --type G,N (or --trees)")
+            raise FatmodError("need --type G,N (or --trees)")
         try:
             g, n = (int(x) for x in args.type.split(","))
         except ValueError:
@@ -194,7 +194,7 @@ def cmd_report(args) -> int:
         else list(_int.IDENTITIES)
     for name in names:
         if name not in _int.IDENTITIES:
-            raise SystemExit("unknown identity %r" % name)
+            raise FatmodError("unknown identity %r" % name)
     return _run_identities(names, args)
 
 

@@ -17,16 +17,19 @@ isomorphism, so the gap sequence ``(alpha(p) - p mod 2E)_p`` classifies
 graphs up to isomorphism by its least cyclic rotation, and the automorphism
 group is the rotation stabilizer.
 
-Every census is a union of vertex-valence profiles, and each profile is one
-search with an exact budget ``{valence: count}``: the trivalent census and
-a single k-valent vertex are one profile each, and the all-valence census
-runs every partition of 2E into V = E + 1 - 2g parts >= 3, for E = 2g ..
-6g-3.  The search backtracks over pairings, closing a sigma-cycle only
-where its length still has budget and forcing the closure of a path that
-reaches the longest length left.  It is orderly (Read 1978; McKay 1998): a
-partial pairing is cut as soon as some rotation of its known gap word is
+There is one search, for the trivalent census (E = 6g - 3, every
+sigma-cycle of length three).  It backtracks over pairings, closing a path
+of three slots as soon as it forms, and is orderly (Read 1978; McKay 1998):
+a partial pairing is cut as soon as some rotation of its known gap word is
 already smaller, so only canonical representatives, each its own least
 rotation, are emitted, one per class.
+
+Every other census is a collapse closure of the trivalent one, as every
+cell of the ribbon graph complex is a face of a top cell: collapsing a
+non-loop edge deletes its two slots from the word (:func:`collapse_word`).
+The all-valence census is the union of the levels E = 6g-3 .. 2g, and
+("single", k) is level E = 6g - k, each step collapsing only edges at the
+one non-trivalent vertex.  So the edge cap is checked against 6g - 3.
 
 Census kinds with a known count have a closed orbifold count beside their
 descriptor function (:func:`fatgraph_closed_count`,
@@ -37,14 +40,13 @@ have no census.
 from __future__ import annotations
 
 import math
-from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, Optional
 
 from . import trees as _trees
 from .errors import MalformedGraph, ResourceLimit, WrongType
-from .fatgraph import ORDINARY, Fatgraph, least_rotation
+from .fatgraph import ORDINARY, Fatgraph, _cycles_of, least_rotation
 
 DEFAULT_CAP_EDGES = 15          # trivalent / single-k censuses (genus <= 3)
 DEFAULT_CAP_EDGES_ALL = 9       # all-valence censuses (genus <= 2)
@@ -132,20 +134,16 @@ def graph_entry(graph: Fatgraph) -> CensusEntry:
     return CensusEntry(graph.canonical_key(), graph, graph.aut_order())
 
 
-def _pairings_with_cycle_lengths(num_edges: int, budgets):
-    """Pairings of Z_{2E} whose sigma-cycles have exactly the lengths of
-    ``budgets`` ({length: count}), one per rotation class: those whose gap
-    sequence is its own least rotation.  Returns alpha tuples.
+def _trivalent_pairings(num_edges: int):
+    """Pairings of Z_{2E} whose sigma-cycles all have length three, one per
+    rotation class: those whose gap sequence is its own least rotation.
+    Returns alpha tuples.
     """
     m = 2 * num_edges
     alpha = [-1] * m
     gap = [-1] * m     # alpha[p] - p mod m where defined; gaps are >= 1
     fwd = [-1] * m     # t(p) = alpha[p] + 1 where defined
     bwd = [-1] * m
-    budget = dict(budgets)
-    if sum(l * c for l, c in budget.items()) != m:
-        return []
-    max_len = max(l for l, c in budget.items() if c > 0)
     results = []
 
     def head_of(p):
@@ -178,27 +176,16 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets):
     def assign(p, q, trail):
         """Pair p with q; returns False on contradiction.  All state changes
         are recorded on trail for rollback."""
-        nonlocal max_len
         alpha[p] = q
         alpha[q] = p
         gap[p] = (q - p) % m
         gap[q] = (p - q) % m
         trail.append(("a", p, q))
         for a, b in ((p, (q + 1) % m), (q, (p + 1) % m)):
-            # add link t(a) = b
-            if a == b:
-                return False  # cycle of length 1
-            if head_of(a) == b:
-                # closes the cycle b -> ... -> a -> b
-                length = path_len(a)
-                if budget.get(length, 0) <= 0:
-                    return False
-                budget[length] -= 1
-                if length == max_len and budget[length] == 0:
-                    trail.append(("m", max_len))
-                    avail = [l for l, c in budget.items() if c > 0]
-                    max_len = max(avail) if avail else 0
-                trail.append(("b", length))
+            # add link t(a) = b; a link that closes the cycle
+            # b -> ... -> a -> b must close a vertex of valence three
+            if a == b or (head_of(a) == b and path_len(a) != 3):
+                return False
             fwd[a] = b
             bwd[b] = a
             trail.append(("l", a, b))
@@ -207,11 +194,11 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets):
         for seed in (p, q):
             t = tail_of(seed)
             if t is None:
-                continue  # closed into a cycle, budget already checked
+                continue  # closed into a cycle of length three
             length = path_len(seed)
-            if length > max_len:
+            if length > 3:
                 return False
-            if length == max_len:
+            if length == 3:
                 closer = (head_of(seed) - 1) % m
                 if closer == t:
                     return False
@@ -231,20 +218,14 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets):
         return True
 
     def undo(trail, mark):
-        nonlocal max_len
         while len(trail) > mark:
-            rec = trail.pop()
-            kind = rec[0]
+            kind, x, y = trail.pop()
             if kind == "a":
-                alpha[rec[1]] = gap[rec[1]] = -1
-                alpha[rec[2]] = gap[rec[2]] = -1
-            elif kind == "l":
-                fwd[rec[1]] = -1
-                bwd[rec[2]] = -1
-            elif kind == "b":
-                budget[rec[1]] += 1
+                alpha[x] = gap[x] = -1
+                alpha[y] = gap[y] = -1
             else:
-                max_len = rec[1]
+                fwd[x] = -1
+                bwd[y] = -1
 
     def rotation_is_smaller():
         """True when some rotation of the gap word is already smaller than
@@ -266,7 +247,6 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets):
         while p < m and alpha[p] != -1:
             p += 1
         if p == m:
-            # every slot lies on a closed cycle, so every budget is spent
             results.append(tuple(alpha))
             return
         trail = []
@@ -282,54 +262,65 @@ def _pairings_with_cycle_lengths(num_edges: int, budgets):
     return results
 
 
-def _partitions(total: int, parts: int, least: int = 3):
-    """Nondecreasing tuples of ``parts`` integers >= ``least`` summing to
-    ``total``.
+def collapse_word(word, slot) -> tuple:
+    """Canonical gap word of the graph of the gap word ``word`` with the
+    edge at ``slot`` collapsed; that edge must not be a loop.
 
-    >>> list(_partitions(12, 3))
-    [(3, 3, 6), (3, 4, 5), (4, 4, 4)]
+    Collapsing a non-loop edge keeps the one boundary cycle and drops the
+    edge's two sides from it, so the slot and its partner leave the word.
+
+    >>> collapse_word((3, 3, 3, 3, 3, 3), 0)
+    (2, 2, 2, 2)
     """
-    if parts == 1:
-        if total >= least:
-            yield (total,)
-        return
-    for first in range(least, total // parts + 1):
-        for rest in _partitions(total - first, parts - 1, first):
-            yield (first,) + rest
+    m = len(word)
+    partner = (slot + word[slot]) % m
+    kept = [i for i in range(m) if i != slot and i != partner]
+    position = {i: n for n, i in enumerate(kept)}
+    return canonical_gap_word(tuple(position[(i + word[i]) % m]
+                                    for i in kept))
 
 
-def _valence_budgets(g, valence_filter):
-    """(E, {valence: count}) for each vertex-valence profile of the census:
-    V = E + 1 - 2g vertices whose valences sum to 2E."""
-    if valence_filter == ALL:
-        # every edge count from one vertex up to the trivalent top
-        for num_edges in range(2 * g, 6 * g - 2):
-            for valences in _partitions(2 * num_edges, num_edges + 1 - 2 * g):
-                yield num_edges, Counter(valences)
-        return
-    k = 3 if valence_filter == TRIVALENT else valence_filter[1]
-    # 2E = k + 3(V-1) and V = E + 1 - 2g force E = 6g - k
-    num_edges = 6 * g - k
-    if num_edges + 1 - 2 * g >= 1:
-        yield num_edges, Counter([k] + [3] * (num_edges - 2 * g))
+def _collapsible_slots(word, single: bool):
+    """One slot of each non-loop edge of the gap word ``word``; with
+    ``single``, only of the edges at its one non-trivalent vertex, if it
+    has one."""
+    m = len(word)
+    partner = [(p + w) % m for p, w in enumerate(word)]
+    cycles = _cycles_of([(q + 1) % m for q in partner])  # sigma = alpha + 1
+    vertex = [0] * m
+    for v, cycle in enumerate(cycles):
+        for p in cycle:
+            vertex[p] = v
+    big = [cycle for cycle in cycles if len(cycle) != 3] if single else ()
+    slots = big[0] if big else [p for p in range(m) if p < partner[p]]
+    return [p for p in slots if vertex[p] != vertex[partner[p]]]
 
 
 def _one_boundary_census(g, valence_filter, cap_edges):
-    runs = list(_valence_budgets(g, valence_filter))
-    needed = max((num_edges for num_edges, _ in runs), default=0)
-    if needed > cap_edges:
+    top = 6 * g - 3
+    if top > cap_edges:
         raise ResourceLimit("census needs %d edges, cap is %d"
-                            % (needed, cap_edges))
+                            % (top, cap_edges))
+    m = 2 * top
     words = set()
-    for num_edges, budgets in runs:
-        m = 2 * num_edges
-        for alpha in _pairings_with_cycle_lengths(num_edges, budgets):
-            word = canonical_gap_word(alpha)
-            if word != tuple((alpha[p] - p) % m for p in range(m)):
-                raise AssertionError("search emitted a non-canonical pairing")
-            if word in words:
-                raise AssertionError("search emitted a class twice")
-            words.add(word)
+    for alpha in _trivalent_pairings(top):
+        word = canonical_gap_word(alpha)
+        if word != tuple((alpha[p] - p) % m for p in range(m)):
+            raise AssertionError("search emitted a non-canonical pairing")
+        if word in words:
+            raise AssertionError("search emitted a class twice")
+        words.add(word)
+
+    # each collapse removes one edge, down to one vertex at E = 2g
+    steps = (top - 2 * g if valence_filter == ALL else
+             0 if valence_filter == TRIVALENT else valence_filter[1] - 3)
+    level = words
+    for _ in range(steps):
+        level = {collapse_word(word, slot) for word in level
+                 for slot in _collapsible_slots(word, valence_filter != ALL)}
+        words = words | level if valence_filter == ALL else level
+        if not level:
+            break
 
     out = []
     for word in sorted(words):
@@ -372,8 +363,9 @@ def enumerate_fatgraphs(g: int, n: int, valence_filter=TRIVALENT,
 
     ``valence_filter`` is ``"trivalent"``, ``"all"`` (valences >= 3), or
     ``("single", k)`` for one k-valent vertex, k >= 3, among trivalent ones.
-    Raises WrongType for any other type and ResourceLimit when the
-    required edge count exceeds the cap.
+    Raises WrongType for any other type and ResourceLimit when the 6g - 3
+    edges of the trivalent census, which every census is collapsed from,
+    exceed the cap.
     """
     if n != 1 or g < 1:
         raise WrongType("censuses need type (g,1) with g >= 1, got (%d,%d)"

@@ -307,9 +307,6 @@ class Fatgraph:
     def valences(self) -> tuple:
         return tuple(len(c) for c in self.vertices)
 
-    def vertex_flag(self, v: int) -> str:
-        return self.flags[self.vertices[v][0]]
-
     # -- boundary cycles, type -------------------------------------------
 
     def boundary_cycles(self) -> BoundaryCycles:

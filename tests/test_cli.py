@@ -120,9 +120,11 @@ class TestEnumerate:
         ("--type", "2,1", "--single-k", "1"),
         ("--type", "2,1", "--single-k", "-1"),
         ("--type", "2,1", "--single-k", "2"),
+        ("--trees",), (),
     ], ids=["type-one-number", "type-not-integer", "type-genus-zero",
             "type-three-boundaries", "trees-one-leaf", "single-k-zero",
-            "single-k-one", "single-k-negative", "single-k-two"])
+            "single-k-one", "single-k-negative", "single-k-two",
+            "trees-no-leaves", "no-type"])
     def test_bad_arguments_exit_one(self, capsys, tmp_path, argv):
         code = cli.main(["enumerate", *argv, "--cache", str(tmp_path)])
         captured = capsys.readouterr()
@@ -141,11 +143,14 @@ class TestEnumerate:
         ("report", "--identities", "hevol", "--g", "x"),
         ("report", "--identities", "genus0,hevol", "--g", "2..x"),
         ("report", "--identities", "genus0", "--n", "x..5"),
+        ("report", "--identities", "psi-top,nope"),
     ], ids=["verify-g-reversed", "verify-g-not-integer", "verify-g-bad-end",
             "verify-n-reversed", "report-g-reversed", "report-g-not-integer",
-            "report-g-bad-end", "report-n-bad-start"])
+            "report-g-bad-end", "report-n-bad-start",
+            "report-unknown-identity"])
     def test_bad_range_exit_one(self, capsys, tmp_path, argv):
-        # an empty or malformed range never falls back to the default one
+        # an empty or malformed range never falls back to the default one,
+        # and an unknown identity stops the run before any census is built
         code = cli.main([*argv, "--cache", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 1

@@ -1,9 +1,10 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT, catalan,
-                                catalan5, enumerate_fatgraphs,
+                                catalan5, collapse_word, enumerate_fatgraphs,
                                 enumerate_trees)
 from fatmod.errors import ResourceLimit
 from fatmod.fatgraph import Fatgraph
@@ -78,6 +79,18 @@ class TestFatgraphCensus:
             enumerate_fatgraphs(4, 1, TRIVALENT)
         with pytest.raises(ResourceLimit):
             enumerate_fatgraphs(3, 1, ALL)
+        # every census is collapsed from the trivalent one, so the cap
+        # reads 6g - 3 edges for a single-k census too
+        with pytest.raises(ResourceLimit):
+            enumerate_fatgraphs(4, 1, ("single", 16))
+
+    def test_genus_three_single_k(self):
+        # 71575 rooted one-face maps with one 8-valent and four trivalent
+        # vertices, by the Frobenius character count of that degree profile
+        census = enumerate_fatgraphs(3, 1, ("single", 8))
+        assert len(census) == 3606
+        assert census.orbifold_sum(
+            weight=lambda e: 2 * e.graph.num_edges) == 71575
 
     def test_deterministic_order(self):
         a = enumerate_fatgraphs(2, 1, TRIVALENT)
@@ -111,9 +124,11 @@ class TestCensusCompleteness:
     @pytest.mark.parametrize("g,valence_filter,num_edges,classes", [
         (1, TRIVALENT, 3, 1), (1, ALL, 2, 1), (1, ALL, 3, 1),
         (2, ALL, 4, 4), (2, ALL, 5, 21), (2, ALL, 6, 45), (2, ALL, 7, 52),
-        (2, ("single", 5), 7, 19)], ids=[
+        (2, ("single", 5), 7, 19), (2, ("single", 6), 6, 15),
+        (2, ("single", 7), 5, 7), (2, ("single", 8), 4, 4)], ids=[
         "trivalent-g1-E3", "all-g1-E2", "all-g1-E3", "all-g2-E4",
-        "all-g2-E5", "all-g2-E6", "all-g2-E7", "single5-g2-E7"])
+        "all-g2-E5", "all-g2-E6", "all-g2-E7", "single5-g2-E7",
+        "single6-g2-E6", "single7-g2-E5", "single8-g2-E4"])
     def test_orderly_census_matches_bruteforce(self, g, valence_filter,
                                                num_edges, classes):
         # the search emits one pairing per class; the brute force lists every
@@ -263,3 +278,26 @@ def test_census_graphs_all_valid():
             entry.graph._check()
             assert entry.graph.graph_type() == (g, 1)
             assert all(v >= 3 for v in entry.graph.valences)
+
+
+CENSUS_GRAPHS = [pytest.param(entry.graph, id="all-g%d-%d" % (g, i))
+                 for g in (1, 2)
+                 for i, entry in enumerate(enumerate_fatgraphs(g, 1, ALL))]
+
+
+@pytest.mark.parametrize("graph", CENSUS_GRAPHS)
+@settings(max_examples=5, deadline=None)
+@given(data=st.data())
+def test_word_collapse_matches_graph_collapse(graph, data):
+    # deleting an edge's two slots from a boundary word read from any
+    # half-edge gives the class of Fatgraph.collapse_edge
+    graph = graph.relabeled(
+        data.draw(st.permutations(range(graph.num_half_edges))))
+    boundary, word = graph.boundary_word()
+    slot = {h: i for i, h in enumerate(boundary)}
+    for e, (p, q) in enumerate(graph.edges):
+        if graph._cycle_from(p)[0] in graph._cycle_from(q):
+            continue  # a loop
+        collapsed = graph.collapse_edge(e).canonical_key()
+        assert collapse_word(word, slot[p]) == \
+            collapse_word(word, slot[q]) == collapsed

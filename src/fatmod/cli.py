@@ -190,12 +190,21 @@ def cmd_verify(args) -> int:
 
 
 def cmd_report(args) -> int:
-    names = args.identities.split(",") if args.identities \
-        else list(_int.IDENTITIES)
+    names = list(_int.IDENTITIES) if args.identities is None \
+        else args.identities.split(",")
     for name in names:
         if name not in _int.IDENTITIES:
             raise FatmodError("unknown identity %r" % name)
     return _run_identities(names, args)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Reports a bad argument as a :class:`FatmodError`, one ``error:`` line
+    and exit code 1, not as argparse's usage message and exit code 2, which
+    stands for a size-cap overrun here."""
+
+    def error(self, message):
+        raise FatmodError(message)
 
 
 def _add_common(parser):
@@ -207,7 +216,7 @@ def _add_common(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="fatmod",
         description="Exact fatgraph censuses and hyperelliptic "
                     "intersection numbers.")
@@ -215,9 +224,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_enum = sub.add_parser("enumerate", help="build and cache censuses")
     p_enum.add_argument("--type", help="G,N pair, e.g. 2,1")
-    p_enum.add_argument("--all-valences", dest="all_valences",
-                        action="store_true")
-    p_enum.add_argument("--single-k", dest="single_k", type=int)
+    valences = p_enum.add_mutually_exclusive_group()
+    valences.add_argument("--all-valences", dest="all_valences",
+                          action="store_true")
+    valences.add_argument("--single-k", dest="single_k", type=int)
     p_enum.add_argument("--trees", action="store_true")
     p_enum.add_argument("--leaves", type=int)
     p_enum.add_argument("--profile", default="trivalent",
@@ -246,8 +256,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except CacheError as exc:
         print("cache error: %s" % exc, file=sys.stderr)

@@ -12,8 +12,8 @@ Boundary cycles are the orbits of the face permutation ``phi = sigma o alpha``
 (``phi(h) = sigma[alpha[h]]``).  This orientation convention is fixed once
 here and consumed unchanged by the volume-form construction.
 
-Vertices may carry a flag: ``"o"`` (ordinary), ``"d"`` (delta-labeled, may
-have valence below three) or ``"n"`` (node).  Isomorphisms preserve flags.
+Vertices may carry a flag: ``"o"`` (ordinary) or ``"d"`` (delta-labeled, may
+have valence below three).  Isomorphisms preserve flags.
 
 Every graph the pipeline classifies has one boundary cycle: census graphs of
 type (g, 1), planar trees and doubled trees.  Numbering the slots of that
@@ -43,9 +43,8 @@ from .errors import (
 
 ORDINARY = "o"
 DELTA = "d"
-NODE = "n"
 
-_FLAGS = (ORDINARY, DELTA, NODE)
+_FLAGS = (ORDINARY, DELTA)
 _FLAG_INDEX = {flag: i for i, flag in enumerate(_FLAGS)}
 
 
@@ -176,24 +175,18 @@ class Fatgraph:
         self._check()
 
     @classmethod
-    def from_cycles(cls, vertex_cycles, edge_pairs, delta=(),
-                    node=()) -> "Fatgraph":
+    def from_cycles(cls, vertex_cycles, edge_pairs, delta=()) -> "Fatgraph":
         """Build from explicit vertex cycles and edge pairs.
 
-        ``delta`` and ``node`` are iterables of half-edges; the vertex
-        containing such a half-edge gets the corresponding flag.
+        ``delta`` is an iterable of half-edges; the vertex containing such
+        a half-edge gets the delta flag.
         """
         m = sum(len(c) for c in vertex_cycles)
         sigma = [None] * m
         flags = [ORDINARY] * m
         delta = set(delta)
-        node = set(node)
         for cyc in vertex_cycles:
-            flag = ORDINARY
-            if any(h in node for h in cyc):
-                flag = NODE
-            elif any(h in delta for h in cyc):
-                flag = DELTA
+            flag = DELTA if any(h in delta for h in cyc) else ORDINARY
             for i, h in enumerate(cyc):
                 if not (0 <= h < m) or sigma[h] is not None:
                     raise MalformedGraph("vertex cycles are not a permutation "
@@ -225,7 +218,7 @@ class Fatgraph:
         """
         m = len(word)
         if m == 0 or m % 2 or \
-                any(w < 0 or w >= 3 * m or w % m == 0 for w in word):
+                any(w < 0 or w >= len(_FLAGS) * m or w % m == 0 for w in word):
             raise MalformedGraph("bad boundary word %r" % (word,))
         alpha = tuple((i + w) % m for i, w in enumerate(word))
         return cls(tuple((a + 1) % m for a in alpha), alpha,
@@ -351,9 +344,8 @@ class Fatgraph:
         m = len(keep)
         sigma = [None] * m
         flags = [None] * m
-        fp, fq = self.flags[p], self.flags[q]
-        merged_flag = NODE if NODE in (fp, fq) else \
-            (DELTA if DELTA in (fp, fq) else ORDINARY)
+        merged_flag = DELTA if DELTA in (self.flags[p], self.flags[q]) \
+            else ORDINARY
         for i, h in enumerate(merged):
             sigma[relabel[h]] = relabel[merged[(i + 1) % len(merged)]]
             flags[relabel[h]] = merged_flag
@@ -445,16 +437,11 @@ class Fatgraph:
         cycles = [c for c in self.vertices if c != stubs] + new_cycles
         pairs = list(self.edges) + [(m + 2 * t, m + 2 * t + 1)
                                     for t in range(len(diagonals))]
-        flag = self.flags[stubs[0]]
         delta = [h for h in range(m) if self.flags[h] == DELTA
                  and h not in stubs]
-        node = [h for h in range(m) if self.flags[h] == NODE
-                and h not in stubs]
-        if flag == DELTA:
+        if self.flags[stubs[0]] == DELTA:
             delta += [c[0] for c in new_cycles]
-        elif flag == NODE:
-            node += [c[0] for c in new_cycles]
-        graph = Fatgraph.from_cycles(cycles, pairs, delta=delta, node=node)
+        graph = Fatgraph.from_cycles(cycles, pairs, delta=delta)
         table = graph._edge_index_table()
         new_edges = sorted(table[m + 2 * t] for t in range(len(diagonals)))
         return graph, new_edges
@@ -468,7 +455,7 @@ class Fatgraph:
         slot i of the cycle ``phi``, and ``word[i]`` encodes the slot's gap
         ``pos(alpha h) - i (mod m)``, the flag of its vertex and the optional
         mark ``extra[h]`` (a non-negative integer) as
-        ``gap + m * (flag index + 3 * mark)``.  Unflagged, unmarked graphs
+        ``gap + m * (flag index + 2 * mark)``.  Unflagged, unmarked graphs
         get the plain gap word.  Raises WrongType unless the graph has
         exactly one boundary cycle.
         """
@@ -489,7 +476,7 @@ class Fatgraph:
         for i, h in enumerate(boundary):
             code = _FLAG_INDEX[self.flags[h]]
             if extra is not None:
-                code += 3 * extra[h]
+                code += len(_FLAGS) * extra[h]
             word.append((pos[alpha[h]] - i) % m + m * code)
         return tuple(boundary), tuple(word)
 

@@ -10,7 +10,10 @@ involution has 2g+2 fixed cells in total, the boundary cycle included.
 
 Cutting back along the fixed cells halves every fixed edge into two leaf
 edges and splits a fixed vertex of valence 2v into two vertices of valence
-v+1, one new leaf stub each; the result is two identical planar trees.
+v+1, one new leaf stub each; the result is two identical planar trees,
+read off the boundary word by a walk that jumps across the half-turn at
+each cut.  The split of a fixed vertex depends on which antipodal corner
+pair is cut, and can differ from the tree that was doubled.
 
 Cell metrics embed tree metrics: a fused edge keeps the tree length, the two
 copies of an internal tree edge each carry half of it.
@@ -20,6 +23,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from fractions import Fraction
+from itertools import product
 
 from . import trees as _trees
 from .enumeration import (CensusEntry, OrbifoldCensus, catalan, catalan5,
@@ -30,6 +34,8 @@ from .trees import PlanarTree
 
 W1_MULTIPLICITY_5VALENT = 2   # two swapped 5-valent vertices per cell
 W1_MULTIPLICITY_6VALENT = 3   # three sheets through a fixed 6-valent vertex
+
+_STUB, _LEAF = "stub", "leaf"  # tree slots a cut inserts
 
 
 @dataclass(frozen=True)
@@ -51,12 +57,11 @@ class HyperellipticCell:
 @dataclass(frozen=True)
 class W1HComponents:
     """The two components of the Witten-cycle intersection with the
-    hyperelliptic locus, with their transversality multiplicities."""
+    hyperelliptic locus; their transversality multiplicities are
+    ``W1_MULTIPLICITY_5VALENT`` and ``W1_MULTIPLICITY_6VALENT``."""
 
     component1: OrbifoldCensus  # trees with one 5-valent vertex
     component2: OrbifoldCensus  # trivalent trees with one marked vertex
-    multiplicity1: int = W1_MULTIPLICITY_5VALENT
-    multiplicity2: int = W1_MULTIPLICITY_6VALENT
 
 
 def double_tree(tree: PlanarTree) -> HyperellipticCell:
@@ -125,146 +130,84 @@ def double_tree(tree: PlanarTree) -> HyperellipticCell:
 
 
 def cut_along_involution(graph: Fatgraph, involution):
-    """Split a hyperelliptic graph along the fixed cells of its involution.
+    """Split a hyperelliptic graph along the fixed cells of its involution,
+    which must be the half-turn: two planar trees, each the original tree
+    for a doubled tree whose delta cells were all leaves.  Every fixed edge
+    (gap E) is cut, and at each fixed vertex the antipodal corner pair of
+    the first choice, in slot order, whose walk is a side (:func:`_side_word`).
 
-    Returns two planar trees; for a doubled tree whose delta cells were all
-    leaves, both are isomorphic to the original tree.
+    >>> from fatmod.fatgraph import one_vertex_opposite_pairing
+    >>> G = one_vertex_opposite_pairing(1)
+    >>> a, b = cut_along_involution(G, G.half_turn())
+    >>> a.valences, a.canonical_key() == b.canonical_key()
+    ((3, 1, 1, 1), True)
     """
     iota = tuple(involution)
-    graph._assert_automorphism(iota)
+    fixed = graph.fixed_cells(iota)
     gt = graph.graph_type()
     if gt.n != 1:
         raise WrongType("expected a one-boundary graph, got %s" % (gt,))
-    fixed_edges = [e for e, (p, q) in enumerate(graph.edges)
-                   if {iota[p], iota[q]} == {p, q}]
-    fixed_vertices = [v for v, cyc in enumerate(graph.vertices)
-                      if frozenset(iota[h] for h in cyc) == frozenset(cyc)]
-    if len(fixed_edges) + len(fixed_vertices) != 2 * gt.g + 1:
+    if fixed.vertices + fixed.edges != 2 * gt.g + 1:
         raise NotSymmetric("expected %d fixed non-boundary cells, found %d"
-                           % (2 * gt.g + 1,
-                              len(fixed_edges) + len(fixed_vertices)))
+                           % (2 * gt.g + 1, fixed.vertices + fixed.edges))
+    if iota != graph.half_turn():
+        raise NotSymmetric("the involution is not the half-turn")
+    boundary, word = graph.boundary_word()
+    m = len(word)
+    e = m // 2
+    gaps = [w % m for w in word]
+    slot = {h: i for i, h in enumerate(boundary)}
+    # the corner before slot k is turned by the passage k-1 -> k; a fixed
+    # vertex holds slots k and k+E, so its slots k < E name its corner pairs
+    corner_pairs = sorted(sorted(slot[h] for h in cyc if slot[h] < e)
+                          for cyc in graph.vertices if iota[cyc[0]] in cyc)
+    for corners in product(*corner_pairs):
+        cut = set(corners) | {k + e for k in corners}
+        side = _side_word(gaps, cut, 0)
+        if side is not None:
+            return (PlanarTree.from_word(side),
+                    PlanarTree.from_word(_side_word(gaps, cut, e)))
+    raise NotSymmetric("no symmetric splitting exists")
 
-    colors = _two_sides(graph, iota, fixed_edges, fixed_vertices)
-    tree0 = _side_tree(graph, colors, 0, fixed_edges, fixed_vertices)
-    tree1 = _side_tree(graph, colors, 1, fixed_edges, fixed_vertices)
-    return tree0, tree1
 
+def _side_word(gaps, cut, start):
+    """Boundary word of the tree on the side of slot ``start``.
 
-def _two_sides(graph, iota, fixed_edges, fixed_vertices):
-    """2-color half-edges so the copies of the quotient tree are the color
-    classes: same color across non-fixed edges and around non-fixed
-    vertices, opposite colors under the involution, and each fixed vertex
-    split into two complementary contiguous arcs."""
-    m = graph.num_half_edges
-    fixed_edge_set = set(fixed_edges)
-    fixed_vertex_set = set(fixed_vertices)
-    relations = []  # (a, b, parity); parity 1 means opposite colors
-    for h in range(m):
-        relations.append((h, iota[h], 1))
-    for e, (p, q) in enumerate(graph.edges):
-        if e not in fixed_edge_set:
-            relations.append((p, q, 0))
-    for v, cyc in enumerate(graph.vertices):
-        if v not in fixed_vertex_set:
-            for i, h in enumerate(cyc):
-                relations.append((h, cyc[(i + 1) % len(cyc)], 0))
-
-    def solve(extra):
-        color = [-1] * m
-        adj = [[] for _ in range(m)]
-        for a, b, parity in relations + extra:
-            adj[a].append((b, parity))
-            adj[b].append((a, parity))
-        for seed in range(m):
-            if color[seed] != -1:
-                continue
-            color[seed] = 0
-            stack = [seed]
-            while stack:
-                h = stack.pop()
-                for other, parity in adj[h]:
-                    want = color[h] ^ parity
-                    if color[other] == -1:
-                        color[other] = want
-                        stack.append(other)
-                    elif color[other] != want:
-                        return None
-        return color
-
-    # try the cyclic arc positions at each fixed vertex, first hit wins
-    choices = [graph.vertices[v] for v in fixed_vertices]
-
-    def attempt(idx, extra):
-        if idx == len(choices):
-            return solve(extra)
-        cyc = choices[idx]
-        half = len(cyc) // 2
-        for start in range(half):
-            arc = [cyc[(start + i) % len(cyc)] for i in range(half)]
-            added = [(arc[i], arc[i + 1], 0) for i in range(half - 1)]
-            result = attempt(idx + 1, extra + added)
-            if result is not None:
-                return result
+    The walk steps i -> i+1 and jumps across the half-turn to i+E+1 after a
+    passage through a fixed edge (inserting a delta leaf) or a cut corner
+    (``i+1`` in ``cut``, inserting a stub and its leaf); both at once jump
+    back.  None unless the walk visits one slot of each antipodal pair and
+    both ends of each edge it does not cut.
+    """
+    m = len(gaps)
+    e = m // 2
+    walk = []  # per tree slot: a graph slot, _STUB or _LEAF
+    pos = {}
+    j = start
+    while j not in pos:
+        pos[j] = len(walk)
+        walk.append(j)
+        jump = gaps[j] == e
+        if jump:
+            walk.append(_LEAF)
+        if (j + 1) % m in cut:
+            walk += [_STUB, _LEAF]
+            jump = not jump
+        j = (j + 1 + e * jump) % m
+    if len(pos) != e or any(k + e in pos for k in pos if k < e):
         return None
-
-    colors = attempt(0, [])
-    if colors is None:
-        raise NotSymmetric("no symmetric splitting exists")
-    return colors
-
-
-def _side_tree(graph, colors, side, fixed_edges, fixed_vertices):
-    fixed_edge_set = set(fixed_edges)
-    fixed_vertex_set = set(fixed_vertices)
-    cycles = []
-    pairs = []
-    delta = []
-    fresh = [graph.num_half_edges]
-
-    def new_stub():
-        fresh[0] += 1
-        return fresh[0] - 1
-
-    kept = []
-    for v, cyc in enumerate(graph.vertices):
-        if v in fixed_vertex_set:
-            mine = [h for h in cyc if colors[h] == side]
-            # contiguous arc in cyclic order; rotate so it is consecutive
-            k = len(cyc)
-            start = None
-            for i, h in enumerate(cyc):
-                if colors[h] == side and colors[cyc[(i - 1) % k]] != side:
-                    start = i
-                    break
-            arc = [cyc[(start + i) % k] for i in range(len(mine))]
-            if sorted(arc) != sorted(mine):
-                raise NotSymmetric("fixed vertex does not split into arcs")
-            cut = new_stub()
-            leaf = new_stub()
-            cycles.append(tuple(arc) + (cut,))
-            cycles.append((leaf,))
-            delta.append(leaf)
-            pairs.append((cut, leaf))
-            kept.extend(arc)
-        elif colors[cyc[0]] == side:
-            cycles.append(cyc)
-            kept.extend(cyc)
-    for e, (p, q) in enumerate(graph.edges):
-        if e in fixed_edge_set:
-            h = p if colors[p] == side else q
-            leaf = new_stub()
-            cycles.append((leaf,))
-            delta.append(leaf)
-            pairs.append((h, leaf))
-        elif colors[p] == side:
-            pairs.append((p, q))
-    used = sorted({h for cyc in cycles for h in cyc})
-    relabel = {h: i for i, h in enumerate(used)}
-    cycles = [tuple(relabel[h] for h in cyc) for cyc in cycles]
-    pairs = [(relabel[a], relabel[b]) for a, b in pairs]
-    delta = [relabel[h] for h in delta]
-    g = Fatgraph.from_cycles(cycles, pairs, delta=delta)
-    return PlanarTree(g.sigma, g.alpha, flags=g.flags)
+    size = len(walk)
+    side = []
+    for t, j in enumerate(walk):
+        if j == _LEAF:  # gap -1 at a delta leaf: size - 1 + size * 1
+            side.append(2 * size - 1)
+        elif j == _STUB or gaps[j] == e:
+            side.append(1)
+        elif (j + gaps[j]) % m in pos:
+            side.append((pos[(j + gaps[j]) % m] - t) % size)
+        else:
+            return None
+    return side
 
 
 def cell_entry(tree: PlanarTree) -> CensusEntry:
@@ -344,7 +287,7 @@ def w1_component2_census(g: int) -> OrbifoldCensus:
 
 def w1_intersection_census(g: int) -> W1HComponents:
     """Both components of the intersection of the codimension-2 Witten cycle
-    with the genus-g hyperelliptic locus (g >= 2), with multiplicities."""
+    with the genus-g hyperelliptic locus (g >= 2)."""
     return W1HComponents(w1_component1_census(g), w1_component2_census(g))
 
 
@@ -365,17 +308,14 @@ def count_t2(g: int) -> Fraction:
 
 
 def full_simplex_involution(graph: Fatgraph):
-    """An order-2 automorphism with 2g+2 fixed cells fixing every edge
-    setwise, or None.  Such an involution survives on every metric, so the
-    whole closed cell lies in the hyperelliptic locus.  The half-turn is
-    the only candidate."""
-    gt = graph.graph_type()
-    if gt.n != 1:
+    """The hyperelliptic involution when it fixes every edge setwise, else
+    None (also for graphs not of type (g, 1) with g >= 1).  Such an
+    involution survives on every metric, so the whole closed cell lies in
+    the hyperelliptic locus."""
+    g, n = graph.graph_type()
+    if n != 1 or g < 1:
         return None
-    iota = graph.half_turn()
-    if iota is None:
+    iota = graph.hyperelliptic_involution()
+    if iota is None or graph.fixed_cells(iota).edges != graph.num_edges:
         return None
-    fc = graph.fixed_cells(iota)
-    if fc.total == 2 * gt.g + 2 and fc.edges == graph.num_edges:
-        return iota
-    return None
+    return iota

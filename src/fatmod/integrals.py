@@ -18,7 +18,8 @@ from typing import Optional
 
 from .enumeration import catalan
 from .errors import WrongType
-from .hyperelliptic import count_t1, count_t2
+from .hyperelliptic import (W1_MULTIPLICITY_5VALENT, W1_MULTIPLICITY_6VALENT,
+                            count_t1, count_t2)
 from .kontsevich import cell_volume, hyperelliptic_cell_volume
 from .workspace import Workspace
 
@@ -142,13 +143,14 @@ def w1_h_integral(g: int, workspace: Optional[Workspace] = None
     if g <= W1_ASSEMBLED_G:
         comps = _ws(workspace).w1_components(g)
         vol = lambda e: hyperelliptic_cell_volume(e.payload).value
-        assembled = (comps.multiplicity1 * comps.component1.orbifold_sum(vol)
-                     + comps.multiplicity2 * comps.component2.orbifold_sum(vol))
+        assembled = (
+            W1_MULTIPLICITY_5VALENT * comps.component1.orbifold_sum(vol)
+            + W1_MULTIPLICITY_6VALENT * comps.component2.orbifold_sum(vol))
         mode = "census"
         notes = ("component censuses %r (multiplicity %d) and %r "
                  "(multiplicity %d), per-cell volumes"
-                 % (comps.component1.descriptor, comps.multiplicity1,
-                    comps.component2.descriptor, comps.multiplicity2),)
+                 % (comps.component1.descriptor, W1_MULTIPLICITY_5VALENT,
+                    comps.component2.descriptor, W1_MULTIPLICITY_6VALENT),)
     else:
         vol = _doubled_cell_volume_formula(2 * g - 2)
         assembled = vol * (2 * count_t1(g) + 3 * count_t2(g))

@@ -103,6 +103,6 @@ def test_graph_entry_needs_one_unflagged_boundary():
     with pytest.raises(MalformedGraph):
         graph_entry(theta)
     torus = Fatgraph.from_cycles([(0, 1, 2), (3, 4, 5)],
-                                 [(0, 3), (1, 4), (2, 5)], node=(0,))
+                                 [(0, 3), (1, 4), (2, 5)], delta=(0,))
     with pytest.raises(MalformedGraph):
         graph_entry(torus)

@@ -121,10 +121,13 @@ class TestEnumerate:
         ("--type", "2,1", "--single-k", "-1"),
         ("--type", "2,1", "--single-k", "2"),
         ("--trees",), (),
+        ("--type", "2,1", "--single-k", "x"),
+        ("--type", "1,1", "--all-valences", "--single-k", "3"),
     ], ids=["type-one-number", "type-not-integer", "type-genus-zero",
             "type-three-boundaries", "trees-one-leaf", "single-k-zero",
             "single-k-one", "single-k-negative", "single-k-two",
-            "trees-no-leaves", "no-type"])
+            "trees-no-leaves", "no-type", "single-k-not-integer",
+            "all-valences-and-single-k"])
     def test_bad_arguments_exit_one(self, capsys, tmp_path, argv):
         code = cli.main(["enumerate", *argv, "--cache", str(tmp_path)])
         captured = capsys.readouterr()
@@ -144,10 +147,16 @@ class TestEnumerate:
         ("report", "--identities", "genus0,hevol", "--g", "2..x"),
         ("report", "--identities", "genus0", "--n", "x..5"),
         ("report", "--identities", "psi-top,nope"),
+        ("report", "--identities", ""),
+        ("verify", "--identity", "nope"),
+        ("report", "--format", "xml"),
+        ("verify", "--cap-edges", "abc"),
     ], ids=["verify-g-reversed", "verify-g-not-integer", "verify-g-bad-end",
             "verify-n-reversed", "report-g-reversed", "report-g-not-integer",
             "report-g-bad-end", "report-n-bad-start",
-            "report-unknown-identity"])
+            "report-unknown-identity", "report-no-identity",
+            "verify-unknown-identity", "report-unknown-format",
+            "verify-cap-not-integer"])
     def test_bad_range_exit_one(self, capsys, tmp_path, argv):
         # an empty or malformed range never falls back to the default one,
         # and an unknown identity stops the run before any census is built

@@ -275,7 +275,7 @@ class TestCanonicalForm:
         with pytest.raises(WrongType):
             theta_graph().canonical_key()
         torus = one_boundary_torus_graph()
-        flagged = Fatgraph(torus.sigma, torus.alpha, flags=("n",) * 6)
+        flagged = Fatgraph(torus.sigma, torus.alpha, flags=("d",) * 6)
         assert torus.canonical_key() != flagged.canonical_key()
         assert not are_isomorphic(torus, flagged)
 
@@ -424,8 +424,9 @@ class TestWordFormat:
     @pytest.mark.parametrize("word", [
         (), (3,), (3, 3, 3, 3, 3), (-3, 3, 3, 3, 3, 3), (21, 3, 3, 3, 3, 3),
         (0, 3, 3, 3, 3, 3), (6, 3, 3, 3, 3, 3), (1, 1, 1, 1),
+        (15, 3, 3, 3, 3, 3),
     ], ids=["empty", "one-entry", "odd-length", "negative", "code-three",
-            "gap-zero", "flagged-gap-zero", "not-an-involution"])
+            "gap-zero", "flagged-gap-zero", "not-an-involution", "code-two"])
     def test_from_word_rejects(self, word):
         with pytest.raises(MalformedGraph):
             Fatgraph.from_word(word)

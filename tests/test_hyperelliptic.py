@@ -1,15 +1,19 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from fatmod.enumeration import catalan, catalan5, enumerate_fatgraphs
 from fatmod.errors import BadLeafCount, NotSymmetric
 from fatmod.fatgraph import (one_vertex_opposite_pairing,
                              two_vertex_star_double)
-from fatmod.hyperelliptic import (cut_along_involution, count_t1, count_t2,
+from fatmod.hyperelliptic import (W1_MULTIPLICITY_5VALENT,
+                                  W1_MULTIPLICITY_6VALENT,
+                                  cut_along_involution, count_t1, count_t2,
                                   double_tree, full_simplex_involution,
                                   hyperelliptic_census, w1_intersection_census)
-from fatmod.trees import LEAF, MARKED, ONE5, build_rooted_tree, unrooted_trees
+from fatmod.trees import (LEAF, MARKED, ONE5, TRIVALENT, build_rooted_tree,
+                          unrooted_trees)
 
 
 class TestDoubleTree:
@@ -127,6 +131,32 @@ class TestCutAlongInvolution:
             cut_along_involution(G, ident)
 
 
+@pytest.mark.parametrize("g,classes", [(1, 1), (2, 1), (3, 6)])
+def test_census_classes_cut_and_double_back(ws, g, classes):
+    # graph -> cut -> double: each hyperelliptic class of the trivalent
+    # census is the double of the tree its half-turn cuts it into
+    hyper = [e for e in ws.trivalent_census(g)
+             if e.graph.hyperelliptic_involution() is not None]
+    assert len(hyper) == classes
+    for entry in hyper:
+        a, b = cut_along_involution(entry.graph, entry.graph.half_turn())
+        assert a.canonical_key() == b.canonical_key()
+        assert double_tree(a).doubled.canonical_key() == entry.key
+
+
+@pytest.mark.parametrize("leaves,profile", [
+    (3, TRIVALENT), (5, TRIVALENT), (7, TRIVALENT), (9, TRIVALENT),
+    (5, ONE5), (7, ONE5)])
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_cut_is_label_invariant(leaves, profile, data):
+    tree = data.draw(st.sampled_from(unrooted_trees(leaves, profile)))
+    G = double_tree(tree).doubled
+    G = G.relabeled(data.draw(st.permutations(range(G.num_half_edges))))
+    a, b = cut_along_involution(G, G.half_turn())
+    assert a.canonical_key() == b.canonical_key() == tree.canonical_key()
+
+
 class TestCensuses:
     def test_maximal_cell_counts(self):
         assert hyperelliptic_census(1).orbifold_sum() == Fraction(1, 6)
@@ -138,8 +168,8 @@ class TestCensuses:
         comps = w1_intersection_census(g)
         assert comps.component1.orbifold_sum() == count_t1(g)
         assert comps.component2.orbifold_sum() == count_t2(g)
-        assert comps.multiplicity1 == 2
-        assert comps.multiplicity2 == 3
+        assert W1_MULTIPLICITY_5VALENT == 2
+        assert W1_MULTIPLICITY_6VALENT == 3
 
     def test_component_disjointness(self):
         comps = w1_intersection_census(2)

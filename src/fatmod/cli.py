@@ -52,6 +52,9 @@ def _parse_range(text, option, default):
 
 
 def _build_workspace(args) -> Workspace:
+    if args.cap_edges is not None and args.cap_edges < 1:
+        raise FatmodError("--cap-edges must be at least 1, got %d"
+                          % args.cap_edges)
     return Workspace(cap_edges=args.cap_edges,
                      cache_dir=args.cache or os.environ.get("FATMOD_CACHE"),
                      no_build=getattr(args, "no_build", False))
@@ -192,9 +195,11 @@ def cmd_verify(args) -> int:
 def cmd_report(args) -> int:
     names = list(_int.IDENTITIES) if args.identities is None \
         else args.identities.split(",")
-    for name in names:
+    for i, name in enumerate(names):
         if name not in _int.IDENTITIES:
             raise FatmodError("unknown identity %r" % name)
+        if name in names[:i]:
+            raise FatmodError("identity %r given twice" % name)
     return _run_identities(names, args)
 
 

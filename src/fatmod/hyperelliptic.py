@@ -228,22 +228,21 @@ def hyperelliptic_census(g: int) -> OrbifoldCensus:
 
     The orbifold count equals C_{2g-1} / (2 (2g+1)).
     """
-    entries = sorted(map(cell_entry, _trees.unrooted_trees(
-        2 * g + 1, _trees.TRIVALENT)), key=lambda e: e.key)
-    return OrbifoldCensus(hyperelliptic_descriptor(g), tuple(entries))
+    return _cell_census(g, 2 * g + 1, _trees.TRIVALENT,
+                        hyperelliptic_descriptor(g))
 
 
-def _component_census(g, leaf_count, profile, descriptor):
+def _cell_census(g, leaf_count, profile, descriptor):
+    """The doubled unrooted trees of a profile, each checked to be a
+    hyperelliptic cell of genus g, sorted by key."""
     entries = []
     for tree in _trees.unrooted_trees(leaf_count, profile):
         entry = cell_entry(tree)
         if entry.payload.genus != g:
-            raise AssertionError("component cell has genus %d, wanted %d"
+            raise AssertionError("cell has genus %d, wanted %d"
                                  % (entry.payload.genus, g))
-        if max(entry.graph.valences) < 5:
-            raise AssertionError("component cell misses the Witten locus")
         if entry.graph.hyperelliptic_involution() is None:
-            raise AssertionError("component cell is not hyperelliptic")
+            raise AssertionError("cell is not hyperelliptic")
         entries.append(entry)
     entries.sort(key=lambda e: e.key)
     return OrbifoldCensus(descriptor, tuple(entries))
@@ -259,8 +258,8 @@ def w1_component1_census(g: int) -> OrbifoldCensus:
     carries two 5-valent vertices swapped by the involution."""
     if g < 2:
         raise WrongType("intersection components need g >= 2")
-    census = _component_census(g, 2 * g + 1, _trees.ONE5,
-                               w1_component1_descriptor(g))
+    census = _cell_census(g, 2 * g + 1, _trees.ONE5,
+                          w1_component1_descriptor(g))
     for entry in census:
         if sorted(entry.graph.valences).count(5) != 2:
             raise AssertionError("component1 cell needs two 5-valent vertices")
@@ -277,8 +276,8 @@ def w1_component2_census(g: int) -> OrbifoldCensus:
     double carries a single 6-valent vertex fixed by the involution."""
     if g < 2:
         raise WrongType("intersection components need g >= 2")
-    census = _component_census(g, 2 * g, _trees.MARKED,
-                               w1_component2_descriptor(g))
+    census = _cell_census(g, 2 * g, _trees.MARKED,
+                          w1_component2_descriptor(g))
     for entry in census:
         if 6 not in entry.graph.valences:
             raise AssertionError("component2 cell needs a 6-valent vertex")

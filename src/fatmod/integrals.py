@@ -21,6 +21,7 @@ from .errors import WrongType
 from .hyperelliptic import (W1_MULTIPLICITY_5VALENT, W1_MULTIPLICITY_6VALENT,
                             count_t1, count_t2)
 from .kontsevich import cell_volume, hyperelliptic_cell_volume
+from .trees import rooted_trees
 from .workspace import Workspace
 
 KAPPA_DUALITY_DENOMINATOR = 12  # kappa_1 = ([W1] + [boundary]) / 12
@@ -182,15 +183,12 @@ def boundary_integral(g: int, workspace: Optional[Workspace] = None
          "equation step)" % (g - 1),) + sub.provenance)
 
 
-def boundary_integral_stable_path(g: int,
-                                  workspace: Optional[Workspace] = None
-                                  ) -> Fraction:
+def boundary_integral_stable_path(g: int) -> Fraction:
     """Alternative route through stable one-node cells: rooted trivalent
-    trees with 2g leaves, doubled; the rooted census count over two, times
+    trees with 2g leaves, doubled; the rooted tree count over two, times
     the common doubled-cell volume."""
-    ws = _ws(workspace)
-    rooted = ws.tree_census(2 * g, "trivalent", rooting="rooted")
-    return Fraction(len(rooted), 2) * _doubled_cell_volume_formula(2 * g - 2)
+    return Fraction(len(rooted_trees(2 * g)), 2) * \
+        _doubled_cell_volume_formula(2 * g - 2)
 
 
 def main_theorem(g: int, workspace: Optional[Workspace] = None

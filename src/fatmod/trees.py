@@ -1,20 +1,23 @@
 """Planar trees as one-boundary fatgraphs of genus zero.
 
 A planar tree is a fatgraph of type (0, 1); its valence-one vertices are the
-leaves and carry the delta flag.  Trees are generated as rooted shapes by
-branch decomposition (a rooted tree is a leaf or an internal vertex with an
-ordered list of subtrees), then optionally quotiented to unrooted isomorphism
-classes by the least rotation of the boundary word.  Rooted trivalent shapes
-with m internal vertices are counted by the Catalan number C_m.
+leaves and carry the delta flag.  One recursion, :func:`_shapes`, gives the
+rooted shapes of every valence profile by branch decomposition (a rooted
+tree is a leaf or an internal vertex with an ordered list of subtrees);
+unrooted classes keep the first tree of each least boundary-word rotation.
+Rooted trivalent shapes with m internal vertices number C_m (Catalan).
 
 A tree is its graph and nothing more: the root of a generated tree is the
 leaf at half-edge 0, and its rooted key is the boundary word read from
-there.  Generation stops past ``DEFAULT_CAP_LEAVES`` leaves.
+there.  Its half-edge labels are fixed: Pfaffians of doubled trees read
+their matrices in that order.  Generation stops past ``DEFAULT_CAP_LEAVES``
+leaves.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
+from itertools import chain, combinations, product
 
 from .errors import MalformedGraph, ResourceLimit
 from .fatgraph import DELTA, Fatgraph
@@ -82,51 +85,25 @@ class PlanarTree(Fatgraph):
 
 
 @lru_cache(maxsize=None)
-def trivalent_shapes(n: int) -> tuple:
-    """Shapes of rooted subtrees with n leaves below the root edge."""
+def _shapes(n: int, profile: str) -> tuple:
+    """Shapes of rooted subtrees with n leaves below the root edge.  A one5
+    or marked subtree has its special vertex at the top (for one5, all such
+    shapes come first) or in one child of a trivalent top vertex."""
     if n == 1:
-        return (LEAF,)
+        return (LEAF,) if profile == TRIVALENT else ()
     out = []
-    for a in range(1, n):
-        for left in trivalent_shapes(a):
-            for right in trivalent_shapes(n - a):
-                out.append((left, right))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def one5_shapes(n: int) -> tuple:
-    """Subtree shapes with n leaves, exactly one 5-valent vertex."""
-    out = []
-    if n >= 4:
+    if profile == ONE5:
         for parts in _compositions(n, 4):
-            for kids in _shape_products(parts, trivalent_shapes):
-                out.append(kids)
+            out += product(*(_shapes(p, TRIVALENT) for p in parts))
     for a in range(1, n):
-        for left in one5_shapes(a):
-            for right in trivalent_shapes(n - a):
-                out.append((left, right))
-        for left in trivalent_shapes(a):
-            for right in one5_shapes(n - a):
-                out.append((left, right))
-    return tuple(out)
-
-
-@lru_cache(maxsize=None)
-def marked_shapes(n: int) -> tuple:
-    """Trivalent subtree shapes with n leaves and one marked vertex."""
-    out = []
-    if n >= 2:
-        for a in range(1, n):
-            for left in trivalent_shapes(a):
-                for right in trivalent_shapes(n - a):
-                    out.append(("m", left, right))
-            for left in marked_shapes(a):
-                for right in trivalent_shapes(n - a):
-                    out.append((left, right))
-            for left in trivalent_shapes(a):
-                for right in marked_shapes(n - a):
-                    out.append((left, right))
+        left, right = _shapes(a, TRIVALENT), _shapes(n - a, TRIVALENT)
+        if profile == TRIVALENT:
+            out += product(left, right)
+            continue
+        if profile == MARKED:
+            out += (("m",) + kids for kids in product(left, right))
+        out += product(_shapes(a, profile), right)
+        out += product(left, _shapes(n - a, profile))
     return tuple(out)
 
 
@@ -141,38 +118,20 @@ def odd_valence_shapes(max_edges: int) -> tuple:
         if e == 0:
             return (LEAF,)
         out = []
-        arity = 2
-        while arity <= e:
+        for arity in range(2, e + 1, 2):
             # each part counts a child's top edge plus its own subtree
             for parts in _compositions(e, arity):
-                for kids in _shape_products([x - 1 for x in parts], exact):
-                    out.append(kids)
-            arity += 2
+                out += product(*(exact(x - 1) for x in parts))
         return tuple(out)
 
-    shapes = []
-    for e in range(max_edges):
-        shapes.extend(exact(e))
-    return tuple(shapes)
+    return tuple(chain.from_iterable(map(exact, range(max_edges))))
 
 
 def _compositions(n: int, k: int):
-    """Ordered k-tuples of positive integers summing to n."""
-    if k == 1:
-        yield (n,)
-        return
-    for first in range(1, n - k + 2):
-        for rest in _compositions(n - first, k - 1):
-            yield (first,) + rest
-
-
-def _shape_products(parts, gen):
-    if not parts:
-        yield ()
-        return
-    for head in gen(parts[0]):
-        for rest in _shape_products(parts[1:], gen):
-            yield (head,) + rest
+    """Ordered k-tuples of positive integers summing to n, in lex order."""
+    for cuts in combinations(range(1, n), k - 1):
+        bounds = (0,) + cuts + (n,)
+        yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
 def build_rooted_tree(shape) -> PlanarTree:
@@ -180,57 +139,38 @@ def build_rooted_tree(shape) -> PlanarTree:
 
     The root leaf carries half-edge 0.  At each internal vertex the cyclic
     order is (stub toward the root, child 1, ..., child k), children in
-    planar left-to-right order.
+    planar left-to-right order.  Half-edges are numbered depth first, a
+    vertex's stubs before its children's; these labels fix the matrices
+    that Pfaffians of doubled trees see, so they are part of the output.
+
+    >>> tree = build_rooted_tree((LEAF, (LEAF, LEAF)))
+    >>> tree.sigma
+    (0, 2, 3, 1, 4, 6, 7, 5, 8, 9)
+    >>> tree.alpha
+    (1, 0, 4, 5, 2, 3, 8, 9, 6, 7)
     """
-    cycles = []
-    pairs = []
-    delta = []
-    counter = [0]
+    cycles, pairs, delta = [(0,)], [], [0]
 
-    def fresh():
-        h = counter[0]
-        counter[0] += 1
-        return h
-
-    def grow(sub, parent_stub):
+    def grow(sub, stub, top):
+        # hang sub from stub, numbering from top; return the next free label
+        pairs.append((stub, top))
         if sub == LEAF:
-            h = fresh()
-            cycles.append((h,))
-            delta.append(h)
-            pairs.append((parent_stub, h))
-            return
+            cycles.append((top,))
+            delta.append(top)
+            return top + 1
         marked = sub[0] == "m"
         kids = sub[1:] if marked else sub
-        top = fresh()
-        stubs = [top] + [None] * len(kids)
-        # reserve child stubs in cyclic order before recursing
-        holders = []
-        for i in range(len(kids)):
-            stubs[i + 1] = fresh()
-            holders.append(stubs[i + 1])
-        cycles.append(tuple(stubs))
+        cycle = tuple(range(top, top + len(kids) + 1))
+        cycles.append(cycle)
         if marked:
             delta.append(top)
-        pairs.append((parent_stub, top))
-        for kid, stub in zip(kids, holders):
-            grow(kid, stub)
+        free = cycle[-1] + 1
+        for kid, kid_stub in zip(kids, cycle[1:]):
+            free = grow(kid, kid_stub, free)
+        return free
 
-    root = fresh()
-    cycles.append((root,))
-    delta.append(root)
-    grow(shape, root)
-    g = Fatgraph.from_cycles(cycles, pairs, delta=delta)
-    return PlanarTree(g.sigma, g.alpha, flags=g.flags)
-
-
-def _shapes_for(leaf_count: int, profile: str):
-    if profile == TRIVALENT:
-        return trivalent_shapes(leaf_count - 1)
-    if profile == ONE5:
-        return one5_shapes(leaf_count - 1)
-    if profile == MARKED:
-        return marked_shapes(leaf_count - 1)
-    raise ValueError("unknown profile %r" % profile)
+    grow(shape, 0, 1)
+    return PlanarTree.from_cycles(cycles, pairs, delta=delta)
 
 
 def rooted_trees(leaf_count: int, profile: str = TRIVALENT):
@@ -242,24 +182,25 @@ def rooted_trees(leaf_count: int, profile: str = TRIVALENT):
     if leaf_count > DEFAULT_CAP_LEAVES:
         raise ResourceLimit("leaf count %d exceeds cap %d"
                             % (leaf_count, DEFAULT_CAP_LEAVES))
-    return [build_rooted_tree(s) for s in _shapes_for(leaf_count, profile)]
+    return [build_rooted_tree(s) for s in _shapes(leaf_count - 1, profile)]
 
 
-def unrooted_trees(leaf_count: int, profile: str = TRIVALENT):
-    """Isomorphism classes of unrooted trees, sorted by canonical key; each
-    class is represented by its first tree in generation order."""
+def _classes(trees):
+    """Isomorphism classes of the given trees, sorted by canonical key; each
+    class is represented by its first tree in the given order."""
     classes = {}
-    for tree in rooted_trees(leaf_count, profile):
+    for tree in trees:
         classes.setdefault(tree.canonical_key(), tree)
     return [classes[k] for k in sorted(classes)]
 
 
+def unrooted_trees(leaf_count: int, profile: str = TRIVALENT):
+    """Isomorphism classes of unrooted trees with the given leaf count."""
+    return _classes(rooted_trees(leaf_count, profile))
+
+
 def odd_valence_trees(max_edges: int):
     """Unrooted trees, all internal valences odd, at most max_edges edges."""
-    classes = {}
-    for shape in odd_valence_shapes(max_edges):
-        if shape == LEAF:
-            continue
-        t = build_rooted_tree(shape)
-        classes.setdefault(t.canonical_key(), t)
-    return [classes[k] for k in sorted(classes)]
+    return _classes(build_rooted_tree(shape)
+                    for shape in odd_valence_shapes(max_edges)
+                    if shape != LEAF)

@@ -46,16 +46,9 @@ class Workspace:
                          lambda: _enum.enumerate_fatgraphs(
                              g, 1, _enum.ALL, cap_edges=self.cap_edges))
 
-    def tree_census(self, leaf_count: int, profile: str,
-                    rooting: str = "unrooted") -> OrbifoldCensus:
-        desc = _enum.tree_descriptor(leaf_count, profile, rooting)
-        if rooting == "rooted":
-            # cheap to regenerate and not representable in the cache format
-            if desc not in self._store:
-                self._store[desc] = _enum.enumerate_trees(
-                    leaf_count, profile, "rooted")
-            return self._store[desc]
-        return self._get(desc, "tree",
+    def tree_census(self, leaf_count: int, profile: str) -> OrbifoldCensus:
+        return self._get(_enum.tree_descriptor(leaf_count, profile,
+                                               "unrooted"), "tree",
                          lambda: _enum.enumerate_trees(
                              leaf_count, profile, "unrooted"))
 

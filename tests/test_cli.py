@@ -151,12 +151,16 @@ class TestEnumerate:
         ("verify", "--identity", "nope"),
         ("report", "--format", "xml"),
         ("verify", "--cap-edges", "abc"),
+        ("enumerate", "--type", "1,1", "--cap-edges", "0"),
+        ("enumerate", "--type", "1,1", "--cap-edges", "-1"),
+        ("report", "--identities", "hevol,hevol", "--g", "2"),
     ], ids=["verify-g-reversed", "verify-g-not-integer", "verify-g-bad-end",
             "verify-n-reversed", "report-g-reversed", "report-g-not-integer",
             "report-g-bad-end", "report-n-bad-start",
             "report-unknown-identity", "report-no-identity",
             "verify-unknown-identity", "report-unknown-format",
-            "verify-cap-not-integer"])
+            "verify-cap-not-integer", "enumerate-cap-zero",
+            "enumerate-cap-negative", "report-repeated-identity"])
     def test_bad_range_exit_one(self, capsys, tmp_path, argv):
         # an empty or malformed range never falls back to the default one,
         # and an unknown identity stops the run before any census is built

@@ -5,10 +5,11 @@ from hypothesis import given, settings, strategies as st
 
 from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT, catalan,
                                 catalan5, collapse_word, enumerate_fatgraphs,
-                                enumerate_trees)
+                                enumerate_trees, tree_closed_count)
 from fatmod.errors import ResourceLimit
 from fatmod.fatgraph import Fatgraph
-from fatmod.trees import ONE5, MARKED, rooted_trees, unrooted_trees
+from fatmod.trees import ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
+    rooted_trees, unrooted_trees
 
 from oracles import (are_isomorphic, automorphism_order_bruteforce,
                      naive_census, one_face_census_bruteforce,
@@ -37,6 +38,11 @@ class TestCatalan:
     def test_generalized_against_generation(self):
         for k in range(5, 11):
             assert catalan5(k) == len(rooted_trees(k, ONE5))
+        # every profile, including the empty one5 censuses below 5 leaves
+        for profile in (TREE_TRIVALENT, ONE5, MARKED):
+            for leaves in range(2, 11):
+                assert len(rooted_trees(leaves, profile)) == \
+                    tree_closed_count(leaves, profile, "rooted")
 
 
 class TestFatgraphCensus:

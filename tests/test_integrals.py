@@ -123,7 +123,7 @@ class TestBoundaryIntegral:
 
     def test_stable_graph_alternative(self, ws):
         for g in (2, 3):
-            assert boundary_integral_stable_path(g, ws) == \
+            assert boundary_integral_stable_path(g) == \
                 boundary_integral(g, ws).value_closed
 
 

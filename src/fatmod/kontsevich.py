@@ -80,9 +80,9 @@ def pfaffian(matrix) -> Fraction:
     """Exact Pfaffian of an antisymmetric matrix.
 
     The matrix is scaled to integers by the lcm of its entries' denominators.
-    The Pfaffian is computed by memoized expansion along the first remaining
-    row, and verified against the Bareiss integer determinant (Pf^2 = det)
-    before returning.
+    The Pfaffian is computed by fraction-free skew elimination in O(n^3)
+    integer steps, and verified against the Bareiss integer determinant
+    (Pf^2 = det) before returning.
     """
     n = len(matrix)
     if n % 2:
@@ -104,31 +104,40 @@ def pfaffian(matrix) -> Fraction:
 
 
 def _pfaffian_int(m):
-    n = len(m)
-    memo = {0: 1}
-
-    def pf(mask):
-        val = memo.get(mask)
-        if val is not None:
-            return val
-        i = (mask & -mask).bit_length() - 1
-        rest = mask ^ (1 << i)
-        row = m[i]
-        total = 0
-        sign = 1
-        mm = rest
-        while mm:
-            j = (mm & -mm).bit_length() - 1
-            bit = 1 << j
-            mm ^= bit
-            a = row[j]
-            if a:
-                total += sign * a * pf(rest ^ bit)
+    """Pfaffian of an antisymmetric integer matrix by fraction-free skew
+    elimination, the Pfaffian analogue of Bareiss: each step pivots on the
+    pair (k, k+1) and leaves in the trailing block the Pfaffians of the
+    principal minors on rows 0..k+1, i, j.  Every division is exact by the
+    overlapping-Pfaffian identity (Knuth 1996)
+    Pf[S] Pf[Sabcd] = Pf[Sab] Pf[Scd] - Pf[Sac] Pf[Sbd] + Pf[Sad] Pf[Sbc].
+    A zero pivot is swapped with the first later index that pairs with k
+    nonzero, in rows and columns, flipping the sign."""
+    a = [list(row) for row in m]
+    n = len(a)
+    sign = 1
+    prev = 1
+    for k in range(0, n, 2):
+        row_k = a[k]
+        if not row_k[k + 1]:
+            swap = next((j for j in range(k + 2, n) if row_k[j]), None)
+            if swap is None:
+                return 0
+            a[k + 1], a[swap] = a[swap], a[k + 1]
+            for row in a:
+                row[k + 1], row[swap] = row[swap], row[k + 1]
             sign = -sign
-        memo[mask] = total
-        return total
-
-    return pf((1 << n) - 1)
+        row_k1 = a[k + 1]
+        pivot = row_k[k + 1]
+        for i in range(k + 2, n):
+            row_i = a[i]
+            ki, k1i = row_k[i], row_k1[i]
+            for j in range(i + 1, n):
+                x = (pivot * row_i[j] - ki * row_k1[j]
+                     + row_k[j] * k1i) // prev
+                row_i[j] = x
+                a[j][i] = -x
+        prev = pivot
+    return sign * prev
 
 
 # Name kept from the Fraction elimination: perfbench/tracer.py patches it.

@@ -9,9 +9,9 @@ Rooted trivalent shapes with m internal vertices number C_m (Catalan).
 
 A tree is its graph and nothing more: the root of a generated tree is the
 leaf at half-edge 0, and its rooted key is the boundary word read from
-there.  Its half-edge labels are fixed: Pfaffians of doubled trees read
-their matrices in that order.  Generation stops past ``DEFAULT_CAP_LEAVES``
-leaves.
+there.  Its half-edge labels are pinned by a doctest: the Pfaffian matrices
+of doubled trees are read in that order.  Generation stops past
+``DEFAULT_CAP_LEAVES`` leaves.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ def build_rooted_tree(shape) -> PlanarTree:
     The root leaf carries half-edge 0.  At each internal vertex the cyclic
     order is (stub toward the root, child 1, ..., child k), children in
     planar left-to-right order.  Half-edges are numbered depth first, a
-    vertex's stubs before its children's; these labels fix the matrices
-    that Pfaffians of doubled trees see, so they are part of the output.
+    vertex's stubs before its children's; these labels fix the edge order
+    of the matrices that Pfaffians of doubled trees see, and the doctest
+    below pins them.
 
     >>> tree = build_rooted_tree((LEAF, (LEAF, LEAF)))
     >>> tree.sigma

@@ -141,7 +141,8 @@ def one_face_census_bruteforce(num_edges, cycle_ok):
 
 
 def pfaffian_by_matchings(matrix) -> Fraction:
-    """Pfaffian as the signed sum over perfect matchings of the index set."""
+    """Pfaffian as the signed sum over perfect matchings of the index set,
+    skipping every matching that pairs two indices with a zero entry."""
     n = len(matrix)
     if n % 2:
         raise ValueError(n)
@@ -152,6 +153,8 @@ def pfaffian_by_matchings(matrix) -> Fraction:
             return
         i = indices[0]
         for t, j in enumerate(indices[1:]):
+            if not matrix[i][j]:
+                continue
             rest = indices[1:t + 1] + indices[t + 2:]
             for pairs, _ in go(rest):
                 yield ((i, j),) + pairs, None

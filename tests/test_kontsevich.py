@@ -1,6 +1,6 @@
 import random
 from fractions import Fraction
-from math import factorial
+from math import factorial, prod
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -85,10 +85,29 @@ class TestPfaffian:
         with pytest.raises(ValueError):
             pfaffian(((0, 1), (1, 0)))
 
+    def test_congruent_standard_form_order_forty(self):
+        # Pf(B J B^T) = det(B) Pf(J) = the product of B's diagonal, with
+        # J the direct sum of [[0, 1], [-1, 0]] and B upper triangular
+        rng = random.Random(40)
+        n = 40
+        diag = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
+        b = [[diag[i] if i == j else rng.randint(-3, 3) if j > i else 0
+              for j in range(n)] for i in range(n)]
+        m = [[sum(b[i][t] * b[j][t + 1] - b[i][t + 1] * b[j][t]
+                  for t in range(0, n, 2)) for j in range(n)]
+             for i in range(n)]
+        assert pfaffian(m) == prod(diag)
+
+    @pytest.mark.parametrize("n", [20, 40])
+    def test_ones_above_diagonal(self, n):
+        m = [[(i < j) - (i > j) for j in range(n)] for i in range(n)]
+        assert pfaffian(m) == 1
+
     @pytest.mark.parametrize("graph", [
         lambda ws: build_rooted_tree((LEAF, LEAF)),
         lambda ws: next(iter(ws.trivalent_census(2))).graph,
-    ], ids=["three-star", "genus-two-trivalent"])
+        lambda ws: next(iter(ws.trivalent_census(3))).graph,
+    ], ids=["three-star", "genus-two-trivalent", "genus-three-trivalent"])
     def test_determinant_check_fires(self, monkeypatch, ws, graph):
         # an expansion that is off by one must fail the Pf^2 = det check
         form = omega_matrix(graph(ws))
@@ -120,12 +139,18 @@ def square_matrices(draw):
 
 @st.composite
 def skew_matrices(draw):
-    """Antisymmetric matrices with int or half-integer Fraction entries."""
-    n = draw(st.sampled_from((0, 2, 4, 6, 8)))
+    """Antisymmetric matrices with int or half-integer Fraction entries:
+    dense of order up to 8, or sparse (about one entry in four nonzero, so
+    zero pivots and index swaps are common) of order up to 12."""
+    sparse = draw(st.booleans())
+    n = draw(st.sampled_from((0, 2, 4, 6, 8, 10, 12) if sparse
+                             else (0, 2, 4, 6, 8)))
     half = draw(st.booleans())
     m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
+            if sparse and draw(st.integers(0, 3)):
+                continue
             x = draw(st.integers(-8, 8))
             m[i][j] = Fraction(x, 2) if half else x
             m[j][i] = -m[i][j]

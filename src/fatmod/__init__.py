@@ -11,7 +11,7 @@ from .enumeration import (CensusEntry, OrbifoldCensus, catalan, catalan5,
                           enumerate_fatgraphs, enumerate_trees)
 from .hyperelliptic import (HyperellipticCell, W1HComponents,
                             cut_along_involution, double_tree,
-                            hyperelliptic_census, w1_intersection_census)
+                            hyperelliptic_census)
 from .kontsevich import (CellVolume, cell_volume, hyperelliptic_cell_volume,
                          omega_matrix, pfaffian)
 from .integrals import (IntegralReport, boundary_integral, euler_report,

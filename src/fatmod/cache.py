@@ -7,13 +7,13 @@ Layout (text, one record per line):
     count=<N>
     <aut order> | <kind> | <w0>,<w1>,...
 
-``kind`` is ``graph`` for a one-boundary fatgraph, ``tree`` for an unrooted
-planar tree, and ``cell`` for the tree indexing a doubled cell.  The word is
-the canonical key (``Fatgraph.canonical_key``) of the graph or tree, the one
-serialization of a graph: ``Fatgraph.from_word`` rebuilds it, and a cell is
-rebuilt by doubling its tree again.  A descriptor or version mismatch is
-reported as corruption, never silently reused; files of another format
-version have another name and are never read.
+``kind`` is ``graph`` for a one-boundary fatgraph and ``tree`` for an
+unrooted planar tree; cells are never stored, as a cell census is derived
+from the tree census it doubles.  The word is the canonical key
+(``Fatgraph.canonical_key``) of the graph or tree, the one serialization of
+a graph: ``Fatgraph.from_word`` rebuilds it.  A descriptor or version
+mismatch is reported as corruption, never silently reused; files of another
+format version have another name and are never read.
 """
 
 from __future__ import annotations

@@ -138,7 +138,18 @@ def _check_existing_cache(ws, descriptor):
         load_records(path, descriptor)
 
 
+# the options of one census kind, which the other kind refuses
+_GRAPH_OPTIONS = ("type", "all_valences", "single_k", "cap_edges")
+_TREE_OPTIONS = ("leaves", "profile", "rooted")
+
+
 def cmd_enumerate(args) -> int:
+    for dest in _GRAPH_OPTIONS if args.trees else _TREE_OPTIONS:
+        value = getattr(args, dest)
+        if value is not None and value is not False:
+            raise FatmodError("--%s does not apply to a %s census"
+                              % (dest.replace("_", "-"),
+                                 "tree" if args.trees else "fatgraph"))
     ws = _build_workspace(args)
     if args.trees:
         leaves = args.leaves
@@ -146,9 +157,10 @@ def cmd_enumerate(args) -> int:
             raise FatmodError("--trees requires --leaves")
         if leaves < 2:
             raise FatmodError("--leaves must be at least 2, got %d" % leaves)
+        profile = args.profile or "trivalent"
         rooting = "rooted" if args.rooted else "unrooted"
-        census = _enum.enumerate_trees(leaves, args.profile, rooting)
-        closed = _enum.tree_closed_count(leaves, args.profile, rooting)
+        census = _enum.enumerate_trees(leaves, profile, rooting)
+        closed = _enum.tree_closed_count(leaves, profile, rooting)
         kind = None if args.rooted else "tree"
     else:
         if args.type is None:
@@ -158,15 +170,18 @@ def cmd_enumerate(args) -> int:
         except ValueError:
             raise FatmodError("--type needs two integers G,N, got %r"
                               % args.type) from None
+        if n != 1:
+            raise FatmodError("censuses need type (g,1) with g >= 1, got "
+                              "(%d,%d)" % (g, n))
         if args.single_k is not None:
             valence_filter = ("single", args.single_k)
         elif args.all_valences:
             valence_filter = _enum.ALL
         else:
             valence_filter = _enum.TRIVALENT
-        census = _enum.enumerate_fatgraphs(g, n, valence_filter,
+        census = _enum.enumerate_fatgraphs(g, valence_filter,
                                            cap_edges=ws.cap_edges)
-        closed = _enum.fatgraph_closed_count(g, n, valence_filter)
+        closed = _enum.fatgraph_closed_count(g, valence_filter)
         kind = "graph"
     assembled = census.orbifold_sum()
     # None: no closed count is known for this census kind
@@ -235,8 +250,7 @@ def build_parser() -> argparse.ArgumentParser:
     valences.add_argument("--single-k", dest="single_k", type=int)
     p_enum.add_argument("--trees", action="store_true")
     p_enum.add_argument("--leaves", type=int)
-    p_enum.add_argument("--profile", default="trivalent",
-                        choices=("trivalent", "one5", "marked"))
+    p_enum.add_argument("--profile", choices=("trivalent", "one5", "marked"))
     p_enum.add_argument("--rooted", action="store_true")
     _add_common(p_enum)
     p_enum.set_defaults(func=cmd_enumerate)

@@ -1,11 +1,12 @@
 """Exhaustive censuses of fatgraph isomorphism classes with automorphism
 orders, supporting exact orbifold-weighted sums.
 
-Each census kind has one entry function that turns an object into its
-:class:`CensusEntry` (key and automorphism order): :func:`graph_entry` for
-one-boundary graphs, :func:`tree_entry` for unrooted trees, and
-``hyperelliptic.cell_entry`` for doubled trees.  The builders and the cache
-loader both call it, so a census has the same keys however it was obtained.
+Each census kind that is cached has one entry function that turns an
+object into its :class:`CensusEntry` (key and automorphism order):
+:func:`graph_entry` for one-boundary graphs and :func:`tree_entry` for
+unrooted trees.  The builders and the cache loader both call it, so a census
+has the same keys however it was obtained.  Cell censuses are never cached:
+``hyperelliptic`` derives them from the tree censuses they double.
 
 Every census holds one-boundary graphs, keyed by the least rotation of their
 boundary word (``Fatgraph.canonical_key``).  They are enumerated through that
@@ -34,7 +35,7 @@ one non-trivalent vertex.  So the edge cap is checked against 6g - 3.
 Census kinds with a known count have a closed orbifold count beside their
 descriptor function (:func:`fatgraph_closed_count`,
 :func:`tree_closed_count`); these read no census.  Types (g, n) with n > 1
-have no census.
+have no census, so the census functions take only g.
 """
 
 from __future__ import annotations
@@ -331,52 +332,51 @@ def _one_boundary_census(g, valence_filter, cap_edges):
     return tuple(out)
 
 
-def fatgraph_descriptor(g: int, n: int, valence_filter) -> str:
+def fatgraph_descriptor(g: int, valence_filter) -> str:
     """Descriptor of the census built by enumerate_fatgraphs; it also names
     the census's cache file."""
-    return "fatgraphs g=%d n=%d filter=%s" % (
-        g, n, valence_filter if isinstance(valence_filter, str)
+    return "fatgraphs g=%d n=1 filter=%s" % (
+        g, valence_filter if isinstance(valence_filter, str)
         else "single%d" % valence_filter[1])
 
 
-def fatgraph_closed_count(g: int, n: int,
-                          valence_filter) -> Optional[Fraction]:
+def fatgraph_closed_count(g: int, valence_filter) -> Optional[Fraction]:
     """Closed orbifold count sum(1/|Aut|) of the census built by
     enumerate_fatgraphs, read off no census; None where no formula is known.
 
     Trivalent one-face maps: the Walsh-Lehman rooted count
     2(6g-3)!/(12^g g!(3g-2)!) over the 2E rootings of each map.
 
-    >>> fatgraph_closed_count(2, 1, TRIVALENT)
+    >>> fatgraph_closed_count(2, TRIVALENT)
     Fraction(35, 6)
     """
-    if n != 1 or valence_filter != TRIVALENT:
+    if valence_filter != TRIVALENT:
         return None
     f = math.factorial
     rooted = 2 * f(6 * g - 3) // (12 ** g * f(g) * f(3 * g - 2))
     return Fraction(rooted, 2 * (6 * g - 3))
 
 
-def enumerate_fatgraphs(g: int, n: int, valence_filter=TRIVALENT,
+def enumerate_fatgraphs(g: int, valence_filter=TRIVALENT,
                         cap_edges: Optional[int] = None) -> OrbifoldCensus:
     """Census of fatgraph isomorphism classes of type (g, 1), g >= 1.
 
     ``valence_filter`` is ``"trivalent"``, ``"all"`` (valences >= 3), or
     ``("single", k)`` for one k-valent vertex, k >= 3, among trivalent ones.
-    Raises WrongType for any other type and ResourceLimit when the 6g - 3
-    edges of the trivalent census, which every census is collapsed from,
-    exceed the cap.
+    Raises WrongType for g < 1 and ResourceLimit when the 6g - 3 edges of
+    the trivalent census, which every census is collapsed from, exceed the
+    cap.
     """
-    if n != 1 or g < 1:
-        raise WrongType("censuses need type (g,1) with g >= 1, got (%d,%d)"
-                        % (g, n))
+    if g < 1:
+        raise WrongType("censuses need type (g,1) with g >= 1, got (%d,1)"
+                        % g)
     if valence_filter not in (TRIVALENT, ALL) and valence_filter[1] < 3:
         raise WrongType("a single k-valent vertex needs k >= 3, got %d"
                         % valence_filter[1])
     if cap_edges is None:
         cap_edges = (DEFAULT_CAP_EDGES_ALL if valence_filter == ALL
                      else DEFAULT_CAP_EDGES)
-    return OrbifoldCensus(fatgraph_descriptor(g, n, valence_filter),
+    return OrbifoldCensus(fatgraph_descriptor(g, valence_filter),
                           _one_boundary_census(g, valence_filter, cap_edges))
 
 

@@ -132,11 +132,6 @@ def rotation_period(word) -> int:
                 if m % r == 0 and word[r:] + word[:r] == word)
 
 
-def perm_compose(p: Sequence[int], q: Sequence[int]) -> tuple:
-    """(p o q)(i) = p[q[i]]."""
-    return tuple(p[q[i]] for i in range(len(q)))
-
-
 def perm_inverse(p: Sequence[int]) -> tuple:
     inv = [0] * len(p)
     for i, j in enumerate(p):

@@ -7,6 +7,10 @@ and a delta-marked internal vertex of valence v fuses with its mirror into a
 single fixed vertex of valence 2v (the involution acting there as the half
 rotation).  A tree with 2g+1 delta cells doubles to type (g, 1) and the
 involution has 2g+2 fixed cells in total, the boundary cycle included.
+The doubled graph is written from the tree's boundary word walked twice
+(:func:`double_tree`), so the copy swap is its half-turn.  A cell holds no
+data beyond its tree, so a cell census is built from the tree census it
+doubles and is never cached itself.
 
 Cutting back along the fixed cells halves every fixed edge into two leaf
 edges and splits a fixed vertex of valence 2v into two vertices of valence
@@ -25,11 +29,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from . import trees as _trees
-from .enumeration import (CensusEntry, OrbifoldCensus, catalan, catalan5,
-                          graph_entry)
+from .enumeration import OrbifoldCensus, catalan, catalan5, graph_entry
 from .errors import BadLeafCount, NotSymmetric, WrongType
-from .fatgraph import Fatgraph, perm_compose
+from .fatgraph import Fatgraph
 from .trees import PlanarTree
 
 W1_MULTIPLICITY_5VALENT = 2   # two swapped 5-valent vertices per cell
@@ -68,64 +70,57 @@ def double_tree(tree: PlanarTree) -> HyperellipticCell:
     """Glue two copies of the tree along its delta cells.
 
     The tree needs an odd number (>= 3) of delta cells: its leaves plus any
-    delta-marked internal vertices.
+    delta-marked internal vertices.  The doubled boundary walks the tree's
+    boundary word twice, switching copy at each leaf slot (which it skips)
+    and before the first slot of each marked vertex, as :func:`_side_word`
+    jumps across the half-turn; so the copy swap is the half-turn.
     """
-    leaves = set(tree.leaf_vertices)
-    marked = set(tree.marked_vertices)
-    delta_cells = len(leaves) + len(marked)
+    boundary, word = tree.boundary_word()
+    m = len(word)
+    gaps = [w % m for w in word]
+    leaf = [gap == m - 1 for gap in gaps]
+    slot = {h: i for i, h in enumerate(boundary)}
+    switch = {min(slot[h] for h in tree.vertices[v])
+              for v in tree.marked_vertices}
+    delta_cells = sum(leaf) + len(switch)
     if delta_cells < 3 or delta_cells % 2 == 0:
         raise BadLeafCount("need an odd number >= 3 of delta cells, got %d"
                            % delta_cells)
-    m = tree.num_half_edges
-    leaf_stubs = {tree.vertices[v][0] for v in leaves}
-    keep = [h for h in range(m) if h not in leaf_stubs]
-    # copy 1 keeps compacted tree labels, copy 2 is offset by their count
-    relabel = {h: i for i, h in enumerate(keep)}
-    off = len(keep)
 
-    cycles = []
-    for v, cyc in enumerate(tree.vertices):
-        if v in leaves:
-            continue
-        if v in marked:
-            cycles.append(tuple([relabel[h] for h in cyc]
-                                + [relabel[h] + off for h in cyc]))
-        else:
-            cycles.append(tuple(relabel[h] for h in cyc))
-            cycles.append(tuple(relabel[h] + off for h in cyc))
-    pairs = []
-    for p, q in tree.edges:
-        if p in leaf_stubs or q in leaf_stubs:
-            s = q if p in leaf_stubs else p
-            pairs.append((relabel[s], relabel[s] + off))
-        else:
-            pairs.append((relabel[p], relabel[q]))
-            pairs.append((relabel[p] + off, relabel[q] + off))
-    doubled = Fatgraph.from_cycles(cycles, pairs)
+    # one pass over the word switches copy an odd number of times, so the
+    # walk covers both copies: per doubled slot, (tree slot, copy)
+    walk = []
+    pos = {}
+    state = (leaf.index(False), 0)
+    while state not in pos:
+        pos[state] = len(walk)
+        walk.append(state)
+        j, copy = state
+        j = (j + 1) % m
+        if leaf[j]:
+            j, copy = (j + 1) % m, 1 - copy
+        if j in switch:
+            copy = 1 - copy
+        state = (j, copy)
+    fused = [leaf[(j + gaps[j]) % m] for j in range(m)]
+    doubled_word = []
+    for t, (j, copy) in enumerate(walk):
+        # a fused edge joins a slot to its own mirror
+        partner = (j, 1 - copy) if fused[j] else ((j + gaps[j]) % m, copy)
+        doubled_word.append((pos[partner] - t) % len(walk))
+    doubled = Fatgraph.from_word(doubled_word)
 
-    iota = tuple((h + off) % (2 * off) for h in range(2 * off))
-    doubled._assert_automorphism(iota)
-    if perm_compose(iota, iota) != tuple(range(2 * off)):
-        raise AssertionError("copy swap is not an involution")
-
-    gt = doubled.graph_type()
-    if gt.n != 1 or 2 * gt.g + 1 != delta_cells:
-        raise AssertionError("doubled graph has type %s for %d delta cells"
-                             % (gt, delta_cells))
-    if doubled.fixed_cells(iota).total != 2 * gt.g + 2:
-        raise AssertionError("copy swap has the wrong fixed-cell count")
-
-    edge_map = {}
+    iota = doubled.half_turn()
+    g = doubled.graph_type().g
+    if iota is None or 2 * g + 1 != delta_cells or \
+            doubled.fixed_cells(iota).total != 2 * g + 2:
+        raise AssertionError("the copy swap of the doubled tree is not a "
+                             "hyperelliptic involution")
     tree_table = tree._edge_index_table()
     doubled_table = doubled._edge_index_table()
-    for p, q in tree.edges:
-        te = tree_table[p]
-        if p in leaf_stubs or q in leaf_stubs:
-            s = q if p in leaf_stubs else p
-            edge_map[doubled_table[relabel[s]]] = (te, Fraction(1))
-        else:
-            edge_map[doubled_table[relabel[p]]] = (te, Fraction(1, 2))
-            edge_map[doubled_table[relabel[p] + off]] = (te, Fraction(1, 2))
+    edge_map = {doubled_table[t]: (tree_table[boundary[j]],
+                                   Fraction(1) if fused[j] else Fraction(1, 2))
+                for t, (j, _) in enumerate(walk)}
     return HyperellipticCell(tree, doubled, iota, edge_map)
 
 
@@ -210,40 +205,32 @@ def _side_word(gaps, cut, start):
     return side
 
 
-def cell_entry(tree: PlanarTree) -> CensusEntry:
-    """Census entry of the cell indexed by a tree: the doubled graph keyed
-    and weighted like any one-boundary census graph, the cell as payload."""
-    cell = double_tree(tree)
-    return replace(graph_entry(cell.doubled), payload=cell)
-
-
 def hyperelliptic_descriptor(g: int) -> str:
     """Descriptor of the census built by hyperelliptic_census."""
     return "hyperelliptic g=%d maximal cells" % g
 
 
-def hyperelliptic_census(g: int) -> OrbifoldCensus:
-    """Maximal cells of the genus-g hyperelliptic locus: doubled trivalent
-    trees with 2g+1 leaves, weighted by the doubled graph's automorphisms.
+def hyperelliptic_census(g: int, trees: OrbifoldCensus) -> OrbifoldCensus:
+    """Maximal cells of the genus-g hyperelliptic locus: the doubles of the
+    census ``trees`` of unrooted trivalent trees with 2g+1 leaves, weighted
+    by the doubled graph's automorphisms.
 
     The orbifold count equals C_{2g-1} / (2 (2g+1)).
     """
-    return _cell_census(g, 2 * g + 1, _trees.TRIVALENT,
-                        hyperelliptic_descriptor(g))
+    return _cell_census(g, trees, hyperelliptic_descriptor(g))
 
 
-def _cell_census(g, leaf_count, profile, descriptor):
-    """The doubled unrooted trees of a profile, each checked to be a
-    hyperelliptic cell of genus g, sorted by key."""
+def _cell_census(g, trees, descriptor):
+    """The doubles of a census of unrooted trees, each checked to be a cell
+    of genus g, keyed and weighted like any one-boundary census graph with
+    the cell as payload, sorted by key."""
     entries = []
-    for tree in _trees.unrooted_trees(leaf_count, profile):
-        entry = cell_entry(tree)
-        if entry.payload.genus != g:
+    for entry in trees:
+        cell = double_tree(entry.graph)
+        if cell.genus != g:
             raise AssertionError("cell has genus %d, wanted %d"
-                                 % (entry.payload.genus, g))
-        if entry.graph.hyperelliptic_involution() is None:
-            raise AssertionError("cell is not hyperelliptic")
-        entries.append(entry)
+                                 % (cell.genus, g))
+        entries.append(replace(graph_entry(cell.doubled), payload=cell))
     entries.sort(key=lambda e: e.key)
     return OrbifoldCensus(descriptor, tuple(entries))
 
@@ -253,13 +240,13 @@ def w1_component1_descriptor(g: int) -> str:
     return "w1-hyperelliptic g=%d component1 (5-valent pair)" % g
 
 
-def w1_component1_census(g: int) -> OrbifoldCensus:
-    """Doubled trees with 2g+1 leaves and one 5-valent vertex; the double
-    carries two 5-valent vertices swapped by the involution."""
+def w1_component1_census(g: int, trees: OrbifoldCensus) -> OrbifoldCensus:
+    """The doubles of the census ``trees`` of unrooted trees with 2g+1
+    leaves and one 5-valent vertex; each double carries two 5-valent
+    vertices swapped by the involution."""
     if g < 2:
         raise WrongType("intersection components need g >= 2")
-    census = _cell_census(g, 2 * g + 1, _trees.ONE5,
-                          w1_component1_descriptor(g))
+    census = _cell_census(g, trees, w1_component1_descriptor(g))
     for entry in census:
         if sorted(entry.graph.valences).count(5) != 2:
             raise AssertionError("component1 cell needs two 5-valent vertices")
@@ -271,23 +258,17 @@ def w1_component2_descriptor(g: int) -> str:
     return "w1-hyperelliptic g=%d component2 (fixed 6-valent)" % g
 
 
-def w1_component2_census(g: int) -> OrbifoldCensus:
-    """Doubled trivalent trees with 2g leaves and one marked vertex; the
-    double carries a single 6-valent vertex fixed by the involution."""
+def w1_component2_census(g: int, trees: OrbifoldCensus) -> OrbifoldCensus:
+    """The doubles of the census ``trees`` of unrooted trivalent trees with
+    2g leaves and one marked vertex; each double carries a single 6-valent
+    vertex fixed by the involution."""
     if g < 2:
         raise WrongType("intersection components need g >= 2")
-    census = _cell_census(g, 2 * g, _trees.MARKED,
-                          w1_component2_descriptor(g))
+    census = _cell_census(g, trees, w1_component2_descriptor(g))
     for entry in census:
         if 6 not in entry.graph.valences:
             raise AssertionError("component2 cell needs a 6-valent vertex")
     return census
-
-
-def w1_intersection_census(g: int) -> W1HComponents:
-    """Both components of the intersection of the codimension-2 Witten cycle
-    with the genus-g hyperelliptic locus (g >= 2)."""
-    return W1HComponents(w1_component1_census(g), w1_component2_census(g))
 
 
 def count_t1(g: int) -> Fraction:

@@ -7,10 +7,9 @@ tree is a leaf or an internal vertex with an ordered list of subtrees);
 unrooted classes keep the first tree of each least boundary-word rotation.
 Rooted trivalent shapes with m internal vertices number C_m (Catalan).
 
-A tree is its graph and nothing more: the root of a generated tree is the
-leaf at half-edge 0, and its rooted key is the boundary word read from
-there.  Its half-edge labels are pinned by a doctest: the Pfaffian matrices
-of doubled trees are read in that order.  Generation stops past
+A tree is its graph and nothing more.  A generated tree is written from its
+contour word, the boundary word read from its root leaf, so the root is the
+leaf at half-edge 0 and the rooted key is that word.  Generation stops past
 ``DEFAULT_CAP_LEAVES`` leaves.
 """
 
@@ -135,43 +134,40 @@ def _compositions(n: int, k: int):
 
 
 def build_rooted_tree(shape) -> PlanarTree:
-    """Realize a rooted shape as a planar tree fatgraph.
+    """Realize a rooted shape as a planar tree fatgraph, written from its
+    contour word: the boundary word read from the root leaf at slot 0.
 
-    The root leaf carries half-edge 0.  At each internal vertex the cyclic
-    order is (stub toward the root, child 1, ..., child k), children in
-    planar left-to-right order.  Half-edges are numbered depth first, a
-    vertex's stubs before its children's; these labels fix the edge order
-    of the matrices that Pfaffians of doubled trees see, and the doctest
-    below pins them.
+    The contour enters each subtree through the stub it hangs from, walks
+    its children left to right (each from its own stub), and leaves through
+    the subtree's stub toward the root, the partner of the stub it came in
+    by.  So at each internal vertex the cyclic order is (stub toward the
+    root, child 1, ..., child k), and half-edge i is slot i of the contour.
 
     >>> tree = build_rooted_tree((LEAF, (LEAF, LEAF)))
-    >>> tree.sigma
-    (0, 2, 3, 1, 4, 6, 7, 5, 8, 9)
-    >>> tree.alpha
-    (1, 0, 4, 5, 2, 3, 8, 9, 6, 7)
+    >>> tree.rooted_key()
+    (19, 1, 19, 5, 1, 19, 1, 19, 5, 1)
     """
-    cycles, pairs, delta = [(0,)], [], [0]
+    partner, delta = [], []  # per contour slot
 
-    def grow(sub, stub, top):
-        # hang sub from stub, numbering from top; return the next free label
-        pairs.append((stub, top))
+    def hang(sub, flag):
+        # the slot of a stub at a vertex flagged ``flag``, then sub below it
+        stub = len(partner)
+        partner.append(None)
+        delta.append(flag)
         if sub == LEAF:
-            cycles.append((top,))
-            delta.append(top)
-            return top + 1
-        marked = sub[0] == "m"
-        kids = sub[1:] if marked else sub
-        cycle = tuple(range(top, top + len(kids) + 1))
-        cycles.append(cycle)
-        if marked:
-            delta.append(top)
-        free = cycle[-1] + 1
-        for kid, kid_stub in zip(kids, cycle[1:]):
-            free = grow(kid, kid_stub, free)
-        return free
+            top = True
+        else:
+            top = sub[0] == "m"  # the flag of sub's top vertex
+            for kid in sub[1:] if top else sub:
+                hang(kid, top)
+        partner[stub] = len(partner)
+        partner.append(stub)
+        delta.append(top)
 
-    grow(shape, 0, 1)
-    return PlanarTree.from_cycles(cycles, pairs, delta=delta)
+    hang(shape, True)  # the root leaf
+    m = len(partner)
+    return PlanarTree.from_word(tuple((p - i) % m + m * d for i, (p, d)
+                                      in enumerate(zip(partner, delta))))
 
 
 def rooted_trees(leaf_count: int, profile: str = TRIVALENT):

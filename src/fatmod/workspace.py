@@ -12,7 +12,7 @@ from . import hyperelliptic as _hyper
 from .enumeration import OrbifoldCensus
 from .errors import CacheError, FatmodError
 from .fatgraph import Fatgraph
-from .trees import PlanarTree
+from .trees import MARKED, ONE5, TRIVALENT, PlanarTree
 
 
 class Workspace:
@@ -33,18 +33,18 @@ class Workspace:
     # -- builders ----------------------------------------------------------
 
     def trivalent_census(self, g: int) -> OrbifoldCensus:
-        return self._get(_enum.fatgraph_descriptor(g, 1, _enum.TRIVALENT),
+        return self._get(_enum.fatgraph_descriptor(g, _enum.TRIVALENT),
                          "graph",
                          lambda: _enum.enumerate_fatgraphs(
-                             g, 1, _enum.TRIVALENT, cap_edges=self.cap_edges))
+                             g, _enum.TRIVALENT, cap_edges=self.cap_edges))
 
     # perfbench/tracer.py patches this name; nothing else may call it
     pristine_trivalent_census = trivalent_census
 
     def all_valence_census(self, g: int) -> OrbifoldCensus:
-        return self._get(_enum.fatgraph_descriptor(g, 1, _enum.ALL), "graph",
+        return self._get(_enum.fatgraph_descriptor(g, _enum.ALL), "graph",
                          lambda: _enum.enumerate_fatgraphs(
-                             g, 1, _enum.ALL, cap_edges=self.cap_edges))
+                             g, _enum.ALL, cap_edges=self.cap_edges))
 
     def tree_census(self, leaf_count: int, profile: str) -> OrbifoldCensus:
         return self._get(_enum.tree_descriptor(leaf_count, profile,
@@ -53,15 +53,25 @@ class Workspace:
                              leaf_count, profile, "unrooted"))
 
     def hyperelliptic_census(self, g: int) -> OrbifoldCensus:
-        return self._get(_hyper.hyperelliptic_descriptor(g), "cell",
-                         lambda: _hyper.hyperelliptic_census(g))
+        return self._cells(_hyper.hyperelliptic_descriptor(g),
+                           _hyper.hyperelliptic_census, g, 2 * g + 1,
+                           TRIVALENT)
 
     def w1_components(self, g: int) -> _hyper.W1HComponents:
-        comp1 = self._get(_hyper.w1_component1_descriptor(g), "cell",
-                          lambda: _hyper.w1_component1_census(g))
-        comp2 = self._get(_hyper.w1_component2_descriptor(g), "cell",
-                          lambda: _hyper.w1_component2_census(g))
-        return _hyper.W1HComponents(comp1, comp2)
+        return _hyper.W1HComponents(
+            self._cells(_hyper.w1_component1_descriptor(g),
+                        _hyper.w1_component1_census, g, 2 * g + 1, ONE5),
+            self._cells(_hyper.w1_component2_descriptor(g),
+                        _hyper.w1_component2_census, g, 2 * g, MARKED))
+
+    def _cells(self, descriptor, build, g, leaf_count, profile):
+        """A cell census, built from the tree census it doubles and kept in
+        memory only, under its descriptor, so ``override`` reaches it."""
+        census = self._store.get(descriptor)
+        if census is None:
+            census = self._store[descriptor] = build(
+                g, self.tree_census(leaf_count, profile))
+        return census
 
     # -- cache plumbing ----------------------------------------------------
 
@@ -123,14 +133,10 @@ class Workspace:
         if self.cache_dir is None:
             return
         path = _cache.cache_path(self.cache_dir, census.descriptor)
-        # a cell is stored as the tree it doubles
-        records = [(entry.aut_order, kind,
-                    entry.payload.tree.canonical_key() if kind == "cell"
-                    else entry.key) for entry in census]
+        records = [(entry.aut_order, kind, entry.key) for entry in census]
         _cache.save_records(path, census.descriptor, records)
 
 
 # census kind -> (the class a record's word rebuilds, its entry function)
 _RECORD_KINDS = {"graph": (Fatgraph, _enum.graph_entry),
-                 "tree": (PlanarTree, _enum.tree_entry),
-                 "cell": (PlanarTree, _hyper.cell_entry)}
+                 "tree": (PlanarTree, _enum.tree_entry)}

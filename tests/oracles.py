@@ -3,7 +3,9 @@
 Everything here recomputes results by a different route than the package:
 explicit isomorphism search instead of canonical keys, raw matching sums for
 Pfaffians, Fraction elimination for determinants, rejection sampling for
-volumes, polygon-dissection recursions for tree counts.  The fault
+volumes, polygon-dissection recursions for tree counts, and vertex cycles
+and edge pairs (``Fatgraph.from_cycles``) for building and doubling trees,
+where the package writes boundary words.  The fault
 injectors ``census_without`` and ``census_with_aut_order`` build the broken
 censuses that the mutation tests install through ``Workspace.override``.
 """
@@ -17,6 +19,13 @@ from fractions import Fraction
 from fatmod.enumeration import OrbifoldCensus
 from fatmod.errors import MalformedGraph
 from fatmod.fatgraph import Fatgraph
+from fatmod.hyperelliptic import HyperellipticCell
+from fatmod.trees import LEAF, PlanarTree
+
+
+def perm_compose(p, q) -> tuple:
+    """(p o q)(i) = p[q[i]]."""
+    return tuple(p[q[i]] for i in range(len(q)))
 
 
 def extend_flag_map(G, H, start_g, start_h):
@@ -277,3 +286,72 @@ def census_with_aut_order(census, index: int,
     entries = list(census.entries)
     entries[index] = replace(entries[index], aut_order=aut_order)
     return OrbifoldCensus(census.descriptor + " [mutated]", tuple(entries))
+
+
+def rooted_tree_by_cycles(shape) -> PlanarTree:
+    """The planar tree of a rooted shape, built from vertex cycles and edge
+    pairs: the root leaf carries half-edge 0, each internal vertex has the
+    cyclic order (stub toward the root, child 1, ..., child k), and
+    half-edges are numbered depth first, a vertex's stubs before its
+    children's."""
+    cycles, pairs, delta = [(0,)], [], [0]
+
+    def grow(sub, stub, top):
+        # hang sub from stub, numbering from top; return the next free label
+        pairs.append((stub, top))
+        if sub == LEAF:
+            cycles.append((top,))
+            delta.append(top)
+            return top + 1
+        marked = sub[0] == "m"
+        kids = sub[1:] if marked else sub
+        cycle = tuple(range(top, top + len(kids) + 1))
+        cycles.append(cycle)
+        if marked:
+            delta.append(top)
+        free = cycle[-1] + 1
+        for kid, kid_stub in zip(kids, cycle[1:]):
+            free = grow(kid, kid_stub, free)
+        return free
+
+    grow(shape, 0, 1)
+    return PlanarTree.from_cycles(cycles, pairs, delta=delta)
+
+
+def double_by_cycles(tree) -> HyperellipticCell:
+    """Two copies of the tree glued along its delta cells, from vertex
+    cycles and edge pairs: each leaf stub is dropped and its edge joins the
+    two copies, and a marked vertex (c_0 .. c_k) becomes the one vertex
+    (c_0 .. c_k, c_0' .. c_k').  The involution adds the copy offset."""
+    leaves = set(tree.leaf_vertices)
+    marked = set(tree.marked_vertices)
+    leaf_stubs = {tree.vertices[v][0] for v in leaves}
+    keep = [h for h in range(tree.num_half_edges) if h not in leaf_stubs]
+    relabel = {h: i for i, h in enumerate(keep)}
+    off = len(keep)
+    cycles = []
+    for v, cyc in enumerate(tree.vertices):
+        if v in marked:
+            cycles.append(tuple([relabel[h] for h in cyc]
+                                + [relabel[h] + off for h in cyc]))
+        elif v not in leaves:
+            cycles.append(tuple(relabel[h] for h in cyc))
+            cycles.append(tuple(relabel[h] + off for h in cyc))
+    pairs, scaled = [], []
+    for p, q in tree.edges:
+        if p in leaf_stubs or q in leaf_stubs:
+            s = q if p in leaf_stubs else p
+            pairs.append((relabel[s], relabel[s] + off))
+            scaled.append((relabel[s], p, Fraction(1)))
+        else:
+            pairs.append((relabel[p], relabel[q]))
+            pairs.append((relabel[p] + off, relabel[q] + off))
+            scaled += [(relabel[p], p, Fraction(1, 2)),
+                       (relabel[p] + off, p, Fraction(1, 2))]
+    doubled = Fatgraph.from_cycles(cycles, pairs)
+    tree_table = tree._edge_index_table()
+    doubled_table = doubled._edge_index_table()
+    edge_map = {doubled_table[h]: (tree_table[p], scale)
+                for h, p, scale in scaled}
+    iota = tuple((h + off) % (2 * off) for h in range(2 * off))
+    return HyperellipticCell(tree, doubled, iota, edge_map)

@@ -9,23 +9,25 @@ from hypothesis import given, settings, strategies as st
 from fatmod.enumeration import ALL, TRIVALENT, enumerate_fatgraphs, \
     graph_entry, tree_entry
 from fatmod.errors import MalformedGraph
-from fatmod.fatgraph import Fatgraph, perm_compose
-from fatmod.hyperelliptic import hyperelliptic_census, w1_intersection_census
+from fatmod.fatgraph import Fatgraph
 from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
     PlanarTree, odd_valence_trees, unrooted_trees
+from fatmod.workspace import Workspace
 
-from oracles import automorphism_order_bruteforce, extend_flag_map
+from oracles import automorphism_order_bruteforce, extend_flag_map, \
+    perm_compose
 
 
 def _one_boundary_censuses():
     censuses = {}
+    ws = Workspace()
     for g in (1, 2):
-        censuses["trivalent-g%d" % g] = enumerate_fatgraphs(g, 1, TRIVALENT)
-        censuses["all-g%d" % g] = enumerate_fatgraphs(g, 1, ALL)
+        censuses["trivalent-g%d" % g] = enumerate_fatgraphs(g, TRIVALENT)
+        censuses["all-g%d" % g] = enumerate_fatgraphs(g, ALL)
     for g in (1, 2, 3):
-        censuses["cells-g%d" % g] = hyperelliptic_census(g)
+        censuses["cells-g%d" % g] = ws.hyperelliptic_census(g)
     for g in (2, 3):
-        comps = w1_intersection_census(g)
+        comps = ws.w1_components(g)
         censuses["w1-component1-g%d" % g] = comps.component1
         censuses["w1-component2-g%d" % g] = comps.component2
     return [pytest.param(entry.graph, id="%s-%d" % (name, i))

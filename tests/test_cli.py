@@ -123,11 +123,23 @@ class TestEnumerate:
         ("--trees",), (),
         ("--type", "2,1", "--single-k", "x"),
         ("--type", "1,1", "--all-valences", "--single-k", "3"),
+        ("--type", "2,2"),
+        ("--trees", "--leaves", "5", "--type", "2,1"),
+        ("--trees", "--leaves", "5", "--single-k", "3"),
+        ("--trees", "--leaves", "5", "--all-valences"),
+        ("--trees", "--leaves", "5", "--cap-edges", "3"),
+        ("--type", "1,1", "--rooted"),
+        ("--type", "1,1", "--profile", "one5"),
+        ("--type", "1,1", "--leaves", "5"),
     ], ids=["type-one-number", "type-not-integer", "type-genus-zero",
             "type-three-boundaries", "trees-one-leaf", "single-k-zero",
             "single-k-one", "single-k-negative", "single-k-two",
             "trees-no-leaves", "no-type", "single-k-not-integer",
-            "all-valences-and-single-k"])
+            "all-valences-and-single-k", "type-two-boundaries",
+            "trees-with-type", "trees-with-single-k",
+            "trees-with-all-valences", "trees-with-cap-edges",
+            "graphs-with-rooted", "graphs-with-profile",
+            "graphs-with-leaves"])
     def test_bad_arguments_exit_one(self, capsys, tmp_path, argv):
         code = cli.main(["enumerate", *argv, "--cache", str(tmp_path)])
         captured = capsys.readouterr()
@@ -280,14 +292,16 @@ class TestCache:
          "trees leaves=5 profile=trivalent rooting=unrooted", "aut"),
         (("--identity", "genus0", "--n", "6"),
          "trees leaves=5 profile=trivalent rooting=unrooted", "bad-code"),
+        (("--identity", "w1h", "--g", "2"),
+         "trees leaves=5 profile=one5 rooting=unrooted", "aut"),
+        (("--identity", "w1h", "--g", "2"),
+         "trees leaves=4 profile=marked rooting=unrooted", "rotated-word"),
         (("--identity", "hevol", "--g", "2"),
-         "hyperelliptic g=2 maximal cells", "aut"),
-        (("--identity", "hevol", "--g", "2"),
-         "hyperelliptic g=2 maximal cells", "rotated-word"),
+         "trees leaves=5 profile=trivalent rooting=unrooted", "cell-kind"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "rotated-word"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "duplicate"),
     ], ids=["tree-aut", "tree-bad-code", "cell-aut", "cell-rotated-word",
-            "graph-rotated-word", "graph-duplicate"])
+            "tree-cell-kind", "graph-rotated-word", "graph-duplicate"])
     def test_load_rejects_edited_record(self, capsys, tmp_path, argv,
                                         descriptor, edit):
         argv = ("verify",) + argv + ("--cache", str(tmp_path))
@@ -307,6 +321,8 @@ class TestCache:
             elif edit == "rotated-word":
                 assert word[1:] + word[:1] != word
                 word = word[1:] + word[:1]
+            elif edit == "cell-kind":  # cells are never stored
+                kind = "cell"
             else:  # an entry of 3m or more: a flag code of 3
                 word[0] = str(3 * len(word))
             lines[3] = " | ".join((aut, kind, ",".join(word)))
@@ -314,6 +330,42 @@ class TestCache:
         code, out = run(capsys, *argv)
         assert code == 1
         assert "ok" not in out
+
+    def test_default_report_cache_layout(self, capsys, tmp_path):
+        # cell censuses are derived from the tree censuses they double, so
+        # only graph and tree files are written; genus0 and hevol share
+        # their trivalent tree files
+        code, _ = run(capsys, "report", "--cache", str(tmp_path))
+        assert code == 0
+        graphs = ["fatgraphs_g=%d_n=1_filter=%s.v2.census" % census
+                  for census in [(1, "all"), (1, "trivalent"), (2, "all"),
+                                 (2, "trivalent"), (3, "trivalent")]]
+        trees = ["trees_leaves=%d_profile=%s_rooting=unrooted.v2.census"
+                 % census for census in [(3, "trivalent"), (4, "trivalent"),
+                                         (5, "trivalent"), (6, "trivalent"),
+                                         (7, "trivalent"), (8, "trivalent"),
+                                         (5, "one5"), (7, "one5"),
+                                         (4, "marked"), (6, "marked")]]
+        assert sorted(p.name for p in tmp_path.iterdir()) == \
+            sorted(graphs + trees)
+        for path in tmp_path.iterdir():
+            lines = path.read_text().splitlines()
+            kinds = {line.split(" | ")[1] for line in lines[3:]}
+            assert kinds == {"graph" if path.name.startswith("fatgraphs")
+                             else "tree"}
+
+    def test_enumerated_trees_feed_w1h(self, capsys, tmp_path):
+        # the cell censuses of w1h at g=2 are the doubles of these two tree
+        # censuses, so nothing else needs to be on disk
+        for leaves, profile in (("5", "one5"), ("4", "marked")):
+            code, _ = run(capsys, "enumerate", "--trees", "--leaves", leaves,
+                          "--profile", profile, "--cache", str(tmp_path))
+            assert code == 0
+        assert len(list(tmp_path.iterdir())) == 2
+        code, out = run(capsys, "verify", "--identity", "w1h", "--g", "2",
+                        "--cache", str(tmp_path), "--no-build")
+        assert code == 0
+        assert "ok" in out and "census" in out
 
     def test_other_format_version_is_never_read(self, capsys, tmp_path):
         # a leftover file of the line format (version 1) for the census

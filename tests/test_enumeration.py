@@ -8,12 +8,14 @@ from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT, catalan,
                                 enumerate_trees, tree_closed_count)
 from fatmod.errors import ResourceLimit
 from fatmod.fatgraph import Fatgraph
-from fatmod.trees import ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
-    rooted_trees, unrooted_trees
+from fatmod.trees import LEAF, ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
+    _shapes, build_rooted_tree, odd_valence_shapes, rooted_trees, \
+    unrooted_trees
 
 from oracles import (are_isomorphic, automorphism_order_bruteforce,
                      naive_census, one_face_census_bruteforce,
-                     triangulation_count, walsh_lehman)
+                     rooted_tree_by_cycles, triangulation_count,
+                     walsh_lehman)
 
 
 class TestCatalan:
@@ -47,13 +49,13 @@ class TestCatalan:
 
 class TestFatgraphCensus:
     def test_torus_trivalent(self):
-        census = enumerate_fatgraphs(1, 1, TRIVALENT)
+        census = enumerate_fatgraphs(1, TRIVALENT)
         assert len(census) == 1
         assert census.entries[0].aut_order == 6
         assert census.orbifold_sum() == Fraction(1, 6)
 
     def test_torus_all_valences(self):
-        census = enumerate_fatgraphs(1, 1, ALL)
+        census = enumerate_fatgraphs(1, ALL)
         assert len(census) == 2
         facts = sorted((e.graph.num_edges, e.aut_order) for e in census)
         assert facts == [(2, 4), (3, 6)]
@@ -66,41 +68,41 @@ class TestFatgraphCensus:
         assert collapsed.canonical_key() == by_edges[2].canonical_key()
 
     def test_genus_two_weighted_count(self):
-        census = enumerate_fatgraphs(2, 1, TRIVALENT)
+        census = enumerate_fatgraphs(2, TRIVALENT)
         assert census.orbifold_sum() == Fraction(35, 6)
 
     def test_word_aut_orders_match_group_search(self):
-        for entry in enumerate_fatgraphs(2, 1, TRIVALENT):
+        for entry in enumerate_fatgraphs(2, TRIVALENT):
             assert entry.aut_order == \
                 automorphism_order_bruteforce(entry.graph)
 
     def test_single_k_filter(self):
-        census = enumerate_fatgraphs(2, 1, ("single", 5))
+        census = enumerate_fatgraphs(2, ("single", 5))
         assert len(census) > 0
         for e in census:
             assert sorted(e.graph.valences) == [3, 3, 3, 5]
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimit):
-            enumerate_fatgraphs(4, 1, TRIVALENT)
+            enumerate_fatgraphs(4, TRIVALENT)
         with pytest.raises(ResourceLimit):
-            enumerate_fatgraphs(3, 1, ALL)
+            enumerate_fatgraphs(3, ALL)
         # every census is collapsed from the trivalent one, so the cap
         # reads 6g - 3 edges for a single-k census too
         with pytest.raises(ResourceLimit):
-            enumerate_fatgraphs(4, 1, ("single", 16))
+            enumerate_fatgraphs(4, ("single", 16))
 
     def test_genus_three_single_k(self):
         # 71575 rooted one-face maps with one 8-valent and four trivalent
         # vertices, by the Frobenius character count of that degree profile
-        census = enumerate_fatgraphs(3, 1, ("single", 8))
+        census = enumerate_fatgraphs(3, ("single", 8))
         assert len(census) == 3606
         assert census.orbifold_sum(
             weight=lambda e: 2 * e.graph.num_edges) == 71575
 
     def test_deterministic_order(self):
-        a = enumerate_fatgraphs(2, 1, TRIVALENT)
-        b = enumerate_fatgraphs(2, 1, TRIVALENT)
+        a = enumerate_fatgraphs(2, TRIVALENT)
+        b = enumerate_fatgraphs(2, TRIVALENT)
         assert [e.key for e in a] == [e.key for e in b]
 
 
@@ -111,7 +113,7 @@ class TestCensusCompleteness:
     @pytest.mark.parametrize("g,n", [(1, 1), (2, 1)])
     def test_small_all_valence_censuses(self, g, n):
         reps, oracle_orders = naive_census(g, n, max_edges=5)
-        census = enumerate_fatgraphs(g, n, ALL,
+        census = enumerate_fatgraphs(g, ALL,
                                      cap_edges=max(5, 3 * (2 * g - 2 + n)))
         mine = [e for e in census if e.graph.num_edges <= 5]
         assert len(mine) == len(reps)
@@ -152,7 +154,7 @@ class TestCensusCompleteness:
                 return lengths == want
         counts = one_face_census_bruteforce(num_edges, cycle_ok)
         census = {e.key: e.aut_order
-                  for e in enumerate_fatgraphs(g, 1, valence_filter)
+                  for e in enumerate_fatgraphs(g, valence_filter)
                   if e.graph.num_edges == num_edges}
         assert len(counts) == classes
         assert set(counts) == set(census)
@@ -162,11 +164,26 @@ class TestCensusCompleteness:
     def test_gluing_census_matches_word_census(self):
         # same machinery cross-check on (1,1): words vs naive oracle
         reps, orders = naive_census(1, 1, max_edges=3)
-        census = enumerate_fatgraphs(1, 1, ALL)
+        census = enumerate_fatgraphs(1, ALL)
         assert sorted(e.aut_order for e in census) == orders
 
 
 class TestTreeCensus:
+    @pytest.mark.parametrize("profile", [TREE_TRIVALENT, ONE5, MARKED,
+                                         "odd-valence"])
+    def test_contour_word_matches_cycle_build(self, profile):
+        # the contour word and the reference's vertex cycles give the same
+        # rooted tree for every shape
+        if profile == "odd-valence":
+            shapes = [s for s in odd_valence_shapes(9) if s != LEAF]
+        else:
+            shapes = [s for leaves in range(2, 11)
+                      for s in _shapes(leaves - 1, profile)]
+        assert shapes
+        for shape in shapes:
+            assert build_rooted_tree(shape).rooted_key() == \
+                rooted_tree_by_cycles(shape).rooted_key()
+
     def test_rooted_counts(self):
         assert len(enumerate_trees(5, "trivalent", "rooted")) == 5
         assert len(enumerate_trees(3, "trivalent", "unrooted")) == 1
@@ -199,14 +216,14 @@ class TestTreeCensus:
 
 class TestOrbifoldSum:
     def test_weight_one(self):
-        census = enumerate_fatgraphs(1, 1, TRIVALENT)
+        census = enumerate_fatgraphs(1, TRIVALENT)
         assert census.orbifold_sum() == Fraction(1, 6)
 
     def test_empty_census(self):
         assert OrbifoldCensus("empty", ()).orbifold_sum() == 0
 
     def test_weighted(self):
-        census = enumerate_fatgraphs(2, 1, TRIVALENT)
+        census = enumerate_fatgraphs(2, TRIVALENT)
         assert census.orbifold_sum(weight=lambda e: 6) == 35
 
 
@@ -266,7 +283,7 @@ def test_word_keys_agree_with_canonical_keys():
     # them: census classes pairwise, and each class against a relabeling
     import random
     rng = random.Random(7)
-    census = enumerate_fatgraphs(2, 1, TRIVALENT)
+    census = enumerate_fatgraphs(2, TRIVALENT)
     graphs = []
     for e in census:
         perm = list(range(e.graph.num_half_edges))
@@ -280,7 +297,7 @@ def test_word_keys_agree_with_canonical_keys():
 
 def test_census_graphs_all_valid():
     for g in (1, 2):
-        for entry in enumerate_fatgraphs(g, 1, ALL):
+        for entry in enumerate_fatgraphs(g, ALL):
             entry.graph._check()
             assert entry.graph.graph_type() == (g, 1)
             assert all(v >= 3 for v in entry.graph.valences)
@@ -288,7 +305,7 @@ def test_census_graphs_all_valid():
 
 CENSUS_GRAPHS = [pytest.param(entry.graph, id="all-g%d-%d" % (g, i))
                  for g in (1, 2)
-                 for i, entry in enumerate(enumerate_fatgraphs(g, 1, ALL))]
+                 for i, entry in enumerate(enumerate_fatgraphs(g, ALL))]
 
 
 @pytest.mark.parametrize("graph", CENSUS_GRAPHS)

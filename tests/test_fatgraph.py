@@ -5,11 +5,12 @@ import pytest
 from fatmod.errors import (LoopCollapse, MalformedGraph, NotAnAutomorphism,
                            NotExpandable, WrongType)
 from fatmod.fatgraph import (Fatgraph, one_vertex_opposite_pairing,
-                             perm_compose, two_vertex_star_double)
+                             two_vertex_star_double)
 from fatmod.trees import LEAF, PlanarTree, build_rooted_tree, \
     unrooted_trees
 
-from oracles import are_isomorphic, automorphism_order_bruteforce
+from oracles import are_isomorphic, automorphism_order_bruteforce, \
+    perm_compose
 
 
 def reference_two_boundary_graph():
@@ -217,7 +218,7 @@ class TestExpansions:
         if k == 4:
             G = Fatgraph.from_cycles([(0, 1, 2, 3)], [(0, 2), (1, 3)])
         elif k == 5:
-            G = enumerate_fatgraphs(2, 1, ("single", 5)).entries[0].graph
+            G = enumerate_fatgraphs(2, ("single", 5)).entries[0].graph
         else:
             from fatmod.hyperelliptic import double_tree
             from fatmod.trees import unrooted_trees
@@ -392,10 +393,10 @@ class TestHyperellipticInvolution:
 
     def test_non_hyperelliptic_trivalent_genus_two(self):
         from fatmod.enumeration import enumerate_fatgraphs
-        from fatmod.hyperelliptic import hyperelliptic_census
+        from fatmod.workspace import Workspace
         hyper_keys = {e.graph.canonical_key()
-                      for e in hyperelliptic_census(2)}
-        census = enumerate_fatgraphs(2, 1)
+                      for e in Workspace().hyperelliptic_census(2)}
+        census = enumerate_fatgraphs(2)
         others = [e.graph for e in census
                   if e.graph.canonical_key() not in hyper_keys]
         assert others

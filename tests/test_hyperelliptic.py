@@ -10,16 +10,18 @@ from fatmod.fatgraph import (one_vertex_opposite_pairing,
 from fatmod.hyperelliptic import (W1_MULTIPLICITY_5VALENT,
                                   W1_MULTIPLICITY_6VALENT,
                                   cut_along_involution, count_t1, count_t2,
-                                  double_tree, full_simplex_involution,
-                                  hyperelliptic_census, w1_intersection_census)
-from fatmod.trees import (LEAF, MARKED, ONE5, TRIVALENT, build_rooted_tree,
-                          unrooted_trees)
+                                  double_tree, full_simplex_involution)
+from fatmod.kontsevich import hyperelliptic_cell_volume
+from fatmod.trees import (LEAF, MARKED, ONE5, TRIVALENT, PlanarTree,
+                          build_rooted_tree, unrooted_trees)
+
+from oracles import double_by_cycles
 
 
 class TestDoubleTree:
     def test_three_star_doubles_to_torus_graph(self):
         cell = double_tree(unrooted_trees(3)[0])
-        torus = enumerate_fatgraphs(1, 1).entries[0].graph
+        torus = enumerate_fatgraphs(1).entries[0].graph
         assert cell.doubled.canonical_key() == torus.canonical_key()
 
     def test_five_star_double(self):
@@ -70,6 +72,25 @@ class TestDoubleTree:
         cell = double_tree(unrooted_trees(4, MARKED)[0])
         assert cell.genus == 2
         assert 6 in cell.doubled.valences
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_double_matches_cycle_doubling(data):
+    # the word walk and the reference's vertex cycles double a tree, under
+    # any half-edge labels, to the same class with the same cell volume
+    leaves, profile = data.draw(st.sampled_from(
+        [(n, TRIVALENT) for n in (3, 5, 7, 9)]
+        + [(n, ONE5) for n in (5, 7, 9)] + [(n, MARKED) for n in (4, 6, 8)]))
+    tree = data.draw(st.sampled_from(unrooted_trees(leaves, profile)))
+    tree = tree.relabeled(
+        data.draw(st.permutations(range(tree.num_half_edges))))
+    tree = PlanarTree(tree.sigma, tree.alpha, tree.flags)
+    cell, reference = double_tree(tree), double_by_cycles(tree)
+    assert cell.doubled.canonical_key() == reference.doubled.canonical_key()
+    assert cell.doubled.aut_order() == reference.doubled.aut_order()
+    assert hyperelliptic_cell_volume(cell).value == \
+        hyperelliptic_cell_volume(reference).value
 
 
 class TestCutAlongInvolution:
@@ -158,21 +179,21 @@ def test_cut_is_label_invariant(leaves, profile, data):
 
 
 class TestCensuses:
-    def test_maximal_cell_counts(self):
-        assert hyperelliptic_census(1).orbifold_sum() == Fraction(1, 6)
-        assert hyperelliptic_census(2).orbifold_sum() == Fraction(1, 2)
-        assert hyperelliptic_census(3).orbifold_sum() == 3
+    def test_maximal_cell_counts(self, ws):
+        assert ws.hyperelliptic_census(1).orbifold_sum() == Fraction(1, 6)
+        assert ws.hyperelliptic_census(2).orbifold_sum() == Fraction(1, 2)
+        assert ws.hyperelliptic_census(3).orbifold_sum() == 3
 
     @pytest.mark.parametrize("g", [2, 3])
-    def test_w1_components_match_closed_counts(self, g):
-        comps = w1_intersection_census(g)
+    def test_w1_components_match_closed_counts(self, ws, g):
+        comps = ws.w1_components(g)
         assert comps.component1.orbifold_sum() == count_t1(g)
         assert comps.component2.orbifold_sum() == count_t2(g)
         assert W1_MULTIPLICITY_5VALENT == 2
         assert W1_MULTIPLICITY_6VALENT == 3
 
-    def test_component_disjointness(self):
-        comps = w1_intersection_census(2)
+    def test_component_disjointness(self, ws):
+        comps = ws.w1_components(2)
         keys1 = {e.key for e in comps.component1}
         keys2 = {e.key for e in comps.component2}
         assert not keys1 & keys2
@@ -187,8 +208,8 @@ class TestCensuses:
 
 
 class TestW1Multiplicities:
-    def test_component1_has_swapped_five_valent_pair(self):
-        for entry in w1_intersection_census(2).component1:
+    def test_component1_has_swapped_five_valent_pair(self, ws):
+        for entry in ws.w1_components(2).component1:
             cell = entry.payload
             fives = [v for v, val in enumerate(cell.doubled.valences)
                      if val == 5]
@@ -198,11 +219,11 @@ class TestW1Multiplicities:
             v1 = frozenset(cell.doubled.vertices[fives[1]])
             assert frozenset(iota[h] for h in v0) == v1
 
-    def test_component2_six_valent_expansion_structure(self):
+    def test_component2_six_valent_expansion_structure(self, ws):
         # nine one-edge expansions of the fixed 6-valent vertex: six keep a
         # 5-valent vertex (the other sheets of the codimension-2 cycle),
         # three are symmetric and stay in the hyperelliptic locus
-        cell = w1_intersection_census(2).component2.entries[0].payload
+        cell = ws.w1_components(2).component2.entries[0].payload
         G = cell.doubled
         v = G.valences.index(6)
         one_edge = [(graph, new)
@@ -219,10 +240,10 @@ class TestW1Multiplicities:
 
 class TestMinimalCells:
     @pytest.mark.parametrize("g", [2, 3])
-    def test_collapse_closure_full_simplex_cells(self, g):
+    def test_collapse_closure_full_simplex_cells(self, ws, g):
         seen = {}
         frontier = []
-        for entry in hyperelliptic_census(g):
+        for entry in ws.hyperelliptic_census(g):
             seen[entry.key] = entry.graph
             frontier.append(entry.graph)
         while frontier:

@@ -77,7 +77,7 @@ class TestPfaffian:
             assert pfaffian(m) == pfaffian_by_matchings(m)
 
     def test_census_forms_match_matching_sum(self):
-        for entry in enumerate_fatgraphs(1, 1):
+        for entry in enumerate_fatgraphs(1):
             matrix = omega_matrix(entry.graph)
             assert pfaffian(matrix) == pfaffian_by_matchings(matrix)
 

@@ -1,8 +1,11 @@
-"""The package never reaches into the test suite.
+"""The package never reaches into the test suite, and builds trees and
+cells one way.
 
 Test oracles such as ``oracles.walsh_lehman`` are second routes for the
 tests only; a module of ``fatmod`` that imported one would make the two
-routes of a check share code.
+routes of a check share code.  Likewise ``oracles.rooted_tree_by_cycles``
+and ``oracles.double_by_cycles`` are the only builders of trees and cells
+from vertex cycles.
 """
 
 import ast
@@ -39,3 +42,25 @@ def test_module_imports_nothing_from_tests(path):
         top = name.split(".")[0]
         assert top not in TEST_MODULES and top != "tests", \
             "%s imports %s" % (path.name, name)
+
+
+
+def referenced_names(path):
+    """Every name, attribute and imported name the file mentions."""
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text(), str(path))):
+        if isinstance(node, ast.Name):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.alias):
+            names.add(node.name)
+    return names
+
+
+@pytest.mark.parametrize("module", ["trees", "hyperelliptic"])
+def test_trees_and_cells_are_built_from_words(module):
+    # the boundary word is the one way to build a tree or a cell, so neither
+    # module reaches for vertex cycles or permutation composition
+    names = referenced_names(PACKAGE / ("%s.py" % module))
+    assert not names & {"from_cycles", "perm_compose"}

@@ -1,9 +1,8 @@
 """Exact fatgraph enumeration and hyperelliptic intersection numbers."""
 
-from .errors import (BadLeafCount, CacheError, FatmodError, LoopCollapse,
-                     MalformedGraph, NotAnAutomorphism, NotExpandable,
-                     NotSymmetric, ResourceLimit, WrongBoundaryCount,
-                     WrongType)
+from .errors import (BadLeafCount, CacheError, FatmodError, MalformedGraph,
+                     NotAnAutomorphism, NotExpandable, NotSymmetric,
+                     ResourceLimit, WrongBoundaryCount, WrongType)
 from .fatgraph import (BoundaryCycles, Fatgraph, FixedCells, GraphType,
                        one_vertex_opposite_pairing, two_vertex_star_double)
 from .trees import PlanarTree

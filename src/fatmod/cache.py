@@ -68,10 +68,10 @@ def load_records(path: Path, descriptor: str):
     if lines[1] != descriptor:
         raise CacheError("cache descriptor mismatch in %s: %r != %r"
                          % (path, lines[1], descriptor))
-    try:
-        count = int(lines[2].split("=", 1)[1])
-    except (IndexError, ValueError) as exc:
-        raise CacheError("bad count line in %s" % path) from exc
+    key, _, count = lines[2].partition("=")
+    if key != "count" or not count.isdecimal():
+        raise CacheError("bad count line in %s" % path)
+    count = int(count)
     body = [ln for ln in lines[3:] if ln.strip()]
     if len(body) != count:
         raise CacheError("cache file %s has %d records, header says %d"

@@ -30,11 +30,6 @@ def rational_str(x: Fraction) -> str:
     return "%d/%d" % (x.numerator, x.denominator)
 
 
-def parse_rational(s: str) -> Fraction:
-    num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
-
-
 def _parse_range(text, option, default):
     """``A`` or ``A..B`` as a non-empty range; ``default`` when absent."""
     if text is None:

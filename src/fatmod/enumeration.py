@@ -34,7 +34,10 @@ one non-trivalent vertex.  So the edge cap is checked against 6g - 3.
 
 Census kinds with a known count have a closed orbifold count beside their
 descriptor function (:func:`fatgraph_closed_count`,
-:func:`tree_closed_count`); these read no census.  Types (g, n) with n > 1
+:func:`tree_closed_count`); these read no census.  Beside each descriptor
+function, a membership test (:func:`in_fatgraph_census`,
+:func:`in_tree_census`) says which objects the census it names holds; the
+cache loader rejects a record outside its census.  Types (g, n) with n > 1
 have no census, so the census functions take only g.
 """
 
@@ -340,6 +343,26 @@ def fatgraph_descriptor(g: int, valence_filter) -> str:
         else "single%d" % valence_filter[1])
 
 
+def in_fatgraph_census(graph: Fatgraph, g: int, valence_filter) -> bool:
+    """Whether a one-boundary graph is of the census that
+    ``fatgraph_descriptor(g, valence_filter)`` names: genus g, so V = E + 1
+    - 2g, and valences all 3, any (an unflagged graph's are at least 3) or
+    all 3 but one k, as the filter says.
+
+    >>> in_fatgraph_census(Fatgraph.from_word((2, 2, 2, 2)), 1, ("single", 4))
+    True
+    >>> in_fatgraph_census(Fatgraph.from_word((2, 2, 2, 2)), 2, ALL)
+    False
+    """
+    valences = sorted(map(len, graph.vertices))
+    if len(valences) != graph.num_edges + 1 - 2 * g:
+        return False
+    if valence_filter == ALL:
+        return True
+    top = 3 if valence_filter == TRIVALENT else valence_filter[1]
+    return valences == [3] * (len(valences) - 1) + [top]
+
+
 def fatgraph_closed_count(g: int, valence_filter) -> Optional[Fraction]:
     """Closed orbifold count sum(1/|Aut|) of the census built by
     enumerate_fatgraphs, read off no census; None where no formula is known.
@@ -384,6 +407,19 @@ def tree_descriptor(leaf_count: int, profile: str, rooting: str) -> str:
     """Descriptor of the census built by enumerate_trees."""
     return "trees leaves=%d profile=%s rooting=%s" % (leaf_count, profile,
                                                       rooting)
+
+
+def in_tree_census(tree, leaf_count: int, profile: str) -> bool:
+    """Whether a planar tree is of the census that
+    ``tree_descriptor(leaf_count, profile, rooting)`` names: that many
+    leaves, internal vertices all trivalent but one 5-valent for ``one5``,
+    and one marked internal vertex for ``marked`` only."""
+    internal = sorted(len(c) for c in tree.vertices if len(c) > 1)
+    top = 5 if profile == _trees.ONE5 else 3
+    marked = 1 if profile == _trees.MARKED else 0
+    return (tree.leaf_count == leaf_count
+            and internal == [3] * (len(internal) - 1) + [top]
+            and len(tree.marked_vertices) == marked)
 
 
 def tree_closed_count(leaf_count: int, profile: str,

@@ -9,10 +9,6 @@ class MalformedGraph(FatmodError):
     """Permutation data does not describe a valid fatgraph."""
 
 
-class LoopCollapse(FatmodError):
-    """Attempt to collapse a loop edge."""
-
-
 class NotExpandable(FatmodError):
     """Attempt to expand a vertex of valence three or less."""
 

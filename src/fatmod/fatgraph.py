@@ -34,7 +34,6 @@ from __future__ import annotations
 from typing import NamedTuple, Sequence
 
 from .errors import (
-    LoopCollapse,
     MalformedGraph,
     NotAnAutomorphism,
     NotExpandable,
@@ -130,13 +129,6 @@ def rotation_period(word) -> int:
     m = len(word)
     return next(r for r in range(1, m + 1)
                 if m % r == 0 and word[r:] + word[:r] == word)
-
-
-def perm_inverse(p: Sequence[int]) -> tuple:
-    inv = [0] * len(p)
-    for i, j in enumerate(p):
-        inv[j] = i
-    return tuple(inv)
 
 
 class Fatgraph:
@@ -302,12 +294,6 @@ class Fatgraph:
                     for h in range(self.num_half_edges))
         return BoundaryCycles(_cycles_of(phi))
 
-    def boundary_edge_cycles(self) -> tuple:
-        """Boundary cycles as sequences of edge indices."""
-        table = self._edge_index_table()
-        return tuple(tuple(table[h] for h in cyc)
-                     for cyc in self.boundary_cycles().cycles)
-
     def graph_type(self) -> GraphType:
         n = self.boundary_cycles().n
         euler = self.num_vertices - self.num_edges + n
@@ -317,54 +303,6 @@ class Fatgraph:
         if g < 0:
             raise MalformedGraph("negative genus")
         return GraphType(g, n)
-
-    # -- edge collapse ----------------------------------------------------
-
-    def collapse_edge(self, e: int) -> "Fatgraph":
-        """Collapse a non-loop edge, coalescing its endpoints.
-
-        ``e`` is an edge index into :attr:`edges`.  The adjoining half-edges
-        inherit the cyclic order of the two endpoints.
-        """
-        p, q = self.edges[e]
-        cyc_p = self._cycle_from(p)
-        cyc_q = self._cycle_from(q)
-        if cyc_p[0] in cyc_q:
-            raise LoopCollapse("edge %d is a loop" % e)
-        merged = list(cyc_p[1:]) + list(cyc_q[1:])
-        if not merged:
-            raise LoopCollapse("cannot collapse the only edge of the graph")
-        keep = sorted(set(range(self.num_half_edges)) - {p, q})
-        relabel = {h: i for i, h in enumerate(keep)}
-        m = len(keep)
-        sigma = [None] * m
-        flags = [None] * m
-        merged_flag = DELTA if DELTA in (self.flags[p], self.flags[q]) \
-            else ORDINARY
-        for i, h in enumerate(merged):
-            sigma[relabel[h]] = relabel[merged[(i + 1) % len(merged)]]
-            flags[relabel[h]] = merged_flag
-        for cyc in self.vertices:
-            if p in cyc or q in cyc:
-                continue
-            for i, h in enumerate(cyc):
-                sigma[relabel[h]] = relabel[cyc[(i + 1) % len(cyc)]]
-                flags[relabel[h]] = self.flags[h]
-        alpha = [None] * m
-        for a, b in self.edges:
-            if (a, b) == (min(p, q), max(p, q)):
-                continue
-            alpha[relabel[a]] = relabel[b]
-            alpha[relabel[b]] = relabel[a]
-        return Fatgraph(sigma, alpha, flags=flags)
-
-    def _cycle_from(self, h: int) -> tuple:
-        cyc = [h]
-        cur = self.sigma[h]
-        while cur != h:
-            cyc.append(cur)
-            cur = self.sigma[cur]
-        return tuple(cyc)
 
     # -- expansions -------------------------------------------------------
 
@@ -555,16 +493,7 @@ class Fatgraph:
             return None
         return iota
 
-    # -- relabeling, equality ---------------------------------------------
-
-    def relabeled(self, perm) -> "Fatgraph":
-        """Apply a half-edge relabeling ``h -> perm[h]``."""
-        m = self.num_half_edges
-        inv = perm_inverse(perm)
-        sigma = [perm[self.sigma[inv[h]]] for h in range(m)]
-        alpha = [perm[self.alpha[inv[h]]] for h in range(m)]
-        flags = [self.flags[inv[h]] for h in range(m)]
-        return Fatgraph(sigma, alpha, flags=flags)
+    # -- equality --------------------------------------------------------
 
     def __eq__(self, other):
         if not isinstance(other, Fatgraph):

@@ -285,17 +285,3 @@ def count_t2(g: int) -> Fraction:
     if g < 2:
         raise WrongType("g >= 2 required")
     return Fraction((g - 1) * catalan(2 * g - 2), 2 * g)
-
-
-def full_simplex_involution(graph: Fatgraph):
-    """The hyperelliptic involution when it fixes every edge setwise, else
-    None (also for graphs not of type (g, 1) with g >= 1).  Such an
-    involution survives on every metric, so the whole closed cell lies in
-    the hyperelliptic locus."""
-    g, n = graph.graph_type()
-    if n != 1 or g < 1:
-        return None
-    iota = graph.hyperelliptic_involution()
-    if iota is None or graph.fixed_cells(iota).edges != graph.num_edges:
-        return None
-    return iota

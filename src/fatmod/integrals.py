@@ -21,7 +21,6 @@ from .errors import WrongType
 from .hyperelliptic import (W1_MULTIPLICITY_5VALENT, W1_MULTIPLICITY_6VALENT,
                             count_t1, count_t2)
 from .kontsevich import cell_volume, hyperelliptic_cell_volume
-from .trees import rooted_trees
 from .workspace import Workspace
 
 KAPPA_DUALITY_DENOMINATOR = 12  # kappa_1 = ([W1] + [boundary]) / 12
@@ -181,14 +180,6 @@ def boundary_integral(g: int, workspace: Optional[Workspace] = None
         "boundary", "g", g, closed, assembled, sub.assembled_mode,
         ("one half of the genus-%d hyperelliptic top integral (string "
          "equation step)" % (g - 1),) + sub.provenance)
-
-
-def boundary_integral_stable_path(g: int) -> Fraction:
-    """Alternative route through stable one-node cells: rooted trivalent
-    trees with 2g leaves, doubled; the rooted tree count over two, times
-    the common doubled-cell volume."""
-    return Fraction(len(rooted_trees(2 * g)), 2) * \
-        _doubled_cell_volume_formula(2 * g - 2)
 
 
 def main_theorem(g: int, workspace: Optional[Workspace] = None

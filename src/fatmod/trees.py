@@ -59,10 +59,6 @@ class PlanarTree(Fatgraph):
         return len(self.leaf_vertices)
 
     @property
-    def internal_valences(self) -> tuple:
-        return tuple(sorted(len(c) for c in self.vertices if len(c) > 1))
-
-    @property
     def marked_vertices(self) -> tuple:
         """Delta-flagged vertices of valence > 1."""
         return tuple(v for v, cyc in enumerate(self.vertices)

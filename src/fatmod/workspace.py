@@ -34,7 +34,7 @@ class Workspace:
 
     def trivalent_census(self, g: int) -> OrbifoldCensus:
         return self._get(_enum.fatgraph_descriptor(g, _enum.TRIVALENT),
-                         "graph",
+                         "graph", (g, _enum.TRIVALENT),
                          lambda: _enum.enumerate_fatgraphs(
                              g, _enum.TRIVALENT, cap_edges=self.cap_edges))
 
@@ -43,12 +43,13 @@ class Workspace:
 
     def all_valence_census(self, g: int) -> OrbifoldCensus:
         return self._get(_enum.fatgraph_descriptor(g, _enum.ALL), "graph",
-                         lambda: _enum.enumerate_fatgraphs(
+                         (g, _enum.ALL), lambda: _enum.enumerate_fatgraphs(
                              g, _enum.ALL, cap_edges=self.cap_edges))
 
     def tree_census(self, leaf_count: int, profile: str) -> OrbifoldCensus:
         return self._get(_enum.tree_descriptor(leaf_count, profile,
                                                "unrooted"), "tree",
+                         (leaf_count, profile),
                          lambda: _enum.enumerate_trees(
                              leaf_count, profile, "unrooted"))
 
@@ -75,11 +76,11 @@ class Workspace:
 
     # -- cache plumbing ----------------------------------------------------
 
-    def _get(self, descriptor, kind, build) -> OrbifoldCensus:
+    def _get(self, descriptor, kind, params, build) -> OrbifoldCensus:
         census = self._store.get(descriptor)
         if census is not None:
             return census
-        census = self._load(descriptor, kind)
+        census = self._load(descriptor, kind, params)
         if census is None:
             if self.no_build:
                 raise CacheError("census %r not cached and building is "
@@ -89,7 +90,7 @@ class Workspace:
         self._store[descriptor] = census
         return census
 
-    def _load(self, descriptor, kind):
+    def _load(self, descriptor, kind, params):
         if self.cache_dir is None:
             return None
         path = _cache.cache_path(self.cache_dir, descriptor)
@@ -97,7 +98,7 @@ class Workspace:
             if self.no_build:
                 raise CacheError("missing cache file %s" % path)
             return None
-        entries = sorted((self._entry_from_record(path, kind, record)
+        entries = sorted((self._entry_from_record(path, kind, params, record)
                           for record in _cache.load_records(path, descriptor)),
                          key=lambda e: e.key)
         for a, b in zip(entries, entries[1:]):
@@ -106,15 +107,15 @@ class Workspace:
         return OrbifoldCensus(descriptor, tuple(entries))
 
     @staticmethod
-    def _entry_from_record(path, kind, record):
+    def _entry_from_record(path, kind, params, record):
         """Rebuild a record's object from its word, re-derive its entry
         through the kind's entry function, and check the stored fields
-        against them."""
+        against them and the object against its census."""
         aut, rec_kind, word = record
         if rec_kind != kind:
             raise CacheError("record kind %r does not match census kind %r "
                              "in %s" % (rec_kind, kind, path))
-        cls, entry_of = _RECORD_KINDS[kind]
+        cls, entry_of, member = _RECORD_KINDS[kind]
         try:
             obj = cls.from_word(word)
             entry = entry_of(obj)
@@ -124,6 +125,9 @@ class Workspace:
         if obj.canonical_key() != word:
             raise CacheError("stored word is not the canonical key of its "
                              "%s in %s" % (kind, path))
+        if not member(obj, *params):
+            raise CacheError("%s record %s is outside the census of %s"
+                             % (kind, ",".join(map(str, word)), path))
         if entry.aut_order != aut:
             raise CacheError("stored aut order %d, recomputed %d in %s"
                              % (aut, entry.aut_order, path))
@@ -137,6 +141,9 @@ class Workspace:
         _cache.save_records(path, census.descriptor, records)
 
 
-# census kind -> (the class a record's word rebuilds, its entry function)
-_RECORD_KINDS = {"graph": (Fatgraph, _enum.graph_entry),
-                 "tree": (PlanarTree, _enum.tree_entry)}
+# census kind -> (the class a record's word rebuilds, its entry function,
+# its membership test, called with the object and the census's params)
+_RECORD_KINDS = {"graph": (Fatgraph, _enum.graph_entry,
+                           _enum.in_fatgraph_census),
+                 "tree": (PlanarTree, _enum.tree_entry,
+                          _enum.in_tree_census)}

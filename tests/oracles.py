@@ -8,6 +8,12 @@ and edge pairs (``Fatgraph.from_cycles``) for building and doubling trees,
 where the package writes boundary words.  The fault
 injectors ``census_without`` and ``census_with_aut_order`` build the broken
 censuses that the mutation tests install through ``Workspace.override``.
+
+Graph operations that the package no longer needs live here as references
+too: ``collapse_edge`` collapses an edge on vertex cycles, the reference
+for ``enumeration.collapse_word`` on boundary words and for undoing
+``Fatgraph.expansions``; ``relabel`` renames half-edges, for tests of label
+invariance; ``vertex_index`` tells a loop from a collapsible edge.
 """
 
 from __future__ import annotations
@@ -18,7 +24,7 @@ from fractions import Fraction
 
 from fatmod.enumeration import OrbifoldCensus
 from fatmod.errors import MalformedGraph
-from fatmod.fatgraph import Fatgraph
+from fatmod.fatgraph import DELTA, Fatgraph
 from fatmod.hyperelliptic import HyperellipticCell
 from fatmod.trees import LEAF, PlanarTree
 
@@ -26,6 +32,63 @@ from fatmod.trees import LEAF, PlanarTree
 def perm_compose(p, q) -> tuple:
     """(p o q)(i) = p[q[i]]."""
     return tuple(p[q[i]] for i in range(len(q)))
+
+
+def vertex_index(graph) -> tuple:
+    """The index in ``graph.vertices`` of each half-edge's vertex; an edge
+    is a loop when both its half-edges have the same index."""
+    index = [0] * graph.num_half_edges
+    for v, cycle in enumerate(graph.vertices):
+        for h in cycle:
+            index[h] = v
+    return tuple(index)
+
+
+def relabel(graph, perm) -> Fatgraph:
+    """The graph with each half-edge h renamed perm[h]."""
+    m = graph.num_half_edges
+    inverse = [0] * m
+    for h, image in enumerate(perm):
+        inverse[image] = h
+    return Fatgraph([perm[graph.sigma[inverse[h]]] for h in range(m)],
+                    [perm[graph.alpha[inverse[h]]] for h in range(m)],
+                    flags=[graph.flags[inverse[h]] for h in range(m)])
+
+
+def collapse_edge(graph, e: int) -> Fatgraph:
+    """The graph with the non-loop edge ``graph.edges[e] = (p, q)``
+    collapsed, from vertex cycles: the merged vertex reads the rest of p's
+    vertex from sigma(p), then the rest of q's from sigma(q), and is a
+    delta vertex if either end was.  The other half-edges keep their order
+    and are numbered 0..m-3, so edge indices above e drop by one.  Raises
+    ValueError for a loop or the only edge."""
+    p, q = graph.edges[e]
+    vertex = vertex_index(graph)
+    if vertex[p] == vertex[q]:
+        raise ValueError("edge %d is a loop" % e)
+
+    def rest(h):
+        # the vertex cycle of h from sigma(h) round to just before h
+        out, cur = [], graph.sigma[h]
+        while cur != h:
+            out.append(cur)
+            cur = graph.sigma[cur]
+        return out
+
+    merged = rest(p) + rest(q)
+    if not merged:
+        raise ValueError("cannot collapse the only edge of the graph")
+    new = {h: i for i, h in enumerate(h for h in range(graph.num_half_edges)
+                                      if h not in (p, q))}
+    cycles = [merged] + [cycle for v, cycle in enumerate(graph.vertices)
+                         if v not in (vertex[p], vertex[q])]
+    delta = [h for h in new if graph.flags[h] == DELTA]
+    if DELTA in (graph.flags[p], graph.flags[q]):
+        delta.append(merged[0])
+    return Fatgraph.from_cycles(
+        [[new[h] for h in cycle] for cycle in cycles],
+        [(new[a], new[b]) for a, b in graph.edges if (a, b) != (p, q)],
+        delta=[new[h] for h in delta])
 
 
 def extend_flag_map(G, H, start_g, start_h):

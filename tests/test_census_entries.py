@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatmod.enumeration import ALL, TRIVALENT, enumerate_fatgraphs, \
-    graph_entry, tree_entry
+    graph_entry, in_fatgraph_census, in_tree_census, tree_entry
 from fatmod.errors import MalformedGraph
 from fatmod.fatgraph import Fatgraph
 from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
@@ -15,7 +15,7 @@ from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
 from fatmod.workspace import Workspace
 
 from oracles import automorphism_order_bruteforce, extend_flag_map, \
-    perm_compose
+    perm_compose, relabel
 
 
 def _one_boundary_censuses():
@@ -60,7 +60,7 @@ def test_graph_entry_is_label_invariant(graph, data):
     entry_of = tree_entry if isinstance(graph, PlanarTree) else graph_entry
     perm = data.draw(st.permutations(range(graph.num_half_edges)))
     entry = entry_of(graph)
-    relabeled = entry_of(graph.relabeled(perm))
+    relabeled = entry_of(relabel(graph, perm))
     assert relabeled.key == entry.key
     assert relabeled.aut_order == entry.aut_order == aut_order_oracle(graph)
 
@@ -71,9 +71,8 @@ def test_graph_entry_is_label_invariant(graph, data):
 def test_from_word_reads_back_the_key(graph, data):
     # the word is the serialization of a cache record: whatever the labels,
     # the graph it rebuilds reads the key back from half-edge 0
-    key = graph.relabeled(
-        data.draw(st.permutations(range(graph.num_half_edges)))
-    ).canonical_key()
+    key = relabel(graph, data.draw(
+        st.permutations(range(graph.num_half_edges)))).canonical_key()
     rebuilt = type(graph).from_word(key)
     assert rebuilt.boundary_word()[1] == key
     assert rebuilt.aut_order() == graph.aut_order()
@@ -108,3 +107,34 @@ def test_graph_entry_needs_one_unflagged_boundary():
                                  [(0, 3), (1, 4), (2, 5)], delta=(0,))
     with pytest.raises(MalformedGraph):
         graph_entry(torus)
+
+
+@pytest.mark.parametrize("valence_filter",
+                         [TRIVALENT, ("single", 4), ("single", 5)],
+                         ids=["trivalent", "single4", "single5"])
+def test_fatgraph_census_membership(valence_filter):
+    # of the all-valence censuses at g = 1, 2, the members of a census are
+    # exactly its classes, and no class is of another genus's census
+    for g in (1, 2):
+        pool = enumerate_fatgraphs(g, ALL)
+        assert all(in_fatgraph_census(e.graph, g, ALL) for e in pool)
+        assert not any(in_fatgraph_census(e.graph, 3 - g, ALL)
+                       for e in pool)
+        members = {e.key for e in pool
+                   if in_fatgraph_census(e.graph, g, valence_filter)}
+        assert members == {e.key for e in enumerate_fatgraphs(
+            g, valence_filter)}
+
+
+@pytest.mark.parametrize("profile", [TREE_TRIVALENT, ONE5, MARKED])
+def test_tree_census_membership(profile):
+    # among trees of every profile with 3 to 8 leaves, the members of a
+    # tree census are exactly its classes
+    pool = [tree for leaves in range(3, 9)
+            for other in (TREE_TRIVALENT, ONE5, MARKED)
+            for tree in unrooted_trees(leaves, other)]
+    for leaves in range(3, 9):
+        members = {tree.canonical_key() for tree in pool
+                   if in_tree_census(tree, leaves, profile)}
+        assert members == {tree.canonical_key()
+                           for tree in unrooted_trees(leaves, profile)}

@@ -14,6 +14,11 @@ from oracles import census_without
 GENUS_TWO = "fatgraphs g=2 n=1 filter=trivalent"
 
 
+def parse_rational(s: str) -> Fraction:
+    num, _, den = s.partition("/")
+    return Fraction(int(num), int(den) if den else 1)
+
+
 def run(capsys, *argv):
     code = cli.main(list(argv))
     out = capsys.readouterr().out
@@ -300,8 +305,10 @@ class TestCache:
          "trees leaves=5 profile=trivalent rooting=unrooted", "cell-kind"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "rotated-word"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "duplicate"),
+        (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "count-key"),
     ], ids=["tree-aut", "tree-bad-code", "cell-aut", "cell-rotated-word",
-            "tree-cell-kind", "graph-rotated-word", "graph-duplicate"])
+            "tree-cell-kind", "graph-rotated-word", "graph-duplicate",
+            "graph-count-key"])
     def test_load_rejects_edited_record(self, capsys, tmp_path, argv,
                                         descriptor, edit):
         argv = ("verify",) + argv + ("--cache", str(tmp_path))
@@ -315,6 +322,8 @@ class TestCache:
         if edit == "duplicate":
             lines[2] = "count=%d" % (count + 1)
             lines.insert(4, lines[3])
+        elif edit == "count-key":
+            lines[2] = "bogus=%d" % count
         else:
             if edit == "aut":
                 aut = str(int(aut) + 1)
@@ -330,6 +339,44 @@ class TestCache:
         code, out = run(capsys, *argv)
         assert code == 1
         assert "ok" not in out
+
+    @pytest.mark.parametrize("argv,descriptor,old,new", [
+        # same |Aut| and edge parity, so the euler sum does not change
+        (("--identity", "euler", "--g", "2"),
+         "fatgraphs g=2 n=1 filter=all",
+         "4 | graph | 2,6,10,2,6,10,2,6,10,2,6,10", "4 | graph | 2,2,2,2"),
+        (("--identity", "psi-top", "--g", "2"), GENUS_TWO, None,
+         "1 | graph | 2,3,14,2,13,14,9,3,4,4,13,3,12,12,13,7"),
+        (("--identity", "genus0", "--n", "6"),
+         "trees leaves=5 profile=trivalent rooting=unrooted", None,
+         "1 | tree | 1,43,1,43,17,1,43,13,1,43,9,1,43,5,1,43,1,43,17,13,9,5"),
+        (("--identity", "w1h", "--g", "2"),
+         "trees leaves=5 profile=one5 rooting=unrooted", None,
+         "1 | tree | 1,27,1,27,9,1,27,5,1,27,1,27,9,5"),
+        (("--identity", "w1h", "--g", "2"),
+         "trees leaves=4 profile=marked rooting=unrooted", None,
+         "2 | tree | 1,19,1,19,5,1,19,1,19,5"),
+    ], ids=["genus-one-graph-in-genus-two", "eight-edge-graph-in-trivalent",
+            "seven-leaf-tree", "trivalent-tree-in-one5",
+            "unmarked-tree-in-marked"])
+    def test_load_rejects_record_of_another_census(self, capsys, tmp_path,
+                                                   argv, descriptor, old,
+                                                   new):
+        # each record is well formed and canonical, with its true |Aut|,
+        # but its object is not of the census the file names
+        argv = ("verify",) + argv + ("--cache", str(tmp_path))
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        victim = cache_path(tmp_path, descriptor)
+        lines = victim.read_text().splitlines()
+        lines[lines.index(old) if old else 3] = new
+        victim.write_text("\n".join(lines) + "\n")
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("cache error:")
 
     def test_default_report_cache_layout(self, capsys, tmp_path):
         # cell censuses are derived from the tree censuses they double, so
@@ -417,7 +464,7 @@ class TestReport:
         assert code == 0
         doc = json.loads(out)
         for row in doc["rows"]:
-            value = cli.parse_rational(row["value_closed"])
+            value = parse_rational(row["value_closed"])
             assert cli.rational_str(value) == row["value_closed"]
         closed = {(r["identity"], r["param"]): r["value_closed"]
                   for r in doc["rows"]}

@@ -4,8 +4,7 @@ from math import factorial
 import pytest
 
 from fatmod.errors import ResourceLimit, WrongType
-from fatmod.integrals import (bernoulli, boundary_integral,
-                              boundary_integral_stable_path, euler_report,
+from fatmod.integrals import (bernoulli, boundary_integral, euler_report,
                               hodge_corollary, main_theorem, psi_top_genus0,
                               psi_top_hyperelliptic, psi_top_moduli,
                               w1_h_integral, zeta_negative)
@@ -120,11 +119,6 @@ class TestBoundaryIntegral:
         sub = psi_top_hyperelliptic(1, ws)
         r = boundary_integral(2, ws)
         assert r.value_assembled == sub.value_assembled / 2
-
-    def test_stable_graph_alternative(self, ws):
-        for g in (2, 3):
-            assert boundary_integral_stable_path(g) == \
-                boundary_integral(g, ws).value_closed
 
 
 class TestMainTheorem:

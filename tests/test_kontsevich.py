@@ -16,7 +16,7 @@ from fatmod.trees import (LEAF, ONE5, MARKED, build_rooted_tree,
                           odd_valence_trees, unrooted_trees)
 
 from oracles import (det_by_elimination, monte_carlo_cell_volume,
-                     pfaffian_by_matchings)
+                     pfaffian_by_matchings, relabel)
 
 
 def torus_graph():
@@ -42,7 +42,7 @@ class TestOmegaMatrix:
         for _ in range(10):
             perm = list(range(m))
             rng.shuffle(perm)
-            H = G.relabeled(perm)
+            H = relabel(G, perm)
             assert abs(pfaffian(omega_matrix(H))) == base
 
     def test_rejects_multiple_boundaries(self):

@@ -1,11 +1,12 @@
-"""The package never reaches into the test suite, and builds trees and
-cells one way.
+"""The package never reaches into the test suite, builds trees and cells
+one way, and holds no helper that only the tests call.
 
 Test oracles such as ``oracles.walsh_lehman`` are second routes for the
 tests only; a module of ``fatmod`` that imported one would make the two
 routes of a check share code.  Likewise ``oracles.rooted_tree_by_cycles``
 and ``oracles.double_by_cycles`` are the only builders of trees and cells
-from vertex cycles.
+from vertex cycles, and ``oracles.collapse_edge`` is the only collapse on
+vertex cycles: the package collapses boundary words.
 """
 
 import ast
@@ -44,12 +45,15 @@ def test_module_imports_nothing_from_tests(path):
             "%s imports %s" % (path.name, name)
 
 
-
 def referenced_names(path):
-    """Every name, attribute and imported name the file mentions."""
+    """Every name, attribute and imported name the file mentions, and every
+    function and class it defines."""
     names = set()
     for node in ast.walk(ast.parse(path.read_text(), str(path))):
-        if isinstance(node, ast.Name):
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef,
+                             ast.ClassDef)):
+            names.add(node.name)
+        elif isinstance(node, ast.Name):
             names.add(node.id)
         elif isinstance(node, ast.Attribute):
             names.add(node.attr)
@@ -64,3 +68,16 @@ def test_trees_and_cells_are_built_from_words(module):
     # module reaches for vertex cycles or permutation composition
     names = referenced_names(PACKAGE / ("%s.py" % module))
     assert not names & {"from_cycles", "perm_compose"}
+
+
+# helpers that no pipeline step, CLI command or acceptance check calls; the
+# references the tests still need are in ``oracles`` or the test modules
+TEST_ONLY = {"collapse_edge", "_cycle_from", "LoopCollapse", "relabeled",
+             "perm_inverse", "boundary_edge_cycles", "full_simplex_involution",
+             "boundary_integral_stable_path", "parse_rational",
+             "internal_valences"}
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_test_only_helpers(path):
+    assert not referenced_names(path) & TEST_ONLY

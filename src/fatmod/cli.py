@@ -18,8 +18,7 @@ from fractions import Fraction
 
 from . import enumeration as _enum
 from . import integrals as _int
-from .cache import cache_path, load_records
-from .errors import CacheError, FatmodError, ResourceLimit
+from .errors import CacheError, FatmodError, ResourceLimit, WrongType
 from .workspace import Workspace
 
 REPORT_FORMAT_VERSION = 1
@@ -124,15 +123,6 @@ def _default_g_range(name):
     return range(1, 4)
 
 
-def _check_existing_cache(ws, descriptor):
-    """Refuse to refresh on top of a corrupt or foreign cache file."""
-    if ws.cache_dir is None:
-        return
-    path = cache_path(ws.cache_dir, descriptor)
-    if path.exists():
-        load_records(path, descriptor)
-
-
 # the options of one census kind, which the other kind refuses
 _GRAPH_OPTIONS = ("type", "all_valences", "single_k", "cap_edges")
 _TREE_OPTIONS = ("leaves", "profile", "rooted")
@@ -154,9 +144,13 @@ def cmd_enumerate(args) -> int:
             raise FatmodError("--leaves must be at least 2, got %d" % leaves)
         profile = args.profile or "trivalent"
         rooting = "rooted" if args.rooted else "unrooted"
-        census = _enum.enumerate_trees(leaves, profile, rooting)
-        closed = _enum.tree_closed_count(leaves, profile, rooting)
+        descriptor = _enum.tree_descriptor(leaves, profile, rooting)
         kind = None if args.rooted else "tree"
+        params = (leaves, profile)
+        closed = _enum.tree_closed_count(leaves, profile, rooting)
+
+        def build():
+            return _enum.enumerate_trees(leaves, profile, rooting)
     else:
         if args.type is None:
             raise FatmodError("need --type G,N (or --trees)")
@@ -174,15 +168,30 @@ def cmd_enumerate(args) -> int:
             valence_filter = _enum.ALL
         else:
             valence_filter = _enum.TRIVALENT
-        census = _enum.enumerate_fatgraphs(g, valence_filter,
-                                           cap_edges=ws.cap_edges)
-        closed = _enum.fatgraph_closed_count(g, valence_filter)
+        valence_filter = _enum.fatgraph_filter(g, valence_filter)
+        if args.single_k is not None and args.single_k > 4 * g:
+            # E = 6g - k edges, fewer than the 2g of one vertex: a census
+            # that is empty by arithmetic is a wrong request
+            raise WrongType("a single k-valent vertex in genus %d needs "
+                            "k <= %d, got %d" % (g, 4 * g, args.single_k))
+        descriptor = _enum.fatgraph_descriptor(g, valence_filter)
         kind = "graph"
+        params = (g, valence_filter)
+        closed = _enum.fatgraph_closed_count(g, valence_filter)
+
+        def build():
+            return _enum.enumerate_fatgraphs(g, valence_filter,
+                                             cap_edges=ws.cap_edges)
+    # a census already on disk is loaded through the checked loader, so a
+    # corrupt file is a cache error, and only a missing one is searched
+    census = None if kind is None else ws._load(descriptor, kind, params)
+    built = census is None
+    if built:
+        census = build()
     assembled = census.orbifold_sum()
     # None: no closed count is known for this census kind
     match = None if closed is None else closed == assembled
-    if kind is not None and match is not False:
-        _check_existing_cache(ws, census.descriptor)
+    if built and kind is not None and match is not False:
         ws.save(census, kind)
     row = {
         "identity": "census",

@@ -19,11 +19,24 @@ graphs up to isomorphism by its least cyclic rotation, and the automorphism
 group is the rotation stabilizer.
 
 There is one search, for the trivalent census (E = 6g - 3, every
-sigma-cycle of length three).  It backtracks over pairings, closing a path
-of three slots as soon as it forms, and is orderly (Read 1978; McKay 1998):
-a partial pairing is cut as soon as some rotation of its known gap word is
-already smaller, so only canonical representatives, each its own least
-rotation, are emitted, one per class.
+sigma-cycle of length three).  It pairs the least unpaired slot with each
+later one in turn.  The links t(p) = alpha(p) + 1 made so far form open
+paths and closed 3-cycles, the vertices.  The search state is ``alpha``,
+the gap of each paired slot, and, at both endpoints of each open path, its
+other endpoint and its slot count, so a pair is linked and checked in O(1)
+with no path walked.  A path of three slots is closed as soon as it forms
+(forced closure).  Each node copies the state once and restores it by
+slice assignment after each try.  Two cuts keep the search small:
+
+* a pair whose links would make a path longer than three slots, or close
+  one shorter, is skipped before anything is written;
+* the search is orderly (Read 1978; McKay 1998): a least rotation starts
+  with its least entry, so a partial pairing is cut as soon as a known gap
+  is below gap[0], or a rotation that starts with gap[0] is already
+  smaller than the word over the slots known in both.
+
+So only canonical representatives, each its own least rotation, are
+emitted, one per class, in lexicographic order.
 
 Every other census is a collapse closure of the trivalent one, as every
 cell of the ribbon graph complex is a face of a top cell: collapsing a
@@ -141,126 +154,153 @@ def graph_entry(graph: Fatgraph) -> CensusEntry:
 def _trivalent_pairings(num_edges: int):
     """Pairings of Z_{2E} whose sigma-cycles all have length three, one per
     rotation class: those whose gap sequence is its own least rotation.
-    Returns alpha tuples.
+    Returns alpha tuples, in lexicographic order.
+
+    The search pairs the least unpaired slot p with each later q in turn.
+    A pair adds the links t(p) = q + 1 and t(q) = p + 1 of
+    ``t = alpha + 1``, the vertex permutation; the links form open paths,
+    and cycles that are vertices.  Each open path keeps its other endpoint
+    (``end``) and its slot count (``size``) at both its endpoints, so a
+    link joins two paths or closes one in O(1).  A path of three slots is
+    closed at once: its tail is paired with the slot before its head.
+    Each node snapshots the four arrays once and restores them by slice
+    assignment after each try.
     """
     m = 2 * num_edges
     alpha = [-1] * m
     gap = [-1] * m     # alpha[p] - p mod m where defined; gaps are >= 1
-    fwd = [-1] * m     # t(p) = alpha[p] + 1 where defined
-    bwd = [-1] * m
+    end = list(range(m))
+    size = [1] * m
     results = []
 
-    def head_of(p):
-        while bwd[p] != -1:
-            p = bwd[p]
-        return p
-
-    def tail_of(p):
-        q = p
-        while fwd[q] != -1:
-            q = fwd[q]
-            if q == p:
-                return None  # closed cycle
-        return q
-
-    def path_len(p):
-        n = 1
-        q = p
-        while bwd[q] != -1:
-            q = bwd[q]
-            if q == p:
-                return n  # cycle length
-            n += 1
-        q = p
-        while fwd[q] != -1:
-            q = fwd[q]
-            n += 1
-        return n
-
-    def assign(p, q, trail):
-        """Pair p with q; returns False on contradiction.  All state changes
-        are recorded on trail for rollback."""
+    def assign(p, q):
+        """Pair p with q and close every path of three slots this makes;
+        False on a contradiction, leaving the arrays to be restored."""
         alpha[p] = q
         alpha[q] = p
-        gap[p] = (q - p) % m
-        gap[q] = (p - q) % m
-        trail.append(("a", p, q))
-        for a, b in ((p, (q + 1) % m), (q, (p + 1) % m)):
-            # add link t(a) = b; a link that closes the cycle
-            # b -> ... -> a -> b must close a vertex of valence three
-            if a == b or (head_of(a) == b and path_len(a) != 3):
+        gp = gap[p] = q - p if q > p else q - p + m
+        gq = gap[q] = m - gp
+        # a least rotation starts with its least gap
+        g0 = gap[0]
+        if gp < g0 or gq < g0:
+            return False
+        # the link p -> q + 1 joins the path ending at p to the one that
+        # starts at q + 1, or closes them if they are one path
+        b = q + 1 if q + 1 < m else 0
+        h1 = end[p]
+        if h1 == b:
+            if size[p] != 3:
                 return False
-            fwd[a] = b
-            bwd[b] = a
-            trail.append(("l", a, b))
-        # overlength and forced-closure propagation on both touched paths
-        forced = None
-        for seed in (p, q):
-            t = tail_of(seed)
-            if t is None:
-                continue  # closed into a cycle of length three
-            length = path_len(seed)
-            if length > 3:
+            t1 = -1
+        else:
+            t1 = end[b]
+            n = size[p] + size[b]
+            if n > 3:
                 return False
-            if length == 3:
-                closer = (head_of(seed) - 1) % m
-                if closer == t:
-                    return False
-                if alpha[t] == -1 and alpha[closer] == -1:
-                    if forced is None:
-                        forced = []
-                    forced.append((t, closer))
-                elif alpha[t] != closer:
-                    return False
-        if forced:
-            for a, b in forced:
-                if alpha[a] == -1 and alpha[b] == -1:
-                    if not assign(a, b, trail):
-                        return False
-                elif alpha[a] != b:
-                    return False
+            end[h1] = t1
+            end[t1] = h1
+            size[h1] = size[t1] = n
+            if n != 3:
+                t1 = -1
+        # the link q -> p + 1, likewise
+        b = p + 1 if p + 1 < m else 0
+        h2 = end[q]
+        if h2 == b:
+            if size[q] != 3:
+                return False
+            t2 = -1
+        else:
+            t2 = end[b]
+            n = size[q] + size[b]
+            if n > 3:
+                return False
+            end[h2] = t2
+            end[t2] = h2
+            size[h2] = size[t2] = n
+            if n != 3:
+                t2 = -1
+        # a path h -> .. -> t of three slots closes by t(t) = h, that is
+        # by pairing t with h - 1; a paired tail means the second link
+        # closed the path of the first
+        if t1 >= 0 and alpha[t1] == -1:
+            c1 = h1 - 1 if h1 else m - 1
+            if c1 == t1 or alpha[c1] != -1:
+                return False
+        else:
+            t1 = -1
+        if t2 >= 0 and alpha[t2] == -1:
+            c2 = h2 - 1 if h2 else m - 1
+            if c2 == t2 or alpha[c2] != -1:
+                return False
+        else:
+            t2 = -1
+        if t1 >= 0 and not assign(t1, c1):
+            return False
+        if t2 >= 0:
+            if alpha[t2] == -1 and alpha[c2] == -1:
+                return assign(t2, c2)
+            return alpha[t2] == c2
         return True
-
-    def undo(trail, mark):
-        while len(trail) > mark:
-            kind, x, y = trail.pop()
-            if kind == "a":
-                alpha[x] = gap[x] = -1
-                alpha[y] = gap[y] = -1
-            else:
-                fwd[x] = -1
-                bwd[y] = -1
 
     def rotation_is_smaller():
         """True when some rotation of the gap word is already smaller than
-        the word itself, whatever the unassigned slots become.  Each pair
-        is compared up to the first slot unknown in either."""
-        for r in range(1, m):
-            j = r
-            for i in range(m):
+        the word itself, whatever the unpaired slots become.  ``assign``
+        keeps every known gap at least gap[0], so only rotations that
+        start with gap[0] are compared, each up to the first slot unknown
+        in either."""
+        g0 = gap[0]
+        r = 0
+        while True:
+            try:
+                r = gap.index(g0, r + 1)
+            except ValueError:
+                return False
+            i, j = 1, r + 1
+            while i < m:
+                if j == m:
+                    j = 0
                 x, y = gap[i], gap[j]
                 if x < 0 or y < 0 or y > x:
                     break
                 if y < x:
                     return True
-                j = j + 1 if j + 1 < m else 0
-        return False
+                i += 1
+                j += 1
 
     def search():
-        p = 0
-        while p < m and alpha[p] != -1:
-            p += 1
-        if p == m:
+        try:
+            p = alpha.index(-1)
+        except ValueError:
             results.append(tuple(alpha))
             return
-        trail = []
-        for q in range(p + 1, m):
+        saved = alpha[:], gap[:], end[:], size[:]
+        # gaps below gap[0] are cut: q - p >= gap[0] and m - (q - p) >=
+        # gap[0], and at the root gap[0] = q is at most m - q
+        if p:
+            lo, hi = p + gap[0], min(m, m + p - gap[0] + 1)
+        else:
+            lo, hi = 1, num_edges + 1
+        b2 = p + 1 if p + 1 < m else 0
+        for q in range(lo, hi):
             if alpha[q] != -1:
                 continue
-            mark = len(trail)
-            if assign(p, q, trail) and not rotation_is_smaller():
+            # skip a q whose links p -> q + 1 or q -> p + 1 would make a
+            # path longer than three slots, or close one shorter; paths
+            # only grow, so the sizes before the pair decide
+            b1 = q + 1 if q + 1 < m else 0
+            if end[p] == b1:
+                if size[p] != 3:
+                    continue
+            elif size[p] + size[b1] > 3:
+                continue
+            if end[q] == b2:
+                if size[q] != 3:
+                    continue
+            elif size[q] + size[b2] > 3:
+                continue
+            if assign(p, q) and not rotation_is_smaller():
                 search()
-            undo(trail, mark)
+            alpha[:], gap[:], end[:], size[:] = saved
 
     search()
     return results
@@ -335,6 +375,27 @@ def _one_boundary_census(g, valence_filter, cap_edges):
     return tuple(out)
 
 
+def fatgraph_filter(g: int, valence_filter):
+    """The filter of the census that ``enumerate_fatgraphs(g,
+    valence_filter)`` builds, with ``("single", 3)`` read as
+    ``"trivalent"``, so each census has one descriptor.
+
+    Raises WrongType for g < 1 and for a single k-valent vertex with k < 3.
+
+    >>> fatgraph_filter(2, ("single", 3))
+    'trivalent'
+    """
+    if g < 1:
+        raise WrongType("censuses need type (g,1) with g >= 1, got (%d,1)"
+                        % g)
+    if valence_filter in (TRIVALENT, ALL):
+        return valence_filter
+    k = valence_filter[1]
+    if k < 3:
+        raise WrongType("a single k-valent vertex needs k >= 3, got %d" % k)
+    return TRIVALENT if k == 3 else valence_filter
+
+
 def fatgraph_descriptor(g: int, valence_filter) -> str:
     """Descriptor of the census built by enumerate_fatgraphs; it also names
     the census's cache file."""
@@ -385,17 +446,14 @@ def enumerate_fatgraphs(g: int, valence_filter=TRIVALENT,
     """Census of fatgraph isomorphism classes of type (g, 1), g >= 1.
 
     ``valence_filter`` is ``"trivalent"``, ``"all"`` (valences >= 3), or
-    ``("single", k)`` for one k-valent vertex, k >= 3, among trivalent ones.
-    Raises WrongType for g < 1 and ResourceLimit when the 6g - 3 edges of
-    the trivalent census, which every census is collapsed from, exceed the
-    cap.
+    ``("single", k)`` for one k-valent vertex, k >= 3, among trivalent
+    ones; ``("single", 3)`` is the trivalent census, and k > 4g gives an
+    empty one (E = 6g - k edges, fewer than the 2g of one vertex).  Raises
+    WrongType for g < 1 or k < 3 (:func:`fatgraph_filter`) and
+    ResourceLimit when the 6g - 3 edges of the trivalent census, which
+    every census is collapsed from, exceed the cap.
     """
-    if g < 1:
-        raise WrongType("censuses need type (g,1) with g >= 1, got (%d,1)"
-                        % g)
-    if valence_filter not in (TRIVALENT, ALL) and valence_filter[1] < 3:
-        raise WrongType("a single k-valent vertex needs k >= 3, got %d"
-                        % valence_filter[1])
+    valence_filter = fatgraph_filter(g, valence_filter)
     if cap_edges is None:
         cap_edges = (DEFAULT_CAP_EDGES_ALL if valence_filter == ALL
                      else DEFAULT_CAP_EDGES)

@@ -14,6 +14,9 @@ too: ``collapse_edge`` collapses an edge on vertex cycles, the reference
 for ``enumeration.collapse_word`` on boundary words and for undoing
 ``Fatgraph.expansions``; ``relabel`` renames half-edges, for tests of label
 invariance; ``vertex_index`` tells a loop from a collapsible edge.
+``trivalent_pairings_reference`` is the orderly pairing search as it was
+before ``enumeration._trivalent_pairings`` kept path endpoints, the
+reference for its output.
 """
 
 from __future__ import annotations
@@ -335,6 +338,139 @@ def bernoulli_oracle(n: int) -> Fraction:
                                                        k + 1)
         total += inner
     return total
+
+
+def trivalent_pairings_reference(num_edges: int):
+    """Pairings of Z_{2E} whose sigma-cycles all have length three, one per
+    rotation class: those whose gap sequence is its own least rotation.
+    Returns alpha tuples.
+
+    The reference for ``enumeration._trivalent_pairings``: the same
+    orderly search, walking each t-path link by link to find its ends and
+    length, undoing each try from a trail of tagged records, and checking
+    every rotation of the gap word against the word itself.
+    """
+    m = 2 * num_edges
+    alpha = [-1] * m
+    gap = [-1] * m     # alpha[p] - p mod m where defined; gaps are >= 1
+    fwd = [-1] * m     # t(p) = alpha[p] + 1 where defined
+    bwd = [-1] * m
+    results = []
+
+    def head_of(p):
+        while bwd[p] != -1:
+            p = bwd[p]
+        return p
+
+    def tail_of(p):
+        q = p
+        while fwd[q] != -1:
+            q = fwd[q]
+            if q == p:
+                return None  # closed cycle
+        return q
+
+    def path_len(p):
+        n = 1
+        q = p
+        while bwd[q] != -1:
+            q = bwd[q]
+            if q == p:
+                return n  # cycle length
+            n += 1
+        q = p
+        while fwd[q] != -1:
+            q = fwd[q]
+            n += 1
+        return n
+
+    def assign(p, q, trail):
+        """Pair p with q; returns False on contradiction.  All state changes
+        are recorded on trail for rollback."""
+        alpha[p] = q
+        alpha[q] = p
+        gap[p] = (q - p) % m
+        gap[q] = (p - q) % m
+        trail.append(("a", p, q))
+        for a, b in ((p, (q + 1) % m), (q, (p + 1) % m)):
+            # add link t(a) = b; a link that closes the cycle
+            # b -> ... -> a -> b must close a vertex of valence three
+            if a == b or (head_of(a) == b and path_len(a) != 3):
+                return False
+            fwd[a] = b
+            bwd[b] = a
+            trail.append(("l", a, b))
+        # overlength and forced-closure propagation on both touched paths
+        forced = None
+        for seed in (p, q):
+            t = tail_of(seed)
+            if t is None:
+                continue  # closed into a cycle of length three
+            length = path_len(seed)
+            if length > 3:
+                return False
+            if length == 3:
+                closer = (head_of(seed) - 1) % m
+                if closer == t:
+                    return False
+                if alpha[t] == -1 and alpha[closer] == -1:
+                    if forced is None:
+                        forced = []
+                    forced.append((t, closer))
+                elif alpha[t] != closer:
+                    return False
+        if forced:
+            for a, b in forced:
+                if alpha[a] == -1 and alpha[b] == -1:
+                    if not assign(a, b, trail):
+                        return False
+                elif alpha[a] != b:
+                    return False
+        return True
+
+    def undo(trail, mark):
+        while len(trail) > mark:
+            kind, x, y = trail.pop()
+            if kind == "a":
+                alpha[x] = gap[x] = -1
+                alpha[y] = gap[y] = -1
+            else:
+                fwd[x] = -1
+                bwd[y] = -1
+
+    def rotation_is_smaller():
+        """True when some rotation of the gap word is already smaller than
+        the word itself, whatever the unassigned slots become.  Each pair
+        is compared up to the first slot unknown in either."""
+        for r in range(1, m):
+            j = r
+            for i in range(m):
+                x, y = gap[i], gap[j]
+                if x < 0 or y < 0 or y > x:
+                    break
+                if y < x:
+                    return True
+                j = j + 1 if j + 1 < m else 0
+        return False
+
+    def search():
+        p = 0
+        while p < m and alpha[p] != -1:
+            p += 1
+        if p == m:
+            results.append(tuple(alpha))
+            return
+        trail = []
+        for q in range(p + 1, m):
+            if alpha[q] != -1:
+                continue
+            mark = len(trail)
+            if assign(p, q, trail) and not rotation_is_smaller():
+                search()
+            undo(trail, mark)
+
+    search()
+    return results
 
 
 def census_without(census, index: int) -> OrbifoldCensus:

@@ -136,6 +136,8 @@ class TestEnumerate:
         ("--type", "1,1", "--rooted"),
         ("--type", "1,1", "--profile", "one5"),
         ("--type", "1,1", "--leaves", "5"),
+        ("--type", "2,1", "--single-k", "9"),
+        ("--type", "1,1", "--single-k", "5"),
     ], ids=["type-one-number", "type-not-integer", "type-genus-zero",
             "type-three-boundaries", "trees-one-leaf", "single-k-zero",
             "single-k-one", "single-k-negative", "single-k-two",
@@ -144,7 +146,8 @@ class TestEnumerate:
             "trees-with-type", "trees-with-single-k",
             "trees-with-all-valences", "trees-with-cap-edges",
             "graphs-with-rooted", "graphs-with-profile",
-            "graphs-with-leaves"])
+            "graphs-with-leaves", "single-k-above-4g",
+            "single-k-above-4g-torus"])
     def test_bad_arguments_exit_one(self, capsys, tmp_path, argv):
         code = cli.main(["enumerate", *argv, "--cache", str(tmp_path)])
         captured = capsys.readouterr()
@@ -153,6 +156,51 @@ class TestEnumerate:
         assert captured.err.startswith("error: ")
         assert captured.err.count("\n") == 1
         assert not list(tmp_path.iterdir())
+
+    def test_single_k_three_is_the_trivalent_census(self, capsys,
+                                                      tmp_path):
+        # one descriptor per census: the same row, the same one file
+        code, out = run(capsys, "enumerate", "--type", "2,1", "--single-k",
+                        "3", "--cache", str(tmp_path))
+        assert code == 0
+        assert out.splitlines()[1].split()[1:5] == ["classes=9", "35/6",
+                                                    "35/6", "ok"]
+        assert [p.name for p in tmp_path.iterdir()] == \
+            [cache_path(tmp_path, GENUS_TWO).name]
+        assert run(capsys, "enumerate", "--type", "2,1") == (code, out)
+
+    @pytest.mark.parametrize("argv,search", [
+        (("--type", "2,1"), "_trivalent_pairings"),
+        (("--type", "2,1", "--single-k", "6"), "_trivalent_pairings"),
+        (("--trees", "--leaves", "7", "--profile", "one5"),
+         "enumerate_trees"),
+    ], ids=["trivalent", "single-k", "trees"])
+    def test_cached_census_is_not_searched_again(self, capsys, tmp_path,
+                                                 monkeypatch, argv, search):
+        argv = ("enumerate",) + argv + ("--cache", str(tmp_path))
+        code, out = run(capsys, *argv)
+        assert code == 0
+        files = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def refuse(*a, **k):
+            raise AssertionError("searched a cached census")
+        monkeypatch.setattr(cli._enum, search, refuse)
+        assert run(capsys, *argv) == (code, out)
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
+
+    def test_cached_census_missing_a_class_fails(self, capsys, tmp_path):
+        # the loaded census meets the closed count as a searched one does
+        argv = ("enumerate", "--type", "2,1", "--cache", str(tmp_path))
+        run(capsys, *argv)
+        victim = cache_path(tmp_path, GENUS_TWO)
+        lines = victim.read_text().splitlines()
+        assert lines[2] == "count=9"
+        victim.write_text("\n".join(lines[:2] + ["count=8"] + lines[4:])
+                          + "\n")
+        code, out = run(capsys, *argv)
+        assert code == 3
+        assert out.splitlines()[1].split()[1:5] == ["classes=8", "35/6",
+                                                    "16/3", "FAIL"]
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--identity", "hevol", "--g", "3..1"),
@@ -446,9 +494,13 @@ class TestCache:
         run(capsys, "enumerate", "--type", "1,1", "--cache", str(tmp_path))
         victim = next(tmp_path.iterdir())
         victim.write_text("garbage\n")
-        code, _ = run(capsys, "enumerate", "--type", "1,1",
-                      "--cache", str(tmp_path))
+        code = cli.main(["enumerate", "--type", "1,1",
+                         "--cache", str(tmp_path)])
+        captured = capsys.readouterr()
         assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("cache error:")
+        assert captured.err.count("\n") == 1
 
     def test_report_no_build_missing_cache(self, capsys, tmp_path):
         code, _ = run(capsys, "report", "--identities", "euler",

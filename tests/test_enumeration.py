@@ -1,10 +1,12 @@
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT, catalan,
-                                catalan5, collapse_word, enumerate_fatgraphs,
+from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT,
+                                _trivalent_pairings, catalan, catalan5,
+                                collapse_word, enumerate_fatgraphs,
                                 enumerate_trees, tree_closed_count)
 from fatmod.errors import ResourceLimit
 from fatmod.fatgraph import Fatgraph
@@ -15,7 +17,8 @@ from fatmod.trees import LEAF, ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
 from oracles import (are_isomorphic, automorphism_order_bruteforce,
                      collapse_edge, naive_census, one_face_census_bruteforce,
                      relabel, rooted_tree_by_cycles, triangulation_count,
-                     vertex_index, walsh_lehman)
+                     trivalent_pairings_reference, vertex_index,
+                     walsh_lehman)
 
 
 class TestCatalan:
@@ -104,6 +107,65 @@ class TestFatgraphCensus:
         a = enumerate_fatgraphs(2, TRIVALENT)
         b = enumerate_fatgraphs(2, TRIVALENT)
         assert [e.key for e in a] == [e.key for e in b]
+
+
+def search_nodes(pairings, num_edges) -> int:
+    """Nodes a pairing search visits: calls of its nested ``search``."""
+    nodes = 0
+
+    def count(frame, event, arg):
+        nonlocal nodes
+        if event == "call" and frame.f_code.co_name == "search":
+            nodes += 1
+    sys.setprofile(count)
+    try:
+        pairings(num_edges)
+    finally:
+        sys.setprofile(None)
+    return nodes
+
+
+class TestTrivalentSearch:
+    """The orderly pairing search that every graph census starts from."""
+
+    def test_visits_no_more_nodes_than_reference(self):
+        # forced closure and the rotation cut only prune, so without them
+        # the output stays right and the search grows: at E = 9 the
+        # reference visits 73 nodes, and the search without forced
+        # closure 958
+        assert search_nodes(_trivalent_pairings, 9) <= \
+            search_nodes(trivalent_pairings_reference, 9)
+
+    @pytest.mark.parametrize("num_edges", [3, 9, 15])
+    def test_matches_reference_search(self, num_edges):
+        # the reference walks paths link by link, undoes each try from a
+        # trail and compares every rotation: same pairings, same order
+        assert _trivalent_pairings(num_edges) == \
+            trivalent_pairings_reference(num_edges)
+
+    @pytest.mark.parametrize("num_edges", [3, 9, 15])
+    def test_pairings_are_canonical_and_trivalent(self, num_edges):
+        m = 2 * num_edges
+        pairings = _trivalent_pairings(num_edges)
+        assert pairings == sorted(pairings)
+        rooted = 0
+        for alpha in pairings:
+            # a fixed-point-free involution ...
+            assert all(alpha[p] != p and alpha[alpha[p]] == p
+                       for p in range(m))
+            # ... whose vertex permutation alpha + 1 has only 3-cycles:
+            # no fixed point, and its cube is the identity
+            sigma = [(q + 1) % m for q in alpha]
+            assert all(sigma[p] != p and sigma[sigma[sigma[p]]] == p
+                       for p in range(m))
+            # ... and whose gap word is its own least rotation
+            gaps = tuple((alpha[p] - p) % m for p in range(m))
+            rotations = [gaps[r:] + gaps[:r] for r in range(m)]
+            assert gaps == min(rotations)
+            rooted += m // rotations.count(gaps)
+        # one pairing per class: each class is rooted at its distinct
+        # rotations, and the rooted maps are the Walsh-Lehman count
+        assert rooted == walsh_lehman((num_edges + 3) // 6)
 
 
 class TestCensusCompleteness:

@@ -6,7 +6,9 @@ tests only; a module of ``fatmod`` that imported one would make the two
 routes of a check share code.  Likewise ``oracles.rooted_tree_by_cycles``
 and ``oracles.double_by_cycles`` are the only builders of trees and cells
 from vertex cycles, and ``oracles.collapse_edge`` is the only collapse on
-vertex cycles: the package collapses boundary words.
+vertex cycles: the package collapses boundary words.  The pairing search
+that walks its paths link by link and undoes from a trail is
+``oracles.trivalent_pairings_reference`` only.
 """
 
 import ast
@@ -81,3 +83,10 @@ TEST_ONLY = {"collapse_edge", "_cycle_from", "LoopCollapse", "relabeled",
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_no_test_only_helpers(path):
     assert not referenced_names(path) & TEST_ONLY
+
+
+def test_pairing_search_keeps_no_path_walkers():
+    # the search keeps each open path's ends and size at its endpoints and
+    # restores a snapshot, so it walks no path and keeps no undo trail
+    names = referenced_names(PACKAGE / "enumeration.py")
+    assert not names & {"head_of", "tail_of", "path_len", "undo"}

@@ -18,7 +18,7 @@ from fractions import Fraction
 
 from . import enumeration as _enum
 from . import integrals as _int
-from .errors import CacheError, FatmodError, ResourceLimit, WrongType
+from .errors import CacheError, FatmodError, ResourceLimit
 from .workspace import Workspace
 
 REPORT_FORMAT_VERSION = 1
@@ -169,17 +169,14 @@ def cmd_enumerate(args) -> int:
         else:
             valence_filter = _enum.TRIVALENT
         valence_filter = _enum.fatgraph_filter(g, valence_filter)
-        if args.single_k is not None and args.single_k > 4 * g:
-            # E = 6g - k edges, fewer than the 2g of one vertex: a census
-            # that is empty by arithmetic is a wrong request
-            raise WrongType("a single k-valent vertex in genus %d needs "
-                            "k <= %d, got %d" % (g, 4 * g, args.single_k))
         descriptor = _enum.fatgraph_descriptor(g, valence_filter)
         kind = "graph"
         params = (g, valence_filter)
         closed = _enum.fatgraph_closed_count(g, valence_filter)
 
         def build():
+            if valence_filter != _enum.TRIVALENT:
+                return ws.collapse_closure(g, valence_filter)
             return _enum.enumerate_fatgraphs(g, valence_filter,
                                              cap_edges=ws.cap_edges)
     # a census already on disk is loaded through the checked loader, so a

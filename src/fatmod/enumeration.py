@@ -38,12 +38,12 @@ slice assignment after each try.  Two cuts keep the search small:
 So only canonical representatives, each its own least rotation, are
 emitted, one per class, in lexicographic order.
 
-Every other census is a collapse closure of the trivalent one, as every
-cell of the ribbon graph complex is a face of a top cell: collapsing a
-non-loop edge deletes its two slots from the word (:func:`collapse_word`).
+Every other census is :func:`collapse_closure` of a trivalent census, as
+every cell of the ribbon graph complex is a face of a top cell: collapsing
+a non-loop edge deletes its two slots from the word (:func:`collapse_word`).
 The all-valence census is the union of the levels E = 6g-3 .. 2g, and
 ("single", k) is level E = 6g - k, each step collapsing only edges at the
-one non-trivalent vertex.  So the edge cap is checked against 6g - 3.
+one non-trivalent vertex.  So :func:`check_edge_cap` reads 6g - 3 edges.
 
 Census kinds with a known count have a closed orbifold count beside their
 descriptor function (:func:`fatgraph_closed_count`,
@@ -317,11 +317,11 @@ def collapse_word(word, slot) -> tuple:
     (2, 2, 2, 2)
     """
     m = len(word)
-    partner = (slot + word[slot]) % m
-    kept = [i for i in range(m) if i != slot and i != partner]
-    position = {i: n for n, i in enumerate(kept)}
-    return canonical_gap_word(tuple(position[(i + word[i]) % m]
-                                    for i in kept))
+    lo, hi = sorted((slot, (slot + word[slot]) % m))
+    # slot i is kept when its partner j is; j moves down past lo and hi
+    return canonical_gap_word([j - (j > lo) - (j > hi) for j in
+                               ((i + w) % m for i, w in enumerate(word))
+                               if j != lo and j != hi])
 
 
 def _collapsible_slots(word, single: bool):
@@ -340,39 +340,57 @@ def _collapsible_slots(word, single: bool):
     return [p for p in slots if vertex[p] != vertex[partner[p]]]
 
 
-def _one_boundary_census(g, valence_filter, cap_edges):
-    top = 6 * g - 3
-    if top > cap_edges:
+def check_edge_cap(g: int, valence_filter, cap_edges=None) -> None:
+    """Raise ResourceLimit when the 6g - 3 edges of the trivalent census
+    exceed ``cap_edges``, by default 15, or 9 for all valences."""
+    if cap_edges is None:
+        cap_edges = (DEFAULT_CAP_EDGES_ALL if valence_filter == ALL
+                     else DEFAULT_CAP_EDGES)
+    if 6 * g - 3 > cap_edges:
         raise ResourceLimit("census needs %d edges, cap is %d"
-                            % (top, cap_edges))
+                            % (6 * g - 3, cap_edges))
+
+
+def _trivalent_census(g: int) -> OrbifoldCensus:
+    """The trivalent census of genus g; the search emits it in key order."""
+    top = 6 * g - 3
     m = 2 * top
-    words = set()
+    entries = []
     for alpha in _trivalent_pairings(top):
         word = canonical_gap_word(alpha)
         if word != tuple((alpha[p] - p) % m for p in range(m)):
             raise AssertionError("search emitted a non-canonical pairing")
-        if word in words:
-            raise AssertionError("search emitted a class twice")
-        words.add(word)
+        if entries and word <= entries[-1].key:
+            raise AssertionError("search emitted a class twice or out of "
+                                 "order")
+        entries.append(_word_entry(word))
+    return OrbifoldCensus(fatgraph_descriptor(g, TRIVALENT), tuple(entries))
 
+
+def collapse_closure(trivalent, g: int, valence_filter) -> OrbifoldCensus:
+    """The census of ``valence_filter`` in genus g, collapsed level by level
+    from the keys of ``trivalent``, the trivalent census of genus g."""
+    if valence_filter == TRIVALENT:
+        return trivalent
     # each collapse removes one edge, down to one vertex at E = 2g
-    steps = (top - 2 * g if valence_filter == ALL else
-             0 if valence_filter == TRIVALENT else valence_filter[1] - 3)
-    level = words
+    steps = 4 * g - 3 if valence_filter == ALL else valence_filter[1] - 3
+    words = level = {entry.key for entry in trivalent}
     for _ in range(steps):
         level = {collapse_word(word, slot) for word in level
                  for slot in _collapsible_slots(word, valence_filter != ALL)}
         words = words | level if valence_filter == ALL else level
         if not level:
             break
+    return OrbifoldCensus(fatgraph_descriptor(g, valence_filter),
+                          tuple(map(_word_entry, sorted(words))))
 
-    out = []
-    for word in sorted(words):
-        entry = graph_entry(Fatgraph.from_word(word))
-        if entry.key != word:
-            raise AssertionError("boundary word disagrees with gap word")
-        out.append(entry)
-    return tuple(out)
+
+def _word_entry(word) -> CensusEntry:
+    """The entry of the graph of a canonical gap word, keyed by that word."""
+    entry = graph_entry(Fatgraph.from_word(word))
+    if entry.key != word:
+        raise AssertionError("boundary word disagrees with gap word")
+    return entry
 
 
 def fatgraph_filter(g: int, valence_filter):
@@ -380,7 +398,8 @@ def fatgraph_filter(g: int, valence_filter):
     valence_filter)`` builds, with ``("single", 3)`` read as
     ``"trivalent"``, so each census has one descriptor.
 
-    Raises WrongType for g < 1 and for a single k-valent vertex with k < 3.
+    Raises WrongType for g < 1 and for a single k-valent vertex with k < 3
+    or k > 4g (E = 6g - k edges, fewer than the 2g of one vertex).
 
     >>> fatgraph_filter(2, ("single", 3))
     'trivalent'
@@ -391,8 +410,9 @@ def fatgraph_filter(g: int, valence_filter):
     if valence_filter in (TRIVALENT, ALL):
         return valence_filter
     k = valence_filter[1]
-    if k < 3:
-        raise WrongType("a single k-valent vertex needs k >= 3, got %d" % k)
+    if not 3 <= k <= 4 * g:
+        raise WrongType("a single k-valent vertex in genus %d needs "
+                        "3 <= k <= %d, got %d" % (g, 4 * g, k))
     return TRIVALENT if k == 3 else valence_filter
 
 
@@ -446,19 +466,15 @@ def enumerate_fatgraphs(g: int, valence_filter=TRIVALENT,
     """Census of fatgraph isomorphism classes of type (g, 1), g >= 1.
 
     ``valence_filter`` is ``"trivalent"``, ``"all"`` (valences >= 3), or
-    ``("single", k)`` for one k-valent vertex, k >= 3, among trivalent
-    ones; ``("single", 3)`` is the trivalent census, and k > 4g gives an
-    empty one (E = 6g - k edges, fewer than the 2g of one vertex).  Raises
-    WrongType for g < 1 or k < 3 (:func:`fatgraph_filter`) and
+    ``("single", k)`` for one k-valent vertex, 3 <= k <= 4g, among
+    trivalent ones; ``("single", 3)`` is the trivalent census.  Raises
+    WrongType for g < 1 or k outside 3..4g (:func:`fatgraph_filter`) and
     ResourceLimit when the 6g - 3 edges of the trivalent census, which
     every census is collapsed from, exceed the cap.
     """
     valence_filter = fatgraph_filter(g, valence_filter)
-    if cap_edges is None:
-        cap_edges = (DEFAULT_CAP_EDGES_ALL if valence_filter == ALL
-                     else DEFAULT_CAP_EDGES)
-    return OrbifoldCensus(fatgraph_descriptor(g, valence_filter),
-                          _one_boundary_census(g, valence_filter, cap_edges))
+    check_edge_cap(g, valence_filter, cap_edges)
+    return collapse_closure(_trivalent_census(g), g, valence_filter)
 
 
 def tree_descriptor(leaf_count: int, profile: str, rooting: str) -> str:

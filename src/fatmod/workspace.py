@@ -17,7 +17,7 @@ from .trees import MARKED, ONE5, TRIVALENT, PlanarTree
 
 class Workspace:
     """``cap_edges`` caps the fatgraph censuses; None keeps the defaults of
-    ``enumerate_fatgraphs``."""
+    ``enumeration.check_edge_cap``."""
 
     def __init__(self, cap_edges=None, cache_dir=None,
                  no_build: bool = False):
@@ -43,8 +43,15 @@ class Workspace:
 
     def all_valence_census(self, g: int) -> OrbifoldCensus:
         return self._get(_enum.fatgraph_descriptor(g, _enum.ALL), "graph",
-                         (g, _enum.ALL), lambda: _enum.enumerate_fatgraphs(
-                             g, _enum.ALL, cap_edges=self.cap_edges))
+                         (g, _enum.ALL),
+                         lambda: self.collapse_closure(g, _enum.ALL))
+
+    def collapse_closure(self, g: int, valence_filter) -> OrbifoldCensus:
+        """The census of ``valence_filter``, collapsed from this workspace's
+        own trivalent census once the cap allows it."""
+        _enum.check_edge_cap(g, valence_filter, self.cap_edges)
+        return _enum.collapse_closure(self.trivalent_census(g), g,
+                                      valence_filter)
 
     def tree_census(self, leaf_count: int, profile: str) -> OrbifoldCensus:
         return self._get(_enum.tree_descriptor(leaf_count, profile,

@@ -8,7 +8,7 @@ from hypothesis import given, settings, strategies as st
 
 from fatmod.enumeration import ALL, TRIVALENT, enumerate_fatgraphs, \
     graph_entry, in_fatgraph_census, in_tree_census, tree_entry
-from fatmod.errors import MalformedGraph
+from fatmod.errors import MalformedGraph, WrongType
 from fatmod.fatgraph import Fatgraph
 from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
     PlanarTree, odd_valence_trees, unrooted_trees
@@ -114,7 +114,8 @@ def test_graph_entry_needs_one_unflagged_boundary():
                          ids=["trivalent", "single4", "single5"])
 def test_fatgraph_census_membership(valence_filter):
     # of the all-valence censuses at g = 1, 2, the members of a census are
-    # exactly its classes, and no class is of another genus's census
+    # exactly its classes, and no class is of another genus's census; a
+    # single k-valent vertex with k > 4g is refused, and no class is of it
     for g in (1, 2):
         pool = enumerate_fatgraphs(g, ALL)
         assert all(in_fatgraph_census(e.graph, g, ALL) for e in pool)
@@ -122,6 +123,11 @@ def test_fatgraph_census_membership(valence_filter):
                        for e in pool)
         members = {e.key for e in pool
                    if in_fatgraph_census(e.graph, g, valence_filter)}
+        if valence_filter != TRIVALENT and valence_filter[1] > 4 * g:
+            assert not members
+            with pytest.raises(WrongType):
+                enumerate_fatgraphs(g, valence_filter)
+            continue
         assert members == {e.key for e in enumerate_fatgraphs(
             g, valence_filter)}
 

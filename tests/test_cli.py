@@ -72,6 +72,24 @@ class TestCapEdges:
         else:
             assert "1/120" in captured.out and "ok" in captured.out
 
+    @pytest.mark.parametrize("argv", [
+        ("verify", "--identity", "euler", "--g", "3"),
+        ("enumerate", "--type", "3,1", "--all-valences"),
+    ], ids=["verify-euler-g3", "enumerate-all-g3"])
+    def test_cap_is_checked_before_the_trivalent_census(
+            self, capsys, tmp_path, monkeypatch, argv):
+        # the all-valence cap of 9 edges stops g=3 before its trivalent
+        # census is searched, loaded or written
+        def refuse(*a, **k):
+            raise AssertionError("searched past the cap")
+        monkeypatch.setattr(cli._enum, "_trivalent_pairings", refuse)
+        code = cli.main([*argv, "--cache", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.err.startswith("size cap exceeded")
+        assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
 
 class TestEnumerate:
     def test_torus_census_summary(self, capsys, tmp_path):
@@ -188,6 +206,40 @@ class TestEnumerate:
         assert run(capsys, *argv) == (code, out)
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == files
 
+    def test_closure_writes_its_trivalent_census(self, capsys, tmp_path):
+        # an all-valence or single-k census is collapsed from the trivalent
+        # census of its genus, which is written beside it
+        code, _ = run(capsys, "enumerate", "--type", "1,1",
+                      "--all-valences", "--cache", str(tmp_path))
+        assert code == 0
+        trivalent = cache_path(tmp_path, "fatgraphs g=1 n=1 filter=trivalent")
+        assert sorted(tmp_path.iterdir()) == sorted([
+            trivalent, cache_path(tmp_path, "fatgraphs g=1 n=1 filter=all")])
+        written = trivalent.read_bytes()
+        trivalent.unlink()
+        run(capsys, "enumerate", "--type", "1,1", "--cache", str(tmp_path))
+        assert trivalent.read_bytes() == written
+
+    def test_single_k_reads_the_cached_trivalent_census(self, capsys,
+                                                        tmp_path,
+                                                        monkeypatch):
+        # the single-k census is collapsed from the trivalent file on disk
+        code, _ = run(capsys, "enumerate", "--type", "3,1",
+                      "--cache", str(tmp_path))
+        assert code == 0
+        [trivalent] = tmp_path.iterdir()
+        written = trivalent.read_bytes()
+
+        def refuse(*a, **k):
+            raise AssertionError("searched a cached trivalent census")
+        monkeypatch.setattr(cli._enum, "_trivalent_pairings", refuse)
+        code, out = run(capsys, "enumerate", "--type", "3,1", "--single-k",
+                        "12", "--cache", str(tmp_path))
+        assert code == 0
+        assert out.splitlines()[1].split()[1] == "classes=131"
+        assert trivalent.read_bytes() == written
+        assert len(list(tmp_path.iterdir())) == 2
+
     def test_cached_census_missing_a_class_fails(self, capsys, tmp_path):
         # the loaded census meets the closed count as a searched one does
         argv = ("enumerate", "--type", "2,1", "--cache", str(tmp_path))
@@ -282,7 +334,9 @@ class TestCache:
     def test_corrupt_cache(self, capsys, tmp_path):
         run(capsys, "verify", "--identity", "euler", "--g", "1",
             "--cache", str(tmp_path))
-        victim = next(tmp_path.iterdir())
+        # the file the second run reads; the trivalent census it was
+        # collapsed from is on disk too
+        victim = cache_path(tmp_path, "fatgraphs g=1 n=1 filter=all")
         victim.write_text(victim.read_text().replace(
             "%s %d" % (HEADER, FORMAT_VERSION), "%s 999" % HEADER))
         code, _ = run(capsys, "verify", "--identity", "euler", "--g", "1",
@@ -448,6 +502,21 @@ class TestCache:
             kinds = {line.split(" | ")[1] for line in lines[3:]}
             assert kinds == {"graph" if path.name.startswith("fatgraphs")
                              else "tree"}
+
+    def test_default_report_searches_each_genus_once(self, capsys,
+                                                     tmp_path, monkeypatch):
+        # the all-valence censuses of g=1, 2 are collapsed from the
+        # trivalent censuses the report already holds
+        searched = []
+        search = cli._enum._trivalent_pairings
+
+        def counted(num_edges):
+            searched.append(num_edges)
+            return search(num_edges)
+        monkeypatch.setattr(cli._enum, "_trivalent_pairings", counted)
+        code, _ = run(capsys, "report", "--cache", str(tmp_path))
+        assert code == 0
+        assert searched == [3, 9, 15]
 
     def test_enumerated_trees_feed_w1h(self, capsys, tmp_path):
         # the cell censuses of w1h at g=2 are the doubles of these two tree

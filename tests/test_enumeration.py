@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fatmod import enumeration
 from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT,
                                 _trivalent_pairings, catalan, catalan5,
                                 collapse_word, enumerate_fatgraphs,
@@ -13,6 +14,7 @@ from fatmod.fatgraph import Fatgraph
 from fatmod.trees import LEAF, ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
     _shapes, build_rooted_tree, odd_valence_shapes, rooted_trees, \
     unrooted_trees
+from fatmod.workspace import Workspace
 
 from oracles import (are_isomorphic, automorphism_order_bruteforce,
                      collapse_edge, naive_census, one_face_census_bruteforce,
@@ -102,6 +104,20 @@ class TestFatgraphCensus:
         assert len(census) == 3606
         assert census.orbifold_sum(
             weight=lambda e: 2 * e.graph.num_edges) == 71575
+
+    def test_workspace_collapses_its_own_trivalent_census(self,
+                                                          monkeypatch):
+        # once the workspace holds the trivalent census, the all-valence
+        # census is derived from it with no search
+        want = [(e.key, e.aut_order) for e in enumerate_fatgraphs(2, ALL)]
+        ws = Workspace()
+        ws.trivalent_census(2)
+
+        def refuse(num_edges):
+            raise AssertionError("searched %d edges again" % num_edges)
+        monkeypatch.setattr(enumeration, "_trivalent_pairings", refuse)
+        assert [(e.key, e.aut_order)
+                for e in ws.all_valence_census(2)] == want
 
     def test_deterministic_order(self):
         a = enumerate_fatgraphs(2, TRIVALENT)
@@ -291,7 +307,6 @@ class TestOrbifoldSum:
 
 class TestEulerCharacteristic:
     def test_cache_round_trip_determinism(self, tmp_path):
-        from fatmod.workspace import Workspace
         ws1 = Workspace(cache_dir=tmp_path)
         first = ws1.all_valence_census(1)
         ws2 = Workspace(cache_dir=tmp_path)  # reads the file written above
@@ -319,7 +334,6 @@ class TestEulerCharacteristic:
 def test_cache_load_matches_build(tmp_path, census_of, same_graphs):
     # a graph rebuilt from its stored word is the census graph itself; a
     # tree or a cell comes back relabeled, in the same class
-    from fatmod.workspace import Workspace
     built = census_of(Workspace(cache_dir=tmp_path))
     loaded = census_of(Workspace(cache_dir=tmp_path))
     assert len(built) > 1

@@ -213,3 +213,18 @@ class TestMutationDetection:
         broken = Workspace()
         broken.override(census.descriptor, census_without(census, 0))
         assert not euler_report(1, broken).match
+
+    def test_trivalent_census_fault_reaches_all_valences(self, ws):
+        # the all-valence census is collapsed from the workspace's
+        # trivalent census, so a class lost there is lost in euler too.
+        # Every face of the last g=2 class is a face of another class, so
+        # only that class goes; a class with faces of its own can take
+        # them along as an elementary collapse, which keeps the sum
+        census = ws.trivalent_census(2)
+        lost = census.entries[-1].key
+        broken = Workspace()
+        broken.override(census.descriptor,
+                        census_without(census, len(census) - 1))
+        assert {e.key for e in broken.all_valence_census(2)} == \
+            {e.key for e in ws.all_valence_census(2)} - {lost}
+        assert not euler_report(2, broken).match

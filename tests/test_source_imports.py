@@ -8,7 +8,9 @@ and ``oracles.double_by_cycles`` are the only builders of trees and cells
 from vertex cycles, and ``oracles.collapse_edge`` is the only collapse on
 vertex cycles: the package collapses boundary words.  The pairing search
 that walks its paths link by link and undoes from a trail is
-``oracles.trivalent_pairings_reference`` only.
+``oracles.trivalent_pairings_reference`` only.  The package's one pairing
+search has one caller, the trivalent census builder, so every other census
+is collapsed from a trivalent census and no census path searches twice.
 """
 
 import ast
@@ -90,3 +92,29 @@ def test_pairing_search_keeps_no_path_walkers():
     # restores a snapshot, so it walks no path and keeps no undo trail
     names = referenced_names(PACKAGE / "enumeration.py")
     assert not names & {"head_of", "tail_of", "path_len", "undo"}
+
+
+def mentions(node, name):
+    """How often the names, attributes and imported names under node
+    say name."""
+    return sum(isinstance(n, ast.Name) and n.id == name
+               or isinstance(n, ast.Attribute) and n.attr == name
+               or isinstance(n, ast.alias) and name in (n.name, n.asname)
+               for n in ast.walk(node))
+
+
+def test_one_function_runs_the_pairing_search():
+    search = "_trivalent_pairings"
+    callers, total, inside = [], 0, 0
+    for path in SOURCES:
+        tree = ast.parse(path.read_text(), str(path))
+        total += mentions(tree, search)
+        for node in ast.walk(tree):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                assert node.name != "_one_boundary_census", path.name
+                if node.name != search and mentions(node, search):
+                    callers.append("%s.%s" % (path.stem, node.name))
+                    inside += mentions(node, search)
+    assert callers == ["enumeration._trivalent_census"]
+    # no module-level alias or import reaches the search either
+    assert total == inside

@@ -7,13 +7,12 @@ Layout (text, one record per line):
     count=<N>
     <aut order> | <kind> | <w0>,<w1>,...
 
-``kind`` is ``graph`` for a one-boundary fatgraph and ``tree`` for an
-unrooted planar tree; cells are never stored, as a cell census is derived
-from the tree census it doubles.  The word is the canonical key
-(``Fatgraph.canonical_key``) of the graph or tree, the one serialization of
-a graph: ``Fatgraph.from_word`` rebuilds it.  A descriptor or version
-mismatch is reported as corruption, never silently reused; files of another
-format version have another name and are never read.
+Only fatgraph censuses are stored, so ``kind`` is always ``graph``; tree
+and cell censuses are built in memory.  The word is the canonical key
+(``Fatgraph.canonical_key``) of the graph, its one serialization:
+``Fatgraph.from_word`` rebuilds it.  A descriptor or version mismatch is
+reported as corruption, never silently reused; files of another format
+version have another name and are never read.
 """
 
 from __future__ import annotations

@@ -123,8 +123,9 @@ def _default_g_range(name):
     return range(1, 4)
 
 
-# the options of one census kind, which the other kind refuses
-_GRAPH_OPTIONS = ("type", "all_valences", "single_k", "cap_edges")
+# the options of one census kind, which the other kind refuses; a tree
+# census is built in memory and never cached
+_GRAPH_OPTIONS = ("type", "all_valences", "single_k", "cap_edges", "cache")
 _TREE_OPTIONS = ("leaves", "profile", "rooted")
 
 
@@ -135,7 +136,7 @@ def cmd_enumerate(args) -> int:
             raise FatmodError("--%s does not apply to a %s census"
                               % (dest.replace("_", "-"),
                                  "tree" if args.trees else "fatgraph"))
-    ws = _build_workspace(args)
+    write = False
     if args.trees:
         leaves = args.leaves
         if leaves is None:
@@ -144,14 +145,10 @@ def cmd_enumerate(args) -> int:
             raise FatmodError("--leaves must be at least 2, got %d" % leaves)
         profile = args.profile or "trivalent"
         rooting = "rooted" if args.rooted else "unrooted"
-        descriptor = _enum.tree_descriptor(leaves, profile, rooting)
-        kind = None if args.rooted else "tree"
-        params = (leaves, profile)
         closed = _enum.tree_closed_count(leaves, profile, rooting)
-
-        def build():
-            return _enum.enumerate_trees(leaves, profile, rooting)
+        census = _enum.enumerate_trees(leaves, profile, rooting)
     else:
+        ws = _build_workspace(args)
         if args.type is None:
             raise FatmodError("need --type G,N (or --trees)")
         try:
@@ -169,27 +166,22 @@ def cmd_enumerate(args) -> int:
         else:
             valence_filter = _enum.TRIVALENT
         valence_filter = _enum.fatgraph_filter(g, valence_filter)
-        descriptor = _enum.fatgraph_descriptor(g, valence_filter)
-        kind = "graph"
-        params = (g, valence_filter)
         closed = _enum.fatgraph_closed_count(g, valence_filter)
-
-        def build():
-            if valence_filter != _enum.TRIVALENT:
-                return ws.collapse_closure(g, valence_filter)
-            return _enum.enumerate_fatgraphs(g, valence_filter,
-                                             cap_edges=ws.cap_edges)
-    # a census already on disk is loaded through the checked loader, so a
-    # corrupt file is a cache error, and only a missing one is searched
-    census = None if kind is None else ws._load(descriptor, kind, params)
-    built = census is None
-    if built:
-        census = build()
+        # a census already on disk is loaded through the checked loader, so
+        # a corrupt file is a cache error, and only a missing one is searched
+        census = ws._load(_enum.fatgraph_descriptor(g, valence_filter), g,
+                          valence_filter)
+        write = census is None
+        if write:
+            census = (ws.collapse_closure(g, valence_filter)
+                      if valence_filter != _enum.TRIVALENT
+                      else _enum.enumerate_fatgraphs(
+                          g, valence_filter, cap_edges=ws.cap_edges))
     assembled = census.orbifold_sum()
     # None: no closed count is known for this census kind
     match = None if closed is None else closed == assembled
-    if built and kind is not None and match is not False:
-        ws.save(census, kind)
+    if write and match is not False:
+        ws.save(census)
     row = {
         "identity": "census",
         "param_name": "classes",

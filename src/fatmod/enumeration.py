@@ -1,12 +1,13 @@
 """Exhaustive censuses of fatgraph isomorphism classes with automorphism
 orders, supporting exact orbifold-weighted sums.
 
-Each census kind that is cached has one entry function that turns an
-object into its :class:`CensusEntry` (key and automorphism order):
-:func:`graph_entry` for one-boundary graphs and :func:`tree_entry` for
-unrooted trees.  The builders and the cache loader both call it, so a census
-has the same keys however it was obtained.  Cell censuses are never cached:
-``hyperelliptic`` derives them from the tree censuses they double.
+Each census kind has one entry function that turns an object into its
+:class:`CensusEntry` (key and automorphism order): :func:`graph_entry` for
+one-boundary graphs and :func:`tree_entry` for unrooted trees.  Only
+fatgraph censuses are cached; the builders and the cache loader both call
+:func:`graph_entry`, so a census has the same keys however it was obtained.
+Tree censuses are built in memory, and ``hyperelliptic`` derives cell
+censuses from the tree censuses they double.
 
 Every census holds one-boundary graphs, keyed by the least rotation of their
 boundary word (``Fatgraph.canonical_key``).  They are enumerated through that
@@ -47,11 +48,11 @@ one non-trivalent vertex.  So :func:`check_edge_cap` reads 6g - 3 edges.
 
 Census kinds with a known count have a closed orbifold count beside their
 descriptor function (:func:`fatgraph_closed_count`,
-:func:`tree_closed_count`); these read no census.  Beside each descriptor
-function, a membership test (:func:`in_fatgraph_census`,
-:func:`in_tree_census`) says which objects the census it names holds; the
-cache loader rejects a record outside its census.  Types (g, n) with n > 1
-have no census, so the census functions take only g.
+:func:`tree_closed_count`); these read no census.  Beside
+:func:`fatgraph_descriptor`, the membership test :func:`in_fatgraph_census`
+says which graphs the census it names holds; the cache loader rejects a
+record outside its census.  Types (g, n) with n > 1 have no census, so the
+census functions take only g.
 """
 
 from __future__ import annotations
@@ -481,19 +482,6 @@ def tree_descriptor(leaf_count: int, profile: str, rooting: str) -> str:
     """Descriptor of the census built by enumerate_trees."""
     return "trees leaves=%d profile=%s rooting=%s" % (leaf_count, profile,
                                                       rooting)
-
-
-def in_tree_census(tree, leaf_count: int, profile: str) -> bool:
-    """Whether a planar tree is of the census that
-    ``tree_descriptor(leaf_count, profile, rooting)`` names: that many
-    leaves, internal vertices all trivalent but one 5-valent for ``one5``,
-    and one marked internal vertex for ``marked`` only."""
-    internal = sorted(len(c) for c in tree.vertices if len(c) > 1)
-    top = 5 if profile == _trees.ONE5 else 3
-    marked = 1 if profile == _trees.MARKED else 0
-    return (tree.leaf_count == leaf_count
-            and internal == [3] * (len(internal) - 1) + [top]
-            and len(tree.marked_vertices) == marked)
 
 
 def tree_closed_count(leaf_count: int, profile: str,

@@ -3,14 +3,15 @@
 A planar tree is a fatgraph of type (0, 1); its valence-one vertices are the
 leaves and carry the delta flag.  One recursion, :func:`_shapes`, gives the
 rooted shapes of every valence profile by branch decomposition (a rooted
-tree is a leaf or an internal vertex with an ordered list of subtrees);
-unrooted classes keep the first tree of each least boundary-word rotation.
+tree is a leaf or an internal vertex with an ordered list of subtrees).
 Rooted trivalent shapes with m internal vertices number C_m (Catalan).
 
-A tree is its graph and nothing more.  A generated tree is written from its
-contour word, the boundary word read from its root leaf, so the root is the
-leaf at half-edge 0 and the rooted key is that word.  Generation stops past
-``DEFAULT_CAP_LEAVES`` leaves.
+A tree is its graph and nothing more.  Each shape is first its contour
+word, the boundary word read from its root leaf; a tree written from that
+word has its root at half-edge 0, and its rooted key is the word.  Unrooted
+classes are found among the words, not the trees: each class keeps the
+first word, in shape order, of each least rotation, and only that word is
+built into a tree.  Generation stops past ``DEFAULT_CAP_LEAVES`` leaves.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 
 from .errors import MalformedGraph, ResourceLimit
-from .fatgraph import DELTA, Fatgraph
+from .fatgraph import DELTA, Fatgraph, least_rotation
 
 LEAF = "L"
 
@@ -48,15 +49,6 @@ class PlanarTree(Fatgraph):
             raise MalformedGraph("tree must have type (0,1), got %s" % (gt,))
         if self.num_edges != self.num_vertices - 1:
             raise MalformedGraph("not a tree")
-
-    @property
-    def leaf_vertices(self) -> tuple:
-        return tuple(v for v, cyc in enumerate(self.vertices)
-                     if len(cyc) == 1)
-
-    @property
-    def leaf_count(self) -> int:
-        return len(self.leaf_vertices)
 
     @property
     def marked_vertices(self) -> tuple:
@@ -129,19 +121,16 @@ def _compositions(n: int, k: int):
         yield tuple(b - a for a, b in zip(bounds, bounds[1:]))
 
 
-def build_rooted_tree(shape) -> PlanarTree:
-    """Realize a rooted shape as a planar tree fatgraph, written from its
-    contour word: the boundary word read from the root leaf at slot 0.
+def _contour_word(shape) -> tuple:
+    """The contour word of a rooted shape: the boundary word of its planar
+    tree read from the root leaf at slot 0.
 
     The contour enters each subtree through the stub it hangs from, walks
     its children left to right (each from its own stub), and leaves through
     the subtree's stub toward the root, the partner of the stub it came in
     by.  So at each internal vertex the cyclic order is (stub toward the
-    root, child 1, ..., child k), and half-edge i is slot i of the contour.
-
-    >>> tree = build_rooted_tree((LEAF, (LEAF, LEAF)))
-    >>> tree.rooted_key()
-    (19, 1, 19, 5, 1, 19, 1, 19, 5, 1)
+    root, child 1, ..., child k), and half-edge i of the tree that
+    ``PlanarTree.from_word`` builds is slot i of the contour.
     """
     partner, delta = [], []  # per contour slot
 
@@ -162,12 +151,23 @@ def build_rooted_tree(shape) -> PlanarTree:
 
     hang(shape, True)  # the root leaf
     m = len(partner)
-    return PlanarTree.from_word(tuple((p - i) % m + m * d for i, (p, d)
-                                      in enumerate(zip(partner, delta))))
+    return tuple((p - i) % m + m * d
+                 for i, (p, d) in enumerate(zip(partner, delta)))
 
 
-def rooted_trees(leaf_count: int, profile: str = TRIVALENT):
-    """All rooted trees with the given total leaf count (root included)."""
+def build_rooted_tree(shape) -> PlanarTree:
+    """Realize a rooted shape as a planar tree fatgraph, written from its
+    contour word, so its root leaf is half-edge 0.
+
+    >>> build_rooted_tree((LEAF, (LEAF, LEAF))).rooted_key()
+    (19, 1, 19, 5, 1, 19, 1, 19, 5, 1)
+    """
+    return PlanarTree.from_word(_contour_word(shape))
+
+
+def _contour_words(leaf_count: int, profile: str):
+    """The contour words of all rooted trees with the given total leaf
+    count (root included), in shape order."""
     if profile not in _PROFILES:
         raise ValueError("unknown profile %r" % profile)
     if leaf_count < 2:
@@ -175,25 +175,33 @@ def rooted_trees(leaf_count: int, profile: str = TRIVALENT):
     if leaf_count > DEFAULT_CAP_LEAVES:
         raise ResourceLimit("leaf count %d exceeds cap %d"
                             % (leaf_count, DEFAULT_CAP_LEAVES))
-    return [build_rooted_tree(s) for s in _shapes(leaf_count - 1, profile)]
+    return map(_contour_word, _shapes(leaf_count - 1, profile))
 
 
-def _classes(trees):
-    """Isomorphism classes of the given trees, sorted by canonical key; each
-    class is represented by its first tree in the given order."""
+def rooted_trees(leaf_count: int, profile: str = TRIVALENT):
+    """All rooted trees with the given total leaf count (root included)."""
+    return list(map(PlanarTree.from_word,
+                    _contour_words(leaf_count, profile)))
+
+
+def _classes(words):
+    """One tree per isomorphism class of the given contour words, sorted by
+    canonical key (the least rotation of a word); each class is the tree of
+    its first word in the given order."""
     classes = {}
-    for tree in trees:
-        classes.setdefault(tree.canonical_key(), tree)
-    return [classes[k] for k in sorted(classes)]
+    for word in words:
+        k = least_rotation(word)
+        classes.setdefault(word[k:] + word[:k], word)
+    return [PlanarTree.from_word(classes[key]) for key in sorted(classes)]
 
 
 def unrooted_trees(leaf_count: int, profile: str = TRIVALENT):
     """Isomorphism classes of unrooted trees with the given leaf count."""
-    return _classes(rooted_trees(leaf_count, profile))
+    return _classes(_contour_words(leaf_count, profile))
 
 
 def odd_valence_trees(max_edges: int):
     """Unrooted trees, all internal valences odd, at most max_edges edges."""
-    return _classes(build_rooted_tree(shape)
+    return _classes(_contour_word(shape)
                     for shape in odd_valence_shapes(max_edges)
                     if shape != LEAF)

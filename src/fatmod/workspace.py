@@ -1,7 +1,8 @@
 """Shared census store with an optional on-disk cache.
 
 All integral evaluations pull censuses from a workspace, so a CLI run, a
-cached rerun and a fault-injected test all see the same data path.
+cached rerun and a fault-injected test all see the same data path.  Only
+fatgraph censuses are cached; tree and cell censuses are built in memory.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from . import hyperelliptic as _hyper
 from .enumeration import OrbifoldCensus
 from .errors import CacheError, FatmodError
 from .fatgraph import Fatgraph
-from .trees import MARKED, ONE5, TRIVALENT, PlanarTree
+from .trees import MARKED, ONE5, TRIVALENT
 
 
 class Workspace:
@@ -33,8 +34,7 @@ class Workspace:
     # -- builders ----------------------------------------------------------
 
     def trivalent_census(self, g: int) -> OrbifoldCensus:
-        return self._get(_enum.fatgraph_descriptor(g, _enum.TRIVALENT),
-                         "graph", (g, _enum.TRIVALENT),
+        return self._get(g, _enum.TRIVALENT,
                          lambda: _enum.enumerate_fatgraphs(
                              g, _enum.TRIVALENT, cap_edges=self.cap_edges))
 
@@ -42,8 +42,7 @@ class Workspace:
     pristine_trivalent_census = trivalent_census
 
     def all_valence_census(self, g: int) -> OrbifoldCensus:
-        return self._get(_enum.fatgraph_descriptor(g, _enum.ALL), "graph",
-                         (g, _enum.ALL),
+        return self._get(g, _enum.ALL,
                          lambda: self.collapse_closure(g, _enum.ALL))
 
     def collapse_closure(self, g: int, valence_filter) -> OrbifoldCensus:
@@ -54,11 +53,10 @@ class Workspace:
                                       valence_filter)
 
     def tree_census(self, leaf_count: int, profile: str) -> OrbifoldCensus:
-        return self._get(_enum.tree_descriptor(leaf_count, profile,
-                                               "unrooted"), "tree",
-                         (leaf_count, profile),
-                         lambda: _enum.enumerate_trees(
-                             leaf_count, profile, "unrooted"))
+        return self._kept(_enum.tree_descriptor(leaf_count, profile,
+                                                "unrooted"),
+                          lambda: _enum.enumerate_trees(
+                              leaf_count, profile, "unrooted"))
 
     def hyperelliptic_census(self, g: int) -> OrbifoldCensus:
         return self._cells(_hyper.hyperelliptic_descriptor(g),
@@ -73,31 +71,46 @@ class Workspace:
                         _hyper.w1_component2_census, g, 2 * g, MARKED))
 
     def _cells(self, descriptor, build, g, leaf_count, profile):
-        """A cell census, built from the tree census it doubles and kept in
-        memory only, under its descriptor, so ``override`` reaches it."""
+        """A cell census, built from the tree census it doubles."""
+        return self._kept(descriptor, lambda: build(
+            g, self.tree_census(leaf_count, profile)))
+
+    def _kept(self, descriptor, build) -> OrbifoldCensus:
+        """A census built in memory only and kept under its descriptor, so
+        ``override`` reaches it."""
         census = self._store.get(descriptor)
         if census is None:
-            census = self._store[descriptor] = build(
-                g, self.tree_census(leaf_count, profile))
+            census = self._store[descriptor] = build()
         return census
 
     # -- cache plumbing ----------------------------------------------------
 
-    def _get(self, descriptor, kind, params, build) -> OrbifoldCensus:
+    def _get(self, g, valence_filter, build) -> OrbifoldCensus:
+        """A fatgraph census: kept, read from its file, or built and
+        written."""
+        descriptor = _enum.fatgraph_descriptor(g, valence_filter)
         census = self._store.get(descriptor)
         if census is not None:
             return census
-        census = self._load(descriptor, kind, params)
+        census = self._load(descriptor, g, valence_filter)
         if census is None:
             if self.no_build:
                 raise CacheError("census %r not cached and building is "
                                  "disabled" % descriptor)
             census = build()
-            self.save(census, kind)
+            self.save(census)
+        elif valence_filter == _enum.ALL:
+            # the trivalent classes are its top cells; a file that lost one
+            # with the faces only it has keeps the Euler sum, so euler
+            # alone would not see it
+            keys = {entry.key for entry in census}
+            if any(e.key not in keys for e in self.trivalent_census(g)):
+                raise CacheError("%r lacks a trivalent class of genus %d"
+                                 % (descriptor, g))
         self._store[descriptor] = census
         return census
 
-    def _load(self, descriptor, kind, params):
+    def _load(self, descriptor, g, valence_filter):
         if self.cache_dir is None:
             return None
         path = _cache.cache_path(self.cache_dir, descriptor)
@@ -105,7 +118,8 @@ class Workspace:
             if self.no_build:
                 raise CacheError("missing cache file %s" % path)
             return None
-        entries = sorted((self._entry_from_record(path, kind, params, record)
+        entries = sorted((self._entry_from_record(path, g, valence_filter,
+                                                  record)
                           for record in _cache.load_records(path, descriptor)),
                          key=lambda e: e.key)
         for a, b in zip(entries, entries[1:]):
@@ -114,43 +128,33 @@ class Workspace:
         return OrbifoldCensus(descriptor, tuple(entries))
 
     @staticmethod
-    def _entry_from_record(path, kind, params, record):
-        """Rebuild a record's object from its word, re-derive its entry
-        through the kind's entry function, and check the stored fields
-        against them and the object against its census."""
-        aut, rec_kind, word = record
-        if rec_kind != kind:
-            raise CacheError("record kind %r does not match census kind %r "
-                             "in %s" % (rec_kind, kind, path))
-        cls, entry_of, member = _RECORD_KINDS[kind]
+    def _entry_from_record(path, g, valence_filter, record):
+        """Rebuild a record's graph from its word, re-derive its entry, and
+        check the stored fields against them and the graph against its
+        census."""
+        aut, kind, word = record
+        if kind != "graph":
+            raise CacheError("record kind %r is not 'graph' in %s"
+                             % (kind, path))
         try:
-            obj = cls.from_word(word)
-            entry = entry_of(obj)
+            graph = Fatgraph.from_word(word)
+            entry = _enum.graph_entry(graph)
         except FatmodError as exc:
-            raise CacheError("bad %s record in %s: %s"
-                             % (kind, path, exc)) from exc
-        if obj.canonical_key() != word:
+            raise CacheError("bad record in %s: %s" % (path, exc)) from exc
+        if graph.canonical_key() != word:
             raise CacheError("stored word is not the canonical key of its "
-                             "%s in %s" % (kind, path))
-        if not member(obj, *params):
-            raise CacheError("%s record %s is outside the census of %s"
-                             % (kind, ",".join(map(str, word)), path))
+                             "graph in %s" % path)
+        if not _enum.in_fatgraph_census(graph, g, valence_filter):
+            raise CacheError("record %s is outside the census of %s"
+                             % (",".join(map(str, word)), path))
         if entry.aut_order != aut:
             raise CacheError("stored aut order %d, recomputed %d in %s"
                              % (aut, entry.aut_order, path))
         return entry
 
-    def save(self, census: OrbifoldCensus, kind: str) -> None:
+    def save(self, census: OrbifoldCensus) -> None:
         if self.cache_dir is None:
             return
         path = _cache.cache_path(self.cache_dir, census.descriptor)
-        records = [(entry.aut_order, kind, entry.key) for entry in census]
+        records = [(entry.aut_order, "graph", entry.key) for entry in census]
         _cache.save_records(path, census.descriptor, records)
-
-
-# census kind -> (the class a record's word rebuilds, its entry function,
-# its membership test, called with the object and the census's params)
-_RECORD_KINDS = {"graph": (Fatgraph, _enum.graph_entry,
-                           _enum.in_fatgraph_census),
-                 "tree": (PlanarTree, _enum.tree_entry,
-                          _enum.in_tree_census)}

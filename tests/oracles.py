@@ -16,7 +16,9 @@ for ``enumeration.collapse_word`` on boundary words and for undoing
 invariance; ``vertex_index`` tells a loop from a collapsible edge.
 ``trivalent_pairings_reference`` is the orderly pairing search as it was
 before ``enumeration._trivalent_pairings`` kept path endpoints, the
-reference for its output.
+reference for its output.  ``tree_classes_reference`` deduplicates built
+trees by their canonical keys, the reference for ``trees._classes``, which
+deduplicates contour words before any tree is built.
 """
 
 from __future__ import annotations
@@ -487,6 +489,15 @@ def census_with_aut_order(census, index: int,
     return OrbifoldCensus(census.descriptor + " [mutated]", tuple(entries))
 
 
+def tree_classes_reference(trees) -> list:
+    """Isomorphism classes of the given trees, sorted by canonical key; each
+    class is represented by its first tree in the given order."""
+    classes = {}
+    for tree in trees:
+        classes.setdefault(tree.canonical_key(), tree)
+    return [classes[k] for k in sorted(classes)]
+
+
 def rooted_tree_by_cycles(shape) -> PlanarTree:
     """The planar tree of a rooted shape, built from vertex cycles and edge
     pairs: the root leaf carries half-edge 0, each internal vertex has the
@@ -522,7 +533,7 @@ def double_by_cycles(tree) -> HyperellipticCell:
     cycles and edge pairs: each leaf stub is dropped and its edge joins the
     two copies, and a marked vertex (c_0 .. c_k) becomes the one vertex
     (c_0 .. c_k, c_0' .. c_k').  The involution adds the copy offset."""
-    leaves = set(tree.leaf_vertices)
+    leaves = {v for v, cycle in enumerate(tree.vertices) if len(cycle) == 1}
     marked = set(tree.marked_vertices)
     leaf_stubs = {tree.vertices[v][0] for v in leaves}
     keep = [h for h in range(tree.num_half_edges) if h not in leaf_stubs]

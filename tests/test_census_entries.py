@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatmod.enumeration import ALL, TRIVALENT, enumerate_fatgraphs, \
-    graph_entry, in_fatgraph_census, in_tree_census, tree_entry
+    graph_entry, in_fatgraph_census, tree_entry
 from fatmod.errors import MalformedGraph, WrongType
 from fatmod.fatgraph import Fatgraph
 from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
@@ -130,17 +130,3 @@ def test_fatgraph_census_membership(valence_filter):
             continue
         assert members == {e.key for e in enumerate_fatgraphs(
             g, valence_filter)}
-
-
-@pytest.mark.parametrize("profile", [TREE_TRIVALENT, ONE5, MARKED])
-def test_tree_census_membership(profile):
-    # among trees of every profile with 3 to 8 leaves, the members of a
-    # tree census are exactly its classes
-    pool = [tree for leaves in range(3, 9)
-            for other in (TREE_TRIVALENT, ONE5, MARKED)
-            for tree in unrooted_trees(leaves, other)]
-    for leaves in range(3, 9):
-        members = {tree.canonical_key() for tree in pool
-                   if in_tree_census(tree, leaves, profile)}
-        assert members == {tree.canonical_key()
-                           for tree in unrooted_trees(leaves, profile)}

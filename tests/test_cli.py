@@ -131,7 +131,8 @@ class TestEnumerate:
         monkeypatch.setattr(cli._enum, builder,
                             lambda *a, **k: census_without(build(*a, **k),
                                                            0))
-        code, out = run(capsys, "enumerate", *argv, "--cache", str(tmp_path))
+        cache = () if "--trees" in argv else ("--cache", str(tmp_path))
+        code, out = run(capsys, "enumerate", *argv, *cache)
         assert code == 3
         assert out.splitlines()[1].split()[4] == "FAIL"
         assert not list(tmp_path.iterdir())
@@ -156,6 +157,7 @@ class TestEnumerate:
         ("--type", "1,1", "--leaves", "5"),
         ("--type", "2,1", "--single-k", "9"),
         ("--type", "1,1", "--single-k", "5"),
+        ("--trees", "--leaves", "7", "--profile", "one5", "--cache", "{}"),
     ], ids=["type-one-number", "type-not-integer", "type-genus-zero",
             "type-three-boundaries", "trees-one-leaf", "single-k-zero",
             "single-k-one", "single-k-negative", "single-k-two",
@@ -165,9 +167,12 @@ class TestEnumerate:
             "trees-with-all-valences", "trees-with-cap-edges",
             "graphs-with-rooted", "graphs-with-profile",
             "graphs-with-leaves", "single-k-above-4g",
-            "single-k-above-4g-torus"])
+            "single-k-above-4g-torus", "trees-with-cache"])
     def test_bad_arguments_exit_one(self, capsys, tmp_path, argv):
-        code = cli.main(["enumerate", *argv, "--cache", str(tmp_path)])
+        # a tree census refuses --cache, so only trees-with-cache gives one
+        if "--trees" not in argv:
+            argv += ("--cache", "{}")
+        code = cli.main(["enumerate", *(a.format(tmp_path) for a in argv)])
         captured = capsys.readouterr()
         assert code == 1
         assert captured.out == ""
@@ -190,9 +195,7 @@ class TestEnumerate:
     @pytest.mark.parametrize("argv,search", [
         (("--type", "2,1"), "_trivalent_pairings"),
         (("--type", "2,1", "--single-k", "6"), "_trivalent_pairings"),
-        (("--trees", "--leaves", "7", "--profile", "one5"),
-         "enumerate_trees"),
-    ], ids=["trivalent", "single-k", "trees"])
+    ], ids=["trivalent", "single-k"])
     def test_cached_census_is_not_searched_again(self, capsys, tmp_path,
                                                  monkeypatch, argv, search):
         argv = ("enumerate",) + argv + ("--cache", str(tmp_path))
@@ -289,13 +292,12 @@ class TestEnumerate:
         assert captured.err.count("\n") == 1
         assert not list(tmp_path.iterdir())
 
-    def test_tree_leaf_cap_exit_two(self, capsys, tmp_path):
-        code = cli.main(["enumerate", "--trees", "--leaves", "40",
-                         "--cache", str(tmp_path)])
+    def test_tree_leaf_cap_exit_two(self, capsys):
+        code = cli.main(["enumerate", "--trees", "--leaves", "40"])
         captured = capsys.readouterr()
         assert code == 2
         assert captured.err.startswith("size cap exceeded")
-        assert not list(tmp_path.iterdir())
+        assert captured.out == ""
 
     @pytest.mark.parametrize("fmt,match", [
         ("human", "n/a"), ("csv", ""), ("json", None)])
@@ -395,22 +397,13 @@ class TestCache:
                                                     "FAIL"]
 
     @pytest.mark.parametrize("argv,descriptor,edit", [
-        (("--identity", "genus0", "--n", "6"),
-         "trees leaves=5 profile=trivalent rooting=unrooted", "aut"),
-        (("--identity", "genus0", "--n", "6"),
-         "trees leaves=5 profile=trivalent rooting=unrooted", "bad-code"),
-        (("--identity", "w1h", "--g", "2"),
-         "trees leaves=5 profile=one5 rooting=unrooted", "aut"),
-        (("--identity", "w1h", "--g", "2"),
-         "trees leaves=4 profile=marked rooting=unrooted", "rotated-word"),
-        (("--identity", "hevol", "--g", "2"),
-         "trees leaves=5 profile=trivalent rooting=unrooted", "cell-kind"),
+        (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "tree-kind"),
+        (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "bad-code"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "rotated-word"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "duplicate"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "count-key"),
-    ], ids=["tree-aut", "tree-bad-code", "cell-aut", "cell-rotated-word",
-            "tree-cell-kind", "graph-rotated-word", "graph-duplicate",
-            "graph-count-key"])
+    ], ids=["tree-cell-kind", "graph-bad-code", "graph-rotated-word",
+            "graph-duplicate", "graph-count-key"])
     def test_load_rejects_edited_record(self, capsys, tmp_path, argv,
                                         descriptor, edit):
         argv = ("verify",) + argv + ("--cache", str(tmp_path))
@@ -427,13 +420,11 @@ class TestCache:
         elif edit == "count-key":
             lines[2] = "bogus=%d" % count
         else:
-            if edit == "aut":
-                aut = str(int(aut) + 1)
-            elif edit == "rotated-word":
+            if edit == "rotated-word":
                 assert word[1:] + word[:1] != word
                 word = word[1:] + word[:1]
-            elif edit == "cell-kind":  # cells are never stored
-                kind = "cell"
+            elif edit == "tree-kind":  # only graphs are stored
+                kind = "tree"
             else:  # an entry of 3m or more: a flag code of 3
                 word[0] = str(3 * len(word))
             lines[3] = " | ".join((aut, kind, ",".join(word)))
@@ -449,18 +440,7 @@ class TestCache:
          "4 | graph | 2,6,10,2,6,10,2,6,10,2,6,10", "4 | graph | 2,2,2,2"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, None,
          "1 | graph | 2,3,14,2,13,14,9,3,4,4,13,3,12,12,13,7"),
-        (("--identity", "genus0", "--n", "6"),
-         "trees leaves=5 profile=trivalent rooting=unrooted", None,
-         "1 | tree | 1,43,1,43,17,1,43,13,1,43,9,1,43,5,1,43,1,43,17,13,9,5"),
-        (("--identity", "w1h", "--g", "2"),
-         "trees leaves=5 profile=one5 rooting=unrooted", None,
-         "1 | tree | 1,27,1,27,9,1,27,5,1,27,1,27,9,5"),
-        (("--identity", "w1h", "--g", "2"),
-         "trees leaves=4 profile=marked rooting=unrooted", None,
-         "2 | tree | 1,19,1,19,5,1,19,1,19,5"),
-    ], ids=["genus-one-graph-in-genus-two", "eight-edge-graph-in-trivalent",
-            "seven-leaf-tree", "trivalent-tree-in-one5",
-            "unmarked-tree-in-marked"])
+    ], ids=["genus-one-graph-in-genus-two", "eight-edge-graph-in-trivalent"])
     def test_load_rejects_record_of_another_census(self, capsys, tmp_path,
                                                    argv, descriptor, old,
                                                    new):
@@ -481,27 +461,17 @@ class TestCache:
         assert captured.err.startswith("cache error:")
 
     def test_default_report_cache_layout(self, capsys, tmp_path):
-        # cell censuses are derived from the tree censuses they double, so
-        # only graph and tree files are written; genus0 and hevol share
-        # their trivalent tree files
+        # tree and cell censuses are built in memory, so only the fatgraph
+        # censuses are written
         code, _ = run(capsys, "report", "--cache", str(tmp_path))
         assert code == 0
         graphs = ["fatgraphs_g=%d_n=1_filter=%s.v2.census" % census
                   for census in [(1, "all"), (1, "trivalent"), (2, "all"),
                                  (2, "trivalent"), (3, "trivalent")]]
-        trees = ["trees_leaves=%d_profile=%s_rooting=unrooted.v2.census"
-                 % census for census in [(3, "trivalent"), (4, "trivalent"),
-                                         (5, "trivalent"), (6, "trivalent"),
-                                         (7, "trivalent"), (8, "trivalent"),
-                                         (5, "one5"), (7, "one5"),
-                                         (4, "marked"), (6, "marked")]]
-        assert sorted(p.name for p in tmp_path.iterdir()) == \
-            sorted(graphs + trees)
+        assert sorted(p.name for p in tmp_path.iterdir()) == graphs
         for path in tmp_path.iterdir():
             lines = path.read_text().splitlines()
-            kinds = {line.split(" | ")[1] for line in lines[3:]}
-            assert kinds == {"graph" if path.name.startswith("fatgraphs")
-                             else "tree"}
+            assert {line.split(" | ")[1] for line in lines[3:]} == {"graph"}
 
     def test_default_report_searches_each_genus_once(self, capsys,
                                                      tmp_path, monkeypatch):
@@ -518,18 +488,39 @@ class TestCache:
         assert code == 0
         assert searched == [3, 9, 15]
 
-    def test_enumerated_trees_feed_w1h(self, capsys, tmp_path):
-        # the cell censuses of w1h at g=2 are the doubles of these two tree
-        # censuses, so nothing else needs to be on disk
-        for leaves, profile in (("5", "one5"), ("4", "marked")):
-            code, _ = run(capsys, "enumerate", "--trees", "--leaves", leaves,
-                          "--profile", profile, "--cache", str(tmp_path))
-            assert code == 0
-        assert len(list(tmp_path.iterdir())) == 2
+    def test_w1h_needs_no_cache_file(self, capsys, tmp_path):
+        # the cell censuses of w1h are doubled from tree censuses built in
+        # memory, which --no-build does not stop and the cache never holds
         code, out = run(capsys, "verify", "--identity", "w1h", "--g", "2",
                         "--cache", str(tmp_path), "--no-build")
         assert code == 0
         assert "ok" in out and "census" in out
+        assert not list(tmp_path.iterdir())
+
+    def test_all_valence_file_missing_a_top_cell_fails(self, capsys,
+                                                       tmp_path):
+        # losing trivalent class 0 with the faces only it has keeps the
+        # Euler sum at 1/120, so the file must hold every trivalent class
+        argv = ("verify", "--identity", "euler", "--g", "2",
+                "--cache", str(tmp_path))
+        code, _ = run(capsys, *argv)
+        assert code == 0
+        trivalent = cli._enum.enumerate_fatgraphs(2)
+        without = cli._enum.collapse_closure(census_without(trivalent, 0),
+                                             2, cli._enum.ALL)
+        victim = cache_path(tmp_path, "fatgraphs g=2 n=1 filter=all")
+        lines = victim.read_text().splitlines()
+        kept = {",".join(map(str, entry.key)) for entry in without}
+        body = [line for line in lines[3:] if line.split(" | ")[2] in kept]
+        assert len(body) == len(without) < len(lines) - 3
+        victim.write_text("\n".join(lines[:2] + ["count=%d" % len(body)]
+                                    + body) + "\n")
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("cache error:")
 
     def test_other_format_version_is_never_read(self, capsys, tmp_path):
         # a leftover file of the line format (version 1) for the census

@@ -12,15 +12,15 @@ from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT,
 from fatmod.errors import ResourceLimit
 from fatmod.fatgraph import Fatgraph
 from fatmod.trees import LEAF, ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
-    _shapes, build_rooted_tree, odd_valence_shapes, rooted_trees, \
-    unrooted_trees
+    PlanarTree, _shapes, build_rooted_tree, odd_valence_shapes, \
+    odd_valence_trees, rooted_trees, unrooted_trees
 from fatmod.workspace import Workspace
 
 from oracles import (are_isomorphic, automorphism_order_bruteforce,
                      collapse_edge, naive_census, one_face_census_bruteforce,
-                     relabel, rooted_tree_by_cycles, triangulation_count,
-                     trivalent_pairings_reference, vertex_index,
-                     walsh_lehman)
+                     relabel, rooted_tree_by_cycles, tree_classes_reference,
+                     triangulation_count, trivalent_pairings_reference,
+                     vertex_index, walsh_lehman)
 
 
 class TestCatalan:
@@ -261,6 +261,36 @@ class TestTreeCensus:
         for shape in shapes:
             assert build_rooted_tree(shape).rooted_key() == \
                 rooted_tree_by_cycles(shape).rooted_key()
+
+    @pytest.mark.parametrize("profile", [TREE_TRIVALENT, ONE5, MARKED,
+                                         "odd-valence"])
+    def test_word_classes_match_tree_classes(self, profile):
+        # classes found among contour words are the classes of the built
+        # rooted trees: the same keys, |Aut|, order and representatives
+        if profile == "odd-valence":
+            pairs = [(odd_valence_trees(11), tree_classes_reference(
+                build_rooted_tree(s) for s in odd_valence_shapes(11)
+                if s != LEAF))]
+        else:
+            pairs = [(unrooted_trees(leaves, profile), tree_classes_reference(
+                rooted_trees(leaves, profile))) for leaves in range(2, 11)]
+        for got, want in pairs:
+            assert [(t.canonical_key(), t.aut_order()) for t in got] == \
+                [(t.canonical_key(), t.aut_order()) for t in want]
+            assert got == want
+
+    def test_one_tree_built_per_class(self, monkeypatch):
+        # the 429 rooted trees with 9 leaves fall into 49 classes, and only
+        # the representatives are built
+        built = []
+        init = PlanarTree.__init__
+
+        def counted(self, *args, **kwargs):
+            built.append(self)
+            init(self, *args, **kwargs)
+        monkeypatch.setattr(PlanarTree, "__init__", counted)
+        assert len(unrooted_trees(9)) == 49
+        assert len(built) == 49
 
     def test_rooted_counts(self):
         assert len(enumerate_trees(5, "trivalent", "rooted")) == 5

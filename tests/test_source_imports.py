@@ -11,6 +11,9 @@ that walks its paths link by link and undoes from a trail is
 ``oracles.trivalent_pairings_reference`` only.  The package's one pairing
 search has one caller, the trivalent census builder, so every other census
 is collapsed from a trivalent census and no census path searches twice.
+Only fatgraph censuses are cached, so the workspace holds no tree record
+kind, and unrooted tree classes are found among contour words, not among
+built rooted trees.
 """
 
 import ast
@@ -79,7 +82,7 @@ def test_trees_and_cells_are_built_from_words(module):
 TEST_ONLY = {"collapse_edge", "_cycle_from", "LoopCollapse", "relabeled",
              "perm_inverse", "boundary_edge_cycles", "full_simplex_involution",
              "boundary_integral_stable_path", "parse_rational",
-             "internal_valences"}
+             "internal_valences", "leaf_vertices"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
@@ -118,3 +121,20 @@ def test_one_function_runs_the_pairing_search():
     assert callers == ["enumeration._trivalent_census"]
     # no module-level alias or import reaches the search either
     assert total == inside
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_tree_record_kind(path):
+    assert not referenced_names(path) & {"in_tree_census", "_RECORD_KINDS"}
+    if path.stem == "workspace":
+        assert not referenced_names(path) & {"PlanarTree", "tree_entry"}
+
+
+@pytest.mark.parametrize("function", ["unrooted_trees", "odd_valence_trees",
+                                      "_classes"])
+def test_tree_classes_build_no_rooted_trees(function):
+    tree = ast.parse((PACKAGE / "trees.py").read_text())
+    [node] = [n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == function]
+    for name in ("rooted_trees", "build_rooted_tree"):
+        assert not mentions(node, name), "%s names %s" % (function, name)

@@ -8,11 +8,13 @@ Layout (text, one record per line):
     <aut order> | <kind> | <w0>,<w1>,...
 
 Only fatgraph censuses are stored, so ``kind`` is always ``graph``; tree
-and cell censuses are built in memory.  The word is the canonical key
-(``Fatgraph.canonical_key``) of the graph, its one serialization:
-``Fatgraph.from_word`` rebuilds it.  A descriptor or version mismatch is
-reported as corruption, never silently reused; files of another format
-version have another name and are never read.
+and cell censuses are built in memory.  The word is the canonical gap word
+of the class, its census key and its one serialization
+(``Fatgraph.from_word`` rebuilds the graph).  The workspace checks each
+record on the word alone (``enumeration.word_entry``) and builds no graph.
+A descriptor or version mismatch is reported as corruption, never silently
+reused; files of another format version have another name and are never
+read.
 """
 
 from __future__ import annotations

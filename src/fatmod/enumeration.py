@@ -2,12 +2,15 @@
 orders, supporting exact orbifold-weighted sums.
 
 Each census kind has one entry function that turns an object into its
-:class:`CensusEntry` (key and automorphism order): :func:`graph_entry` for
-one-boundary graphs and :func:`tree_entry` for unrooted trees.  Only
-fatgraph censuses are cached; the builders and the cache loader both call
-:func:`graph_entry`, so a census has the same keys however it was obtained.
-Tree censuses are built in memory, and ``hyperelliptic`` derives cell
-censuses from the tree censuses they double.
+:class:`CensusEntry` (key and automorphism order).  A class of a fatgraph
+census is its canonical gap word, so :func:`word_entry` makes its entry
+from the word alone, checking the word against the census, and the graph
+is built only when ``CensusEntry.graph`` is read.  Only fatgraph censuses
+are cached; the builders and the cache loader both call :func:`word_entry`,
+so a census has the same keys however it was obtained.  Tree censuses are
+built in memory with :func:`tree_entry`, and ``hyperelliptic`` derives
+cell censuses, entered by :func:`graph_entry`, from the tree censuses they
+double.
 
 Every census holds one-boundary graphs, keyed by the least rotation of their
 boundary word (``Fatgraph.canonical_key``).  They are enumerated through that
@@ -49,10 +52,11 @@ one non-trivalent vertex.  So :func:`check_edge_cap` reads 6g - 3 edges.
 Census kinds with a known count have a closed orbifold count beside their
 descriptor function (:func:`fatgraph_closed_count`,
 :func:`tree_closed_count`); these read no census.  Beside
-:func:`fatgraph_descriptor`, the membership test :func:`in_fatgraph_census`
-says which graphs the census it names holds; the cache loader rejects a
-record outside its census.  Types (g, n) with n > 1 have no census, so the
-census functions take only g.
+:func:`fatgraph_descriptor`, one membership rule on vertex valences says
+which graphs the census it names holds: :func:`in_fatgraph_census` reads
+it for a graph, and :func:`word_entry` for a word, so the cache loader
+rejects a record outside its census.  Types (g, n) with n > 1 have no
+census, so the census functions take only g.
 """
 
 from __future__ import annotations
@@ -60,11 +64,13 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable, Optional
 
 from . import trees as _trees
 from .errors import MalformedGraph, ResourceLimit, WrongType
-from .fatgraph import ORDINARY, Fatgraph, _cycles_of, least_rotation
+from .fatgraph import (ORDINARY, Fatgraph, _cycles_of, least_rotation,
+                       rotation_period)
 
 DEFAULT_CAP_EDGES = 15          # trivalent / single-k censuses (genus <= 3)
 DEFAULT_CAP_EDGES_ALL = 9       # all-valence censuses (genus <= 2)
@@ -100,10 +106,24 @@ def catalan5(k: int) -> int:
 
 @dataclass(frozen=True)
 class CensusEntry:
+    """One class of a census: its key, |Aut| and an optional payload.
+
+    ``stored`` is the graph or tree the class stands for, or None in a
+    fatgraph census entry (:func:`word_entry`), whose key is its canonical
+    gap word: its ``graph`` is ``Fatgraph.from_word(key)``, built when
+    first read.
+    """
+
     key: tuple
-    graph: Fatgraph
+    stored: object
     aut_order: int
     payload: object = None
+
+    @cached_property
+    def graph(self):
+        if self.stored is None:
+            return Fatgraph.from_word(self.key)
+        return self.stored
 
 
 @dataclass(frozen=True)
@@ -364,7 +384,7 @@ def _trivalent_census(g: int) -> OrbifoldCensus:
         if entries and word <= entries[-1].key:
             raise AssertionError("search emitted a class twice or out of "
                                  "order")
-        entries.append(_word_entry(word))
+        entries.append(word_entry(word, g, TRIVALENT))
     return OrbifoldCensus(fatgraph_descriptor(g, TRIVALENT), tuple(entries))
 
 
@@ -383,15 +403,42 @@ def collapse_closure(trivalent, g: int, valence_filter) -> OrbifoldCensus:
         if not level:
             break
     return OrbifoldCensus(fatgraph_descriptor(g, valence_filter),
-                          tuple(map(_word_entry, sorted(words))))
+                          tuple(word_entry(word, g, valence_filter)
+                                for word in sorted(words)))
 
 
-def _word_entry(word) -> CensusEntry:
-    """The entry of the graph of a canonical gap word, keyed by that word."""
-    entry = graph_entry(Fatgraph.from_word(word))
-    if entry.key != word:
-        raise AssertionError("boundary word disagrees with gap word")
-    return entry
+def word_entry(word, g: int, valence_filter) -> CensusEntry:
+    """Census entry of the class whose canonical gap word is ``word``, in
+    the census that ``fatgraph_descriptor(g, valence_filter)`` names.  The
+    entry holds no graph, and |Aut| is 2E / ``rotation_period(word)``.
+
+    Raises MalformedGraph unless the word pairs its m slots (m even and
+    nonzero, every gap in 1..m-1, the pairing an involution), every cycle
+    of ``sigma = alpha + 1`` has length at least three, and the word is its
+    own least rotation; raises WrongType for a graph outside the census.
+    The graph is connected with one boundary cycle, as ``phi(h) = h + 1``.
+
+    >>> word_entry((3, 3, 3, 3, 3, 3), 1, TRIVALENT).aut_order
+    6
+    """
+    m = len(word)
+    if m == 0 or m % 2 or any(not 0 < w < m for w in word):
+        raise MalformedGraph("bad gap word %r" % (word,))
+    alpha = [(p + w) % m for p, w in enumerate(word)]
+    if any(word[q] != m - w for q, w in zip(alpha, word)):
+        raise MalformedGraph("gap word %r is not a pairing" % (word,))
+    valences = sorted(map(len, _cycles_of([(q + 1) % m for q in alpha])))
+    if valences[0] < 3:
+        raise MalformedGraph("gap word %r has a vertex of valence %d"
+                             % (word, valences[0]))
+    k = least_rotation(word)
+    if word[k:] + word[:k] != word:
+        raise MalformedGraph("gap word %r is not its least rotation"
+                             % (word,))
+    if not _in_census(valences, g, valence_filter):
+        raise WrongType("gap word %r is outside the census %r"
+                        % (word, fatgraph_descriptor(g, valence_filter)))
+    return CensusEntry(tuple(word), None, m // rotation_period(word))
 
 
 def fatgraph_filter(g: int, valence_filter):
@@ -436,8 +483,13 @@ def in_fatgraph_census(graph: Fatgraph, g: int, valence_filter) -> bool:
     >>> in_fatgraph_census(Fatgraph.from_word((2, 2, 2, 2)), 2, ALL)
     False
     """
-    valences = sorted(map(len, graph.vertices))
-    if len(valences) != graph.num_edges + 1 - 2 * g:
+    return _in_census(sorted(map(len, graph.vertices)), g, valence_filter)
+
+
+def _in_census(valences, g: int, valence_filter) -> bool:
+    """The membership rule of :func:`in_fatgraph_census` on the sorted
+    vertex valences of a one-boundary graph."""
+    if len(valences) != sum(valences) // 2 + 1 - 2 * g:  # V = E + 1 - 2g
         return False
     if valence_filter == ALL:
         return True

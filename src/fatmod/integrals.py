@@ -20,7 +20,8 @@ from .enumeration import catalan
 from .errors import WrongType
 from .hyperelliptic import (W1_MULTIPLICITY_5VALENT, W1_MULTIPLICITY_6VALENT,
                             count_t1, count_t2)
-from .kontsevich import cell_volume, hyperelliptic_cell_volume
+from .kontsevich import (cell_volume, hyperelliptic_cell_volume,
+                         word_cell_volume)
 from .workspace import Workspace
 
 KAPPA_DUALITY_DENOMINATOR = 12  # kappa_1 = ([W1] + [boundary]) / 12
@@ -103,7 +104,7 @@ def psi_top_moduli(g: int, workspace: Optional[Workspace] = None
     census = _ws(workspace).trivalent_census(g)
     closed = Fraction(1, 24 ** g * factorial(g))
     assembled = census.orbifold_sum(
-        weight=lambda e: cell_volume(e.graph).value)
+        weight=lambda e: word_cell_volume(e.key).value)
     return IntegralReport(
         "psi-top", "g", g, closed, assembled, "census",
         ("census %r, %d classes; closed form 1/(24^g g!) (Witten-Kontsevich)"
@@ -263,7 +264,7 @@ def euler_report(g: int, workspace: Optional[Workspace] = None
     closed = zeta_negative(g)
     census = _ws(workspace).all_valence_census(g)
     assembled = census.orbifold_sum(
-        weight=lambda e: (-1) ** (e.graph.num_edges - 1))
+        weight=lambda e: (-1) ** (len(e.key) // 2 - 1))  # E = len(key)/2
     return IntegralReport(
         "euler", "g", g, closed, assembled, "census",
         ("alternating sum over %r, %d classes; closed form -B_{2g}/2g"

@@ -56,7 +56,14 @@ def omega_matrix(graph: Fatgraph, eliminate: int = None) -> tuple:
     if len(cycles) != 1:
         raise WrongBoundaryCount("expected one boundary cycle, found %d"
                                  % len(cycles))
-    num_edges = graph.num_edges
+    table = graph._edge_index_table()
+    return _slot_omega_matrix([table[h] for h in cycles[0]], eliminate)
+
+
+def _slot_omega_matrix(seq, eliminate=None) -> tuple:
+    """``omega_matrix`` of the boundary slot sequence ``seq``: the edge in
+    each slot, edges numbered 0..E-1."""
+    num_edges = len(seq) // 2
     if num_edges % 2 == 0:
         raise ValueError("cell form needs an odd edge count, got %d"
                          % num_edges)
@@ -64,8 +71,6 @@ def omega_matrix(graph: Fatgraph, eliminate: int = None) -> tuple:
         eliminate = num_edges - 1
     if not 0 <= eliminate < num_edges:
         raise ValueError("no edge %d" % eliminate)
-    table = graph._edge_index_table()
-    seq = [table[h] for h in cycles[0]]
     c = _raw_coefficients(seq, num_edges)
     return _eliminate(c, num_edges, eliminate)
 
@@ -171,7 +176,25 @@ def cell_volume(graph: Fatgraph) -> CellVolume:
 
     Positive by convention; the signed Pfaffian is kept alongside.
     """
-    matrix = omega_matrix(graph)
+    return _volume(omega_matrix(graph))
+
+
+def word_cell_volume(word) -> CellVolume:
+    """``cell_volume(Fatgraph.from_word(word))`` read off the gap word of a
+    one-boundary graph, with no graph built: slot p is paired with
+    p + word[p] (mod 2E), and edges are numbered by their first slot, as
+    ``Fatgraph.edges`` numbers the edges of that graph."""
+    m = len(word)
+    seq = [0] * m
+    edge = 0
+    for p, w in enumerate(word):
+        if p + w < m:  # p is the first slot of its edge
+            seq[p] = seq[p + w] = edge
+            edge += 1
+    return _volume(_slot_omega_matrix(seq))
+
+
+def _volume(matrix) -> CellVolume:
     pf = pfaffian(matrix)
     d = len(matrix) // 2
     value = Fraction(factorial(d)) * abs(pf) / (2 ** (2 * d)

@@ -12,7 +12,6 @@ from . import enumeration as _enum
 from . import hyperelliptic as _hyper
 from .enumeration import OrbifoldCensus
 from .errors import CacheError, FatmodError
-from .fatgraph import Fatgraph
 from .trees import MARKED, ONE5, TRIVALENT
 
 
@@ -129,24 +128,17 @@ class Workspace:
 
     @staticmethod
     def _entry_from_record(path, g, valence_filter, record):
-        """Rebuild a record's graph from its word, re-derive its entry, and
-        check the stored fields against them and the graph against its
-        census."""
+        """Check a record's word against its census and re-derive its
+        entry from the word (``enumeration.word_entry``), then check the
+        stored |Aut| against it."""
         aut, kind, word = record
         if kind != "graph":
             raise CacheError("record kind %r is not 'graph' in %s"
                              % (kind, path))
         try:
-            graph = Fatgraph.from_word(word)
-            entry = _enum.graph_entry(graph)
+            entry = _enum.word_entry(word, g, valence_filter)
         except FatmodError as exc:
             raise CacheError("bad record in %s: %s" % (path, exc)) from exc
-        if graph.canonical_key() != word:
-            raise CacheError("stored word is not the canonical key of its "
-                             "graph in %s" % path)
-        if not _enum.in_fatgraph_census(graph, g, valence_filter):
-            raise CacheError("record %s is outside the census of %s"
-                             % (",".join(map(str, word)), path))
         if entry.aut_order != aut:
             raise CacheError("stored aut order %d, recomputed %d in %s"
                              % (aut, entry.aut_order, path))

@@ -19,6 +19,9 @@ before ``enumeration._trivalent_pairings`` kept path endpoints, the
 reference for its output.  ``tree_classes_reference`` deduplicates built
 trees by their canonical keys, the reference for ``trees._classes``, which
 deduplicates contour words before any tree is built.
+``record_entry_reference`` checks a cache record by rebuilding its graph,
+the reference for the loader, which checks the word alone
+(``enumeration.word_entry``).
 """
 
 from __future__ import annotations
@@ -27,8 +30,9 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from fatmod.enumeration import OrbifoldCensus
-from fatmod.errors import MalformedGraph
+from fatmod.enumeration import OrbifoldCensus, graph_entry, \
+    in_fatgraph_census
+from fatmod.errors import FatmodError, MalformedGraph
 from fatmod.fatgraph import DELTA, Fatgraph
 from fatmod.hyperelliptic import HyperellipticCell
 from fatmod.trees import LEAF, PlanarTree
@@ -473,6 +477,27 @@ def trivalent_pairings_reference(num_edges: int):
 
     search()
     return results
+
+
+def record_entry_reference(record, g, valence_filter):
+    """(key, |Aut|) of a cache record ``(aut_order, kind, word)`` of the
+    census of ``(g, valence_filter)``, or None when the record is rejected:
+    the graph ``Fatgraph.from_word(word)`` rebuilt, its entry re-derived by
+    ``graph_entry``, its canonical key equal to the word, the graph a member
+    of the census and the stored |Aut| the re-derived one."""
+    aut, kind, word = record
+    if kind != "graph":
+        return None
+    try:
+        graph = Fatgraph.from_word(word)
+        entry = graph_entry(graph)
+    except FatmodError:
+        return None
+    if graph.canonical_key() != tuple(word) or \
+            not in_fatgraph_census(graph, g, valence_filter) or \
+            entry.aut_order != aut:
+        return None
+    return entry.key, entry.aut_order
 
 
 def census_without(census, index: int) -> OrbifoldCensus:

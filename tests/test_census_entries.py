@@ -1,21 +1,24 @@
 """Census entry functions: keys and automorphism orders do not depend on
-half-edge labels, and agree with the explicit search in ``oracles``."""
+half-edge labels, and agree with the explicit search in ``oracles``; word
+entries and the cache loader agree with the graph-based references."""
 
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from fatmod.cache import cache_path, save_records
 from fatmod.enumeration import ALL, TRIVALENT, enumerate_fatgraphs, \
-    graph_entry, in_fatgraph_census, tree_entry
-from fatmod.errors import MalformedGraph, WrongType
+    fatgraph_descriptor, graph_entry, in_fatgraph_census, tree_entry, \
+    word_entry
+from fatmod.errors import CacheError, MalformedGraph, WrongType
 from fatmod.fatgraph import Fatgraph
 from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
     PlanarTree, odd_valence_trees, unrooted_trees
 from fatmod.workspace import Workspace
 
 from oracles import automorphism_order_bruteforce, extend_flag_map, \
-    perm_compose, relabel
+    perm_compose, record_entry_reference, relabel
 
 
 def _one_boundary_censuses():
@@ -130,3 +133,100 @@ def test_fatgraph_census_membership(valence_filter):
             continue
         assert members == {e.key for e in enumerate_fatgraphs(
             g, valence_filter)}
+
+
+@pytest.mark.parametrize("g,valence_filter", [
+    (1, TRIVALENT), (2, TRIVALENT), (3, TRIVALENT), (1, ALL), (2, ALL),
+    (2, ("single", 5))])
+def test_word_entry_matches_graph_entry(g, valence_filter, ws):
+    # a word entry holds no graph; the graph its key rebuilds has the same
+    # key and |Aut|
+    census = ws.collapse_closure(g, valence_filter)
+    assert len(census) and all(e.stored is None for e in census)
+    for entry in census:
+        want = graph_entry(Fatgraph.from_word(entry.key))
+        assert (entry.key, entry.aut_order) == (want.key, want.aut_order)
+        assert entry.graph == want.graph
+
+
+@pytest.mark.parametrize("word,g", [
+    ((), 1), ((3, 3, 3), 1), ((0, 3, 3, 3, 3, 3), 1),
+    ((-3, 3, 3, 9, 3, 3), 1), ((9, 3, 3, 3, 3, 3), 1),
+    ((3, 3, 3, 3, 3, 2), 1), ((1, 3, 1, 3), 1), ((2, 3, 4, 2, 3, 4), 1),
+    ((2, 6, 6, 2, 2, 6, 6, 2), 2)],
+    ids=["empty", "odd", "zero-gap", "negative-gap", "flag-code",
+         "no-pairing", "valence-one", "valence-two", "not-least-rotation"])
+def test_word_entry_rejects_what_the_graph_check_rejects(word, g):
+    # the negative-gap, valence and rotation words are each caught by one
+    # check alone
+    assert record_entry_reference((1, "graph", word), g, ALL) is None
+    with pytest.raises(MalformedGraph):
+        word_entry(word, g, ALL)
+
+
+RECORD_CENSUSES = {(g, valence_filter): enumerate_fatgraphs(g, valence_filter)
+                   for g in (1, 2) for valence_filter in (TRIVALENT, ALL)}
+RECORD_EDITS = ("rotate", "change", "swap", "aut", "flag", "odd-length",
+                "involution", "other-genus")
+
+
+@st.composite
+def edited_records(draw):
+    """A real g = 1, 2 record, edited one way; (g, filter, record)."""
+    g = draw(st.sampled_from((1, 2)))
+    valence_filter = draw(st.sampled_from((TRIVALENT, ALL)))
+    entry = draw(st.sampled_from(
+        RECORD_CENSUSES[g, valence_filter].entries))
+    aut, word = entry.aut_order, list(entry.key)
+    m = len(word)
+    slot = st.integers(0, m - 1)
+    edit = draw(st.sampled_from(RECORD_EDITS))
+    if edit == "rotate":
+        r = draw(slot)
+        word = word[r:] + word[:r]
+    elif edit == "change":
+        word[draw(slot)] = draw(st.integers(-1, 3 * m))
+    elif edit == "swap":
+        i, j = draw(slot), draw(slot)
+        word[i], word[j] = word[j], word[i]
+    elif edit == "aut":
+        aut = draw(st.integers(0, 2 * m))
+    elif edit == "flag":  # a flag code: an entry of m or more
+        word[draw(slot)] += m * draw(st.integers(1, 2))
+    elif edit == "odd-length":
+        word = word[:-1] if draw(st.booleans()) else \
+            word + [draw(st.integers(1, m))]
+    elif edit == "involution":  # slot p points at a slot not its partner
+        p = draw(slot)
+        q = draw(slot.filter(lambda q: q not in (p, (p + word[p]) % m)))
+        word[p] = (q - p) % m
+    else:
+        other = draw(st.sampled_from(
+            RECORD_CENSUSES[3 - g, valence_filter].entries))
+        aut, word = other.aut_order, list(other.key)
+    return g, valence_filter, (aut, "graph", tuple(word))
+
+
+@pytest.fixture(scope="module")
+def record_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("records")
+
+
+@settings(max_examples=400, deadline=None)
+@given(case=edited_records())
+def test_loader_matches_graph_based_reference(record_dir, case):
+    # the loader checks a record on its word alone; it rejects a record
+    # exactly when rebuilding the graph does, and otherwise reads the same
+    # key and |Aut|
+    g, valence_filter, record = case
+    descriptor = fatgraph_descriptor(g, valence_filter)
+    save_records(cache_path(record_dir, descriptor), descriptor, [record])
+    want = record_entry_reference(record, g, valence_filter)
+    try:
+        census = Workspace(cache_dir=record_dir)._load(descriptor, g,
+                                                       valence_filter)
+    except CacheError:
+        assert want is None
+    else:
+        [entry] = census
+        assert (entry.key, entry.aut_order) == want

@@ -11,7 +11,7 @@ from fatmod.errors import WrongBoundaryCount
 from fatmod.fatgraph import Fatgraph
 from fatmod.hyperelliptic import double_tree
 from fatmod.kontsevich import (cell_volume, hyperelliptic_cell_volume,
-                               omega_matrix, pfaffian)
+                               omega_matrix, pfaffian, word_cell_volume)
 from fatmod.trees import (LEAF, ONE5, MARKED, build_rooted_tree,
                           odd_valence_trees, unrooted_trees)
 
@@ -188,6 +188,19 @@ class TestPfaffianLaw:
             values = {abs(pfaffian(omega_matrix(G, eliminate=k)))
                       for k in range(G.num_edges)}
             assert len(values) == 1
+
+
+@pytest.mark.parametrize("g,valence_filter", [
+    (1, "trivalent"), (2, "trivalent"), (3, "trivalent"), (1, "all"),
+    (2, "all"), (2, ("single", 5))])
+def test_word_cell_volume_matches_graph(g, valence_filter, ws):
+    # every class with an odd edge count: the volume read off the key equals
+    # the volume of the graph the key rebuilds, signed Pfaffian included
+    keys = [e.key for e in ws.collapse_closure(g, valence_filter)
+            if len(e.key) % 4 == 2]
+    assert keys
+    for key in keys:
+        assert word_cell_volume(key) == cell_volume(Fatgraph.from_word(key))
 
 
 class TestCellVolume:

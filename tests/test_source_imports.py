@@ -13,7 +13,9 @@ search has one caller, the trivalent census builder, so every other census
 is collapsed from a trivalent census and no census path searches twice.
 Only fatgraph censuses are cached, so the workspace holds no tree record
 kind, and unrooted tree classes are found among contour words, not among
-built rooted trees.
+built rooted trees.  A fatgraph census class is its gap word: the cache
+loader checks a record on the word and builds no graph, and the census
+sums of psi-top and euler read the word, not a graph.
 """
 
 import ast
@@ -130,11 +132,31 @@ def test_no_tree_record_kind(path):
         assert not referenced_names(path) & {"PlanarTree", "tree_entry"}
 
 
+def function_node(module, name):
+    """The definition of the module-level function name in module."""
+    tree = ast.parse((PACKAGE / ("%s.py" % module)).read_text())
+    [node] = [n for n in tree.body
+              if isinstance(n, ast.FunctionDef) and n.name == name]
+    return node
+
+
 @pytest.mark.parametrize("function", ["unrooted_trees", "odd_valence_trees",
                                       "_classes"])
 def test_tree_classes_build_no_rooted_trees(function):
-    tree = ast.parse((PACKAGE / "trees.py").read_text())
-    [node] = [n for n in tree.body
-              if isinstance(n, ast.FunctionDef) and n.name == function]
+    node = function_node("trees", function)
     for name in ("rooted_trees", "build_rooted_tree"):
         assert not mentions(node, name), "%s names %s" % (function, name)
+
+
+def test_record_check_builds_no_graph():
+    # the loader must not call canonical_gap_word either: traced cached
+    # runs count its calls as census searches
+    graph_names = {"Fatgraph", "graph_entry", "canonical_gap_word"}
+    assert not referenced_names(PACKAGE / "workspace.py") & graph_names
+    node = function_node("enumeration", "word_entry")
+    assert not any(mentions(node, name) for name in graph_names)
+
+
+@pytest.mark.parametrize("function", ["psi_top_moduli", "euler_report"])
+def test_census_sums_read_words(function):
+    assert not mentions(function_node("integrals", function), "graph")

@@ -1,16 +1,18 @@
 """Exhaustive censuses of fatgraph isomorphism classes with automorphism
 orders, supporting exact orbifold-weighted sums.
 
-Each census kind has one entry function that turns an object into its
-:class:`CensusEntry` (key and automorphism order).  A class of a fatgraph
-census is its canonical gap word, so :func:`word_entry` makes its entry
-from the word alone, checking the word against the census, and the graph
-is built only when ``CensusEntry.graph`` is read.  Only fatgraph censuses
-are cached; the builders and the cache loader both call :func:`word_entry`,
-so a census has the same keys however it was obtained.  Tree censuses are
-built in memory with :func:`tree_entry`, and ``hyperelliptic`` derives
-cell censuses, entered by :func:`graph_entry`, from the tree censuses they
-double.
+Every census class is a one-boundary graph, so it enters its census by
+its boundary word: the key is the word's least rotation and |Aut| is
+2E / ``rotation_period(key)``.  A class of a fatgraph census is its
+canonical gap word, so :func:`word_entry` makes its entry from the word
+alone, checking the word against the census, and the graph is built only
+when ``CensusEntry.graph`` is read.  Only fatgraph censuses are cached;
+the builders and the cache loader both call :func:`word_entry`, so a
+census has the same keys however it was obtained.  Tree censuses are
+built in memory with :func:`tree_entry`, which reads the flagged word of
+each tree class, and ``hyperelliptic`` enters each doubled tree by
+:func:`word_entry` on its doubled word, as a class of the all-valence
+census of its genus.
 
 Every census holds one-boundary graphs, keyed by the least rotation of their
 boundary word (``Fatgraph.canonical_key``).  They are enumerated through that
@@ -53,10 +55,9 @@ Census kinds with a known count have a closed orbifold count beside their
 descriptor function (:func:`fatgraph_closed_count`,
 :func:`tree_closed_count`); these read no census.  Beside
 :func:`fatgraph_descriptor`, one membership rule on vertex valences says
-which graphs the census it names holds: :func:`in_fatgraph_census` reads
-it for a graph, and :func:`word_entry` for a word, so the cache loader
-rejects a record outside its census.  Types (g, n) with n > 1 have no
-census, so the census functions take only g.
+which words the census it names holds, and :func:`word_entry` applies it,
+so the cache loader rejects a record outside its census.  Types (g, n)
+with n > 1 have no census, so the census functions take only g.
 """
 
 from __future__ import annotations
@@ -69,8 +70,7 @@ from typing import Callable, Optional
 
 from . import trees as _trees
 from .errors import MalformedGraph, ResourceLimit, WrongType
-from .fatgraph import (ORDINARY, Fatgraph, _cycles_of, least_rotation,
-                       rotation_period)
+from .fatgraph import Fatgraph, _cycles_of, least_rotation, rotation_period
 
 DEFAULT_CAP_EDGES = 15          # trivalent / single-k censuses (genus <= 3)
 DEFAULT_CAP_EDGES_ALL = 9       # all-valence censuses (genus <= 2)
@@ -108,10 +108,10 @@ def catalan5(k: int) -> int:
 class CensusEntry:
     """One class of a census: its key, |Aut| and an optional payload.
 
-    ``stored`` is the graph or tree the class stands for, or None in a
-    fatgraph census entry (:func:`word_entry`), whose key is its canonical
-    gap word: its ``graph`` is ``Fatgraph.from_word(key)``, built when
-    first read.
+    ``stored`` is the graph or tree the class stands for, or None when
+    the entry holds no graph, as a fatgraph census entry
+    (:func:`word_entry`) does: its ``graph`` is then
+    ``Fatgraph.from_word(key)``, built when first read.
     """
 
     key: tuple
@@ -157,19 +157,6 @@ def canonical_gap_word(alpha) -> tuple:
     gaps = tuple((alpha[p] - p) % m for p in range(m))
     k = least_rotation(gaps)
     return gaps[k:] + gaps[:k]
-
-
-def graph_entry(graph: Fatgraph) -> CensusEntry:
-    """Census entry of an unflagged one-boundary graph.
-
-    The key is the least rotation of the gap sequence read along the boundary
-    cycle ``phi = sigma o alpha``; automorphisms commute with ``phi``, so
-    |Aut| is the rotation stabilizer of that word.
-    """
-    if graph.boundary_cycles().n != 1 or \
-            any(f != ORDINARY for f in graph.flags):
-        raise MalformedGraph("expected an unflagged one-boundary graph")
-    return CensusEntry(graph.canonical_key(), graph, graph.aut_order())
 
 
 def _trivalent_pairings(num_edges: int):
@@ -472,23 +459,11 @@ def fatgraph_descriptor(g: int, valence_filter) -> str:
         else "single%d" % valence_filter[1])
 
 
-def in_fatgraph_census(graph: Fatgraph, g: int, valence_filter) -> bool:
-    """Whether a one-boundary graph is of the census that
-    ``fatgraph_descriptor(g, valence_filter)`` names: genus g, so V = E + 1
-    - 2g, and valences all 3, any (an unflagged graph's are at least 3) or
-    all 3 but one k, as the filter says.
-
-    >>> in_fatgraph_census(Fatgraph.from_word((2, 2, 2, 2)), 1, ("single", 4))
-    True
-    >>> in_fatgraph_census(Fatgraph.from_word((2, 2, 2, 2)), 2, ALL)
-    False
-    """
-    return _in_census(sorted(map(len, graph.vertices)), g, valence_filter)
-
-
 def _in_census(valences, g: int, valence_filter) -> bool:
-    """The membership rule of :func:`in_fatgraph_census` on the sorted
-    vertex valences of a one-boundary graph."""
+    """Whether a one-boundary graph with these sorted vertex valences is
+    of the census that ``fatgraph_descriptor(g, valence_filter)`` names:
+    genus g, so V = E + 1 - 2g, and valences all 3, any (each at least 3)
+    or all 3 but one k, as the filter says."""
     if len(valences) != sum(valences) // 2 + 1 - 2 * g:  # V = E + 1 - 2g
         return False
     if valence_filter == ALL:
@@ -560,8 +535,11 @@ def tree_closed_count(leaf_count: int, profile: str,
 
 
 def tree_entry(tree) -> CensusEntry:
-    """Census entry of an unrooted planar tree."""
-    return CensusEntry(tree.canonical_key(), tree, tree.aut_order())
+    """Census entry of an unrooted planar tree: its key is the least
+    rotation of its flagged boundary word, and |Aut| is the number of
+    rotations that fix it, 2E / ``rotation_period(key)``."""
+    key = tree.canonical_key()
+    return CensusEntry(key, tree, len(key) // rotation_period(key))
 
 
 def enumerate_trees(leaf_count: int, profile: str = _trees.TRIVALENT,

@@ -8,9 +8,10 @@ single fixed vertex of valence 2v (the involution acting there as the half
 rotation).  A tree with 2g+1 delta cells doubles to type (g, 1) and the
 involution has 2g+2 fixed cells in total, the boundary cycle included.
 The doubled graph is written from the tree's boundary word walked twice
-(:func:`double_tree`), so the copy swap is its half-turn.  A cell holds no
-data beyond its tree, so a cell census is built from the tree census it
-doubles and is never cached itself.
+(:func:`double_tree`), so the copy swap is its half-turn; the cell keeps
+that word and enters its census by it (``enumeration.word_entry``).  A
+cell holds no data beyond its tree, so a cell census is built from the
+tree census it doubles and is never cached itself.
 
 Cutting back along the fixed cells halves every fixed edge into two leaf
 edges and splits a fixed vertex of valence 2v into two vertices of valence
@@ -29,9 +30,9 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
 
-from .enumeration import OrbifoldCensus, catalan, catalan5, graph_entry
+from .enumeration import ALL, OrbifoldCensus, catalan, catalan5, word_entry
 from .errors import BadLeafCount, NotSymmetric, WrongType
-from .fatgraph import Fatgraph
+from .fatgraph import Fatgraph, least_rotation
 from .trees import PlanarTree
 
 W1_MULTIPLICITY_5VALENT = 2   # two swapped 5-valent vertices per cell
@@ -42,18 +43,17 @@ _STUB, _LEAF = "stub", "leaf"  # tree slots a cut inserts
 
 @dataclass(frozen=True)
 class HyperellipticCell:
-    """A doubled tree: the indexing tree, the doubled graph, the copy-swap
-    involution, and the linear embedding of tree metrics into graph metrics
-    as ``edge_map[doubled edge] = (tree edge, scale factor)``."""
+    """A doubled tree: the indexing tree, the doubled graph and its gap
+    word read from half-edge 0 (``doubled.boundary_word()[1]``), the
+    copy-swap involution, and the linear embedding of tree metrics into
+    graph metrics as ``edge_map[doubled edge] = (tree edge, scale factor)``.
+    """
 
     tree: PlanarTree
     doubled: Fatgraph
+    word: tuple
     involution: tuple
     edge_map: dict
-
-    @property
-    def genus(self) -> int:
-        return self.doubled.graph_type().g
 
 
 @dataclass(frozen=True)
@@ -121,7 +121,8 @@ def double_tree(tree: PlanarTree) -> HyperellipticCell:
     edge_map = {doubled_table[t]: (tree_table[boundary[j]],
                                    Fraction(1) if fused[j] else Fraction(1, 2))
                 for t, (j, _) in enumerate(walk)}
-    return HyperellipticCell(tree, doubled, iota, edge_map)
+    return HyperellipticCell(tree, doubled, tuple(doubled_word), iota,
+                             edge_map)
 
 
 def cut_along_involution(graph: Fatgraph, involution):
@@ -221,16 +222,16 @@ def hyperelliptic_census(g: int, trees: OrbifoldCensus) -> OrbifoldCensus:
 
 
 def _cell_census(g, trees, descriptor):
-    """The doubles of a census of unrooted trees, each checked to be a cell
-    of genus g, keyed and weighted like any one-boundary census graph with
-    the cell as payload, sorted by key."""
+    """The doubles of a census of unrooted trees, each entered by its
+    doubled word as a class of the all-valence census of genus g, with its
+    doubled graph and the cell as payload, sorted by key."""
     entries = []
     for entry in trees:
         cell = double_tree(entry.graph)
-        if cell.genus != g:
-            raise AssertionError("cell has genus %d, wanted %d"
-                                 % (cell.genus, g))
-        entries.append(replace(graph_entry(cell.doubled), payload=cell))
+        k = least_rotation(cell.word)
+        entries.append(replace(word_entry(cell.word[k:] + cell.word[:k], g,
+                                          ALL),
+                               stored=cell.doubled, payload=cell))
     entries.sort(key=lambda e: e.key)
     return OrbifoldCensus(descriptor, tuple(entries))
 

@@ -20,8 +20,7 @@ from .enumeration import catalan
 from .errors import WrongType
 from .hyperelliptic import (W1_MULTIPLICITY_5VALENT, W1_MULTIPLICITY_6VALENT,
                             count_t1, count_t2)
-from .kontsevich import (cell_volume, hyperelliptic_cell_volume,
-                         word_cell_volume)
+from .kontsevich import hyperelliptic_cell_volume, word_cell_volume
 from .workspace import Workspace
 
 KAPPA_DUALITY_DENOMINATOR = 12  # kappa_1 = ([W1] + [boundary]) / 12
@@ -79,8 +78,11 @@ def psi_top_genus0(n: int, workspace: Optional[Workspace] = None
                                "unlabeled point",))
     if n <= GENUS0_ASSEMBLED_N:
         census = _ws(workspace).tree_census(n - 1, "trivalent")
+        # a tree key is a flagged word, gap + m * flag; the volume reads
+        # the gaps alone
         assembled = census.orbifold_sum(
-            weight=lambda e: factorial(n - 1) * cell_volume(e.graph).value)
+            weight=lambda e: factorial(n - 1) * word_cell_volume(
+                tuple(w % len(e.key) for w in e.key)).value)
         mode = "census"
         notes = ("tree census %r; leaf labelings counted as (n-1)!/|Aut|"
                  % census.descriptor,)

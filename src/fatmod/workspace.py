@@ -46,10 +46,19 @@ class Workspace:
 
     def collapse_closure(self, g: int, valence_filter) -> OrbifoldCensus:
         """The census of ``valence_filter``, collapsed from this workspace's
-        own trivalent census once the cap allows it."""
+        own trivalent census once the cap allows it.
+
+        Raises CacheError when the trivalent census misses its closed count:
+        a class lost with the faces only it has keeps the Euler sum."""
         _enum.check_edge_cap(g, valence_filter, self.cap_edges)
-        return _enum.collapse_closure(self.trivalent_census(g), g,
-                                      valence_filter)
+        trivalent = self.trivalent_census(g)
+        total = trivalent.orbifold_sum()
+        closed = _enum.fatgraph_closed_count(g, _enum.TRIVALENT)
+        if total != closed:
+            raise CacheError("%r sums to %s, not its closed count %s, so "
+                             "it lacks a class and is not collapsed"
+                             % (trivalent.descriptor, total, closed))
+        return _enum.collapse_closure(trivalent, g, valence_filter)
 
     def tree_census(self, leaf_count: int, profile: str) -> OrbifoldCensus:
         return self._kept(_enum.tree_descriptor(leaf_count, profile,

@@ -21,7 +21,8 @@ trees by their canonical keys, the reference for ``trees._classes``, which
 deduplicates contour words before any tree is built.
 ``record_entry_reference`` checks a cache record by rebuilding its graph,
 the reference for the loader, which checks the word alone
-(``enumeration.word_entry``).
+(``enumeration.word_entry``); ``in_fatgraph_census`` is its membership
+test, read off the graph's type and valences.
 """
 
 from __future__ import annotations
@@ -30,8 +31,7 @@ import random
 from dataclasses import replace
 from fractions import Fraction
 
-from fatmod.enumeration import OrbifoldCensus, graph_entry, \
-    in_fatgraph_census
+from fatmod.enumeration import ALL, TRIVALENT, OrbifoldCensus
 from fatmod.errors import FatmodError, MalformedGraph
 from fatmod.fatgraph import DELTA, Fatgraph
 from fatmod.hyperelliptic import HyperellipticCell
@@ -479,25 +479,37 @@ def trivalent_pairings_reference(num_edges: int):
     return results
 
 
+def in_fatgraph_census(graph, g, valence_filter) -> bool:
+    """Whether an unflagged one-boundary graph is of the census that
+    ``enumeration.fatgraph_descriptor(g, valence_filter)`` names: of type
+    (g, 1), with valences all 3, any, or all 3 but one k, as the filter
+    says."""
+    if graph.graph_type() != (g, 1):
+        return False
+    if valence_filter == ALL:
+        return True
+    top = 3 if valence_filter == TRIVALENT else valence_filter[1]
+    return sorted(graph.valences) == [3] * (graph.num_vertices - 1) + [top]
+
+
 def record_entry_reference(record, g, valence_filter):
     """(key, |Aut|) of a cache record ``(aut_order, kind, word)`` of the
     census of ``(g, valence_filter)``, or None when the record is rejected:
-    the graph ``Fatgraph.from_word(word)`` rebuilt, its entry re-derived by
-    ``graph_entry``, its canonical key equal to the word, the graph a member
-    of the census and the stored |Aut| the re-derived one."""
+    the graph ``Fatgraph.from_word(word)`` rebuilt and unflagged, its
+    canonical key equal to the word, the graph a member of the census and
+    the stored |Aut| its ``aut_order()``."""
     aut, kind, word = record
     if kind != "graph":
         return None
     try:
         graph = Fatgraph.from_word(word)
-        entry = graph_entry(graph)
+        if DELTA in graph.flags or graph.canonical_key() != tuple(word) or \
+                not in_fatgraph_census(graph, g, valence_filter) or \
+                graph.aut_order() != aut:
+            return None
     except FatmodError:
         return None
-    if graph.canonical_key() != tuple(word) or \
-            not in_fatgraph_census(graph, g, valence_filter) or \
-            entry.aut_order != aut:
-        return None
-    return entry.key, entry.aut_order
+    return graph.canonical_key(), graph.aut_order()
 
 
 def census_without(census, index: int) -> OrbifoldCensus:
@@ -589,4 +601,5 @@ def double_by_cycles(tree) -> HyperellipticCell:
     edge_map = {doubled_table[h]: (tree_table[p], scale)
                 for h, p, scale in scaled}
     iota = tuple((h + off) % (2 * off) for h in range(2 * off))
-    return HyperellipticCell(tree, doubled, iota, edge_map)
+    return HyperellipticCell(tree, doubled, doubled.boundary_word()[1], iota,
+                             edge_map)

@@ -171,7 +171,7 @@ def test_criterion_10_hyperelliptic_structure():
     for leaves in (3, 5, 7, 9):
         for tree in unrooted_trees(leaves):
             cell = double_tree(tree)
-            g = cell.genus
+            g = cell.doubled.graph_type().g
             iota = cell.doubled.hyperelliptic_involution()
             assert iota is not None
             assert cell.doubled.fixed_cells(iota).total == 2 * g + 2

@@ -1,6 +1,7 @@
-"""Census entry functions: keys and automorphism orders do not depend on
-half-edge labels, and agree with the explicit search in ``oracles``; word
-entries and the cache loader agree with the graph-based references."""
+"""Census entries: keys and automorphism orders do not depend on half-edge
+labels, and agree with the explicit search in ``oracles``; word entries,
+tree entries, cell entries and the cache loader agree with the graph-based
+references (``Fatgraph.canonical_key`` and ``Fatgraph.aut_order``)."""
 
 from functools import lru_cache
 
@@ -9,8 +10,7 @@ from hypothesis import given, settings, strategies as st
 
 from fatmod.cache import cache_path, save_records
 from fatmod.enumeration import ALL, TRIVALENT, enumerate_fatgraphs, \
-    fatgraph_descriptor, graph_entry, in_fatgraph_census, tree_entry, \
-    word_entry
+    fatgraph_descriptor, tree_entry, word_entry
 from fatmod.errors import CacheError, MalformedGraph, WrongType
 from fatmod.fatgraph import Fatgraph
 from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
@@ -18,7 +18,7 @@ from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
 from fatmod.workspace import Workspace
 
 from oracles import automorphism_order_bruteforce, extend_flag_map, \
-    perm_compose, record_entry_reference, relabel
+    in_fatgraph_census, perm_compose, record_entry_reference, relabel
 
 
 def _one_boundary_censuses():
@@ -60,12 +60,19 @@ aut_order_oracle = lru_cache(maxsize=None)(automorphism_order_bruteforce)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
 def test_graph_entry_is_label_invariant(graph, data):
-    entry_of = tree_entry if isinstance(graph, PlanarTree) else graph_entry
+    # the canonical key and |Aut| that census entries are checked against
+    # (and, for trees, the tree entry) do not depend on half-edge labels,
+    # and |Aut| is the explicit search's; relabel returns a plain Fatgraph,
+    # so the original says which entry applies
+    def entry_of(G):
+        if isinstance(graph, PlanarTree):
+            entry = tree_entry(G)
+            return entry.key, entry.aut_order
+        return G.canonical_key(), G.aut_order()
     perm = data.draw(st.permutations(range(graph.num_half_edges)))
-    entry = entry_of(graph)
-    relabeled = entry_of(relabel(graph, perm))
-    assert relabeled.key == entry.key
-    assert relabeled.aut_order == entry.aut_order == aut_order_oracle(graph)
+    key, aut = entry_of(graph)
+    assert entry_of(relabel(graph, perm)) == (key, aut)
+    assert aut == aut_order_oracle(graph)
 
 
 @pytest.mark.parametrize("graph", GRAPHS + TREES)
@@ -101,17 +108,6 @@ def test_half_turn_is_the_only_hyperelliptic_involution(graph):
     assert found == (set() if iota is None else {iota})
 
 
-def test_graph_entry_needs_one_unflagged_boundary():
-    theta = Fatgraph.from_cycles([(0, 1, 2), (3, 4, 5)],
-                                 [(0, 3), (1, 5), (2, 4)])
-    with pytest.raises(MalformedGraph):
-        graph_entry(theta)
-    torus = Fatgraph.from_cycles([(0, 1, 2), (3, 4, 5)],
-                                 [(0, 3), (1, 4), (2, 5)], delta=(0,))
-    with pytest.raises(MalformedGraph):
-        graph_entry(torus)
-
-
 @pytest.mark.parametrize("valence_filter",
                          [TRIVALENT, ("single", 4), ("single", 5)],
                          ids=["trivalent", "single4", "single5"])
@@ -140,13 +136,39 @@ def test_fatgraph_census_membership(valence_filter):
     (2, ("single", 5))])
 def test_word_entry_matches_graph_entry(g, valence_filter, ws):
     # a word entry holds no graph; the graph its key rebuilds has the same
-    # key and |Aut|
+    # key and |Aut|, and |Aut| is the explicit search's
     census = ws.collapse_closure(g, valence_filter)
     assert len(census) and all(e.stored is None for e in census)
     for entry in census:
-        want = graph_entry(Fatgraph.from_word(entry.key))
-        assert (entry.key, entry.aut_order) == (want.key, want.aut_order)
-        assert entry.graph == want.graph
+        graph = Fatgraph.from_word(entry.key)
+        assert (entry.key, entry.aut_order) == \
+            (graph.canonical_key(), graph.aut_order())
+        assert entry.aut_order == aut_order_oracle(graph)
+        assert entry.graph == graph
+
+
+def _cell_censuses():
+    ws = Workspace()
+    censuses = [ws.hyperelliptic_census(g) for g in (1, 2, 3)]
+    for g in (2, 3):
+        comps = ws.w1_components(g)
+        censuses += [comps.component1, comps.component2]
+    return [pytest.param(census, id=census.descriptor) for census in censuses]
+
+
+@pytest.mark.parametrize("census", _cell_censuses())
+def test_cell_entries_read_the_doubled_word(census):
+    # a cell enters by the least rotation of the word double_tree wrote; it
+    # holds the graph that word builds, and its |Aut| is the explicit
+    # search's on that graph
+    assert len(census)
+    for entry in census:
+        cell = entry.payload
+        assert entry.graph is cell.doubled
+        assert cell.doubled == Fatgraph.from_word(cell.word)
+        assert cell.doubled.boundary_word()[1] == cell.word
+        assert entry.key == cell.doubled.canonical_key()
+        assert entry.aut_order == automorphism_order_bruteforce(entry.graph)
 
 
 @pytest.mark.parametrize("word,g", [

@@ -6,7 +6,8 @@ from fractions import Fraction
 import pytest
 
 from fatmod import cli
-from fatmod.cache import FORMAT_VERSION, HEADER, cache_path, load_records
+from fatmod.cache import FORMAT_VERSION, HEADER, cache_path, load_records, \
+    save_records
 from fatmod.integrals import IntegralReport
 
 from oracles import census_without
@@ -521,6 +522,27 @@ class TestCache:
         assert captured.out == ""
         assert len(captured.err.splitlines()) == 1
         assert captured.err.startswith("cache error:")
+
+    @pytest.mark.parametrize("index", range(9))
+    def test_trivalent_file_missing_a_class_is_not_collapsed(
+            self, capsys, tmp_path, index):
+        # a g=2 trivalent file that lost a class passes the loader; 6 of
+        # the 9 removals keep the Euler sum of its collapse closure, so
+        # euler must refuse to collapse it rather than print a match
+        trivalent = cli._enum.enumerate_fatgraphs(2)
+        assert len(trivalent) == 9
+        victim = cache_path(tmp_path, GENUS_TWO)
+        save_records(victim, GENUS_TWO,
+                     [(entry.aut_order, "graph", entry.key)
+                      for i, entry in enumerate(trivalent) if i != index])
+        for fmt in ("human", "csv", "json"):
+            code = cli.main(["verify", "--identity", "euler", "--g", "2",
+                             "--cache", str(tmp_path), "--format", fmt])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert "true" not in captured.out and "ok" not in captured.out
+            assert captured.err.startswith("cache error:")
+        assert list(tmp_path.iterdir()) == [victim]
 
     def test_other_format_version_is_never_read(self, capsys, tmp_path):
         # a leftover file of the line format (version 1) for the census

@@ -3,7 +3,8 @@ from math import factorial
 
 import pytest
 
-from fatmod.errors import ResourceLimit, WrongType
+from fatmod.enumeration import ALL, collapse_closure
+from fatmod.errors import CacheError, ResourceLimit, WrongType
 from fatmod.integrals import (bernoulli, boundary_integral, euler_report,
                               hodge_corollary, main_theorem, psi_top_genus0,
                               psi_top_hyperelliptic, psi_top_moduli,
@@ -215,16 +216,20 @@ class TestMutationDetection:
         assert not euler_report(1, broken).match
 
     def test_trivalent_census_fault_reaches_all_valences(self, ws):
-        # the all-valence census is collapsed from the workspace's
-        # trivalent census, so a class lost there is lost in euler too.
-        # Every face of the last g=2 class is a face of another class, so
-        # only that class goes; a class with faces of its own can take
-        # them along as an elementary collapse, which keeps the sum
+        # the all-valence census is collapsed from the trivalent census, so
+        # a class lost there is lost from the closure too.  Every face of
+        # the last g=2 class is a face of another class, so only that class
+        # goes; class 0 takes faces of its own along as an elementary
+        # collapse, which keeps the Euler sum.  So the workspace refuses to
+        # collapse a trivalent census that misses its closed count, and
+        # euler fails with a cache error either way
         census = ws.trivalent_census(2)
         lost = census.entries[-1].key
-        broken = Workspace()
-        broken.override(census.descriptor,
-                        census_without(census, len(census) - 1))
-        assert {e.key for e in broken.all_valence_census(2)} == \
+        without = census_without(census, len(census) - 1)
+        assert {e.key for e in collapse_closure(without, 2, ALL)} == \
             {e.key for e in ws.all_valence_census(2)} - {lost}
-        assert not euler_report(2, broken).match
+        for index in (0, len(census) - 1):
+            broken = Workspace()
+            broken.override(census.descriptor, census_without(census, index))
+            with pytest.raises(CacheError):
+                euler_report(2, broken)

@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatmod import kontsevich
-from fatmod.enumeration import enumerate_fatgraphs
+from fatmod.enumeration import enumerate_fatgraphs, enumerate_trees
 from fatmod.errors import WrongBoundaryCount
 from fatmod.fatgraph import Fatgraph
 from fatmod.hyperelliptic import double_tree
@@ -201,6 +201,19 @@ def test_word_cell_volume_matches_graph(g, valence_filter, ws):
     assert keys
     for key in keys:
         assert word_cell_volume(key) == cell_volume(Fatgraph.from_word(key))
+
+
+def test_tree_word_volume_matches_tree():
+    # genus0 reads a tree class's volume off its key with the flags
+    # stripped; the edges are numbered differently from the tree's, which
+    # may flip the Pfaffian's sign but not its absolute value
+    for leaves in range(3, 10):
+        for entry in enumerate_trees(leaves):
+            m = len(entry.key)
+            got = word_cell_volume(tuple(w % m for w in entry.key))
+            want = cell_volume(entry.graph)
+            assert (got.value, got.half_dim, abs(got.pf)) == \
+                (want.value, want.half_dim, abs(want.pf))
 
 
 class TestCellVolume:

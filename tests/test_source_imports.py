@@ -15,7 +15,8 @@ Only fatgraph censuses are cached, so the workspace holds no tree record
 kind, and unrooted tree classes are found among contour words, not among
 built rooted trees.  A fatgraph census class is its gap word: the cache
 loader checks a record on the word and builds no graph, and the census
-sums of psi-top and euler read the word, not a graph.
+sums of genus0, psi-top and euler read the word, not a graph.  Every
+census class enters by its word, so no module has a graph entry function.
 """
 
 import ast
@@ -84,7 +85,7 @@ def test_trees_and_cells_are_built_from_words(module):
 TEST_ONLY = {"collapse_edge", "_cycle_from", "LoopCollapse", "relabeled",
              "perm_inverse", "boundary_edge_cycles", "full_simplex_involution",
              "boundary_integral_stable_path", "parse_rational",
-             "internal_valences", "leaf_vertices"}
+             "internal_valences", "leaf_vertices", "in_fatgraph_census"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
@@ -157,6 +158,14 @@ def test_record_check_builds_no_graph():
     assert not any(mentions(node, name) for name in graph_names)
 
 
-@pytest.mark.parametrize("function", ["psi_top_moduli", "euler_report"])
+@pytest.mark.parametrize("function", ["psi_top_genus0", "psi_top_moduli",
+                                      "euler_report"])
 def test_census_sums_read_words(function):
     assert not mentions(function_node("integrals", function), "graph")
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_census_classes_enter_by_their_words(path):
+    # fatgraph classes, trees and doubled cells all enter a census through
+    # their boundary words (word_entry, tree_entry)
+    assert "graph_entry" not in referenced_names(path)

@@ -63,10 +63,8 @@ with n > 1 have no census, so the census functions take only g.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
-from typing import Callable, Optional
+from typing import Callable, NamedTuple, Optional
 
 from . import trees as _trees
 from .errors import MalformedGraph, ResourceLimit, WrongType
@@ -104,14 +102,14 @@ def catalan5(k: int) -> int:
     return math.comb(2 * k - 6, k - 5)
 
 
-@dataclass(frozen=True)
-class CensusEntry:
+class CensusEntry(NamedTuple):
     """One class of a census: its key, |Aut| and an optional payload.
 
     ``stored`` is the graph or tree the class stands for, or None when
     the entry holds no graph, as a fatgraph census entry
     (:func:`word_entry`) does: its ``graph`` is then
-    ``Fatgraph.from_word(key)``, built when first read.
+    ``Fatgraph.from_word(key)``, built on each read; the package reads it
+    only on entries that store their object.
     """
 
     key: tuple
@@ -119,20 +117,22 @@ class CensusEntry:
     aut_order: int
     payload: object = None
 
-    @cached_property
+    @property
     def graph(self):
         if self.stored is None:
             return Fatgraph.from_word(self.key)
         return self.stored
 
 
-@dataclass(frozen=True)
 class OrbifoldCensus:
     """A complete list of isomorphism classes matching a filter, with
     automorphism orders; keys are pairwise distinct and entries sorted."""
 
-    descriptor: str
-    entries: tuple
+    __slots__ = ("descriptor", "entries")
+
+    def __init__(self, descriptor: str, entries: tuple):
+        self.descriptor = descriptor
+        self.entries = entries
 
     def __len__(self):
         return len(self.entries)

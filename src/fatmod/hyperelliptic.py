@@ -26,9 +26,9 @@ copies of an internal tree edge each carry half of it.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
 from fractions import Fraction
 from itertools import product
+from typing import NamedTuple
 
 from .enumeration import ALL, OrbifoldCensus, catalan, catalan5, word_entry
 from .errors import BadLeafCount, NotSymmetric, WrongType
@@ -41,8 +41,7 @@ W1_MULTIPLICITY_6VALENT = 3   # three sheets through a fixed 6-valent vertex
 _STUB, _LEAF = "stub", "leaf"  # tree slots a cut inserts
 
 
-@dataclass(frozen=True)
-class HyperellipticCell:
+class HyperellipticCell(NamedTuple):
     """A doubled tree: the indexing tree, the doubled graph and its gap
     word read from half-edge 0 (``doubled.boundary_word()[1]``), the
     copy-swap involution, and the linear embedding of tree metrics into
@@ -56,8 +55,7 @@ class HyperellipticCell:
     edge_map: dict
 
 
-@dataclass(frozen=True)
-class W1HComponents:
+class W1HComponents(NamedTuple):
     """The two components of the Witten-cycle intersection with the
     hyperelliptic locus; their transversality multiplicities are
     ``W1_MULTIPLICITY_5VALENT`` and ``W1_MULTIPLICITY_6VALENT``."""
@@ -229,9 +227,8 @@ def _cell_census(g, trees, descriptor):
     for entry in trees:
         cell = double_tree(entry.graph)
         k = least_rotation(cell.word)
-        entries.append(replace(word_entry(cell.word[k:] + cell.word[:k], g,
-                                          ALL),
-                               stored=cell.doubled, payload=cell))
+        entries.append(word_entry(cell.word[k:] + cell.word[:k], g, ALL)
+                       ._replace(stored=cell.doubled, payload=cell))
     entries.sort(key=lambda e: e.key)
     return OrbifoldCensus(descriptor, tuple(entries))
 

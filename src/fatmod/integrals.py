@@ -11,10 +11,9 @@ route and raise ResourceLimit past the workspace's edge cap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import comb, factorial
-from typing import Optional
+from typing import NamedTuple, Optional
 
 from .enumeration import catalan
 from .errors import WrongType
@@ -32,8 +31,7 @@ HYPERELLIPTIC_ASSEMBLED_G = 4
 W1_ASSEMBLED_G = 4
 
 
-@dataclass(frozen=True)
-class IntegralReport:
+class IntegralReport(NamedTuple):
     name: str
     param_name: str
     param: int

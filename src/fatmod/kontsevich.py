@@ -17,16 +17,15 @@ since the free-coordinate domain is the 1/2-scaled simplex of volume
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from math import factorial, lcm
+from typing import NamedTuple
 
 from .errors import WrongBoundaryCount
 from .fatgraph import Fatgraph
 
 
-@dataclass(frozen=True)
-class CellVolume:
+class CellVolume(NamedTuple):
     value: Fraction
     half_dim: int
     pf: Fraction  # signed Pfaffian; volumes use its absolute value
@@ -90,6 +89,8 @@ def pfaffian(matrix) -> Fraction:
     (Pf^2 = det) before returning.
     """
     n = len(matrix)
+    if any(len(row) != n for row in matrix):
+        raise ValueError("matrix is not square")
     if n % 2:
         raise ValueError("odd-dimensional antisymmetric matrix")
     for i in range(n):

@@ -19,6 +19,9 @@ before ``enumeration._trivalent_pairings`` kept path endpoints, the
 reference for its output.  ``tree_classes_reference`` deduplicates built
 trees by their canonical keys, the reference for ``trees._classes``, which
 deduplicates contour words before any tree is built.
+``half_turn_cells_by_profile`` finds the hyperelliptic cells of a
+census by scanning its gap words for a half-turn symmetry, the reference
+for the doubled-tree components of ``hyperelliptic``.
 ``record_entry_reference`` checks a cache record by rebuilding its graph,
 the reference for the loader, which checks the word alone
 (``enumeration.word_entry``); ``in_fatgraph_census`` is its membership
@@ -28,7 +31,6 @@ test, read off the graph's type and valences.
 from __future__ import annotations
 
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 from fatmod.enumeration import ALL, TRIVALENT, OrbifoldCensus
@@ -512,6 +514,42 @@ def record_entry_reference(record, g, valence_filter):
     return graph.canonical_key(), graph.aut_order()
 
 
+def half_turn_cells_by_profile(census, g) -> dict:
+    """Keys of the census classes whose half-turn p -> p+E is a
+    hyperelliptic involution, read off the gap words alone, by valence
+    profile (vertex valences, largest first).
+
+    A class is kept when its word is fixed by rotation by E and the
+    half-turn fixes 2g+2 cells: the antipodal edges (gap E), the
+    sigma-cycles holding both i and i+E, with sigma(p) = p + gap(p) + 1,
+    and the boundary.  The reference for the doubled-tree components of
+    ``hyperelliptic``; it shares no tree or doubling code with them.
+    """
+    kept = {}
+    for entry in census:
+        word = entry.key
+        m = len(word)
+        e = m // 2
+        if word[e:] + word[:e] != word:
+            continue
+        sigma = [(p + gap + 1) % m for p, gap in enumerate(word)]
+        seen, lengths, fixed_vertices = set(), [], 0
+        for start in range(m):
+            if start in seen:
+                continue
+            cycle = [start]
+            while sigma[cycle[-1]] != start:
+                cycle.append(sigma[cycle[-1]])
+            seen.update(cycle)
+            lengths.append(len(cycle))
+            fixed_vertices += (start + e) % m in cycle
+        fixed_edges = word.count(e) // 2
+        if fixed_edges + fixed_vertices + 1 == 2 * g + 2:
+            profile = tuple(sorted(lengths, reverse=True))
+            kept.setdefault(profile, []).append(word)
+    return kept
+
+
 def census_without(census, index: int) -> OrbifoldCensus:
     """Copy of a census with one entry removed."""
     kept = census.entries[:index] + census.entries[index + 1:]
@@ -522,7 +560,7 @@ def census_with_aut_order(census, index: int,
                           aut_order: int) -> OrbifoldCensus:
     """Copy of a census with one entry's automorphism order replaced."""
     entries = list(census.entries)
-    entries[index] = replace(entries[index], aut_order=aut_order)
+    entries[index] = entries[index]._replace(aut_order=aut_order)
     return OrbifoldCensus(census.descriptor + " [mutated]", tuple(entries))
 
 

@@ -16,7 +16,8 @@ from fatmod.kontsevich import hyperelliptic_cell_volume
 from fatmod.trees import (LEAF, MARKED, ONE5, TRIVALENT, PlanarTree,
                           build_rooted_tree, unrooted_trees)
 
-from oracles import collapse_edge, double_by_cycles, relabel
+from oracles import (collapse_edge, double_by_cycles,
+                     half_turn_cells_by_profile, relabel)
 
 
 class TestDoubleTree:
@@ -198,6 +199,14 @@ class TestCensuses:
         keys1 = {e.key for e in comps.component1}
         keys2 = {e.key for e in comps.component2}
         assert not keys1 & keys2
+
+    def test_w1_components_match_half_turn_scan(self, ws):
+        # a second route to H_2 ∩ W_1 that reads the all-valence census
+        # words and uses no tree or doubling code
+        kept = half_turn_cells_by_profile(ws.all_valence_census(2), 2)
+        comps = ws.w1_components(2)
+        assert kept[(5, 5)] == [e.key for e in comps.component1]
+        assert kept[(6, 3, 3)] == [e.key for e in comps.component2]
 
     def test_closed_counts(self):
         assert count_t1(2) == Fraction(1, 10)

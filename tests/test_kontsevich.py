@@ -85,6 +85,15 @@ class TestPfaffian:
         with pytest.raises(ValueError):
             pfaffian(((0, 1), (1, 0)))
 
+    @pytest.mark.parametrize("matrix", [((0, 1, 7), (-1, 0)),
+                                        ((0, 2, 9), (-2, 0, 9)),
+                                        ((0, 1), (-1, 0), (0, 0))])
+    def test_rejects_non_square(self, matrix):
+        # a malformed argument is the caller's error, not a failed
+        # Pf^2 = det check
+        with pytest.raises(ValueError):
+            pfaffian(matrix)
+
     def test_congruent_standard_form_order_forty(self):
         # Pf(B J B^T) = det(B) Pf(J) = the product of B's diagonal, with
         # J the direct sum of [[0, 1], [-1, 0]] and B upper triangular

@@ -17,9 +17,13 @@ built rooted trees.  A fatgraph census class is its gap word: the cache
 loader checks a record on the word and builds no graph, and the census
 sums of genus0, psi-top and euler read the word, not a graph.  Every
 census class enters by its word, so no module has a graph entry function.
+The value records are NamedTuples, so importing the CLI loads neither
+``dataclasses`` nor the ``inspect`` family it brings.
 """
 
 import ast
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -169,3 +173,16 @@ def test_census_classes_enter_by_their_words(path):
     # fatgraph classes, trees and doubled cells all enter a census through
     # their boundary words (word_entry, tree_entry)
     assert "graph_entry" not in referenced_names(path)
+
+
+def test_cli_import_skips_dataclasses(child_env):
+    # set against the child's own start-up modules, so a site hook that
+    # preloads one of them cannot fail the test
+    code = ("import sys; start = set(sys.modules); import fatmod.cli; "
+            "print(*sorted(set(sys.modules) - start))")
+    added = subprocess.run([sys.executable, "-c", code], env=child_env,
+                           capture_output=True, text=True,
+                           check=True).stdout.split()
+    assert "fatmod.cli" in added
+    assert not set(added) & {"dataclasses", "inspect", "ast", "dis",
+                             "tokenize"}

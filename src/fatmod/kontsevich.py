@@ -32,17 +32,32 @@ class CellVolume(NamedTuple):
 
 
 def _raw_coefficients(seq, num_edges):
-    """Antisymmetric edge-pair coefficients from the boundary slot sequence,
-    summing over slot pairs i < j among the first len(seq) - 1 slots."""
+    """Antisymmetric edge-pair coefficients from the boundary slot sequence:
+    c[a][b] sums sign(q - p) over the counted slots p of edge a and q of
+    edge b, where every slot but the last one counts.  This is the sum over
+    slot pairs i < j < len(seq) - 1 of +1 at (seq[i], seq[j]) and -1 at
+    (seq[j], seq[i]), taken over edge pairs: for slots p1 < p2 of a and
+    q1 < q2 of b it is 2 ((p1 < q1) + (p1 < q2) + (p2 < q1) + (p2 < q2)) - 4.
+    The edge z in the last slot has one counted slot.  The formula also
+    counts its last slot, which comes after both slots of every other edge
+    b and so adds -1 twice to c[z][b]; adding 2 back removes it."""
+    slots = [[] for _ in range(num_edges)]
+    for p, e in enumerate(seq):
+        slots[e].append(p)
     c = [[0] * num_edges for _ in range(num_edges)]
-    m = len(seq)
-    for i in range(m - 1):
-        a = seq[i]
-        for j in range(i + 1, m - 1):
-            b = seq[j]
-            if a != b:
-                c[a][b] += 1
-                c[b][a] -= 1
+    for a, (p1, p2) in enumerate(slots):
+        row = c[a]
+        for b in range(a + 1, num_edges):
+            q1, q2 = slots[b]
+            v = 2 * ((p1 < q1) + (p1 < q2) + (p2 < q1) + (p2 < q2)) - 4
+            row[b] = v
+            c[b][a] = -v
+    z = seq[-1]
+    row = c[z]
+    for b in range(num_edges):
+        if b != z:
+            row[b] += 2
+            c[b][z] -= 2
     return c
 
 
@@ -76,32 +91,39 @@ def _slot_omega_matrix(seq, eliminate=None) -> tuple:
 
 def _eliminate(c, num_edges, k) -> tuple:
     free = [e for e in range(num_edges) if e != k]
-    return tuple(
-        tuple(c[a][b] - c[a][k] + c[b][k] for b in free) for a in free)
+    ck = [row[k] for row in c]
+    return tuple([tuple([c[a][b] - ck[a] + ck[b] for b in free])
+                  for a in free])
 
 
 def pfaffian(matrix) -> Fraction:
     """Exact Pfaffian of an antisymmetric matrix.
 
-    The matrix is scaled to integers by the lcm of its entries' denominators.
-    The Pfaffian is computed by fraction-free skew elimination in O(n^3)
-    integer steps, and verified against the Bareiss integer determinant
-    (Pf^2 = det) before returning.
+    A matrix of ``int`` entries passes unscaled; any other is scaled to
+    integers by the lcm of its entries' denominators.  The Pfaffian is
+    computed by fraction-free skew elimination in O(n^3) integer steps, and
+    verified against the Bareiss integer determinant (Pf^2 = det) before
+    returning.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
     if n % 2:
         raise ValueError("odd-dimensional antisymmetric matrix")
-    for i in range(n):
-        for j in range(n):
-            if matrix[i][j] != -matrix[j][i]:
+    for i, row in enumerate(matrix):
+        if row[i] != -row[i]:
+            raise ValueError("matrix is not antisymmetric")
+        for j in range(i + 1, n):
+            if row[j] != -matrix[j][i]:
                 raise ValueError("matrix is not antisymmetric")
     if n == 0:
         return Fraction(1)
-    scale = lcm(*(matrix[i][j].denominator
-                  for i in range(n) for j in range(i + 1, n)))
-    m = [[int(x * scale) for x in row] for row in matrix]
+    if {type(x) for row in matrix for x in row} == {int}:
+        scale, m = 1, matrix
+    else:
+        scale = lcm(*(matrix[i][j].denominator
+                      for i in range(n) for j in range(i + 1, n)))
+        m = [[int(x * scale) for x in row] for row in matrix]
     pf_int = _pfaffian_int(m)
     det = _det_fraction(m)
     if pf_int * pf_int != det:

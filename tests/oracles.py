@@ -22,6 +22,9 @@ deduplicates contour words before any tree is built.
 ``half_turn_cells_by_profile`` finds the hyperelliptic cells of a
 census by scanning its gap words for a half-turn symmetry, the reference
 for the doubled-tree components of ``hyperelliptic``.
+``raw_coefficients_by_slot_pairs`` assembles the cell form's coefficients
+by a loop over slot pairs, the reference for ``kontsevich._raw_coefficients``,
+which sums over edge pairs.
 ``record_entry_reference`` checks a cache record by rebuilding its graph,
 the reference for the loader, which checks the word alone
 (``enumeration.word_entry``); ``in_fatgraph_census`` is its membership
@@ -221,6 +224,21 @@ def one_face_census_bruteforce(num_edges, cycle_ok):
         key = min(gaps[r:] + gaps[:r] for r in range(m))
         counts[key] = counts.get(key, 0) + 1
     return counts
+
+
+def raw_coefficients_by_slot_pairs(seq, num_edges):
+    """Antisymmetric edge-pair coefficients from the boundary slot sequence,
+    summing over slot pairs i < j among the first len(seq) - 1 slots."""
+    c = [[0] * num_edges for _ in range(num_edges)]
+    m = len(seq)
+    for i in range(m - 1):
+        a = seq[i]
+        for j in range(i + 1, m - 1):
+            b = seq[j]
+            if a != b:
+                c[a][b] += 1
+                c[b][a] -= 1
+    return c
 
 
 def pfaffian_by_matchings(matrix) -> Fraction:

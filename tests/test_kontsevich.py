@@ -16,7 +16,8 @@ from fatmod.trees import (LEAF, ONE5, MARKED, build_rooted_tree,
                           odd_valence_trees, unrooted_trees)
 
 from oracles import (det_by_elimination, monte_carlo_cell_volume,
-                     pfaffian_by_matchings, relabel)
+                     pfaffian_by_matchings, raw_coefficients_by_slot_pairs,
+                     relabel)
 
 
 def torus_graph():
@@ -120,11 +121,33 @@ class TestPfaffian:
     def test_determinant_check_fires(self, monkeypatch, ws, graph):
         # an expansion that is off by one must fail the Pf^2 = det check
         form = omega_matrix(graph(ws))
+        assert {type(x) for row in form for x in row} == {int}
         expand = kontsevich._pfaffian_int
         monkeypatch.setattr(kontsevich, "_pfaffian_int",
                             lambda m: expand(m) + 1)
         with pytest.raises(AssertionError):
             pfaffian(form)
+
+    def test_determinant_check_fires_on_fraction_form(self, monkeypatch, ws):
+        # the scaled path keeps the check too
+        form = omega_matrix(next(iter(ws.trivalent_census(2))).graph)
+        halved = [[Fraction(x, 2) for x in row] for row in form]
+        expand = kontsevich._pfaffian_int
+        monkeypatch.setattr(kontsevich, "_pfaffian_int",
+                            lambda m: expand(m) + 1)
+        with pytest.raises(AssertionError):
+            pfaffian(halved)
+
+    @pytest.mark.parametrize("at,value", [
+        ((0, 0), 1), ((3, 3), -2), ((0, 2), 5), ((2, 0), 5), ((1, 3), 0),
+        ((3, 1), 0)], ids=["diagonal-first", "diagonal-last", "above",
+                           "below", "above-zeroed", "below-zeroed"])
+    def test_integer_matrix_keeps_antisymmetry_check(self, at, value):
+        m = [[0, 1, 2, 3], [-1, 0, 4, 5], [-2, -4, 0, 6], [-3, -5, -6, 0]]
+        assert pfaffian(m) == 1 * 6 - 2 * 5 + 3 * 4
+        m[at[0]][at[1]] = value
+        with pytest.raises(ValueError):
+            pfaffian(m)
 
 
 @st.composite
@@ -178,12 +201,100 @@ def test_pfaffian_matches_matching_sum(m):
     assert pfaffian(m) == pfaffian_by_matchings(m)
 
 
+@settings(max_examples=100, deadline=None)
+@given(skew_matrices())
+def test_integer_matrix_matches_fraction_twin(m):
+    # an int matrix passes unscaled; its Fraction(k, 1) twin, and a twin
+    # with Fractions above the diagonal only, take the scaled path
+    ints = [[int(2 * x) for x in row] for row in m]
+    twin = [[Fraction(x) for x in row] for row in ints]
+    upper = [[Fraction(x) if i < j else x for j, x in enumerate(row)]
+             for i, row in enumerate(ints)]
+    assert pfaffian(ints) == pfaffian(twin) == pfaffian(upper)
+
+
+def word_slots(word):
+    """The edge in each slot of a one-boundary gap word, edges numbered by
+    first slot: slot p and slot p + word[p] (mod 2E) hold one edge."""
+    m = len(word)
+    seq = [None] * m
+    edge = 0
+    for p in range(m):
+        if seq[p] is None:
+            seq[p] = seq[(p + word[p]) % m] = edge
+            edge += 1
+    return seq
+
+
+def doubled_slots(cell):
+    table = cell.doubled._edge_index_table()
+    return [table[h] for h in cell.doubled.boundary_cycles().cycles[0]]
+
+
+def eliminated(c, k):
+    free = [e for e in range(len(c)) if e != k]
+    return tuple(tuple(c[a][b] - c[a][k] + c[b][k] for b in free)
+                 for a in free)
+
+
+def check_form_assembly(seq):
+    num_edges = len(seq) // 2
+    c = raw_coefficients_by_slot_pairs(seq, num_edges)
+    assert kontsevich._raw_coefficients(seq, num_edges) == c
+    if num_edges % 2:
+        assert kontsevich._slot_omega_matrix(seq) == \
+            eliminated(c, num_edges - 1)
+        for k in range(num_edges):
+            assert kontsevich._slot_omega_matrix(seq, k) == eliminated(c, k)
+
+
+@st.composite
+def slot_sequences(draw):
+    """Each of E edges in two of the 2E slots, in any order: every side
+    pairing of a 2E-gon is the boundary of a one-boundary graph."""
+    num_edges = draw(st.integers(1, 15))
+    return draw(st.permutations([e for e in range(num_edges) for _ in "ab"]))
+
+
+@settings(max_examples=300, deadline=None)
+@given(slot_sequences())
+def test_form_assembly_matches_slot_pairs(seq):
+    check_form_assembly(seq)
+
+
+@pytest.mark.parametrize("sequences", [
+    lambda ws: [word_slots(e.key) for g in (1, 2, 3)
+                for e in ws.trivalent_census(g)]
+    + [word_slots(e.key) for g in (1, 2)
+       for e in ws.collapse_closure(g, "all")],
+    lambda ws: [word_slots([w % len(e.key) for w in e.key])
+                for leaves in range(2, 10) for e in enumerate_trees(leaves)],
+    lambda ws: [doubled_slots(double_tree(tree))
+                for leaves, profile in [(3, "trivalent"), (5, "trivalent"),
+                                        (7, "trivalent"), (5, ONE5),
+                                        (7, ONE5), (4, MARKED), (6, MARKED)]
+                for tree in unrooted_trees(leaves, profile)],
+], ids=["census-words", "tree-words", "doubled-cells"])
+def test_census_form_assembly_matches_slot_pairs(sequences, ws):
+    seqs = sequences(ws)
+    assert seqs
+    for seq in seqs:
+        check_form_assembly(seq)
+
+
 class TestPfaffianLaw:
     @pytest.mark.parametrize("g", [1, 2])
     def test_trivalent_census(self, g, ws):
         want = Fraction(4 ** (3 * g - 2), 2 ** g)
         for entry in ws.trivalent_census(g):
             assert abs(pfaffian(omega_matrix(entry.graph))) == want
+
+    def test_trivalent_census_genus_three_words(self, ws):
+        # |Pf| = 4^(3g-2) / 2^g = 2048 on each of the 1726 classes
+        entries = list(ws.trivalent_census(3))
+        assert len(entries) == 1726
+        for entry in entries:
+            assert abs(word_cell_volume(entry.key).pf) == 2048
 
     def test_odd_valence_trees(self):
         for tree in odd_valence_trees(9):

@@ -397,7 +397,9 @@ def collapse_closure(trivalent, g: int, valence_filter) -> OrbifoldCensus:
 def word_entry(word, g: int, valence_filter) -> CensusEntry:
     """Census entry of the class whose canonical gap word is ``word``, in
     the census that ``fatgraph_descriptor(g, valence_filter)`` names.  The
-    entry holds no graph, and |Aut| is 2E / ``rotation_period(word)``.
+    entry holds no graph, and |Aut| is 2E / ``rotation_period(word)``,
+    read off the same scan of the word's rotations that checks it is its
+    own least rotation.
 
     Raises MalformedGraph unless the word pairs its m slots (m even and
     nonzero, every gap in 1..m-1, the pairing an involution), every cycle
@@ -418,14 +420,37 @@ def word_entry(word, g: int, valence_filter) -> CensusEntry:
     if valences[0] < 3:
         raise MalformedGraph("gap word %r has a vertex of valence %d"
                              % (word, valences[0]))
-    k = least_rotation(word)
-    if word[k:] + word[:k] != word:
+    period = _least_rotation_period(word)
+    if period is None:
         raise MalformedGraph("gap word %r is not its least rotation"
                              % (word,))
     if not _in_census(valences, g, valence_filter):
         raise WrongType("gap word %r is outside the census %r"
                         % (word, fatgraph_descriptor(g, valence_filter)))
-    return CensusEntry(tuple(word), None, m // rotation_period(word))
+    return CensusEntry(tuple(word), None, m // period)
+
+
+def _least_rotation_period(word):
+    """``rotation_period(word)`` if the word is its own least rotation,
+    else None, in one scan of its rotations.  A rotation that starts with
+    an entry above word[0] is larger, and one that starts below it is
+    smaller, so only rotations that start with word[0] are compared, in
+    order, up to the first that equals the word: the period, after which
+    the rotations repeat."""
+    w0 = word[0]
+    if min(word) < w0:
+        return None
+    r = 0
+    while True:
+        try:
+            r = word.index(w0, r + 1)
+        except ValueError:
+            return len(word)
+        rotated = word[r:] + word[:r]
+        if rotated == word:
+            return r
+        if rotated < word:
+            return None
 
 
 def fatgraph_filter(g: int, valence_filter):

@@ -204,24 +204,47 @@ def cell_volume(graph: Fatgraph) -> CellVolume:
 
 def word_cell_volume(word) -> CellVolume:
     """``cell_volume(Fatgraph.from_word(word))`` read off the gap word of a
-    one-boundary graph, with no graph built: slot p is paired with
+    one-boundary graph, with no graph built (``_word_omega_matrix``)."""
+    return _volume(_word_omega_matrix(word))
+
+
+def _word_omega_matrix(word) -> tuple:
+    """``omega_matrix(Fatgraph.from_word(word))``, built in one pass over
+    pairs of free edges from the gap word: slot p is paired with
     p + word[p] (mod 2E), and edges are numbered by their first slot, as
-    ``Fatgraph.edges`` numbers the edges of that graph."""
+    ``Fatgraph.edges`` numbers the edges of that graph.
+
+    For edges a < b, with slots p1 < p2 and q1 < q2, p1 < q1 holds, so the
+    raw coefficient of ``_raw_coefficients`` is 2 ((q1 > p2) + (q2 > p2)),
+    with +2 in the row and -2 in the column of the edge in the last slot.
+    Eliminating the last edge k gives c[a][b] - c[a][k] + c[b][k], in
+    which those two terms cancel, so they are never added.
+    """
     m = len(word)
-    seq = [0] * m
-    edge = 0
-    for p, w in enumerate(word):
-        if p + w < m:  # p is the first slot of its edge
-            seq[p] = seq[p + w] = edge
-            edge += 1
-    return _volume(_slot_omega_matrix(seq))
+    num_edges = m // 2
+    if num_edges % 2 == 0:
+        raise ValueError("cell form needs an odd edge count, got %d"
+                         % num_edges)
+    ends = [(p, p + w) for p, w in enumerate(word) if p + w < m]
+    k1, k2 = ends.pop()
+    # each free edge's slots and its raw coefficient against edge k
+    edges = [(q1, q2, 2 * ((k1 > q2) + (k2 > q2))) for q1, q2 in ends]
+    n = len(edges)
+    rows = [[0] * n for _ in range(n)]
+    for a, (_, p2, cka) in enumerate(edges):
+        row = rows[a]
+        for b in range(a + 1, n):
+            q1, q2, ckb = edges[b]
+            row[b] = v = 2 * ((q1 > p2) + (q2 > p2)) - cka + ckb
+            rows[b][a] = -v
+    return tuple(map(tuple, rows))
 
 
 def _volume(matrix) -> CellVolume:
     pf = pfaffian(matrix)
     d = len(matrix) // 2
-    value = Fraction(factorial(d)) * abs(pf) / (2 ** (2 * d)
-                                                * factorial(2 * d))
+    value = Fraction(factorial(d) * abs(pf.numerator),
+                     4 ** d * factorial(2 * d) * pf.denominator)
     return CellVolume(value, d, pf)
 
 

@@ -9,10 +9,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatmod.cache import cache_path, save_records
-from fatmod.enumeration import ALL, TRIVALENT, enumerate_fatgraphs, \
-    fatgraph_descriptor, tree_entry, word_entry
+from fatmod.enumeration import ALL, TRIVALENT, _least_rotation_period, \
+    enumerate_fatgraphs, enumerate_trees, fatgraph_descriptor, tree_entry, \
+    word_entry
 from fatmod.errors import CacheError, MalformedGraph, WrongType
-from fatmod.fatgraph import Fatgraph
+from fatmod.fatgraph import Fatgraph, least_rotation, rotation_period
 from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
     PlanarTree, odd_valence_trees, unrooted_trees
 from fatmod.workspace import Workspace
@@ -184,6 +185,62 @@ def test_word_entry_rejects_what_the_graph_check_rejects(word, g):
     assert record_entry_reference((1, "graph", word), g, ALL) is None
     with pytest.raises(MalformedGraph):
         word_entry(word, g, ALL)
+
+
+@pytest.mark.parametrize("g", [1, 2])
+def test_word_entry_rejects_every_other_rotation(g, ws):
+    # the all-valence census holds every class of genus g; each rotation
+    # of its word that is not the word itself is refused
+    for entry in ws.collapse_closure(g, ALL):
+        word = entry.key
+        for r in range(1, len(word)):
+            rotated = word[r:] + word[:r]
+            if rotated != word:
+                with pytest.raises(MalformedGraph):
+                    word_entry(rotated, g, ALL)
+
+
+@pytest.mark.parametrize("words", [
+    lambda ws: [(e.key, g, TRIVALENT) for g in (1, 2, 3)
+                for e in ws.trivalent_census(g)],
+    lambda ws: [(e.key, g, ALL) for g in (1, 2)
+                for e in ws.collapse_closure(g, ALL)],
+    lambda ws: [(e.key, g, ALL) for g in (1, 2, 3)
+                for e in ws.hyperelliptic_census(g)]
+    + [(e.key, g, ALL) for g in (2, 3)
+       for component in ws.w1_components(g) for e in component],
+], ids=["trivalent", "all-valence", "cells"])
+def test_one_scan_reads_the_rotation_period(words, ws):
+    # the scan that checks a word is its own least rotation reads |Aut| =
+    # m / rotation_period(word)
+    words = words(ws)
+    assert words
+    for word, g, valence_filter in words:
+        assert _least_rotation_period(word) == rotation_period(word)
+        assert word_entry(word, g, valence_filter).aut_order == \
+            len(word) // rotation_period(word)
+
+
+def test_one_scan_reads_tree_periods():
+    # tree keys carry flag codes, so they skip word_entry; tree_entry
+    # keeps rotation_period, and the scan reads the same period off them
+    for profile in (TREE_TRIVALENT, ONE5, MARKED):
+        for leaves in range(2, 10):
+            for entry in enumerate_trees(leaves, profile):
+                period = _least_rotation_period(entry.key)
+                assert period == rotation_period(entry.key)
+                assert entry.aut_order == len(entry.key) // period
+
+
+@settings(max_examples=500, deadline=None)
+@given(st.lists(st.integers(1, 3), min_size=1, max_size=12))
+def test_one_scan_matches_booth_and_period(word):
+    # on any word: None unless the word is its own least rotation (Booth),
+    # and then its rotation period
+    word = tuple(word)
+    k = least_rotation(word)
+    want = rotation_period(word) if word[k:] + word[:k] == word else None
+    assert _least_rotation_period(word) == want
 
 
 RECORD_CENSUSES = {(g, valence_filter): enumerate_fatgraphs(g, valence_filter)

@@ -4,7 +4,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatmod.enumeration import (_collapsible_slots, catalan, catalan5,
-                                collapse_word, enumerate_fatgraphs)
+                                collapse_word, enumerate_fatgraphs,
+                                enumerate_trees, tree_descriptor)
 from fatmod.errors import BadLeafCount, NotSymmetric
 from fatmod.fatgraph import (Fatgraph, one_vertex_opposite_pairing,
                              two_vertex_star_double)
@@ -15,6 +16,7 @@ from fatmod.hyperelliptic import (W1_MULTIPLICITY_5VALENT,
 from fatmod.kontsevich import hyperelliptic_cell_volume
 from fatmod.trees import (LEAF, MARKED, ONE5, TRIVALENT, PlanarTree,
                           build_rooted_tree, unrooted_trees)
+from fatmod.workspace import Workspace
 
 from oracles import (collapse_edge, double_by_cycles,
                      half_turn_cells_by_profile, relabel)
@@ -180,6 +182,21 @@ def test_cut_is_label_invariant(leaves, profile, data):
     assert a.canonical_key() == b.canonical_key() == tree.canonical_key()
 
 
+@pytest.fixture(scope="module")
+def single6_genus3(ws):
+    return ws.collapse_closure(3, ("single", 6))
+
+
+def half_turn_component2_keys(census, g):
+    """Keys of the half-turn scan of the ("single", 6) census of genus g:
+    every class it keeps has the one profile of that census, a 6-valent
+    vertex among 4g - 6 trivalent ones."""
+    profile = (6,) + (3,) * (4 * g - 6)
+    kept = half_turn_cells_by_profile(census, g)
+    assert list(kept) == [profile]
+    return kept[profile]
+
+
 class TestCensuses:
     def test_maximal_cell_counts(self, ws):
         assert ws.hyperelliptic_census(1).orbifold_sum() == Fraction(1, 6)
@@ -207,6 +224,26 @@ class TestCensuses:
         comps = ws.w1_components(2)
         assert kept[(5, 5)] == [e.key for e in comps.component1]
         assert kept[(6, 3, 3)] == [e.key for e in comps.component2]
+
+    def test_w1_component2_matches_half_turn_scan_genus_three(
+            self, ws, single6_genus3):
+        # the g=3 half of the second route: component 2's keys from the
+        # ("single", 6) census words, with no tree or doubling code
+        assert half_turn_component2_keys(single6_genus3, 3) == \
+            [e.key for e in ws.w1_components(3).component2]
+
+    def test_half_turn_scan_catches_component2_from_plain_trees(
+            self, single6_genus3):
+        # a mutation: component 2 doubled from the plain trivalent trees of
+        # 2g leaves in place of the marked ones must fail the comparison;
+        # with no marked vertex their 2g delta cells are even, so doubling
+        # refuses them
+        mutated = Workspace()
+        mutated.override(tree_descriptor(6, MARKED, "unrooted"),
+                         enumerate_trees(6, TRIVALENT))
+        with pytest.raises((BadLeafCount, AssertionError)):
+            assert half_turn_component2_keys(single6_genus3, 3) == \
+                [e.key for e in mutated.w1_components(3).component2]
 
     def test_closed_counts(self):
         assert count_t1(2) == Fraction(1, 10)

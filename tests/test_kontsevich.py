@@ -282,6 +282,67 @@ def test_census_form_assembly_matches_slot_pairs(sequences, ws):
         check_form_assembly(seq)
 
 
+def check_word_form(word):
+    # the one-pass form of a gap word is the slot-pair oracle's form after
+    # eliminating the last edge, and the slot sequence kernel's; a word
+    # with an even edge count is refused as the kernel refuses it
+    seq = word_slots(word)
+    num_edges = len(seq) // 2
+    if num_edges % 2 == 0:
+        with pytest.raises(ValueError) as refused:
+            kontsevich._slot_omega_matrix(seq)
+        with pytest.raises(ValueError, match=str(refused.value)):
+            kontsevich._word_omega_matrix(word)
+        return
+    form = kontsevich._word_omega_matrix(word)
+    c = raw_coefficients_by_slot_pairs(seq, num_edges)
+    assert form == eliminated(c, num_edges - 1)
+    assert form == kontsevich._slot_omega_matrix(seq)
+
+
+@st.composite
+def one_face_words(draw):
+    """Gap words of E = 1..15 edges: every side pairing of a 2E-gon is the
+    boundary of a one-boundary graph, so any pairing of the slots is
+    one."""
+    m = 2 * draw(st.integers(1, 15))
+    slots = draw(st.permutations(range(m)))
+    word = [0] * m
+    for p, q in zip(slots[::2], slots[1::2]):
+        word[p], word[q] = (q - p) % m, (p - q) % m
+    return tuple(word)
+
+
+@settings(max_examples=300, deadline=None)
+@given(one_face_words())
+def test_word_form_matches_slot_pairs(word):
+    check_word_form(word)
+
+
+def test_one_edge_word_form_is_empty():
+    check_word_form((1, 1))
+    assert kontsevich._word_omega_matrix((1, 1)) == ()
+    assert word_cell_volume((1, 1)) == (1, 0, 1)
+
+
+@pytest.mark.parametrize("words", [
+    lambda ws: [e.key for g in (1, 2, 3) for e in ws.trivalent_census(g)]
+    + [e.key for g in (1, 2) for e in ws.collapse_closure(g, "all")],
+    lambda ws: [tuple(w % len(e.key) for w in e.key)
+                for leaves in range(2, 10) for e in enumerate_trees(leaves)],
+    lambda ws: [double_tree(tree).word
+                for leaves, profile in [(3, "trivalent"), (5, "trivalent"),
+                                        (7, "trivalent"), (5, ONE5),
+                                        (7, ONE5), (4, MARKED), (6, MARKED)]
+                for tree in unrooted_trees(leaves, profile)],
+], ids=["census-words", "tree-words", "doubled-cell-words"])
+def test_census_word_forms_match_slot_pairs(words, ws):
+    words = words(ws)
+    assert words
+    for word in words:
+        check_word_form(word)
+
+
 class TestPfaffianLaw:
     @pytest.mark.parametrize("g", [1, 2])
     def test_trivalent_census(self, g, ws):

@@ -15,7 +15,8 @@ Only fatgraph censuses are cached, so the workspace holds no tree record
 kind, and unrooted tree classes are found among contour words, not among
 built rooted trees.  A fatgraph census class is its gap word: the cache
 loader checks a record on the word and builds no graph, and the census
-sums of genus0, psi-top and euler read the word, not a graph.  Every
+sums of genus0, psi-top and euler read the word, not a graph, and build
+each cell form in one pass over the word's slot pairs.  Every
 census class enters by its word, so no module has a graph entry function.
 The value records are NamedTuples, so importing the CLI loads neither
 ``dataclasses`` nor the ``inspect`` family it brings.
@@ -166,6 +167,17 @@ def test_record_check_builds_no_graph():
                                       "euler_report"])
 def test_census_sums_read_words(function):
     assert not mentions(function_node("integrals", function), "graph")
+
+
+@pytest.mark.parametrize("function", ["word_cell_volume",
+                                      "_word_omega_matrix"])
+def test_word_form_is_built_in_one_pass(function):
+    # the census volumes build their form from the word's slot pairs; a
+    # graph or the slot-sequence kernel would be the two-pass build again
+    node = function_node("kontsevich", function)
+    for name in ("Fatgraph", "_raw_coefficients", "_eliminate",
+                 "_slot_omega_matrix", "omega_matrix"):
+        assert not mentions(node, name), "%s names %s" % (function, name)
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])

@@ -45,14 +45,16 @@ class HyperellipticCell(NamedTuple):
     """A doubled tree: the indexing tree, the doubled graph and its gap
     word read from half-edge 0 (``doubled.boundary_word()[1]``), the
     copy-swap involution, and the linear embedding of tree metrics into
-    graph metrics as ``edge_map[doubled edge] = (tree edge, scale factor)``.
+    graph metrics as ``edge_map[e] = (tree edge, scale factor)``, one entry
+    per edge e of the word, numbered by first slot (as
+    ``Fatgraph.from_word`` numbers the edges of ``doubled``).
     """
 
     tree: PlanarTree
     doubled: Fatgraph
     word: tuple
     involution: tuple
-    edge_map: dict
+    edge_map: tuple
 
 
 class W1HComponents(NamedTuple):
@@ -115,10 +117,11 @@ def double_tree(tree: PlanarTree) -> HyperellipticCell:
         raise AssertionError("the copy swap of the doubled tree is not a "
                              "hyperelliptic involution")
     tree_table = tree._edge_index_table()
-    doubled_table = doubled._edge_index_table()
-    edge_map = {doubled_table[t]: (tree_table[boundary[j]],
-                                   Fraction(1) if fused[j] else Fraction(1, 2))
-                for t, (j, _) in enumerate(walk)}
+    # slot t opens an edge of the word when its partner comes later
+    edge_map = tuple((tree_table[boundary[j]],
+                      Fraction(1) if fused[j] else Fraction(1, 2))
+                     for t, (j, _) in enumerate(walk)
+                     if t + doubled_word[t] < len(walk))
     return HyperellipticCell(tree, doubled, tuple(doubled_word), iota,
                              edge_map)
 

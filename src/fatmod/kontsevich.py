@@ -251,43 +251,60 @@ def _volume(matrix) -> CellVolume:
 def hyperelliptic_cell_volume(cell) -> CellVolume:
     """Volume of a doubled-tree cell, computed two independent ways.
 
-    (a) assemble the form on the doubled graph, pull it back through the
-    cell embedding (fused edges keep the tree length, the two copies of an
-    internal edge each get half of it) and integrate over the tree simplex;
-    (b) integrate the tree's own form and halve once per dimension, which is
-    the pullback scaling of the symplectic form on these cells.
+    (a) assemble the form of the doubled word ``cell.word``, pull it back
+    through the cell embedding ``cell.edge_map`` (fused edges keep the tree
+    length, the two copies of an internal edge each get half of it) and
+    integrate over the tree simplex (``_pullback``);
+    (b) integrate the tree's own form, read off its boundary word with the
+    flags stripped, and halve once per dimension, which is the pullback
+    scaling of the symplectic form on these cells.
 
     Both evaluations must agree exactly; for a tree with 2d+1 edges and odd
     valences the common value is d!/(2^d (2d)!).
     """
-    doubled = cell.doubled
-    tree = cell.tree
-    cycles = doubled.boundary_cycles().cycles
-    if len(cycles) != 1:
-        raise WrongBoundaryCount("doubled graph must have one boundary cycle")
-    num_tree_edges = tree.num_edges
-    if num_tree_edges % 2 == 0:
-        raise ValueError("tree cell needs an odd edge count")
-    table = doubled._edge_index_table()
-    seq = [table[h] for h in cycles[0]]
-    c = _raw_coefficients(seq, doubled.num_edges)
-    ct = [[Fraction(0)] * num_tree_edges for _ in range(num_tree_edges)]
-    for x in range(doubled.num_edges):
-        ax, fx = cell.edge_map[x]
-        row = c[x]
-        for y in range(doubled.num_edges):
-            if row[y]:
-                ay, fy = cell.edge_map[y]
-                ct[ax][ay] += fx * fy * row[y]
-    matrix = _eliminate(ct, num_tree_edges, num_tree_edges - 1)
-    pf = pfaffian(matrix)
-    d = len(matrix) // 2
-    pulled_back = Fraction(factorial(d)) * abs(pf) / (2 ** (2 * d)
-                                                      * factorial(2 * d))
-    tree_volume = cell_volume(tree)
-    halved = tree_volume.value / 2 ** d
-    if pulled_back != halved:
+    ct = _pullback(cell)
+    pulled_back = _volume(_eliminate(ct, len(ct), len(ct) - 1))
+    tree_word = cell.tree.boundary_word()[1]
+    tree_volume = word_cell_volume(tuple(w % len(tree_word)
+                                         for w in tree_word))
+    halved = tree_volume.value / 2 ** pulled_back.half_dim
+    if pulled_back.value != halved:
         raise AssertionError(
             "pullback volume %s disagrees with half-scaled tree volume %s"
-            % (pulled_back, halved))
-    return CellVolume(pulled_back, d, pf)
+            % (pulled_back.value, halved))
+    return pulled_back
+
+
+def _pullback(cell) -> list:
+    """The raw coefficients of the doubled word pulled back to the tree's
+    edge lengths, as rows of ``Fraction``s, before any edge is eliminated.
+
+    One pass over pairs of doubled edges a < b, numbered by first slot as
+    ``cell.edge_map`` is: with slots p1 < p2 and q1 < q2 the raw
+    coefficient is 2 ((q1 > p2) + (q2 > p2)) (``_word_omega_matrix``), +2
+    when a holds the last slot and -2 when b does.  The pullback keeps the
+    last-slot terms, so it is the pullback of ``_raw_coefficients``; they
+    pull back to multiples of (tree edge) ^ (sum of all tree edges), which
+    the elimination of any tree edge then cancels.
+    """
+    num_tree_edges = cell.tree.num_edges
+    if num_tree_edges % 2 == 0:
+        raise ValueError("tree cell needs an odd edge count")
+    word, edge_map = cell.word, cell.edge_map
+    m = len(word)
+    # per doubled edge: its two slots, and 2 if it holds the last slot
+    ends = [(p, p + w, 2 * (p + w == m - 1))
+            for p, w in enumerate(word) if p + w < m]
+    ct = [[Fraction(0)] * num_tree_edges for _ in range(num_tree_edges)]
+    for a, (_, p2, za) in enumerate(ends):
+        ta, fa = edge_map[a]
+        row = ct[ta]
+        for b in range(a + 1, len(ends)):
+            q1, q2, zb = ends[b]
+            v = 2 * ((q1 > p2) + (q2 > p2)) + za - zb
+            if v:
+                tb, fb = edge_map[b]
+                x = fa * fb * v
+                row[tb] += x
+                ct[tb][ta] -= x
+    return ct

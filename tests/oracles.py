@@ -25,6 +25,10 @@ for the doubled-tree components of ``hyperelliptic``.
 ``raw_coefficients_by_slot_pairs`` assembles the cell form's coefficients
 by a loop over slot pairs, the reference for ``kontsevich._raw_coefficients``,
 which sums over edge pairs.
+``pullback_form_by_boundary_cycles`` pulls a doubled-tree cell's form
+back on the doubled graph, from its boundary cycle and the full raw
+coefficient matrix, the reference for ``kontsevich._pullback``, which
+reads the doubled word over edge pairs.
 ``record_entry_reference`` checks a cache record by rebuilding its graph,
 the reference for the loader, which checks the word alone
 (``enumeration.word_entry``); ``in_fatgraph_census`` is its membership
@@ -40,6 +44,7 @@ from fatmod.enumeration import ALL, TRIVALENT, OrbifoldCensus
 from fatmod.errors import FatmodError, MalformedGraph
 from fatmod.fatgraph import DELTA, Fatgraph
 from fatmod.hyperelliptic import HyperellipticCell
+from fatmod.kontsevich import _eliminate, _raw_coefficients
 from fatmod.trees import LEAF, PlanarTree
 
 
@@ -652,10 +657,42 @@ def double_by_cycles(tree) -> HyperellipticCell:
             scaled += [(relabel[p], p, Fraction(1, 2)),
                        (relabel[p] + off, p, Fraction(1, 2))]
     doubled = Fatgraph.from_cycles(cycles, pairs)
+    boundary, word = doubled.boundary_word()
+    # the cell's edge map follows the edges of the word, numbered by first
+    # slot, which the labels of the vertex cycles do not
+    slot = {h: i for i, h in enumerate(boundary)}
     tree_table = tree._edge_index_table()
-    doubled_table = doubled._edge_index_table()
-    edge_map = {doubled_table[h]: (tree_table[p], scale)
-                for h, p, scale in scaled}
+    by_slot = sorted((min(slot[h], slot[doubled.alpha[h]]), tree_table[p],
+                      scale) for h, p, scale in scaled)
+    edge_map = tuple((e, scale) for _, e, scale in by_slot)
     iota = tuple((h + off) % (2 * off) for h in range(2 * off))
-    return HyperellipticCell(tree, doubled, doubled.boundary_word()[1], iota,
-                             edge_map)
+    return HyperellipticCell(tree, doubled, word, iota, edge_map)
+
+
+def pullback_form_by_boundary_cycles(cell):
+    """The pullback of a doubled-tree cell's form, assembled on the doubled
+    graph: the slot sequence of its boundary cycle, the full raw
+    coefficient matrix (``_raw_coefficients``) and the ``Fraction``
+    pullback over every ordered pair of doubled edges; returns that
+    pullback and its form after ``_eliminate`` of the last tree edge.
+    The cycle starts at half-edge 0, where the cell's word is read, so an
+    edge's first appearance on it is its first slot, which indexes
+    ``cell.edge_map``."""
+    doubled = cell.doubled
+    [cycle] = doubled.boundary_cycles().cycles
+    table = doubled._edge_index_table()
+    seq = [table[h] for h in cycle]
+    word_edge = {}
+    for e in seq:
+        word_edge.setdefault(e, len(word_edge))
+    c = _raw_coefficients(seq, doubled.num_edges)
+    n = cell.tree.num_edges
+    ct = [[Fraction(0)] * n for _ in range(n)]
+    for x in range(doubled.num_edges):
+        ax, fx = cell.edge_map[word_edge[x]]
+        row = c[x]
+        for y in range(doubled.num_edges):
+            if row[y]:
+                ay, fy = cell.edge_map[word_edge[y]]
+                ct[ax][ay] += fx * fy * row[y]
+    return ct, _eliminate(ct, n, n - 1)

@@ -38,7 +38,7 @@ class TestDoubleTree:
         # copy into a single vertex (the star double); one more collapse
         # gives the one-vertex opposite pairing
         cell = double_tree(unrooted_trees(5)[0])
-        fused = {e for e, (te, f) in cell.edge_map.items() if f == 1}
+        fused = {e for e, (te, f) in enumerate(cell.edge_map) if f == 1}
         G = cell.doubled
         remaining = set(range(G.num_edges)) - fused
         while remaining:

@@ -15,9 +15,10 @@ from fatmod.kontsevich import (cell_volume, hyperelliptic_cell_volume,
 from fatmod.trees import (LEAF, ONE5, MARKED, build_rooted_tree,
                           odd_valence_trees, unrooted_trees)
 
-from oracles import (det_by_elimination, monte_carlo_cell_volume,
-                     pfaffian_by_matchings, raw_coefficients_by_slot_pairs,
-                     relabel)
+from oracles import (det_by_elimination, double_by_cycles,
+                     monte_carlo_cell_volume, pfaffian_by_matchings,
+                     pullback_form_by_boundary_cycles,
+                     raw_coefficients_by_slot_pairs, relabel)
 
 
 def torus_graph():
@@ -397,6 +398,12 @@ def test_tree_word_volume_matches_tree():
                 (want.value, want.half_dim, abs(want.pf))
 
 
+def test_volume_keeps_pfaffian_denominator():
+    # Pf = 1/2 at d = 1: 1! (1/2) / (4 * 2!) = 1/16
+    vol = kontsevich._volume(((0, Fraction(1, 2)), (Fraction(-1, 2), 0)))
+    assert vol == (Fraction(1, 16), 1, Fraction(1, 2))
+
+
 class TestCellVolume:
     def test_odd_tree_volume_formula(self):
         for tree in odd_valence_trees(7):
@@ -448,3 +455,40 @@ class TestHyperellipticCellVolume:
         for leaves in (3, 5, 7):
             for tree in unrooted_trees(leaves):
                 assert hyperelliptic_cell_volume(double_tree(tree)).pf != 0
+
+
+def hyperelliptic_cells(ws):
+    """Every cell of the hyperelliptic censuses of g = 1..4 and of both
+    W1 components of g = 2..4."""
+    cells = [e.payload for g in range(1, 5)
+             for e in ws.hyperelliptic_census(g)]
+    for g in range(2, 5):
+        for component in ws.w1_components(g):
+            cells += [e.payload for e in component]
+    return cells
+
+
+def check_pullback(cell):
+    # the pullback read off the doubled word is the one assembled on the
+    # doubled graph, entry for entry and before elimination, which would
+    # cancel a wrong last-slot term; the volume carries the signed Pf of
+    # the eliminated form
+    pulled, form = pullback_form_by_boundary_cycles(cell)
+    assert kontsevich._pullback(cell) == pulled
+    assert hyperelliptic_cell_volume(cell).pf == pfaffian(form)
+
+
+def test_word_pullback_matches_boundary_cycle_pullback(ws):
+    cells = hyperelliptic_cells(ws)
+    assert len(cells) == 227
+    for cell in cells:
+        check_pullback(cell)
+
+
+def test_cycle_doubled_pullback_matches_boundary_cycle_pullback():
+    # the reference doubling labels its half-edges by vertex cycles, not
+    # by slots; its edge map must still follow the word's edges
+    for leaves, profile in [(5, "trivalent"), (7, "trivalent"), (5, ONE5),
+                            (4, MARKED), (6, MARKED)]:
+        for tree in unrooted_trees(leaves, profile):
+            check_pullback(double_by_cycles(tree))

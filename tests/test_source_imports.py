@@ -180,6 +180,18 @@ def test_word_form_is_built_in_one_pass(function):
         assert not mentions(node, name), "%s names %s" % (function, name)
 
 
+@pytest.mark.parametrize("function", ["hyperelliptic_cell_volume",
+                                      "_pullback"])
+def test_cell_volume_reads_the_doubled_word(function):
+    # the pullback reads the cell's doubled word and the halved-tree check
+    # the tree's word; the doubled graph's cycles and raw matrix, or a
+    # graph's form, would rebuild what the word already holds
+    node = function_node("kontsevich", function)
+    for name in ("boundary_cycles", "_edge_index_table", "_raw_coefficients",
+                 "omega_matrix", "cell_volume"):
+        assert not mentions(node, name), "%s names %s" % (function, name)
+
+
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_census_classes_enter_by_their_words(path):
     # fatgraph classes, trees and doubled cells all enter a census through

@@ -2,15 +2,16 @@
 orders, supporting exact orbifold-weighted sums.
 
 Every census class is a one-boundary graph, so it enters its census by
-its boundary word: the key is the word's least rotation and |Aut| is
-2E / ``rotation_period(key)``.  A class of a fatgraph census is its
-canonical gap word, so :func:`word_entry` makes its entry from the word
-alone, checking the word against the census, and the graph is built only
-when ``CensusEntry.graph`` is read.  Only fatgraph censuses are cached;
-the builders and the cache loader both call :func:`word_entry`, so a
-census has the same keys however it was obtained.  Tree censuses are
-built in memory with :func:`tree_entry`, which reads the flagged word of
-each tree class, and ``hyperelliptic`` enters each doubled tree by
+its boundary word: the key is the word's least rotation and |Aut| is 2E
+over its rotation period, both from ``fatgraph.least_rotation``.  A
+class of a fatgraph census is its canonical gap word, so
+:func:`word_entry` makes its entry from the word alone, checking the
+word against the census, and the graph is built only when
+``CensusEntry.graph`` is read.  Only fatgraph censuses are cached; the
+builders and the cache loader both call :func:`word_entry`, so a census
+has the same keys however it was obtained.  Tree censuses are built in
+memory with :func:`tree_entry`, which reads the flagged word of each
+tree class, and ``hyperelliptic`` enters each doubled tree by
 :func:`word_entry` on its doubled word, as a class of the all-valence
 census of its genus.
 
@@ -68,7 +69,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import trees as _trees
 from .errors import MalformedGraph, ResourceLimit, WrongType
-from .fatgraph import Fatgraph, _cycles_of, least_rotation, rotation_period
+from .fatgraph import Fatgraph, _cycles_of, least_rotation
 
 DEFAULT_CAP_EDGES = 15          # trivalent / single-k censuses (genus <= 3)
 DEFAULT_CAP_EDGES_ALL = 9       # all-valence censuses (genus <= 2)
@@ -155,7 +156,7 @@ def canonical_gap_word(alpha) -> tuple:
     """Rotation-canonical form of a one-boundary pairing."""
     m = len(alpha)
     gaps = tuple((alpha[p] - p) % m for p in range(m))
-    k = least_rotation(gaps)
+    k = least_rotation(gaps)[0]
     return gaps[k:] + gaps[:k]
 
 
@@ -397,9 +398,9 @@ def collapse_closure(trivalent, g: int, valence_filter) -> OrbifoldCensus:
 def word_entry(word, g: int, valence_filter) -> CensusEntry:
     """Census entry of the class whose canonical gap word is ``word``, in
     the census that ``fatgraph_descriptor(g, valence_filter)`` names.  The
-    entry holds no graph, and |Aut| is 2E / ``rotation_period(word)``,
-    read off the same scan of the word's rotations that checks it is its
-    own least rotation.
+    entry holds no graph, and |Aut| is 2E over the word's rotation period,
+    read off the same scan of its rotations that checks it is its own
+    least rotation.
 
     Raises MalformedGraph unless the word pairs its m slots (m even and
     nonzero, every gap in 1..m-1, the pairing an involution), every cycle
@@ -420,37 +421,14 @@ def word_entry(word, g: int, valence_filter) -> CensusEntry:
     if valences[0] < 3:
         raise MalformedGraph("gap word %r has a vertex of valence %d"
                              % (word, valences[0]))
-    period = _least_rotation_period(word)
-    if period is None:
+    start, period = least_rotation(word)
+    if start:
         raise MalformedGraph("gap word %r is not its least rotation"
                              % (word,))
     if not _in_census(valences, g, valence_filter):
         raise WrongType("gap word %r is outside the census %r"
                         % (word, fatgraph_descriptor(g, valence_filter)))
     return CensusEntry(tuple(word), None, m // period)
-
-
-def _least_rotation_period(word):
-    """``rotation_period(word)`` if the word is its own least rotation,
-    else None, in one scan of its rotations.  A rotation that starts with
-    an entry above word[0] is larger, and one that starts below it is
-    smaller, so only rotations that start with word[0] are compared, in
-    order, up to the first that equals the word: the period, after which
-    the rotations repeat."""
-    w0 = word[0]
-    if min(word) < w0:
-        return None
-    r = 0
-    while True:
-        try:
-            r = word.index(w0, r + 1)
-        except ValueError:
-            return len(word)
-        rotated = word[r:] + word[:r]
-        if rotated == word:
-            return r
-        if rotated < word:
-            return None
 
 
 def fatgraph_filter(g: int, valence_filter):
@@ -556,15 +534,17 @@ def tree_closed_count(leaf_count: int, profile: str,
         rooted = (leaf_count - 2) * catalan(leaf_count - 2)
     else:
         raise ValueError("unknown profile %r" % profile)
+    if rooting not in ("rooted", "unrooted"):
+        raise ValueError("rooting must be 'rooted' or 'unrooted'")
     return Fraction(rooted, 1 if rooting == "rooted" else leaf_count)
 
 
 def tree_entry(tree) -> CensusEntry:
     """Census entry of an unrooted planar tree: its key is the least
     rotation of its flagged boundary word, and |Aut| is the number of
-    rotations that fix it, 2E / ``rotation_period(key)``."""
+    rotations that fix it, 2E over the key's rotation period."""
     key = tree.canonical_key()
-    return CensusEntry(key, tree, len(key) // rotation_period(key))
+    return CensusEntry(key, tree, len(key) // least_rotation(key)[1])
 
 
 def enumerate_trees(leaf_count: int, profile: str = _trees.TRIVALENT,

@@ -22,11 +22,11 @@ is a rotation of the slots.  The *boundary word* of a one-boundary graph
 lists, slot by slot, the gap ``pos(alpha h) - i (mod m)`` together with the
 flag of the slot's vertex and an optional per-half-edge mark; since
 ``sigma(h) = phi(alpha h)``, the word alone rebuilds the graph
-(:meth:`Fatgraph.from_word`).  Its least cyclic rotation (Booth 1980) is
-the canonical key, and the rotations fixing it are the automorphisms: a
-cyclic group whose only possible involution is the half-turn ``phi^E``.
-Graphs with more than one boundary cycle have no canonical form here and
-raise :class:`WrongType`.
+(:meth:`Fatgraph.from_word`).  Its least cyclic rotation
+(:func:`least_rotation`) is the canonical key, and the rotations fixing it
+are the automorphisms: a cyclic group whose only possible involution is the
+half-turn ``phi^E``.  Graphs with more than one boundary cycle have no
+canonical form here and raise :class:`WrongType`.
 """
 
 from __future__ import annotations
@@ -94,41 +94,32 @@ def _cycles_of(perm: Sequence[int]):
     return tuple(out)
 
 
-def least_rotation(seq) -> int:
-    """Booth's algorithm; index of the lexicographically least rotation.
+def least_rotation(word):
+    """``(start, period)``: ``word[start:] + word[:start]`` is the least
+    rotation of the word, at its first start, and the rotations fixing the
+    word are the multiples of ``period``, a divisor of len(word).
 
-    >>> least_rotation((2, 1, 3, 1))
-    3
+    Only rotations that start at the least entry can be least; the scan
+    compares those in order against the least so far.  The first one equal
+    to it is a repeat, at the period, and every later one repeats one
+    already seen; with no repeat, the period is len(word).
+
+    >>> least_rotation((2, 1, 3, 1)), least_rotation((1, 2, 1, 2))
+    ((3, 4), (0, 2))
     """
-    s = seq + seq
-    f = [-1] * len(s)
-    k = 0
-    for j in range(1, len(s)):
-        sj = s[j]
-        i = f[j - k - 1]
-        while i != -1 and sj != s[k + i + 1]:
-            if sj < s[k + i + 1]:
-                k = j - i - 1
-            i = f[i]
-        if sj != s[k + i + 1]:
-            if sj < s[k]:
-                k = j
-            f[j - k] = -1
-        else:
-            f[j - k] = i + 1
-    return k
-
-
-def rotation_period(word) -> int:
-    """Least r > 0 whose rotation fixes the word; it divides len(word), and
-    the rotations fixing the word are its multiples.
-
-    >>> rotation_period((1, 2, 1, 2)), rotation_period((1, 1, 2))
-    (2, 3)
-    """
-    m = len(word)
-    return next(r for r in range(1, m + 1)
-                if m % r == 0 and word[r:] + word[:r] == word)
+    low = min(word)
+    start = i = word.index(low)
+    best = word[i:] + word[:i]
+    while True:
+        try:
+            i = word.index(low, i + 1)
+        except ValueError:
+            return start, len(word)
+        rotated = word[i:] + word[:i]
+        if rotated == best:
+            return start, i - start
+        if rotated < best:
+            start, best = i, rotated
 
 
 class Fatgraph:
@@ -420,7 +411,7 @@ class Fatgraph:
         if extra is None and self._key is not None:
             return self._key
         word = self.boundary_word(extra)[1]
-        k = least_rotation(word)
+        k = least_rotation(word)[0]
         key = word[k:] + word[:k]
         if extra is None:
             self._key = key
@@ -434,7 +425,7 @@ class Fatgraph:
         the boundary word maps ``boundary[i]`` to ``boundary[i + r]``.
         """
         boundary, word = self.boundary_word()
-        period = rotation_period(word)
+        period = least_rotation(word)[1]
         auts = [_rotate(boundary, r)
                 for r in range(0, len(boundary), period)]
         for a in auts:

@@ -229,7 +229,7 @@ def _cell_census(g, trees, descriptor):
     entries = []
     for entry in trees:
         cell = double_tree(entry.graph)
-        k = least_rotation(cell.word)
+        k = least_rotation(cell.word)[0]
         entries.append(word_entry(cell.word[k:] + cell.word[:k], g, ALL)
                        ._replace(stored=cell.doubled, payload=cell))
     entries.sort(key=lambda e: e.key)

@@ -99,7 +99,8 @@ def _eliminate(c, num_edges, k) -> tuple:
 def pfaffian(matrix) -> Fraction:
     """Exact Pfaffian of an antisymmetric matrix.
 
-    A matrix of ``int`` entries passes unscaled; any other is scaled to
+    Entries must be ``int`` or ``Fraction`` (TypeError otherwise).  A
+    matrix of ``int`` entries passes unscaled; any other is scaled to
     integers by the lcm of its entries' denominators.  The Pfaffian is
     computed by fraction-free skew elimination in O(n^3) integer steps, and
     verified against the Bareiss integer determinant (Pf^2 = det) before
@@ -118,7 +119,10 @@ def pfaffian(matrix) -> Fraction:
                 raise ValueError("matrix is not antisymmetric")
     if n == 0:
         return Fraction(1)
-    if {type(x) for row in matrix for x in row} == {int}:
+    types = {type(x) for row in matrix for x in row}
+    if not types <= {int, Fraction}:
+        raise TypeError("matrix entries must be int or Fraction")
+    if types == {int}:
         scale, m = 1, matrix
     else:
         scale = lcm(*(matrix[i][j].denominator

@@ -190,7 +190,7 @@ def _classes(words):
     its first word in the given order."""
     classes = {}
     for word in words:
-        k = least_rotation(word)
+        k = least_rotation(word)[0]
         classes.setdefault(word[k:] + word[:k], word)
     return [PlanarTree.from_word(classes[key]) for key in sorted(classes)]
 

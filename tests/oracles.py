@@ -19,6 +19,9 @@ before ``enumeration._trivalent_pairings`` kept path endpoints, the
 reference for its output.  ``tree_classes_reference`` deduplicates built
 trees by their canonical keys, the reference for ``trees._classes``, which
 deduplicates contour words before any tree is built.
+``least_rotation_by_brute_force`` lists every rotation of a word, the
+reference for ``fatgraph.least_rotation``, which scans only the rotations
+that start at the least entry.
 ``half_turn_cells_by_profile`` finds the hyperelliptic cells of a
 census by scanning its gap words for a half-turn symmetry, the reference
 for the doubled-tree components of ``hyperelliptic``.
@@ -369,6 +372,17 @@ def bernoulli_oracle(n: int) -> Fraction:
                                                        k + 1)
         total += inner
     return total
+
+
+def least_rotation_by_brute_force(word):
+    """``(start, period)`` of a word from all its rotations: ``start`` is
+    the first index of the least one and ``period`` the least r > 0 whose
+    rotation fixes the word; the reference for
+    ``fatgraph.least_rotation``."""
+    word, m = tuple(word), len(word)
+    rotations = [word[r:] + word[:r] for r in range(m)]
+    period = next((r for r in range(1, m) if rotations[r] == word), m)
+    return rotations.index(min(rotations)), period
 
 
 def trivalent_pairings_reference(num_edges: int):

@@ -9,17 +9,17 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatmod.cache import cache_path, save_records
-from fatmod.enumeration import ALL, TRIVALENT, _least_rotation_period, \
-    enumerate_fatgraphs, enumerate_trees, fatgraph_descriptor, tree_entry, \
-    word_entry
+from fatmod.enumeration import ALL, TRIVALENT, enumerate_fatgraphs, \
+    enumerate_trees, fatgraph_descriptor, tree_entry, word_entry
 from fatmod.errors import CacheError, MalformedGraph, WrongType
-from fatmod.fatgraph import Fatgraph, least_rotation, rotation_period
+from fatmod.fatgraph import Fatgraph, least_rotation
 from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
     PlanarTree, odd_valence_trees, unrooted_trees
 from fatmod.workspace import Workspace
 
 from oracles import automorphism_order_bruteforce, extend_flag_map, \
-    in_fatgraph_census, perm_compose, record_entry_reference, relabel
+    in_fatgraph_census, least_rotation_by_brute_force, perm_compose, \
+    record_entry_reference, relabel
 
 
 def _one_boundary_censuses():
@@ -211,36 +211,50 @@ def test_word_entry_rejects_every_other_rotation(g, ws):
        for component in ws.w1_components(g) for e in component],
 ], ids=["trivalent", "all-valence", "cells"])
 def test_one_scan_reads_the_rotation_period(words, ws):
-    # the scan that checks a word is its own least rotation reads |Aut| =
-    # m / rotation_period(word)
+    # each census word is its own least rotation, and the scan that checks
+    # it reads |Aut| = m / period off the same rotations
     words = words(ws)
     assert words
     for word, g, valence_filter in words:
-        assert _least_rotation_period(word) == rotation_period(word)
+        start, period = least_rotation_by_brute_force(word)
+        assert start == 0
+        assert least_rotation(word) == (start, period)
         assert word_entry(word, g, valence_filter).aut_order == \
-            len(word) // rotation_period(word)
+            len(word) // period
 
 
 def test_one_scan_reads_tree_periods():
-    # tree keys carry flag codes, so they skip word_entry; tree_entry
-    # keeps rotation_period, and the scan reads the same period off them
+    # tree keys carry flag codes, so they skip word_entry; tree_entry reads
+    # the same period off them
     for profile in (TREE_TRIVALENT, ONE5, MARKED):
         for leaves in range(2, 10):
             for entry in enumerate_trees(leaves, profile):
-                period = _least_rotation_period(entry.key)
-                assert period == rotation_period(entry.key)
+                start, period = least_rotation_by_brute_force(entry.key)
+                assert start == 0
+                assert least_rotation(entry.key) == (start, period)
                 assert entry.aut_order == len(entry.key) // period
 
 
+@st.composite
+def periodic_words(draw):
+    """A base word repeated and then rotated, with entries up to 3m for a
+    word of length m, as flagged tree codes run, so that periods above 1
+    and ties at the least entry are common."""
+    size = draw(st.integers(1, 6))
+    reps = draw(st.integers(1, 4))
+    m = size * reps
+    entry = st.integers(1, 3) | st.integers(1, 3 * m)
+    word = tuple(draw(st.lists(entry, min_size=size, max_size=size))) * reps
+    r = draw(st.integers(0, m - 1))
+    return word[r:] + word[:r]
+
+
 @settings(max_examples=500, deadline=None)
-@given(st.lists(st.integers(1, 3), min_size=1, max_size=12))
-def test_one_scan_matches_booth_and_period(word):
-    # on any word: None unless the word is its own least rotation (Booth),
-    # and then its rotation period
-    word = tuple(word)
-    k = least_rotation(word)
-    want = rotation_period(word) if word[k:] + word[:k] == word else None
-    assert _least_rotation_period(word) == want
+@given(periodic_words())
+def test_one_scan_matches_brute_force(word):
+    # the first start of the least rotation and the least period, as the
+    # list of every rotation gives them
+    assert least_rotation(word) == least_rotation_by_brute_force(word)
 
 
 RECORD_CENSUSES = {(g, valence_filter): enumerate_fatgraphs(g, valence_filter)

@@ -10,15 +10,16 @@ from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT,
                                 collapse_word, enumerate_fatgraphs,
                                 enumerate_trees, tree_closed_count)
 from fatmod.errors import ResourceLimit
-from fatmod.fatgraph import Fatgraph
+from fatmod.fatgraph import Fatgraph, least_rotation
 from fatmod.trees import LEAF, ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
     PlanarTree, _shapes, build_rooted_tree, odd_valence_shapes, \
     odd_valence_trees, rooted_trees, unrooted_trees
 from fatmod.workspace import Workspace
 
 from oracles import (are_isomorphic, automorphism_order_bruteforce,
-                     collapse_edge, naive_census, one_face_census_bruteforce,
-                     relabel, rooted_tree_by_cycles, tree_classes_reference,
+                     collapse_edge, least_rotation_by_brute_force,
+                     naive_census, one_face_census_bruteforce, relabel,
+                     rooted_tree_by_cycles, tree_classes_reference,
                      triangulation_count, trivalent_pairings_reference,
                      vertex_index, walsh_lehman)
 
@@ -50,6 +51,13 @@ class TestCatalan:
             for leaves in range(2, 11):
                 assert len(rooted_trees(leaves, profile)) == \
                     tree_closed_count(leaves, profile, "rooted")
+
+    def test_unknown_rooting_is_refused(self):
+        # the closed count refuses the rooting that the census refuses
+        with pytest.raises(ValueError, match="rooting must be"):
+            enumerate_trees(5, TREE_TRIVALENT, "bogus")
+        with pytest.raises(ValueError, match="rooting must be"):
+            tree_closed_count(5, TREE_TRIVALENT, "bogus")
 
 
 class TestFatgraphCensus:
@@ -375,13 +383,11 @@ def test_cache_load_matches_build(tmp_path, census_of, same_graphs):
 
 def test_least_rotation_matches_naive():
     import random
-    from fatmod.fatgraph import least_rotation
     rng = random.Random(99)
     for _ in range(500):
         n = rng.randint(1, 12)
         s = tuple(rng.randint(0, 4) for _ in range(n))
-        k = least_rotation(s)
-        assert s[k:] + s[:k] == min(s[r:] + s[:r] for r in range(n))
+        assert least_rotation(s) == least_rotation_by_brute_force(s)
 
 
 def test_word_keys_agree_with_canonical_keys():

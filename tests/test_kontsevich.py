@@ -96,6 +96,19 @@ class TestPfaffian:
         with pytest.raises(ValueError):
             pfaffian(matrix)
 
+    @pytest.mark.parametrize("matrix", [[[0, 0.5], [-0.5, 0]],
+                                        [[0, 2.0], [-2, 0]],
+                                        [[0, Fraction(1, 2)], [-0.5, 0]]],
+                             ids=["float", "whole-float", "mixed"])
+    def test_rejects_inexact_entries(self, matrix):
+        # only int and Fraction entries have an exact Pfaffian
+        with pytest.raises(TypeError, match="int or Fraction"):
+            pfaffian(matrix)
+
+    def test_mixed_int_and_fraction_entries(self):
+        assert pfaffian([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]) == \
+            pfaffian([[0, 1], [-1, 0]]) / 2
+
     def test_congruent_standard_form_order_forty(self):
         # Pf(B J B^T) = det(B) Pf(J) = the product of B's diagonal, with
         # J the direct sum of [[0, 1], [-1, 0]] and B upper triangular

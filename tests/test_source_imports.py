@@ -18,6 +18,9 @@ loader checks a record on the word and builds no graph, and the census
 sums of genus0, psi-top and euler read the word, not a graph, and build
 each cell form in one pass over the word's slot pairs.  Every
 census class enters by its word, so no module has a graph entry function.
+Every canonical key and |Aut| comes from one rotation scan,
+``fatgraph.least_rotation``, and tree and cell keys never reach the gap
+word of the census search.
 The value records are NamedTuples, so importing the CLI loads neither
 ``dataclasses`` nor the ``inspect`` family it brings.
 """
@@ -161,6 +164,29 @@ def test_record_check_builds_no_graph():
     assert not referenced_names(PACKAGE / "workspace.py") & graph_names
     node = function_node("enumeration", "word_entry")
     assert not any(mentions(node, name) for name in graph_names)
+
+
+def test_one_least_rotation_scan():
+    # canonical keys and |Aut| all come from fatgraph.least_rotation; a
+    # second least-rotation or period routine would be a second answer to
+    # the same question
+    defined = ["%s.%s" % (path.stem, node.name) for path in SOURCES
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef))
+               and "least_rotation" in node.name]
+    assert defined == ["fatgraph.least_rotation"]
+    for path in SOURCES:
+        assert not referenced_names(path) & {"rotation_period",
+                                             "_least_rotation_period"}, \
+            path.name
+
+
+@pytest.mark.parametrize("module", ["trees", "hyperelliptic"])
+def test_tree_and_cell_keys_skip_the_gap_word(module):
+    # traced runs count canonical_gap_word calls as census searches, and
+    # tree and cell censuses search for no fatgraph census
+    names = referenced_names(PACKAGE / ("%s.py" % module))
+    assert "canonical_gap_word" not in names
 
 
 @pytest.mark.parametrize("function", ["psi_top_genus0", "psi_top_moduli",

@@ -13,6 +13,11 @@ edges; the choice of summation cutoff and of eliminated edge does not change
 
 since the free-coordinate domain is the 1/2-scaled simplex of volume
 1/(2^(2d) (2d)!).
+
+Every coefficient is even.  Forms read off a gap word
+(``word_cell_volume``) are built at half scale, A/2, whose Pfaffian is
+scaled back by 2^d; forms of a graph or a slot sequence (``omega_matrix``)
+and the hyperelliptic pullback stay at full scale.
 """
 
 from __future__ import annotations
@@ -21,7 +26,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import NamedTuple
 
-from .errors import WrongBoundaryCount
+from .errors import MalformedGraph, WrongBoundaryCount
 from .fatgraph import Fatgraph
 
 
@@ -103,8 +108,11 @@ def pfaffian(matrix) -> Fraction:
     matrix of ``int`` entries passes unscaled; any other is scaled to
     integers by the lcm of its entries' denominators.  The Pfaffian is
     computed by fraction-free skew elimination in O(n^3) integer steps, and
-    verified against the Bareiss integer determinant (Pf^2 = det) before
-    returning.
+    verified against the two-step Bareiss integer determinant
+    (``_det_fraction``, Pf^2 = det) before returning.  Callers that pass a
+    form divided by a common factor (``word_cell_volume``) check the same
+    condition on smaller integers: Pf(cA) = c^(n/2) Pf(A) and
+    det(cA) = c^n det(A).
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -174,28 +182,51 @@ def _pfaffian_int(m):
 
 # Name kept from the Fraction elimination: perfbench/tracer.py patches it.
 def _det_fraction(m):
-    """Determinant of an integer matrix by Bareiss's fraction-free
-    elimination (1968): every division is exact, so all work stays in ints.
-    A zero pivot is swapped with a row below that has a nonzero entry."""
+    """Determinant of an integer matrix by Bareiss's two-step fraction-free
+    elimination (1968): each pass removes columns k and k+1 through the
+    2 x 2 pivot block [[p, q], [r, s]] with D = ps - qr, and by Sylvester's
+    identity every entry of the trailing block becomes an order-(k+3)
+    bordered minor, an exact division by the square of the previous
+    leading minor, so all work stays in ints.  A singular pivot block is
+    replaced by the first pair of rows i < j from row k on whose minor on
+    columns k and k+1 is nonzero, one row swap (and sign flip) for each
+    row moved; with none, columns k and k+1 have rank <= 1 there and the
+    determinant is 0.  An odd order ends at the last diagonal entry.  Rows
+    are only swapped and no symmetry is assumed, so this is a general
+    determinant."""
     a = [list(row) for row in m]
     n = len(a)
     sign = 1
     prev = 1
-    for k in range(n - 1):
-        if not a[k][k]:
-            pivot = next((r for r in range(k + 1, n) if a[r][k]), None)
-            if pivot is None:
+    for k in range(0, n - 1, 2):
+        k1 = k + 1
+        if a[k][k] * a[k1][k1] == a[k][k1] * a[k1][k]:
+            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
+                         if a[i][k] * a[j][k1] != a[i][k1] * a[j][k]), None)
+            if pair is None:
                 return 0
-            a[k], a[pivot] = a[pivot], a[k]
-            sign = -sign
-        row_k = a[k]
-        pivot_value = row_k[k]
-        for row in a[k + 1:]:
-            factor = row[k]
-            for j in range(k + 1, n):
-                row[j] = (pivot_value * row[j] - factor * row_k[j]) // prev
-        prev = pivot_value
-    return sign * a[-1][-1] if n else 1
+            i, j = pair
+            if i != k:
+                a[k], a[i] = a[i], a[k]
+                sign = -sign
+            if j != k1:
+                a[k1], a[j] = a[j], a[k1]
+                sign = -sign
+        row_k, row_k1 = a[k], a[k1]
+        p, q, r, s = row_k[k], row_k[k1], row_k1[k], row_k1[k1]
+        d = p * s - q * r
+        # the coefficients of a[i][k] and a[i][k+1] in each column's update,
+        # over whole rows: indexing them by column is cheaper than slicing
+        u = [q * y - s * x for x, y in zip(row_k, row_k1)]
+        v = [r * x - p * y for x, y in zip(row_k, row_k1)]
+        prev2 = prev * prev
+        cols = range(k + 2, n)
+        for row in a[k + 2:]:
+            x, y = row[k], row[k1]
+            for j in cols:
+                row[j] = (d * row[j] + x * u[j] + y * v[j]) // prev2
+        prev = d // prev
+    return sign * (a[-1][-1] if n % 2 else prev)
 
 
 def cell_volume(graph: Fatgraph) -> CellVolume:
@@ -208,13 +239,15 @@ def cell_volume(graph: Fatgraph) -> CellVolume:
 
 def word_cell_volume(word) -> CellVolume:
     """``cell_volume(Fatgraph.from_word(word))`` read off the gap word of a
-    one-boundary graph, with no graph built (``_word_omega_matrix``)."""
-    return _volume(_word_omega_matrix(word))
+    one-boundary graph, with no graph built (``_word_omega_matrix``).  The
+    form is built at half scale, so the signed Pfaffian is scaled back by
+    2^d."""
+    return _volume(_word_omega_matrix(word), scale=2)
 
 
 def _word_omega_matrix(word) -> tuple:
-    """``omega_matrix(Fatgraph.from_word(word))``, built in one pass over
-    pairs of free edges from the gap word: slot p is paired with
+    """``omega_matrix(Fatgraph.from_word(word))`` divided by 2, built in one
+    pass over pairs of free edges from the gap word: slot p is paired with
     p + word[p] (mod 2E), and edges are numbered by their first slot, as
     ``Fatgraph.edges`` numbers the edges of that graph.
 
@@ -222,31 +255,45 @@ def _word_omega_matrix(word) -> tuple:
     raw coefficient of ``_raw_coefficients`` is 2 ((q1 > p2) + (q2 > p2)),
     with +2 in the row and -2 in the column of the edge in the last slot.
     Eliminating the last edge k gives c[a][b] - c[a][k] + c[b][k], in
-    which those two terms cancel, so they are never added.
+    which those two terms cancel, so they are never added.  Every term
+    left is even; the form is built without the common factor 2, which
+    halves Pf by 2^d and det by 4^d and keeps the integers small.
+
+    Raises MalformedGraph unless the word pairs its slots: every entry in
+    1..m-1, m/2 pairs (p, p + word[p]) with p + word[p] < m, and
+    word[q] = m - (q - p) for each such pair (p, q).
     """
     m = len(word)
     num_edges = m // 2
     if num_edges % 2 == 0:
         raise ValueError("cell form needs an odd edge count, got %d"
                          % num_edges)
-    ends = [(p, p + w) for p, w in enumerate(word) if p + w < m]
+    ends = [(p, p + w) for p, w in enumerate(word) if 0 < w < m - p]
+    # each first slot p has 0 < word[p] < m - p; the m/2 second slots q,
+    # each with word[q] = m - (q - p) in 1..m-1, are distinct and no first
+    # slot, so with the m/2 first slots they are every slot, and every
+    # entry is in 1..m-1
+    if 2 * len(ends) != m or any(word[q] != m - q + p for p, q in ends):
+        raise MalformedGraph("gap word %r is not a pairing" % (word,))
     k1, k2 = ends.pop()
-    # each free edge's slots and its raw coefficient against edge k
-    edges = [(q1, q2, 2 * ((k1 > q2) + (k2 > q2))) for q1, q2 in ends]
+    # each free edge's slots and its halved raw coefficient against edge k
+    edges = [(q1, q2, (k1 > q2) + (k2 > q2)) for q1, q2 in ends]
     n = len(edges)
     rows = [[0] * n for _ in range(n)]
     for a, (_, p2, cka) in enumerate(edges):
         row = rows[a]
         for b in range(a + 1, n):
             q1, q2, ckb = edges[b]
-            row[b] = v = 2 * ((q1 > p2) + (q2 > p2)) - cka + ckb
+            row[b] = v = (q1 > p2) + (q2 > p2) - cka + ckb
             rows[b][a] = -v
     return tuple(map(tuple, rows))
 
 
-def _volume(matrix) -> CellVolume:
-    pf = pfaffian(matrix)
+def _volume(matrix, scale=1) -> CellVolume:
+    """Volume of the cell whose form is ``scale`` times ``matrix``:
+    Pf(scale A) = scale^d Pf(A)."""
     d = len(matrix) // 2
+    pf = pfaffian(matrix) * scale ** d
     value = Fraction(factorial(d) * abs(pf.numerator),
                      4 ** d * factorial(2 * d) * pf.denominator)
     return CellVolume(value, d, pf)

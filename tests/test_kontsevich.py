@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from fatmod import kontsevich
 from fatmod.enumeration import enumerate_fatgraphs, enumerate_trees
-from fatmod.errors import WrongBoundaryCount
+from fatmod.errors import MalformedGraph, WrongBoundaryCount
 from fatmod.fatgraph import Fatgraph
 from fatmod.hyperelliptic import double_tree
 from fatmod.kontsevich import (cell_volume, hyperelliptic_cell_volume,
@@ -127,20 +127,26 @@ class TestPfaffian:
         m = [[(i < j) - (i > j) for j in range(n)] for i in range(n)]
         assert pfaffian(m) == 1
 
-    @pytest.mark.parametrize("graph", [
-        lambda ws: build_rooted_tree((LEAF, LEAF)),
-        lambda ws: next(iter(ws.trivalent_census(2))).graph,
-        lambda ws: next(iter(ws.trivalent_census(3))).graph,
-    ], ids=["three-star", "genus-two-trivalent", "genus-three-trivalent"])
-    def test_determinant_check_fires(self, monkeypatch, ws, graph):
-        # an expansion that is off by one must fail the Pf^2 = det check
-        form = omega_matrix(graph(ws))
+    @pytest.mark.parametrize("source", [
+        lambda ws: omega_matrix(build_rooted_tree((LEAF, LEAF))),
+        lambda ws: omega_matrix(next(iter(ws.trivalent_census(2))).graph),
+        lambda ws: omega_matrix(next(iter(ws.trivalent_census(3))).graph),
+        lambda ws: next(iter(ws.trivalent_census(3))).key,
+    ], ids=["three-star", "genus-two-trivalent", "genus-three-trivalent",
+            "genus-three-word"])
+    def test_determinant_check_fires(self, monkeypatch, ws, source):
+        # an expansion that is off by one must fail the Pf^2 = det check:
+        # on a graph's form passed to pfaffian, and on a census key passed
+        # to word_cell_volume, which checks its half-scale form
+        arg = source(ws)
+        word = isinstance(arg[0], int)
+        form = kontsevich._word_omega_matrix(arg) if word else arg
         assert {type(x) for row in form for x in row} == {int}
         expand = kontsevich._pfaffian_int
         monkeypatch.setattr(kontsevich, "_pfaffian_int",
                             lambda m: expand(m) + 1)
         with pytest.raises(AssertionError):
-            pfaffian(form)
+            word_cell_volume(arg) if word else pfaffian(form)
 
     def test_determinant_check_fires_on_fraction_form(self, monkeypatch, ws):
         # the scaled path keeps the check too
@@ -166,20 +172,32 @@ class TestPfaffian:
 
 @st.composite
 def square_matrices(draw):
-    """Integer matrices with a zero leading block (forcing row swaps) and a
-    row copied, negated or zeroed (singular) each drawn half the time."""
-    n = draw(st.integers(0, 8))
+    """Integer matrices of orders 0 to 9, odd orders included, each with
+    these drawn half the time: a zero leading block (forcing row swaps), a
+    singular leading 2 x 2 block (forcing the two-step elimination's
+    search for a pair of pivot rows), a row copied, negated or zeroed
+    (singular), and a pair of columns k, k+1 (k even) of rank <= 1, where
+    the search finds no pair and the determinant is 0."""
+    n = draw(st.integers(0, 9))
     m = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
          for _ in range(n)]
     if n and draw(st.booleans()):
         zeros = draw(st.integers(1, n))
         for i in range(zeros):
             m[i][:zeros] = [0] * zeros
+    if n >= 2 and draw(st.booleans()):
+        c = draw(st.integers(-2, 2))
+        m[1][:2] = [c * x for x in m[0][:2]]
     if n and draw(st.booleans()):
         source = draw(st.integers(0, n - 1))
         target = draw(st.integers(0, n - 1))
         c = 0 if source == target else draw(st.sampled_from((-1, 0, 1)))
         m[target] = [c * x for x in m[source]]
+    if n >= 2 and draw(st.booleans()):
+        k = 2 * draw(st.integers(0, n // 2 - 1))
+        c = draw(st.integers(-2, 2))
+        for row in m:
+            row[k + 1] = c * row[k]
     return m
 
 
@@ -207,6 +225,31 @@ def skew_matrices(draw):
 @given(square_matrices())
 def test_integer_determinant_matches_fraction_elimination(m):
     assert kontsevich._det_fraction(m) == det_by_elimination(m)
+
+
+@pytest.mark.parametrize("m,det", [
+    ([], 1),
+    ([[5]], 5),
+    ([[0]], 0),
+    ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 18),
+    # the second pass divides by the square of the first block's D = 3
+    ([[2, 1, 0, 0, 1], [1, 2, 1, 0, 0], [0, 1, 3, 1, 0], [0, 0, 1, 2, 1],
+      [1, 0, 0, 1, 2]], 9),
+    # leading 2 x 2 block singular: rows 1 and 2 are brought up (two
+    # swaps), then rows 0 and 2 (one swap)
+    ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+    ([[1, 2, 0, 1], [2, 4, 1, 0], [0, 1, 3, 1], [1, 0, 1, 2]], -17),
+    # leading block zero: rows 2 and 3 are brought up, two swaps
+    ([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], 1),
+    # columns 0, 1 and then columns 2, 3 of rank one: no pair of rows
+    ([[1, 2, 3], [2, 4, 5], [3, 6, 7]], 0),
+    ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], 0),
+], ids=["order-0", "order-1", "order-1-zero", "order-3", "order-5",
+        "odd-pair-search", "even-pair-search", "two-swaps",
+        "rank-one-first-pair", "rank-one-second-pair"])
+def test_two_step_determinant_cases(m, det):
+    assert det_by_elimination(m) == det
+    assert kontsevich._det_fraction(m) == det
 
 
 @settings(max_examples=200, deadline=None)
@@ -297,9 +340,10 @@ def test_census_form_assembly_matches_slot_pairs(sequences, ws):
 
 
 def check_word_form(word):
-    # the one-pass form of a gap word is the slot-pair oracle's form after
-    # eliminating the last edge, and the slot sequence kernel's; a word
-    # with an even edge count is refused as the kernel refuses it
+    # the one-pass form of a gap word is half the slot-pair oracle's form
+    # after eliminating the last edge, and half the slot sequence kernel's,
+    # entry for entry; a word with an even edge count is refused as the
+    # kernel refuses it
     seq = word_slots(word)
     num_edges = len(seq) // 2
     if num_edges % 2 == 0:
@@ -308,10 +352,11 @@ def check_word_form(word):
         with pytest.raises(ValueError, match=str(refused.value)):
             kontsevich._word_omega_matrix(word)
         return
-    form = kontsevich._word_omega_matrix(word)
+    doubled = tuple(tuple(2 * x for x in row)
+                    for row in kontsevich._word_omega_matrix(word))
     c = raw_coefficients_by_slot_pairs(seq, num_edges)
-    assert form == eliminated(c, num_edges - 1)
-    assert form == kontsevich._slot_omega_matrix(seq)
+    assert doubled == eliminated(c, num_edges - 1)
+    assert doubled == kontsevich._slot_omega_matrix(seq)
 
 
 @st.composite
@@ -331,6 +376,18 @@ def one_face_words(draw):
 @given(one_face_words())
 def test_word_form_matches_slot_pairs(word):
     check_word_form(word)
+
+
+@pytest.mark.parametrize("word", [
+    (1, 1, 1, 1, 1, 1), (3, 3, 3, 3, 3, 2), (3, 0, 3, 3, 3, 3),
+    (3, 3, 3, 6, 3, 3), (3, 3, 3, -3, 3, 3), (1, 1, 1)],
+    ids=["all-ones", "one-off", "zero-entry", "entry-m", "negative-entry",
+         "odd-length"])
+def test_word_cell_volume_refuses_non_pairings(word):
+    # a word whose slots do not pair up describes no cell, and is refused
+    # before any form is built
+    with pytest.raises(MalformedGraph, match="not a pairing"):
+        word_cell_volume(word)
 
 
 def test_one_edge_word_form_is_empty():

@@ -110,10 +110,8 @@ def double_tree(tree: PlanarTree) -> HyperellipticCell:
         doubled_word.append((pos[partner] - t) % len(walk))
     doubled = Fatgraph.from_word(doubled_word)
 
-    iota = doubled.half_turn()
-    g = doubled.graph_type().g
-    if iota is None or 2 * g + 1 != delta_cells or \
-            doubled.fixed_cells(iota).total != 2 * g + 2:
+    iota = doubled.hyperelliptic_involution()
+    if iota is None or 2 * doubled.graph_type().g + 1 != delta_cells:
         raise AssertionError("the copy swap of the doubled tree is not a "
                              "hyperelliptic involution")
     tree_table = tree._edge_index_table()

@@ -16,8 +16,11 @@ since the free-coordinate domain is the 1/2-scaled simplex of volume
 
 Every coefficient is even.  Forms read off a gap word
 (``word_cell_volume``) are built at half scale, A/2, whose Pfaffian is
-scaled back by 2^d; forms of a graph or a slot sequence (``omega_matrix``)
-and the hyperelliptic pullback stay at full scale.
+scaled back by 2^d, in one pass that eliminates as it goes.  Forms of a
+graph (``omega_matrix``) and the hyperelliptic pullback stay at full
+scale, and take their raw coefficients from one pass over edge pairs of a
+boundary word (``_raw_form``), which sends each edge to a coordinate: a
+graph's own edge, or the tree edge of a doubled cell with its scale.
 """
 
 from __future__ import annotations
@@ -26,7 +29,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import NamedTuple
 
-from .errors import MalformedGraph, WrongBoundaryCount
+from .errors import MalformedGraph, WrongBoundaryCount, WrongType
 from .fatgraph import Fatgraph
 
 
@@ -36,53 +39,19 @@ class CellVolume(NamedTuple):
     pf: Fraction  # signed Pfaffian; volumes use its absolute value
 
 
-def _raw_coefficients(seq, num_edges):
-    """Antisymmetric edge-pair coefficients from the boundary slot sequence:
-    c[a][b] sums sign(q - p) over the counted slots p of edge a and q of
-    edge b, where every slot but the last one counts.  This is the sum over
-    slot pairs i < j < len(seq) - 1 of +1 at (seq[i], seq[j]) and -1 at
-    (seq[j], seq[i]), taken over edge pairs: for slots p1 < p2 of a and
-    q1 < q2 of b it is 2 ((p1 < q1) + (p1 < q2) + (p2 < q1) + (p2 < q2)) - 4.
-    The edge z in the last slot has one counted slot.  The formula also
-    counts its last slot, which comes after both slots of every other edge
-    b and so adds -1 twice to c[z][b]; adding 2 back removes it."""
-    slots = [[] for _ in range(num_edges)]
-    for p, e in enumerate(seq):
-        slots[e].append(p)
-    c = [[0] * num_edges for _ in range(num_edges)]
-    for a, (p1, p2) in enumerate(slots):
-        row = c[a]
-        for b in range(a + 1, num_edges):
-            q1, q2 = slots[b]
-            v = 2 * ((p1 < q1) + (p1 < q2) + (p2 < q1) + (p2 < q2)) - 4
-            row[b] = v
-            c[b][a] = -v
-    z = seq[-1]
-    row = c[z]
-    for b in range(num_edges):
-        if b != z:
-            row[b] += 2
-            c[b][z] -= 2
-    return c
-
-
 def omega_matrix(graph: Fatgraph, eliminate: int = None) -> tuple:
     """Antisymmetric coefficient matrix of the cell form of a one-boundary
     graph with an odd number of edges, as a tuple of rows, in the remaining
     edge coordinates (in edge order) after eliminating the designated edge
-    (default: the last one)."""
-    cycles = graph.boundary_cycles().cycles
-    if len(cycles) != 1:
-        raise WrongBoundaryCount("expected one boundary cycle, found %d"
-                                 % len(cycles))
-    table = graph._edge_index_table()
-    return _slot_omega_matrix([table[h] for h in cycles[0]], eliminate)
-
-
-def _slot_omega_matrix(seq, eliminate=None) -> tuple:
-    """``omega_matrix`` of the boundary slot sequence ``seq``: the edge in
-    each slot, edges numbered 0..E-1."""
-    num_edges = len(seq) // 2
+    (default: the last one).  The raw coefficients are read off the
+    graph's boundary word, flags stripped, by ``_raw_form``, each edge of
+    the word sent to its index in ``graph.edges`` at scale 1."""
+    try:
+        boundary, word = graph.boundary_word()
+    except WrongType as exc:
+        raise WrongBoundaryCount(str(exc)) from None
+    m = len(word)
+    num_edges = m // 2
     if num_edges % 2 == 0:
         raise ValueError("cell form needs an odd edge count, got %d"
                          % num_edges)
@@ -90,8 +59,52 @@ def _slot_omega_matrix(seq, eliminate=None) -> tuple:
         eliminate = num_edges - 1
     if not 0 <= eliminate < num_edges:
         raise ValueError("no edge %d" % eliminate)
-    c = _raw_coefficients(seq, num_edges)
-    return _eliminate(c, num_edges, eliminate)
+    gaps = [w % m for w in word]
+    table = graph._edge_index_table()
+    edge_map = [(table[h], 1) for p, h in enumerate(boundary)
+                if p + gaps[p] < m]
+    return _eliminate(_raw_form(gaps, edge_map, num_edges), num_edges,
+                      eliminate)
+
+
+def _raw_form(word, edge_map, size) -> list:
+    """The raw coefficients of a one-boundary gap word's cell form, before
+    any edge is eliminated, mapped through ``edge_map`` onto ``size``
+    coordinates and returned as rows.
+
+    The raw coefficient c[a][b] of edges a and b sums sign(q - p) over the
+    counted slots p of a and q of b, where every slot but the last one
+    counts.  One pass over pairs of word edges a < b, numbered by first
+    slot: with slots p1 < p2 and q1 < q2, p1 < q1 holds, so
+    2 ((p1 < q1) + (p1 < q2) + (p2 < q1) + (p2 < q2)) - 4, the sum over
+    all four slots, is 2 ((q1 > p2) + (q2 > p2)).  It counts the last
+    slot too, which comes after both slots of every other edge and so adds
+    -1 twice to each entry in the row of its edge; +2 when a holds the
+    last slot, and -2 when b does, take that back out.
+
+    Word edge e goes to coordinate t with factor f for
+    ``edge_map[e] = (t, f)``, and c[a][b] is added, scaled by both
+    factors, at (t_a, t_b) and subtracted at (t_b, t_a): a permutation at
+    scale 1 renumbers the edges (``omega_matrix``), and a doubled cell's
+    embedding pulls the form back onto its tree (``_pullback``).
+    """
+    m = len(word)
+    # per word edge: its two slots, and 2 if it holds the last slot
+    ends = [(p, p + w, 2 * (p + w == m - 1))
+            for p, w in enumerate(word) if p + w < m]
+    rows = [[0] * size for _ in range(size)]
+    for a, (_, p2, za) in enumerate(ends):
+        ta, fa = edge_map[a]
+        row = rows[ta]
+        for b in range(a + 1, len(ends)):
+            q1, q2, zb = ends[b]
+            v = 2 * ((q1 > p2) + (q2 > p2)) + za - zb
+            if v:
+                tb, fb = edge_map[b]
+                x = fa * fb * v
+                row[tb] += x
+                rows[tb][ta] -= x
+    return rows
 
 
 def _eliminate(c, num_edges, k) -> tuple:
@@ -251,30 +264,31 @@ def _word_omega_matrix(word) -> tuple:
     p + word[p] (mod 2E), and edges are numbered by their first slot, as
     ``Fatgraph.edges`` numbers the edges of that graph.
 
-    For edges a < b, with slots p1 < p2 and q1 < q2, p1 < q1 holds, so the
-    raw coefficient of ``_raw_coefficients`` is 2 ((q1 > p2) + (q2 > p2)),
-    with +2 in the row and -2 in the column of the edge in the last slot.
+    For edges a < b, with slots p1 < p2 and q1 < q2, the raw coefficient
+    is 2 ((q1 > p2) + (q2 > p2)) (``_raw_form``), with +2 in the row and
+    -2 in the column of the edge in the last slot.
     Eliminating the last edge k gives c[a][b] - c[a][k] + c[b][k], in
     which those two terms cancel, so they are never added.  Every term
     left is even; the form is built without the common factor 2, which
     halves Pf by 2^d and det by 4^d and keeps the integers small.
 
-    Raises MalformedGraph unless the word pairs its slots: every entry in
-    1..m-1, m/2 pairs (p, p + word[p]) with p + word[p] < m, and
-    word[q] = m - (q - p) for each such pair (p, q).
+    Raises MalformedGraph unless the word is nonempty and pairs its
+    slots: every entry in 1..m-1, m/2 pairs (p, p + word[p]) with
+    p + word[p] < m, and word[q] = m - (q - p) for each such pair (p, q);
+    then ValueError if it pairs them into an even number of edges.
     """
     m = len(word)
-    num_edges = m // 2
-    if num_edges % 2 == 0:
-        raise ValueError("cell form needs an odd edge count, got %d"
-                         % num_edges)
     ends = [(p, p + w) for p, w in enumerate(word) if 0 < w < m - p]
     # each first slot p has 0 < word[p] < m - p; the m/2 second slots q,
     # each with word[q] = m - (q - p) in 1..m-1, are distinct and no first
     # slot, so with the m/2 first slots they are every slot, and every
     # entry is in 1..m-1
-    if 2 * len(ends) != m or any(word[q] != m - q + p for p, q in ends):
+    if not m or 2 * len(ends) != m or \
+            any(word[q] != m - q + p for p, q in ends):
         raise MalformedGraph("gap word %r is not a pairing" % (word,))
+    if len(ends) % 2 == 0:
+        raise ValueError("cell form needs an odd edge count, got %d"
+                         % len(ends))
     k1, k2 = ends.pop()
     # each free edge's slots and its halved raw coefficient against edge k
     edges = [(q1, q2, (k1 > q2) + (k2 > q2)) for q1, q2 in ends]
@@ -328,34 +342,13 @@ def hyperelliptic_cell_volume(cell) -> CellVolume:
 
 def _pullback(cell) -> list:
     """The raw coefficients of the doubled word pulled back to the tree's
-    edge lengths, as rows of ``Fraction``s, before any edge is eliminated.
-
-    One pass over pairs of doubled edges a < b, numbered by first slot as
-    ``cell.edge_map`` is: with slots p1 < p2 and q1 < q2 the raw
-    coefficient is 2 ((q1 > p2) + (q2 > p2)) (``_word_omega_matrix``), +2
-    when a holds the last slot and -2 when b does.  The pullback keeps the
-    last-slot terms, so it is the pullback of ``_raw_coefficients``; they
-    pull back to multiples of (tree edge) ^ (sum of all tree edges), which
-    the elimination of any tree edge then cancels.
+    edge lengths (``_raw_form`` through ``cell.edge_map``, whose scale
+    factors are ``Fraction``s), as rows, before any edge is eliminated.
+    The pullback keeps the last-slot terms; they pull back to multiples of
+    (tree edge) ^ (sum of all tree edges), which the elimination of any
+    tree edge then cancels.
     """
     num_tree_edges = cell.tree.num_edges
     if num_tree_edges % 2 == 0:
         raise ValueError("tree cell needs an odd edge count")
-    word, edge_map = cell.word, cell.edge_map
-    m = len(word)
-    # per doubled edge: its two slots, and 2 if it holds the last slot
-    ends = [(p, p + w, 2 * (p + w == m - 1))
-            for p, w in enumerate(word) if p + w < m]
-    ct = [[Fraction(0)] * num_tree_edges for _ in range(num_tree_edges)]
-    for a, (_, p2, za) in enumerate(ends):
-        ta, fa = edge_map[a]
-        row = ct[ta]
-        for b in range(a + 1, len(ends)):
-            q1, q2, zb = ends[b]
-            v = 2 * ((q1 > p2) + (q2 > p2)) + za - zb
-            if v:
-                tb, fb = edge_map[b]
-                x = fa * fb * v
-                row[tb] += x
-                ct[tb][ta] -= x
-    return ct
+    return _raw_form(cell.word, cell.edge_map, num_tree_edges)

@@ -26,12 +26,16 @@ that start at the least entry.
 census by scanning its gap words for a half-turn symmetry, the reference
 for the doubled-tree components of ``hyperelliptic``.
 ``raw_coefficients_by_slot_pairs`` assembles the cell form's coefficients
-by a loop over slot pairs, the reference for ``kontsevich._raw_coefficients``,
-which sums over edge pairs.
+by a loop over slot pairs, and ``eliminated_form`` eliminates an edge by
+substituting for its differential in columns and then rows: together the
+reference for ``kontsevich._raw_form``, which sums over edge pairs of a
+boundary word, and for the forms built on it (``omega_matrix``) and
+fused with the elimination (``_word_omega_matrix``).
 ``pullback_form_by_boundary_cycles`` pulls a doubled-tree cell's form
-back on the doubled graph, from its boundary cycle and the full raw
-coefficient matrix, the reference for ``kontsevich._pullback``, which
-reads the doubled word over edge pairs.
+back on the doubled graph, from its boundary cycle and those two
+references, the reference for ``kontsevich._pullback``, which reads the
+doubled word over edge pairs; it shares no code with the package's
+forms.
 ``record_entry_reference`` checks a cache record by rebuilding its graph,
 the reference for the loader, which checks the word alone
 (``enumeration.word_entry``); ``in_fatgraph_census`` is its membership
@@ -47,7 +51,6 @@ from fatmod.enumeration import ALL, TRIVALENT, OrbifoldCensus
 from fatmod.errors import FatmodError, MalformedGraph
 from fatmod.fatgraph import DELTA, Fatgraph
 from fatmod.hyperelliptic import HyperellipticCell
-from fatmod.kontsevich import _eliminate, _raw_coefficients
 from fatmod.trees import LEAF, PlanarTree
 
 
@@ -247,6 +250,17 @@ def raw_coefficients_by_slot_pairs(seq, num_edges):
                 c[a][b] += 1
                 c[b][a] -= 1
     return c
+
+
+def eliminated_form(c, k) -> tuple:
+    """The form of the raw coefficients ``c`` in the free coordinates once
+    the normalization eliminates edge k: its differential is minus the sum
+    of the others', substituted into the columns and then into the rows
+    of c, J^T c J with J the substitution matrix."""
+    free = [b for b in range(len(c)) if b != k]
+    cols = [[row[b] - row[k] for b in free] for row in c]
+    return tuple(tuple(x - y for x, y in zip(cols[a], cols[k]))
+                 for a in free)
 
 
 def pfaffian_by_matchings(matrix) -> Fraction:
@@ -686,9 +700,9 @@ def double_by_cycles(tree) -> HyperellipticCell:
 def pullback_form_by_boundary_cycles(cell):
     """The pullback of a doubled-tree cell's form, assembled on the doubled
     graph: the slot sequence of its boundary cycle, the full raw
-    coefficient matrix (``_raw_coefficients``) and the ``Fraction``
-    pullback over every ordered pair of doubled edges; returns that
-    pullback and its form after ``_eliminate`` of the last tree edge.
+    coefficient matrix (``raw_coefficients_by_slot_pairs``) and the
+    ``Fraction`` pullback over every ordered pair of doubled edges; returns
+    that pullback and its ``eliminated_form`` without the last tree edge.
     The cycle starts at half-edge 0, where the cell's word is read, so an
     edge's first appearance on it is its first slot, which indexes
     ``cell.edge_map``."""
@@ -699,7 +713,7 @@ def pullback_form_by_boundary_cycles(cell):
     word_edge = {}
     for e in seq:
         word_edge.setdefault(e, len(word_edge))
-    c = _raw_coefficients(seq, doubled.num_edges)
+    c = raw_coefficients_by_slot_pairs(seq, doubled.num_edges)
     n = cell.tree.num_edges
     ct = [[Fraction(0)] * n for _ in range(n)]
     for x in range(doubled.num_edges):
@@ -709,4 +723,4 @@ def pullback_form_by_boundary_cycles(cell):
             if row[y]:
                 ay, fy = cell.edge_map[word_edge[y]]
                 ct[ax][ay] += fx * fy * row[y]
-    return ct, _eliminate(ct, n, n - 1)
+    return ct, eliminated_form(ct, n - 1)

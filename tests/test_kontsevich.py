@@ -1,4 +1,5 @@
 import random
+import signal
 from fractions import Fraction
 from math import factorial, prod
 
@@ -8,14 +9,14 @@ from hypothesis import given, settings, strategies as st
 from fatmod import kontsevich
 from fatmod.enumeration import enumerate_fatgraphs, enumerate_trees
 from fatmod.errors import MalformedGraph, WrongBoundaryCount
-from fatmod.fatgraph import Fatgraph
+from fatmod.fatgraph import DELTA, Fatgraph
 from fatmod.hyperelliptic import double_tree
 from fatmod.kontsevich import (cell_volume, hyperelliptic_cell_volume,
                                omega_matrix, pfaffian, word_cell_volume)
 from fatmod.trees import (LEAF, ONE5, MARKED, build_rooted_tree,
                           odd_valence_trees, unrooted_trees)
 
-from oracles import (det_by_elimination, double_by_cycles,
+from oracles import (det_by_elimination, double_by_cycles, eliminated_form,
                      monte_carlo_cell_volume, pfaffian_by_matchings,
                      pullback_form_by_boundary_cycles,
                      raw_coefficients_by_slot_pairs, relabel)
@@ -109,11 +110,11 @@ class TestPfaffian:
         assert pfaffian([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]) == \
             pfaffian([[0, 1], [-1, 0]]) / 2
 
-    def test_congruent_standard_form_order_forty(self):
+    @staticmethod
+    def check_congruent_standard_form(n):
         # Pf(B J B^T) = det(B) Pf(J) = the product of B's diagonal, with
         # J the direct sum of [[0, 1], [-1, 0]] and B upper triangular
-        rng = random.Random(40)
-        n = 40
+        rng = random.Random(n)
         diag = [rng.choice((-3, -2, -1, 1, 2, 3)) for _ in range(n)]
         b = [[diag[i] if i == j else rng.randint(-3, 3) if j > i else 0
               for j in range(n)] for i in range(n)]
@@ -121,6 +122,27 @@ class TestPfaffian:
                   for t in range(0, n, 2)) for j in range(n)]
              for i in range(n)]
         assert pfaffian(m) == prod(diag)
+
+    def test_congruent_standard_form_order_eight(self):
+        # runs first: an inexact division in either kernel fails here at
+        # once, where at order 40 the entries would grow without bound
+        self.check_congruent_standard_form(8)
+
+    def test_congruent_standard_form_order_forty(self):
+        # a time limit turns a runaway elimination into a failure, not a
+        # stalled suite; the check takes well under a second
+        limit = 30
+
+        def expire(signum, frame):
+            raise TimeoutError("order-40 Pfaffian ran past %d s" % limit)
+
+        previous = signal.signal(signal.SIGALRM, expire)
+        signal.alarm(limit)
+        try:
+            self.check_congruent_standard_form(40)
+        finally:
+            signal.alarm(0)
+            signal.signal(signal.SIGALRM, previous)
 
     @pytest.mark.parametrize("n", [20, 40])
     def test_ones_above_diagonal(self, n):
@@ -283,26 +305,56 @@ def word_slots(word):
     return seq
 
 
-def doubled_slots(cell):
-    table = cell.doubled._edge_index_table()
-    return [table[h] for h in cell.doubled.boundary_cycles().cycles[0]]
+def boundary_slots(graph):
+    """The edge in each slot of a one-boundary graph's boundary cycle, in
+    the graph's edge numbering."""
+    table = graph._edge_index_table()
+    return [table[h] for h in graph.boundary_cycles().cycles[0]]
 
 
-def eliminated(c, k):
-    free = [e for e in range(len(c)) if e != k]
-    return tuple(tuple(c[a][b] - c[a][k] + c[b][k] for b in free)
-                 for a in free)
+def slot_graph(seq):
+    """A graph whose boundary holds edge seq[i] in slot i, edge e as
+    half-edges 2e (its first slot) and 2e + 1, so ``Fatgraph.edges``
+    numbers the edges as seq does; its cycle from half-edge 0 starts at
+    the first slot of edge 0.  Every vertex is a delta vertex, which
+    allows valences 1 and 2 and puts a flag into each word entry."""
+    m = len(seq)
+    halves, seen = [], set()
+    for e in seq:
+        halves.append(2 * e + (e in seen))
+        seen.add(e)
+    sigma = [0] * m
+    for i, h in enumerate(halves):
+        sigma[h ^ 1] = halves[(i + 1) % m]
+    return Fatgraph(sigma, [h ^ 1 for h in range(m)], (DELTA,) * m)
 
 
 def check_form_assembly(seq):
-    num_edges = len(seq) // 2
-    c = raw_coefficients_by_slot_pairs(seq, num_edges)
-    assert kontsevich._raw_coefficients(seq, num_edges) == c
-    if num_edges % 2:
-        assert kontsevich._slot_omega_matrix(seq) == \
-            eliminated(c, num_edges - 1)
-        for k in range(num_edges):
-            assert kontsevich._slot_omega_matrix(seq, k) == eliminated(c, k)
+    # the raw pass over the gap word of seq, its edges sent to their labels
+    # in seq, is the slot-pair oracle's matrix entry for entry, last-slot
+    # terms included; the form of a graph with that boundary is the
+    # oracle's form of its slot sequence for every eliminated edge, and a
+    # graph with an even edge count is refused
+    m = len(seq)
+    num_edges = m // 2
+    slots = {}
+    for p, e in enumerate(seq):
+        slots.setdefault(e, []).append(p)
+    word = [0] * m
+    for p1, p2 in slots.values():
+        word[p1], word[p2] = p2 - p1, m - (p2 - p1)
+    edge_map = [(e, 1) for p, e in enumerate(seq) if slots[e][0] == p]
+    assert kontsevich._raw_form(word, edge_map, num_edges) == \
+        raw_coefficients_by_slot_pairs(seq, num_edges)
+    graph = slot_graph(seq)
+    if num_edges % 2 == 0:
+        with pytest.raises(ValueError, match="odd edge count"):
+            omega_matrix(graph)
+        return
+    c = raw_coefficients_by_slot_pairs(boundary_slots(graph), num_edges)
+    assert omega_matrix(graph) == eliminated_form(c, num_edges - 1)
+    for k in range(num_edges):
+        assert omega_matrix(graph, k) == eliminated_form(c, k)
 
 
 @st.composite
@@ -326,7 +378,7 @@ def test_form_assembly_matches_slot_pairs(seq):
        for e in ws.collapse_closure(g, "all")],
     lambda ws: [word_slots([w % len(e.key) for w in e.key])
                 for leaves in range(2, 10) for e in enumerate_trees(leaves)],
-    lambda ws: [doubled_slots(double_tree(tree))
+    lambda ws: [boundary_slots(double_tree(tree).doubled)
                 for leaves, profile in [(3, "trivalent"), (5, "trivalent"),
                                         (7, "trivalent"), (5, ONE5),
                                         (7, ONE5), (4, MARKED), (6, MARKED)]
@@ -341,22 +393,24 @@ def test_census_form_assembly_matches_slot_pairs(sequences, ws):
 
 def check_word_form(word):
     # the one-pass form of a gap word is half the slot-pair oracle's form
-    # after eliminating the last edge, and half the slot sequence kernel's,
-    # entry for entry; a word with an even edge count is refused as the
-    # kernel refuses it
+    # after eliminating the last edge, and half the form of the graph the
+    # word builds (delta-flagged, so any valence is allowed), entry for
+    # entry; a word with an even edge count is refused as the graph is
+    m = len(word)
     seq = word_slots(word)
-    num_edges = len(seq) // 2
+    num_edges = m // 2
+    graph = Fatgraph.from_word(tuple(w + m for w in word))
     if num_edges % 2 == 0:
         with pytest.raises(ValueError) as refused:
-            kontsevich._slot_omega_matrix(seq)
+            omega_matrix(graph)
         with pytest.raises(ValueError, match=str(refused.value)):
             kontsevich._word_omega_matrix(word)
         return
     doubled = tuple(tuple(2 * x for x in row)
                     for row in kontsevich._word_omega_matrix(word))
     c = raw_coefficients_by_slot_pairs(seq, num_edges)
-    assert doubled == eliminated(c, num_edges - 1)
-    assert doubled == kontsevich._slot_omega_matrix(seq)
+    assert doubled == eliminated_form(c, num_edges - 1)
+    assert doubled == omega_matrix(graph)
 
 
 @st.composite
@@ -380,12 +434,13 @@ def test_word_form_matches_slot_pairs(word):
 
 @pytest.mark.parametrize("word", [
     (1, 1, 1, 1, 1, 1), (3, 3, 3, 3, 3, 2), (3, 0, 3, 3, 3, 3),
-    (3, 3, 3, 6, 3, 3), (3, 3, 3, -3, 3, 3), (1, 1, 1)],
+    (3, 3, 3, 6, 3, 3), (3, 3, 3, -3, 3, 3), (1, 1, 1), (1, 1, 1, 1),
+    (0, 0, 0, 0), ()],
     ids=["all-ones", "one-off", "zero-entry", "entry-m", "negative-entry",
-         "odd-length"])
+         "odd-length", "even-all-ones", "even-all-zeros", "empty"])
 def test_word_cell_volume_refuses_non_pairings(word):
     # a word whose slots do not pair up describes no cell, and is refused
-    # before any form is built
+    # before any form is built or its edge count read
     with pytest.raises(MalformedGraph, match="not a pairing"):
         word_cell_volume(word)
 

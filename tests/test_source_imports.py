@@ -16,8 +16,11 @@ kind, and unrooted tree classes are found among contour words, not among
 built rooted trees.  A fatgraph census class is its gap word: the cache
 loader checks a record on the word and builds no graph, and the census
 sums of genus0, psi-top and euler read the word, not a graph, and build
-each cell form in one pass over the word's slot pairs.  Every
-census class enters by its word, so no module has a graph entry function.
+each cell form in one pass over the word's slot pairs.  A graph's form
+and the hyperelliptic pullback read their raw coefficients through one
+pass over a boundary word's edge pairs, and the test oracles for it import
+no form code from the package.  Every census class enters by its word, so
+no module has a graph entry function.
 Every canonical key and |Aut| comes from one rotation scan,
 ``fatgraph.least_rotation``, and tree and cell keys never reach the gap
 word of the census search.
@@ -201,8 +204,7 @@ def test_word_form_is_built_in_one_pass(function):
     # the census volumes build their form from the word's slot pairs; a
     # graph or the slot-sequence kernel would be the two-pass build again
     node = function_node("kontsevich", function)
-    for name in ("Fatgraph", "_raw_coefficients", "_eliminate",
-                 "_slot_omega_matrix", "omega_matrix"):
+    for name in ("Fatgraph", "_raw_form", "_eliminate", "omega_matrix"):
         assert not mentions(node, name), "%s names %s" % (function, name)
 
 
@@ -213,9 +215,30 @@ def test_cell_volume_reads_the_doubled_word(function):
     # the tree's word; the doubled graph's cycles and raw matrix, or a
     # graph's form, would rebuild what the word already holds
     node = function_node("kontsevich", function)
-    for name in ("boundary_cycles", "_edge_index_table", "_raw_coefficients",
-                 "omega_matrix", "cell_volume"):
+    for name in ("boundary_cycles", "_edge_index_table", "omega_matrix",
+                 "cell_volume"):
         assert not mentions(node, name), "%s names %s" % (function, name)
+
+
+@pytest.mark.parametrize("function", ["omega_matrix", "_pullback"])
+def test_one_raw_coefficient_pass(function):
+    # a graph's form and the hyperelliptic pullback both take their raw
+    # coefficients from the one pass over a boundary word's edge pairs;
+    # a graph's boundary cycles would be a second route to the same slots
+    node = function_node("kontsevich", function)
+    assert mentions(node, "_raw_form")
+    assert not mentions(node, "boundary_cycles")
+
+
+def test_oracles_share_no_form_code():
+    # the references for the raw pass, the elimination and the pullback
+    # assemble their own forms; importing any of the package's would make
+    # a check compare the package with itself
+    path = TESTS / "oracles.py"
+    assert "fatmod.kontsevich" not in imported_names(path)
+    assert not referenced_names(path) & {"kontsevich", "_raw_form",
+                                         "_eliminate", "omega_matrix",
+                                         "_pullback", "_word_omega_matrix"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])

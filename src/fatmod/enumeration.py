@@ -3,15 +3,14 @@ orders, supporting exact orbifold-weighted sums.
 
 Every census class is a one-boundary graph, so it enters its census by
 its boundary word: the key is the word's least rotation and |Aut| is 2E
-over its rotation period, both from ``fatgraph.least_rotation``.  A
-class of a fatgraph census is its canonical gap word, so
-:func:`word_entry` makes its entry from the word alone, checking the
-word against the census, and the graph is built only when
-``CensusEntry.graph`` is read.  Only fatgraph censuses are cached; the
-builders and the cache loader both call :func:`word_entry`, so a census
-has the same keys however it was obtained.  Tree censuses are built in
-memory with :func:`tree_entry`, which reads the flagged word of each
-tree class, and ``hyperelliptic`` enters each doubled tree by
+over its rotation period, both from ``fatgraph.least_rotation``.  No
+entry stores a graph; ``CensusEntry.graph`` builds the key's on each
+read.  A fatgraph census class is its canonical gap word, so
+:func:`word_entry` makes its entry from the word alone, checking it
+against the census.  Only fatgraph censuses are cached; the builders and
+the cache loader both call :func:`word_entry`, so a census has the same
+keys however it was obtained.  Tree censuses are read off contour words
+(``trees._classes``), and ``hyperelliptic`` enters each doubled tree by
 :func:`word_entry` on its doubled word, as a class of the all-valence
 census of its genus.
 
@@ -69,7 +68,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import trees as _trees
 from .errors import MalformedGraph, ResourceLimit, WrongType
-from .fatgraph import Fatgraph, _cycles_of, least_rotation
+from .fatgraph import Fatgraph, least_rotation, word_vertices
 
 DEFAULT_CAP_EDGES = 15          # trivalent / single-k censuses (genus <= 3)
 DEFAULT_CAP_EDGES_ALL = 9       # all-valence censuses (genus <= 2)
@@ -105,24 +104,16 @@ def catalan5(k: int) -> int:
 
 class CensusEntry(NamedTuple):
     """One class of a census: its key, |Aut| and an optional payload.
-
-    ``stored`` is the graph or tree the class stands for, or None when
-    the entry holds no graph, as a fatgraph census entry
-    (:func:`word_entry`) does: its ``graph`` is then
-    ``Fatgraph.from_word(key)``, built on each read; the package reads it
-    only on entries that store their object.
-    """
+    It holds no graph: ``graph`` builds ``Fatgraph.from_word(key)`` on
+    each read, and the package never reads it."""
 
     key: tuple
-    stored: object
     aut_order: int
     payload: object = None
 
     @property
     def graph(self):
-        if self.stored is None:
-            return Fatgraph.from_word(self.key)
-        return self.stored
+        return Fatgraph.from_word(self.key)
 
 
 class OrbifoldCensus:
@@ -339,7 +330,7 @@ def _collapsible_slots(word, single: bool):
     has one."""
     m = len(word)
     partner = [(p + w) % m for p, w in enumerate(word)]
-    cycles = _cycles_of([(q + 1) % m for q in partner])  # sigma = alpha + 1
+    cycles = word_vertices(word)
     vertex = [0] * m
     for v, cycle in enumerate(cycles):
         for p in cycle:
@@ -417,7 +408,7 @@ def word_entry(word, g: int, valence_filter) -> CensusEntry:
     alpha = [(p + w) % m for p, w in enumerate(word)]
     if any(word[q] != m - w for q, w in zip(alpha, word)):
         raise MalformedGraph("gap word %r is not a pairing" % (word,))
-    valences = sorted(map(len, _cycles_of([(q + 1) % m for q in alpha])))
+    valences = sorted(map(len, word_vertices(word)))
     if valences[0] < 3:
         raise MalformedGraph("gap word %r has a vertex of valence %d"
                              % (word, valences[0]))
@@ -428,7 +419,7 @@ def word_entry(word, g: int, valence_filter) -> CensusEntry:
     if not _in_census(valences, g, valence_filter):
         raise WrongType("gap word %r is outside the census %r"
                         % (word, fatgraph_descriptor(g, valence_filter)))
-    return CensusEntry(tuple(word), None, m // period)
+    return CensusEntry(tuple(word), m // period)
 
 
 def fatgraph_filter(g: int, valence_filter):
@@ -539,14 +530,6 @@ def tree_closed_count(leaf_count: int, profile: str,
     return Fraction(rooted, 1 if rooting == "rooted" else leaf_count)
 
 
-def tree_entry(tree) -> CensusEntry:
-    """Census entry of an unrooted planar tree: its key is the least
-    rotation of its flagged boundary word, and |Aut| is the number of
-    rotations that fix it, 2E over the key's rotation period."""
-    key = tree.canonical_key()
-    return CensusEntry(key, tree, len(key) // least_rotation(key)[1])
-
-
 def enumerate_trees(leaf_count: int, profile: str = _trees.TRIVALENT,
                     rooting: str = "unrooted") -> OrbifoldCensus:
     """Census of planar trees with the given leaf count and valence profile.
@@ -556,13 +539,13 @@ def enumerate_trees(leaf_count: int, profile: str = _trees.TRIVALENT,
     distinguished leaf and have trivial automorphism group.  Raises
     ResourceLimit past ``trees.DEFAULT_CAP_LEAVES`` leaves.
     """
-    descriptor = tree_descriptor(leaf_count, profile, rooting)
-    if rooting == "rooted":
-        entries = tuple(CensusEntry(tree.rooted_key(), tree, 1)
-                        for tree in _trees.rooted_trees(leaf_count, profile))
-    elif rooting == "unrooted":
-        entries = tuple(map(tree_entry,
-                            _trees.unrooted_trees(leaf_count, profile)))
-    else:
+    if rooting not in ("rooted", "unrooted"):
         raise ValueError("rooting must be 'rooted' or 'unrooted'")
-    return OrbifoldCensus(descriptor, entries)
+    words = _trees._contour_words(leaf_count, profile)
+    if rooting == "rooted":
+        entries = tuple(CensusEntry(word, 1) for word in words)
+    else:
+        entries = tuple(CensusEntry(key, aut)
+                        for key, _, aut in _trees._classes(words))
+    return OrbifoldCensus(tree_descriptor(leaf_count, profile, rooting),
+                          entries)

@@ -21,7 +21,7 @@ class WrongType(FatmodError):
     """Graph has the wrong (genus, boundary) type for the operation."""
 
 
-class WrongBoundaryCount(FatmodError):
+class WrongBoundaryCount(WrongType):
     """Operation requires a single boundary cycle."""
 
 

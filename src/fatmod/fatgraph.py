@@ -26,7 +26,8 @@ flag of the slot's vertex and an optional per-half-edge mark; since
 (:func:`least_rotation`) is the canonical key, and the rotations fixing it
 are the automorphisms: a cyclic group whose only possible involution is the
 half-turn ``phi^E``.  Graphs with more than one boundary cycle have no
-canonical form here and raise :class:`WrongType`.
+canonical form here and raise :class:`WrongBoundaryCount`, a
+:class:`WrongType`.
 """
 
 from __future__ import annotations
@@ -37,6 +38,7 @@ from .errors import (
     MalformedGraph,
     NotAnAutomorphism,
     NotExpandable,
+    WrongBoundaryCount,
     WrongType,
 )
 
@@ -92,6 +94,17 @@ def _cycles_of(perm: Sequence[int]):
             h = perm[h]
         out.append(tuple(cyc))
     return tuple(out)
+
+
+def word_vertices(word) -> tuple:
+    """``Fatgraph.from_word(word).vertices``, flags ignored: the cycles of
+    ``sigma(p) = p + gap + 1`` (mod m), each from its least slot.
+
+    >>> word_vertices((3, 3, 3, 3, 3, 3))
+    ((0, 4, 2), (1, 5, 3))
+    """
+    m = len(word)
+    return _cycles_of([(p + w + 1) % m for p, w in enumerate(word)])
 
 
 def least_rotation(word):
@@ -380,8 +393,8 @@ class Fatgraph:
         ``pos(alpha h) - i (mod m)``, the flag of its vertex and the optional
         mark ``extra[h]`` (a non-negative integer) as
         ``gap + m * (flag index + 2 * mark)``.  Unflagged, unmarked graphs
-        get the plain gap word.  Raises WrongType unless the graph has
-        exactly one boundary cycle.
+        get the plain gap word.  Raises WrongBoundaryCount unless the
+        graph has exactly one boundary cycle.
         """
         sigma, alpha = self.sigma, self.alpha
         m = len(sigma)
@@ -391,8 +404,8 @@ class Fatgraph:
             boundary.append(h)
             h = sigma[alpha[h]]
         if len(boundary) != m:
-            raise WrongType("expected one boundary cycle, got %d"
-                            % self.boundary_cycles().n)
+            raise WrongBoundaryCount("expected one boundary cycle, got %d"
+                                     % self.boundary_cycles().n)
         pos = [0] * m
         for i, h in enumerate(boundary):
             pos[h] = i

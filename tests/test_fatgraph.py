@@ -3,14 +3,14 @@ import random
 import pytest
 
 from fatmod.errors import (MalformedGraph, NotAnAutomorphism, NotExpandable,
-                           WrongType)
+                           WrongBoundaryCount, WrongType)
 from fatmod.fatgraph import (Fatgraph, one_vertex_opposite_pairing,
                              two_vertex_star_double)
 from fatmod.trees import LEAF, PlanarTree, build_rooted_tree, \
     unrooted_trees
 
 from oracles import are_isomorphic, automorphism_order_bruteforce, \
-    collapse_edge, perm_compose, relabel, vertex_index
+    collapse_edge, perm_compose, relabel, tree_word, vertex_index
 
 
 def reference_two_boundary_graph():
@@ -220,7 +220,8 @@ class TestExpansions:
         else:
             from fatmod.hyperelliptic import double_tree
             from fatmod.trees import unrooted_trees
-            G = double_tree(unrooted_trees(4, "marked")[0]).doubled
+            G = double_tree(
+                tree_word(unrooted_trees(4, "marked")[0])).doubled
         v = G.valences.index(k)
         stubs = G.vertices[v]
         metric_stab = [a for a in G.automorphisms()
@@ -278,6 +279,14 @@ class TestCanonicalForm:
         assert torus.canonical_key() != flagged.canonical_key()
         assert not are_isomorphic(torus, flagged)
 
+    def test_three_boundary_word_is_a_wrong_boundary_count(self):
+        # the theta graph has three boundary cycles and no boundary word;
+        # the error names the count and is still a WrongType
+        with pytest.raises(WrongBoundaryCount, match="got 3"):
+            theta_graph().boundary_word()
+        with pytest.raises(WrongType):
+            theta_graph().boundary_word()
+
     def test_one_edge_expansions_of_generic_four_valent_differ(self):
         tree = _collapse_to_valence(
             build_rooted_tree(((LEAF, LEAF), (LEAF, (LEAF, LEAF)))), 4)
@@ -305,7 +314,7 @@ class TestAutomorphisms:
         # the doubled 5-leaf trivalent tree: the copy swap is its only
         # non-trivial automorphism
         from fatmod.hyperelliptic import double_tree
-        G = double_tree(unrooted_trees(5)[0]).doubled
+        G = double_tree(tree_word(unrooted_trees(5)[0])).doubled
         assert G.aut_order() == 2 == automorphism_order_bruteforce(G)
         with pytest.raises(WrongType):
             reference_two_boundary_graph().aut_order()
@@ -382,7 +391,7 @@ class TestHyperellipticInvolution:
 
     def test_doubled_five_star_swaps_five_valent_vertices(self):
         from fatmod.hyperelliptic import double_tree
-        cell = double_tree(unrooted_trees(5, "one5")[0])
+        cell = double_tree(tree_word(unrooted_trees(5, "one5")[0]))
         iota = cell.doubled.hyperelliptic_involution()
         assert iota is not None
         v0, v1 = cell.doubled.vertices

@@ -13,23 +13,24 @@ from fatmod.hyperelliptic import (W1_MULTIPLICITY_5VALENT,
                                   W1_MULTIPLICITY_6VALENT,
                                   cut_along_involution, count_t1, count_t2,
                                   double_tree)
+from fatmod.integrals import psi_top_hyperelliptic, w1_h_integral
 from fatmod.kontsevich import hyperelliptic_cell_volume
 from fatmod.trees import (LEAF, MARKED, ONE5, TRIVALENT, PlanarTree,
                           build_rooted_tree, unrooted_trees)
 from fatmod.workspace import Workspace
 
 from oracles import (collapse_edge, double_by_cycles,
-                     half_turn_cells_by_profile, relabel)
+                     half_turn_cells_by_profile, relabel, tree_word)
 
 
 class TestDoubleTree:
     def test_three_star_doubles_to_torus_graph(self):
-        cell = double_tree(unrooted_trees(3)[0])
+        cell = double_tree(tree_word(unrooted_trees(3)[0]))
         torus = enumerate_fatgraphs(1).entries[0].graph
         assert cell.doubled.canonical_key() == torus.canonical_key()
 
     def test_five_star_double(self):
-        cell = double_tree(unrooted_trees(5, ONE5)[0])
+        cell = double_tree(tree_word(unrooted_trees(5, ONE5)[0]))
         assert sorted(cell.doubled.valences) == [5, 5]
         assert cell.doubled.aut_order() == 10
 
@@ -37,7 +38,7 @@ class TestDoubleTree:
         # collapsing the two copies of every internal tree edge merges each
         # copy into a single vertex (the star double); one more collapse
         # gives the one-vertex opposite pairing
-        cell = double_tree(unrooted_trees(5)[0])
+        cell = double_tree(tree_word(unrooted_trees(5)[0]))
         fused = {e for e, (te, f) in enumerate(cell.edge_map) if f == 1}
         G = cell.doubled
         remaining = set(range(G.num_edges)) - fused
@@ -54,7 +55,7 @@ class TestDoubleTree:
         for leaves, profile in [(5, "trivalent"), (7, "trivalent"),
                                 (5, ONE5), (4, MARKED)]:
             for tree in unrooted_trees(leaves, profile):
-                cell = double_tree(tree)
+                cell = double_tree(tree_word(tree))
                 g = cell.doubled.graph_type().g
                 fc = cell.doubled.fixed_cells(cell.involution)
                 assert fc.total == 2 * g + 2
@@ -64,18 +65,24 @@ class TestDoubleTree:
         # faithfully on the glued edges, i.e. on the tree's leaves
         for leaves in (3, 5, 7):
             for tree in unrooted_trees(leaves):
-                cell = double_tree(tree)
+                cell = double_tree(tree_word(tree))
                 assert cell.doubled.aut_order() == 2 * tree.aut_order()
                 assert cell.doubled.aut_order() % 2 == 0
 
     def test_even_leaf_count_rejected(self):
         with pytest.raises(BadLeafCount):
-            double_tree(unrooted_trees(4)[0])
+            double_tree(tree_word(unrooted_trees(4)[0]))
 
     def test_marked_even_tree_accepted(self):
-        cell = double_tree(unrooted_trees(4, MARKED)[0])
+        cell = double_tree(tree_word(unrooted_trees(4, MARKED)[0]))
         assert cell.doubled.graph_type().g == 2
         assert 6 in cell.doubled.valences
+
+
+# leaf counts and profiles of the trees that double, up to 9 leaves
+DOUBLED_TREES = ([(n, TRIVALENT) for n in (3, 5, 7, 9)]
+                 + [(n, ONE5) for n in (5, 7, 9)]
+                 + [(n, MARKED) for n in (4, 6, 8)])
 
 
 @settings(max_examples=60, deadline=None)
@@ -83,25 +90,43 @@ class TestDoubleTree:
 def test_double_matches_cycle_doubling(data):
     # the word walk and the reference's vertex cycles double a tree, under
     # any half-edge labels, to the same class with the same cell volume
-    leaves, profile = data.draw(st.sampled_from(
-        [(n, TRIVALENT) for n in (3, 5, 7, 9)]
-        + [(n, ONE5) for n in (5, 7, 9)] + [(n, MARKED) for n in (4, 6, 8)]))
+    leaves, profile = data.draw(st.sampled_from(DOUBLED_TREES))
     tree = data.draw(st.sampled_from(unrooted_trees(leaves, profile)))
     tree = relabel(tree,
                    data.draw(st.permutations(range(tree.num_half_edges))))
     tree = PlanarTree(tree.sigma, tree.alpha, tree.flags)
-    cell, reference = double_tree(tree), double_by_cycles(tree)
+    cell, reference = double_tree(tree_word(tree)), double_by_cycles(tree)
     assert cell.doubled.canonical_key() == reference.doubled.canonical_key()
     assert cell.doubled.aut_order() == reference.doubled.aut_order()
     assert hyperelliptic_cell_volume(cell).value == \
         hyperelliptic_cell_volume(reference).value
+    # both number the tree's edges by first slot of the same tree word, so
+    # the signed Pfaffians of the pullbacks agree too
+    assert hyperelliptic_cell_volume(cell).pf == \
+        hyperelliptic_cell_volume(reference).pf
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_double_reads_any_rotation_of_the_tree_word(data):
+    # a tree census key is one rotation of the tree's word; every other
+    # rotation doubles to the same class, |Aut| and cell volume
+    leaves, profile = data.draw(st.sampled_from(DOUBLED_TREES))
+    key = data.draw(st.sampled_from(
+        enumerate_trees(leaves, profile).entries)).key
+    r = data.draw(st.integers(0, len(key) - 1))
+    cell, rotated = double_tree(key), double_tree(key[r:] + key[:r])
+    assert rotated.doubled.canonical_key() == cell.doubled.canonical_key()
+    assert rotated.doubled.aut_order() == cell.doubled.aut_order()
+    assert hyperelliptic_cell_volume(rotated).value == \
+        hyperelliptic_cell_volume(cell).value
 
 
 class TestCutAlongInvolution:
     @pytest.mark.parametrize("leaves", [3, 5, 7])
     def test_round_trip(self, leaves):
         for tree in unrooted_trees(leaves):
-            cell = double_tree(tree)
+            cell = double_tree(tree_word(tree))
             a, b = cut_along_involution(cell.doubled, cell.involution)
             assert a.canonical_key() == tree.canonical_key()
             assert b.canonical_key() == tree.canonical_key()
@@ -124,7 +149,7 @@ class TestCutAlongInvolution:
         # the trivalent genus-2 hyperelliptic graph splits into two
         # identical 5-leaf trivalent trees
         tree = unrooted_trees(5)[0]
-        cell = double_tree(tree)
+        cell = double_tree(tree_word(tree))
         assert set(cell.doubled.valences) == {3}
         a, b = cut_along_involution(cell.doubled, cell.involution)
         assert a.valences.count(1) == 5
@@ -136,7 +161,7 @@ class TestCutAlongInvolution:
         # 4-valent vertices, one new leaf stub each
         for leaves in (4, 6):
             for tree in unrooted_trees(leaves, MARKED):
-                cell = double_tree(tree)
+                cell = double_tree(tree_word(tree))
                 a, b = cut_along_involution(cell.doubled, cell.involution)
                 assert a.canonical_key() == b.canonical_key()
                 assert a.valences.count(1) == leaves + 1
@@ -144,7 +169,7 @@ class TestCutAlongInvolution:
 
     def test_one5_round_trip(self):
         for tree in unrooted_trees(7, ONE5):
-            cell = double_tree(tree)
+            cell = double_tree(tree_word(tree))
             a, b = cut_along_involution(cell.doubled, cell.involution)
             assert a.canonical_key() == tree.canonical_key()
             assert b.canonical_key() == tree.canonical_key()
@@ -166,7 +191,8 @@ def test_census_classes_cut_and_double_back(ws, g, classes):
     for entry in hyper:
         a, b = cut_along_involution(entry.graph, entry.graph.half_turn())
         assert a.canonical_key() == b.canonical_key()
-        assert double_tree(a).doubled.canonical_key() == entry.key
+        assert double_tree(tree_word(a)).doubled.canonical_key() == \
+            entry.key
 
 
 @pytest.mark.parametrize("leaves,profile", [
@@ -176,7 +202,7 @@ def test_census_classes_cut_and_double_back(ws, g, classes):
 @given(data=st.data())
 def test_cut_is_label_invariant(leaves, profile, data):
     tree = data.draw(st.sampled_from(unrooted_trees(leaves, profile)))
-    G = double_tree(tree).doubled
+    G = double_tree(tree_word(tree)).doubled
     G = relabel(G, data.draw(st.permutations(range(G.num_half_edges))))
     a, b = cut_along_involution(G, G.half_turn())
     assert a.canonical_key() == b.canonical_key() == tree.canonical_key()
@@ -313,6 +339,29 @@ class TestMinimalCells:
     def test_reference_cell_automorphisms(self, g):
         assert one_vertex_opposite_pairing(g).aut_order() == 4 * g
         assert two_vertex_star_double(g).aut_order() == 2 * (2 * g + 1)
+
+
+def test_tree_and_cell_censuses_build_no_graph(monkeypatch):
+    # trees and cells are their words on every census path: the g=4 cell
+    # censuses, a tree census and the hevol and w1h sums over cells
+    # construct no Fatgraph, nor a PlanarTree, its subclass
+    built = []
+    init = Fatgraph.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(type(self).__name__)
+        init(self, *args, **kwargs)
+    monkeypatch.setattr(Fatgraph, "__init__", counted)
+    workspace = Workspace()
+    cells = workspace.hyperelliptic_census(4)
+    workspace.w1_components(4)
+    workspace.tree_census(8, TRIVALENT)
+    psi_top_hyperelliptic(4)
+    w1_h_integral(4)
+    assert built == []
+    # the count is live: a cell's graph is built when it is read
+    assert cells.entries[0].payload.doubled.num_edges == 21
+    assert built == ["Fatgraph"]
 
 
 def test_hyperelliptic_classes_within_full_census(ws):

@@ -13,13 +13,13 @@ from fatmod.fatgraph import DELTA, Fatgraph
 from fatmod.hyperelliptic import double_tree
 from fatmod.kontsevich import (cell_volume, hyperelliptic_cell_volume,
                                omega_matrix, pfaffian, word_cell_volume)
-from fatmod.trees import (LEAF, ONE5, MARKED, build_rooted_tree,
+from fatmod.trees import (LEAF, ONE5, MARKED, PlanarTree, build_rooted_tree,
                           odd_valence_trees, unrooted_trees)
 
 from oracles import (det_by_elimination, double_by_cycles, eliminated_form,
                      monte_carlo_cell_volume, pfaffian_by_matchings,
                      pullback_form_by_boundary_cycles,
-                     raw_coefficients_by_slot_pairs, relabel)
+                     raw_coefficients_by_slot_pairs, relabel, tree_word)
 
 
 def torus_graph():
@@ -378,7 +378,7 @@ def test_form_assembly_matches_slot_pairs(seq):
        for e in ws.collapse_closure(g, "all")],
     lambda ws: [word_slots([w % len(e.key) for w in e.key])
                 for leaves in range(2, 10) for e in enumerate_trees(leaves)],
-    lambda ws: [boundary_slots(double_tree(tree).doubled)
+    lambda ws: [boundary_slots(double_tree(tree_word(tree)).doubled)
                 for leaves, profile in [(3, "trivalent"), (5, "trivalent"),
                                         (7, "trivalent"), (5, ONE5),
                                         (7, ONE5), (4, MARKED), (6, MARKED)]
@@ -456,7 +456,7 @@ def test_one_edge_word_form_is_empty():
     + [e.key for g in (1, 2) for e in ws.collapse_closure(g, "all")],
     lambda ws: [tuple(w % len(e.key) for w in e.key)
                 for leaves in range(2, 10) for e in enumerate_trees(leaves)],
-    lambda ws: [double_tree(tree).word
+    lambda ws: [double_tree(tree_word(tree)).word
                 for leaves, profile in [(3, "trivalent"), (5, "trivalent"),
                                         (7, "trivalent"), (5, ONE5),
                                         (7, ONE5), (4, MARKED), (6, MARKED)]
@@ -552,11 +552,11 @@ class TestCellVolume:
 
 class TestHyperellipticCellVolume:
     def test_genus_one(self):
-        cell = double_tree(unrooted_trees(3)[0])
+        cell = double_tree(tree_word(unrooted_trees(3)[0]))
         assert hyperelliptic_cell_volume(cell).value == Fraction(1, 4)
 
     def test_genus_two(self):
-        cell = double_tree(unrooted_trees(5)[0])
+        cell = double_tree(tree_word(unrooted_trees(5)[0]))
         assert hyperelliptic_cell_volume(cell).value == Fraction(1, 960)
 
     def test_closed_form_all_profiles(self):
@@ -564,22 +564,23 @@ class TestHyperellipticCellVolume:
                  (4, MARKED), (6, MARKED)]
         for leaves, profile in cases:
             for tree in unrooted_trees(leaves, profile):
-                cell = double_tree(tree)
+                cell = double_tree(tree_word(tree))
                 d = tree.num_edges // 2
                 assert hyperelliptic_cell_volume(cell).value == \
                     Fraction(factorial(d), 2 ** d * factorial(2 * d))
 
     def test_pullback_scaling(self):
-        cell = double_tree(unrooted_trees(5)[0])
-        d = cell.tree.num_edges // 2
+        cell = double_tree(tree_word(unrooted_trees(5)[0]))
+        d = PlanarTree.from_word(cell.tree_word).num_edges // 2
         pulled = hyperelliptic_cell_volume(cell).pf
-        tree_pf = pfaffian(omega_matrix(cell.tree))
+        tree_pf = pfaffian(omega_matrix(PlanarTree.from_word(cell.tree_word)))
         assert abs(pulled) * 2 ** d == abs(tree_pf)
 
     def test_nondegenerate(self):
         for leaves in (3, 5, 7):
             for tree in unrooted_trees(leaves):
-                assert hyperelliptic_cell_volume(double_tree(tree)).pf != 0
+                cell = double_tree(tree_word(tree))
+                assert hyperelliptic_cell_volume(cell).pf != 0
 
 
 def hyperelliptic_cells(ws):

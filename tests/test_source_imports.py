@@ -20,7 +20,11 @@ each cell form in one pass over the word's slot pairs.  A graph's form
 and the hyperelliptic pullback read their raw coefficients through one
 pass over a boundary word's edge pairs, and the test oracles for it import
 no form code from the package.  Every census class enters by its word, so
-no module has a graph entry function.
+no module has a graph entry function.  Trees and hyperelliptic cells are
+their boundary words on every census path: a tree census reads keys and
+|Aut| off contour words, a cell is doubled from its tree's key, and no
+census entry stores a graph, so building a tree or cell census, or the
+hevol and w1h sums over cells, names no ``Fatgraph`` or ``PlanarTree``.
 Every canonical key and |Aut| comes from one rotation scan,
 ``fatgraph.least_rotation``, and tree and cell keys never reach the gap
 word of the census search.
@@ -96,7 +100,8 @@ def test_trees_and_cells_are_built_from_words(module):
 TEST_ONLY = {"collapse_edge", "_cycle_from", "LoopCollapse", "relabeled",
              "perm_inverse", "boundary_edge_cycles", "full_simplex_involution",
              "boundary_integral_stable_path", "parse_rational",
-             "internal_valences", "leaf_vertices", "in_fatgraph_census"}
+             "internal_valences", "leaf_vertices", "in_fatgraph_census",
+             "marked_vertices", "rooted_key", "tree_entry"}
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
@@ -220,6 +225,20 @@ def test_cell_volume_reads_the_doubled_word(function):
         assert not mentions(node, name), "%s names %s" % (function, name)
 
 
+@pytest.mark.parametrize("module,function", [
+    ("hyperelliptic", "double_tree"), ("hyperelliptic", "_cell_census"),
+    ("enumeration", "enumerate_trees"),
+    ("kontsevich", "hyperelliptic_cell_volume"), ("kontsevich", "_pullback"),
+    ("integrals", "psi_top_hyperelliptic"), ("integrals", "w1_h_integral")])
+def test_tree_and_cell_censuses_build_no_graph(module, function):
+    # a tree or a cell is its boundary word on every census path; a graph,
+    # a tree or a doubled graph built there would rebuild what the word
+    # already holds
+    node = function_node(module, function)
+    for name in ("Fatgraph", "PlanarTree", "from_word", "graph", "doubled"):
+        assert not mentions(node, name), "%s names %s" % (function, name)
+
+
 @pytest.mark.parametrize("function", ["omega_matrix", "_pullback"])
 def test_one_raw_coefficient_pass(function):
     # a graph's form and the hyperelliptic pullback both take their raw
@@ -244,7 +263,7 @@ def test_oracles_share_no_form_code():
 @pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
 def test_census_classes_enter_by_their_words(path):
     # fatgraph classes, trees and doubled cells all enter a census through
-    # their boundary words (word_entry, tree_entry)
+    # their boundary words (word_entry, trees._classes)
     assert "graph_entry" not in referenced_names(path)
 
 

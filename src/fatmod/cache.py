@@ -5,16 +5,16 @@ Layout (text, one record per line):
     fatmod-census <format version>
     <descriptor>
     count=<N>
-    <aut order> | <kind> | <w0>,<w1>,...
+    <aut order> | <w0>,<w1>,...
 
-Only fatgraph censuses are stored, so ``kind`` is always ``graph``; tree
-and cell censuses are built in memory.  The word is the canonical gap word
-of the class, its census key and its one serialization
-(``Fatgraph.from_word`` rebuilds the graph).  The workspace checks each
-record on the word alone (``enumeration.word_entry``) and builds no graph.
-A descriptor or version mismatch is reported as corruption, never silently
-reused; files of another format version have another name and are never
-read.
+Only fatgraph censuses are stored; tree and cell censuses are built in
+memory.  The word is the canonical gap word of the class, its census key
+and its one serialization (``Fatgraph.from_word`` rebuilds the graph).
+``Workspace.fatgraph_census`` is the one reader and writer: it checks
+each record on the word alone (``enumeration.word_entry``) and builds no
+graph.  A descriptor or version mismatch is reported as corruption, never
+silently reused; files of another format version (version 2 had a
+``graph`` kind column) have another name and are never read.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from pathlib import Path
 
 from .errors import CacheError
 
-FORMAT_VERSION = 2
+FORMAT_VERSION = 3
 HEADER = "fatmod-census"
 
 
@@ -35,12 +35,12 @@ def cache_path(cache_dir, descriptor: str) -> Path:
 
 
 def save_records(path: Path, descriptor: str, records) -> None:
-    """records: iterable of (aut_order, kind, word)."""
+    """records: iterable of (aut_order, word)."""
     records = list(records)
     lines = ["%s %d" % (HEADER, FORMAT_VERSION), descriptor,
              "count=%d" % len(records)]
-    lines += ["%d | %s | %s" % (aut, kind, ",".join(map(str, word)))
-              for aut, kind, word in records]
+    lines += ["%d | %s" % (aut, ",".join(map(str, word)))
+              for aut, word in records]
     path.parent.mkdir(parents=True, exist_ok=True)
     # a reader sees the old file or the whole new one, never a partial one;
     # the temp name does not end in .census, so no census lookup finds it
@@ -54,8 +54,8 @@ def save_records(path: Path, descriptor: str, records) -> None:
 
 
 def load_records(path: Path, descriptor: str):
-    """Returns the list of (aut_order, kind, word) or raises CacheError; the
-    caller rebuilds and checks each object."""
+    """Returns the list of (aut_order, word) or raises CacheError; the
+    caller checks each record."""
     try:
         text = path.read_text()
     except OSError as exc:
@@ -80,8 +80,8 @@ def load_records(path: Path, descriptor: str):
     records = []
     for ln in body:
         try:
-            aut_s, kind, word_s = (p.strip() for p in ln.split("|"))
-            records.append((int(aut_s), kind,
+            aut_s, word_s = ln.split("|")
+            records.append((int(aut_s),
                             tuple(int(x) for x in word_s.split(","))))
         except ValueError as exc:
             raise CacheError("bad record in %s: %r" % (path, ln)) from exc

@@ -136,7 +136,6 @@ def cmd_enumerate(args) -> int:
             raise FatmodError("--%s does not apply to a %s census"
                               % (dest.replace("_", "-"),
                                  "tree" if args.trees else "fatgraph"))
-    write = False
     if args.trees:
         leaves = args.leaves
         if leaves is None:
@@ -148,7 +147,6 @@ def cmd_enumerate(args) -> int:
         closed = _enum.tree_closed_count(leaves, profile, rooting)
         census = _enum.enumerate_trees(leaves, profile, rooting)
     else:
-        ws = _build_workspace(args)
         if args.type is None:
             raise FatmodError("need --type G,N (or --trees)")
         try:
@@ -167,21 +165,10 @@ def cmd_enumerate(args) -> int:
             valence_filter = _enum.TRIVALENT
         valence_filter = _enum.fatgraph_filter(g, valence_filter)
         closed = _enum.fatgraph_closed_count(g, valence_filter)
-        # a census already on disk is loaded through the checked loader, so
-        # a corrupt file is a cache error, and only a missing one is searched
-        census = ws._load(_enum.fatgraph_descriptor(g, valence_filter), g,
-                          valence_filter)
-        write = census is None
-        if write:
-            census = (ws.collapse_closure(g, valence_filter)
-                      if valence_filter != _enum.TRIVALENT
-                      else _enum.enumerate_fatgraphs(
-                          g, valence_filter, cap_edges=ws.cap_edges))
+        census = _build_workspace(args).fatgraph_census(g, valence_filter)
     assembled = census.orbifold_sum()
     # None: no closed count is known for this census kind
     match = None if closed is None else closed == assembled
-    if write and match is not False:
-        ws.save(census)
     row = {
         "identity": "census",
         "param_name": "classes",

@@ -2,27 +2,20 @@
 orders, supporting exact orbifold-weighted sums.
 
 Every census class is a one-boundary graph, so it enters its census by
-its boundary word: the key is the word's least rotation and |Aut| is 2E
-over its rotation period, both from ``fatgraph.least_rotation``.  No
-entry stores a graph; ``CensusEntry.graph`` builds the key's on each
-read.  A fatgraph census class is its canonical gap word, so
-:func:`word_entry` makes its entry from the word alone, checking it
-against the census.  Only fatgraph censuses are cached; the builders and
-the cache loader both call :func:`word_entry`, so a census has the same
-keys however it was obtained.  Tree censuses are read off contour words
-(``trees._classes``), and ``hyperelliptic`` enters each doubled tree by
-:func:`word_entry` on its doubled word, as a class of the all-valence
-census of its genus.
-
-Every census holds one-boundary graphs, keyed by the least rotation of their
-boundary word (``Fatgraph.canonical_key``).  They are enumerated through that
-word: a fatgraph of type (g, 1) with E edges is the same thing as a
-fixed-point-free involution ``alpha`` of the cyclic set Z_{2E} of boundary
-slots, with the vertex permutation recovered as
-``sigma(p) = alpha(p) + 1 (mod 2E)``.  Rotating the slots is exactly an
-isomorphism, so the gap sequence ``(alpha(p) - p mod 2E)_p`` classifies
-graphs up to isomorphism by its least cyclic rotation, and the automorphism
-group is the rotation stabilizer.
+its boundary word.  A fatgraph of type (g, 1) with E edges is the same
+thing as a fixed-point-free involution ``alpha`` of the cyclic set Z_{2E}
+of boundary slots, with ``sigma(p) = alpha(p) + 1 (mod 2E)``.  Rotating
+the slots is exactly an isomorphism, so the gap word
+``(alpha(p) - p mod 2E)_p`` classifies graphs by its least rotation, the
+key, and |Aut| is the rotation stabilizer, 2E over the rotation period.
+:func:`word_entry` reads both off one scan (``fatgraph.least_rotation``)
+and checks the word against the census.  No entry stores a graph;
+``CensusEntry.graph`` builds the key's on each read.  Only fatgraph
+censuses are cached; the builders and the cache loader both call
+:func:`word_entry`, so a census has the same keys however it was
+obtained.  Tree censuses are read off contour words (``trees._classes``),
+and ``hyperelliptic`` enters each doubled tree by :func:`word_entry` on
+its doubled word, as a class of the all-valence census of its genus.
 
 There is one search, for the trivalent census (E = 6g - 3, every
 sigma-cycle of length three).  It pairs the least unpaired slot with each

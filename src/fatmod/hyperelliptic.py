@@ -32,7 +32,7 @@ from itertools import product
 from typing import NamedTuple
 
 from .enumeration import ALL, OrbifoldCensus, catalan, catalan5, word_entry
-from .errors import BadLeafCount, NotSymmetric, WrongType
+from .errors import BadLeafCount, MalformedGraph, NotSymmetric, WrongType
 from .fatgraph import Fatgraph, least_rotation, word_vertices
 from .trees import PlanarTree
 
@@ -84,12 +84,28 @@ def double_tree(word) -> HyperellipticCell:
     :func:`_side_word` jumps across the half-turn; so the copy swap is the
     half-turn, which must fix 2g + 2 cells: the gap-E edges, the vertices
     closed under +E and the boundary.
+
+    Raises MalformedGraph unless the word is a tree's, as
+    ``PlanarTree.from_word`` checks: it pairs its slots, the flag is
+    constant on every vertex, V = E + 1, and every ordinary vertex has
+    valence >= 3.
     """
     m = len(word)
     gaps = [w % m for w in word]
+    if m % 2 or any(not 0 <= w < 2 * m or gaps[(p + gap) % m] != m - gap
+                    for p, (w, gap) in enumerate(zip(word, gaps))):
+        raise MalformedGraph("tree word %r does not pair its slots"
+                             % (word,))
+    delta = [w >= m for w in word]
+    tree_vertices = word_vertices(word)
+    if len(tree_vertices) != m // 2 + 1 or any(
+            len({delta[p] for p in cycle}) > 1
+            or not delta[cycle[0]] and len(cycle) < 3
+            for cycle in tree_vertices):
+        raise MalformedGraph("%r is not the word of a planar tree" % (word,))
     leaf = [gap == m - 1 for gap in gaps]
-    switch = {cycle[0] for cycle in word_vertices(word)
-              if len(cycle) > 1 and word[cycle[0]] >= m}
+    switch = {cycle[0] for cycle in tree_vertices
+              if len(cycle) > 1 and delta[cycle[0]]}
     delta_cells = sum(leaf) + len(switch)
     if delta_cells < 3 or delta_cells % 2 == 0:
         raise BadLeafCount("need an odd number >= 3 of delta cells, got %d"

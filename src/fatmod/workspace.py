@@ -1,8 +1,10 @@
 """Shared census store with an optional on-disk cache.
 
-All integral evaluations pull censuses from a workspace, so a CLI run, a
-cached rerun and a fault-injected test all see the same data path.  Only
-fatgraph censuses are cached; tree and cell censuses are built in memory.
+All integral evaluations and ``fatmod enumerate`` pull censuses from a
+workspace, so a CLI run, a cached rerun and a fault-injected test all see
+the same data path.  Only fatgraph censuses are cached, and
+:meth:`Workspace.fatgraph_census` alone decides when one is read, built or
+written; tree and cell censuses are built in memory.
 """
 
 from __future__ import annotations
@@ -33,16 +35,52 @@ class Workspace:
     # -- builders ----------------------------------------------------------
 
     def trivalent_census(self, g: int) -> OrbifoldCensus:
-        return self._get(g, _enum.TRIVALENT,
-                         lambda: _enum.enumerate_fatgraphs(
-                             g, _enum.TRIVALENT, cap_edges=self.cap_edges))
+        return self.fatgraph_census(g, _enum.TRIVALENT)
 
     # perfbench/tracer.py patches this name; nothing else may call it
     pristine_trivalent_census = trivalent_census
 
     def all_valence_census(self, g: int) -> OrbifoldCensus:
-        return self._get(g, _enum.ALL,
-                         lambda: self.collapse_closure(g, _enum.ALL))
+        return self.fatgraph_census(g, _enum.ALL)
+
+    def fatgraph_census(self, g: int, valence_filter) -> OrbifoldCensus:
+        """The census that ``fatgraph_descriptor(g, valence_filter)`` names:
+        kept, read from its file, or built and written.  A trivalent census
+        is searched, any other collapsed from this workspace's trivalent
+        census, and a built one is written only when it meets its closed
+        count (or has none), so no file holds a census known to lack a
+        class.  A read all-valence census must hold every trivalent class,
+        its top cells: losing one with the faces only it has keeps the
+        Euler sum.  Raises CacheError for a census not on disk when
+        building is disabled."""
+        descriptor = _enum.fatgraph_descriptor(g, valence_filter)
+        census = self._store.get(descriptor)
+        if census is not None:
+            return census
+        census = self._load(descriptor, g, valence_filter)
+        if census is None:
+            path = (None if self.cache_dir is None
+                    else _cache.cache_path(self.cache_dir, descriptor))
+            if self.no_build:
+                raise CacheError("census %r not cached%s and building is "
+                                 "disabled" % (descriptor, "" if path is None
+                                               else " (no file %s)" % path))
+            census = (_enum.enumerate_fatgraphs(g, _enum.TRIVALENT,
+                                                cap_edges=self.cap_edges)
+                      if valence_filter == _enum.TRIVALENT
+                      else self.collapse_closure(g, valence_filter))
+            closed = _enum.fatgraph_closed_count(g, valence_filter)
+            if path is not None and (closed is None
+                                     or closed == census.orbifold_sum()):
+                _cache.save_records(path, descriptor,
+                                    [(e.aut_order, e.key) for e in census])
+        elif valence_filter == _enum.ALL:
+            keys = {entry.key for entry in census}
+            if any(e.key not in keys for e in self.trivalent_census(g)):
+                raise CacheError("%r lacks a trivalent class of genus %d"
+                                 % (descriptor, g))
+        self._store[descriptor] = census
+        return census
 
     def collapse_closure(self, g: int, valence_filter) -> OrbifoldCensus:
         """The census of ``valence_filter``, collapsed from this workspace's
@@ -91,40 +129,15 @@ class Workspace:
             census = self._store[descriptor] = build()
         return census
 
-    # -- cache plumbing ----------------------------------------------------
-
-    def _get(self, g, valence_filter, build) -> OrbifoldCensus:
-        """A fatgraph census: kept, read from its file, or built and
-        written."""
-        descriptor = _enum.fatgraph_descriptor(g, valence_filter)
-        census = self._store.get(descriptor)
-        if census is not None:
-            return census
-        census = self._load(descriptor, g, valence_filter)
-        if census is None:
-            if self.no_build:
-                raise CacheError("census %r not cached and building is "
-                                 "disabled" % descriptor)
-            census = build()
-            self.save(census)
-        elif valence_filter == _enum.ALL:
-            # the trivalent classes are its top cells; a file that lost one
-            # with the faces only it has keeps the Euler sum, so euler
-            # alone would not see it
-            keys = {entry.key for entry in census}
-            if any(e.key not in keys for e in self.trivalent_census(g)):
-                raise CacheError("%r lacks a trivalent class of genus %d"
-                                 % (descriptor, g))
-        self._store[descriptor] = census
-        return census
+    # -- cache file --------------------------------------------------------
 
     def _load(self, descriptor, g, valence_filter):
+        """The census in the file of ``descriptor``, every record checked;
+        None when there is no cache directory or no file."""
         if self.cache_dir is None:
             return None
         path = _cache.cache_path(self.cache_dir, descriptor)
         if not path.exists():
-            if self.no_build:
-                raise CacheError("missing cache file %s" % path)
             return None
         entries = sorted((self._entry_from_record(path, g, valence_filter,
                                                   record)
@@ -140,10 +153,7 @@ class Workspace:
         """Check a record's word against its census and re-derive its
         entry from the word (``enumeration.word_entry``), then check the
         stored |Aut| against it."""
-        aut, kind, word = record
-        if kind != "graph":
-            raise CacheError("record kind %r is not 'graph' in %s"
-                             % (kind, path))
+        aut, word = record
         try:
             entry = _enum.word_entry(word, g, valence_filter)
         except FatmodError as exc:
@@ -152,10 +162,3 @@ class Workspace:
             raise CacheError("stored aut order %d, recomputed %d in %s"
                              % (aut, entry.aut_order, path))
         return entry
-
-    def save(self, census: OrbifoldCensus) -> None:
-        if self.cache_dir is None:
-            return
-        path = _cache.cache_path(self.cache_dir, census.descriptor)
-        records = [(entry.aut_order, "graph", entry.key) for entry in census]
-        _cache.save_records(path, census.descriptor, records)

@@ -549,14 +549,12 @@ def in_fatgraph_census(graph, g, valence_filter) -> bool:
 
 
 def record_entry_reference(record, g, valence_filter):
-    """(key, |Aut|) of a cache record ``(aut_order, kind, word)`` of the
-    census of ``(g, valence_filter)``, or None when the record is rejected:
-    the graph ``Fatgraph.from_word(word)`` rebuilt and unflagged, its
-    canonical key equal to the word, the graph a member of the census and
-    the stored |Aut| its ``aut_order()``."""
-    aut, kind, word = record
-    if kind != "graph":
-        return None
+    """(key, |Aut|) of a cache record ``(aut_order, word)`` of the census of
+    ``(g, valence_filter)``, or None when the record is rejected: the graph
+    ``Fatgraph.from_word(word)`` rebuilt and unflagged, its canonical key
+    equal to the word, the graph a member of the census and the stored
+    |Aut| its ``aut_order()``."""
+    aut, word = record
     try:
         graph = Fatgraph.from_word(word)
         if DELTA in graph.flags or graph.canonical_key() != tuple(word) or \

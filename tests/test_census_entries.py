@@ -188,7 +188,7 @@ def test_cell_entries_read_the_doubled_word(census):
 def test_word_entry_rejects_what_the_graph_check_rejects(word, g):
     # the negative-gap, valence and rotation words are each caught by one
     # check alone
-    assert record_entry_reference((1, "graph", word), g, ALL) is None
+    assert record_entry_reference((1, word), g, ALL) is None
     with pytest.raises(MalformedGraph):
         word_entry(word, g, ALL)
 
@@ -303,7 +303,7 @@ def edited_records(draw):
         other = draw(st.sampled_from(
             RECORD_CENSUSES[3 - g, valence_filter].entries))
         aut, word = other.aut_order, list(other.key)
-    return g, valence_filter, (aut, "graph", tuple(word))
+    return g, valence_filter, (aut, tuple(word))
 
 
 @pytest.fixture(scope="module")

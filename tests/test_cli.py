@@ -121,19 +121,23 @@ class TestEnumerate:
         assert code == 2
 
     @pytest.mark.parametrize("builder,argv", [
-        ("enumerate_fatgraphs", ("--type", "2,1")),
-        ("enumerate_trees", ("--trees", "--leaves", "6")),
-        ("enumerate_trees", ("--trees", "--leaves", "6", "--rooted")),
-    ], ids=["graphs", "trees", "rooted-trees"])
+        ("enumerate_fatgraphs", ("enumerate", "--type", "2,1")),
+        ("enumerate_trees", ("enumerate", "--trees", "--leaves", "6")),
+        ("enumerate_trees", ("enumerate", "--trees", "--leaves", "6",
+                             "--rooted")),
+        ("enumerate_fatgraphs", ("verify", "--identity", "psi-top",
+                                 "--g", "2")),
+    ], ids=["graphs", "trees", "rooted-trees", "verify-psi-top"])
     def test_missing_class_fails(self, capsys, tmp_path, monkeypatch,
                                  builder, argv):
-        # the closed count reads no census, so a lost class shows
+        # the closed count reads no census, so a lost class shows, and a
+        # searched census that misses its count is never written
         build = getattr(cli._enum, builder)
         monkeypatch.setattr(cli._enum, builder,
                             lambda *a, **k: census_without(build(*a, **k),
                                                            0))
         cache = () if "--trees" in argv else ("--cache", str(tmp_path))
-        code, out = run(capsys, "enumerate", *argv, *cache)
+        code, out = run(capsys, *argv, *cache)
         assert code == 3
         assert out.splitlines()[1].split()[4] == "FAIL"
         assert not list(tmp_path.iterdir())
@@ -329,10 +333,13 @@ class TestCache:
         assert out1 == out2
         assert list(tmp_path.iterdir())
 
-    def test_no_build_missing_cache(self, capsys, tmp_path):
-        code, _ = run(capsys, "verify", "--identity", "euler", "--g", "1",
-                      "--cache", str(tmp_path), "--no-build")
-        assert code == 1
+    def test_no_build_missing_cache(self, capsys, tmp_path, monkeypatch):
+        # with a cache directory and with none, --no-build builds nothing
+        monkeypatch.delenv("FATMOD_CACHE", raising=False)
+        for cache in (("--cache", str(tmp_path)), ()):
+            code, _ = run(capsys, "verify", "--identity", "euler", "--g",
+                          "1", *cache, "--no-build")
+            assert code == 1
 
     def test_corrupt_cache(self, capsys, tmp_path):
         run(capsys, "verify", "--identity", "euler", "--g", "1",
@@ -398,12 +405,12 @@ class TestCache:
                                                     "FAIL"]
 
     @pytest.mark.parametrize("argv,descriptor,edit", [
-        (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "tree-kind"),
+        (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "third-field"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "bad-code"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "rotated-word"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "duplicate"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "count-key"),
-    ], ids=["tree-cell-kind", "graph-bad-code", "graph-rotated-word",
+    ], ids=["third-field", "graph-bad-code", "graph-rotated-word",
             "graph-duplicate", "graph-count-key"])
     def test_load_rejects_edited_record(self, capsys, tmp_path, argv,
                                         descriptor, edit):
@@ -413,8 +420,9 @@ class TestCache:
         victim = cache_path(tmp_path, descriptor)
         lines = victim.read_text().splitlines()
         count = int(lines[2].split("=")[1])
-        aut, kind, word = lines[3].split(" | ")
+        aut, word = lines[3].split(" | ")
         word = word.split(",")
+        fields = [aut]
         if edit == "duplicate":
             lines[2] = "count=%d" % (count + 1)
             lines.insert(4, lines[3])
@@ -424,11 +432,11 @@ class TestCache:
             if edit == "rotated-word":
                 assert word[1:] + word[:1] != word
                 word = word[1:] + word[:1]
-            elif edit == "tree-kind":  # only graphs are stored
-                kind = "tree"
+            elif edit == "third-field":  # the version-2 kind column
+                fields.append("graph")
             else:  # an entry of 3m or more: a flag code of 3
                 word[0] = str(3 * len(word))
-            lines[3] = " | ".join((aut, kind, ",".join(word)))
+            lines[3] = " | ".join(fields + [",".join(word)])
         victim.write_text("\n".join(lines) + "\n")
         code, out = run(capsys, *argv)
         assert code == 1
@@ -438,9 +446,9 @@ class TestCache:
         # same |Aut| and edge parity, so the euler sum does not change
         (("--identity", "euler", "--g", "2"),
          "fatgraphs g=2 n=1 filter=all",
-         "4 | graph | 2,6,10,2,6,10,2,6,10,2,6,10", "4 | graph | 2,2,2,2"),
+         "4 | 2,6,10,2,6,10,2,6,10,2,6,10", "4 | 2,2,2,2"),
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, None,
-         "1 | graph | 2,3,14,2,13,14,9,3,4,4,13,3,12,12,13,7"),
+         "1 | 2,3,14,2,13,14,9,3,4,4,13,3,12,12,13,7"),
     ], ids=["genus-one-graph-in-genus-two", "eight-edge-graph-in-trivalent"])
     def test_load_rejects_record_of_another_census(self, capsys, tmp_path,
                                                    argv, descriptor, old,
@@ -466,13 +474,13 @@ class TestCache:
         # censuses are written
         code, _ = run(capsys, "report", "--cache", str(tmp_path))
         assert code == 0
-        graphs = ["fatgraphs_g=%d_n=1_filter=%s.v2.census" % census
+        graphs = ["fatgraphs_g=%d_n=1_filter=%s.v3.census" % census
                   for census in [(1, "all"), (1, "trivalent"), (2, "all"),
                                  (2, "trivalent"), (3, "trivalent")]]
         assert sorted(p.name for p in tmp_path.iterdir()) == graphs
         for path in tmp_path.iterdir():
             lines = path.read_text().splitlines()
-            assert {line.split(" | ")[1] for line in lines[3:]} == {"graph"}
+            assert {len(line.split(" | ")) for line in lines[3:]} == {2}
 
     def test_default_report_searches_each_genus_once(self, capsys,
                                                      tmp_path, monkeypatch):
@@ -501,7 +509,8 @@ class TestCache:
     def test_all_valence_file_missing_a_top_cell_fails(self, capsys,
                                                        tmp_path):
         # losing trivalent class 0 with the faces only it has keeps the
-        # Euler sum at 1/120, so the file must hold every trivalent class
+        # Euler sum at 1/120, so the file must hold every trivalent class;
+        # enumerate reads it through the same check as verify
         argv = ("verify", "--identity", "euler", "--g", "2",
                 "--cache", str(tmp_path))
         code, _ = run(capsys, *argv)
@@ -512,16 +521,18 @@ class TestCache:
         victim = cache_path(tmp_path, "fatgraphs g=2 n=1 filter=all")
         lines = victim.read_text().splitlines()
         kept = {",".join(map(str, entry.key)) for entry in without}
-        body = [line for line in lines[3:] if line.split(" | ")[2] in kept]
+        body = [line for line in lines[3:] if line.split(" | ")[1] in kept]
         assert len(body) == len(without) < len(lines) - 3
         victim.write_text("\n".join(lines[:2] + ["count=%d" % len(body)]
                                     + body) + "\n")
-        code = cli.main(list(argv))
-        captured = capsys.readouterr()
-        assert code == 1
-        assert captured.out == ""
-        assert len(captured.err.splitlines()) == 1
-        assert captured.err.startswith("cache error:")
+        for argv in (argv, ("enumerate", "--type", "2,1", "--all-valences",
+                            "--cache", str(tmp_path))):
+            code = cli.main(list(argv))
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("cache error:")
 
     @pytest.mark.parametrize("index", range(9))
     def test_trivalent_file_missing_a_class_is_not_collapsed(
@@ -533,7 +544,7 @@ class TestCache:
         assert len(trivalent) == 9
         victim = cache_path(tmp_path, GENUS_TWO)
         save_records(victim, GENUS_TWO,
-                     [(entry.aut_order, "graph", entry.key)
+                     [(entry.aut_order, entry.key)
                       for i, entry in enumerate(trivalent) if i != index])
         for fmt in ("human", "csv", "json"):
             code = cli.main(["verify", "--identity", "euler", "--g", "2",
@@ -545,14 +556,18 @@ class TestCache:
         assert list(tmp_path.iterdir()) == [victim]
 
     def test_other_format_version_is_never_read(self, capsys, tmp_path):
-        # a leftover file of the line format (version 1) for the census
+        # leftover files of the line format (version 1) and of the record
+        # with a kind column (version 2) for the census
         descriptor = "fatgraphs g=1 n=1 filter=trivalent"
         current = cache_path(tmp_path, descriptor)
-        old = current.with_name(current.name.replace(
-            ".v%d." % FORMAT_VERSION, ".v1."))
-        old.write_text("%s 1\n%s\ncount=1\n6 | graph | 1 1 2 3 | "
-                       "(0,4,2)(1,5,3) | (0,3)(1,4)(2,5) | oo\n"
-                       % (HEADER, descriptor))
+        for version, record in [
+                (1, "6 | graph | 1 1 2 3 | (0,4,2)(1,5,3) | (0,3)(1,4)(2,5) "
+                    "| oo"),
+                (2, "6 | graph | 3,3,3,3,3,3")]:
+            old = current.with_name(current.name.replace(
+                ".v%d." % FORMAT_VERSION, ".v%d." % version))
+            old.write_text("%s %d\n%s\ncount=1\n%s\n"
+                           % (HEADER, version, descriptor, record))
         argv = ("verify", "--identity", "psi-top", "--g", "1",
                 "--format", "json")
         code = cli.main(list(argv + ("--cache", str(tmp_path),
@@ -564,7 +579,7 @@ class TestCache:
         assert code == 0
         assert out == fresh
         assert current.exists()
-        assert load_records(current, descriptor)[0][:2] == (6, "graph")
+        assert load_records(current, descriptor)[0][0] == 6
 
     def test_env_var_cache_dir(self, capsys, tmp_path, monkeypatch):
         monkeypatch.setenv("FATMOD_CACHE", str(tmp_path))

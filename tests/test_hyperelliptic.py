@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -6,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 from fatmod.enumeration import (_collapsible_slots, catalan, catalan5,
                                 collapse_word, enumerate_fatgraphs,
                                 enumerate_trees, tree_descriptor)
-from fatmod.errors import BadLeafCount, NotSymmetric
+from fatmod.errors import BadLeafCount, MalformedGraph, NotSymmetric
 from fatmod.fatgraph import (Fatgraph, one_vertex_opposite_pairing,
-                             two_vertex_star_double)
+                             two_vertex_star_double, word_vertices)
 from fatmod.hyperelliptic import (W1_MULTIPLICITY_5VALENT,
                                   W1_MULTIPLICITY_6VALENT,
                                   cut_along_involution, count_t1, count_t2,
@@ -77,6 +78,55 @@ class TestDoubleTree:
         cell = double_tree(tree_word(unrooted_trees(4, MARKED)[0]))
         assert cell.doubled.graph_type().g == 2
         assert 6 in cell.doubled.valences
+
+    def test_word_of_no_tree_rejected(self):
+        # a pairing whose vertex (1, 3) is delta, but whose vertices (0) and
+        # (2) are ordinary leaves, so no tree has this word
+        with pytest.raises(MalformedGraph):
+            double_tree((7, 5, 7, 1))
+
+
+def flagged_pairing(num_edges, rng):
+    """A random pairing of 2E slots as a flagged gap word: one flag per
+    vertex, and half the time one slot's flag flipped."""
+    m = 2 * num_edges
+    slots = rng.sample(range(m), m)
+    alpha = [0] * m
+    for p, q in zip(slots[::2], slots[1::2]):
+        alpha[p], alpha[q] = q, p
+    gaps = [(alpha[p] - p) % m for p in range(m)]
+    flag = [0] * m
+    for cycle in word_vertices(gaps):
+        delta = rng.randrange(2)
+        for p in cycle:
+            flag[p] = delta
+    if rng.randrange(2):
+        flag[rng.randrange(m)] ^= 1
+    return tuple(gap + m * delta for gap, delta in zip(gaps, flag))
+
+
+def test_double_refuses_what_the_tree_check_refuses():
+    # double_tree checks its word as PlanarTree.from_word checks a tree:
+    # a word that is no tree is refused, and a tree word doubles unless
+    # its delta cells are too few or even
+    rng = random.Random(1)
+    refused = trees = 0
+    for num_edges in (3, 5, 7):
+        for _ in range(1000):
+            word = flagged_pairing(num_edges, rng)
+            try:
+                PlanarTree.from_word(word)
+            except MalformedGraph:
+                refused += 1
+                with pytest.raises(MalformedGraph):
+                    double_tree(word)
+            else:
+                trees += 1
+                try:
+                    double_tree(word)
+                except BadLeafCount:
+                    pass
+    assert refused and trees
 
 
 # leaf counts and profiles of the trees that double, up to 9 leaves

@@ -29,7 +29,11 @@ Every canonical key and |Aut| comes from one rotation scan,
 ``fatgraph.least_rotation``, and tree and cell keys never reach the gap
 word of the census search.
 The value records are NamedTuples, so importing the CLI loads neither
-``dataclasses`` nor the ``inspect`` family it brings.
+``dataclasses`` nor the ``inspect`` family it brings.  One door reads,
+builds and writes a fatgraph census, ``Workspace.fatgraph_census``: the
+CLI reaches no private workspace member and no census builder, only that
+method writes a census file or refuses a missing one under ``--no-build``,
+and a cache record is ``|Aut| | word`` with no kind column.
 """
 
 import ast
@@ -278,3 +282,43 @@ def test_cli_import_skips_dataclasses(child_env):
     assert "fatmod.cli" in added
     assert not set(added) & {"dataclasses", "inspect", "ast", "dis",
                              "tokenize"}
+
+
+def functions_mentioning(name):
+    """``module.function`` for every function of the package whose body
+    says name, nested functions by their own names."""
+    found = []
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and node.name != name and mentions(node, name):
+                found.append("%s.%s" % (path.stem, node.name))
+    return found
+
+
+def test_cli_takes_fatgraph_censuses_from_the_workspace():
+    # enumerate reads, builds and writes through the same door as verify
+    from fatmod.workspace import Workspace
+    private = {name for name in vars(Workspace)
+               if name.startswith("_") and not name.startswith("__")}
+    names = referenced_names(PACKAGE / "cli.py")
+    assert not names & ({"_load", "save", "collapse_closure",
+                         "enumerate_fatgraphs", "fatgraph_descriptor"}
+                        | private)
+    for path in SOURCES:
+        assert "_get" not in referenced_names(path), path.name
+
+
+def test_one_door_writes_and_refuses():
+    assert functions_mentioning("save_records") == \
+        ["workspace.fatgraph_census"]
+    assert functions_mentioning("no_build") == \
+        ["workspace.__init__", "workspace.fatgraph_census"]
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=[p.stem for p in SOURCES])
+def test_no_record_kind_literal(path):
+    # a cache record is |Aut| and word; "graph" was its one kind
+    constants = {node.value for node in ast.walk(ast.parse(path.read_text()))
+                 if isinstance(node, ast.Constant)}
+    assert "graph" not in constants

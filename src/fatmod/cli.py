@@ -1,10 +1,10 @@
 """Command-line interface: census building, identity verification, reports.
 
-Exit codes: 0 success, 1 cache problems or bad arguments, 2 size-cap
-overrun, 3 at least one identity mismatch from ``verify`` or ``report``, or
-a census count mismatch from ``enumerate`` (the CI signal).  All rationals
-are printed exactly as ``p/q``; reports with the same configuration are
-byte-identical.
+Exit codes: 0 success, 1 cache problems (such as a fatgraph census that
+misses a closed count) or bad arguments, 2 size-cap overrun, 3 at least
+one identity mismatch from ``verify`` or ``report``, or a tree census count
+mismatch from ``enumerate`` (the CI signal).  All rationals are exactly
+``p/q``; reports with the same configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -80,11 +80,8 @@ def _emit(rows, fmt, command, stream):
         writer = csv.DictWriter(stream, fieldnames=fields,
                                 lineterminator="\n")
         writer.writeheader()
-        for row in rows:
-            out = {k: row[k] for k in fields}
-            out["match"] = {True: "true", False: "false",
-                            None: ""}[row["match"]]
-            writer.writerow(out)
+        writer.writerows(dict(row, match="true" if row["match"] else "false")
+                         for row in rows)
     else:
         stream.write("%-14s %-6s %-24s %-24s %-5s %s\n"
                      % ("identity", "param", "closed", "assembled", "match",
@@ -93,8 +90,7 @@ def _emit(rows, fmt, command, stream):
             stream.write("%-14s %s=%-4d %-24s %-24s %-5s %s\n" % (
                 row["identity"], row["param_name"], row["param"],
                 row["value_closed"], row["value_assembled"],
-                {True: "ok", False: "FAIL", None: "n/a"}[row["match"]],
-                row["mode"]))
+                "ok" if row["match"] else "FAIL", row["mode"]))
 
 
 def _run_identities(names, args) -> int:
@@ -166,20 +162,10 @@ def cmd_enumerate(args) -> int:
         valence_filter = _enum.fatgraph_filter(g, valence_filter)
         closed = _enum.fatgraph_closed_count(g, valence_filter)
         census = _build_workspace(args).fatgraph_census(g, valence_filter)
-    assembled = census.orbifold_sum()
-    # None: no closed count is known for this census kind
-    match = None if closed is None else closed == assembled
-    row = {
-        "identity": "census",
-        "param_name": "classes",
-        "param": len(census),
-        "value_closed": "-" if closed is None else rational_str(closed),
-        "value_assembled": rational_str(assembled),
-        "match": match,
-        "mode": census.descriptor,
-    }
-    _emit([row], args.format, "enumerate", sys.stdout)
-    return 3 if match is False else 0
+    row = _int.IntegralReport("census", "classes", len(census), closed,
+                              census.orbifold_sum(), census.descriptor)
+    _emit([_report_row(row)], args.format, "enumerate", sys.stdout)
+    return 0 if row.match else 3
 
 
 def cmd_verify(args) -> int:

@@ -44,17 +44,19 @@ The all-valence census is the union of the levels E = 6g-3 .. 2g, and
 ("single", k) is level E = 6g - k, each step collapsing only edges at the
 one non-trivalent vertex.  So :func:`check_edge_cap` reads 6g - 3 edges.
 
-Census kinds with a known count have a closed orbifold count beside their
-descriptor function (:func:`fatgraph_closed_count`,
-:func:`tree_closed_count`); these read no census.  Beside
-:func:`fatgraph_descriptor`, one membership rule on vertex valences says
-which words the census it names holds, and :func:`word_entry` applies it,
-so the cache loader rejects a record outside its census.  Types (g, n)
-with n > 1 have no census, so the census functions take only g.
+Closed counts read no census.  Each vertex profile that a fatgraph census
+holds (:func:`fatgraph_profiles`, also the membership rule of
+:func:`word_entry`) has its rooted count (:func:`rooted_one_face_count`),
+which ``Workspace.fatgraph_census`` checks every census against;
+:func:`fatgraph_closed_count` and :func:`tree_closed_count` give the
+orbifold counts.  Types (g, n) with n > 1 have no census, so the census
+functions take only g.
 """
 
 from __future__ import annotations
 
+import collections
+import functools
 import math
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
@@ -401,7 +403,7 @@ def word_entry(word, g: int, valence_filter) -> CensusEntry:
     alpha = [(p + w) % m for p, w in enumerate(word)]
     if any(word[q] != m - w for q, w in zip(alpha, word)):
         raise MalformedGraph("gap word %r is not a pairing" % (word,))
-    valences = sorted(map(len, word_vertices(word)))
+    valences = vertex_profile(word)
     if valences[0] < 3:
         raise MalformedGraph("gap word %r has a vertex of valence %d"
                              % (word, valences[0]))
@@ -409,7 +411,7 @@ def word_entry(word, g: int, valence_filter) -> CensusEntry:
     if start:
         raise MalformedGraph("gap word %r is not its least rotation"
                              % (word,))
-    if not _in_census(valences, g, valence_filter):
+    if valences not in fatgraph_profiles(g, valence_filter):
         raise WrongType("gap word %r is outside the census %r"
                         % (word, fatgraph_descriptor(g, valence_filter)))
     return CensusEntry(tuple(word), m // period)
@@ -446,34 +448,78 @@ def fatgraph_descriptor(g: int, valence_filter) -> str:
         else "single%d" % valence_filter[1])
 
 
-def _in_census(valences, g: int, valence_filter) -> bool:
-    """Whether a one-boundary graph with these sorted vertex valences is
-    of the census that ``fatgraph_descriptor(g, valence_filter)`` names:
-    genus g, so V = E + 1 - 2g, and valences all 3, any (each at least 3)
-    or all 3 but one k, as the filter says."""
-    if len(valences) != sum(valences) // 2 + 1 - 2 * g:  # V = E + 1 - 2g
-        return False
-    if valence_filter == ALL:
-        return True
-    top = 3 if valence_filter == TRIVALENT else valence_filter[1]
-    return valences == [3] * (len(valences) - 1) + [top]
+def _hook_characters(parts) -> list:
+    """The characters chi_k, k = 0 .. n-1, of the hooks (n - k, 1^k) of S_n
+    on cycle type ``parts``: the coefficients of
+    prod_i (1 - (-y)^part_i) / (1 + y)."""
+    chars = [(-1) ** j for j in range(parts[0])]   # first factor / (1 + y)
+    for part in parts[1:]:
+        chars += [0] * part
+        for i in range(len(chars) - 1, part - 1, -1):
+            chars[i] -= (-1) ** part * chars[i - part]
+    return chars
 
 
-def fatgraph_closed_count(g: int, valence_filter) -> Optional[Fraction]:
-    """Closed orbifold count sum(1/|Aut|) of the census built by
-    enumerate_fatgraphs, read off no census; None where no formula is known.
+def rooted_one_face_count(profile) -> int:
+    """Rooted one-face maps with vertex valences ``profile`` (a partition
+    of 2E), which is the sum of 2E/|Aut| over the census classes with those
+    valences.  By the Frobenius formula, with only the hooks nonzero on the
+    long cycle (Goupil and Schaeffer 1998), it is
+    |C_profile| |C_(2^E)| / (2E)! sum_k chi_k(profile) chi_k(2^E) (-1)^k
+    / C(2E-1, k).  The trivalent profile gives the Walsh-Lehman count.
 
-    Trivalent one-face maps: the Walsh-Lehman rooted count
-    2(6g-3)!/(12^g g!(3g-2)!) over the 2E rootings of each map.
-
-    >>> fatgraph_closed_count(2, TRIVALENT)
-    Fraction(35, 6)
+    >>> rooted_one_face_count((3, 3)), rooted_one_face_count((3,) * 6)
+    (1, 105)
     """
-    if valence_filter != TRIVALENT:
-        return None
-    f = math.factorial
-    rooted = 2 * f(6 * g - 3) // (12 ** g * f(g) * f(3 * g - 2))
-    return Fraction(rooted, 2 * (6 * g - 3))
+    n = sum(profile)
+    # |C_(2^E)| over the centralizer order n!/|C_profile|
+    count = Fraction(math.factorial(n), 2 ** (n // 2) * math.factorial(n // 2)
+                     * math.prod(part ** m * math.factorial(m) for part, m in
+                                 collections.Counter(profile).items()))
+    count *= sum(Fraction((-1) ** k * a * b, math.comb(n - 1, k))
+                 for k, (a, b) in enumerate(zip(
+                     _hook_characters(profile),
+                     _hook_characters((2,) * (n // 2)))))
+    if count.denominator != 1:
+        raise AssertionError("profile %r counts %s maps" % (profile, count))
+    return int(count)
+
+
+def _partitions(n: int, parts: int, least: int) -> list:
+    """The non-decreasing ``parts``-tuples of integers >= least, sum n."""
+    if parts == 0:
+        return [()] if n == 0 else []
+    return [(first,) + rest for first in range(least, n // parts + 1)
+            for rest in _partitions(n - first, parts - 1, first)]
+
+
+def vertex_profile(word) -> tuple:
+    """The sorted vertex valences of the graph of the gap word ``word``."""
+    return tuple(sorted(map(len, word_vertices(word))))
+
+
+@functools.lru_cache(maxsize=None)
+def fatgraph_profiles(g: int, valence_filter) -> tuple:
+    """The vertex profiles (sorted valences) of the census
+    ``fatgraph_descriptor(g, valence_filter)``, V = E + 1 - 2g valences
+    each: all 3; all 3 but one k, E = 6g - k; or, for all valences, every
+    partition of 2E into parts of at least 3, E = 2g .. 6g - 3."""
+    if valence_filter == ALL:
+        return tuple(profile for e in range(2 * g, 6 * g - 2)
+                     for profile in _partitions(2 * e, e + 1 - 2 * g, 3))
+    k = 3 if valence_filter == TRIVALENT else valence_filter[1]
+    return ((3,) * (4 * g - k) + (k,),)
+
+
+def fatgraph_closed_count(g: int, valence_filter) -> Fraction:
+    """Closed orbifold count sum(1/|Aut|) of the census built by
+    enumerate_fatgraphs: each profile's rooted count over 2E.
+
+    >>> fatgraph_closed_count(2, TRIVALENT), fatgraph_closed_count(1, ALL)
+    (Fraction(35, 6), Fraction(5, 12))
+    """
+    return sum(Fraction(rooted_one_face_count(profile), sum(profile))
+               for profile in fatgraph_profiles(g, valence_filter))
 
 
 def enumerate_fatgraphs(g: int, valence_filter=TRIVALENT,

@@ -31,7 +31,8 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .enumeration import ALL, OrbifoldCensus, catalan, catalan5, word_entry
+from .enumeration import (ALL, OrbifoldCensus, catalan, catalan5,
+                          vertex_profile, word_entry)
 from .errors import BadLeafCount, MalformedGraph, NotSymmetric, WrongType
 from .fatgraph import Fatgraph, least_rotation, word_vertices
 from .trees import PlanarTree
@@ -277,9 +278,8 @@ def w1_component1_census(g: int, trees: OrbifoldCensus) -> OrbifoldCensus:
     if g < 2:
         raise WrongType("intersection components need g >= 2")
     census = _cell_census(g, trees, w1_component1_descriptor(g))
-    for entry in census:
-        if [len(v) for v in word_vertices(entry.key)].count(5) != 2:
-            raise AssertionError("component1 cell needs two 5-valent vertices")
+    if any(vertex_profile(e.key).count(5) != 2 for e in census):
+        raise AssertionError("component1 cell needs two 5-valent vertices")
     return census
 
 
@@ -295,9 +295,8 @@ def w1_component2_census(g: int, trees: OrbifoldCensus) -> OrbifoldCensus:
     if g < 2:
         raise WrongType("intersection components need g >= 2")
     census = _cell_census(g, trees, w1_component2_descriptor(g))
-    for entry in census:
-        if 6 not in map(len, word_vertices(entry.key)):
-            raise AssertionError("component2 cell needs a 6-valent vertex")
+    if any(6 not in vertex_profile(e.key) for e in census):
+        raise AssertionError("component2 cell needs a 6-valent vertex")
     return census
 
 

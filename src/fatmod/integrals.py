@@ -38,7 +38,6 @@ class IntegralReport(NamedTuple):
     value_closed: Fraction
     value_assembled: Fraction
     assembled_mode: str  # "census" or "formula"
-    provenance: tuple
 
     @property
     def match(self) -> bool:
@@ -70,10 +69,9 @@ def psi_top_genus0(n: int, workspace: Optional[Workspace] = None
     closed = Fraction(factorial(n - 2) * catalan(n - 3) * factorial(n - 3),
                       factorial(2 * n - 6))
     if n == 3:
+        # the moduli of three marked points is a single unlabeled point
         return IntegralReport("genus0", "n", n, closed, Fraction(1),
-                              "formula",
-                              ("moduli of three marked points is a single "
-                               "unlabeled point",))
+                              "formula")
     if n <= GENUS0_ASSEMBLED_N:
         census = _ws(workspace).tree_census(n - 1, "trivalent")
         # a tree key is a flagged word, gap + m * flag; the volume reads
@@ -82,14 +80,11 @@ def psi_top_genus0(n: int, workspace: Optional[Workspace] = None
             weight=lambda e: factorial(n - 1) * word_cell_volume(
                 tuple(w % len(e.key) for w in e.key)).value)
         mode = "census"
-        notes = ("tree census %r; leaf labelings counted as (n-1)!/|Aut|"
-                 % census.descriptor,)
     else:
         assembled = (Fraction(factorial(n - 2) * catalan(n - 3))
                      * _tree_cell_volume_formula(n - 3))
         mode = "formula"
-        notes = ("labeled tree count times volume formula",)
-    return IntegralReport("genus0", "n", n, closed, assembled, mode, notes)
+    return IntegralReport("genus0", "n", n, closed, assembled, mode)
 
 
 def psi_top_moduli(g: int, workspace: Optional[Workspace] = None
@@ -105,10 +100,7 @@ def psi_top_moduli(g: int, workspace: Optional[Workspace] = None
     closed = Fraction(1, 24 ** g * factorial(g))
     assembled = census.orbifold_sum(
         weight=lambda e: word_cell_volume(e.key).value)
-    return IntegralReport(
-        "psi-top", "g", g, closed, assembled, "census",
-        ("census %r, %d classes; closed form 1/(24^g g!) (Witten-Kontsevich)"
-         % (census.descriptor, len(census)),))
+    return IntegralReport("psi-top", "g", g, closed, assembled, "census")
 
 
 def psi_top_hyperelliptic(g: int, workspace: Optional[Workspace] = None
@@ -123,14 +115,12 @@ def psi_top_hyperelliptic(g: int, workspace: Optional[Workspace] = None
         assembled = census.orbifold_sum(
             weight=lambda e: hyperelliptic_cell_volume(e.payload).value)
         mode = "census"
-        notes = ("census %r, %d cells" % (census.descriptor, len(census)),)
     else:
+        # orbifold cell count times the common doubled cell volume
         assembled = (Fraction(catalan(2 * g - 1), 2 * (2 * g + 1))
                      * _doubled_cell_volume_formula(2 * g - 1))
         mode = "formula"
-        notes = ("orbifold cell count C_{2g-1}/(2(2g+1)) times the doubled "
-                 "cell volume d!/(2^d (2d)!), d = 2g-1",)
-    return IntegralReport("hevol", "g", g, closed, assembled, mode, notes)
+    return IntegralReport("hevol", "g", g, closed, assembled, mode)
 
 
 def w1_h_integral(g: int, workspace: Optional[Workspace] = None
@@ -148,17 +138,11 @@ def w1_h_integral(g: int, workspace: Optional[Workspace] = None
             W1_MULTIPLICITY_5VALENT * comps.component1.orbifold_sum(vol)
             + W1_MULTIPLICITY_6VALENT * comps.component2.orbifold_sum(vol))
         mode = "census"
-        notes = ("component censuses %r (multiplicity %d) and %r "
-                 "(multiplicity %d), per-cell volumes"
-                 % (comps.component1.descriptor, W1_MULTIPLICITY_5VALENT,
-                    comps.component2.descriptor, W1_MULTIPLICITY_6VALENT),)
     else:
         vol = _doubled_cell_volume_formula(2 * g - 2)
         assembled = vol * (2 * count_t1(g) + 3 * count_t2(g))
         mode = "formula"
-        notes = ("common cell volume (2g-2)!/(2^(2g-2) (4g-4)!) times the "
-                 "weighted component counts",)
-    return IntegralReport("w1h", "g", g, closed, assembled, mode, notes)
+    return IntegralReport("w1h", "g", g, closed, assembled, mode)
 
 
 def boundary_integral(g: int, workspace: Optional[Workspace] = None
@@ -177,10 +161,8 @@ def boundary_integral(g: int, workspace: Optional[Workspace] = None
     closed = Fraction(1, 2 ** (2 * g - 1) * factorial(2 * g - 1))
     sub = psi_top_hyperelliptic(g - 1, ws)
     assembled = Fraction(1, 2) * sub.value_assembled
-    return IntegralReport(
-        "boundary", "g", g, closed, assembled, sub.assembled_mode,
-        ("one half of the genus-%d hyperelliptic top integral (string "
-         "equation step)" % (g - 1),) + sub.provenance)
+    return IntegralReport("boundary", "g", g, closed, assembled,
+                          sub.assembled_mode)
 
 
 def main_theorem(g: int, workspace: Optional[Workspace] = None
@@ -198,10 +180,8 @@ def main_theorem(g: int, workspace: Optional[Workspace] = None
     closed = Fraction((2 * g - 1) ** 2, 2 ** (2 * g) * factorial(2 * g + 1))
     if g == 1:
         assembled = Fraction(1, KAPPA_DUALITY_DENOMINATOR) * Fraction(1, 2)
-        return IntegralReport(
-            "main-theorem", "g", 1, closed, assembled, "formula",
-            ("no 5-valent cells exist at genus one; the boundary is a "
-             "single point with an automorphism group of order two",))
+        return IntegralReport("main-theorem", "g", 1, closed, assembled,
+                              "formula")
     poly = 10 * g * g - 13 * g + 3 + g * (2 * g + 1)
     if poly != 3 * (2 * g - 1) ** 2:
         raise AssertionError("numerator identity failed at g=%d" % g)
@@ -211,9 +191,7 @@ def main_theorem(g: int, workspace: Optional[Workspace] = None
         / KAPPA_DUALITY_DENOMINATOR
     mode = "census" if "census" in (w1h.assembled_mode,
                                     boundary.assembled_mode) else "formula"
-    return IntegralReport(
-        "main-theorem", "g", g, closed, assembled, mode,
-        ("(w1h + boundary)/12",) + w1h.provenance + boundary.provenance)
+    return IntegralReport("main-theorem", "g", g, closed, assembled, mode)
 
 
 def hodge_corollary(g: int, workspace: Optional[Workspace] = None
@@ -232,10 +210,8 @@ def hodge_corollary(g: int, workspace: Optional[Workspace] = None
     main = main_theorem(g, ws)
     tail = ELLIPTIC_TAIL_FACTOR / (2 ** (2 * g - 2) * factorial(2 * g - 1))
     assembled = main.value_assembled + tail
-    return IntegralReport(
-        "corollary", "g", g, closed, assembled, main.assembled_mode,
-        ("main value plus elliptic-tail term (1/24)/(2^(2g-2)(2g-1)!)",)
-        + main.provenance)
+    return IntegralReport("corollary", "g", g, closed, assembled,
+                          main.assembled_mode)
 
 
 def bernoulli(n: int) -> Fraction:
@@ -265,10 +241,7 @@ def euler_report(g: int, workspace: Optional[Workspace] = None
     census = _ws(workspace).all_valence_census(g)
     assembled = census.orbifold_sum(
         weight=lambda e: (-1) ** (len(e.key) // 2 - 1))  # E = len(key)/2
-    return IntegralReport(
-        "euler", "g", g, closed, assembled, "census",
-        ("alternating sum over %r, %d classes; closed form -B_{2g}/2g"
-         % (census.descriptor, len(census)),))
+    return IntegralReport("euler", "g", g, closed, assembled, "census")
 
 
 IDENTITIES = {

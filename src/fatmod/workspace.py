@@ -47,17 +47,16 @@ class Workspace:
         """The census that ``fatgraph_descriptor(g, valence_filter)`` names:
         kept, read from its file, or built and written.  A trivalent census
         is searched, any other collapsed from this workspace's trivalent
-        census, and a built one is written only when it meets its closed
-        count (or has none), so no file holds a census known to lack a
-        class.  A read all-valence census must hold every trivalent class,
-        its top cells: losing one with the faces only it has keeps the
-        Euler sum.  Raises CacheError for a census not on disk when
-        building is disabled."""
+        census once the cap allows it.  Raises CacheError, keeping and
+        writing nothing, for a census that misses a closed count
+        (:func:`_check_rooted_counts`) or, when building is disabled, is
+        not on disk."""
         descriptor = _enum.fatgraph_descriptor(g, valence_filter)
         census = self._store.get(descriptor)
         if census is not None:
             return census
         census = self._load(descriptor, g, valence_filter)
+        path = None
         if census is None:
             path = (None if self.cache_dir is None
                     else _cache.cache_path(self.cache_dir, descriptor))
@@ -65,38 +64,17 @@ class Workspace:
                 raise CacheError("census %r not cached%s and building is "
                                  "disabled" % (descriptor, "" if path is None
                                                else " (no file %s)" % path))
-            census = (_enum.enumerate_fatgraphs(g, _enum.TRIVALENT,
-                                                cap_edges=self.cap_edges)
-                      if valence_filter == _enum.TRIVALENT
-                      else self.collapse_closure(g, valence_filter))
-            closed = _enum.fatgraph_closed_count(g, valence_filter)
-            if path is not None and (closed is None
-                                     or closed == census.orbifold_sum()):
-                _cache.save_records(path, descriptor,
-                                    [(e.aut_order, e.key) for e in census])
-        elif valence_filter == _enum.ALL:
-            keys = {entry.key for entry in census}
-            if any(e.key not in keys for e in self.trivalent_census(g)):
-                raise CacheError("%r lacks a trivalent class of genus %d"
-                                 % (descriptor, g))
+            _enum.check_edge_cap(g, valence_filter, self.cap_edges)
+            census = (_enum.enumerate_fatgraphs(g, cap_edges=self.cap_edges)
+                      if valence_filter == _enum.TRIVALENT else
+                      _enum.collapse_closure(self.trivalent_census(g), g,
+                                             valence_filter))
+        _check_rooted_counts(census, g, valence_filter)
+        if path is not None:
+            _cache.save_records(path, descriptor,
+                                [(e.aut_order, e.key) for e in census])
         self._store[descriptor] = census
         return census
-
-    def collapse_closure(self, g: int, valence_filter) -> OrbifoldCensus:
-        """The census of ``valence_filter``, collapsed from this workspace's
-        own trivalent census once the cap allows it.
-
-        Raises CacheError when the trivalent census misses its closed count:
-        a class lost with the faces only it has keeps the Euler sum."""
-        _enum.check_edge_cap(g, valence_filter, self.cap_edges)
-        trivalent = self.trivalent_census(g)
-        total = trivalent.orbifold_sum()
-        closed = _enum.fatgraph_closed_count(g, _enum.TRIVALENT)
-        if total != closed:
-            raise CacheError("%r sums to %s, not its closed count %s, so "
-                             "it lacks a class and is not collapsed"
-                             % (trivalent.descriptor, total, closed))
-        return _enum.collapse_closure(trivalent, g, valence_filter)
 
     def tree_census(self, leaf_count: int, profile: str) -> OrbifoldCensus:
         return self._kept(_enum.tree_descriptor(leaf_count, profile,
@@ -162,3 +140,20 @@ class Workspace:
             raise CacheError("stored aut order %d, recomputed %d in %s"
                              % (aut, entry.aut_order, path))
         return entry
+
+
+def _check_rooted_counts(census, g, valence_filter) -> None:
+    """Raise CacheError unless the classes of each vertex profile sum
+    2E/|Aut| to its rooted count; a lost class lowers its profile's sum.
+    A census of one profile needs no grouping (``word_entry``)."""
+    profiles = _enum.fatgraph_profiles(g, valence_filter)
+    sums = dict.fromkeys(profiles, 0)
+    for e in census:
+        sums[profiles[0] if len(profiles) == 1
+             else _enum.vertex_profile(e.key)] += len(e.key) // e.aut_order
+    for profile, total in sums.items():
+        count = _enum.rooted_one_face_count(profile)
+        if total != count:
+            raise CacheError("%r: vertex profile %s sums to %d rooted maps, "
+                             "not its closed count %d"
+                             % (census.descriptor, profile, total, count))

@@ -144,7 +144,7 @@ def test_fatgraph_census_membership(valence_filter):
 def test_word_entry_matches_graph_entry(g, valence_filter, ws):
     # a word entry holds no graph; the graph its key rebuilds has the same
     # key and |Aut|, and |Aut| is the explicit search's
-    census = ws.collapse_closure(g, valence_filter)
+    census = ws.fatgraph_census(g, valence_filter)
     assert len(census)
     for entry in census:
         graph = Fatgraph.from_word(entry.key)
@@ -197,7 +197,7 @@ def test_word_entry_rejects_what_the_graph_check_rejects(word, g):
 def test_word_entry_rejects_every_other_rotation(g, ws):
     # the all-valence census holds every class of genus g; each rotation
     # of its word that is not the word itself is refused
-    for entry in ws.collapse_closure(g, ALL):
+    for entry in ws.fatgraph_census(g, ALL):
         word = entry.key
         for r in range(1, len(word)):
             rotated = word[r:] + word[:r]
@@ -210,7 +210,7 @@ def test_word_entry_rejects_every_other_rotation(g, ws):
     lambda ws: [(e.key, g, TRIVALENT) for g in (1, 2, 3)
                 for e in ws.trivalent_census(g)],
     lambda ws: [(e.key, g, ALL) for g in (1, 2)
-                for e in ws.collapse_closure(g, ALL)],
+                for e in ws.fatgraph_census(g, ALL)],
     lambda ws: [(e.key, g, ALL) for g in (1, 2, 3)
                 for e in ws.hyperelliptic_census(g)]
     + [(e.key, g, ALL) for g in (2, 3)

@@ -1,6 +1,7 @@
 import csv
 import io
 import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -8,11 +9,14 @@ import pytest
 from fatmod import cli
 from fatmod.cache import FORMAT_VERSION, HEADER, cache_path, load_records, \
     save_records
+from fatmod.errors import CacheError
 from fatmod.integrals import IntegralReport
+from fatmod.workspace import Workspace
 
 from oracles import census_without
 
 GENUS_TWO = "fatgraphs g=2 n=1 filter=trivalent"
+ALL_TWO = "fatgraphs g=2 n=1 filter=all"
 
 
 def parse_rational(s: str) -> Fraction:
@@ -44,9 +48,14 @@ class TestVerify:
         assert "-1/12" in out
 
     def test_mismatch_exit_code(self, capsys, monkeypatch):
+        # a report row is its values and mode; no free-text provenance
+        assert IntegralReport._fields == (
+            "name", "param_name", "param", "value_closed", "value_assembled",
+            "assembled_mode")
+
         def broken(g, ws):
             return IntegralReport("euler", "g", g, Fraction(1), Fraction(2),
-                                  "census", ())
+                                  "census")
         monkeypatch.setitem(cli._int.IDENTITIES, "euler", ("g", broken))
         code, out = run(capsys, "verify", "--identity", "euler", "--g", "1")
         assert code == 3
@@ -130,16 +139,25 @@ class TestEnumerate:
     ], ids=["graphs", "trees", "rooted-trees", "verify-psi-top"])
     def test_missing_class_fails(self, capsys, tmp_path, monkeypatch,
                                  builder, argv):
-        # the closed count reads no census, so a lost class shows, and a
-        # searched census that misses its count is never written
+        # the closed count reads no census, so a lost class shows: a tree
+        # census prints a FAIL row, and a searched fatgraph census that
+        # misses its count is a cache error, never kept or written
         build = getattr(cli._enum, builder)
         monkeypatch.setattr(cli._enum, builder,
                             lambda *a, **k: census_without(build(*a, **k),
                                                            0))
-        cache = () if "--trees" in argv else ("--cache", str(tmp_path))
-        code, out = run(capsys, *argv, *cache)
-        assert code == 3
-        assert out.splitlines()[1].split()[4] == "FAIL"
+        trees = "--trees" in argv
+        code = cli.main([*argv, *(() if trees else ("--cache",
+                                                    str(tmp_path)))])
+        captured = capsys.readouterr()
+        if trees:
+            assert code == 3
+            assert captured.out.splitlines()[1].split()[4] == "FAIL"
+        else:
+            assert code == 1
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("cache error:")
         assert not list(tmp_path.iterdir())
 
     @pytest.mark.parametrize("argv", [
@@ -257,10 +275,13 @@ class TestEnumerate:
         assert lines[2] == "count=9"
         victim.write_text("\n".join(lines[:2] + ["count=8"] + lines[4:])
                           + "\n")
-        code, out = run(capsys, *argv)
-        assert code == 3
-        assert out.splitlines()[1].split()[1:5] == ["classes=8", "35/6",
-                                                    "16/3", "FAIL"]
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err.startswith("cache error:")
+        assert "%r: vertex profile (3, 3, 3, 3, 3, 3) sums to 96 rooted " \
+               "maps, not its closed count 105" % GENUS_TWO in captured.err
 
     @pytest.mark.parametrize("argv", [
         ("verify", "--identity", "hevol", "--g", "3..1"),
@@ -305,8 +326,10 @@ class TestEnumerate:
         assert captured.out == ""
 
     @pytest.mark.parametrize("fmt,match", [
-        ("human", "n/a"), ("csv", ""), ("json", None)])
-    def test_no_closed_count(self, capsys, fmt, match):
+        ("human", "ok"), ("csv", "true"), ("json", True)],
+        ids=["human", "csv", "json"])
+    def test_all_valence_closed_count(self, capsys, fmt, match):
+        # every fatgraph census has a closed count, one per vertex profile
         code, out = run(capsys, "enumerate", "--type", "1,1",
                         "--all-valences", "--format", fmt)
         assert code == 0
@@ -318,7 +341,7 @@ class TestEnumerate:
             fields = out.splitlines()[1].split()
             row = {"value_closed": fields[2], "value_assembled": fields[3],
                    "match": fields[4]}
-        assert row["value_closed"] == "-"
+        assert row["value_closed"] == "5/12"
         assert row["value_assembled"] == "5/12"
         assert row["match"] == match
 
@@ -373,25 +396,18 @@ class TestCache:
         assert "ok" not in captured.out
 
     def test_psi_top_missing_class_fails(self, capsys, tmp_path):
-        # a well-formed file that lacks a class passes the load checks; the
-        # closed route still catches it
-        argv = ("verify", "--identity", "psi-top", "--g", "2",
-                "--cache", str(tmp_path))
-        code, out = run(capsys, *argv)
-        assert code == 0
-        victim = cache_path(tmp_path, GENUS_TWO)
-        lines = victim.read_text().splitlines()
-        assert lines[2] == "count=9"
-        victim.write_text("\n".join(lines[:2] + ["count=8"] + lines[4:])
-                          + "\n")
-        code, out = run(capsys, *argv)
-        assert code == 3
-        assert "1/1152" in out and "FAIL" in out
+        # a well-formed file that lacks a class passes the record checks;
+        # its closed rooted count refuses it before psi-top sums it
+        self.check_missing_class_refused(capsys, tmp_path, (
+            "verify", "--identity", "psi-top", "--g", "2"))
 
-    def test_report_missing_class_exits_three(self, capsys, tmp_path):
-        # report signals a FAIL row by its exit code, as verify does
-        argv = ("report", "--identities", "psi-top", "--g", "2",
-                "--cache", str(tmp_path))
+    def test_report_missing_class_is_a_cache_error(self, capsys, tmp_path):
+        self.check_missing_class_refused(capsys, tmp_path, (
+            "report", "--identities", "psi-top", "--g", "2"))
+
+    @staticmethod
+    def check_missing_class_refused(capsys, tmp_path, argv):
+        argv += ("--cache", str(tmp_path))
         code, out = run(capsys, *argv)
         assert code == 0 and "ok" in out
         victim = cache_path(tmp_path, GENUS_TWO)
@@ -399,10 +415,12 @@ class TestCache:
         assert lines[2] == "count=9"
         victim.write_text("\n".join(lines[:2] + ["count=8"] + lines[4:])
                           + "\n")
-        code, out = run(capsys, *argv)
-        assert code == 3
-        assert out.splitlines()[1].split()[2:5] == ["1/1152", "1/1260",
-                                                    "FAIL"]
+        code = cli.main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("cache error:")
 
     @pytest.mark.parametrize("argv,descriptor,edit", [
         (("--identity", "psi-top", "--g", "2"), GENUS_TWO, "third-field"),
@@ -534,6 +552,55 @@ class TestCache:
             assert len(captured.err.splitlines()) == 1
             assert captured.err.startswith("cache error:")
 
+    def test_all_valence_file_missing_a_cancelling_pair_fails(self, capsys,
+                                                              tmp_path):
+        # both classes have |Aut| 2 and edge counts of opposite parity, so
+        # losing both keeps the Euler sum at 1/120 and every trivalent
+        # class; the closed counts of their vertex profiles refuse the file
+        code, _ = run(capsys, "verify", "--identity", "euler", "--g", "2",
+                      "--cache", str(tmp_path))
+        assert code == 0
+        victim = cache_path(tmp_path, ALL_TWO)
+        lines = victim.read_text().splitlines()
+        assert lines[2] == "count=160"
+        body = [line for line in lines[3:] if line not in
+                ("2 | 2,2,6,6,2,2,6,6", "2 | 2,2,8,8,5,2,2,8,8,5")]
+        assert len(body) == 158
+        victim.write_text("\n".join(lines[:2] + ["count=158"] + body)
+                          + "\n")
+        for argv in (("verify", "--identity", "euler", "--g", "2",
+                      "--no-build"),
+                     ("enumerate", "--type", "2,1", "--all-valences")):
+            code = cli.main([*argv, "--cache", str(tmp_path)])
+            captured = capsys.readouterr()
+            assert code == 1
+            assert captured.out == ""
+            assert len(captured.err.splitlines()) == 1
+            assert captured.err.startswith("cache error: %r: vertex profile"
+                                           % ALL_TWO)
+
+    def test_all_valence_file_missing_any_cancelling_pair_fails(self,
+                                                                tmp_path):
+        # a seeded sample of the record pairs whose loss keeps the Euler
+        # sum and spares every trivalent class
+        Workspace(cache_dir=tmp_path).all_valence_census(2)
+        victim = cache_path(tmp_path, ALL_TWO)
+        records = load_records(victim, ALL_TWO)
+
+        def euler(aut, word):
+            return Fraction((-1) ** (len(word) // 2 - 1), aut)
+        pairs = [(i, j) for i, (a, u) in enumerate(records)
+                 for j, (b, w) in enumerate(records[:i])
+                 if euler(a, u) + euler(b, w) == 0
+                 and len(u) < 18 and len(w) < 18]
+        assert len(pairs) == 3625
+        for i, j in random.Random(31).sample(pairs, 20):
+            save_records(victim, ALL_TWO, [r for k, r in enumerate(records)
+                                           if k not in (i, j)])
+            with pytest.raises(CacheError, match="vertex profile"):
+                Workspace(cache_dir=tmp_path,
+                          no_build=True).all_valence_census(2)
+
     @pytest.mark.parametrize("index", range(9))
     def test_trivalent_file_missing_a_class_is_not_collapsed(
             self, capsys, tmp_path, index):
@@ -606,6 +673,18 @@ class TestCache:
 
 
 class TestReport:
+    def test_mismatch_exit_code(self, capsys, monkeypatch):
+        # report signals a FAIL row by its exit code, as verify does
+        def broken(g, ws):
+            return IntegralReport("psi-top", "g", g, Fraction(1),
+                                  Fraction(2), "census")
+        monkeypatch.setitem(cli._int.IDENTITIES, "psi-top", ("g", broken))
+        code, out = run(capsys, "report", "--identities", "hevol,psi-top",
+                        "--g", "2")
+        assert code == 3
+        assert [line.split()[4] for line in out.splitlines()[1:]] == \
+            ["ok", "FAIL"]
+
     def test_json_rationals_round_trip(self, capsys):
         code, out = run(capsys, "report", "--identities",
                         "main-theorem,corollary", "--g", "2..3",

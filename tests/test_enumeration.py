@@ -8,7 +8,9 @@ from fatmod import enumeration
 from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT,
                                 _trivalent_pairings, catalan, catalan5,
                                 collapse_word, enumerate_fatgraphs,
-                                enumerate_trees, tree_closed_count)
+                                enumerate_trees, fatgraph_closed_count,
+                                fatgraph_profiles, rooted_one_face_count,
+                                tree_closed_count)
 from fatmod.errors import ResourceLimit
 from fatmod.fatgraph import Fatgraph, least_rotation
 from fatmod.trees import LEAF, ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
@@ -16,7 +18,8 @@ from fatmod.trees import LEAF, ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
     odd_valence_trees, rooted_trees, unrooted_trees
 from fatmod.workspace import Workspace
 
-from oracles import (are_isomorphic, automorphism_order_bruteforce,
+from oracles import (_partitions, are_isomorphic,
+                     automorphism_order_bruteforce,
                      collapse_edge, least_rotation_by_brute_force,
                      naive_census, one_face_census_bruteforce, relabel,
                      rooted_key, rooted_tree_by_cycles,
@@ -253,6 +256,62 @@ class TestCensusCompleteness:
         reps, orders = naive_census(1, 1, max_edges=3)
         census = enumerate_fatgraphs(1, ALL)
         assert sorted(e.aut_order for e in census) == orders
+
+
+class TestClosedCounts:
+    """Rooted one-face-map counts per vertex profile, from the hook
+    characters, against the brute force, Walsh-Lehman and the censuses."""
+
+    @pytest.mark.parametrize("num_edges", range(1, 7))
+    def test_every_profile_matches_bruteforce(self, num_edges):
+        # every pairing of Z_{2E} is one rooted map, so the pairings whose
+        # vertex permutation has cycle type profile number N(profile);
+        # profiles with parts below 3 or no one-face map included
+        m = 2 * num_edges
+        rooted = {}
+
+        def tally(lengths):
+            rooted[tuple(lengths)] = rooted.get(tuple(lengths), 0) + 1
+            return False
+        one_face_census_bruteforce(num_edges, tally)
+        profiles = [p for v in range(1, m + 1) for p in _partitions(m, v, 1)]
+        assert set(rooted) <= set(profiles)
+        for profile in profiles:
+            assert rooted_one_face_count(profile) == rooted.get(profile, 0), \
+                profile
+
+    @pytest.mark.parametrize("g", range(1, 9))
+    def test_trivalent_profile_is_walsh_lehman(self, g):
+        [profile] = fatgraph_profiles(g, TRIVALENT)
+        assert rooted_one_face_count(profile) == walsh_lehman(g)
+        assert fatgraph_closed_count(g, TRIVALENT) == \
+            Fraction(walsh_lehman(g), 2 * (6 * g - 3))
+
+    @pytest.mark.parametrize("g,valence_filter", [
+        (1, ALL), (2, ALL), (2, ("single", 5)), (2, ("single", 6)),
+        (2, ("single", 7)), (2, ("single", 8))],
+        ids=["all-g1", "all-g2", "single5-g2", "single6-g2", "single7-g2",
+             "single8-g2"])
+    def test_each_profile_meets_its_census(self, g, valence_filter):
+        # sum 2E/|Aut| over the classes of each profile, the valences read
+        # off the graph
+        census = enumerate_fatgraphs(g, valence_filter)
+        sums = {}
+        for e in census:
+            profile = tuple(sorted(e.graph.valences))
+            sums[profile] = sums.get(profile, 0) + Fraction(
+                2 * e.graph.num_edges, e.aut_order)
+        profiles = fatgraph_profiles(g, valence_filter)
+        assert set(sums) == set(profiles)
+        for profile in profiles:
+            assert sums[profile] == rooted_one_face_count(profile), profile
+        assert fatgraph_closed_count(g, valence_filter) == \
+            census.orbifold_sum()
+
+    @pytest.mark.parametrize("g,profiles", [(1, 2), (2, 11), (3, 42)])
+    def test_every_all_valence_profile_has_maps(self, g, profiles):
+        counts = [rooted_one_face_count(p) for p in fatgraph_profiles(g, ALL)]
+        assert len(counts) == profiles and min(counts) > 0
 
 
 class TestTreeCensus:

@@ -260,7 +260,7 @@ def test_cut_is_label_invariant(leaves, profile, data):
 
 @pytest.fixture(scope="module")
 def single6_genus3(ws):
-    return ws.collapse_closure(3, ("single", 6))
+    return ws.fatgraph_census(3, ("single", 6))
 
 
 def half_turn_component2_keys(census, g):

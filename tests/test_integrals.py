@@ -220,9 +220,9 @@ class TestMutationDetection:
         # a class lost there is lost from the closure too.  Every face of
         # the last g=2 class is a face of another class, so only that class
         # goes; class 0 takes faces of its own along as an elementary
-        # collapse, which keeps the Euler sum.  So the workspace refuses to
-        # collapse a trivalent census that misses its closed count, and
-        # euler fails with a cache error either way
+        # collapse, which keeps the Euler sum.  Either way the collapsed
+        # census misses the closed count of its trivalent profile, so the
+        # workspace refuses it and euler fails with a cache error
         census = ws.trivalent_census(2)
         lost = census.entries[-1].key
         without = census_without(census, len(census) - 1)

@@ -375,7 +375,7 @@ def test_form_assembly_matches_slot_pairs(seq):
     lambda ws: [word_slots(e.key) for g in (1, 2, 3)
                 for e in ws.trivalent_census(g)]
     + [word_slots(e.key) for g in (1, 2)
-       for e in ws.collapse_closure(g, "all")],
+       for e in ws.fatgraph_census(g, "all")],
     lambda ws: [word_slots([w % len(e.key) for w in e.key])
                 for leaves in range(2, 10) for e in enumerate_trees(leaves)],
     lambda ws: [boundary_slots(double_tree(tree_word(tree)).doubled)
@@ -453,7 +453,7 @@ def test_one_edge_word_form_is_empty():
 
 @pytest.mark.parametrize("words", [
     lambda ws: [e.key for g in (1, 2, 3) for e in ws.trivalent_census(g)]
-    + [e.key for g in (1, 2) for e in ws.collapse_closure(g, "all")],
+    + [e.key for g in (1, 2) for e in ws.fatgraph_census(g, "all")],
     lambda ws: [tuple(w % len(e.key) for w in e.key)
                 for leaves in range(2, 10) for e in enumerate_trees(leaves)],
     lambda ws: [double_tree(tree_word(tree)).word
@@ -503,7 +503,7 @@ class TestPfaffianLaw:
 def test_word_cell_volume_matches_graph(g, valence_filter, ws):
     # every class with an odd edge count: the volume read off the key equals
     # the volume of the graph the key rebuilds, signed Pfaffian included
-    keys = [e.key for e in ws.collapse_closure(g, valence_filter)
+    keys = [e.key for e in ws.fatgraph_census(g, valence_filter)
             if len(e.key) % 4 == 2]
     assert keys
     for key in keys:

@@ -33,7 +33,11 @@ The value records are NamedTuples, so importing the CLI loads neither
 builds and writes a fatgraph census, ``Workspace.fatgraph_census``: the
 CLI reaches no private workspace member and no census builder, only that
 method writes a census file or refuses a missing one under ``--no-build``,
-and a cache record is ``|Aut| | word`` with no kind column.
+and a cache record is ``|Aut| | word`` with no kind column.  One rule
+decides whether a fatgraph census is complete: each of its vertex profiles
+meets its closed rooted count.  The closed counts read no census, and the
+workspace checks them by integer sums in one function, with no collapse
+guard of its own.
 """
 
 import ast
@@ -322,3 +326,27 @@ def test_no_record_kind_literal(path):
     constants = {node.value for node in ast.walk(ast.parse(path.read_text()))
                  if isinstance(node, ast.Constant)}
     assert "graph" not in constants
+
+
+@pytest.mark.parametrize("function", [
+    "fatgraph_closed_count", "fatgraph_profiles", "rooted_one_face_count",
+    "_hook_characters", "_partitions", "tree_closed_count"])
+def test_closed_counts_read_no_census(function):
+    node = function_node("enumeration", function)
+    for name in ("OrbifoldCensus", "Workspace", "enumerate_fatgraphs",
+                 "collapse_closure", "orbifold_sum", "word_entry"):
+        assert not mentions(node, name), "%s names %s" % (function, name)
+
+
+def test_one_completeness_check():
+    # every fatgraph census the workspace reads or builds passes the one
+    # per-profile check, by integer sums, not the Fraction orbifold sum;
+    # the workspace keeps no collapse guard beside it
+    from fatmod.workspace import Workspace
+    assert not hasattr(Workspace, "collapse_closure")
+    assert functions_mentioning("rooted_one_face_count") == \
+        ["enumeration.fatgraph_closed_count",
+         "workspace._check_rooted_counts"]
+    assert functions_mentioning("_check_rooted_counts") == \
+        ["workspace.fatgraph_census"]
+    assert "orbifold_sum" not in referenced_names(PACKAGE / "workspace.py")

@@ -182,9 +182,6 @@ def main_theorem(g: int, workspace: Optional[Workspace] = None
         assembled = Fraction(1, KAPPA_DUALITY_DENOMINATOR) * Fraction(1, 2)
         return IntegralReport("main-theorem", "g", 1, closed, assembled,
                               "formula")
-    poly = 10 * g * g - 13 * g + 3 + g * (2 * g + 1)
-    if poly != 3 * (2 * g - 1) ** 2:
-        raise AssertionError("numerator identity failed at g=%d" % g)
     w1h = w1_h_integral(g, ws)
     boundary = boundary_integral(g, ws)
     assembled = (w1h.value_assembled + boundary.value_assembled) \

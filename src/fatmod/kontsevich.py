@@ -21,6 +21,9 @@ graph (``omega_matrix``) and the hyperelliptic pullback stay at full
 scale, and take their raw coefficients from one pass over edge pairs of a
 boundary word (``_raw_form``), which sends each edge to a coordinate: a
 graph's own edge, or the tree edge of a doubled cell with its scale.
+The pullback's scales make its form rational; ``pfaffian`` scales a
+rational form once, in integer arithmetic, by the lcm of its denominators,
+and runs every check on that integer matrix.
 """
 
 from __future__ import annotations
@@ -115,9 +118,12 @@ def _eliminate(c, num_edges, k) -> tuple:
 def pfaffian(matrix) -> Fraction:
     """Exact Pfaffian of an antisymmetric matrix.
 
-    Entries must be ``int`` or ``Fraction`` (TypeError otherwise).  A
-    matrix of ``int`` entries passes unscaled; any other is scaled to
-    integers by the lcm of its entries' denominators.  The Pfaffian is
+    Entries must be ``int`` or ``Fraction`` (TypeError otherwise, after a
+    non-antisymmetric matrix has raised ValueError).  A matrix of ``int``
+    entries passes unscaled; any other is scaled once, in integer
+    arithmetic, by the lcm of its entries' denominators, and the
+    antisymmetry check and both kernels run on that integer matrix (a
+    positive scale keeps a matrix antisymmetric or not).  The Pfaffian is
     computed by fraction-free skew elimination in O(n^3) integer steps, and
     verified against the two-step Bareiss integer determinant
     (``_det_fraction``, Pf^2 = det) before returning.  Callers that pass a
@@ -130,23 +136,24 @@ def pfaffian(matrix) -> Fraction:
         raise ValueError("matrix is not square")
     if n % 2:
         raise ValueError("odd-dimensional antisymmetric matrix")
-    for i, row in enumerate(matrix):
+    types = {type(x) for row in matrix for x in row}
+    exact = types <= {int, Fraction}
+    if types <= {int} or not exact:
+        scale, m = 1, matrix
+    else:
+        scale = lcm(*{x.denominator for row in matrix for x in row})
+        m = [[x.numerator * (scale // x.denominator) for x in row]
+             for row in matrix]
+    for i, row in enumerate(m):
         if row[i] != -row[i]:
             raise ValueError("matrix is not antisymmetric")
         for j in range(i + 1, n):
-            if row[j] != -matrix[j][i]:
+            if row[j] != -m[j][i]:
                 raise ValueError("matrix is not antisymmetric")
+    if not exact:
+        raise TypeError("matrix entries must be int or Fraction")
     if n == 0:
         return Fraction(1)
-    types = {type(x) for row in matrix for x in row}
-    if not types <= {int, Fraction}:
-        raise TypeError("matrix entries must be int or Fraction")
-    if types == {int}:
-        scale, m = 1, matrix
-    else:
-        scale = lcm(*(matrix[i][j].denominator
-                      for i in range(n) for j in range(i + 1, n)))
-        m = [[int(x * scale) for x in row] for row in matrix]
     pf_int = _pfaffian_int(m)
     det = _det_fraction(m)
     if pf_int * pf_int != det:

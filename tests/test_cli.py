@@ -2,6 +2,8 @@ import csv
 import io
 import json
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
@@ -499,6 +501,36 @@ class TestCache:
         for path in tmp_path.iterdir():
             lines = path.read_text().splitlines()
             assert {len(line.split(" | ")) for line in lines[3:]} == {2}
+
+    def test_concurrent_cold_runs_share_one_directory(self, capsys,
+                                                      tmp_path, child_env):
+        # three cold reports started together on one empty directory each
+        # print the serial run's bytes, and the directory ends with the
+        # serial run's files, whole, and no temporary file
+        serial, shared = tmp_path / "serial", tmp_path / "shared"
+        serial.mkdir()
+        shared.mkdir()
+        code, expected = run(capsys, "report", "--cache", str(serial))
+        assert code == 0
+        argv = [sys.executable, "-m", "fatmod.cli", "report", "--cache",
+                str(shared)]
+        children = [subprocess.Popen(argv, env=child_env, cwd=str(tmp_path),
+                                     stdout=subprocess.PIPE,
+                                     stderr=subprocess.PIPE)
+                    for _ in range(3)]
+        try:
+            results = [child.communicate(timeout=300) for child in children]
+        finally:
+            for child in children:
+                child.kill()
+                child.wait(timeout=30)
+        for child, (out, err) in zip(children, results):
+            assert child.returncode == 0, err.decode(errors="replace")
+            assert out.decode() == expected
+        assert sorted(p.name for p in shared.iterdir()) == \
+            sorted(p.name for p in serial.iterdir())
+        for path in serial.iterdir():
+            assert (shared / path.name).read_bytes() == path.read_bytes()
 
     def test_default_report_searches_each_genus_once(self, capsys,
                                                      tmp_path, monkeypatch):

@@ -88,6 +88,17 @@ class TestPfaffian:
         with pytest.raises(ValueError):
             pfaffian(((0, 1), (1, 0)))
 
+    @pytest.mark.parametrize("matrix", [[[0, 0.5], [0.5, 0]],
+                                        [[0.5, 0], [0, 0]],
+                                        [[0, Fraction(1, 2)], [0.5, 0]]],
+                             ids=["float", "float-diagonal", "mixed"])
+    def test_antisymmetry_checked_before_entry_type(self, matrix):
+        # a non-antisymmetric matrix is refused as such whatever its
+        # entries; an antisymmetric inexact one raises TypeError
+        # (test_rejects_inexact_entries)
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            pfaffian(matrix)
+
     @pytest.mark.parametrize("matrix", [((0, 1, 7), (-1, 0)),
                                         ((0, 2, 9), (-2, 0, 9)),
                                         ((0, 1), (-1, 0), (0, 0))])
@@ -191,6 +202,25 @@ class TestPfaffian:
         with pytest.raises(ValueError):
             pfaffian(m)
 
+    @pytest.mark.parametrize("at,value", [
+        ((0, 0), Fraction(1, 3)), ((3, 3), Fraction(-1, 2)),
+        ((0, 2), Fraction(2, 5)), ((2, 0), Fraction(2, 3)),
+        ((1, 0), Fraction(-3, 5)), ((1, 3), 0), ((3, 1), 0)],
+        ids=["diagonal-first", "diagonal-last", "above", "below",
+             "below-denominator", "above-zeroed", "below-zeroed"])
+    def test_fraction_matrix_keeps_antisymmetry_check(self, at, value):
+        # the scaled path checks antisymmetry on the integer matrix, with
+        # the lcm taken over every entry: -3/5 below 1/2 would scale to
+        # -6 against 6 by the lcm 12 of the entries above the diagonal
+        f = Fraction
+        m = [[0, f(1, 2), f(2, 3), f(3, 4)], [f(-1, 2), 0, f(4, 3), f(5, 6)],
+             [f(-2, 3), f(-4, 3), 0, 6], [f(-3, 4), f(-5, 6), -6, 0]]
+        assert pfaffian(m) == f(1, 2) * 6 - f(2, 3) * f(5, 6) \
+            + f(3, 4) * f(4, 3)
+        m[at[0]][at[1]] = value
+        with pytest.raises(ValueError, match="not antisymmetric"):
+            pfaffian(m)
+
 
 @st.composite
 def square_matrices(draw):
@@ -225,20 +255,23 @@ def square_matrices(draw):
 
 @st.composite
 def skew_matrices(draw):
-    """Antisymmetric matrices with int or half-integer Fraction entries:
-    dense of order up to 8, or sparse (about one entry in four nonzero, so
-    zero pivots and index swaps are common) of order up to 12."""
+    """Antisymmetric matrices with int entries, or Fraction entries whose
+    denominators are drawn per entry from 1, 2, 3, 4 and 6 (so the lcm
+    scaling meets mixed denominators): dense of order up to 8, or sparse
+    (about one entry in four nonzero, so zero pivots and index swaps are
+    common) of order up to 12."""
     sparse = draw(st.booleans())
     n = draw(st.sampled_from((0, 2, 4, 6, 8, 10, 12) if sparse
                              else (0, 2, 4, 6, 8)))
-    half = draw(st.booleans())
+    rational = draw(st.booleans())
     m = [[0] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
             if sparse and draw(st.integers(0, 3)):
                 continue
             x = draw(st.integers(-8, 8))
-            m[i][j] = Fraction(x, 2) if half else x
+            m[i][j] = Fraction(x, draw(st.sampled_from((1, 2, 3, 4, 6)))) \
+                if rational else x
             m[j][i] = -m[i][j]
     return m
 
@@ -284,8 +317,9 @@ def test_pfaffian_matches_matching_sum(m):
 @given(skew_matrices())
 def test_integer_matrix_matches_fraction_twin(m):
     # an int matrix passes unscaled; its Fraction(k, 1) twin, and a twin
-    # with Fractions above the diagonal only, take the scaled path
-    ints = [[int(2 * x) for x in row] for row in m]
+    # with Fractions above the diagonal only, take the scaled path (12 is
+    # the lcm of skew_matrices' denominators)
+    ints = [[int(12 * x) for x in row] for row in m]
     twin = [[Fraction(x) for x in row] for row in ints]
     upper = [[Fraction(x) if i < j else x for j, x in enumerate(row)]
              for i, row in enumerate(ints)]

@@ -159,9 +159,9 @@ def cmd_enumerate(args) -> int:
             valence_filter = _enum.ALL
         else:
             valence_filter = _enum.TRIVALENT
-        valence_filter = _enum.fatgraph_filter(g, valence_filter)
-        closed = _enum.fatgraph_closed_count(g, valence_filter)
+        # the door checks the filter before the closed count reads it
         census = _build_workspace(args).fatgraph_census(g, valence_filter)
+        closed = _enum.fatgraph_closed_count(g, valence_filter)
     row = _int.IntegralReport("census", "classes", len(census), closed,
                               census.orbifold_sum(), census.descriptor)
     _emit([_report_row(row)], args.format, "enumerate", sys.stdout)

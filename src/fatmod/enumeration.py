@@ -17,15 +17,15 @@ obtained.  Tree censuses are read off contour words (``trees._classes``),
 and ``hyperelliptic`` enters each doubled tree by :func:`word_entry` on
 its doubled word, as a class of the all-valence census of its genus.
 
-There is one search, for the trivalent census (E = 6g - 3, every
-sigma-cycle of length three).  It pairs the least unpaired slot with each
-later one in turn.  The links t(p) = alpha(p) + 1 made so far form open
-paths and closed 3-cycles, the vertices.  The search state is ``alpha``,
-the gap of each paired slot, and, at both endpoints of each open path, its
-other endpoint and its slot count, so a pair is linked and checked in O(1)
-with no path walked.  A path of three slots is closed as soon as it forms
-(forced closure).  Each node copies the state once and restores it by
-slice assignment after each try.  Two cuts keep the search small:
+There is one search, :func:`enumerate_fatgraphs`, and it builds only the
+trivalent census (E = 6g - 3, every sigma-cycle of length three).  It
+pairs the least unpaired slot with each later one in turn.  The links
+t(p) = alpha(p) + 1 made so far form open paths and closed 3-cycles, the
+vertices.  The search state is ``alpha``, the gap of each paired slot,
+and, at both endpoints of each open path, its other endpoint and its slot
+count, so a pair is linked and checked in O(1) with no path walked.  A
+path of three slots is closed as soon as it forms (forced closure).  Each
+node copies the state once and restores it by slice assignment after each try.  Two cuts keep the search small:
 
 * a pair whose links would make a path longer than three slots, or close
   one shorter, is skipped before anything is written;
@@ -43,6 +43,8 @@ a non-loop edge deletes its two slots from the word (:func:`collapse_word`).
 The all-valence census is the union of the levels E = 6g-3 .. 2g, and
 ("single", k) is level E = 6g - k, each step collapsing only edges at the
 one non-trivalent vertex.  So :func:`check_edge_cap` reads 6g - 3 edges.
+Only ``Workspace.fatgraph_census``, the one door to every fatgraph census,
+checks a filter (:func:`fatgraph_filter`) and runs the search or closure.
 
 Closed counts read no census.  Each vertex profile that a fatgraph census
 holds (:func:`fatgraph_profiles`, also the membership rule of
@@ -346,27 +348,10 @@ def check_edge_cap(g: int, valence_filter, cap_edges=None) -> None:
                             % (6 * g - 3, cap_edges))
 
 
-def _trivalent_census(g: int) -> OrbifoldCensus:
-    """The trivalent census of genus g; the search emits it in key order."""
-    top = 6 * g - 3
-    m = 2 * top
-    entries = []
-    for alpha in _trivalent_pairings(top):
-        word = canonical_gap_word(alpha)
-        if word != tuple((alpha[p] - p) % m for p in range(m)):
-            raise AssertionError("search emitted a non-canonical pairing")
-        if entries and word <= entries[-1].key:
-            raise AssertionError("search emitted a class twice or out of "
-                                 "order")
-        entries.append(word_entry(word, g, TRIVALENT))
-    return OrbifoldCensus(fatgraph_descriptor(g, TRIVALENT), tuple(entries))
-
-
 def collapse_closure(trivalent, g: int, valence_filter) -> OrbifoldCensus:
-    """The census of ``valence_filter`` in genus g, collapsed level by level
-    from the keys of ``trivalent``, the trivalent census of genus g."""
-    if valence_filter == TRIVALENT:
-        return trivalent
+    """The census of ``valence_filter``, ``"all"`` or ``("single", k)`` with
+    k > 3, in genus g, collapsed level by level from the keys of
+    ``trivalent``, the trivalent census of genus g."""
     # each collapse removes one edge, down to one vertex at E = 2g
     steps = 4 * g - 3 if valence_filter == ALL else valence_filter[1] - 3
     words = level = {entry.key for entry in trivalent}
@@ -418,12 +403,11 @@ def word_entry(word, g: int, valence_filter) -> CensusEntry:
 
 
 def fatgraph_filter(g: int, valence_filter):
-    """The filter of the census that ``enumerate_fatgraphs(g,
-    valence_filter)`` builds, with ``("single", 3)`` read as
-    ``"trivalent"``, so each census has one descriptor.
-
-    Raises WrongType for g < 1 and for a single k-valent vertex with k < 3
-    or k > 4g (E = 6g - k edges, fewer than the 2g of one vertex).
+    """The filter of the census ``Workspace.fatgraph_census(g,
+    valence_filter)`` returns: ``"trivalent"``, ``"all"`` or ``("single",
+    k)``, with ``("single", 3)`` read as ``"trivalent"``, so each census
+    has one descriptor.  Raises WrongType for g < 1, any other filter, or
+    k outside 3..4g (E = 6g - k edges, fewer than the 2g of one vertex).
 
     >>> fatgraph_filter(2, ("single", 3))
     'trivalent'
@@ -433,6 +417,11 @@ def fatgraph_filter(g: int, valence_filter):
                         % g)
     if valence_filter in (TRIVALENT, ALL):
         return valence_filter
+    if not (isinstance(valence_filter, tuple) and len(valence_filter) == 2
+            and valence_filter[0] == "single"
+            and isinstance(valence_filter[1], int)):
+        raise WrongType("a census filter is %r, %r or ('single', k) with "
+                        "an int k, got %r" % (TRIVALENT, ALL, valence_filter))
     k = valence_filter[1]
     if not 3 <= k <= 4 * g:
         raise WrongType("a single k-valent vertex in genus %d needs "
@@ -441,8 +430,9 @@ def fatgraph_filter(g: int, valence_filter):
 
 
 def fatgraph_descriptor(g: int, valence_filter) -> str:
-    """Descriptor of the census built by enumerate_fatgraphs; it also names
-    the census's cache file."""
+    """Descriptor of the census ``Workspace.fatgraph_census(g,
+    valence_filter)`` returns, for a filter that :func:`fatgraph_filter`
+    has normalized; it also names the census's cache file."""
     return "fatgraphs g=%d n=1 filter=%s" % (
         g, valence_filter if isinstance(valence_filter, str)
         else "single%d" % valence_filter[1])
@@ -512,8 +502,9 @@ def fatgraph_profiles(g: int, valence_filter) -> tuple:
 
 
 def fatgraph_closed_count(g: int, valence_filter) -> Fraction:
-    """Closed orbifold count sum(1/|Aut|) of the census built by
-    enumerate_fatgraphs: each profile's rooted count over 2E.
+    """Closed orbifold count sum(1/|Aut|) of the census
+    ``Workspace.fatgraph_census(g, valence_filter)``, for a valid filter
+    (:func:`fatgraph_filter`): each profile's rooted count over 2E.
 
     >>> fatgraph_closed_count(2, TRIVALENT), fatgraph_closed_count(1, ALL)
     (Fraction(35, 6), Fraction(5, 12))
@@ -522,20 +513,24 @@ def fatgraph_closed_count(g: int, valence_filter) -> Fraction:
                for profile in fatgraph_profiles(g, valence_filter))
 
 
-def enumerate_fatgraphs(g: int, valence_filter=TRIVALENT,
+def enumerate_fatgraphs(g: int,
                         cap_edges: Optional[int] = None) -> OrbifoldCensus:
-    """Census of fatgraph isomorphism classes of type (g, 1), g >= 1.
-
-    ``valence_filter`` is ``"trivalent"``, ``"all"`` (valences >= 3), or
-    ``("single", k)`` for one k-valent vertex, 3 <= k <= 4g, among
-    trivalent ones; ``("single", 3)`` is the trivalent census.  Raises
-    WrongType for g < 1 or k outside 3..4g (:func:`fatgraph_filter`) and
-    ResourceLimit when the 6g - 3 edges of the trivalent census, which
-    every census is collapsed from, exceed the cap.
-    """
-    valence_filter = fatgraph_filter(g, valence_filter)
-    check_edge_cap(g, valence_filter, cap_edges)
-    return collapse_closure(_trivalent_census(g), g, valence_filter)
+    """The trivalent census of type (g, 1), g >= 1 (the workspace door
+    checks g), by the one search, which emits each class once, in key
+    order.  Raises ResourceLimit past the cap (:func:`check_edge_cap`)."""
+    check_edge_cap(g, TRIVALENT, cap_edges)
+    top = 6 * g - 3
+    m = 2 * top
+    entries = []
+    for alpha in _trivalent_pairings(top):
+        word = canonical_gap_word(alpha)
+        if word != tuple((alpha[p] - p) % m for p in range(m)):
+            raise AssertionError("search emitted a non-canonical pairing")
+        if entries and word <= entries[-1].key:
+            raise AssertionError("search emitted a class twice or out of "
+                                 "order")
+        entries.append(word_entry(word, g, TRIVALENT))
+    return OrbifoldCensus(fatgraph_descriptor(g, TRIVALENT), tuple(entries))
 
 
 def tree_descriptor(leaf_count: int, profile: str, rooting: str) -> str:

@@ -44,13 +44,15 @@ class Workspace:
         return self.fatgraph_census(g, _enum.ALL)
 
     def fatgraph_census(self, g: int, valence_filter) -> OrbifoldCensus:
-        """The census that ``fatgraph_descriptor(g, valence_filter)`` names:
-        kept, read from its file, or built and written.  A trivalent census
-        is searched, any other collapsed from this workspace's trivalent
-        census once the cap allows it.  Raises CacheError, keeping and
-        writing nothing, for a census that misses a closed count
-        (:func:`_check_rooted_counts`) or, when building is disabled, is
-        not on disk."""
+        """The one door to every fatgraph census, of genus g and
+        ``valence_filter`` (``enumeration.fatgraph_filter`` normalizes it
+        or raises WrongType): kept, read from its file, or built and
+        written.  A trivalent census is searched, any other collapsed from
+        this workspace's trivalent census once the cap allows it.  Raises
+        CacheError, keeping and writing nothing, for a census that misses a
+        closed count (:func:`_check_rooted_counts`) or, when building is
+        disabled, is not on disk."""
+        valence_filter = _enum.fatgraph_filter(g, valence_filter)
         descriptor = _enum.fatgraph_descriptor(g, valence_filter)
         census = self._store.get(descriptor)
         if census is not None:

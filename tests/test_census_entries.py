@@ -3,14 +3,15 @@ labels, and agree with the explicit search in ``oracles``; word entries,
 tree entries, cell entries and the cache loader agree with the graph-based
 references (``Fatgraph.canonical_key`` and ``Fatgraph.aut_order``)."""
 
+import random
 from functools import lru_cache
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from fatmod.cache import cache_path, save_records
-from fatmod.enumeration import ALL, TRIVALENT, enumerate_fatgraphs, \
-    enumerate_trees, fatgraph_descriptor, word_entry
+from fatmod.enumeration import ALL, TRIVALENT, enumerate_trees, \
+    fatgraph_descriptor, word_entry
 from fatmod.errors import CacheError, MalformedGraph, WrongType
 from fatmod.fatgraph import Fatgraph, least_rotation
 from fatmod.trees import MARKED, ONE5, TRIVALENT as TREE_TRIVALENT, \
@@ -26,8 +27,8 @@ def _one_boundary_censuses():
     censuses = {}
     ws = Workspace()
     for g in (1, 2):
-        censuses["trivalent-g%d" % g] = enumerate_fatgraphs(g, TRIVALENT)
-        censuses["all-g%d" % g] = enumerate_fatgraphs(g, ALL)
+        censuses["trivalent-g%d" % g] = ws.trivalent_census(g)
+        censuses["all-g%d" % g] = ws.all_valence_census(g)
     for g in (1, 2, 3):
         censuses["cells-g%d" % g] = ws.hyperelliptic_census(g)
     for g in (2, 3):
@@ -118,12 +119,12 @@ def test_half_turn_is_the_only_hyperelliptic_involution(graph):
 @pytest.mark.parametrize("valence_filter",
                          [TRIVALENT, ("single", 4), ("single", 5)],
                          ids=["trivalent", "single4", "single5"])
-def test_fatgraph_census_membership(valence_filter):
+def test_fatgraph_census_membership(valence_filter, ws):
     # of the all-valence censuses at g = 1, 2, the members of a census are
     # exactly its classes, and no class is of another genus's census; a
     # single k-valent vertex with k > 4g is refused, and no class is of it
     for g in (1, 2):
-        pool = enumerate_fatgraphs(g, ALL)
+        pool = ws.all_valence_census(g)
         assert all(in_fatgraph_census(e.graph, g, ALL) for e in pool)
         assert not any(in_fatgraph_census(e.graph, 3 - g, ALL)
                        for e in pool)
@@ -132,9 +133,9 @@ def test_fatgraph_census_membership(valence_filter):
         if valence_filter != TRIVALENT and valence_filter[1] > 4 * g:
             assert not members
             with pytest.raises(WrongType):
-                enumerate_fatgraphs(g, valence_filter)
+                ws.fatgraph_census(g, valence_filter)
             continue
-        assert members == {e.key for e in enumerate_fatgraphs(
+        assert members == {e.key for e in ws.fatgraph_census(
             g, valence_filter)}
 
 
@@ -263,8 +264,8 @@ def test_one_scan_matches_brute_force(word):
     assert least_rotation(word) == least_rotation_by_brute_force(word)
 
 
-RECORD_CENSUSES = {(g, valence_filter): enumerate_fatgraphs(g, valence_filter)
-                   for g in (1, 2) for valence_filter in (TRIVALENT, ALL)}
+RECORD_CENSUSES = {(g, valence_filter): Workspace().fatgraph_census(
+    g, valence_filter) for g in (1, 2) for valence_filter in (TRIVALENT, ALL)}
 RECORD_EDITS = ("rotate", "change", "swap", "aut", "flag", "odd-length",
                 "involution", "other-genus")
 
@@ -329,3 +330,81 @@ def test_loader_matches_graph_based_reference(record_dir, case):
     else:
         [entry] = census
         assert (entry.key, entry.aut_order) == want
+
+
+TAMPER_EDITS = ("drop", "duplicate", "swap", "aut", "entry", "rotate",
+                "count", "header")
+
+
+def tamper(lines, edit, rng):
+    """The cache file ``lines`` with one seeded edit of the kind ``edit``;
+    a deletion or a duplicate fixes the ``count=`` line half the time."""
+    head, body = lines[:3], lines[3:]
+    i = rng.randrange(len(body))
+    aut, word = body[i].split(" | ")
+    word = word.split(",")
+    if edit == "drop":
+        for _ in range(min(rng.choice((1, 2)), len(body))):
+            del body[rng.randrange(len(body))]
+    elif edit == "duplicate":
+        body.insert(rng.randrange(len(body) + 1), body[i])
+    elif edit == "swap":
+        j = rng.randrange(len(body))
+        body[i], body[j] = body[j], body[i]
+    elif edit == "aut":
+        body[i] = "%d | %s" % (rng.choice((0, 1, 2 * int(aut), rng.randint(
+            1, 2 * len(word)))), ",".join(word))
+    elif edit == "entry":
+        word[rng.randrange(len(word))] = str(rng.randint(-1, len(word)))
+        body[i] = "%s | %s" % (aut, ",".join(word))
+    elif edit == "rotate":
+        r = rng.randrange(1, len(word))
+        body[i] = "%s | %s" % (aut, ",".join(word[r:] + word[:r]))
+    elif edit == "count":
+        head[2] = rng.choice(["count=%d" % (len(body) + d) for d in
+                              (-2, -1, 1, 2)] + ["count=", "count=x",
+                                                 "cnt=%d" % len(body)])
+    else:
+        k = rng.randrange(2)
+        head[k] = rng.choice(
+            ("fatmod-census 2", "fatmod-census", "", head[k] + " ",
+             fatgraph_descriptor(1, TRIVALENT), fatgraph_descriptor(2, ALL)))
+    if edit in ("drop", "duplicate") and rng.random() < 0.5:
+        head[2] = "count=%d" % len(body)
+    return head + body
+
+
+def test_tampered_cache_file_is_refused_or_true(tmp_path):
+    # seeded edits of the true g = 1, 2 trivalent and all-valence files:
+    # a --no-build read refuses the file or loads the true census, key for
+    # key and |Aut| for |Aut|
+    truth = Workspace(cache_dir=tmp_path / "true")
+    rng = random.Random(33)
+    outcomes = dict.fromkeys(TAMPER_EDITS, "")
+    for g in (1, 2):
+        for valence_filter in (TRIVALENT, ALL):
+            census = truth.fatgraph_census(g, valence_filter)
+            want = [(e.key, e.aut_order) for e in census]
+            path = cache_path(tmp_path / "true", census.descriptor)
+            lines = path.read_text().splitlines()
+            victim = cache_path(tmp_path / "edited", census.descriptor)
+            victim.parent.mkdir(exist_ok=True)
+            for edit in TAMPER_EDITS:
+                for _ in range(24):
+                    edited = tamper(list(lines), edit, rng)
+                    victim.write_text("\n".join(edited) + "\n")
+                    try:
+                        got = Workspace(cache_dir=victim.parent,
+                                        no_build=True).fatgraph_census(
+                            g, valence_filter)
+                    except CacheError:
+                        outcomes[edit] += "r"
+                    else:
+                        assert [(e.key, e.aut_order) for e in got] == \
+                            want, edited
+                        outcomes[edit] += "="
+    # swaps only reorder records, so they always load; every other kind
+    # of edit was refused at least once
+    assert all(len(seen) == 96 for seen in outcomes.values()), outcomes
+    assert set(outcomes.pop("swap")) == {"="}, outcomes
+    assert all("r" in seen for seen in outcomes.values()), outcomes

@@ -1,3 +1,4 @@
+import inspect
 import sys
 from fractions import Fraction
 
@@ -11,7 +12,8 @@ from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT,
                                 enumerate_trees, fatgraph_closed_count,
                                 fatgraph_profiles, rooted_one_face_count,
                                 tree_closed_count)
-from fatmod.errors import ResourceLimit
+from fatmod.cache import cache_path
+from fatmod.errors import ResourceLimit, WrongType
 from fatmod.fatgraph import Fatgraph, least_rotation
 from fatmod.trees import LEAF, ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
     PlanarTree, _shapes, build_rooted_tree, odd_valence_shapes, \
@@ -66,13 +68,13 @@ class TestCatalan:
 
 class TestFatgraphCensus:
     def test_torus_trivalent(self):
-        census = enumerate_fatgraphs(1, TRIVALENT)
+        census = enumerate_fatgraphs(1)
         assert len(census) == 1
         assert census.entries[0].aut_order == 6
         assert census.orbifold_sum() == Fraction(1, 6)
 
-    def test_torus_all_valences(self):
-        census = enumerate_fatgraphs(1, ALL)
+    def test_torus_all_valences(self, ws):
+        census = ws.all_valence_census(1)
         assert len(census) == 2
         facts = sorted((e.graph.num_edges, e.aut_order) for e in census)
         assert facts == [(2, 4), (3, 6)]
@@ -85,34 +87,34 @@ class TestFatgraphCensus:
         assert collapsed.canonical_key() == by_edges[2].canonical_key()
 
     def test_genus_two_weighted_count(self):
-        census = enumerate_fatgraphs(2, TRIVALENT)
+        census = enumerate_fatgraphs(2)
         assert census.orbifold_sum() == Fraction(35, 6)
 
     def test_word_aut_orders_match_group_search(self):
-        for entry in enumerate_fatgraphs(2, TRIVALENT):
+        for entry in enumerate_fatgraphs(2):
             assert entry.aut_order == \
                 automorphism_order_bruteforce(entry.graph)
 
-    def test_single_k_filter(self):
-        census = enumerate_fatgraphs(2, ("single", 5))
+    def test_single_k_filter(self, ws):
+        census = ws.fatgraph_census(2, ("single", 5))
         assert len(census) > 0
         for e in census:
             assert sorted(e.graph.valences) == [3, 3, 3, 5]
 
     def test_resource_limit(self):
         with pytest.raises(ResourceLimit):
-            enumerate_fatgraphs(4, TRIVALENT)
+            enumerate_fatgraphs(4)
         with pytest.raises(ResourceLimit):
-            enumerate_fatgraphs(3, ALL)
+            Workspace().all_valence_census(3)
         # every census is collapsed from the trivalent one, so the cap
         # reads 6g - 3 edges for a single-k census too
         with pytest.raises(ResourceLimit):
-            enumerate_fatgraphs(4, ("single", 16))
+            Workspace().fatgraph_census(4, ("single", 16))
 
-    def test_genus_three_single_k(self):
+    def test_genus_three_single_k(self, ws):
         # 71575 rooted one-face maps with one 8-valent and four trivalent
         # vertices, by the Frobenius character count of that degree profile
-        census = enumerate_fatgraphs(3, ("single", 8))
+        census = ws.fatgraph_census(3, ("single", 8))
         assert len(census) == 3606
         assert census.orbifold_sum(
             weight=lambda e: 2 * e.graph.num_edges) == 71575
@@ -121,7 +123,8 @@ class TestFatgraphCensus:
                                                           monkeypatch):
         # once the workspace holds the trivalent census, the all-valence
         # census is derived from it with no search
-        want = [(e.key, e.aut_order) for e in enumerate_fatgraphs(2, ALL)]
+        want = [(e.key, e.aut_order)
+                for e in Workspace().all_valence_census(2)]
         ws = Workspace()
         ws.trivalent_census(2)
 
@@ -131,9 +134,33 @@ class TestFatgraphCensus:
         assert [(e.key, e.aut_order)
                 for e in ws.all_valence_census(2)] == want
 
+    def test_search_builds_only_the_trivalent_census(self, tmp_path):
+        # the search takes no filter; at the door ("single", 3) is the
+        # trivalent census itself, under one descriptor and in one file
+        assert list(inspect.signature(enumerate_fatgraphs).parameters) == \
+            ["g", "cap_edges"]
+        ws = Workspace(cache_dir=tmp_path)
+        census = ws.fatgraph_census(2, ("single", 3))
+        assert census is ws.trivalent_census(2)
+        assert census.descriptor == "fatgraphs g=2 n=1 filter=trivalent"
+        assert [p.name for p in tmp_path.iterdir()] == \
+            [cache_path(tmp_path, census.descriptor).name]
+
+    @pytest.mark.parametrize("g,valence_filter", [
+        (2, ("single", 2)), (2, ("single", 9)), (2, "bogus"),
+        (2, ("single", "5")), (2, ["single", 5]), (2, ("single",)),
+        (2, None), (0, TRIVALENT), (0, ALL)],
+        ids=["single2", "single9", "bogus", "single-str", "list", "no-k",
+             "none", "trivalent-g0", "all-g0"])
+    def test_door_refuses_bad_filters(self, tmp_path, g, valence_filter):
+        # refused before any file is read, searched or written
+        with pytest.raises(WrongType):
+            Workspace(cache_dir=tmp_path).fatgraph_census(g, valence_filter)
+        assert not list(tmp_path.iterdir())
+
     def test_deterministic_order(self):
-        a = enumerate_fatgraphs(2, TRIVALENT)
-        b = enumerate_fatgraphs(2, TRIVALENT)
+        a = enumerate_fatgraphs(2)
+        b = enumerate_fatgraphs(2)
         assert [e.key for e in a] == [e.key for e in b]
 
 
@@ -203,8 +230,8 @@ class TestCensusCompleteness:
     @pytest.mark.parametrize("g,n", [(1, 1), (2, 1)])
     def test_small_all_valence_censuses(self, g, n):
         reps, oracle_orders = naive_census(g, n, max_edges=5)
-        census = enumerate_fatgraphs(g, ALL,
-                                     cap_edges=max(5, 3 * (2 * g - 2 + n)))
+        census = Workspace(cap_edges=max(5, 3 * (2 * g - 2 + n))
+                           ).all_valence_census(g)
         mine = [e for e in census if e.graph.num_edges <= 5]
         assert len(mine) == len(reps)
         assert sorted(e.aut_order for e in mine) == oracle_orders
@@ -228,7 +255,7 @@ class TestCensusCompleteness:
         "all-g2-E5", "all-g2-E6", "all-g2-E7", "single5-g2-E7",
         "single6-g2-E6", "single7-g2-E5", "single8-g2-E4"])
     def test_orderly_census_matches_bruteforce(self, g, valence_filter,
-                                               num_edges, classes):
+                                               num_edges, classes, ws):
         # the search emits one pairing per class; the brute force lists every
         # pairing, so it meets each class once per distinct rotation, that is
         # 2E/|Aut| times
@@ -244,17 +271,17 @@ class TestCensusCompleteness:
                 return lengths == want
         counts = one_face_census_bruteforce(num_edges, cycle_ok)
         census = {e.key: e.aut_order
-                  for e in enumerate_fatgraphs(g, valence_filter)
+                  for e in ws.fatgraph_census(g, valence_filter)
                   if e.graph.num_edges == num_edges}
         assert len(counts) == classes
         assert set(counts) == set(census)
         for key, count in counts.items():
             assert count * census[key] == 2 * num_edges
 
-    def test_gluing_census_matches_word_census(self):
+    def test_gluing_census_matches_word_census(self, ws):
         # same machinery cross-check on (1,1): words vs naive oracle
         reps, orders = naive_census(1, 1, max_edges=3)
-        census = enumerate_fatgraphs(1, ALL)
+        census = ws.all_valence_census(1)
         assert sorted(e.aut_order for e in census) == orders
 
 
@@ -292,10 +319,10 @@ class TestClosedCounts:
         (2, ("single", 7)), (2, ("single", 8))],
         ids=["all-g1", "all-g2", "single5-g2", "single6-g2", "single7-g2",
              "single8-g2"])
-    def test_each_profile_meets_its_census(self, g, valence_filter):
+    def test_each_profile_meets_its_census(self, g, valence_filter, ws):
         # sum 2E/|Aut| over the classes of each profile, the valences read
         # off the graph
-        census = enumerate_fatgraphs(g, valence_filter)
+        census = ws.fatgraph_census(g, valence_filter)
         sums = {}
         for e in census:
             profile = tuple(sorted(e.graph.valences))
@@ -392,14 +419,14 @@ class TestTreeCensus:
 
 class TestOrbifoldSum:
     def test_weight_one(self):
-        census = enumerate_fatgraphs(1, TRIVALENT)
+        census = enumerate_fatgraphs(1)
         assert census.orbifold_sum() == Fraction(1, 6)
 
     def test_empty_census(self):
         assert OrbifoldCensus("empty", ()).orbifold_sum() == 0
 
     def test_weighted(self):
-        census = enumerate_fatgraphs(2, TRIVALENT)
+        census = enumerate_fatgraphs(2)
         assert census.orbifold_sum(weight=lambda e: 6) == 35
 
 
@@ -455,7 +482,7 @@ def test_word_keys_agree_with_canonical_keys():
     # them: census classes pairwise, and each class against a relabeling
     import random
     rng = random.Random(7)
-    census = enumerate_fatgraphs(2, TRIVALENT)
+    census = enumerate_fatgraphs(2)
     graphs = []
     for e in census:
         perm = list(range(e.graph.num_half_edges))
@@ -467,9 +494,9 @@ def test_word_keys_agree_with_canonical_keys():
                 are_isomorphic(G, H)
 
 
-def test_census_graphs_all_valid():
+def test_census_graphs_all_valid(ws):
     for g in (1, 2):
-        for entry in enumerate_fatgraphs(g, ALL):
+        for entry in ws.all_valence_census(g):
             entry.graph._check()
             assert entry.graph.graph_type() == (g, 1)
             assert all(v >= 3 for v in entry.graph.valences)
@@ -477,7 +504,7 @@ def test_census_graphs_all_valid():
 
 CENSUS_GRAPHS = [pytest.param(entry.graph, id="all-g%d-%d" % (g, i))
                  for g in (1, 2)
-                 for i, entry in enumerate(enumerate_fatgraphs(g, ALL))]
+                 for i, entry in enumerate(Workspace().all_valence_census(g))]
 
 
 @pytest.mark.parametrize("graph", CENSUS_GRAPHS)

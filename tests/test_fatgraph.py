@@ -211,12 +211,14 @@ class TestExpansions:
         # weighted count of maximal expansion cells near a single k-valent
         # vertex equals C_{k-2} over the order of the generic-metric
         # stabilizer
-        from fatmod.enumeration import catalan, enumerate_fatgraphs
+        from fatmod.enumeration import catalan
+        from fatmod.workspace import Workspace
         from fractions import Fraction
         if k == 4:
             G = Fatgraph.from_cycles([(0, 1, 2, 3)], [(0, 2), (1, 3)])
         elif k == 5:
-            G = enumerate_fatgraphs(2, ("single", 5)).entries[0].graph
+            G = Workspace().fatgraph_census(
+                2, ("single", 5)).entries[0].graph
         else:
             from fatmod.hyperelliptic import double_tree
             from fatmod.trees import unrooted_trees

@@ -9,8 +9,11 @@ from vertex cycles, and ``oracles.collapse_edge`` is the only collapse on
 vertex cycles: the package collapses boundary words.  The pairing search
 that walks its paths link by link and undoes from a trail is
 ``oracles.trivalent_pairings_reference`` only.  The package's one pairing
-search has one caller, the trivalent census builder, so every other census
-is collapsed from a trivalent census and no census path searches twice.
+search has one caller, ``enumeration.enumerate_fatgraphs``, which builds
+only the trivalent census, so every other census is collapsed from a
+trivalent census and no census path searches twice.  Only the workspace
+door, ``Workspace.fatgraph_census``, checks a census filter, runs the
+search and collapses the other censuses.
 Only fatgraph censuses are cached, so the workspace holds no tree record
 kind, and unrooted tree classes are found among contour words, not among
 built rooted trees.  A fatgraph census class is its gap word: the cache
@@ -141,11 +144,12 @@ def test_one_function_runs_the_pairing_search():
         total += mentions(tree, search)
         for node in ast.walk(tree):
             if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
-                assert node.name != "_one_boundary_census", path.name
+                assert node.name not in ("_one_boundary_census",
+                                         "_trivalent_census"), path.name
                 if node.name != search and mentions(node, search):
                     callers.append("%s.%s" % (path.stem, node.name))
                     inside += mentions(node, search)
-    assert callers == ["enumeration._trivalent_census"]
+    assert callers == ["enumeration.enumerate_fatgraphs"]
     # no module-level alias or import reaches the search either
     assert total == inside
 
@@ -311,6 +315,14 @@ def test_cli_takes_fatgraph_censuses_from_the_workspace():
                         | private)
     for path in SOURCES:
         assert "_get" not in referenced_names(path), path.name
+
+
+@pytest.mark.parametrize("name", ["fatgraph_filter", "enumerate_fatgraphs",
+                                  "collapse_closure"])
+def test_only_the_door_checks_searches_and_collapses(name):
+    # one owner per job: the door normalizes the filter, and only it runs
+    # the search or derives another census from the trivalent one
+    assert functions_mentioning(name) == ["workspace.fatgraph_census"]
 
 
 def test_one_door_writes_and_refuses():

@@ -63,8 +63,7 @@ def load_records(path: Path, descriptor: str):
     lines = text.splitlines()
     if len(lines) < 3:
         raise CacheError("truncated cache file %s" % path)
-    head = lines[0].split()
-    if head[:1] != [HEADER] or head[1:] != [str(FORMAT_VERSION)]:
+    if lines[0] != "%s %d" % (HEADER, FORMAT_VERSION):
         raise CacheError("cache version mismatch in %s" % path)
     if lines[1] != descriptor:
         raise CacheError("cache descriptor mismatch in %s: %r != %r"

@@ -94,29 +94,19 @@ def _emit(rows, fmt, command, stream):
 
 
 def _run_identities(names, args) -> int:
-    """Print one row per identity and parameter; exit 3 on any FAIL."""
-    n_range = _parse_range(args.n, "--n", range(4, 10))
-    g_range = _parse_range(args.g, "--g", None)
+    """Print one row per identity and parameter; exit 3 on any FAIL.  Each
+    identity takes the range of its parameter's option, ``--n`` or
+    ``--g``, or else its default range."""
+    ranges = {p: _parse_range(getattr(args, p), "--" + p, None)
+              for p in ("n", "g")}
     ws = _build_workspace(args)
     rows = []
     for name in names:
         param_name, func = _int.IDENTITIES[name]
-        if name == "genus0":
-            params = n_range
-        else:
-            params = g_range or _default_g_range(name)
-        for value in params:
+        for value in ranges[param_name] or _int.TABLE[name].default:
             rows.append(_report_row(func(value, ws)))
     _emit(rows, args.format, args.command, sys.stdout)
     return 0 if all(row["match"] for row in rows) else 3
-
-
-def _default_g_range(name):
-    if name in ("w1h", "boundary", "corollary"):
-        return range(2, 4)
-    if name == "euler":
-        return range(1, 3)
-    return range(1, 4)
 
 
 # the options of one census kind, which the other kind refuses; a tree
@@ -224,8 +214,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify = sub.add_parser("verify", help="evaluate identities exactly")
     p_verify.add_argument("--identity", choices=tuple(_int.IDENTITIES))
     p_verify.add_argument("--g", help="genus or range A..B")
-    p_verify.add_argument("--n", help="marked-point count or range A..B "
-                          "(genus0)")
+    p_verify.add_argument("--n", help="marked-point count or range A..B")
     p_verify.add_argument("--no-build", dest="no_build", action="store_true")
     _add_common(p_verify)
     p_verify.set_defaults(func=cmd_verify)
@@ -233,7 +222,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_report = sub.add_parser("report", help="consolidated report")
     p_report.add_argument("--identities", help="comma-separated subset")
     p_report.add_argument("--g", help="genus or range A..B")
-    p_report.add_argument("--n", help="marked-point range for genus0")
+    p_report.add_argument("--n", help="marked-point count or range A..B")
     p_report.add_argument("--no-build", dest="no_build", action="store_true")
     _add_common(p_report)
     p_report.set_defaults(func=cmd_report)

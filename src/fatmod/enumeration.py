@@ -402,6 +402,12 @@ def word_entry(word, g: int, valence_filter) -> CensusEntry:
     return CensusEntry(tuple(word), m // period)
 
 
+def _check_genus(g: int) -> None:
+    if g < 1:
+        raise WrongType("censuses need type (g,1) with g >= 1, got (%d,1)"
+                        % g)
+
+
 def fatgraph_filter(g: int, valence_filter):
     """The filter of the census ``Workspace.fatgraph_census(g,
     valence_filter)`` returns: ``"trivalent"``, ``"all"`` or ``("single",
@@ -412,9 +418,7 @@ def fatgraph_filter(g: int, valence_filter):
     >>> fatgraph_filter(2, ("single", 3))
     'trivalent'
     """
-    if g < 1:
-        raise WrongType("censuses need type (g,1) with g >= 1, got (%d,1)"
-                        % g)
+    _check_genus(g)
     if valence_filter in (TRIVALENT, ALL):
         return valence_filter
     if not (isinstance(valence_filter, tuple) and len(valence_filter) == 2
@@ -515,9 +519,10 @@ def fatgraph_closed_count(g: int, valence_filter) -> Fraction:
 
 def enumerate_fatgraphs(g: int,
                         cap_edges: Optional[int] = None) -> OrbifoldCensus:
-    """The trivalent census of type (g, 1), g >= 1 (the workspace door
-    checks g), by the one search, which emits each class once, in key
-    order.  Raises ResourceLimit past the cap (:func:`check_edge_cap`)."""
+    """The trivalent census of type (g, 1), g >= 1, by the one search,
+    which emits each class once, in key order.  Raises WrongType for
+    g < 1 and ResourceLimit past the cap (:func:`check_edge_cap`)."""
+    _check_genus(g)
     check_edge_cap(g, TRIVALENT, cap_edges)
     top = 6 * g - 3
     m = 2 * top

@@ -31,11 +31,11 @@ from fractions import Fraction
 from itertools import product
 from typing import NamedTuple
 
-from .enumeration import (ALL, OrbifoldCensus, catalan, catalan5,
+from .enumeration import (ALL, OrbifoldCensus, tree_closed_count,
                           vertex_profile, word_entry)
 from .errors import BadLeafCount, MalformedGraph, NotSymmetric, WrongType
 from .fatgraph import Fatgraph, least_rotation, word_vertices
-from .trees import PlanarTree
+from .trees import MARKED, ONE5, PlanarTree
 
 W1_MULTIPLICITY_5VALENT = 2   # two swapped 5-valent vertices per cell
 W1_MULTIPLICITY_6VALENT = 3   # three sheets through a fixed 6-valent vertex
@@ -48,7 +48,7 @@ class HyperellipticCell(NamedTuple):
     word, and the embedding of tree metrics into graph metrics as
     ``edge_map[e] = (tree edge, scale factor)`` per edge e of the doubled
     word, both words' edges numbered by first slot (as ``Fatgraph.from_word``
-    numbers them).  The doubled graph and the half-turn are built on read.
+    numbers them).  The doubled graph is built on read.
     """
 
     tree_word: tuple
@@ -58,11 +58,6 @@ class HyperellipticCell(NamedTuple):
     @property
     def doubled(self) -> Fatgraph:
         return Fatgraph.from_word(self.word)
-
-    @property
-    def involution(self) -> tuple:
-        m = len(self.word)
-        return tuple((h + m // 2) % m for h in range(m))
 
 
 class W1HComponents(NamedTuple):
@@ -301,16 +296,16 @@ def w1_component2_census(g: int, trees: OrbifoldCensus) -> OrbifoldCensus:
 
 
 def count_t1(g: int) -> Fraction:
-    """Closed-form orbifold count of component-1 cells:
-    C_{5,2g-3} / (2 (2g+1))."""
+    """Closed-form orbifold count of component-1 cells, half the count of
+    their trees: C_{5,2g-3} / (2 (2g+1))."""
     if g < 2:
         raise WrongType("g >= 2 required")
-    return Fraction(catalan5(2 * g + 1), 2 * (2 * g + 1))
+    return tree_closed_count(2 * g + 1, ONE5, "unrooted") / 2
 
 
 def count_t2(g: int) -> Fraction:
-    """Closed-form orbifold count of component-2 cells:
-    (g-1) C_{2g-2} / (2g)."""
+    """Closed-form orbifold count of component-2 cells, half the count of
+    their trees: (g-1) C_{2g-2} / (2g)."""
     if g < 2:
         raise WrongType("g >= 2 required")
-    return Fraction((g - 1) * catalan(2 * g - 2), 2 * g)
+    return tree_closed_count(2 * g, MARKED, "unrooted") / 2

@@ -1,25 +1,30 @@
 """Exact evaluation of the tautological integrals, each by two routes.
 
-Every report carries a closed-form value, which reads no census, and an
-independently assembled value, and they must agree exactly.  The assembled
-route sums Pfaffian cell volumes over a workspace census up to the
-``*_ASSEMBLED_*`` thresholds below.  Beyond them, genus0, hevol, w1h,
-boundary, main-theorem and corollary assemble closed sub-formulas instead,
-so their parameter is unbounded; psi-top and euler have only the census
-route and raise ResourceLimit past the workspace's edge cap.
+An identity registers by one :data:`TABLE` row: its parameter's name and
+least value, the command line's default range, ``closed(p)``, a closed
+formula that takes no workspace, and ``assembled(p, workspace)``, which
+returns ``(value, mode)``.  The ``census`` mode sums Pfaffian cell volumes
+over a workspace census up to the ``*_ASSEMBLED_*`` thresholds below;
+beyond them, genus0, hevol and w1h multiply closed counts by closed cell
+volumes (``formula``), while psi-top and euler raise ResourceLimit past
+the workspace's edge cap.  boundary, main-theorem and corollary add up
+their siblings' assembled values.  :func:`evaluate` builds every report;
+``IDENTITIES`` and the report functions follow from the table.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import partial
 from math import comb, factorial
-from typing import NamedTuple, Optional
+from typing import Callable, NamedTuple, Optional
 
-from .enumeration import catalan
+from .enumeration import catalan, tree_closed_count
 from .errors import WrongType
 from .hyperelliptic import (W1_MULTIPLICITY_5VALENT, W1_MULTIPLICITY_6VALENT,
                             count_t1, count_t2)
 from .kontsevich import hyperelliptic_cell_volume, word_cell_volume
+from .trees import TRIVALENT
 from .workspace import Workspace
 
 KAPPA_DUALITY_DENOMINATOR = 12  # kappa_1 = ([W1] + [boundary]) / 12
@@ -44,171 +49,98 @@ class IntegralReport(NamedTuple):
         return self.value_closed == self.value_assembled
 
 
-def _ws(workspace) -> Workspace:
-    return workspace if workspace is not None else Workspace()
-
-
-def _tree_cell_volume_formula(d: int) -> Fraction:
-    # odd-valence tree with 2d+1 edges: Pfaffian 4**d, half-scaled simplex
-    return Fraction(factorial(d), factorial(2 * d))
+class Identity(NamedTuple):
+    param_name: str                 # "g" or "n"
+    least: int                      # least parameter value
+    default: range                  # the command line's default range
+    closed: Callable[[int], Fraction]
+    assembled: Callable[[int, Workspace], tuple]  # -> (value, mode)
 
 
 def _doubled_cell_volume_formula(d: int) -> Fraction:
     return Fraction(factorial(d), 2 ** d * factorial(2 * d))
 
 
-def psi_top_genus0(n: int, workspace: Optional[Workspace] = None
-                   ) -> IntegralReport:
-    """Top self-intersection of the cotangent class in genus zero: 1.
-
-    Closed route: (n-2)! C_{n-3} (n-3)!/(2n-6)!; assembled route: trees with
-    n-1 labeled leaves times their cell volumes.
-    """
-    if n < 3:
-        raise WrongType("need n >= 3")
-    closed = Fraction(factorial(n - 2) * catalan(n - 3) * factorial(n - 3),
-                      factorial(2 * n - 6))
+def _genus0_assembled(n: int, ws: Workspace):
+    # trees with n-1 labeled leaves times their cell volumes
     if n == 3:
         # the moduli of three marked points is a single unlabeled point
-        return IntegralReport("genus0", "n", n, closed, Fraction(1),
-                              "formula")
+        return Fraction(1), "formula"
     if n <= GENUS0_ASSEMBLED_N:
-        census = _ws(workspace).tree_census(n - 1, "trivalent")
+        census = ws.tree_census(n - 1, TRIVALENT)
         # a tree key is a flagged word, gap + m * flag; the volume reads
         # the gaps alone
-        assembled = census.orbifold_sum(
+        return census.orbifold_sum(
             weight=lambda e: factorial(n - 1) * word_cell_volume(
-                tuple(w % len(e.key) for w in e.key)).value)
-        mode = "census"
-    else:
-        assembled = (Fraction(factorial(n - 2) * catalan(n - 3))
-                     * _tree_cell_volume_formula(n - 3))
-        mode = "formula"
-    return IntegralReport("genus0", "n", n, closed, assembled, mode)
+                tuple(w % len(e.key) for w in e.key)).value), "census"
+    # an odd-valence tree with 2d+1 edges, d = n-3, has Pfaffian 4**d and
+    # cell volume d!/(2d)!
+    return (factorial(n - 1) * tree_closed_count(n - 1, TRIVALENT, "unrooted")
+            * Fraction(factorial(n - 3), factorial(2 * n - 6))), "formula"
 
 
-def psi_top_moduli(g: int, workspace: Optional[Workspace] = None
-                   ) -> IntegralReport:
-    """Top power of the cotangent class over the one-pointed moduli space.
-
-    Closed route: the Witten-Kontsevich value 1/(24^g g!); assembled route:
-    the trivalent census with per-cell Pfaffian volumes.
-    """
-    if g < 1:
-        raise WrongType("need g >= 1")
-    census = _ws(workspace).trivalent_census(g)
-    closed = Fraction(1, 24 ** g * factorial(g))
-    assembled = census.orbifold_sum(
-        weight=lambda e: word_cell_volume(e.key).value)
-    return IntegralReport("psi-top", "g", g, closed, assembled, "census")
+def _psi_top_assembled(g: int, ws: Workspace):
+    # the trivalent census with per-cell Pfaffian volumes
+    return ws.trivalent_census(g).orbifold_sum(
+        weight=lambda e: word_cell_volume(e.key).value), "census"
 
 
-def psi_top_hyperelliptic(g: int, workspace: Optional[Workspace] = None
-                          ) -> IntegralReport:
-    """psi^(2g-1) over the closed hyperelliptic locus:
-    1/(2^(2g) (2g+1)!)."""
-    if g < 1:
-        raise WrongType("need g >= 1")
-    closed = Fraction(1, 2 ** (2 * g) * factorial(2 * g + 1))
+def _hevol_assembled(g: int, ws: Workspace):
     if g <= HYPERELLIPTIC_ASSEMBLED_G:
-        census = _ws(workspace).hyperelliptic_census(g)
-        assembled = census.orbifold_sum(
-            weight=lambda e: hyperelliptic_cell_volume(e.payload).value)
-        mode = "census"
-    else:
-        # orbifold cell count times the common doubled cell volume
-        assembled = (Fraction(catalan(2 * g - 1), 2 * (2 * g + 1))
-                     * _doubled_cell_volume_formula(2 * g - 1))
-        mode = "formula"
-    return IntegralReport("hevol", "g", g, closed, assembled, mode)
+        return ws.hyperelliptic_census(g).orbifold_sum(
+            weight=lambda e: hyperelliptic_cell_volume(e.payload).value), \
+            "census"
+    # orbifold cell count, half the tree count, times the common doubled
+    # cell volume
+    return (tree_closed_count(2 * g + 1, TRIVALENT, "unrooted") / 2
+            * _doubled_cell_volume_formula(2 * g - 1)), "formula"
 
 
-def w1_h_integral(g: int, workspace: Optional[Workspace] = None
-                  ) -> IntegralReport:
-    """psi^(2g-2) over the Witten-cycle intersection with the hyperelliptic
-    locus: (10g^2-13g+3)/(2^(2g-2) (2g+1)!)."""
-    if g < 2:
-        raise WrongType("need g >= 2")
-    closed = Fraction(10 * g * g - 13 * g + 3,
-                      2 ** (2 * g - 2) * factorial(2 * g + 1))
+def _w1h_assembled(g: int, ws: Workspace):
     if g <= W1_ASSEMBLED_G:
-        comps = _ws(workspace).w1_components(g)
+        comps = ws.w1_components(g)
         vol = lambda e: hyperelliptic_cell_volume(e.payload).value
-        assembled = (
-            W1_MULTIPLICITY_5VALENT * comps.component1.orbifold_sum(vol)
-            + W1_MULTIPLICITY_6VALENT * comps.component2.orbifold_sum(vol))
-        mode = "census"
-    else:
-        vol = _doubled_cell_volume_formula(2 * g - 2)
-        assembled = vol * (2 * count_t1(g) + 3 * count_t2(g))
-        mode = "formula"
-    return IntegralReport("w1h", "g", g, closed, assembled, mode)
+        return (W1_MULTIPLICITY_5VALENT * comps.component1.orbifold_sum(vol)
+                + W1_MULTIPLICITY_6VALENT
+                * comps.component2.orbifold_sum(vol)), "census"
+    return (_doubled_cell_volume_formula(2 * g - 2)
+            * (W1_MULTIPLICITY_5VALENT * count_t1(g)
+               + W1_MULTIPLICITY_6VALENT * count_t2(g))), "formula"
 
 
-def boundary_integral(g: int, workspace: Optional[Workspace] = None
-                      ) -> IntegralReport:
-    """psi^(2g-2) over the boundary part of the closed hyperelliptic locus:
-    1/(2^(2g-1) (2g-1)!).
-
-    Assembled as half of the genus-(g-1) hyperelliptic top integral; the
-    factor 1/2 and the exponent shift come from identifying the relevant
-    boundary component with half of the universal curve and applying the
-    string equation.
-    """
-    if g < 2:
-        raise WrongType("need g >= 2")
-    ws = _ws(workspace)
-    closed = Fraction(1, 2 ** (2 * g - 1) * factorial(2 * g - 1))
-    sub = psi_top_hyperelliptic(g - 1, ws)
-    assembled = Fraction(1, 2) * sub.value_assembled
-    return IntegralReport("boundary", "g", g, closed, assembled,
-                          sub.assembled_mode)
+def _boundary_assembled(g: int, ws: Workspace):
+    # half of the genus-(g-1) hyperelliptic top integral; the factor 1/2
+    # and the exponent shift come from identifying the relevant boundary
+    # component with half of the universal curve and applying the string
+    # equation
+    value, mode = _hevol_assembled(g - 1, ws)
+    return Fraction(1, 2) * value, mode
 
 
-def main_theorem(g: int, workspace: Optional[Workspace] = None
-                 ) -> IntegralReport:
-    """kappa_1 psi^(2g-2) over the closed hyperelliptic locus:
-    (2g-1)^2/(2^(2g) (2g+1)!).
-
-    For g >= 2 this is (w1h + boundary)/12 under the duality constant; the
-    g = 1 value is the twelfth of the boundary point weighted by its order-2
-    automorphism group.
-    """
-    if g < 1:
-        raise WrongType("need g >= 1")
-    ws = _ws(workspace)
-    closed = Fraction((2 * g - 1) ** 2, 2 ** (2 * g) * factorial(2 * g + 1))
+def _main_theorem_assembled(g: int, ws: Workspace):
+    # (w1h + boundary)/12 under the duality constant for g >= 2; at g = 1,
+    # the twelfth of the boundary point weighted by its order-2
+    # automorphism group
     if g == 1:
-        assembled = Fraction(1, KAPPA_DUALITY_DENOMINATOR) * Fraction(1, 2)
-        return IntegralReport("main-theorem", "g", 1, closed, assembled,
-                              "formula")
-    w1h = w1_h_integral(g, ws)
-    boundary = boundary_integral(g, ws)
-    assembled = (w1h.value_assembled + boundary.value_assembled) \
-        / KAPPA_DUALITY_DENOMINATOR
-    mode = "census" if "census" in (w1h.assembled_mode,
-                                    boundary.assembled_mode) else "formula"
-    return IntegralReport("main-theorem", "g", g, closed, assembled, mode)
+        return Fraction(1, KAPPA_DUALITY_DENOMINATOR) * Fraction(1, 2), \
+            "formula"
+    w1h, w1h_mode = _w1h_assembled(g, ws)
+    boundary, boundary_mode = _boundary_assembled(g, ws)
+    mode = "census" if "census" in (w1h_mode, boundary_mode) else "formula"
+    return (w1h + boundary) / KAPPA_DUALITY_DENOMINATOR, mode
 
 
-def hodge_corollary(g: int, workspace: Optional[Workspace] = None
-                    ) -> IntegralReport:
-    """The alternating Hodge-integral combination:
-    (14g^2-11g+3)/(3 2^(2g) (2g+1)!).
-
-    Assembled as the main value plus the elliptic-tail boundary term
-    (1/24) / (2^(2g-2) (2g-1)!).
-    """
-    if g < 2:
-        raise WrongType("need g >= 2")
-    ws = _ws(workspace)
-    closed = Fraction(14 * g * g - 11 * g + 3,
-                      3 * 2 ** (2 * g) * factorial(2 * g + 1))
-    main = main_theorem(g, ws)
+def _corollary_assembled(g: int, ws: Workspace):
+    # the main value plus the elliptic-tail boundary term
+    main, mode = _main_theorem_assembled(g, ws)
     tail = ELLIPTIC_TAIL_FACTOR / (2 ** (2 * g - 2) * factorial(2 * g - 1))
-    assembled = main.value_assembled + tail
-    return IntegralReport("corollary", "g", g, closed, assembled,
-                          main.assembled_mode)
+    return main + tail, mode
+
+
+def _euler_assembled(g: int, ws: Workspace):
+    # the alternating sum over the all-valence census, E = len(key) / 2
+    return ws.all_valence_census(g).orbifold_sum(
+        weight=lambda e: (-1) ** (len(e.key) // 2 - 1)), "census"
 
 
 def bernoulli(n: int) -> Fraction:
@@ -228,26 +160,61 @@ def zeta_negative(g: int) -> Fraction:
     return -bernoulli(2 * g) / (2 * g)
 
 
-def euler_report(g: int, workspace: Optional[Workspace] = None
-                 ) -> IntegralReport:
-    """Virtual Euler characteristic via the alternating census sum against
-    the Bernoulli closed form."""
-    if g < 1:
-        raise WrongType("need g >= 1")
-    closed = zeta_negative(g)
-    census = _ws(workspace).all_valence_census(g)
-    assembled = census.orbifold_sum(
-        weight=lambda e: (-1) ** (len(e.key) // 2 - 1))  # E = len(key)/2
-    return IntegralReport("euler", "g", g, closed, assembled, "census")
-
-
-IDENTITIES = {
-    "genus0": ("n", psi_top_genus0),
-    "psi-top": ("g", psi_top_moduli),
-    "hevol": ("g", psi_top_hyperelliptic),
-    "w1h": ("g", w1_h_integral),
-    "boundary": ("g", boundary_integral),
-    "main-theorem": ("g", main_theorem),
-    "corollary": ("g", hodge_corollary),
-    "euler": ("g", euler_report),
+TABLE = {
+    # psi^(n-3) over M_{0,n}, 1: (n-2)! C_{n-3} (n-3)! / (2n-6)!
+    "genus0": Identity("n", 3, range(4, 10), lambda n: Fraction(
+        factorial(n - 2) * catalan(n - 3) * factorial(n - 3),
+        factorial(2 * n - 6)), _genus0_assembled),
+    # psi^(3g-2) over M_{g,1}: the Witten-Kontsevich value 1/(24^g g!)
+    "psi-top": Identity("g", 1, range(1, 4), lambda g: Fraction(
+        1, 24 ** g * factorial(g)), _psi_top_assembled),
+    # psi^(2g-1) over the closed hyperelliptic locus
+    "hevol": Identity("g", 1, range(1, 4), lambda g: Fraction(
+        1, 2 ** (2 * g) * factorial(2 * g + 1)), _hevol_assembled),
+    # psi^(2g-2) over the Witten-cycle intersection with that locus
+    "w1h": Identity("g", 2, range(2, 4), lambda g: Fraction(
+        10 * g * g - 13 * g + 3, 2 ** (2 * g - 2) * factorial(2 * g + 1)),
+        _w1h_assembled),
+    # psi^(2g-2) over the boundary part of the hyperelliptic locus
+    "boundary": Identity("g", 2, range(2, 4), lambda g: Fraction(
+        1, 2 ** (2 * g - 1) * factorial(2 * g - 1)), _boundary_assembled),
+    # kappa_1 psi^(2g-2) over the closed hyperelliptic locus
+    "main-theorem": Identity("g", 1, range(1, 4), lambda g: Fraction(
+        (2 * g - 1) ** 2, 2 ** (2 * g) * factorial(2 * g + 1)),
+        _main_theorem_assembled),
+    # the alternating Hodge-integral combination
+    "corollary": Identity("g", 2, range(2, 4), lambda g: Fraction(
+        14 * g * g - 11 * g + 3, 3 * 2 ** (2 * g) * factorial(2 * g + 1)),
+        _corollary_assembled),
+    # the virtual Euler characteristic of M_{g,1}
+    "euler": Identity("g", 1, range(1, 3), zeta_negative, _euler_assembled),
 }
+
+
+def evaluate(name: str, p: int, workspace: Optional[Workspace] = None
+             ) -> IntegralReport:
+    """The report of identity ``name`` at parameter p, both routes.
+    Raises WrongType below the identity's least parameter."""
+    identity = TABLE[name]
+    if p < identity.least:
+        raise WrongType("need %s >= %d" % (identity.param_name,
+                                           identity.least))
+    value, mode = identity.assembled(
+        p, workspace if workspace is not None else Workspace())
+    return IntegralReport(name, identity.param_name, p, identity.closed(p),
+                          value, mode)
+
+
+psi_top_genus0 = partial(evaluate, "genus0")
+psi_top_moduli = partial(evaluate, "psi-top")
+psi_top_hyperelliptic = partial(evaluate, "hevol")
+w1_h_integral = partial(evaluate, "w1h")
+boundary_integral = partial(evaluate, "boundary")
+main_theorem = partial(evaluate, "main-theorem")
+hodge_corollary = partial(evaluate, "corollary")
+euler_report = partial(evaluate, "euler")
+
+# name -> (parameter name, report function), where the command line looks
+# each identity up
+IDENTITIES = {name: (identity.param_name, partial(evaluate, name))
+              for name, identity in TABLE.items()}

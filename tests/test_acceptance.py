@@ -175,7 +175,7 @@ def test_criterion_10_hyperelliptic_structure():
             iota = cell.doubled.hyperelliptic_involution()
             assert iota is not None
             assert cell.doubled.fixed_cells(iota).total == 2 * g + 2
-            a, b = cut_along_involution(cell.doubled, cell.involution)
+            a, b = cut_along_involution(cell.doubled, iota)
             assert a.canonical_key() == tree.canonical_key()
             assert b.canonical_key() == tree.canonical_key()
     for g in range(2, 7):

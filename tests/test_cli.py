@@ -378,6 +378,24 @@ class TestCache:
                       "--cache", str(tmp_path))
         assert code == 1
 
+    @pytest.mark.parametrize("header", ["%s %d " % (HEADER, FORMAT_VERSION),
+                                        "%s  %d" % (HEADER, FORMAT_VERSION)],
+                             ids=["trailing-blank", "doubled-space"])
+    def test_header_line_is_matched_whole(self, capsys, tmp_path, header):
+        argv = ("verify", "--identity", "psi-top", "--g", "1",
+                "--cache", str(tmp_path))
+        run(capsys, *argv)
+        descriptor = "fatgraphs g=1 n=1 filter=trivalent"
+        victim = cache_path(tmp_path, descriptor)
+        lines = victim.read_text().splitlines()
+        lines[0] = header
+        victim.write_text("\n".join(lines) + "\n")
+        with pytest.raises(CacheError, match="version mismatch"):
+            load_records(victim, descriptor)
+        code, out = run(capsys, *argv, "--no-build")
+        assert code == 1
+        assert out == ""
+
     def test_psi_top_corrupt_aut_order_fails(self, capsys, tmp_path):
         # the load re-derives |Aut|, so the file is rejected before psi-top
         # sums it

@@ -158,6 +158,13 @@ class TestFatgraphCensus:
             Workspace(cache_dir=tmp_path).fatgraph_census(g, valence_filter)
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("g", [0, -1])
+    def test_search_refuses_genus_below_one(self, g):
+        # the search checks g itself, as the door does, and calls no
+        # filter check of the door's
+        with pytest.raises(WrongType, match=r"g >= 1, got \(%d,1\)" % g):
+            enumerate_fatgraphs(g)
+
     def test_deterministic_order(self):
         a = enumerate_fatgraphs(2)
         b = enumerate_fatgraphs(2)

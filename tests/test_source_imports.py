@@ -41,16 +41,25 @@ decides whether a fatgraph census is complete: each of its vertex profiles
 meets its closed rooted count.  The closed counts read no census, and the
 workspace checks them by integer sums in one function, with no collapse
 guard of its own.
+Each identity's closed route is a formula of its parameter alone: it
+names no workspace, census builder, census sum, cell volume or assembled
+route.  The command line names no identity; it looks each one up in
+``integrals.IDENTITIES`` and reads its default range from
+``integrals.TABLE``.
 """
 
 import ast
+import inspect
+import re
 import subprocess
 import sys
+import types
 from pathlib import Path
 
 import pytest
 
 import fatmod
+from fatmod import integrals
 
 PACKAGE = Path(fatmod.__file__).resolve().parent
 TESTS = Path(__file__).resolve().parent
@@ -209,10 +218,19 @@ def test_tree_and_cell_keys_skip_the_gap_word(module):
     assert "canonical_gap_word" not in names
 
 
+def assembled_node(report):
+    """The definition of the assembled route behind the report function
+    ``integrals.report``, which is ``evaluate`` bound to an identity."""
+    bound = getattr(integrals, report)
+    assert bound.func is integrals.evaluate
+    return function_node("integrals",
+                         integrals.TABLE[bound.args[0]].assembled.__name__)
+
+
 @pytest.mark.parametrize("function", ["psi_top_genus0", "psi_top_moduli",
                                       "euler_report"])
 def test_census_sums_read_words(function):
-    assert not mentions(function_node("integrals", function), "graph")
+    assert not mentions(assembled_node(function), "graph")
 
 
 @pytest.mark.parametrize("function", ["word_cell_volume",
@@ -246,7 +264,8 @@ def test_tree_and_cell_censuses_build_no_graph(module, function):
     # a tree or a cell is its boundary word on every census path; a graph,
     # a tree or a doubled graph built there would rebuild what the word
     # already holds
-    node = function_node(module, function)
+    node = (assembled_node(function) if module == "integrals"
+            else function_node(module, function))
     for name in ("Fatgraph", "PlanarTree", "from_word", "graph", "doubled"):
         assert not mentions(node, name), "%s names %s" % (function, name)
 
@@ -362,3 +381,65 @@ def test_one_completeness_check():
     assert functions_mentioning("_check_rooted_counts") == \
         ["workspace.fatgraph_census"]
     assert "orbifold_sum" not in referenced_names(PACKAGE / "workspace.py")
+
+
+# what the assembled routes read: the workspace, its census builders, the
+# census sums and the cell volumes
+ASSEMBLY_NAMES = {
+    "Workspace", "fatgraph_census", "trivalent_census", "all_valence_census",
+    "tree_census", "hyperelliptic_census", "w1_components",
+    "enumerate_fatgraphs", "enumerate_trees", "collapse_closure",
+    "w1_component1_census", "w1_component2_census", "orbifold_sum",
+    "word_cell_volume", "hyperelliptic_cell_volume", "cell_volume",
+    "_doubled_cell_volume_formula", "pfaffian", "omega_matrix", "evaluate"}
+
+
+def code_names(func):
+    """Every global and attribute name the code of func says, with the
+    names of the integrals functions it calls, transitively."""
+    names, todo = set(), [func.__code__]
+    while todo:
+        code = todo.pop()
+        todo += [c for c in code.co_consts if isinstance(c, types.CodeType)]
+        for name in set(code.co_names) - names:
+            names.add(name)
+            target = getattr(integrals, name, None)
+            if isinstance(target, types.FunctionType) and \
+                    target.__module__ == integrals.__name__:
+                todo.append(target.__code__)
+    return names
+
+
+@pytest.mark.parametrize("name", list(integrals.TABLE))
+def test_closed_routes_read_no_census(name):
+    # the closed route is a formula of the parameter alone: it takes no
+    # workspace and shares nothing with any identity's assembled route
+    closed = integrals.TABLE[name].closed
+    assert list(inspect.signature(closed).parameters) in (["g"], ["n"])
+    assembled = {identity.assembled.__name__
+                 for identity in integrals.TABLE.values()}
+    assert not code_names(closed) & (ASSEMBLY_NAMES | assembled)
+
+
+def test_identities_follow_the_table():
+    # the command line looks each identity up here, as (parameter name,
+    # report function) pairs, in the table's order
+    assert list(integrals.IDENTITIES) == list(integrals.TABLE)
+    for name, value in integrals.IDENTITIES.items():
+        assert isinstance(value, tuple) and len(value) == 2
+        assert value[0] == integrals.TABLE[name].param_name
+        assert value[1].func is integrals.evaluate
+        assert value[1].args == (name,)
+
+
+def test_cli_names_no_identity():
+    # the identity table holds every identity's parameter and default
+    # range; the command line reads them from it
+    path = PACKAGE / "cli.py"
+    word = re.compile(r"(?<![\w-])(%s)(?![\w-])"
+                      % "|".join(map(re.escape, integrals.TABLE)))
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Constant) and isinstance(node.value, str):
+            assert not word.search(node.value), node.value
+    assert not referenced_names(path) & (set(integrals.TABLE)
+                                         | {"_default_g_range"})

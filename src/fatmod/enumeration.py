@@ -65,7 +65,7 @@ from typing import Callable, NamedTuple, Optional
 
 from . import trees as _trees
 from .errors import MalformedGraph, ResourceLimit, WrongType
-from .fatgraph import Fatgraph, least_rotation, word_vertices
+from .fatgraph import Fatgraph, least_rotation, word_pairs, word_vertices
 
 DEFAULT_CAP_EDGES = 15          # trivalent / single-k censuses (genus <= 3)
 DEFAULT_CAP_EDGES_ALL = 9       # all-valence censuses (genus <= 2)
@@ -100,9 +100,9 @@ def catalan5(k: int) -> int:
 
 
 class CensusEntry(NamedTuple):
-    """One class of a census: its key, |Aut| and an optional payload.
-    It holds no graph: ``graph`` builds ``Fatgraph.from_word(key)`` on
-    each read, and the package never reads it."""
+    """One class of a census: its key, |Aut| and an optional payload (a
+    fatgraph class's vertex profile, a doubled tree's cell).  It holds no
+    graph: ``graph`` builds ``Fatgraph.from_word(key)`` on each read."""
 
     key: tuple
     aut_order: int
@@ -371,23 +371,18 @@ def word_entry(word, g: int, valence_filter) -> CensusEntry:
     the census that ``fatgraph_descriptor(g, valence_filter)`` names.  The
     entry holds no graph, and |Aut| is 2E over the word's rotation period,
     read off the same scan of its rotations that checks it is its own
-    least rotation.
+    least rotation.  Its payload is its vertex profile, the census's own
+    tuple (:func:`fatgraph_profiles`), which the rooted-count check reads.
 
-    Raises MalformedGraph unless the word pairs its m slots (m even and
-    nonzero, every gap in 1..m-1, the pairing an involution), every cycle
-    of ``sigma = alpha + 1`` has length at least three, and the word is its
-    own least rotation; raises WrongType for a graph outside the census.
-    The graph is connected with one boundary cycle, as ``phi(h) = h + 1``.
+    Raises MalformedGraph unless the word pairs its slots (``word_pairs``),
+    every cycle of ``sigma = alpha + 1`` has length at least three, and the
+    word is its own least rotation; raises WrongType for a graph outside
+    the census.  The graph is connected with one boundary cycle.
 
-    >>> word_entry((3, 3, 3, 3, 3, 3), 1, TRIVALENT).aut_order
-    6
+    >>> word_entry((3, 3, 3, 3, 3, 3), 1, TRIVALENT)
+    CensusEntry(key=(3, 3, 3, 3, 3, 3), aut_order=6, payload=(3, 3))
     """
-    m = len(word)
-    if m == 0 or m % 2 or any(not 0 < w < m for w in word):
-        raise MalformedGraph("bad gap word %r" % (word,))
-    alpha = [(p + w) % m for p, w in enumerate(word)]
-    if any(word[q] != m - w for q, w in zip(alpha, word)):
-        raise MalformedGraph("gap word %r is not a pairing" % (word,))
+    word_pairs(word)
     valences = vertex_profile(word)
     if valences[0] < 3:
         raise MalformedGraph("gap word %r has a vertex of valence %d"
@@ -396,10 +391,12 @@ def word_entry(word, g: int, valence_filter) -> CensusEntry:
     if start:
         raise MalformedGraph("gap word %r is not its least rotation"
                              % (word,))
-    if valences not in fatgraph_profiles(g, valence_filter):
+    profiles = fatgraph_profiles(g, valence_filter)
+    if valences not in profiles:
         raise WrongType("gap word %r is outside the census %r"
                         % (word, fatgraph_descriptor(g, valence_filter)))
-    return CensusEntry(tuple(word), m // period)
+    return CensusEntry(tuple(word), len(word) // period,
+                       profiles[profiles.index(valences)])
 
 
 def _check_genus(g: int) -> None:

@@ -22,7 +22,8 @@ is a rotation of the slots.  The *boundary word* of a one-boundary graph
 lists, slot by slot, the gap ``pos(alpha h) - i (mod m)`` together with the
 flag of the slot's vertex and an optional per-half-edge mark; since
 ``sigma(h) = phi(alpha h)``, the word alone rebuilds the graph
-(:meth:`Fatgraph.from_word`).  Its least cyclic rotation
+(:meth:`Fatgraph.from_word`); :func:`word_pairs`, the one pairing check,
+numbers a word's edges for every reader.  Its least cyclic rotation
 (:func:`least_rotation`) is the canonical key, and the rotations fixing it
 are the automorphisms: a cyclic group whose only possible involution is the
 half-turn ``phi^E``.  Graphs with more than one boundary cycle have no
@@ -96,8 +97,35 @@ def _cycles_of(perm: Sequence[int]):
     return tuple(out)
 
 
+def split_flags(word) -> tuple:
+    """``(gaps, flags)`` of a word of entries ``gap + m * flag``, flag 0
+    (ordinary) or 1 (delta), as :meth:`Fatgraph.boundary_word` writes an
+    unmarked graph; MalformedGraph for an entry outside 0..2m-1."""
+    m = len(word)
+    if any(not 0 <= w < len(_FLAGS) * m for w in word):
+        raise MalformedGraph("bad flagged word %r" % (word,))
+    return tuple(w % m for w in word), tuple(w // m for w in word)
+
+
+def word_pairs(word) -> list:
+    """The edges ``(p, p + word[p])`` of a gap word by first slot p, as
+    ``Fatgraph.from_word(word).edges`` numbers them; MalformedGraph unless
+    the word pairs its m > 0 slots: each second slot q holds m - (q - p),
+    so it is no first slot and has one partner.
+
+    >>> word_pairs((3, 3, 3, 3, 3, 3))
+    [(0, 3), (1, 4), (2, 5)]
+    """
+    m = len(word)
+    pairs = [(p, p + w) for p, w in enumerate(word) if 0 < w < m - p]
+    if not m or 2 * len(pairs) != m or \
+            any(word[q] != m - q + p for p, q in pairs):
+        raise MalformedGraph("gap word %r is not a pairing" % (word,))
+    return pairs
+
+
 def word_vertices(word) -> tuple:
-    """``Fatgraph.from_word(word).vertices``, flags ignored: the cycles of
+    """``Fatgraph.from_word(word).vertices`` of a gap word: the cycles of
     ``sigma(p) = p + gap + 1`` (mod m), each from its least slot.
 
     >>> word_vertices((3, 3, 3, 3, 3, 3))
@@ -198,8 +226,8 @@ class Fatgraph:
     def from_word(cls, word) -> "Fatgraph":
         """The graph whose boundary word read from half-edge 0 is ``word``,
         the inverse of :meth:`boundary_word`: slot i is half-edge i, with
-        ``alpha(i) = i + w % m``, ``sigma(j) = alpha(j) + 1`` (mod m, the
-        word's length) and the flag ``_FLAGS[w // m]``.
+        ``alpha`` read by :func:`word_pairs` and ``sigma(j) = alpha(j) + 1``
+        (mod m, the word's length).
 
         >>> torus = Fatgraph.from_word((3, 3, 3, 3, 3, 3))
         >>> torus.graph_type()
@@ -207,13 +235,12 @@ class Fatgraph:
         >>> torus.canonical_key() == (3, 3, 3, 3, 3, 3)
         True
         """
-        m = len(word)
-        if m == 0 or m % 2 or \
-                any(w < 0 or w >= len(_FLAGS) * m or w % m == 0 for w in word):
-            raise MalformedGraph("bad boundary word %r" % (word,))
-        alpha = tuple((i + w) % m for i, w in enumerate(word))
-        return cls(tuple((a + 1) % m for a in alpha), alpha,
-                   flags=tuple(_FLAGS[w // m] for w in word))
+        gaps, flags = split_flags(word)
+        alpha = [0] * len(word)
+        for p, q in word_pairs(gaps):
+            alpha[p], alpha[q] = q, p
+        return cls([(a + 1) % len(word) for a in alpha], alpha,
+                   flags=[_FLAGS[f] for f in flags])
 
     # -- validation ------------------------------------------------------
 

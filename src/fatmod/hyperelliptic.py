@@ -34,7 +34,8 @@ from typing import NamedTuple
 from .enumeration import (ALL, OrbifoldCensus, tree_closed_count,
                           vertex_profile, word_entry)
 from .errors import BadLeafCount, MalformedGraph, NotSymmetric, WrongType
-from .fatgraph import Fatgraph, least_rotation, word_vertices
+from .fatgraph import (Fatgraph, least_rotation, split_flags, word_pairs,
+                       word_vertices)
 from .trees import MARKED, ONE5, PlanarTree
 
 W1_MULTIPLICITY_5VALENT = 2   # two swapped 5-valent vertices per cell
@@ -82,18 +83,16 @@ def double_tree(word) -> HyperellipticCell:
     closed under +E and the boundary.
 
     Raises MalformedGraph unless the word is a tree's, as
-    ``PlanarTree.from_word`` checks: it pairs its slots, the flag is
-    constant on every vertex, V = E + 1, and every ordinary vertex has
-    valence >= 3.
+    ``PlanarTree.from_word`` checks: it pairs its slots (``word_pairs``,
+    which numbers both words' edges), the flag is constant on every
+    vertex, V = E + 1, and every ordinary vertex has valence >= 3.
     """
+    gaps, delta = split_flags(word)
     m = len(word)
-    gaps = [w % m for w in word]
-    if m % 2 or any(not 0 <= w < 2 * m or gaps[(p + gap) % m] != m - gap
-                    for p, (w, gap) in enumerate(zip(word, gaps))):
-        raise MalformedGraph("tree word %r does not pair its slots"
-                             % (word,))
-    delta = [w >= m for w in word]
-    tree_vertices = word_vertices(word)
+    tree_edge = [0] * m
+    for edge, (p, q) in enumerate(word_pairs(gaps)):
+        tree_edge[p] = tree_edge[q] = edge
+    tree_vertices = word_vertices(gaps)
     if len(tree_vertices) != m // 2 + 1 or any(
             len({delta[p] for p in cycle}) > 1
             or not delta[cycle[0]] and len(cycle) < 3
@@ -141,13 +140,11 @@ def double_tree(word) -> HyperellipticCell:
             not fixed == e + 3 - len(vertices) == delta_cells + 1:
         raise AssertionError("the copy swap of the doubled tree is not a "
                              "hyperelliptic involution")
-    # tree edges by first slot; slot t opens a doubled edge when its
-    # partner comes later
-    first = [j for j in range(m) if j + gaps[j] < m]
-    edge_map = tuple((first.index(min(j, (j + gaps[j]) % m)),
+    # per doubled edge, by its first slot t: the edge of tree slot walk[t]
+    slots = [walk[t][0] for t, _ in word_pairs(doubled_word)]
+    edge_map = tuple((tree_edge[j],
                       Fraction(1) if fused[j] else Fraction(1, 2))
-                     for t, (j, _) in enumerate(walk)
-                     if t + doubled_word[t] < size)
+                     for j in slots)
     return HyperellipticCell(tuple(word), tuple(doubled_word), edge_map)
 
 
@@ -175,9 +172,8 @@ def cut_along_involution(graph: Fatgraph, involution):
     if iota != graph.half_turn():
         raise NotSymmetric("the involution is not the half-turn")
     boundary, word = graph.boundary_word()
-    m = len(word)
-    e = m // 2
-    gaps = [w % m for w in word]
+    e = len(word) // 2
+    gaps = split_flags(word)[0]
     slot = {h: i for i, h in enumerate(boundary)}
     # the corner before slot k is turned by the passage k-1 -> k; a fixed
     # vertex holds slots k and k+E, so its slots k < E name its corner pairs

@@ -21,6 +21,7 @@ from typing import Callable, NamedTuple, Optional
 
 from .enumeration import catalan, tree_closed_count
 from .errors import WrongType
+from .fatgraph import split_flags
 from .hyperelliptic import (W1_MULTIPLICITY_5VALENT, W1_MULTIPLICITY_6VALENT,
                             count_t1, count_t2)
 from .kontsevich import hyperelliptic_cell_volume, word_cell_volume
@@ -68,11 +69,9 @@ def _genus0_assembled(n: int, ws: Workspace):
         return Fraction(1), "formula"
     if n <= GENUS0_ASSEMBLED_N:
         census = ws.tree_census(n - 1, TRIVALENT)
-        # a tree key is a flagged word, gap + m * flag; the volume reads
-        # the gaps alone
         return census.orbifold_sum(
             weight=lambda e: factorial(n - 1) * word_cell_volume(
-                tuple(w % len(e.key) for w in e.key)).value), "census"
+                split_flags(e.key)[0]).value), "census"
     # an odd-valence tree with 2d+1 edges, d = n-3, has Pfaffian 4**d and
     # cell volume d!/(2d)!
     return (factorial(n - 1) * tree_closed_count(n - 1, TRIVALENT, "unrooted")

@@ -19,8 +19,8 @@ Every coefficient is even.  Forms read off a gap word
 scaled back by 2^d, in one pass that eliminates as it goes.  Forms of a
 graph (``omega_matrix``) and the hyperelliptic pullback stay at full
 scale, and take their raw coefficients from one pass over edge pairs of a
-boundary word (``_raw_form``), which sends each edge to a coordinate: a
-graph's own edge, or the tree edge of a doubled cell with its scale.
+boundary word (``_raw_form``, edges by ``fatgraph.word_pairs``), sending
+each edge to a coordinate: a graph's own edge, or a tree edge at a scale.
 The pullback's scales make its form rational; ``pfaffian`` scales a
 rational form once, in integer arithmetic, by the lcm of its denominators,
 and runs every check on that integer matrix.
@@ -32,8 +32,7 @@ from fractions import Fraction
 from math import factorial, lcm
 from typing import NamedTuple
 
-from .errors import MalformedGraph
-from .fatgraph import Fatgraph
+from .fatgraph import Fatgraph, split_flags, word_pairs
 
 
 class CellVolume(NamedTuple):
@@ -46,13 +45,13 @@ def omega_matrix(graph: Fatgraph, eliminate: int = None) -> tuple:
     """Antisymmetric coefficient matrix of the cell form of a one-boundary
     graph with an odd number of edges, as a tuple of rows, in the remaining
     edge coordinates (in edge order) after eliminating the designated edge
-    (default: the last one).  The raw coefficients are read off the
-    graph's boundary word, flags stripped, by ``_raw_form``, each edge of
-    the word sent to its index in ``graph.edges`` at scale 1.  A graph of
-    more than one boundary cycle raises WrongBoundaryCount."""
+    (default: the last one).  The raw coefficients are read off the gaps
+    of the graph's boundary word by ``_raw_form``, each edge of the word
+    sent to its index in ``graph.edges`` at scale 1.  A graph of more than
+    one boundary cycle raises WrongBoundaryCount."""
     boundary, word = graph.boundary_word()
-    m = len(word)
-    num_edges = m // 2
+    gaps = split_flags(word)[0]
+    num_edges = len(word) // 2
     if num_edges % 2 == 0:
         raise ValueError("cell form needs an odd edge count, got %d"
                          % num_edges)
@@ -60,10 +59,8 @@ def omega_matrix(graph: Fatgraph, eliminate: int = None) -> tuple:
         eliminate = num_edges - 1
     if not 0 <= eliminate < num_edges:
         raise ValueError("no edge %d" % eliminate)
-    gaps = [w % m for w in word]
     table = graph._edge_index_table()
-    edge_map = [(table[h], 1) for p, h in enumerate(boundary)
-                if p + gaps[p] < m]
+    edge_map = [(table[boundary[p]], 1) for p, _ in word_pairs(gaps)]
     return _eliminate(_raw_form(gaps, edge_map, num_edges), num_edges,
                       eliminate)
 
@@ -75,8 +72,8 @@ def _raw_form(word, edge_map, size) -> list:
 
     The raw coefficient c[a][b] of edges a and b sums sign(q - p) over the
     counted slots p of a and q of b, where every slot but the last one
-    counts.  One pass over pairs of word edges a < b, numbered by first
-    slot: with slots p1 < p2 and q1 < q2, p1 < q1 holds, so
+    counts.  One pass over pairs of word edges a < b by first slot
+    (``word_pairs``): with slots p1 < p2 and q1 < q2, p1 < q1 holds, so
     2 ((p1 < q1) + (p1 < q2) + (p2 < q1) + (p2 < q2)) - 4, the sum over
     all four slots, is 2 ((q1 > p2) + (q2 > p2)).  It counts the last
     slot too, which comes after both slots of every other edge and so adds
@@ -91,8 +88,7 @@ def _raw_form(word, edge_map, size) -> list:
     """
     m = len(word)
     # per word edge: its two slots, and 2 if it holds the last slot
-    ends = [(p, p + w, 2 * (p + w == m - 1))
-            for p, w in enumerate(word) if p + w < m]
+    ends = [(p, q, 2 * (q == m - 1)) for p, q in word_pairs(word)]
     rows = [[0] * size for _ in range(size)]
     for a, (_, p2, za) in enumerate(ends):
         ta, fa = edge_map[a]
@@ -265,9 +261,7 @@ def word_cell_volume(word) -> CellVolume:
 
 def _word_omega_matrix(word) -> tuple:
     """``omega_matrix(Fatgraph.from_word(word))`` divided by 2, built in one
-    pass over pairs of free edges from the gap word: slot p is paired with
-    p + word[p] (mod 2E), and edges are numbered by their first slot, as
-    ``Fatgraph.edges`` numbers the edges of that graph.
+    pass over pairs of free edges of the gap word (``word_pairs``).
 
     For edges a < b, with slots p1 < p2 and q1 < q2, the raw coefficient
     is 2 ((q1 > p2) + (q2 > p2)) (``_raw_form``), with +2 in the row and
@@ -277,20 +271,10 @@ def _word_omega_matrix(word) -> tuple:
     left is even; the form is built without the common factor 2, which
     halves Pf by 2^d and det by 4^d and keeps the integers small.
 
-    Raises MalformedGraph unless the word is nonempty and pairs its
-    slots: every entry in 1..m-1, m/2 pairs (p, p + word[p]) with
-    p + word[p] < m, and word[q] = m - (q - p) for each such pair (p, q);
-    then ValueError if it pairs them into an even number of edges.
+    Raises MalformedGraph unless the word pairs its slots, then ValueError
+    if it pairs them into an even number of edges.
     """
-    m = len(word)
-    ends = [(p, p + w) for p, w in enumerate(word) if 0 < w < m - p]
-    # each first slot p has 0 < word[p] < m - p; the m/2 second slots q,
-    # each with word[q] = m - (q - p) in 1..m-1, are distinct and no first
-    # slot, so with the m/2 first slots they are every slot, and every
-    # entry is in 1..m-1
-    if not m or 2 * len(ends) != m or \
-            any(word[q] != m - q + p for p, q in ends):
-        raise MalformedGraph("gap word %r is not a pairing" % (word,))
+    ends = word_pairs(word)
     if len(ends) % 2 == 0:
         raise ValueError("cell form needs an odd edge count, got %d"
                          % len(ends))
@@ -325,8 +309,8 @@ def hyperelliptic_cell_volume(cell) -> CellVolume:
     through the cell embedding ``cell.edge_map`` (fused edges keep the tree
     length, the two copies of an internal edge each get half of it) and
     integrate over the tree simplex (``_pullback``);
-    (b) integrate the tree's own form, read off ``cell.tree_word`` with the
-    flags stripped, and halve once per dimension, which is the pullback
+    (b) integrate the tree's own form, read off the gaps of
+    ``cell.tree_word``, and halve once per dimension, which is the pullback
     scaling of the symplectic form on these cells.
 
     Both evaluations must agree exactly; for a tree with 2d+1 edges and odd
@@ -334,8 +318,7 @@ def hyperelliptic_cell_volume(cell) -> CellVolume:
     """
     ct = _pullback(cell)
     pulled_back = _volume(_eliminate(ct, len(ct), len(ct) - 1))
-    m = len(cell.tree_word)
-    tree_volume = word_cell_volume(tuple(w % m for w in cell.tree_word))
+    tree_volume = word_cell_volume(split_flags(cell.tree_word)[0])
     halved = tree_volume.value / 2 ** pulled_back.half_dim
     if pulled_back.value != halved:
         raise AssertionError(

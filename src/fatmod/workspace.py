@@ -147,12 +147,10 @@ class Workspace:
 def _check_rooted_counts(census, g, valence_filter) -> None:
     """Raise CacheError unless the classes of each vertex profile sum
     2E/|Aut| to its rooted count; a lost class lowers its profile's sum.
-    A census of one profile needs no grouping (``word_entry``)."""
-    profiles = _enum.fatgraph_profiles(g, valence_filter)
-    sums = dict.fromkeys(profiles, 0)
+    Each class's profile is its payload, read once by ``word_entry``."""
+    sums = dict.fromkeys(_enum.fatgraph_profiles(g, valence_filter), 0)
     for e in census:
-        sums[profiles[0] if len(profiles) == 1
-             else _enum.vertex_profile(e.key)] += len(e.key) // e.aut_order
+        sums[e.payload] += len(e.key) // e.aut_order
     for profile, total in sums.items():
         count = _enum.rooted_one_face_count(profile)
         if total != count:

@@ -39,6 +39,10 @@ forms.
 ``tree_word``, ``rooted_key`` and ``marked_vertices`` read a built
 tree's word, rooted key and marked vertices off its graph; the package
 reads all three off words and builds no tree for a census.
+``word_pairs_reference`` reads a gap word's edges off the involution
+``p -> p + word[p] (mod m)`` checked slot by slot, the reference for
+``fatgraph.word_pairs``, which counts first slots and checks their
+partners.
 ``record_entry_reference`` checks a cache record by rebuilding its graph,
 the reference for the loader, which checks the word alone
 (``enumeration.word_entry``); ``in_fatgraph_census`` is its membership
@@ -533,6 +537,23 @@ def trivalent_pairings_reference(num_edges: int):
 
     search()
     return results
+
+
+def word_pairs_reference(word) -> list:
+    """The pairs (p, q), p < q, in order of p, of the fixed-point-free
+    involution ``p -> p + word[p] (mod m)`` of a word of length m > 0 whose
+    entries are gaps, in 0..m-1; MalformedGraph when there is no such
+    involution: an empty word, an entry outside 0..m-1 (negative, or a
+    flag code), a zero gap (a fixed point), or a map that is not its own
+    inverse."""
+    m = len(word)
+    if not m or any(w not in range(m) for w in word):
+        raise MalformedGraph("%r is no gap word" % (word,))
+    alpha = {p: (p + w) % m for p, w in enumerate(word)}
+    if any(alpha[p] == p or alpha[alpha[p]] != p for p in alpha):
+        raise MalformedGraph("%r is no fixed-point-free involution"
+                             % (word,))
+    return [(p, q) for p, q in sorted(alpha.items()) if p < q]
 
 
 def in_fatgraph_census(graph, g, valence_filter) -> bool:

@@ -550,6 +550,51 @@ class TestCache:
         for path in serial.iterdir():
             assert (shared / path.name).read_bytes() == path.read_bytes()
 
+    def test_reader_polls_while_a_cold_report_fills(self, capsys, tmp_path,
+                                                    child_env):
+        # a --no-build verify started again and again while a cold report
+        # fills its directory sees the g=3 file missing, or whole: each
+        # poll refuses with one cache error line or prints the serial row,
+        # and no poll prints a traceback or a wrong row
+        code, expected = run(capsys, "verify", "--identity", "psi-top",
+                             "--g", "3")
+        assert code == 0
+        shared = tmp_path / "shared"
+        shared.mkdir()
+        poll = [sys.executable, "-m", "fatmod.cli", "verify", "--identity",
+                "psi-top", "--g", "3", "--no-build", "--cache", str(shared)]
+        writer = subprocess.Popen([sys.executable, "-m", "fatmod.cli",
+                                   "report", "--cache", str(shared)],
+                                  env=child_env, cwd=str(tmp_path),
+                                  stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE)
+        polls = []
+        try:
+            while True:
+                # the last poll starts after the writer has exited
+                done = writer.poll() is not None
+                polls.append(subprocess.run(poll, env=child_env,
+                                            cwd=str(tmp_path), text=True,
+                                            capture_output=True, timeout=120))
+                if done:
+                    break
+            writer.wait(timeout=300)
+        finally:
+            writer.kill()
+            writer.wait(timeout=30)
+        assert writer.returncode == 0, writer.stderr.read().decode()
+        for result in polls:
+            if result.returncode == 1:
+                assert result.stdout == ""
+                [line] = result.stderr.splitlines()
+                assert line.startswith("cache error: ")
+            else:
+                assert (result.returncode, result.stdout, result.stderr) \
+                    == (0, expected, "")
+        assert polls[-1].returncode == 0
+        assert not [p.name for p in shared.iterdir()
+                    if not p.name.endswith(".census")]
+
     def test_default_report_searches_each_genus_once(self, capsys,
                                                      tmp_path, monkeypatch):
         # the all-valence censuses of g=1, 2 are collapsed from the

@@ -1,16 +1,21 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+from fatmod.enumeration import ALL, word_entry
 from fatmod.errors import (MalformedGraph, NotAnAutomorphism, NotExpandable,
                            WrongBoundaryCount, WrongType)
 from fatmod.fatgraph import (Fatgraph, one_vertex_opposite_pairing,
-                             two_vertex_star_double)
+                             split_flags, two_vertex_star_double, word_pairs)
+from fatmod.hyperelliptic import double_tree
+from fatmod.kontsevich import word_cell_volume
 from fatmod.trees import LEAF, PlanarTree, build_rooted_tree, \
     unrooted_trees
 
 from oracles import are_isomorphic, automorphism_order_bruteforce, \
-    collapse_edge, perm_compose, relabel, tree_word, vertex_index
+    collapse_edge, perm_compose, relabel, tree_word, vertex_index, \
+    word_pairs_reference
 
 
 def reference_two_boundary_graph():
@@ -443,6 +448,72 @@ class TestWordFormat:
     def test_tree_from_word_needs_a_tree(self):
         with pytest.raises(MalformedGraph):
             PlanarTree.from_word((3, 3, 3, 3, 3, 3))
+
+    def test_split_flags_inverts_the_word_code(self):
+        tree = build_rooted_tree((LEAF, (LEAF, LEAF)))
+        boundary, word = tree.boundary_word()
+        gaps, flags = split_flags(word)
+        m = len(word)
+        assert all(0 < gap < m for gap in gaps)
+        assert [tree.flags[h] for h in boundary] == \
+            [("o", "d")[flag] for flag in flags]
+        assert [gap + m * flag for gap, flag in zip(gaps, flags)] == \
+            list(word)
+        for bad in ((-1, 1), (4, 1), (1, 5)):
+            with pytest.raises(MalformedGraph):
+                split_flags(bad)
+
+
+@st.composite
+def near_gap_words(draw):
+    """Words of length 0..12 that pair their slots (the last slot of an
+    odd length left at gap 0), half of them then given up to two entries
+    from -1..2m+1: zero gaps, flag codes, negative entries and broken
+    involutions."""
+    m = draw(st.integers(0, 12))
+    slots = draw(st.permutations(range(m)))
+    word = [0] * m
+    for p, q in zip(slots[::2], slots[1::2]):
+        word[p], word[q] = (q - p) % m, (p - q) % m
+    if m and draw(st.booleans()):
+        for _ in range(draw(st.integers(1, 2))):
+            word[draw(st.integers(0, m - 1))] = \
+                draw(st.integers(-1, 2 * m + 1))
+    return tuple(word)
+
+
+@settings(max_examples=500, deadline=None)
+@given(near_gap_words())
+def test_word_pairs_matches_the_involution(word):
+    # the edges of a word that pairs its slots, numbered by first slot;
+    # any other word is refused
+    try:
+        expected = word_pairs_reference(word)
+    except MalformedGraph:
+        with pytest.raises(MalformedGraph):
+            word_pairs(word)
+    else:
+        assert word_pairs(word) == expected
+        # delta-flagged, so any valence is allowed
+        graph = Fatgraph.from_word(tuple(w + len(word) for w in word))
+        assert list(graph.edges) == expected
+
+
+@pytest.mark.parametrize("word", [
+    (), (1, 1, 1), (0, 3, 3, 3, 3, 3), (3, 3, 3, 3, 3, 2),
+    (9, 3, 3, 3, 3, 3), (-3, 3, 3, 3, 3, 3)],
+    ids=["empty", "odd-length", "zero-gap", "not-an-involution",
+         "flag-code", "negative"])
+def test_word_readers_refuse_what_word_pairs_refuses(word):
+    # a flag code is no gap on the unflagged paths; a tree word carries
+    # flags, so double_tree also gets the word with every slot delta
+    for read in (word_pairs_reference, word_pairs,
+                 lambda w: word_entry(w, 1, ALL), word_cell_volume,
+                 double_tree, Fatgraph.from_word):
+        with pytest.raises(MalformedGraph):
+            read(word)
+    with pytest.raises(MalformedGraph):
+        double_tree(tuple(w + len(word) for w in word))
 
 
 def test_isomorphic_iff_oracle_agrees():

@@ -41,6 +41,12 @@ decides whether a fatgraph census is complete: each of its vertex profiles
 meets its closed rooted count.  The closed counts read no census, and the
 workspace checks them by integer sums in one function, with no collapse
 guard of its own.
+One layer reads boundary words: ``fatgraph.word_pairs`` is the one check
+that a gap word pairs its slots and the one numbering of its edges by
+first slot, which the census entry, the cell forms and the tree doubling
+share, and ``fatgraph.split_flags`` is the one split of a flagged word into
+gaps and flags; no other function compares a slot with its partner's gap
+or strips a flag by hand.
 Each identity's closed route is a formula of its parameter alone: it
 names no workspace, census builder, census sum, cell volume or assembled
 route.  The command line names no identity; it looks each one up in
@@ -443,3 +449,53 @@ def test_cli_names_no_identity():
             assert not word.search(node.value), node.value
     assert not referenced_names(path) & (set(integrals.TABLE)
                                          | {"_default_g_range"})
+
+
+# the functions that read a word's edges, numbered by first slot
+EDGE_READERS = [("enumeration", "word_entry"),
+                ("kontsevich", "_word_omega_matrix"),
+                ("kontsevich", "_raw_form"), ("kontsevich", "omega_matrix"),
+                ("hyperelliptic", "double_tree")]
+
+
+@pytest.mark.parametrize("module,function", EDGE_READERS)
+def test_edge_readers_call_word_pairs(module, function):
+    assert mentions(function_node(module, function), "word_pairs")
+
+
+def is_word_length(node):
+    return isinstance(node, ast.Name) and node.id == "m" or \
+        isinstance(node, ast.Call) and isinstance(node.func, ast.Name) \
+        and node.func.id == "len"
+
+
+def is_flag_strip(node):
+    """``w % m`` or ``w // m``: one word entry over the word's length."""
+    return isinstance(node, ast.BinOp) and \
+        isinstance(node.op, (ast.Mod, ast.FloorDiv)) and \
+        isinstance(node.left, (ast.Name, ast.Subscript)) and \
+        is_word_length(node.right)
+
+
+def is_pairing_comparison(node):
+    """A comparison with ``m - x``, x not a constant: a slot's gap held
+    against its partner's, as a hand-written pairing check does."""
+    return isinstance(node, ast.Compare) and any(
+        isinstance(n, ast.BinOp) and isinstance(n.op, ast.Sub)
+        and isinstance(n.left, ast.Name) and n.left.id == "m"
+        and not isinstance(n.right, ast.Constant)
+        for operand in [node.left, *node.comparators]
+        for n in ast.walk(operand))
+
+
+def test_one_pairing_check_and_flag_split():
+    # every other function takes its gaps from split_flags and its pairing
+    # check from word_pairs
+    found = set()
+    for path in SOURCES:
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                    and any(is_flag_strip(n) or is_pairing_comparison(n)
+                            for n in ast.walk(node)):
+                found.add("%s.%s" % (path.stem, node.name))
+    assert sorted(found) == ["fatgraph.split_flags", "fatgraph.word_pairs"]

@@ -4,12 +4,15 @@ An identity registers by one :data:`TABLE` row: its parameter's name and
 least value, the command line's default range, ``closed(p)``, a closed
 formula that takes no workspace, and ``assembled(p, workspace)``, which
 returns ``(value, mode)``.  The ``census`` mode sums Pfaffian cell volumes
-over a workspace census up to the ``*_ASSEMBLED_*`` thresholds below;
-beyond them, genus0, hevol and w1h multiply closed counts by closed cell
-volumes (``formula``), while psi-top and euler raise ResourceLimit past
-the workspace's edge cap.  boundary, main-theorem and corollary add up
-their siblings' assembled values.  :func:`evaluate` builds every report;
-``IDENTITIES`` and the report functions follow from the table.
+over a workspace census up to the ``*_ASSEMBLED_*`` thresholds below, and
+every cell's volume must equal the census's closed per-cell value
+(``_cell_volume_formula``), so each sum is that value times the census's
+sum of 1/|Aut|; beyond the thresholds, genus0, hevol and w1h multiply
+closed counts by the per-cell value (``formula``), while psi-top and euler
+raise ResourceLimit past the workspace's edge cap.  boundary, main-theorem
+and corollary add up their siblings' assembled values.  :func:`evaluate`
+builds every report; ``IDENTITIES`` and the report functions follow from
+the table.
 """
 
 from __future__ import annotations
@@ -58,8 +61,29 @@ class Identity(NamedTuple):
     assembled: Callable[[int, Workspace], tuple]  # -> (value, mode)
 
 
-def _doubled_cell_volume_formula(d: int) -> Fraction:
-    return Fraction(factorial(d), 2 ** d * factorial(2 * d))
+def _cell_volume_formula(d: int, h: int) -> Fraction:
+    """d!/(2^h (2d)!), the volume of every cell of dimension 2d in a census
+    (Kontsevich's per-graph identity): h = g for the trivalent cells of
+    psi-top (d = 3g-2), 0 for the genus0 trees (d = n-3) and d for the
+    doubled cells of hevol (d = 2g-1) and w1h (d = 2g-2)."""
+    return Fraction(factorial(d), 2 ** h * factorial(2 * d))
+
+
+def _certified(name: str, p: int, per_cell: Fraction, volume: Callable):
+    """The weight ``entry -> volume(entry).value`` of a census sum of
+    identity ``name`` at parameter p, checked on every cell: a volume other
+    than ``per_cell`` raises AssertionError naming the identity, the
+    parameter and the cell's key.  Two wrong cells cannot cancel in the
+    sum."""
+    def weight(entry):
+        value = volume(entry).value
+        if value != per_cell:
+            raise AssertionError(
+                "%s at %s=%d: cell %r has volume %s, not the per-cell %s"
+                % (name, TABLE[name].param_name, p, entry.key, value,
+                   per_cell))
+        return value
+    return weight
 
 
 def _genus0_assembled(n: int, ws: Workspace):
@@ -67,44 +91,46 @@ def _genus0_assembled(n: int, ws: Workspace):
     if n == 3:
         # the moduli of three marked points is a single unlabeled point
         return Fraction(1), "formula"
+    per_cell = _cell_volume_formula(n - 3, 0)
     if n <= GENUS0_ASSEMBLED_N:
-        census = ws.tree_census(n - 1, TRIVALENT)
-        return census.orbifold_sum(
-            weight=lambda e: factorial(n - 1) * word_cell_volume(
-                split_flags(e.key)[0]).value), "census"
-    # an odd-valence tree with 2d+1 edges, d = n-3, has Pfaffian 4**d and
-    # cell volume d!/(2d)!
+        volume = _certified("genus0", n, per_cell, lambda e: word_cell_volume(
+            split_flags(e.key)[0]))
+        return ws.tree_census(n - 1, TRIVALENT).orbifold_sum(
+            weight=lambda e: factorial(n - 1) * volume(e)), "census"
     return (factorial(n - 1) * tree_closed_count(n - 1, TRIVALENT, "unrooted")
-            * Fraction(factorial(n - 3), factorial(2 * n - 6))), "formula"
+            * per_cell), "formula"
 
 
 def _psi_top_assembled(g: int, ws: Workspace):
     # the trivalent census with per-cell Pfaffian volumes
-    return ws.trivalent_census(g).orbifold_sum(
-        weight=lambda e: word_cell_volume(e.key).value), "census"
+    per_cell = _cell_volume_formula(3 * g - 2, g)
+    return ws.trivalent_census(g).orbifold_sum(weight=_certified(
+        "psi-top", g, per_cell, lambda e: word_cell_volume(e.key))), "census"
 
 
 def _hevol_assembled(g: int, ws: Workspace):
+    per_cell = _cell_volume_formula(2 * g - 1, 2 * g - 1)
     if g <= HYPERELLIPTIC_ASSEMBLED_G:
-        return ws.hyperelliptic_census(g).orbifold_sum(
-            weight=lambda e: hyperelliptic_cell_volume(e.payload).value), \
-            "census"
+        return ws.hyperelliptic_census(g).orbifold_sum(weight=_certified(
+            "hevol", g, per_cell,
+            lambda e: hyperelliptic_cell_volume(e.payload))), "census"
     # orbifold cell count, half the tree count, times the common doubled
     # cell volume
     return (tree_closed_count(2 * g + 1, TRIVALENT, "unrooted") / 2
-            * _doubled_cell_volume_formula(2 * g - 1)), "formula"
+            * per_cell), "formula"
 
 
 def _w1h_assembled(g: int, ws: Workspace):
+    per_cell = _cell_volume_formula(2 * g - 2, 2 * g - 2)
     if g <= W1_ASSEMBLED_G:
         comps = ws.w1_components(g)
-        vol = lambda e: hyperelliptic_cell_volume(e.payload).value
+        vol = _certified("w1h", g, per_cell,
+                         lambda e: hyperelliptic_cell_volume(e.payload))
         return (W1_MULTIPLICITY_5VALENT * comps.component1.orbifold_sum(vol)
                 + W1_MULTIPLICITY_6VALENT
                 * comps.component2.orbifold_sum(vol)), "census"
-    return (_doubled_cell_volume_formula(2 * g - 2)
-            * (W1_MULTIPLICITY_5VALENT * count_t1(g)
-               + W1_MULTIPLICITY_6VALENT * count_t2(g))), "formula"
+    return (per_cell * (W1_MULTIPLICITY_5VALENT * count_t1(g)
+                        + W1_MULTIPLICITY_6VALENT * count_t2(g))), "formula"
 
 
 def _boundary_assembled(g: int, ws: Workspace):

@@ -24,6 +24,12 @@ each edge to a coordinate: a graph's own edge, or a tree edge at a scale.
 The pullback's scales make its form rational; ``pfaffian`` scales a
 rational form once, in integer arithmetic, by the lcm of its denominators,
 and runs every check on that integer matrix.
+
+``pfaffian`` verifies every result against the determinant, Pf^2 = det.
+``word_cell_volume`` runs the same shape, antisymmetry and type checks but
+not that one: its volumes are the census cells', and each census route in
+``integrals`` compares every cell's volume with the closed per-cell value,
+a check that also sees a wrong form, which Pf^2 = det cannot.
 """
 
 from __future__ import annotations
@@ -114,18 +120,35 @@ def _eliminate(c, num_edges, k) -> tuple:
 def pfaffian(matrix) -> Fraction:
     """Exact Pfaffian of an antisymmetric matrix.
 
-    Entries must be ``int`` or ``Fraction`` (TypeError otherwise, after a
-    non-antisymmetric matrix has raised ValueError).  A matrix of ``int``
+    Entries must be ``int`` or ``Fraction``; ``_integer_form`` checks the
+    matrix and scales it to integers.  The Pfaffian is computed by
+    fraction-free skew elimination in O(n^3) integer steps, and verified
+    against the two-step Bareiss integer determinant (``_det_fraction``,
+    Pf^2 = det) before returning.  ``word_cell_volume`` runs the same
+    checks and the same kernel but not this verification: each census
+    route compares its cells' volumes with their closed value instead.
+    """
+    m, scale = _integer_form(matrix)
+    n = len(m)
+    if n == 0:
+        return Fraction(1)
+    pf_int = _pfaffian_int(m)
+    det = _det_fraction(m)
+    if pf_int * pf_int != det:
+        raise AssertionError("Pfaffian does not square to the determinant")
+    return Fraction(pf_int, scale ** (n // 2))
+
+
+def _integer_form(matrix) -> tuple:
+    """``(m, scale)``: the antisymmetric integer matrix m = scale * matrix.
+
+    A matrix that is not square, or of odd order, raises ValueError; so
+    does one that is not antisymmetric, and then one whose entries are not
+    all ``int`` or ``Fraction`` raises TypeError.  A matrix of ``int``
     entries passes unscaled; any other is scaled once, in integer
     arithmetic, by the lcm of its entries' denominators, and the
-    antisymmetry check and both kernels run on that integer matrix (a
-    positive scale keeps a matrix antisymmetric or not).  The Pfaffian is
-    computed by fraction-free skew elimination in O(n^3) integer steps, and
-    verified against the two-step Bareiss integer determinant
-    (``_det_fraction``, Pf^2 = det) before returning.  Callers that pass a
-    form divided by a common factor (``word_cell_volume``) check the same
-    condition on smaller integers: Pf(cA) = c^(n/2) Pf(A) and
-    det(cA) = c^n det(A).
+    antisymmetry check runs on that integer matrix (a positive scale keeps
+    a matrix antisymmetric or not).
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -148,13 +171,7 @@ def pfaffian(matrix) -> Fraction:
                 raise ValueError("matrix is not antisymmetric")
     if not exact:
         raise TypeError("matrix entries must be int or Fraction")
-    if n == 0:
-        return Fraction(1)
-    pf_int = _pfaffian_int(m)
-    det = _det_fraction(m)
-    if pf_int * pf_int != det:
-        raise AssertionError("Pfaffian does not square to the determinant")
-    return Fraction(pf_int, scale ** (n // 2))
+    return m, scale
 
 
 def _pfaffian_int(m):
@@ -248,15 +265,20 @@ def cell_volume(graph: Fatgraph) -> CellVolume:
 
     Positive by convention; the signed Pfaffian is kept alongside.
     """
-    return _volume(omega_matrix(graph))
+    form = omega_matrix(graph)
+    return _volume(pfaffian(form), len(form) // 2)
 
 
 def word_cell_volume(word) -> CellVolume:
     """``cell_volume(Fatgraph.from_word(word))`` read off the gap word of a
     one-boundary graph, with no graph built (``_word_omega_matrix``).  The
     form is built at half scale, so the signed Pfaffian is scaled back by
-    2^d."""
-    return _volume(_word_omega_matrix(word), scale=2)
+    2^d.  The form passes the checks of ``pfaffian`` and its kernel, but
+    not Pf^2 = det: the census routes compare every cell's volume with its
+    closed value."""
+    m = _integer_form(_word_omega_matrix(word))[0]
+    d = len(m) // 2
+    return _volume(Fraction(_pfaffian_int(m) * 2 ** d), d)
 
 
 def _word_omega_matrix(word) -> tuple:
@@ -269,7 +291,7 @@ def _word_omega_matrix(word) -> tuple:
     Eliminating the last edge k gives c[a][b] - c[a][k] + c[b][k], in
     which those two terms cancel, so they are never added.  Every term
     left is even; the form is built without the common factor 2, which
-    halves Pf by 2^d and det by 4^d and keeps the integers small.
+    halves Pf by 2^d and keeps the integers small.
 
     Raises MalformedGraph unless the word pairs its slots, then ValueError
     if it pairs them into an even number of edges.
@@ -292,11 +314,8 @@ def _word_omega_matrix(word) -> tuple:
     return tuple(map(tuple, rows))
 
 
-def _volume(matrix, scale=1) -> CellVolume:
-    """Volume of the cell whose form is ``scale`` times ``matrix``:
-    Pf(scale A) = scale^d Pf(A)."""
-    d = len(matrix) // 2
-    pf = pfaffian(matrix) * scale ** d
+def _volume(pf: Fraction, d: int) -> CellVolume:
+    """Volume of a cell of dimension 2d whose form has Pfaffian pf."""
     value = Fraction(factorial(d) * abs(pf.numerator),
                      4 ** d * factorial(2 * d) * pf.denominator)
     return CellVolume(value, d, pf)
@@ -314,10 +333,13 @@ def hyperelliptic_cell_volume(cell) -> CellVolume:
     scaling of the symplectic form on these cells.
 
     Both evaluations must agree exactly; for a tree with 2d+1 edges and odd
-    valences the common value is d!/(2^d (2d)!).
+    valences the common value is d!/(2^d (2d)!).  (a) goes through
+    ``pfaffian`` and its Pf^2 = det check; (b) through
+    ``word_cell_volume``, checked by this comparison.
     """
     ct = _pullback(cell)
-    pulled_back = _volume(_eliminate(ct, len(ct), len(ct) - 1))
+    form = _eliminate(ct, len(ct), len(ct) - 1)
+    pulled_back = _volume(pfaffian(form), len(form) // 2)
     tree_volume = word_cell_volume(split_flags(cell.tree_word)[0])
     halved = tree_volume.value / 2 ** pulled_back.half_dim
     if pulled_back.value != halved:

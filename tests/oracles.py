@@ -47,12 +47,18 @@ partners.
 the reference for the loader, which checks the word alone
 (``enumeration.word_entry``); ``in_fatgraph_census`` is its membership
 test, read off the graph's type and valences.
+``hyperelliptic_genus0_route`` derives the closed values of hevol,
+boundary, main-theorem and w1h on M_{0,2g+2}/S_{2g+1}, through
+Cornalba-Harris lambda and genus-0 psi integrals over every boundary
+divisor, the reference for the paper's closed formulas at every genus,
+where no census reaches.
 """
 
 from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import comb, factorial, prod
 
 from fatmod.enumeration import ALL, TRIVALENT, OrbifoldCensus
 from fatmod.errors import FatmodError, MalformedGraph
@@ -393,6 +399,106 @@ def bernoulli_oracle(n: int) -> Fraction:
                                                        k + 1)
         total += inner
     return total
+
+
+# -- a genus-0 route to the hyperelliptic closed values -----------------------
+#
+# A hyperelliptic curve of genus g with a marked Weierstrass point p maps to
+# its 2g+2 branch points on P^1, with p's image marked as point 1.  This maps
+# the closed locus H_g^1 to M_{0,2g+2}/S_{2g+1}, and every curve's involution
+# makes the map of degree 1/2.  Classes of H_g^1 are then integrated on
+# M_{0,2g+2} by splitting along boundary divisors.
+
+INVOLUTION_DEGREE = Fraction(1, 2)
+PSI_P = Fraction(1, 2)   # psi_p = psi_1 / 2: x = u^2 at a ramification point
+XI0_MULTIPLICITY = 2     # fixed at g=1 by the integral of delta_irr, 1/2
+KAPPA_LAMBDA = 12        # kappa_1 = 12 lambda - delta + psi (Mumford 1983)
+
+
+def genus0_psi_integral(k: int, exponents) -> int:
+    """The integral of prod psi_i^(a_i) over M_{0,k}: (k-3)!/prod a_i!
+    when the a_i sum to k-3, else 0."""
+    if sum(exponents) != k - 3:
+        return 0
+    return factorial(k - 3) // prod(factorial(a) for a in exponents)
+
+
+def boundary_divisor_psi1(points: int, side: int, a: int) -> int:
+    """The integral of psi_1^a over one boundary divisor D_T of
+    M_{0,points}, T the ``side`` points away from point 1.  D_T is
+    M_{0,points-side+1} x M_{0,side+1}, glued at the node, and psi_1
+    restricts to the first factor."""
+    return (genus0_psi_integral(points - side + 1, [a])
+            * genus0_psi_integral(side + 1, []))
+
+
+def hyperelliptic_boundary_classes(g: int) -> dict:
+    """The boundary classes of the hyperelliptic locus (Cornalba-Harris
+    1988) on M_{0,2g+2}: class -> {|T|: multiplicity}, a sum over the
+    divisors D_T with point 1 not in T.
+
+    xi_i, i = 0..(g-1)//2, meets the divisors with 2i+2 branch points on
+    one side, where the cover is unramified over the node; delta_j,
+    j = 1..g//2, those with 2j+1, where it is ramified.  Only xi_0 meets
+    psi_1^(2g-2): its multiplicity 2, from the contracted rational bridge
+    over the two-point side, is fixed at g=1.  Those of xi_i (i >= 1, two
+    nodes, no bridge) and delta_j (a ramified node, whose smoothing
+    parameter squares to the target's) are 1 and 1/2, so delta_irr pulls
+    back to twice the even divisors and delta_j to half the odd ones; no
+    integral here can check them."""
+    n = 2 * g + 2
+    classes = {}
+    for i in range((g - 1) // 2 + 1):
+        mult = XI0_MULTIPLICITY if i == 0 else 1
+        classes["xi", i] = {t: mult for t in (2 * i + 2, n - 2 * i - 2)}
+    for j in range(1, g // 2 + 1):
+        classes["delta", j] = {t: Fraction(1, 2)
+                               for t in (2 * j + 1, n - 2 * j - 1)}
+    return classes
+
+
+def cornalba_harris_lambda(g: int) -> dict:
+    """lambda on the closed hyperelliptic locus (Cornalba-Harris 1988):
+    (8g+4) lambda = g xi_0 + sum_{i>=1} 2(i+1)(g-i) xi_i
+    + sum_j 4j(g-j) delta_j."""
+    coefficients = {}
+    for kind, index in hyperelliptic_boundary_classes(g):
+        if kind == "delta":
+            c = 4 * index * (g - index)
+        else:
+            c = g if index == 0 else 2 * (index + 1) * (g - index)
+        coefficients[kind, index] = Fraction(c, 8 * g + 4)
+    return coefficients
+
+
+def hyperelliptic_genus0_route(g: int) -> dict:
+    """identity name -> its value at genus g on H_g^1, by the genus-0
+    route: hevol (psi^(2g-1)) and main-theorem (kappa_1 psi^(2g-2)) from
+    g=1, boundary (delta psi^(2g-2)) and w1h (12 main-theorem - boundary)
+    from g=2.  No census and no package formula is read."""
+    n = 2 * g + 2
+    pullback = hyperelliptic_boundary_classes(g)
+
+    def integral(classes, a):
+        # of the class sum(coefficient * class) psi_p^a over H_g^1
+        on_m0n = sum(c * mult * comb(n - 1, t) * boundary_divisor_psi1(n, t, a)
+                     for name, c in classes.items()
+                     for t, mult in pullback[name].items())
+        return INVOLUTION_DEGREE * PSI_P ** a * on_m0n / factorial(n - 1)
+
+    psi = (INVOLUTION_DEGREE * PSI_P ** (2 * g - 1)
+           * genus0_psi_integral(n, [2 * g - 1]) / factorial(n - 1))
+    # delta restricts to xi_0 + 2 sum_{i>=1} xi_i + sum_j delta_j
+    delta = {(kind, i): 2 if kind == "xi" and i else 1
+             for kind, i in pullback}
+    boundary = integral(delta, 2 * g - 2)
+    main = (KAPPA_LAMBDA * integral(cornalba_harris_lambda(g), 2 * g - 2)
+            - boundary + psi)
+    values = {"hevol": psi, "main-theorem": main}
+    if g >= 2:
+        # main-theorem is (w1h + boundary)/12
+        values.update(boundary=boundary, w1h=12 * main - boundary)
+    return values
 
 
 def least_rotation_by_brute_force(word):

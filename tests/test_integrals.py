@@ -3,14 +3,19 @@ from math import factorial
 
 import pytest
 
+from fatmod import integrals, kontsevich
 from fatmod.enumeration import ALL, collapse_closure
 from fatmod.errors import CacheError, ResourceLimit, WrongType
-from fatmod.integrals import (bernoulli, boundary_integral, euler_report,
-                              hodge_corollary, main_theorem, psi_top_genus0,
+from fatmod.fatgraph import split_flags
+from fatmod.integrals import (TABLE, bernoulli, boundary_integral,
+                              euler_report, evaluate, hodge_corollary,
+                              main_theorem, psi_top_genus0,
                               psi_top_hyperelliptic, psi_top_moduli,
                               w1_h_integral, zeta_negative)
+from fatmod.trees import TRIVALENT
 from fatmod.workspace import Workspace
 
+import oracles
 from oracles import bernoulli_oracle, census_with_aut_order, \
     census_without
 
@@ -233,3 +238,123 @@ class TestMutationDetection:
             broken.override(census.descriptor, census_without(census, index))
             with pytest.raises(CacheError):
                 euler_report(2, broken)
+
+
+# per identity: its census at parameter p, the cell volume its route calls
+# and the argument the route passes it for a census entry
+CELLS = {
+    "psi-top": (lambda ws, g: ws.trivalent_census(g), "word_cell_volume",
+                lambda e: e.key),
+    "genus0": (lambda ws, n: ws.tree_census(n - 1, TRIVALENT),
+               "word_cell_volume", lambda e: split_flags(e.key)[0]),
+    "hevol": (lambda ws, g: ws.hyperelliptic_census(g),
+              "hyperelliptic_cell_volume", lambda e: e.payload),
+}
+
+
+class TestPerCellVolumes:
+    """Every census route compares each cell's Pfaffian volume with the
+    closed per-cell value, so a wrong cell fails even where the sum does
+    not move."""
+
+    @pytest.mark.parametrize("name,p", [("psi-top", 3), ("genus0", 6),
+                                        ("hevol", 2)])
+    def test_kernel_fault_fails_the_census_route(self, monkeypatch, ws,
+                                                 name, p):
+        # word_cell_volume runs no Pf^2 = det check; an expansion off by
+        # one still fails the route, at the first cell it reaches
+        expand = kontsevich._pfaffian_int
+        monkeypatch.setattr(kontsevich, "_pfaffian_int",
+                            lambda m: expand(m) + 1)
+        with pytest.raises(AssertionError):
+            evaluate(name, p, ws)
+
+    # genus0 at n=6 and hevol at g=2 have one cell each, too few for two
+    # errors to cancel
+    @pytest.mark.parametrize("name,p", [("psi-top", 2), ("genus0", 7),
+                                        ("hevol", 3)])
+    def test_cancelling_cell_errors_fail(self, monkeypatch, ws, name, p):
+        census, volume, arg = CELLS[name]
+        census = census(ws, p)
+        a, b = census.entries[:2]
+        true = getattr(integrals, volume)
+        x = true(arg(a)).value / 7
+        # +x|Aut| on one cell and -x|Aut| on another leave the sum of
+        # volume/|Aut| as it is
+        shift = [(arg(a), x * a.aut_order), (arg(b), -x * b.aut_order)]
+
+        def shifted(cell):
+            v = true(cell)
+            return v._replace(value=v.value + sum(
+                dx for other, dx in shift if other == cell))
+
+        assert census.orbifold_sum(lambda e: shifted(arg(e)).value) == \
+            census.orbifold_sum(lambda e: true(arg(e)).value)
+        monkeypatch.setattr(integrals, volume, shifted)
+        with pytest.raises(AssertionError, match=r"%s at \w=%d: cell" %
+                           (name, p)):
+            evaluate(name, p, ws)
+
+    @pytest.mark.parametrize("g", [2, 3])
+    def test_antisymmetric_form_fault_fails_psi_top(self, monkeypatch, ws,
+                                                    g):
+        # the form stays antisymmetric, so its Pfaffian still squares to
+        # its determinant: only the per-cell compare sees the change
+        build = kontsevich._word_omega_matrix
+
+        def mutated(word):
+            rows = [list(row) for row in build(word)]
+            rows[0][3] += 1
+            rows[3][0] -= 1
+            return tuple(map(tuple, rows))
+
+        monkeypatch.setattr(kontsevich, "_word_omega_matrix", mutated)
+        form = mutated(ws.trivalent_census(g).entries[0].key)
+        pf = kontsevich._pfaffian_int(form)
+        assert pf * pf == kontsevich._det_fraction(form)
+        with pytest.raises(AssertionError, match="psi-top at g=%d" % g):
+            evaluate("psi-top", g, ws)
+
+
+def route_mismatches(g):
+    """The identities whose closed value at g the genus-0 route misses."""
+    return [name for name, value in oracles.hyperelliptic_genus0_route(
+        g).items() if TABLE[name].closed(g) != value]
+
+
+class TestHyperellipticGenusZeroRoute:
+    """A second derivation of the hyperelliptic closed values, through
+    M_{0,2g+2}/S_{2g+1}, that reads no census and no package formula."""
+
+    def test_matches_closed_values(self):
+        assert set(oracles.hyperelliptic_genus0_route(1)) == \
+            {"hevol", "main-theorem"}
+        assert set(oracles.hyperelliptic_genus0_route(2)) == \
+            {"hevol", "main-theorem", "boundary", "w1h"}
+        for g in range(1, 201):
+            assert route_mismatches(g) == [], g
+
+    @pytest.mark.parametrize("attr,value", [
+        ("INVOLUTION_DEGREE", 1), ("INVOLUTION_DEGREE", Fraction(1, 4)),
+        ("PSI_P", 1), ("PSI_P", Fraction(1, 4)),
+        ("XI0_MULTIPLICITY", 1), ("XI0_MULTIPLICITY", 3)],
+        ids=["involution-1", "involution-1/4", "psi_p-psi_1",
+             "psi_p-psi_1/4", "xi0-multiplicity-1", "xi0-multiplicity-3"])
+    def test_mutated_constant_fails(self, monkeypatch, attr, value):
+        monkeypatch.setattr(oracles, attr, value)
+        for g in range(2, 10):
+            assert route_mismatches(g), g
+
+    @pytest.mark.parametrize("shift", [-1, 1])
+    def test_mutated_xi0_coefficient_fails(self, monkeypatch, shift):
+        # g xi_0 in (8g+4) lambda becomes (g + shift) xi_0
+        original = oracles.cornalba_harris_lambda
+
+        def mutated(g):
+            coefficients = original(g)
+            coefficients["xi", 0] += Fraction(shift, 8 * g + 4)
+            return coefficients
+
+        monkeypatch.setattr(oracles, "cornalba_harris_lambda", mutated)
+        for g in range(2, 10):
+            assert route_mismatches(g), g

@@ -48,9 +48,11 @@ share, and ``fatgraph.split_flags`` is the one split of a flagged word into
 gaps and flags; no other function compares a slot with its partner's gap
 or strips a flag by hand.
 Each identity's closed route is a formula of its parameter alone: it
-names no workspace, census builder, census sum, cell volume or assembled
-route.  The command line names no identity; it looks each one up in
-``integrals.IDENTITIES`` and reads its default range from
+names no workspace, census builder, census sum, cell volume, per-cell
+formula or assembled route.  Each census route compares every cell's
+volume with the one closed per-cell formula, so the word path's volumes
+run no Pf^2 = det check.  The command line names no identity; it looks
+each one up in ``integrals.IDENTITIES`` and reads its default range from
 ``integrals.TABLE``.
 """
 
@@ -249,6 +251,26 @@ def test_word_form_is_built_in_one_pass(function):
         assert not mentions(node, name), "%s names %s" % (function, name)
 
 
+def test_word_volume_skips_the_determinant():
+    # census cells are checked by their closed per-cell value, so the word
+    # path runs the Pfaffian kernel without the Pf^2 = det check
+    node = function_node("kontsevich", "word_cell_volume")
+    assert mentions(node, "_pfaffian_int")
+    for name in ("_det_fraction", "pfaffian"):
+        assert not mentions(node, name), "word_cell_volume names %s" % name
+
+
+@pytest.mark.parametrize("function", ["psi_top_genus0", "psi_top_moduli",
+                                      "psi_top_hyperelliptic",
+                                      "w1_h_integral"])
+def test_census_routes_check_the_per_cell_value(function):
+    # every census cell's volume is compared with the one closed per-cell
+    # formula, which the formula rows above the thresholds read too
+    node = assembled_node(function)
+    assert mentions(node, "_cell_volume_formula")
+    assert mentions(node, "_certified")
+
+
 @pytest.mark.parametrize("function", ["hyperelliptic_cell_volume",
                                       "_pullback"])
 def test_cell_volume_reads_the_doubled_word(function):
@@ -397,7 +419,8 @@ ASSEMBLY_NAMES = {
     "enumerate_fatgraphs", "enumerate_trees", "collapse_closure",
     "w1_component1_census", "w1_component2_census", "orbifold_sum",
     "word_cell_volume", "hyperelliptic_cell_volume", "cell_volume",
-    "_doubled_cell_volume_formula", "pfaffian", "omega_matrix", "evaluate"}
+    "_cell_volume_formula", "_certified", "pfaffian", "omega_matrix",
+    "evaluate"}
 
 
 def code_names(func):

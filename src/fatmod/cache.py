@@ -81,7 +81,7 @@ def load_records(path: Path, descriptor: str):
         try:
             aut_s, word_s = ln.split("|")
             records.append((int(aut_s),
-                            tuple(int(x) for x in word_s.split(","))))
+                            tuple(map(int, word_s.split(",")))))
         except ValueError as exc:
             raise CacheError("bad record in %s: %r" % (path, ln)) from exc
     return records

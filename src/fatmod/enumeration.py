@@ -130,11 +130,17 @@ class OrbifoldCensus:
         return iter(self.entries)
 
     def orbifold_sum(self, weight: Optional[Callable] = None) -> Fraction:
-        """Sum of weight(entry)/aut_order over all classes, exact."""
+        """Sum of weight(entry)/aut_order over all classes, exact.  With no
+        weight, the orbifold count: classes are counted per |Aut|, and one
+        ``Fraction`` is added per distinct order."""
+        if weight is None:
+            counts = collections.Counter(entry.aut_order
+                                         for entry in self.entries)
+            return sum((Fraction(count, aut) for aut, count
+                        in counts.items()), Fraction(0))
         total = Fraction(0)
         for entry in self.entries:
-            w = Fraction(1) if weight is None else Fraction(weight(entry))
-            total += w / entry.aut_order
+            total += Fraction(weight(entry)) / entry.aut_order
         return total
 
 

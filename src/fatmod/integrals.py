@@ -3,11 +3,12 @@
 An identity registers by one :data:`TABLE` row: its parameter's name and
 least value, the command line's default range, ``closed(p)``, a closed
 formula that takes no workspace, and ``assembled(p, workspace)``, which
-returns ``(value, mode)``.  The ``census`` mode sums Pfaffian cell volumes
-over a workspace census up to the ``*_ASSEMBLED_*`` thresholds below, and
-every cell's volume must equal the census's closed per-cell value
-(``_cell_volume_formula``), so each sum is that value times the census's
-sum of 1/|Aut|; beyond the thresholds, genus0, hevol and w1h multiply
+returns ``(value, mode)``.  The ``census`` mode reads a workspace census
+up to the ``*_ASSEMBLED_*`` thresholds below: every cell must have the
+census's closed per-cell volume (``_cell_volume_formula``), checked as an
+integer Pfaffian on a word cell and as a volume on a doubled cell
+(``_certified``), and the census is then summed once, as that value times
+its sum of 1/|Aut|; beyond the thresholds, genus0, hevol and w1h multiply
 closed counts by the per-cell value (``formula``), while psi-top and euler
 raise ResourceLimit past the workspace's edge cap.  boundary, main-theorem
 and corollary add up their siblings' assembled values.  :func:`evaluate`
@@ -27,7 +28,7 @@ from .errors import WrongType
 from .fatgraph import split_flags
 from .hyperelliptic import (W1_MULTIPLICITY_5VALENT, W1_MULTIPLICITY_6VALENT,
                             count_t1, count_t2)
-from .kontsevich import hyperelliptic_cell_volume, word_cell_volume
+from .kontsevich import hyperelliptic_cell_volume, word_pfaffian
 from .trees import TRIVALENT
 from .workspace import Workspace
 
@@ -69,21 +70,32 @@ def _cell_volume_formula(d: int, h: int) -> Fraction:
     return Fraction(factorial(d), 2 ** h * factorial(2 * d))
 
 
-def _certified(name: str, p: int, per_cell: Fraction, volume: Callable):
-    """The weight ``entry -> volume(entry).value`` of a census sum of
-    identity ``name`` at parameter p, checked on every cell: a volume other
-    than ``per_cell`` raises AssertionError naming the identity, the
-    parameter and the cell's key.  Two wrong cells cannot cancel in the
-    sum."""
-    def weight(entry):
-        value = volume(entry).value
-        if value != per_cell:
+def _certified(name: str, p: int, census, per_cell: Fraction,
+               measure: Callable, expected) -> Fraction:
+    """``per_cell`` times the census's sum of 1/|Aut|, once every cell has
+    ``measure(entry) == expected``.  ``measure`` is proportional to the
+    cell's volume, ``expected`` being its value on a cell of volume
+    ``per_cell``; a cell that misses it raises AssertionError naming the
+    identity, the parameter, the cell's key and the volume its measure
+    stands for.  Two wrong cells cannot cancel in the sum."""
+    for entry in census:
+        value = measure(entry)
+        if value != expected:
             raise AssertionError(
                 "%s at %s=%d: cell %r has volume %s, not the per-cell %s"
-                % (name, TABLE[name].param_name, p, entry.key, value,
-                   per_cell))
-        return value
-    return weight
+                % (name, TABLE[name].param_name, p, entry.key,
+                   per_cell * value / expected, per_cell))
+    return per_cell * census.orbifold_sum()
+
+
+def _word_pfaffian_value(d: int, per_cell: Fraction) -> int:
+    """|word_pfaffian| of a cell of dimension 2d and volume per_cell: the
+    volume is d! |Pf| / (2^d (2d)!) on the half-scale form."""
+    value = per_cell * 2 ** d * factorial(2 * d) / factorial(d)
+    if value.denominator != 1:
+        raise AssertionError("per-cell volume %s of dimension %d is no "
+                             "integer Pfaffian" % (per_cell, 2 * d))
+    return value.numerator
 
 
 def _genus0_assembled(n: int, ws: Workspace):
@@ -93,27 +105,33 @@ def _genus0_assembled(n: int, ws: Workspace):
         return Fraction(1), "formula"
     per_cell = _cell_volume_formula(n - 3, 0)
     if n <= GENUS0_ASSEMBLED_N:
-        volume = _certified("genus0", n, per_cell, lambda e: word_cell_volume(
-            split_flags(e.key)[0]))
-        return ws.tree_census(n - 1, TRIVALENT).orbifold_sum(
-            weight=lambda e: factorial(n - 1) * volume(e)), "census"
+        return factorial(n - 1) * _certified(
+            "genus0", n, ws.tree_census(n - 1, TRIVALENT), per_cell,
+            lambda e: abs(word_pfaffian(split_flags(e.key)[0])),
+            _word_pfaffian_value(n - 3, per_cell)), "census"
     return (factorial(n - 1) * tree_closed_count(n - 1, TRIVALENT, "unrooted")
             * per_cell), "formula"
 
 
 def _psi_top_assembled(g: int, ws: Workspace):
-    # the trivalent census with per-cell Pfaffian volumes
+    # the trivalent census, each cell's integer Pfaffian certified
     per_cell = _cell_volume_formula(3 * g - 2, g)
-    return ws.trivalent_census(g).orbifold_sum(weight=_certified(
-        "psi-top", g, per_cell, lambda e: word_cell_volume(e.key))), "census"
+    return _certified("psi-top", g, ws.trivalent_census(g), per_cell,
+                      lambda e: abs(word_pfaffian(e.key)),
+                      _word_pfaffian_value(3 * g - 2, per_cell)), "census"
+
+
+def _doubled_volume(entry) -> Fraction:
+    """The volume of a doubled cell, its pullback checked against its
+    halved tree (``hyperelliptic_cell_volume``)."""
+    return hyperelliptic_cell_volume(entry.payload).value
 
 
 def _hevol_assembled(g: int, ws: Workspace):
     per_cell = _cell_volume_formula(2 * g - 1, 2 * g - 1)
     if g <= HYPERELLIPTIC_ASSEMBLED_G:
-        return ws.hyperelliptic_census(g).orbifold_sum(weight=_certified(
-            "hevol", g, per_cell,
-            lambda e: hyperelliptic_cell_volume(e.payload))), "census"
+        return _certified("hevol", g, ws.hyperelliptic_census(g), per_cell,
+                          _doubled_volume, per_cell), "census"
     # orbifold cell count, half the tree count, times the common doubled
     # cell volume
     return (tree_closed_count(2 * g + 1, TRIVALENT, "unrooted") / 2
@@ -124,11 +142,11 @@ def _w1h_assembled(g: int, ws: Workspace):
     per_cell = _cell_volume_formula(2 * g - 2, 2 * g - 2)
     if g <= W1_ASSEMBLED_G:
         comps = ws.w1_components(g)
-        vol = _certified("w1h", g, per_cell,
-                         lambda e: hyperelliptic_cell_volume(e.payload))
-        return (W1_MULTIPLICITY_5VALENT * comps.component1.orbifold_sum(vol)
-                + W1_MULTIPLICITY_6VALENT
-                * comps.component2.orbifold_sum(vol)), "census"
+        count1, count2 = (
+            _certified("w1h", g, census, per_cell, _doubled_volume, per_cell)
+            for census in (comps.component1, comps.component2))
+        return (W1_MULTIPLICITY_5VALENT * count1
+                + W1_MULTIPLICITY_6VALENT * count2), "census"
     return (per_cell * (W1_MULTIPLICITY_5VALENT * count_t1(g)
                         + W1_MULTIPLICITY_6VALENT * count_t2(g))), "formula"
 

@@ -14,22 +14,26 @@ edges; the choice of summation cutoff and of eliminated edge does not change
 since the free-coordinate domain is the 1/2-scaled simplex of volume
 1/(2^(2d) (2d)!).
 
-Every coefficient is even.  Forms read off a gap word
-(``word_cell_volume``) are built at half scale, A/2, whose Pfaffian is
-scaled back by 2^d, in one pass that eliminates as it goes.  Forms of a
-graph (``omega_matrix``) and the hyperelliptic pullback stay at full
-scale, and take their raw coefficients from one pass over edge pairs of a
-boundary word (``_raw_form``, edges by ``fatgraph.word_pairs``), sending
-each edge to a coordinate: a graph's own edge, or a tree edge at a scale.
+Every coefficient is even.  Forms read off a gap word are built at half
+scale, A/2, in one pass that eliminates as it goes; ``word_pfaffian`` is
+their Pfaffian, an integer, and ``word_cell_volume`` scales it back by
+2^d.  Forms of a graph (``omega_matrix``) and the hyperelliptic pullback
+stay at full scale, and take their raw coefficients from one pass over
+edge pairs of a boundary word (``_raw_form``, edges by
+``fatgraph.word_pairs``), sending each edge to a coordinate: a graph's
+own edge, or a tree edge at a scale.
 The pullback's scales make its form rational; ``pfaffian`` scales a
 rational form once, in integer arithmetic, by the lcm of its denominators,
 and runs every check on that integer matrix.
 
-``pfaffian`` verifies every result against the determinant, Pf^2 = det.
-``word_cell_volume`` runs the same shape, antisymmetry and type checks but
-not that one: its volumes are the census cells', and each census route in
-``integrals`` compares every cell's volume with the closed per-cell value,
-a check that also sees a wrong form, which Pf^2 = det cannot.
+Every Pfaffian comes from one kernel, ``_pfaffian_int``, which works on
+the strict upper triangle of an integer matrix alone.  ``pfaffian``
+verifies every result against the determinant, Pf^2 = det.
+``word_pfaffian`` runs the same shape, antisymmetry and type checks but
+not that one: its Pfaffians are the census cells', and each census route
+in ``integrals`` compares every cell's integer Pfaffian with the closed
+per-cell value, a check that also sees a wrong form, which Pf^2 = det
+cannot.
 """
 
 from __future__ import annotations
@@ -124,9 +128,9 @@ def pfaffian(matrix) -> Fraction:
     matrix and scales it to integers.  The Pfaffian is computed by
     fraction-free skew elimination in O(n^3) integer steps, and verified
     against the two-step Bareiss integer determinant (``_det_fraction``,
-    Pf^2 = det) before returning.  ``word_cell_volume`` runs the same
-    checks and the same kernel but not this verification: each census
-    route compares its cells' volumes with their closed value instead.
+    Pf^2 = det) before returning.  ``word_pfaffian`` runs the same checks
+    and the same kernel but not this verification: each census route
+    compares its cells' Pfaffians with their closed value instead.
     """
     m, scale = _integer_form(matrix)
     n = len(m)
@@ -181,32 +185,41 @@ def _pfaffian_int(m):
     principal minors on rows 0..k+1, i, j.  Every division is exact by the
     overlapping-Pfaffian identity (Knuth 1996)
     Pf[S] Pf[Sabcd] = Pf[Sab] Pf[Scd] - Pf[Sac] Pf[Sbd] + Pf[Sad] Pf[Sbc].
-    A zero pivot is swapped with the first later index that pairs with k
-    nonzero, in rows and columns, flipping the sign."""
+
+    Only the strict upper triangle, entries (i, j) with j > i, is read or
+    written; the rest of m is never looked at.  A zero pivot is swapped
+    with the first later index s that pairs with k nonzero, flipping the
+    sign.  On the upper triangle the swap of k+1 and s exchanges row k's
+    two entries, the tails of rows k+1 and s past column s, and, for each
+    row i between them, the negated entries (k+1, i) and (i, s); entry
+    (k+1, s) is negated."""
     a = [list(row) for row in m]
     n = len(a)
     sign = 1
     prev = 1
     for k in range(0, n, 2):
         row_k = a[k]
-        if not row_k[k + 1]:
-            swap = next((j for j in range(k + 2, n) if row_k[j]), None)
-            if swap is None:
+        t = k + 1
+        row_t = a[t]
+        if not row_k[t]:
+            s = next((j for j in range(k + 2, n) if row_k[j]), None)
+            if s is None:
                 return 0
-            a[k + 1], a[swap] = a[swap], a[k + 1]
-            for row in a:
-                row[k + 1], row[swap] = row[swap], row[k + 1]
+            row_s = a[s]
+            row_k[t], row_k[s] = row_k[s], row_k[t]
+            for i in range(t + 1, s):
+                row_i = a[i]
+                row_t[i], row_i[s] = -row_i[s], -row_t[i]
+            row_t[s] = -row_t[s]
+            row_t[s + 1:], row_s[s + 1:] = row_s[s + 1:], row_t[s + 1:]
             sign = -sign
-        row_k1 = a[k + 1]
-        pivot = row_k[k + 1]
+        pivot = row_k[t]
         for i in range(k + 2, n):
             row_i = a[i]
-            ki, k1i = row_k[i], row_k1[i]
+            ki, ti = row_k[i], row_t[i]
             for j in range(i + 1, n):
-                x = (pivot * row_i[j] - ki * row_k1[j]
-                     + row_k[j] * k1i) // prev
-                row_i[j] = x
-                a[j][i] = -x
+                row_i[j] = (pivot * row_i[j] - ki * row_t[j]
+                            + row_k[j] * ti) // prev
         prev = pivot
     return sign * prev
 
@@ -269,16 +282,23 @@ def cell_volume(graph: Fatgraph) -> CellVolume:
     return _volume(pfaffian(form), len(form) // 2)
 
 
+def word_pfaffian(word) -> int:
+    """The signed Pfaffian of the half-scale form of a one-boundary gap
+    word (``_word_omega_matrix``), an integer: the form of
+    ``Fatgraph.from_word(word)`` has Pfaffian 2^d times this.  The form
+    passes the checks of ``pfaffian`` and its kernel, but not Pf^2 = det:
+    the census routes compare every cell's Pfaffian with its closed
+    value."""
+    return _pfaffian_int(_integer_form(_word_omega_matrix(word))[0])
+
+
 def word_cell_volume(word) -> CellVolume:
     """``cell_volume(Fatgraph.from_word(word))`` read off the gap word of a
-    one-boundary graph, with no graph built (``_word_omega_matrix``).  The
-    form is built at half scale, so the signed Pfaffian is scaled back by
-    2^d.  The form passes the checks of ``pfaffian`` and its kernel, but
-    not Pf^2 = det: the census routes compare every cell's volume with its
-    closed value."""
-    m = _integer_form(_word_omega_matrix(word))[0]
-    d = len(m) // 2
-    return _volume(Fraction(_pfaffian_int(m) * 2 ** d), d)
+    one-boundary graph of 2d+1 edges, with no graph built: the volume of
+    the Pfaffian ``word_pfaffian`` scaled back by 2^d."""
+    pf = word_pfaffian(word)
+    d = (len(word) - 2) // 4
+    return _volume(Fraction(pf * 2 ** d), d)
 
 
 def _word_omega_matrix(word) -> tuple:

@@ -15,6 +15,7 @@ from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT,
 from fatmod.cache import cache_path
 from fatmod.errors import ResourceLimit, WrongType
 from fatmod.fatgraph import Fatgraph, least_rotation
+from fatmod.hyperelliptic import count_t1, count_t2
 from fatmod.trees import LEAF, ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
     PlanarTree, _shapes, build_rooted_tree, odd_valence_shapes, \
     odd_valence_trees, rooted_trees, unrooted_trees
@@ -435,6 +436,40 @@ class TestOrbifoldSum:
     def test_weighted(self):
         census = enumerate_fatgraphs(2)
         assert census.orbifold_sum(weight=lambda e: 6) == 35
+
+
+def census_and_count(ws, kind, p, which):
+    """A census the tests build and its closed orbifold count."""
+    if kind == "fatgraph":
+        return ws.fatgraph_census(p, which), fatgraph_closed_count(p, which)
+    if kind == "trees":
+        return (enumerate_trees(p, *which),
+                tree_closed_count(p, *which))
+    if kind == "hyperelliptic":
+        return (ws.hyperelliptic_census(p),
+                Fraction(catalan(2 * p - 1), 2 * (2 * p + 1)))
+    comps = ws.w1_components(p)
+    return ((comps.component1, count_t1(p)) if which == 1
+            else (comps.component2, count_t2(p)))
+
+
+@pytest.mark.parametrize(
+    "kind,p,which",
+    [("fatgraph", g, TRIVALENT) for g in (1, 2, 3)]
+    + [("fatgraph", g, ALL) for g in (1, 2)]
+    + [("trees", n, (profile, rooting)) for n in range(2, 10)
+       for profile in (TREE_TRIVALENT, ONE5, MARKED)
+       for rooting in ("unrooted", "rooted")]
+    + [("hyperelliptic", g, None) for g in (1, 2, 3)]
+    + [("w1", g, component) for g in (2, 3) for component in (1, 2)],
+    ids=lambda x: "-".join(x) if isinstance(x, tuple) else str(x))
+def test_orbifold_count_is_the_unit_weight_sum(ws, kind, p, which):
+    # the count adds one Fraction per distinct |Aut|; it must agree with
+    # the per-class sum at weight 1 and with the closed count
+    census, closed = census_and_count(ws, kind, p, which)
+    count = census.orbifold_sum()
+    assert isinstance(count, Fraction)
+    assert count == census.orbifold_sum(lambda e: 1) == closed
 
 
 class TestEulerCharacteristic:

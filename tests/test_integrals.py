@@ -12,6 +12,7 @@ from fatmod.integrals import (TABLE, bernoulli, boundary_integral,
                               main_theorem, psi_top_genus0,
                               psi_top_hyperelliptic, psi_top_moduli,
                               w1_h_integral, zeta_negative)
+from fatmod.kontsevich import word_cell_volume
 from fatmod.trees import TRIVALENT
 from fatmod.workspace import Workspace
 
@@ -240,57 +241,85 @@ class TestMutationDetection:
                 euler_report(2, broken)
 
 
-# per identity: its census at parameter p, the cell volume its route calls
-# and the argument the route passes it for a census entry
+def moved_pfaffian(pf, dx):
+    """pf with |pf| moved by dx, a whole number short of |pf|."""
+    assert dx.denominator == 1 and abs(dx) < abs(pf)
+    return pf + int(dx) if pf > 0 else pf - int(dx)
+
+
+def moved_volume(volume, dx):
+    return volume._replace(value=volume.value + dx)
+
+
+# per identity: its census at parameter p, the function its route calls on
+# each cell, the argument the route passes it for a census entry, the
+# quantity the route compares, read off that function's result, and that
+# result with the quantity moved by dx
 CELLS = {
-    "psi-top": (lambda ws, g: ws.trivalent_census(g), "word_cell_volume",
-                lambda e: e.key),
+    "psi-top": (lambda ws, g: ws.trivalent_census(g), "word_pfaffian",
+                lambda e: e.key, abs, moved_pfaffian),
     "genus0": (lambda ws, n: ws.tree_census(n - 1, TRIVALENT),
-               "word_cell_volume", lambda e: split_flags(e.key)[0]),
+               "word_pfaffian", lambda e: split_flags(e.key)[0], abs,
+               moved_pfaffian),
     "hevol": (lambda ws, g: ws.hyperelliptic_census(g),
-              "hyperelliptic_cell_volume", lambda e: e.payload),
+              "hyperelliptic_cell_volume", lambda e: e.payload,
+              lambda v: v.value, moved_volume),
 }
 
 
 class TestPerCellVolumes:
-    """Every census route compares each cell's Pfaffian volume with the
-    closed per-cell value, so a wrong cell fails even where the sum does
-    not move."""
+    """Every census route compares each cell's integer Pfaffian or volume
+    with the closed per-cell value, so a wrong cell fails even where the
+    sum does not move."""
 
     @pytest.mark.parametrize("name,p", [("psi-top", 3), ("genus0", 6),
                                         ("hevol", 2)])
     def test_kernel_fault_fails_the_census_route(self, monkeypatch, ws,
                                                  name, p):
-        # word_cell_volume runs no Pf^2 = det check; an expansion off by
-        # one still fails the route, at the first cell it reaches
+        # word_pfaffian runs no Pf^2 = det check; an expansion off by one
+        # still fails the route, at the first cell it reaches
         expand = kontsevich._pfaffian_int
         monkeypatch.setattr(kontsevich, "_pfaffian_int",
                             lambda m: expand(m) + 1)
         with pytest.raises(AssertionError):
             evaluate(name, p, ws)
 
+    @pytest.mark.parametrize("g", [1, 2, 3])
+    def test_mismatch_names_the_cell_volume(self, monkeypatch, ws, g):
+        # the route compares integers, and names the volume of the wrong
+        # Pfaffian as word_cell_volume reads it under the same fault
+        expand = kontsevich._pfaffian_int
+        monkeypatch.setattr(kontsevich, "_pfaffian_int",
+                            lambda m: expand(m) + 1)
+        key = ws.trivalent_census(g).entries[0].key
+        message = "psi-top at g=%d: cell %r has volume %s, not the " \
+            "per-cell %s" % (g, key, word_cell_volume(key).value,
+                             integrals._cell_volume_formula(3 * g - 2, g))
+        with pytest.raises(AssertionError) as raised:
+            evaluate("psi-top", g, ws)
+        assert str(raised.value) == message
+
     # genus0 at n=6 and hevol at g=2 have one cell each, too few for two
     # errors to cancel
     @pytest.mark.parametrize("name,p", [("psi-top", 2), ("genus0", 7),
                                         ("hevol", 3)])
     def test_cancelling_cell_errors_fail(self, monkeypatch, ws, name, p):
-        census, volume, arg = CELLS[name]
+        census, function, arg, quantity, move = CELLS[name]
         census = census(ws, p)
         a, b = census.entries[:2]
-        true = getattr(integrals, volume)
-        x = true(arg(a)).value / 7
+        true = getattr(integrals, function)
+        x = Fraction(quantity(true(arg(a)))) / 4
         # +x|Aut| on one cell and -x|Aut| on another leave the sum of
-        # volume/|Aut| as it is
+        # quantity/|Aut| as it is
         shift = [(arg(a), x * a.aut_order), (arg(b), -x * b.aut_order)]
 
         def shifted(cell):
-            v = true(cell)
-            return v._replace(value=v.value + sum(
+            return move(true(cell), sum(
                 dx for other, dx in shift if other == cell))
 
-        assert census.orbifold_sum(lambda e: shifted(arg(e)).value) == \
-            census.orbifold_sum(lambda e: true(arg(e)).value)
-        monkeypatch.setattr(integrals, volume, shifted)
+        assert census.orbifold_sum(lambda e: quantity(shifted(arg(e)))) == \
+            census.orbifold_sum(lambda e: quantity(true(arg(e))))
+        monkeypatch.setattr(integrals, function, shifted)
         with pytest.raises(AssertionError, match=r"%s at \w=%d: cell" %
                            (name, p)):
             evaluate(name, p, ws)

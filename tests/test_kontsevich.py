@@ -12,7 +12,8 @@ from fatmod.errors import MalformedGraph, WrongBoundaryCount
 from fatmod.fatgraph import DELTA, Fatgraph
 from fatmod.hyperelliptic import double_tree
 from fatmod.kontsevich import (cell_volume, hyperelliptic_cell_volume,
-                               omega_matrix, pfaffian, word_cell_volume)
+                               omega_matrix, pfaffian, word_cell_volume,
+                               word_pfaffian)
 from fatmod.trees import (LEAF, ONE5, MARKED, PlanarTree, build_rooted_tree,
                           odd_valence_trees, unrooted_trees)
 
@@ -323,6 +324,52 @@ def test_integer_matrix_matches_fraction_twin(m):
     assert pfaffian(ints) == pfaffian(twin) == pfaffian(upper)
 
 
+def swap_forms(seed):
+    """An antisymmetric integer matrix on which ``_pfaffian_int`` swaps an
+    index at the first pivot of each diagonal block, moving entries across
+    the rows between, and its Pfaffian, drawn again until that is nonzero,
+    so that a lost sign shows.
+
+    Blocks of order 4 or 6 down the diagonal: each block's first row k is
+    0 at columns k+1 and k+2 and first nonzero at column k+3 or k+4, and
+    the rest of the block is random.  Elimination scales a later block
+    without filling its zeros, so each block opens with pivot 0 and a swap
+    of k+1 with an index s >= k+3, across rows k+2..s-1.  Odd seeds draw
+    one dense block of order 6 or 8 with that first row."""
+    rng = random.Random(seed)
+    while True:
+        sizes = [rng.choice((4, 6)) for _ in range(rng.randint(1, 3))]
+        if seed % 2:
+            sizes = [rng.choice((6, 8))]
+        n = sum(sizes)
+        m = [[0] * n for _ in range(n)]
+        k = 0
+        for size in sizes:
+            first = k + rng.choice((3, 4) if size > 4 else (3,))
+            for i in range(k, k + size):
+                for j in range(i + 1, k + size):
+                    if i == k and j < first:
+                        continue
+                    m[i][j] = rng.choice((-3, -2, -1, 1, 2, 3))
+                    m[j][i] = -m[i][j]
+            k += size
+        pf = pfaffian_by_matchings(m)
+        if pf:
+            return m, pf
+
+
+@pytest.mark.parametrize("seed", range(24))
+def test_kernel_sign_and_swap(seed):
+    # the signed Pfaffian through swaps that move entries across rows;
+    # the kernel reads only the strict upper triangle, so it gives the same
+    # value with the lower triangle zeroed
+    m, want = swap_forms(seed)
+    assert kontsevich._pfaffian_int(m) == want
+    upper = [[x if j > i else 0 for j, x in enumerate(row)]
+             for i, row in enumerate(m)]
+    assert kontsevich._pfaffian_int(upper) == want
+
+
 def word_slots(word):
     """The edge in each slot of a one-boundary gap word, edges numbered by
     first slot: slot p and slot p + word[p] (mod 2E) hold one edge."""
@@ -472,14 +519,16 @@ def test_word_form_matches_slot_pairs(word):
 def test_word_cell_volume_refuses_non_pairings(word):
     # a word whose slots do not pair up describes no cell, and is refused
     # before any form is built or its edge count read
-    with pytest.raises(MalformedGraph, match="not a pairing"):
-        word_cell_volume(word)
+    for read in (word_cell_volume, word_pfaffian):
+        with pytest.raises(MalformedGraph, match="not a pairing"):
+            read(word)
 
 
 def test_one_edge_word_form_is_empty():
     check_word_form((1, 1))
     assert kontsevich._word_omega_matrix((1, 1)) == ()
     assert word_cell_volume((1, 1)) == (1, 0, 1)
+    assert word_pfaffian((1, 1)) == 1
 
 
 @pytest.mark.parametrize("words", [
@@ -508,11 +557,14 @@ class TestPfaffianLaw:
             assert abs(pfaffian(omega_matrix(entry.graph))) == want
 
     def test_trivalent_census_genus_three_words(self, ws):
-        # |Pf| = 4^(3g-2) / 2^g = 2048 on each of the 1726 classes
+        # |Pf| = 4^(3g-2) / 2^g = 2048 on each of the 1726 classes, and
+        # 2^7 times the signed half-scale word_pfaffian
         entries = list(ws.trivalent_census(3))
         assert len(entries) == 1726
         for entry in entries:
-            assert abs(word_cell_volume(entry.key).pf) == 2048
+            pf = word_cell_volume(entry.key).pf
+            assert abs(pf) == 2048
+            assert pf == 2 ** 7 * word_pfaffian(entry.key)
 
     def test_odd_valence_trees(self):
         for tree in odd_valence_trees(9):

@@ -49,9 +49,10 @@ gaps and flags; no other function compares a slot with its partner's gap
 or strips a flag by hand.
 Each identity's closed route is a formula of its parameter alone: it
 names no workspace, census builder, census sum, cell volume, per-cell
-formula or assembled route.  Each census route compares every cell's
-volume with the one closed per-cell formula, so the word path's volumes
-run no Pf^2 = det check.  The command line names no identity; it looks
+formula or assembled route.  Each census route compares every cell with
+the one closed per-cell formula, so the word path's integer Pfaffians run
+no Pf^2 = det check, and then sums its census once, with no weight per
+cell.  The command line names no identity; it looks
 each one up in ``integrals.IDENTITIES`` and reads its default range from
 ``integrals.TABLE``.
 """
@@ -241,10 +242,10 @@ def test_census_sums_read_words(function):
     assert not mentions(assembled_node(function), "graph")
 
 
-@pytest.mark.parametrize("function", ["word_cell_volume",
+@pytest.mark.parametrize("function", ["word_cell_volume", "word_pfaffian",
                                       "_word_omega_matrix"])
 def test_word_form_is_built_in_one_pass(function):
-    # the census volumes build their form from the word's slot pairs; a
+    # the census cells build their form from the word's slot pairs; a
     # graph or the slot-sequence kernel would be the two-pass build again
     node = function_node("kontsevich", function)
     for name in ("Fatgraph", "_raw_form", "_eliminate", "omega_matrix"):
@@ -253,22 +254,36 @@ def test_word_form_is_built_in_one_pass(function):
 
 def test_word_volume_skips_the_determinant():
     # census cells are checked by their closed per-cell value, so the word
-    # path runs the Pfaffian kernel without the Pf^2 = det check
-    node = function_node("kontsevich", "word_cell_volume")
-    assert mentions(node, "_pfaffian_int")
-    for name in ("_det_fraction", "pfaffian"):
-        assert not mentions(node, name), "word_cell_volume names %s" % name
+    # path runs the Pfaffian kernel without the Pf^2 = det check, and the
+    # word volume is the volume of the one integer word Pfaffian
+    for function, calls in [("word_pfaffian", "_pfaffian_int"),
+                            ("word_cell_volume", "word_pfaffian")]:
+        node = function_node("kontsevich", function)
+        assert mentions(node, calls), function
+        for name in ("_det_fraction", "pfaffian"):
+            assert not mentions(node, name), "%s names %s" % (function, name)
+
+
+def orbifold_sum_calls(node):
+    return [n for n in ast.walk(node) if isinstance(n, ast.Call)
+            and isinstance(n.func, ast.Attribute)
+            and n.func.attr == "orbifold_sum"]
 
 
 @pytest.mark.parametrize("function", ["psi_top_genus0", "psi_top_moduli",
                                       "psi_top_hyperelliptic",
                                       "w1_h_integral"])
 def test_census_routes_check_the_per_cell_value(function):
-    # every census cell's volume is compared with the one closed per-cell
-    # formula, which the formula rows above the thresholds read too
+    # every census cell is compared with the one closed per-cell formula,
+    # which the formula rows above the thresholds read too; once every
+    # cell has passed, the census is summed once, as the per-cell value
+    # times its orbifold count, with no weight per cell
     node = assembled_node(function)
     assert mentions(node, "_cell_volume_formula")
     assert mentions(node, "_certified")
+    assert not orbifold_sum_calls(node)
+    [call] = orbifold_sum_calls(function_node("integrals", "_certified"))
+    assert not call.args and not call.keywords
 
 
 @pytest.mark.parametrize("function", ["hyperelliptic_cell_volume",
@@ -418,8 +433,9 @@ ASSEMBLY_NAMES = {
     "tree_census", "hyperelliptic_census", "w1_components",
     "enumerate_fatgraphs", "enumerate_trees", "collapse_closure",
     "w1_component1_census", "w1_component2_census", "orbifold_sum",
-    "word_cell_volume", "hyperelliptic_cell_volume", "cell_volume",
-    "_cell_volume_formula", "_certified", "pfaffian", "omega_matrix",
+    "word_cell_volume", "word_pfaffian", "hyperelliptic_cell_volume",
+    "cell_volume", "_doubled_volume", "_cell_volume_formula",
+    "_word_pfaffian_value", "_certified", "pfaffian", "omega_matrix",
     "evaluate"}
 
 

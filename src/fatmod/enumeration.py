@@ -130,18 +130,14 @@ class OrbifoldCensus:
         return iter(self.entries)
 
     def orbifold_sum(self, weight: Optional[Callable] = None) -> Fraction:
-        """Sum of weight(entry)/aut_order over all classes, exact.  With no
-        weight, the orbifold count: classes are counted per |Aut|, and one
-        ``Fraction`` is added per distinct order."""
-        if weight is None:
-            counts = collections.Counter(entry.aut_order
-                                         for entry in self.entries)
-            return sum((Fraction(count, aut) for aut, count
-                        in counts.items()), Fraction(0))
-        total = Fraction(0)
+        """Sum of weight(entry)/aut_order over all classes, exact; with no
+        weight, the orbifold count.  Weights (ints or Fractions) are added
+        per |Aut|, and one ``Fraction`` is formed per distinct order."""
+        totals = collections.Counter()
         for entry in self.entries:
-            total += Fraction(weight(entry)) / entry.aut_order
-        return total
+            totals[entry.aut_order] += 1 if weight is None else weight(entry)
+        return sum((Fraction(total) / aut for aut, total in totals.items()),
+                   Fraction(0))
 
 
 # -- the one-boundary census -------------------------------------------------

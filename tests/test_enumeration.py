@@ -464,8 +464,8 @@ def census_and_count(ws, kind, p, which):
     + [("w1", g, component) for g in (2, 3) for component in (1, 2)],
     ids=lambda x: "-".join(x) if isinstance(x, tuple) else str(x))
 def test_orbifold_count_is_the_unit_weight_sum(ws, kind, p, which):
-    # the count adds one Fraction per distinct |Aut|; it must agree with
-    # the per-class sum at weight 1 and with the closed count
+    # with no weight the sum counts classes: it must agree with an
+    # explicit unit weight and with the closed count
     census, closed = census_and_count(ws, kind, p, which)
     count = census.orbifold_sum()
     assert isinstance(count, Fraction)

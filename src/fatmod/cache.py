@@ -41,7 +41,12 @@ def save_records(path: Path, descriptor: str, records) -> None:
              "count=%d" % len(records)]
     lines += ["%d | %s" % (aut, ",".join(map(str, word)))
               for aut, word in records]
-    path.parent.mkdir(parents=True, exist_ok=True)
+    try:
+        path.parent.mkdir(parents=True, exist_ok=True)
+    except OSError as exc:
+        # such as a file where the directory or one of its parents should be
+        raise CacheError("cannot make cache directory %s" % path.parent) \
+            from exc
     # a reader sees the old file or the whole new one, never a partial one;
     # the temp name does not end in .census, so no census lookup finds it
     tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))

@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import sys
+from decimal import Decimal
 from fractions import Fraction
 
 from . import enumeration as _enum
@@ -25,8 +26,10 @@ REPORT_FORMAT_VERSION = 1
 
 
 def rational_str(x: Fraction) -> str:
+    # a Decimal prints every digit of an int, also past the interpreter's
+    # limit on int-to-str conversion (4300 digits by default)
     x = Fraction(x)
-    return "%d/%d" % (x.numerator, x.denominator)
+    return "%s/%s" % (Decimal(x.numerator), Decimal(x.denominator))
 
 
 def _parse_range(text, option, default):

@@ -15,25 +15,26 @@ since the free-coordinate domain is the 1/2-scaled simplex of volume
 1/(2^(2d) (2d)!).
 
 Every coefficient is even.  Forms read off a gap word are built at half
-scale, A/2, in one pass that eliminates as it goes; ``word_pfaffian`` is
-their Pfaffian, an integer, and ``word_cell_volume`` scales it back by
-2^d.  Forms of a graph (``omega_matrix``) and the hyperelliptic pullback
-stay at full scale, and take their raw coefficients from one pass over
-edge pairs of a boundary word (``_raw_form``, edges by
-``fatgraph.word_pairs``), sending each edge to a coordinate: a graph's
-own edge, or a tree edge at a scale.
+scale, A/2, in one pass that eliminates as it goes and writes only the
+strict upper triangle; ``word_pfaffian`` is their Pfaffian, an integer,
+and ``word_cell_volume`` scales it back by 2^d.  Forms of a graph
+(``omega_matrix``) and the hyperelliptic pullback stay at full scale, and
+take their raw coefficients from one pass over edge pairs of a boundary
+word (``_raw_form``, edges by ``fatgraph.word_pairs``), sending each edge
+to a coordinate: a graph's own edge, or a tree edge at a scale.
 The pullback's scales make its form rational; ``pfaffian`` scales a
 rational form once, in integer arithmetic, by the lcm of its denominators,
 and runs every check on that integer matrix.
 
 Every Pfaffian comes from one kernel, ``_pfaffian_int``, which works on
 the strict upper triangle of an integer matrix alone.  ``pfaffian``
-verifies every result against the determinant, Pf^2 = det.
-``word_pfaffian`` runs the same shape, antisymmetry and type checks but
-not that one: its Pfaffians are the census cells', and each census route
-in ``integrals`` compares every cell's integer Pfaffian with the closed
-per-cell value, a check that also sees a wrong form, which Pf^2 = det
-cannot.
+checks the shape, antisymmetry and entry types of its matrix and verifies
+every result against the determinant, Pf^2 = det.  ``word_pfaffian``
+hands its form to the kernel with none of these: the form has no lower
+triangle to disagree with the upper one, its Pfaffians are the census
+cells', and each census route in ``integrals`` compares every cell's
+integer Pfaffian with the closed per-cell value, a check that also sees a
+wrong form, which Pf^2 = det cannot.
 """
 
 from __future__ import annotations
@@ -124,35 +125,18 @@ def _eliminate(c, num_edges, k) -> tuple:
 def pfaffian(matrix) -> Fraction:
     """Exact Pfaffian of an antisymmetric matrix.
 
-    Entries must be ``int`` or ``Fraction``; ``_integer_form`` checks the
-    matrix and scales it to integers.  The Pfaffian is computed by
-    fraction-free skew elimination in O(n^3) integer steps, and verified
-    against the two-step Bareiss integer determinant (``_det_fraction``,
-    Pf^2 = det) before returning.  ``word_pfaffian`` runs the same checks
-    and the same kernel but not this verification: each census route
-    compares its cells' Pfaffians with their closed value instead.
-    """
-    m, scale = _integer_form(matrix)
-    n = len(m)
-    if n == 0:
-        return Fraction(1)
-    pf_int = _pfaffian_int(m)
-    det = _det_fraction(m)
-    if pf_int * pf_int != det:
-        raise AssertionError("Pfaffian does not square to the determinant")
-    return Fraction(pf_int, scale ** (n // 2))
-
-
-def _integer_form(matrix) -> tuple:
-    """``(m, scale)``: the antisymmetric integer matrix m = scale * matrix.
-
     A matrix that is not square, or of odd order, raises ValueError; so
     does one that is not antisymmetric, and then one whose entries are not
     all ``int`` or ``Fraction`` raises TypeError.  A matrix of ``int``
     entries passes unscaled; any other is scaled once, in integer
     arithmetic, by the lcm of its entries' denominators, and the
     antisymmetry check runs on that integer matrix (a positive scale keeps
-    a matrix antisymmetric or not).
+    a matrix antisymmetric or not).  The Pfaffian is computed by
+    fraction-free skew elimination in O(n^3) integer steps, and verified
+    against the two-step Bareiss integer determinant (``_det_fraction``,
+    Pf^2 = det) before returning.  ``word_pfaffian`` runs neither these
+    checks nor this verification: each census route compares its cells'
+    Pfaffians with their closed value instead.
     """
     n = len(matrix)
     if any(len(row) != n for row in matrix):
@@ -175,7 +159,13 @@ def _integer_form(matrix) -> tuple:
                 raise ValueError("matrix is not antisymmetric")
     if not exact:
         raise TypeError("matrix entries must be int or Fraction")
-    return m, scale
+    if n == 0:
+        return Fraction(1)
+    pf_int = _pfaffian_int(m)
+    det = _det_fraction(m)
+    if pf_int * pf_int != det:
+        raise AssertionError("Pfaffian does not square to the determinant")
+    return Fraction(pf_int, scale ** (n // 2))
 
 
 def _pfaffian_int(m):
@@ -286,10 +276,11 @@ def word_pfaffian(word) -> int:
     """The signed Pfaffian of the half-scale form of a one-boundary gap
     word (``_word_omega_matrix``), an integer: the form of
     ``Fatgraph.from_word(word)`` has Pfaffian 2^d times this.  The form
-    passes the checks of ``pfaffian`` and its kernel, but not Pf^2 = det:
-    the census routes compare every cell's Pfaffian with its closed
-    value."""
-    return _pfaffian_int(_integer_form(_word_omega_matrix(word))[0])
+    goes straight to the kernel, with none of ``pfaffian``'s checks: it
+    is antisymmetric by construction, as it has only an upper triangle,
+    and the census routes compare every cell's Pfaffian with its closed
+    value, which sees a wrong form as well as a wrong kernel."""
+    return _pfaffian_int(_word_omega_matrix(word))
 
 
 def word_cell_volume(word) -> CellVolume:
@@ -301,9 +292,12 @@ def word_cell_volume(word) -> CellVolume:
     return _volume(Fraction(pf * 2 ** d), d)
 
 
-def _word_omega_matrix(word) -> tuple:
-    """``omega_matrix(Fatgraph.from_word(word))`` divided by 2, built in one
-    pass over pairs of free edges of the gap word (``word_pairs``).
+def _word_omega_matrix(word) -> list:
+    """``omega_matrix(Fatgraph.from_word(word))`` divided by 2, as the
+    kernel ``_pfaffian_int`` reads it: a list of row lists holding the
+    strict upper triangle, with 0 on and below the diagonal.  Each row is
+    one comprehension over the later free edges of the gap word
+    (``word_pairs``).
 
     For edges a < b, with slots p1 < p2 and q1 < q2, the raw coefficient
     is 2 ((q1 > p2) + (q2 > p2)) (``_raw_form``), with +2 in the row and
@@ -323,15 +317,9 @@ def _word_omega_matrix(word) -> tuple:
     k1, k2 = ends.pop()
     # each free edge's slots and its halved raw coefficient against edge k
     edges = [(q1, q2, (k1 > q2) + (k2 > q2)) for q1, q2 in ends]
-    n = len(edges)
-    rows = [[0] * n for _ in range(n)]
-    for a, (_, p2, cka) in enumerate(edges):
-        row = rows[a]
-        for b in range(a + 1, n):
-            q1, q2, ckb = edges[b]
-            row[b] = v = (q1 > p2) + (q2 > p2) - cka + ckb
-            rows[b][a] = -v
-    return tuple(map(tuple, rows))
+    return [[0] * (a + 1) + [(q1 > p2) + (q2 > p2) - cka + ckb
+                             for q1, q2, ckb in edges[a + 1:]]
+            for a, (_, p2, cka) in enumerate(edges)]
 
 
 def _volume(pf: Fraction, d: int) -> CellVolume:

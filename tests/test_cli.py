@@ -12,7 +12,7 @@ from fatmod import cli
 from fatmod.cache import FORMAT_VERSION, HEADER, cache_path, load_records, \
     save_records
 from fatmod.errors import CacheError
-from fatmod.integrals import IntegralReport
+from fatmod.integrals import TABLE, IntegralReport
 from fatmod.workspace import Workspace
 
 from oracles import census_without
@@ -23,7 +23,18 @@ ALL_TWO = "fatgraphs g=2 n=1 filter=all"
 
 def parse_rational(s: str) -> Fraction:
     num, _, den = s.partition("/")
-    return Fraction(int(num), int(den) if den else 1)
+    return Fraction(parse_int(num), parse_int(den) if den else 1)
+
+
+def parse_int(s: str) -> int:
+    # 600 digits at a time, below any limit the interpreter sets on
+    # str-to-int conversion
+    digits = s.lstrip("-")
+    value = 0
+    for i in range(0, len(digits), 600):
+        chunk = digits[i:i + 600]
+        value = value * 10 ** len(chunk) + int(chunk)
+    return -value if s.startswith("-") else value
 
 
 def run(capsys, *argv):
@@ -766,6 +777,24 @@ class TestCache:
                       "--g", "1", "--cache", str(tmp_path), "--no-build")
         assert code == 1
 
+    @pytest.mark.parametrize("where", ["file", "under-a-file"])
+    def test_unusable_cache_path_is_a_cache_error(self, capsys, tmp_path,
+                                                  where):
+        # a file where the cache directory, or one of its parents, should
+        # be is refused with one line naming it, and nothing is printed
+        afile = tmp_path / "afile"
+        afile.write_text("not a directory\n")
+        cache_dir = afile if where == "file" else afile / "sub"
+        code = cli.main(["verify", "--identity", "psi-top", "--g", "2",
+                         "--cache", str(cache_dir)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert captured.err == "cache error: cannot make cache directory " \
+            "%s\n" % cache_dir
+        assert afile.read_text() == "not a directory\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["afile"]
+
 
 class TestReport:
     def test_mismatch_exit_code(self, capsys, monkeypatch):
@@ -793,6 +822,30 @@ class TestReport:
                   for r in doc["rows"]}
         assert closed[("main-theorem", 2)] == "3/640"
         assert closed[("corollary", 2)] == "37/5760"
+
+    @pytest.mark.parametrize("fmt", ["human", "json", "csv"])
+    def test_rationals_past_the_digit_limit(self, capsys, fmt):
+        # at g=712 some denominators pass the interpreter's 4300-digit
+        # limit on int-to-str conversion; every value is still printed
+        # exactly
+        names = ["hevol", "w1h", "boundary", "main-theorem", "corollary"]
+        code, out = run(capsys, "report", "--identities", ",".join(names),
+                        "--g", "712", "--format", fmt)
+        assert code == 0
+        if fmt == "json":
+            rows = [(r["identity"], r["value_closed"], r["value_assembled"])
+                    for r in json.loads(out)["rows"]]
+        elif fmt == "csv":
+            rows = [(r["identity"], r["value_closed"], r["value_assembled"])
+                    for r in csv.DictReader(io.StringIO(out))]
+        else:
+            rows = [tuple(line.split()[i] for i in (0, 2, 3))
+                    for line in out.splitlines()[1:]]
+        assert [name for name, _, _ in rows] == names
+        for name, closed, assembled in rows:
+            assert parse_rational(closed) == TABLE[name].closed(712)
+            assert parse_rational(assembled) == TABLE[name].closed(712)
+        assert max(len(closed) for _, closed, _ in rows) > 4300
 
     def test_csv_row_count(self, capsys):
         code, out = run(capsys, "report", "--identities",

@@ -470,10 +470,11 @@ def test_census_form_assembly_matches_slot_pairs(sequences, ws):
 
 
 def check_word_form(word):
-    # the one-pass form of a gap word is half the slot-pair oracle's form
-    # after eliminating the last edge, and half the form of the graph the
-    # word builds (delta-flagged, so any valence is allowed), entry for
-    # entry; a word with an even edge count is refused as the graph is
+    # the one-pass form of a gap word is the strict upper triangle of half
+    # the slot-pair oracle's form after eliminating the last edge, and of
+    # half the form of the graph the word builds (delta-flagged, so any
+    # valence is allowed), entry for entry, with 0 on and below the
+    # diagonal; a word with an even edge count is refused as the graph is
     m = len(word)
     seq = word_slots(word)
     num_edges = m // 2
@@ -484,11 +485,18 @@ def check_word_form(word):
         with pytest.raises(ValueError, match=str(refused.value)):
             kontsevich._word_omega_matrix(word)
         return
-    doubled = tuple(tuple(2 * x for x in row)
-                    for row in kontsevich._word_omega_matrix(word))
-    c = raw_coefficients_by_slot_pairs(seq, num_edges)
-    assert doubled == eliminated_form(c, num_edges - 1)
-    assert doubled == omega_matrix(graph)
+    form = kontsevich._word_omega_matrix(word)
+    # the kernel reads n row lists, and only their strict upper triangle
+    n = num_edges - 1
+    assert type(form) is list and len(form) == n
+    assert all(type(row) is list and len(row) == n for row in form)
+    want = eliminated_form(raw_coefficients_by_slot_pairs(seq, num_edges),
+                           num_edges - 1)
+    graph_form = omega_matrix(graph)
+    for a in range(n):
+        assert form[a][:a + 1] == [0] * (a + 1)
+        for b in range(a + 1, n):
+            assert 2 * form[a][b] == want[a][b] == graph_form[a][b]
 
 
 @st.composite
@@ -526,7 +534,7 @@ def test_word_cell_volume_refuses_non_pairings(word):
 
 def test_one_edge_word_form_is_empty():
     check_word_form((1, 1))
-    assert kontsevich._word_omega_matrix((1, 1)) == ()
+    assert kontsevich._word_omega_matrix((1, 1)) == []
     assert word_cell_volume((1, 1)) == (1, 0, 1)
     assert word_pfaffian((1, 1)) == 1
 

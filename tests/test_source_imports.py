@@ -264,6 +264,16 @@ def test_word_volume_skips_the_determinant():
             assert not mentions(node, name), "%s names %s" % (function, name)
 
 
+def test_word_pfaffian_checks_no_form():
+    # the word form comes as the kernel reads it, an upper triangle and so
+    # antisymmetric by construction; a check pass over it would be the
+    # second pass over the form again
+    node = function_node("kontsevich", "word_pfaffian")
+    for name in ("_word_omega_matrix", "_pfaffian_int"):
+        assert mentions(node, name), "word_pfaffian skips %s" % name
+    assert not mentions(node, "_integer_form")
+
+
 def orbifold_sum_calls(node):
     return [n for n in ast.walk(node) if isinstance(n, ast.Call)
             and isinstance(n.func, ast.Attribute)

@@ -21,11 +21,12 @@ There is one search, :func:`enumerate_fatgraphs`, and it builds only the
 trivalent census (E = 6g - 3, every sigma-cycle of length three).  It
 pairs the least unpaired slot with each later one in turn.  The links
 t(p) = alpha(p) + 1 made so far form open paths and closed 3-cycles, the
-vertices.  The search state is ``alpha``, the gap of each paired slot,
-and, at both endpoints of each open path, its other endpoint and its slot
-count, so a pair is linked and checked in O(1) with no path walked.  A
-path of three slots is closed as soon as it forms (forced closure).  Each
-node copies the state once and restores it by slice assignment after each try.  Two cuts keep the search small:
+vertices.  The search state is the gap word ``gap``, -1 at each unpaired
+slot, and, at both endpoints of each open path, its other endpoint
+(``end``) and its slot count (``size``), so a pair is linked and checked
+in O(1) with no path walked.  A path of three slots is closed as soon as
+it forms (forced closure).  Each node copies the state once and restores
+it by slice assignment after each try.  Two cuts keep the search small:
 
 * a pair whose links would make a path longer than three slots, or close
   one shorter, is skipped before anything is written;
@@ -34,8 +35,8 @@ node copies the state once and restores it by slice assignment after each try.  
   is below gap[0], or a rotation that starts with gap[0] is already
   smaller than the word over the slots known in both.
 
-So only canonical representatives, each its own least rotation, are
-emitted, one per class, in lexicographic order.
+So only canonical gap words, each its own least rotation, are emitted,
+one per class, in key order.
 
 Every other census is :func:`collapse_closure` of a trivalent census, as
 every cell of the ribbon graph complex is a face of a top cell: collapsing
@@ -142,32 +143,29 @@ class OrbifoldCensus:
 
 # -- the one-boundary census -------------------------------------------------
 
-def canonical_gap_word(alpha) -> tuple:
-    """Rotation-canonical form of a one-boundary pairing."""
-    m = len(alpha)
-    gaps = tuple((alpha[p] - p) % m for p in range(m))
+def canonical_gap_word(gaps) -> tuple:
+    """The least rotation of the gap word ``gaps``, its class's key."""
     k = least_rotation(gaps)[0]
-    return gaps[k:] + gaps[:k]
+    return tuple(gaps[k:] + gaps[:k])
 
 
 def _trivalent_pairings(num_edges: int):
     """Pairings of Z_{2E} whose sigma-cycles all have length three, one per
-    rotation class: those whose gap sequence is its own least rotation.
-    Returns alpha tuples, in lexicographic order.
+    rotation class: those whose gap word is its own least rotation.
+    Returns those canonical gap words, in key order.
 
     The search pairs the least unpaired slot p with each later q in turn.
-    A pair adds the links t(p) = q + 1 and t(q) = p + 1 of
-    ``t = alpha + 1``, the vertex permutation; the links form open paths,
-    and cycles that are vertices.  Each open path keeps its other endpoint
-    (``end``) and its slot count (``size``) at both its endpoints, so a
-    link joins two paths or closes one in O(1).  A path of three slots is
-    closed at once: its tail is paired with the slot before its head.
-    Each node snapshots the four arrays once and restores them by slice
-    assignment after each try.
+    A pair sets both gaps (``gap``, -1 at an unpaired slot) and adds the
+    links t(p) = q + 1 and t(q) = p + 1 of ``t = alpha + 1``, the vertex
+    permutation; the links form open paths, and cycles that are vertices.
+    Each open path keeps its other endpoint (``end``) and its slot count
+    (``size``) at both its endpoints, so a link joins two paths or closes
+    one in O(1).  A path of three slots is closed at once: its tail is
+    paired with the slot before its head.  Each node snapshots the three
+    arrays once and restores them by slice assignment after each try.
     """
     m = 2 * num_edges
-    alpha = [-1] * m
-    gap = [-1] * m     # alpha[p] - p mod m where defined; gaps are >= 1
+    gap = [-1] * m     # -1 at an unpaired slot; gaps are >= 1
     end = list(range(m))
     size = [1] * m
     results = []
@@ -175,8 +173,6 @@ def _trivalent_pairings(num_edges: int):
     def assign(p, q):
         """Pair p with q and close every path of three slots this makes;
         False on a contradiction, leaving the arrays to be restored."""
-        alpha[p] = q
-        alpha[q] = p
         gp = gap[p] = q - p if q > p else q - p + m
         gq = gap[q] = m - gp
         # a least rotation starts with its least gap
@@ -221,24 +217,24 @@ def _trivalent_pairings(num_edges: int):
         # a path h -> .. -> t of three slots closes by t(t) = h, that is
         # by pairing t with h - 1; a paired tail means the second link
         # closed the path of the first
-        if t1 >= 0 and alpha[t1] == -1:
+        if t1 >= 0 and gap[t1] == -1:
             c1 = h1 - 1 if h1 else m - 1
-            if c1 == t1 or alpha[c1] != -1:
+            if c1 == t1 or gap[c1] != -1:
                 return False
         else:
             t1 = -1
-        if t2 >= 0 and alpha[t2] == -1:
+        if t2 >= 0 and gap[t2] == -1:
             c2 = h2 - 1 if h2 else m - 1
-            if c2 == t2 or alpha[c2] != -1:
+            if c2 == t2 or gap[c2] != -1:
                 return False
         else:
             t2 = -1
         if t1 >= 0 and not assign(t1, c1):
             return False
         if t2 >= 0:
-            if alpha[t2] == -1 and alpha[c2] == -1:
+            if gap[t2] == -1 and gap[c2] == -1:
                 return assign(t2, c2)
-            return alpha[t2] == c2
+            return gap[t2] == (c2 - t2) % m
         return True
 
     def rotation_is_smaller():
@@ -268,11 +264,11 @@ def _trivalent_pairings(num_edges: int):
 
     def search():
         try:
-            p = alpha.index(-1)
+            p = gap.index(-1)
         except ValueError:
-            results.append(tuple(alpha))
+            results.append(tuple(gap))
             return
-        saved = alpha[:], gap[:], end[:], size[:]
+        saved = gap[:], end[:], size[:]
         # gaps below gap[0] are cut: q - p >= gap[0] and m - (q - p) >=
         # gap[0], and at the root gap[0] = q is at most m - q
         if p:
@@ -281,7 +277,7 @@ def _trivalent_pairings(num_edges: int):
             lo, hi = 1, num_edges + 1
         b2 = p + 1 if p + 1 < m else 0
         for q in range(lo, hi):
-            if alpha[q] != -1:
+            if gap[q] != -1:
                 continue
             # skip a q whose links p -> q + 1 or q -> p + 1 would make a
             # path longer than three slots, or close one shorter; paths
@@ -299,7 +295,7 @@ def _trivalent_pairings(num_edges: int):
                 continue
             if assign(p, q) and not rotation_is_smaller():
                 search()
-            alpha[:], gap[:], end[:], size[:] = saved
+            gap[:], end[:], size[:] = saved
 
     search()
     return results
@@ -310,17 +306,18 @@ def collapse_word(word, slot) -> tuple:
     edge at ``slot`` collapsed; that edge must not be a loop.
 
     Collapsing a non-loop edge keeps the one boundary cycle and drops the
-    edge's two sides from it, so the slot and its partner leave the word.
+    edge's two sides from it, so the slot and its partner leave the word,
+    and each kept gap loses the removed slots inside its forward arc.
 
     >>> collapse_word((3, 3, 3, 3, 3, 3), 0)
     (2, 2, 2, 2)
     """
     m = len(word)
-    lo, hi = sorted((slot, (slot + word[slot]) % m))
-    # slot i is kept when its partner j is; j moves down past lo and hi
-    return canonical_gap_word([j - (j > lo) - (j > hi) for j in
-                               ((i + w) % m for i, w in enumerate(word))
-                               if j != lo and j != hi])
+    a, b = slot, (slot + word[slot]) % m
+    # a removed slot lies inside the arc of i when it is less than w ahead
+    return canonical_gap_word([w - ((a - i) % m < w) - ((b - i) % m < w)
+                               for i, w in enumerate(word)
+                               if i != a and i != b])
 
 
 def _collapsible_slots(word, single: bool):
@@ -519,17 +516,13 @@ def fatgraph_closed_count(g: int, valence_filter) -> Fraction:
 def enumerate_fatgraphs(g: int,
                         cap_edges: Optional[int] = None) -> OrbifoldCensus:
     """The trivalent census of type (g, 1), g >= 1, by the one search,
-    which emits each class once, in key order.  Raises WrongType for
-    g < 1 and ResourceLimit past the cap (:func:`check_edge_cap`)."""
+    which emits each class once, as its canonical gap word, in key order.
+    Raises WrongType for g < 1 and ResourceLimit past the cap
+    (:func:`check_edge_cap`)."""
     _check_genus(g)
     check_edge_cap(g, TRIVALENT, cap_edges)
-    top = 6 * g - 3
-    m = 2 * top
     entries = []
-    for alpha in _trivalent_pairings(top):
-        word = canonical_gap_word(alpha)
-        if word != tuple((alpha[p] - p) % m for p in range(m)):
-            raise AssertionError("search emitted a non-canonical pairing")
+    for word in _trivalent_pairings(6 * g - 3):
         if entries and word <= entries[-1].key:
             raise AssertionError("search emitted a class twice or out of "
                                  "order")

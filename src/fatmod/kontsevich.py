@@ -307,6 +307,12 @@ def _word_omega_matrix(word) -> list:
     left is even; the form is built without the common factor 2, which
     halves Pf by 2^d and keeps the integers small.
 
+    A form with the edge-k terms' signs flipped keeps every census cell's
+    |Pf|, so the census routes miss it; only the form oracles
+    ``test_word_form_matches_slot_pairs``,
+    ``test_census_word_forms_match_slot_pairs`` and
+    ``test_word_cell_volume_matches_graph`` catch it.
+
     Raises MalformedGraph unless the word pairs its slots, then ValueError
     if it pairs them into an even number of edges.
     """

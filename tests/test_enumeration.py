@@ -13,7 +13,7 @@ from fatmod.enumeration import (ALL, OrbifoldCensus, TRIVALENT,
                                 fatgraph_profiles, rooted_one_face_count,
                                 tree_closed_count)
 from fatmod.cache import cache_path
-from fatmod.errors import ResourceLimit, WrongType
+from fatmod.errors import MalformedGraph, ResourceLimit, WrongType
 from fatmod.fatgraph import Fatgraph, least_rotation
 from fatmod.hyperelliptic import count_t1, count_t2
 from fatmod.trees import LEAF, ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
@@ -171,6 +171,33 @@ class TestFatgraphCensus:
         b = enumerate_fatgraphs(2)
         assert [e.key for e in a] == [e.key for e in b]
 
+    @pytest.mark.parametrize("fault,error", [
+        ("rotated", MalformedGraph), ("repeated", AssertionError),
+        ("out-of-order", AssertionError)])
+    def test_faulty_search_is_refused(self, monkeypatch, tmp_path, fault,
+                                      error):
+        # each searched word is checked once: word_entry refuses one that
+        # is not its own least rotation, and the census loop a repeat or a
+        # word out of key order, before the door writes anything
+        words = _trivalent_pairings(9)
+        first, second = words[0], words[1]
+        faulty = {"rotated": [first[1:] + first[:1]] + words[1:],
+                  "repeated": words[:2] + words[1:],
+                  "out-of-order": [second, first] + words[2:]}[fault]
+        monkeypatch.setattr(enumeration, "_trivalent_pairings",
+                            lambda num_edges: faulty)
+        with pytest.raises(error):
+            enumerate_fatgraphs(2)
+        with pytest.raises(error):
+            Workspace(cache_dir=tmp_path).fatgraph_census(2, TRIVALENT)
+        assert not list(tmp_path.iterdir())
+
+
+def gap_word(alpha) -> tuple:
+    """The gap word ``(alpha(p) - p mod 2E)_p`` of the pairing alpha."""
+    m = len(alpha)
+    return tuple((alpha[p] - p) % m for p in range(m))
+
 
 def search_nodes(pairings, num_edges) -> int:
     """Nodes a pairing search visits: calls of its nested ``search``."""
@@ -202,17 +229,20 @@ class TestTrivalentSearch:
     @pytest.mark.parametrize("num_edges", [3, 9, 15])
     def test_matches_reference_search(self, num_edges):
         # the reference walks paths link by link, undoes each try from a
-        # trail and compares every rotation: same pairings, same order
+        # trail and compares every rotation: same pairings, as gap words,
+        # in the same order
         assert _trivalent_pairings(num_edges) == \
-            trivalent_pairings_reference(num_edges)
+            [gap_word(alpha)
+             for alpha in trivalent_pairings_reference(num_edges)]
 
     @pytest.mark.parametrize("num_edges", [3, 9, 15])
     def test_pairings_are_canonical_and_trivalent(self, num_edges):
         m = 2 * num_edges
-        pairings = _trivalent_pairings(num_edges)
-        assert pairings == sorted(pairings)
+        words = _trivalent_pairings(num_edges)
+        assert words == sorted(words)
         rooted = 0
-        for alpha in pairings:
+        for word in words:
+            alpha = [(p + w) % m for p, w in enumerate(word)]
             # a fixed-point-free involution ...
             assert all(alpha[p] != p and alpha[alpha[p]] == p
                        for p in range(m))
@@ -222,7 +252,8 @@ class TestTrivalentSearch:
             assert all(sigma[p] != p and sigma[sigma[sigma[p]]] == p
                        for p in range(m))
             # ... and whose gap word is its own least rotation
-            gaps = tuple((alpha[p] - p) % m for p in range(m))
+            gaps = gap_word(alpha)
+            assert gaps == word
             rotations = [gaps[r:] + gaps[:r] for r in range(m)]
             assert gaps == min(rotations)
             rooted += m // rotations.count(gaps)

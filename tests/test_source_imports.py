@@ -11,9 +11,11 @@ that walks its paths link by link and undoes from a trail is
 ``oracles.trivalent_pairings_reference`` only.  The package's one pairing
 search has one caller, ``enumeration.enumerate_fatgraphs``, which builds
 only the trivalent census, so every other census is collapsed from a
-trivalent census and no census path searches twice.  Only the workspace
-door, ``Workspace.fatgraph_census``, checks a census filter, runs the
-search and collapses the other censuses.
+trivalent census and no census path searches twice.  The search keeps
+and emits gap words, which ``word_entry`` checks once each, and the
+collapse edits gaps, so no function of the census layer holds a pairing
+``alpha``.  Only the workspace door, ``Workspace.fatgraph_census``,
+checks a census filter, runs the search and collapses the other censuses.
 Only fatgraph censuses are cached, so the workspace holds no tree record
 kind, and unrooted tree classes are found among contour words, not among
 built rooted trees.  A fatgraph census class is its gap word: the cache
@@ -152,6 +154,24 @@ def mentions(node, name):
                or isinstance(n, ast.Attribute) and n.attr == name
                or isinstance(n, ast.alias) and name in (n.name, n.asname)
                for n in ast.walk(node))
+
+
+@pytest.mark.parametrize("function", ["_trivalent_pairings",
+                                      "canonical_gap_word", "collapse_word",
+                                      "enumerate_fatgraphs"])
+def test_census_layer_keeps_no_pairing(function):
+    # a fatgraph census is gap words end to end: the search keeps and
+    # emits gap words, and the collapse edits gaps, so no function of the
+    # census layer holds the pairing alpha beside them
+    assert not mentions(function_node("enumeration", function), "alpha")
+
+
+def test_search_words_are_checked_once():
+    # the search emits canonical words, which word_entry checks; a second
+    # canonical form of each would be a second check of the same thing
+    node = function_node("enumeration", "enumerate_fatgraphs")
+    assert mentions(node, "word_entry")
+    assert not mentions(node, "canonical_gap_word")
 
 
 def test_one_function_runs_the_pairing_search():

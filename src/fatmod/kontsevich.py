@@ -22,19 +22,17 @@ and ``word_cell_volume`` scales it back by 2^d.  Forms of a graph
 take their raw coefficients from one pass over edge pairs of a boundary
 word (``_raw_form``, edges by ``fatgraph.word_pairs``), sending each edge
 to a coordinate: a graph's own edge, or a tree edge at a scale.
-The pullback's scales make its form rational; ``pfaffian`` scales a
-rational form once, in integer arithmetic, by the lcm of its denominators,
-and runs every check on that integer matrix.
+The pullback's scales make its form rational; ``_integer_form`` checks
+the shape, antisymmetry and entry types of a form and scales a rational
+one once, in integer arithmetic, by the lcm of its denominators.
 
-Every Pfaffian comes from one kernel, ``_pfaffian_int``, which works on
-the strict upper triangle of an integer matrix alone.  ``pfaffian``
-checks the shape, antisymmetry and entry types of its matrix and verifies
-every result against the determinant, Pf^2 = det.  ``word_pfaffian``
-hands its form to the kernel with none of these: the form has no lower
-triangle to disagree with the upper one, its Pfaffians are the census
-cells', and each census route in ``integrals`` compares every cell's
-integer Pfaffian with the closed per-cell value, a check that also sees a
-wrong form, which Pf^2 = det cannot.
+Every Pfaffian comes from one kernel, ``_pfaffian_int``, which works in
+place on the strict upper triangle of integer rows.  Only ``pfaffian``
+verifies it against the determinant, Pf^2 = det.  The pullback hands its
+``_integer_form`` to the kernel, and ``word_pfaffian`` its form with no
+check at all (it has no lower triangle to disagree with the upper one):
+each census route compares every cell with the closed per-cell value, a
+check that also sees a wrong form, which Pf^2 = det cannot.
 """
 
 from __future__ import annotations
@@ -123,21 +121,29 @@ def _eliminate(c, num_edges, k) -> tuple:
 
 
 def pfaffian(matrix) -> Fraction:
-    """Exact Pfaffian of an antisymmetric matrix.
+    """Exact Pfaffian of an antisymmetric matrix, which is left unchanged:
+    checked and scaled to integers by ``_integer_form``, computed by
+    fraction-free skew elimination (``_pfaffian_int``) in O(n^3) integer
+    steps, and verified against the Bareiss integer determinant
+    (``_det_fraction``, Pf^2 = det).  No census path calls this."""
+    m, denominator = _integer_form(matrix)
+    det = _det_fraction(m)
+    pf = _pfaffian_int(m)
+    if pf * pf != det:
+        raise AssertionError("Pfaffian does not square to the determinant")
+    return Fraction(pf, denominator)
 
-    A matrix that is not square, or of odd order, raises ValueError; so
+
+def _integer_form(matrix):
+    """An antisymmetric matrix as new integer rows, which the kernel may
+    work on in place, and the denominator of their Pfaffian's scale.  A
+    matrix that is not square, or of odd order, raises ValueError; so
     does one that is not antisymmetric, and then one whose entries are not
     all ``int`` or ``Fraction`` raises TypeError.  A matrix of ``int``
-    entries passes unscaled; any other is scaled once, in integer
+    entries is copied unscaled; any other is scaled once, in integer
     arithmetic, by the lcm of its entries' denominators, and the
     antisymmetry check runs on that integer matrix (a positive scale keeps
-    a matrix antisymmetric or not).  The Pfaffian is computed by
-    fraction-free skew elimination in O(n^3) integer steps, and verified
-    against the two-step Bareiss integer determinant (``_det_fraction``,
-    Pf^2 = det) before returning.  ``word_pfaffian`` runs neither these
-    checks nor this verification: each census route compares its cells'
-    Pfaffians with their closed value instead.
-    """
+    a matrix antisymmetric or not)."""
     n = len(matrix)
     if any(len(row) != n for row in matrix):
         raise ValueError("matrix is not square")
@@ -146,7 +152,7 @@ def pfaffian(matrix) -> Fraction:
     types = {type(x) for row in matrix for x in row}
     exact = types <= {int, Fraction}
     if types <= {int} or not exact:
-        scale, m = 1, matrix
+        scale, m = 1, [list(row) for row in matrix]
     else:
         scale = lcm(*{x.denominator for row in matrix for x in row})
         m = [[x.numerator * (scale // x.denominator) for x in row]
@@ -159,31 +165,26 @@ def pfaffian(matrix) -> Fraction:
                 raise ValueError("matrix is not antisymmetric")
     if not exact:
         raise TypeError("matrix entries must be int or Fraction")
-    if n == 0:
-        return Fraction(1)
-    pf_int = _pfaffian_int(m)
-    det = _det_fraction(m)
-    if pf_int * pf_int != det:
-        raise AssertionError("Pfaffian does not square to the determinant")
-    return Fraction(pf_int, scale ** (n // 2))
+    return m, scale ** (n // 2)
 
 
-def _pfaffian_int(m):
-    """Pfaffian of an antisymmetric integer matrix by fraction-free skew
-    elimination, the Pfaffian analogue of Bareiss: each step pivots on the
-    pair (k, k+1) and leaves in the trailing block the Pfaffians of the
-    principal minors on rows 0..k+1, i, j.  Every division is exact by the
-    overlapping-Pfaffian identity (Knuth 1996)
+def _pfaffian_int(a):
+    """Pfaffian of an antisymmetric integer matrix, given as a list of row
+    lists, by fraction-free skew elimination, the Pfaffian analogue of
+    Bareiss: each step pivots on the pair (k, k+1) and leaves in the
+    trailing block the Pfaffians of the principal minors on rows
+    0..k+1, i, j.  Every division is exact by the overlapping-Pfaffian
+    identity (Knuth 1996)
     Pf[S] Pf[Sabcd] = Pf[Sab] Pf[Scd] - Pf[Sac] Pf[Sbd] + Pf[Sad] Pf[Sbc].
 
-    Only the strict upper triangle, entries (i, j) with j > i, is read or
-    written; the rest of m is never looked at.  A zero pivot is swapped
-    with the first later index s that pairs with k nonzero, flipping the
-    sign.  On the upper triangle the swap of k+1 and s exchanges row k's
-    two entries, the tails of rows k+1 and s past column s, and, for each
-    row i between them, the negated entries (k+1, i) and (i, s); entry
-    (k+1, s) is negated."""
-    a = [list(row) for row in m]
+    The rows are worked on in place, so a caller that reads them again
+    passes a copy.  Only the strict upper triangle, entries (i, j) with
+    j > i, is read or written.  A zero pivot is swapped with the first
+    later index s that pairs with k nonzero, flipping the sign.  On the
+    upper triangle the swap of k+1 and s exchanges row k's two entries,
+    the tails of rows k+1 and s past column s, and, for each row i between
+    them, the negated entries (k+1, i) and (i, s); entry (k+1, s) is
+    negated."""
     n = len(a)
     sign = 1
     prev = 1
@@ -216,51 +217,32 @@ def _pfaffian_int(m):
 
 # Name kept from the Fraction elimination: perfbench/tracer.py patches it.
 def _det_fraction(m):
-    """Determinant of an integer matrix by Bareiss's two-step fraction-free
-    elimination (1968): each pass removes columns k and k+1 through the
-    2 x 2 pivot block [[p, q], [r, s]] with D = ps - qr, and by Sylvester's
-    identity every entry of the trailing block becomes an order-(k+3)
-    bordered minor, an exact division by the square of the previous
-    leading minor, so all work stays in ints.  A singular pivot block is
-    replaced by the first pair of rows i < j from row k on whose minor on
-    columns k and k+1 is nonzero, one row swap (and sign flip) for each
-    row moved; with none, columns k and k+1 have rank <= 1 there and the
-    determinant is 0.  An odd order ends at the last diagonal entry.  Rows
-    are only swapped and no symmetry is assumed, so this is a general
-    determinant."""
+    """Determinant of an integer matrix, on a copy, by Bareiss's one-step
+    fraction-free elimination (1968): step k sets each trailing entry to
+    (p a[i][j] - a[i][k] a[k][j]) / prev for pivot p = a[k][k], a bordered
+    minor by Sylvester's identity, so the division is exact.  A zero pivot
+    swaps row k with the first later row nonzero in column k, flipping the
+    sign; with none the determinant is 0.  The last pivot is the
+    determinant.  No symmetry is assumed."""
     a = [list(row) for row in m]
     n = len(a)
     sign = 1
     prev = 1
-    for k in range(0, n - 1, 2):
-        k1 = k + 1
-        if a[k][k] * a[k1][k1] == a[k][k1] * a[k1][k]:
-            pair = next(((i, j) for i in range(k, n) for j in range(i + 1, n)
-                         if a[i][k] * a[j][k1] != a[i][k1] * a[j][k]), None)
-            if pair is None:
+    for k in range(n - 1):
+        if not a[k][k]:
+            i = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if i is None:
                 return 0
-            i, j = pair
-            if i != k:
-                a[k], a[i] = a[i], a[k]
-                sign = -sign
-            if j != k1:
-                a[k1], a[j] = a[j], a[k1]
-                sign = -sign
-        row_k, row_k1 = a[k], a[k1]
-        p, q, r, s = row_k[k], row_k[k1], row_k1[k], row_k1[k1]
-        d = p * s - q * r
-        # the coefficients of a[i][k] and a[i][k+1] in each column's update,
-        # over whole rows: indexing them by column is cheaper than slicing
-        u = [q * y - s * x for x, y in zip(row_k, row_k1)]
-        v = [r * x - p * y for x, y in zip(row_k, row_k1)]
-        prev2 = prev * prev
-        cols = range(k + 2, n)
-        for row in a[k + 2:]:
-            x, y = row[k], row[k1]
-            for j in cols:
-                row[j] = (d * row[j] + x * u[j] + y * v[j]) // prev2
-        prev = d // prev
-    return sign * (a[-1][-1] if n % 2 else prev)
+            a[k], a[i] = a[i], a[k]
+            sign = -sign
+        row_k = a[k]
+        pivot = row_k[k]
+        for row in a[k + 1:]:
+            x = row[k]
+            for j in range(k + 1, n):
+                row[j] = (pivot * row[j] - x * row_k[j]) // prev
+        prev = pivot
+    return sign * a[-1][-1] if n else 1
 
 
 def cell_volume(graph: Fatgraph) -> CellVolume:
@@ -347,13 +329,16 @@ def hyperelliptic_cell_volume(cell) -> CellVolume:
     scaling of the symplectic form on these cells.
 
     Both evaluations must agree exactly; for a tree with 2d+1 edges and odd
-    valences the common value is d!/(2^d (2d)!).  (a) goes through
-    ``pfaffian`` and its Pf^2 = det check; (b) through
-    ``word_cell_volume``, checked by this comparison.
+    valences the common value is d!/(2^d (2d)!).  (a) scales its form to
+    integers by ``_integer_form`` and runs the kernel ``_pfaffian_int``
+    with no Pf^2 = det check; (b) goes through ``word_cell_volume``.  This
+    comparison checks both, and each census route in ``integrals``
+    compares the volume with the closed per-cell value as well.
     """
     ct = _pullback(cell)
-    form = _eliminate(ct, len(ct), len(ct) - 1)
-    pulled_back = _volume(pfaffian(form), len(form) // 2)
+    m, denominator = _integer_form(_eliminate(ct, len(ct), len(ct) - 1))
+    pulled_back = _volume(Fraction(_pfaffian_int(m), denominator),
+                          len(m) // 2)
     tree_volume = word_cell_volume(split_flags(cell.tree_word)[0])
     halved = tree_volume.value / 2 ** pulled_back.half_dim
     if pulled_back.value != halved:

@@ -273,10 +273,10 @@ class TestPerCellVolumes:
     sum does not move."""
 
     @pytest.mark.parametrize("name,p", [("psi-top", 3), ("genus0", 6),
-                                        ("hevol", 2)])
+                                        ("hevol", 2), ("w1h", 3)])
     def test_kernel_fault_fails_the_census_route(self, monkeypatch, ws,
                                                  name, p):
-        # word_pfaffian runs no Pf^2 = det check; an expansion off by one
+        # no census path runs the Pf^2 = det check; an expansion off by one
         # still fails the route, at the first cell it reaches
         expand = kontsevich._pfaffian_int
         monkeypatch.setattr(kontsevich, "_pfaffian_int",
@@ -341,11 +341,44 @@ class TestPerCellVolumes:
         form = mutated(ws.trivalent_census(g).entries[0].key)
         full = [[x - y for x, y in zip(row, column)]
                 for row, column in zip(form, zip(*form))]
-        pf = kontsevich._pfaffian_int(full)
-        assert pf == kontsevich._pfaffian_int(form)
+        # the kernel works on its rows in place: it gets copies
+        pf = kontsevich._pfaffian_int([list(row) for row in full])
+        assert pf == kontsevich._pfaffian_int([list(row) for row in form])
         assert pf * pf == kontsevich._det_fraction(full)
         with pytest.raises(AssertionError, match="psi-top at g=%d" % g):
             evaluate("psi-top", g, ws)
+
+    @pytest.mark.parametrize("name,g,cells", [
+        ("hevol", 2, lambda ws, g: ws.hyperelliptic_census(g)),
+        ("w1h", 3, lambda ws, g: ws.w1_components(g).component1)],
+        ids=["hevol", "w1h"])
+    def test_antisymmetric_pullback_fault_fails(self, monkeypatch, ws, name,
+                                                g, cells):
+        # the pullback's Pfaffian runs no Pf^2 = det check: one entry of
+        # its integer form shifted with its mirror keeps the form
+        # antisymmetric, so its Pfaffian still squares to its determinant,
+        # and only the compare with the halved tree volume sees the change
+        scale = kontsevich._integer_form
+
+        def shifted(matrix):
+            m, denominator = scale(matrix)
+            m[0][1] += 1
+            m[1][0] -= 1
+            return m, denominator
+
+        cell = cells(ws, g).entries[0].payload
+        raw = kontsevich._pullback(cell)
+        form = kontsevich._eliminate(raw, len(raw), len(raw) - 1)
+        true, _ = scale(form)
+        m, _ = shifted(form)
+        pf = kontsevich._pfaffian_int([list(row) for row in m])
+        assert pf != kontsevich._pfaffian_int(true)
+        assert pf * pf == kontsevich._det_fraction(m)
+        monkeypatch.setattr(kontsevich, "_integer_form", shifted)
+        with pytest.raises(AssertionError, match="pullback volume"):
+            kontsevich.hyperelliptic_cell_volume(cell)
+        with pytest.raises(AssertionError, match="pullback volume"):
+            evaluate(name, g, ws)
 
 
 def route_mismatches(g):

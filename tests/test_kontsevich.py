@@ -118,6 +118,22 @@ class TestPfaffian:
         with pytest.raises(TypeError, match="int or Fraction"):
             pfaffian(matrix)
 
+    @pytest.mark.parametrize("rows", [list, tuple])
+    @pytest.mark.parametrize("scale", [1, Fraction(1, 3)],
+                             ids=["int", "fraction"])
+    def test_leaves_its_argument_unchanged(self, rows, scale):
+        # the kernel works on its rows in place, so pfaffian hands it rows
+        # of its own; a swap_forms matrix makes the kernel swap indices and
+        # rewrite every block
+        m, want = swap_forms(1)
+
+        def matrix():
+            return rows(rows(scale * x for x in row) for row in m)
+
+        given = matrix()
+        assert pfaffian(given) == want * scale ** (len(m) // 2)
+        assert given == matrix()
+
     def test_mixed_int_and_fraction_entries(self):
         assert pfaffian([[0, Fraction(1, 2)], [Fraction(-1, 2), 0]]) == \
             pfaffian([[0, 1], [-1, 0]]) / 2
@@ -224,10 +240,11 @@ class TestPfaffian:
 def square_matrices(draw):
     """Integer matrices of orders 0 to 9, odd orders included, each with
     these drawn half the time: a zero leading block (forcing row swaps), a
-    singular leading 2 x 2 block (forcing the two-step elimination's
-    search for a pair of pivot rows), a row copied, negated or zeroed
-    (singular), and a pair of columns k, k+1 (k even) of rank <= 1, where
-    the search finds no pair and the determinant is 0."""
+    singular leading 2 x 2 block (a zero second pivot, forcing a swap with
+    a later row or, with none, a zero column), a row copied, negated or
+    zeroed (singular), and a pair of columns k, k+1 (k even) of rank <= 1,
+    where column k+1 is zero from row k+1 down once column k is
+    eliminated, and the determinant is 0."""
     n = draw(st.integers(0, 9))
     m = [draw(st.lists(st.integers(-4, 4), min_size=n, max_size=n))
          for _ in range(n)]
@@ -285,21 +302,32 @@ def test_integer_determinant_matches_fraction_elimination(m):
     ([[5]], 5),
     ([[0]], 0),
     ([[2, 1, 0], [1, 3, 1], [0, 1, 4]], 18),
-    # the second pass divides by the square of the first block's D = 3
+    # each step divides exactly by the pivot before it: 2, 3, 7, 11
     ([[2, 1, 0, 0, 1], [1, 2, 1, 0, 0], [0, 1, 3, 1, 0], [0, 0, 1, 2, 1],
       [1, 0, 0, 1, 2]], 9),
-    # leading 2 x 2 block singular: rows 1 and 2 are brought up (two
-    # swaps), then rows 0 and 2 (one swap)
+    # first pivot zero: row 2 is swapped up
     ([[0, 0, 1], [0, 1, 0], [1, 0, 0]], -1),
+    # second pivot zero after the first step: row 2 is swapped up
     ([[1, 2, 0, 1], [2, 4, 1, 0], [0, 1, 3, 1], [1, 0, 1, 2]], -17),
-    # leading block zero: rows 2 and 3 are brought up, two swaps
+    # first and second pivots zero: rows 2 and 3 are swapped up, one swap
+    # at each step
     ([[0, 0, 1, 0], [0, 0, 0, 1], [1, 0, 0, 0], [0, 1, 0, 0]], 1),
-    # columns 0, 1 and then columns 2, 3 of rank one: no pair of rows
+    # column 1 is twice column 0, so the second step finds it zero
     ([[1, 2, 3], [2, 4, 5], [3, 6, 7]], 0),
+    # the last pivot is 0
     ([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 1], [0, 0, 1, 1]], 0),
+    # a zero pivot part-way, past a later row that is zero in its column
+    # too: the first step leaves 0 at (1, 1) and (2, 1), so row 3 is
+    # swapped up, and the next step divides by its pivot -1
+    ([[1, 2, 0, 1], [2, 4, 1, 3], [3, 6, 1, 0], [1, 1, 2, 2]], 4),
+    # a zero column part-way through: column 2 is the sum of columns 0
+    # and 1, so after two steps with pivots 1 it is zero from row 2 down
+    ([[1, 2, 3, 0, 1], [0, 1, 1, 2, 0], [2, 1, 3, 1, 1], [1, 0, 1, 1, 2],
+      [3, 1, 4, 0, 1]], 0),
 ], ids=["order-0", "order-1", "order-1-zero", "order-3", "order-5",
         "odd-pair-search", "even-pair-search", "two-swaps",
-        "rank-one-first-pair", "rank-one-second-pair"])
+        "rank-one-first-pair", "rank-one-second-pair",
+        "zero-pivot-later-row", "zero-column-part-way"])
 def test_two_step_determinant_cases(m, det):
     assert det_by_elimination(m) == det
     assert kontsevich._det_fraction(m) == det
@@ -362,9 +390,10 @@ def swap_forms(seed):
 def test_kernel_sign_and_swap(seed):
     # the signed Pfaffian through swaps that move entries across rows;
     # the kernel reads only the strict upper triangle, so it gives the same
-    # value with the lower triangle zeroed
+    # value with the lower triangle zeroed; it works on its rows in place,
+    # so it gets a copy of m, which is read again below
     m, want = swap_forms(seed)
-    assert kontsevich._pfaffian_int(m) == want
+    assert kontsevich._pfaffian_int([list(row) for row in m]) == want
     upper = [[x if j > i else 0 for j, x in enumerate(row)]
              for i, row in enumerate(m)]
     assert kontsevich._pfaffian_int(upper) == want

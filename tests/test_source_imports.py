@@ -52,8 +52,9 @@ or strips a flag by hand.
 Each identity's closed route is a formula of its parameter alone: it
 names no workspace, census builder, census sum, cell volume, per-cell
 formula or assembled route.  Each census route compares every cell with
-the one closed per-cell formula, so the word path's integer Pfaffians run
-no Pf^2 = det check, and then sums its census once, with no weight per
+the one closed per-cell formula, so neither the word path's integer
+Pfaffians nor the hyperelliptic pullback runs a Pf^2 = det check (only
+``pfaffian`` does), and then sums its census once, with no weight per
 cell.  The command line names no identity; it looks
 each one up in ``integrals.IDENTITIES`` and reads its default range from
 ``integrals.TABLE``.
@@ -282,6 +283,28 @@ def test_word_volume_skips_the_determinant():
         assert mentions(node, calls), function
         for name in ("_det_fraction", "pfaffian"):
             assert not mentions(node, name), "%s names %s" % (function, name)
+
+
+def test_only_pfaffian_checks_the_determinant():
+    # Pf^2 = det belongs to the checked pfaffian alone: the hyperelliptic
+    # pullback runs the kernel on its integer form, and its cells are
+    # checked against the halved tree volume and the closed per-cell value
+    assert functions_mentioning("_det_fraction") == ["kontsevich.pfaffian"]
+    node = function_node("kontsevich", "hyperelliptic_cell_volume")
+    assert mentions(node, "_integer_form") and mentions(node, "_pfaffian_int")
+    for name in ("pfaffian", "_det_fraction"):
+        assert not mentions(node, name), "the pullback names %s" % name
+
+
+def test_kernel_copies_no_row():
+    # the kernel works on the rows it is given; a caller that reads them
+    # again copies them itself
+    node = function_node("kontsevich", "_pfaffian_int")
+    for name in ("list", "tuple", "copy", "deepcopy"):
+        assert not mentions(node, name), "_pfaffian_int names %s" % name
+    assert not [n for n in ast.walk(node) if isinstance(n, ast.ListComp)
+                or isinstance(n, ast.Slice) and n.lower is None
+                and n.upper is None]
 
 
 def test_word_pfaffian_checks_no_form():

@@ -1,6 +1,6 @@
 """Census cache files.
 
-Layout (text, one record per line):
+Layout (ASCII text, one record per line):
 
     fatmod-census <format version>
     <descriptor>
@@ -11,7 +11,7 @@ Only fatgraph censuses are stored; tree and cell censuses are built in
 memory.  The word is the canonical gap word of the class, its census key
 and its one serialization (``Fatgraph.from_word`` rebuilds the graph).
 ``Workspace.fatgraph_census`` is the one reader and writer: it checks
-each record on the word alone (``enumeration.word_entry``) and builds no
+each record on the word alone (``enumeration.word_census``) and builds no
 graph.  A descriptor or version mismatch is reported as corruption, never
 silently reused; files of another format version (version 2 had a
 ``graph`` kind column) have another name and are never read.
@@ -51,7 +51,7 @@ def save_records(path: Path, descriptor: str, records) -> None:
     # the temp name does not end in .census, so no census lookup finds it
     tmp = path.with_name("%s.%d.tmp" % (path.name, os.getpid()))
     try:
-        tmp.write_text("\n".join(lines) + "\n")
+        tmp.write_text("\n".join(lines) + "\n", encoding="ascii")
         os.replace(tmp, path)
     except BaseException:
         tmp.unlink(missing_ok=True)
@@ -62,9 +62,11 @@ def load_records(path: Path, descriptor: str):
     """Returns the list of (aut_order, word) or raises CacheError; the
     caller checks each record."""
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="ascii")
     except OSError as exc:
         raise CacheError("cannot read cache file %s" % path) from exc
+    except UnicodeDecodeError as exc:
+        raise CacheError("cache file %s is not ASCII" % path) from exc
     lines = text.splitlines()
     if len(lines) < 3:
         raise CacheError("truncated cache file %s" % path)

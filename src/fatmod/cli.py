@@ -52,8 +52,10 @@ def _build_workspace(args) -> Workspace:
     if args.cap_edges is not None and args.cap_edges < 1:
         raise FatmodError("--cap-edges must be at least 1, got %d"
                           % args.cap_edges)
+    # an empty --cache or $FATMOD_CACHE is unset, not the working directory
     return Workspace(cap_edges=args.cap_edges,
-                     cache_dir=args.cache or os.environ.get("FATMOD_CACHE"),
+                     cache_dir=args.cache or os.environ.get("FATMOD_CACHE")
+                     or None,
                      no_build=getattr(args, "no_build", False))
 
 

@@ -11,9 +11,11 @@ key, and |Aut| is the rotation stabilizer, 2E over the rotation period.
 :func:`word_entry` reads both off one scan (``fatgraph.least_rotation``)
 and checks the word against the census.  No entry stores a graph;
 ``CensusEntry.graph`` builds the key's on each read.  Only fatgraph
-censuses are cached; the builders and the cache loader both call
-:func:`word_entry`, so a census has the same keys however it was
-obtained.  Tree censuses are read off contour words (``trees._classes``),
+censuses are cached.  One path turns canonical words into a fatgraph
+census, :func:`word_census`, which checks their key order and enters each
+by :func:`word_entry`: the search, the collapse and the cache loader all
+take it, so a census has the same keys however it was obtained.  Tree
+censuses are read off contour words (``trees._classes``),
 and ``hyperelliptic`` enters each doubled tree by :func:`word_entry` on
 its doubled word, as a class of the all-valence census of its genus.
 
@@ -43,7 +45,8 @@ every cell of the ribbon graph complex is a face of a top cell: collapsing
 a non-loop edge deletes its two slots from the word (:func:`collapse_word`).
 The all-valence census is the union of the levels E = 6g-3 .. 2g, and
 ("single", k) is level E = 6g - k, each step collapsing only edges at the
-one non-trivalent vertex.  So :func:`check_edge_cap` reads 6g - 3 edges.
+one non-trivalent vertex.  So :func:`check_edge_cap` reads 6g - 3 edges,
+and bounds the classes of each census a build holds by its closed count.
 Only ``Workspace.fatgraph_census``, the one door to every fatgraph census,
 checks a filter (:func:`fatgraph_filter`) and runs the search or closure.
 
@@ -61,6 +64,7 @@ from __future__ import annotations
 import collections
 import functools
 import math
+from decimal import Decimal
 from fractions import Fraction
 from typing import Callable, NamedTuple, Optional
 
@@ -70,6 +74,9 @@ from .fatgraph import Fatgraph, least_rotation, word_pairs, word_vertices
 
 DEFAULT_CAP_EDGES = 15          # trivalent / single-k censuses (genus <= 3)
 DEFAULT_CAP_EDGES_ALL = 9       # all-valence censuses (genus <= 2)
+# classes a census may hold: every census of genus <= 3 (the all-valence
+# one holds 345,038) and the trivalent census of genus 4 (1,349,005)
+MAX_CENSUS_CLASSES = 2_000_000
 
 TRIVALENT = "trivalent"
 ALL = "all"
@@ -338,13 +345,29 @@ def _collapsible_slots(word, single: bool):
 
 def check_edge_cap(g: int, valence_filter, cap_edges=None) -> None:
     """Raise ResourceLimit when the 6g - 3 edges of the trivalent census
-    exceed ``cap_edges``, by default 15, or 9 for all valences."""
+    exceed ``cap_edges``, by default 15, or 9 for all valences, or when a
+    census the build holds has a closed count above ``MAX_CENSUS_CLASSES``.
+    A build holds the trivalent census and, collapsing from it, every
+    ("single", j) level up to its k, or the all-valence census."""
     if cap_edges is None:
         cap_edges = (DEFAULT_CAP_EDGES_ALL if valence_filter == ALL
                      else DEFAULT_CAP_EDGES)
     if 6 * g - 3 > cap_edges:
         raise ResourceLimit("census needs %d edges, cap is %d"
                             % (6 * g - 3, cap_edges))
+    if valence_filter == ALL:
+        held = [TRIVALENT, ALL]
+    else:
+        k = 3 if valence_filter == TRIVALENT else valence_filter[1]
+        held = [TRIVALENT] + [("single", j) for j in range(4, k + 1)]
+    for census in held:
+        # each class has |Aut| >= 1, so the closed count bounds the classes
+        bound = math.ceil(fatgraph_closed_count(g, census))
+        if bound > MAX_CENSUS_CLASSES:
+            # a Decimal prints an int past the int-to-str digit limit
+            raise ResourceLimit("census %r holds at least %s classes, cap is "
+                                "%d" % (fatgraph_descriptor(g, census),
+                                        Decimal(bound), MAX_CENSUS_CLASSES))
 
 
 def collapse_closure(trivalent, g: int, valence_filter) -> OrbifoldCensus:
@@ -360,9 +383,7 @@ def collapse_closure(trivalent, g: int, valence_filter) -> OrbifoldCensus:
         words = words | level if valence_filter == ALL else level
         if not level:
             break
-    return OrbifoldCensus(fatgraph_descriptor(g, valence_filter),
-                          tuple(word_entry(word, g, valence_filter)
-                                for word in sorted(words)))
+    return word_census(sorted(words), g, valence_filter)
 
 
 def word_entry(word, g: int, valence_filter) -> CensusEntry:
@@ -396,6 +417,21 @@ def word_entry(word, g: int, valence_filter) -> CensusEntry:
                         % (word, fatgraph_descriptor(g, valence_filter)))
     return CensusEntry(tuple(word), len(word) // period,
                        profiles[profiles.index(valences)])
+
+
+def word_census(words, g: int, valence_filter) -> OrbifoldCensus:
+    """The census ``fatgraph_descriptor(g, valence_filter)`` of canonical
+    gap words in key order, each entered by :func:`word_entry`: the search,
+    the collapse and the cache loader all build their censuses here.
+    Raises AssertionError on a word not above the one before it."""
+    entries = []
+    for word in words:
+        if entries and word <= entries[-1].key:
+            raise AssertionError("census word %r repeats or is out of key "
+                                 "order" % (word,))
+        entries.append(word_entry(word, g, valence_filter))
+    return OrbifoldCensus(fatgraph_descriptor(g, valence_filter),
+                          tuple(entries))
 
 
 def _check_genus(g: int) -> None:
@@ -521,13 +557,7 @@ def enumerate_fatgraphs(g: int,
     (:func:`check_edge_cap`)."""
     _check_genus(g)
     check_edge_cap(g, TRIVALENT, cap_edges)
-    entries = []
-    for word in _trivalent_pairings(6 * g - 3):
-        if entries and word <= entries[-1].key:
-            raise AssertionError("search emitted a class twice or out of "
-                                 "order")
-        entries.append(word_entry(word, g, TRIVALENT))
-    return OrbifoldCensus(fatgraph_descriptor(g, TRIVALENT), tuple(entries))
+    return word_census(_trivalent_pairings(6 * g - 3), g, TRIVALENT)
 
 
 def tree_descriptor(leaf_count: int, profile: str, rooting: str) -> str:

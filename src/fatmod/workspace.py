@@ -4,7 +4,9 @@ All integral evaluations and ``fatmod enumerate`` pull censuses from a
 workspace, so a CLI run, a cached rerun and a fault-injected test all see
 the same data path.  Only fatgraph censuses are cached, and
 :meth:`Workspace.fatgraph_census` alone decides when one is read, built or
-written; tree and cell censuses are built in memory.
+written; tree and cell censuses are built in memory.  A cache file's
+records enter their census as the search's and the collapse's words do,
+through ``enumeration.word_census``, once sorted and free of repeats.
 """
 
 from __future__ import annotations
@@ -112,36 +114,28 @@ class Workspace:
     # -- cache file --------------------------------------------------------
 
     def _load(self, descriptor, g, valence_filter):
-        """The census in the file of ``descriptor``, every record checked;
-        None when there is no cache directory or no file."""
+        """The census in the file of ``descriptor``, every record checked
+        by ``enumeration.word_census`` and its stored |Aut| against its
+        entry; None when there is no cache directory or no file."""
         if self.cache_dir is None:
             return None
         path = _cache.cache_path(self.cache_dir, descriptor)
         if not path.exists():
             return None
-        entries = sorted((self._entry_from_record(path, g, valence_filter,
-                                                  record)
-                          for record in _cache.load_records(path, descriptor)),
-                         key=lambda e: e.key)
-        for a, b in zip(entries, entries[1:]):
-            if a.key == b.key:
-                raise CacheError("duplicate class in %s" % path)
-        return OrbifoldCensus(descriptor, tuple(entries))
-
-    @staticmethod
-    def _entry_from_record(path, g, valence_filter, record):
-        """Check a record's word against its census and re-derive its
-        entry from the word (``enumeration.word_entry``), then check the
-        stored |Aut| against it."""
-        aut, word = record
+        records = sorted(_cache.load_records(path, descriptor),
+                         key=lambda record: record[1])
+        words = [word for _, word in records]
+        if any(a == b for a, b in zip(words, words[1:])):
+            raise CacheError("duplicate class in %s" % path)
         try:
-            entry = _enum.word_entry(word, g, valence_filter)
+            census = _enum.word_census(words, g, valence_filter)
         except FatmodError as exc:
             raise CacheError("bad record in %s: %s" % (path, exc)) from exc
-        if entry.aut_order != aut:
-            raise CacheError("stored aut order %d, recomputed %d in %s"
-                             % (aut, entry.aut_order, path))
-        return entry
+        for (aut, _), entry in zip(records, census):
+            if entry.aut_order != aut:
+                raise CacheError("stored aut order %d, recomputed %d in %s"
+                                 % (aut, entry.aut_order, path))
+        return census
 
 
 def _check_rooted_counts(census, g, valence_filter) -> None:

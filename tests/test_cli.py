@@ -4,6 +4,7 @@ import json
 import random
 import subprocess
 import sys
+import time
 from fractions import Fraction
 
 import pytest
@@ -111,6 +112,26 @@ class TestCapEdges:
         assert code == 2
         assert captured.err.startswith("size cap exceeded")
         assert captured.out == ""
+        assert not list(tmp_path.iterdir())
+
+    def test_class_bound_is_checked_before_the_search(
+            self, capsys, tmp_path, monkeypatch):
+        # the all-valence census of genus 4 passes a cap of 21 edges, but
+        # its closed count bounds it at more than 2.3 billion classes
+        def refuse(*a, **k):
+            raise AssertionError("searched past the class cap")
+        monkeypatch.setattr(cli._enum, "_trivalent_pairings", refuse)
+        start = time.perf_counter()
+        code = cli.main(["enumerate", "--type", "4,1", "--all-valences",
+                         "--cap-edges", "21", "--cache", str(tmp_path)])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "size cap exceeded: census 'fatgraphs g=4 n=1 filter=all' holds "
+            "at least 2395931692 classes, cap is %d\n"
+            % cli._enum.MAX_CENSUS_CLASSES)
         assert not list(tmp_path.iterdir())
 
 
@@ -759,6 +780,35 @@ class TestCache:
         code, _ = run(capsys, "verify", "--identity", "euler", "--g", "1")
         assert code == 0
         assert list(tmp_path.iterdir())
+
+    def test_empty_env_var_is_no_cache(self, capsys, tmp_path, monkeypatch):
+        # an empty $FATMOD_CACHE is unset: no file lands in the working
+        # directory, and the rows equal a run without a cache
+        monkeypatch.chdir(tmp_path)
+        monkeypatch.delenv("FATMOD_CACHE", raising=False)
+        argv = ("verify", "--identity", "psi-top", "--g", "1..2")
+        _, fresh = run(capsys, *argv)
+        monkeypatch.setenv("FATMOD_CACHE", "")
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert out == fresh
+        assert not list(tmp_path.iterdir())
+
+    def test_non_ascii_cache_file_is_a_cache_error(self, capsys, tmp_path):
+        descriptor = "fatgraphs g=1 n=1 filter=trivalent"
+        # a UTF-16 header with its byte order mark
+        header = "%s %d\n" % (HEADER, FORMAT_VERSION)
+        cache_path(tmp_path, descriptor).write_bytes(
+            b"\xff\xfe" + header.encode("utf-16-le"))
+        with pytest.raises(CacheError, match="not ASCII"):
+            load_records(cache_path(tmp_path, descriptor), descriptor)
+        code = cli.main(["verify", "--identity", "psi-top", "--g", "1",
+                         "--cache", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert len(captured.err.splitlines()) == 1
+        assert captured.err.startswith("cache error:")
 
     def test_enumerate_refuses_corrupt_cache(self, capsys, tmp_path):
         run(capsys, "enumerate", "--type", "1,1", "--cache", str(tmp_path))

@@ -112,6 +112,42 @@ class TestFatgraphCensus:
         with pytest.raises(ResourceLimit):
             Workspace().fatgraph_census(4, ("single", 16))
 
+    @pytest.mark.parametrize("g,valence_filter", [
+        (1, TRIVALENT), (1, ALL), (2, ALL), (3, TRIVALENT), (3, ALL),
+        *((3, ("single", k)) for k in range(4, 13)), (4, TRIVALENT)])
+    def test_class_cap_admits(self, g, valence_filter):
+        # every census of genus <= 3 and the trivalent one of genus 4
+        enumeration.check_edge_cap(g, valence_filter, 6 * g - 3)
+
+    @pytest.mark.parametrize("g,valence_filter,refused,bound", [
+        (4, ALL, ALL, 2395931692),
+        (4, ("single", 4), ("single", 4), 14145382),
+        # a single-k census is collapsed through each level below it
+        (4, ("single", 16), ("single", 4), 14145382),
+        (5, TRIVALENT, TRIVALENT, 2168958459),
+        (5, ("single", 12), TRIVALENT, 2168958459)],
+        ids=["all-g4", "single4-g4", "single16-g4", "trivalent-g5",
+             "single12-g5"])
+    def test_class_cap_refuses(self, g, valence_filter, refused, bound):
+        message = "census %r holds at least %d classes, cap is %d" % (
+            enumeration.fatgraph_descriptor(g, refused), bound,
+            enumeration.MAX_CENSUS_CLASSES)
+        with pytest.raises(ResourceLimit) as info:
+            enumeration.check_edge_cap(g, valence_filter, 6 * g - 3)
+        assert str(info.value) == message
+        assert bound > enumeration.MAX_CENSUS_CLASSES
+        # the bound is the ceiling of the closed count
+        assert bound == -(-fatgraph_closed_count(g, refused) // 1)
+
+    def test_class_cap_prints_a_bound_of_any_size(self, monkeypatch):
+        # a bound past the interpreter's int-to-str digit limit (4300 by
+        # default) still prints whole in the error
+        monkeypatch.setattr(enumeration, "fatgraph_closed_count",
+                            lambda g, valence_filter: Fraction(10 ** 5000))
+        with pytest.raises(ResourceLimit,
+                           match="at least 1%s classes" % ("0" * 5000)):
+            enumeration.check_edge_cap(2, TRIVALENT)
+
     def test_genus_three_single_k(self, ws):
         # 71575 rooted one-face maps with one 8-valent and four trivalent
         # vertices, by the Frobenius character count of that degree profile

@@ -12,14 +12,16 @@ that walks its paths link by link and undoes from a trail is
 search has one caller, ``enumeration.enumerate_fatgraphs``, which builds
 only the trivalent census, so every other census is collapsed from a
 trivalent census and no census path searches twice.  The search keeps
-and emits gap words, which ``word_entry`` checks once each, and the
-collapse edits gaps, so no function of the census layer holds a pairing
-``alpha``.  Only the workspace door, ``Workspace.fatgraph_census``,
+and emits gap words, and the collapse edits gaps, so no function of the
+census layer holds a pairing ``alpha``.  One function turns canonical
+words into a fatgraph census, ``enumeration.word_census``: it checks
+their key order and enters each once by ``word_entry``, and the search,
+the collapse and the cache loader all feed it.  Only the workspace door, ``Workspace.fatgraph_census``,
 checks a census filter, runs the search and collapses the other censuses.
 Only fatgraph censuses are cached, so the workspace holds no tree record
 kind, and unrooted tree classes are found among contour words, not among
 built rooted trees.  A fatgraph census class is its gap word: the cache
-loader checks a record on the word and builds no graph, and the census
+loader checks its records through ``word_census`` and builds no graph, and the census
 sums of genus0, psi-top and euler read the word, not a graph, and build
 each cell form in one pass over the word's slot pairs.  A graph's form
 and the hyperelliptic pullback read their raw coefficients through one
@@ -168,11 +170,28 @@ def test_census_layer_keeps_no_pairing(function):
 
 
 def test_search_words_are_checked_once():
-    # the search emits canonical words, which word_entry checks; a second
-    # canonical form of each would be a second check of the same thing
-    node = function_node("enumeration", "enumerate_fatgraphs")
+    # the search emits canonical words into the one census function, which
+    # checks each by word_entry; a second canonical form of each would be
+    # a second check of the same thing
+    node = function_node("enumeration", "word_census")
     assert mentions(node, "word_entry")
     assert not mentions(node, "canonical_gap_word")
+    node = function_node("enumeration", "enumerate_fatgraphs")
+    assert mentions(node, "word_census")
+    assert not mentions(node, "canonical_gap_word")
+
+
+def test_one_path_from_words_to_a_census():
+    # the search, the collapse and the cache loader enter their words
+    # through word_census alone; only the doubled cells, which are no
+    # fatgraph census, call word_entry beside it
+    assert functions_mentioning("word_census") == [
+        "enumeration.collapse_closure", "enumeration.enumerate_fatgraphs",
+        "workspace._load"]
+    assert functions_mentioning("word_entry") == [
+        "enumeration.word_census", "hyperelliptic._cell_census"]
+    from fatmod.workspace import Workspace
+    assert not hasattr(Workspace, "_entry_from_record")
 
 
 def test_one_function_runs_the_pairing_search():
@@ -221,8 +240,9 @@ def test_record_check_builds_no_graph():
     # runs count its calls as census searches
     graph_names = {"Fatgraph", "graph_entry", "canonical_gap_word"}
     assert not referenced_names(PACKAGE / "workspace.py") & graph_names
-    node = function_node("enumeration", "word_entry")
-    assert not any(mentions(node, name) for name in graph_names)
+    for function in ("word_census", "word_entry"):
+        node = function_node("enumeration", function)
+        assert not any(mentions(node, name) for name in graph_names)
 
 
 def test_one_least_rotation_scan():

@@ -37,8 +37,9 @@ it by slice assignment after each try.  Two cuts keep the search small:
   is below gap[0], or a rotation that starts with gap[0] is already
   smaller than the word over the slots known in both.
 
-So only canonical gap words, each its own least rotation, are emitted,
-one per class, in key order.
+So only canonical gap words, each its own least rotation, are yielded,
+one per class, in key order, and :func:`word_census` enters them as the
+search finds them, with no list of words beside the census.
 
 Every other census is :func:`collapse_closure` of a trivalent census, as
 every cell of the ribbon graph complex is a face of a top cell: collapsing
@@ -159,7 +160,7 @@ def canonical_gap_word(gaps) -> tuple:
 def _trivalent_pairings(num_edges: int):
     """Pairings of Z_{2E} whose sigma-cycles all have length three, one per
     rotation class: those whose gap word is its own least rotation.
-    Returns those canonical gap words, in key order.
+    Yields those canonical gap words, in key order, one at each leaf.
 
     The search pairs the least unpaired slot p with each later q in turn.
     A pair sets both gaps (``gap``, -1 at an unpaired slot) and adds the
@@ -175,7 +176,6 @@ def _trivalent_pairings(num_edges: int):
     gap = [-1] * m     # -1 at an unpaired slot; gaps are >= 1
     end = list(range(m))
     size = [1] * m
-    results = []
 
     def assign(p, q):
         """Pair p with q and close every path of three slots this makes;
@@ -273,7 +273,7 @@ def _trivalent_pairings(num_edges: int):
         try:
             p = gap.index(-1)
         except ValueError:
-            results.append(tuple(gap))
+            yield tuple(gap)
             return
         saved = gap[:], end[:], size[:]
         # gaps below gap[0] are cut: q - p >= gap[0] and m - (q - p) >=
@@ -301,11 +301,10 @@ def _trivalent_pairings(num_edges: int):
             elif size[q] + size[b2] > 3:
                 continue
             if assign(p, q) and not rotation_is_smaller():
-                search()
+                yield from search()
             gap[:], end[:], size[:] = saved
 
-    search()
-    return results
+    yield from search()
 
 
 def collapse_word(word, slot) -> tuple:
@@ -477,13 +476,49 @@ def fatgraph_descriptor(g: int, valence_filter) -> str:
 def _hook_characters(parts) -> list:
     """The characters chi_k, k = 0 .. n-1, of the hooks (n - k, 1^k) of S_n
     on cycle type ``parts``: the coefficients of
-    prod_i (1 - (-y)^part_i) / (1 + y)."""
-    chars = [(-1) ** j for j in range(parts[0])]   # first factor / (1 + y)
-    for part in parts[1:]:
-        chars += [0] * part
-        for i in range(len(chars) - 1, part - 1, -1):
-            chars[i] -= (-1) ** part * chars[i - part]
+    prod_i (1 - (-y)^part_i) / (1 + y).  The m factors of each distinct
+    part are expanded at once by the binomial theorem, and 1 + y is
+    divided out at the end."""
+    product = [1]
+    for part, m in collections.Counter(parts).items():
+        # (1 - (-y)^part)^m = sum_j C(m, j) (sign y^part)^j
+        sign = (-1) ** (part + 1)
+        terms, c = [], 1
+        for j in range(m + 1):
+            terms.append((part * j, c))
+            c = c * (m - j) * sign // (j + 1)
+        expanded = [0] * (len(product) + part * m)
+        for i, a in enumerate(product):
+            for shift, c in terms:
+                expanded[i + shift] += a * c
+        product = expanded
+    chars, carry = [], 0
+    for a in product[:-1]:
+        carry = a - carry
+        chars.append(carry)
     return chars
+
+
+def _sum_over_binomials(terms) -> int:
+    """(n-1)! sum_k terms[k] / C(n-1, k), n = len(terms), which is the
+    integer sum_k terms[k] k! (n-1-k)!.  That is A_{n-1} of the recurrence
+    A_k = (n-k) A_{k-1} + terms[k] k!, A_{-1} = 0, whose steps are
+    composed in halves (binary splitting), so the large products are
+    formed only where two halves meet."""
+    n = len(terms)
+
+    def steps(lo, hi):
+        """(p, q, r) with A_{hi-1} = p A_{lo-1} + q (lo-1)! and
+        (hi-1)! = r (lo-1)!, reading (-1)! as 1."""
+        if hi - lo == 1:
+            f = max(lo, 1)
+            return n - lo, terms[lo] * f, f
+        mid = (lo + hi) // 2
+        p1, q1, r1 = steps(lo, mid)
+        p2, q2, r2 = steps(mid, hi)
+        return p2 * p1, p2 * q1 + q2 * r1, r2 * r1
+
+    return steps(0, n)[1]
 
 
 def rooted_one_face_count(profile) -> int:
@@ -493,22 +528,24 @@ def rooted_one_face_count(profile) -> int:
     long cycle (Goupil and Schaeffer 1998), it is
     |C_profile| |C_(2^E)| / (2E)! sum_k chi_k(profile) chi_k(2^E) (-1)^k
     / C(2E-1, k).  The trivalent profile gives the Walsh-Lehman count.
+    The sum is taken over the common denominator (2E-1)!, as an integer.
 
     >>> rooted_one_face_count((3, 3)), rooted_one_face_count((3,) * 6)
     (1, 105)
     """
     n = sum(profile)
-    # |C_(2^E)| over the centralizer order n!/|C_profile|
-    count = Fraction(math.factorial(n), 2 ** (n // 2) * math.factorial(n // 2)
-                     * math.prod(part ** m * math.factorial(m) for part, m in
-                                 collections.Counter(profile).items()))
-    count *= sum(Fraction((-1) ** k * a * b, math.comb(n - 1, k))
-                 for k, (a, b) in enumerate(zip(
-                     _hook_characters(profile),
-                     _hook_characters((2,) * (n // 2)))))
-    if count.denominator != 1:
-        raise AssertionError("profile %r counts %s maps" % (profile, count))
-    return int(count)
+    total = _sum_over_binomials([
+        (-1) ** k * a * b for k, (a, b) in enumerate(zip(
+            _hook_characters(profile), _hook_characters((2,) * (n // 2))))])
+    # (2E)!/(2E-1)! = 2E, over the centralizers of (2^E) and the profile
+    denominator = (2 ** (n // 2) * math.factorial(n // 2)
+                   * math.prod(part ** m * math.factorial(m) for part, m in
+                               collections.Counter(profile).items()))
+    count, rest = divmod(n * total, denominator)
+    if rest:
+        raise AssertionError("profile %r counts %s maps"
+                             % (profile, Fraction(n * total, denominator)))
+    return count
 
 
 def _partitions(n: int, parts: int, least: int) -> list:

@@ -326,14 +326,10 @@ class Fatgraph:
         return BoundaryCycles(_cycles_of(phi))
 
     def graph_type(self) -> GraphType:
+        # V - E + n = 2 - 2g is even, as sgn sigma sgn alpha = sgn phi,
+        # and at most 2, as ``_check`` refuses a disconnected graph
         n = self.boundary_cycles().n
-        euler = self.num_vertices - self.num_edges + n
-        if euler % 2:
-            raise MalformedGraph("odd Euler count: V - E + n = %d" % euler)
-        g = (2 - euler) // 2
-        if g < 0:
-            raise MalformedGraph("negative genus")
-        return GraphType(g, n)
+        return GraphType((2 - self.num_vertices + self.num_edges - n) // 2, n)
 
     # -- expansions -------------------------------------------------------
 

@@ -23,7 +23,7 @@ from functools import partial
 from math import comb, factorial
 from typing import Callable, NamedTuple, Optional
 
-from .enumeration import catalan, tree_closed_count
+from .enumeration import tree_closed_count
 from .errors import WrongType
 from .fatgraph import split_flags
 from .hyperelliptic import (W1_MULTIPLICITY_5VALENT, W1_MULTIPLICITY_6VALENT,
@@ -204,10 +204,9 @@ def zeta_negative(g: int) -> Fraction:
 
 
 TABLE = {
-    # psi^(n-3) over M_{0,n}, 1: (n-2)! C_{n-3} (n-3)! / (2n-6)!
-    "genus0": Identity("n", 3, range(4, 10), lambda n: Fraction(
-        factorial(n - 2) * catalan(n - 3) * factorial(n - 3),
-        factorial(2 * n - 6)), _genus0_assembled),
+    # psi_1^(n-3) over M_{0,n} is 1 by the string equation
+    "genus0": Identity("n", 3, range(4, 10), lambda n: Fraction(1),
+                       _genus0_assembled),
     # psi^(3g-2) over M_{g,1}: the Witten-Kontsevich value 1/(24^g g!)
     "psi-top": Identity("g", 1, range(1, 4), lambda g: Fraction(
         1, 24 ** g * factorial(g)), _psi_top_assembled),

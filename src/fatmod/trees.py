@@ -44,11 +44,10 @@ class PlanarTree(Fatgraph):
 
     def __init__(self, sigma, alpha, flags=None):
         super().__init__(sigma, alpha, flags=flags)
+        # type (0, 1) is V - E + 1 = 2: connected with E = V - 1, a tree
         gt = self.graph_type()
         if gt != (0, 1):
             raise MalformedGraph("tree must have type (0,1), got %s" % (gt,))
-        if self.num_edges != self.num_vertices - 1:
-            raise MalformedGraph("not a tree")
 
 
 # -- rooted shapes ----------------------------------------------------------

@@ -47,6 +47,11 @@ partners.
 the reference for the loader, which checks the word alone
 (``enumeration.word_entry``); ``in_fatgraph_census`` is its membership
 test, read off the graph's type and valences.
+``rooted_one_face_count_reference`` sums the Frobenius formula as
+``Fraction`` terms over hook characters multiplied in one factor per
+part, the reference for ``enumeration.rooted_one_face_count``, which
+expands each distinct part's factors by binomials and sums over one
+integer denominator.
 ``hyperelliptic_genus0_route`` derives the closed values of hevol,
 boundary, main-theorem and w1h on M_{0,2g+2}/S_{2g+1}, through
 Cornalba-Harris lambda and genus-0 psi integrals over every boundary
@@ -56,6 +61,7 @@ where no census reaches.
 
 from __future__ import annotations
 
+import collections
 import random
 from fractions import Fraction
 from math import comb, factorial, prod
@@ -510,6 +516,34 @@ def least_rotation_by_brute_force(word):
     rotations = [word[r:] + word[:r] for r in range(m)]
     period = next((r for r in range(1, m) if rotations[r] == word), m)
     return rotations.index(min(rotations)), period
+
+
+def _hook_characters_reference(parts) -> list:
+    """The characters chi_k, k = 0 .. n-1, of the hooks (n - k, 1^k) of S_n
+    on cycle type ``parts``: the coefficients of
+    prod_i (1 - (-y)^part_i) / (1 + y), one factor at a time."""
+    chars = [(-1) ** j for j in range(parts[0])]   # first factor / (1 + y)
+    for part in parts[1:]:
+        chars += [0] * part
+        for i in range(len(chars) - 1, part - 1, -1):
+            chars[i] -= (-1) ** part * chars[i - part]
+    return chars
+
+
+def rooted_one_face_count_reference(profile) -> int:
+    """Rooted one-face maps with vertex valences ``profile``, by the
+    Frobenius formula |C_profile| |C_(2^E)| / (2E)! sum_k chi_k(profile)
+    chi_k(2^E) (-1)^k / C(2E-1, k), summed term by term as Fractions."""
+    n = sum(profile)
+    count = Fraction(factorial(n), 2 ** (n // 2) * factorial(n // 2)
+                     * prod(part ** m * factorial(m) for part, m in
+                            collections.Counter(profile).items()))
+    count *= sum(Fraction((-1) ** k * a * b, comb(n - 1, k))
+                 for k, (a, b) in enumerate(zip(
+                     _hook_characters_reference(profile),
+                     _hook_characters_reference((2,) * (n // 2)))))
+    assert count.denominator == 1, (profile, count)
+    return int(count)
 
 
 def trivalent_pairings_reference(num_edges: int):

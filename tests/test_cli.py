@@ -134,6 +134,25 @@ class TestCapEdges:
             % cli._enum.MAX_CENSUS_CLASSES)
         assert not list(tmp_path.iterdir())
 
+    def test_raised_cap_is_refused_at_once_at_large_genus(
+            self, capsys, tmp_path, monkeypatch):
+        # the closed count of a 2697-edge trivalent census has about 3000
+        # digits and is still read in well under a second
+        def refuse(*a, **k):
+            raise AssertionError("searched past the class cap")
+        monkeypatch.setattr(cli._enum, "_trivalent_pairings", refuse)
+        start = time.perf_counter()
+        code = cli.main(["enumerate", "--type", "450,1", "--cap-edges",
+                         "3000", "--cache", str(tmp_path)])
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err.startswith(
+            "size cap exceeded: census 'fatgraphs g=450 n=1 "
+            "filter=trivalent' holds at least ")
+        assert not list(tmp_path.iterdir())
+
 
 class TestEnumerate:
     def test_torus_census_summary(self, capsys, tmp_path):

@@ -21,11 +21,11 @@ from fatmod.trees import LEAF, ONE5, MARKED, TRIVALENT as TREE_TRIVALENT, \
     odd_valence_trees, rooted_trees, unrooted_trees
 from fatmod.workspace import Workspace
 
-from oracles import (_partitions, are_isomorphic,
+from oracles import (_hook_characters_reference, _partitions, are_isomorphic,
                      automorphism_order_bruteforce,
                      collapse_edge, least_rotation_by_brute_force,
                      naive_census, one_face_census_bruteforce, relabel,
-                     rooted_key, rooted_tree_by_cycles,
+                     rooted_key, rooted_one_face_count_reference, rooted_tree_by_cycles,
                      tree_classes_reference, tree_word,
                      triangulation_count, trivalent_pairings_reference,
                      vertex_index, walsh_lehman)
@@ -215,7 +215,7 @@ class TestFatgraphCensus:
         # each searched word is checked once: word_entry refuses one that
         # is not its own least rotation, and the census loop a repeat or a
         # word out of key order, before the door writes anything
-        words = _trivalent_pairings(9)
+        words = list(_trivalent_pairings(9))
         first, second = words[0], words[1]
         faulty = {"rotated": [first[1:] + first[:1]] + words[1:],
                   "repeated": words[:2] + words[1:],
@@ -236,19 +236,22 @@ def gap_word(alpha) -> tuple:
 
 
 def search_nodes(pairings, num_edges) -> int:
-    """Nodes a pairing search visits: calls of its nested ``search``."""
-    nodes = 0
+    """Nodes a pairing search visits: the frames of its nested ``search``,
+    with its output run to the end.  A generator's frame is entered again
+    at each resume, so frames are counted once each; holding them keeps
+    each frame's identity its own."""
+    frames = set()
 
     def count(frame, event, arg):
-        nonlocal nodes
         if event == "call" and frame.f_code.co_name == "search":
-            nodes += 1
+            frames.add(frame)
     sys.setprofile(count)
     try:
-        pairings(num_edges)
+        for _ in pairings(num_edges):
+            pass
     finally:
         sys.setprofile(None)
-    return nodes
+    return len(frames)
 
 
 class TestTrivalentSearch:
@@ -262,19 +265,26 @@ class TestTrivalentSearch:
         assert search_nodes(_trivalent_pairings, 9) <= \
             search_nodes(trivalent_pairings_reference, 9)
 
+    def test_search_yields_its_words(self, ws):
+        # a generator: nothing is searched until the census asks, and the
+        # first word is the first key of the census
+        assert inspect.isgeneratorfunction(_trivalent_pairings)
+        assert next(_trivalent_pairings(15)) == \
+            ws.trivalent_census(3).entries[0].key
+
     @pytest.mark.parametrize("num_edges", [3, 9, 15])
     def test_matches_reference_search(self, num_edges):
         # the reference walks paths link by link, undoes each try from a
         # trail and compares every rotation: same pairings, as gap words,
         # in the same order
-        assert _trivalent_pairings(num_edges) == \
+        assert list(_trivalent_pairings(num_edges)) == \
             [gap_word(alpha)
              for alpha in trivalent_pairings_reference(num_edges)]
 
     @pytest.mark.parametrize("num_edges", [3, 9, 15])
     def test_pairings_are_canonical_and_trivalent(self, num_edges):
         m = 2 * num_edges
-        words = _trivalent_pairings(num_edges)
+        words = list(_trivalent_pairings(num_edges))
         assert words == sorted(words)
         rooted = 0
         for word in words:
@@ -409,6 +419,18 @@ class TestClosedCounts:
             assert sums[profile] == rooted_one_face_count(profile), profile
         assert fatgraph_closed_count(g, valence_filter) == \
             census.orbifold_sum()
+
+    @pytest.mark.parametrize("g,valence_filter", [
+        (g, f) for g in range(1, 5) for f in
+        [TRIVALENT, ALL] + [("single", k) for k in range(4, 4 * g + 1)]])
+    def test_matches_the_term_by_term_sum(self, g, valence_filter):
+        # the binomial expansion and the integer sum against one factor
+        # per part and a Fraction per term
+        for profile in fatgraph_profiles(g, valence_filter):
+            assert enumeration._hook_characters(profile) == \
+                _hook_characters_reference(profile), profile
+            assert rooted_one_face_count(profile) == \
+                rooted_one_face_count_reference(profile), profile
 
     @pytest.mark.parametrize("g,profiles", [(1, 2), (2, 11), (3, 42)])
     def test_every_all_valence_profile_has_maps(self, g, profiles):

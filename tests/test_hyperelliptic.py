@@ -4,8 +4,8 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from fatmod.enumeration import (_collapsible_slots, catalan, catalan5,
-                                collapse_word, enumerate_fatgraphs,
+from fatmod.enumeration import (CensusEntry, _collapsible_slots, catalan,
+                                catalan5, collapse_word, enumerate_fatgraphs,
                                 enumerate_trees, tree_descriptor)
 from fatmod.errors import BadLeafCount, MalformedGraph, NotSymmetric
 from fatmod.fatgraph import (Fatgraph, one_vertex_opposite_pairing,
@@ -20,7 +20,7 @@ from fatmod.trees import (LEAF, MARKED, ONE5, TRIVALENT, PlanarTree,
                           build_rooted_tree, unrooted_trees)
 from fatmod.workspace import Workspace
 
-from oracles import (collapse_edge, double_by_cycles,
+from oracles import (census_without, collapse_edge, double_by_cycles,
                      half_turn_cells_by_profile, relabel, tree_word)
 
 
@@ -276,6 +276,37 @@ def half_turn_component2_keys(census, g):
     return kept[profile]
 
 
+def collapses_between(words, valences) -> set:
+    """Canonical gap words of the graphs of ``words`` with one edge
+    collapsed, over every edge joining two vertices of the valences
+    ``valences`` (sorted)."""
+    out = set()
+    for word in words:
+        m = len(word)
+        vertex_of = {p: cycle for cycle in word_vertices(word)
+                     for p in cycle}
+        for p, gap in enumerate(word):
+            a, b = vertex_of[p], vertex_of[(p + gap) % m]
+            if p < (p + gap) % m and a != b and \
+                    sorted((len(a), len(b))) == valences:
+                out.add(collapse_word(word, p))
+    return out
+
+
+@pytest.fixture(scope="module")
+def component1_genus3_keys(ws):
+    """The half-turn scan's cells of profile (5, 5, 3, 3, 3, 3) at g=3:
+    the ("single", 5) census collapsed along an edge joining two trivalent
+    vertices, then along one joining the 4-valent vertex to a trivalent
+    one."""
+    single5 = [e.key for e in ws.fatgraph_census(3, ("single", 5))]
+    words = collapses_between(collapses_between(single5, [3, 3]), [3, 4])
+    profile = (5, 5, 3, 3, 3, 3)
+    kept = half_turn_cells_by_profile(
+        [CensusEntry(word, 1) for word in sorted(words)], 3)
+    return kept[profile]
+
+
 class TestCensuses:
     def test_maximal_cell_counts(self, ws):
         assert ws.hyperelliptic_census(1).orbifold_sum() == Fraction(1, 6)
@@ -310,6 +341,26 @@ class TestCensuses:
         # ("single", 6) census words, with no tree or doubling code
         assert half_turn_component2_keys(single6_genus3, 3) == \
             [e.key for e in ws.w1_components(3).component2]
+
+    def test_w1_component1_matches_half_turn_scan_genus_three(
+            self, ws, component1_genus3_keys):
+        # the paper's chain-level H_3 ∩ W_1, component 1, on the graph
+        # side: two 5-valent vertices swapped by the half-turn, reached by
+        # collapsing from the ("single", 5) census with no tree or
+        # doubling code
+        assert component1_genus3_keys == \
+            [e.key for e in ws.w1_components(3).component1]
+
+    def test_half_turn_scan_catches_component1_without_a_tree(
+            self, component1_genus3_keys):
+        # a mutation: component 1 doubled from the 7-leaf one5 trees with
+        # one tree dropped must fail the comparison
+        mutated = Workspace()
+        descriptor = tree_descriptor(7, ONE5, "unrooted")
+        mutated.override(descriptor,
+                         census_without(enumerate_trees(7, ONE5), 0))
+        assert component1_genus3_keys != \
+            [e.key for e in mutated.w1_components(3).component1]
 
     def test_half_turn_scan_catches_component2_from_plain_trees(
             self, single6_genus3):

@@ -509,7 +509,8 @@ ASSEMBLY_NAMES = {
     "word_cell_volume", "word_pfaffian", "hyperelliptic_cell_volume",
     "cell_volume", "_doubled_volume", "_cell_volume_formula",
     "_word_pfaffian_value", "_certified", "pfaffian", "omega_matrix",
-    "evaluate"}
+    "evaluate", "catalan", "catalan5", "tree_closed_count", "count_t1",
+    "count_t2"}
 
 
 def code_names(func):

@@ -25,7 +25,8 @@ from oracles import (_hook_characters_reference, _partitions, are_isomorphic,
                      automorphism_order_bruteforce,
                      collapse_edge, least_rotation_by_brute_force,
                      naive_census, one_face_census_bruteforce, relabel,
-                     rooted_key, rooted_one_face_count_reference, rooted_tree_by_cycles,
+                     rooted_key, rooted_one_face_count_reference,
+                     rooted_tree_by_cycles,
                      tree_classes_reference, tree_word,
                      triangulation_count, trivalent_pairings_reference,
                      vertex_index, walsh_lehman)
@@ -236,10 +237,10 @@ def gap_word(alpha) -> tuple:
 
 
 def search_nodes(pairings, num_edges) -> int:
-    """Nodes a pairing search visits: the frames of its nested ``search``,
-    with its output run to the end.  A generator's frame is entered again
-    at each resume, so frames are counted once each; holding them keeps
-    each frame's identity its own."""
+    """Nodes a pairing search visits, its output run to the end: the
+    distinct frames of its nested ``search``.  A generator's frame fires a
+    call event again at each resume, so frames are counted, not events;
+    the set holds them, so no two share an identity."""
     frames = set()
 
     def count(frame, event, arg):

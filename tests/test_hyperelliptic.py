@@ -286,9 +286,9 @@ def collapses_between(words, valences) -> set:
         vertex_of = {p: cycle for cycle in word_vertices(word)
                      for p in cycle}
         for p, gap in enumerate(word):
-            a, b = vertex_of[p], vertex_of[(p + gap) % m]
-            if p < (p + gap) % m and a != b and \
-                    sorted((len(a), len(b))) == valences:
+            q = (p + gap) % m
+            a, b = vertex_of[p], vertex_of[q]
+            if p < q and a != b and sorted((len(a), len(b))) == valences:
                 out.add(collapse_word(word, p))
     return out
 

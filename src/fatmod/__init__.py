@@ -1,21 +1,14 @@
-"""Exact fatgraph enumeration and hyperelliptic intersection numbers."""
+"""Exact fatgraph enumeration and hyperelliptic intersection numbers.
 
-from .errors import (BadLeafCount, CacheError, FatmodError, MalformedGraph,
-                     NotAnAutomorphism, NotExpandable, NotSymmetric,
-                     ResourceLimit, WrongBoundaryCount, WrongType)
-from .fatgraph import (BoundaryCycles, Fatgraph, FixedCells, GraphType,
-                       one_vertex_opposite_pairing, two_vertex_star_double)
-from .trees import PlanarTree
-from .enumeration import (CensusEntry, OrbifoldCensus, catalan, catalan5,
-                          enumerate_fatgraphs, enumerate_trees)
-from .hyperelliptic import (HyperellipticCell, W1HComponents,
-                            cut_along_involution, double_tree,
-                            hyperelliptic_census)
-from .kontsevich import (CellVolume, cell_volume, hyperelliptic_cell_volume,
-                         omega_matrix, pfaffian)
-from .integrals import (IntegralReport, boundary_integral, euler_report,
-                        hodge_corollary, main_theorem, psi_top_genus0,
-                        psi_top_hyperelliptic, psi_top_moduli, w1_h_integral)
-from .workspace import Workspace
+Importing the package loads none of its modules; import each name from
+the module that defines it.  The census store is
+``fatmod.workspace.Workspace``, the identities are
+``fatmod.integrals.evaluate`` and its report functions (``psi_top_moduli``,
+``main_theorem``, ...), graphs and trees are ``fatmod.fatgraph.Fatgraph``
+and ``fatmod.trees.PlanarTree``, censuses come from
+``fatmod.enumeration``, hyperelliptic cells from ``fatmod.hyperelliptic``,
+cell volumes and Pfaffians from ``fatmod.kontsevich``, and the errors from
+``fatmod.errors``.  The command line is ``fatmod.cli``.
+"""
 
 __version__ = "0.1.0"

@@ -1,10 +1,11 @@
 """Command-line interface: census building, identity verification, reports.
 
 Exit codes: 0 success, 1 cache problems (such as a fatgraph census that
-misses a closed count) or bad arguments, 2 size-cap overrun, 3 at least
-one identity mismatch from ``verify`` or ``report``, or a tree census count
-mismatch from ``enumerate`` (the CI signal).  All rationals are exactly
-``p/q``; reports with the same configuration are byte-identical.
+misses a closed count), bad arguments or a closed standard output, 2
+size-cap overrun, 3 at least one identity mismatch from ``verify`` or
+``report``, or a tree census count mismatch from ``enumerate`` (the CI
+signal).  All rationals are exactly ``p/q``; reports with the same
+configuration are byte-identical.
 """
 
 from __future__ import annotations
@@ -101,9 +102,15 @@ def _emit(rows, fmt, command, stream):
 def _run_identities(names, args) -> int:
     """Print one row per identity and parameter; exit 3 on any FAIL.  Each
     identity takes the range of its parameter's option, ``--n`` or
-    ``--g``, or else its default range."""
+    ``--g``, or else its default range; an option that no identity of
+    ``names`` takes is refused."""
     ranges = {p: _parse_range(getattr(args, p), "--" + p, None)
               for p in ("n", "g")}
+    taken = {_int.IDENTITIES[name][0] for name in names}
+    for param_name, values in ranges.items():
+        if values is not None and param_name not in taken:
+            raise FatmodError("--%s applies to none of the identities %s"
+                              % (param_name, ",".join(names)))
     ws = _build_workspace(args)
     rows = []
     for name in names:
@@ -237,7 +244,14 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout: point it at devnull, so that the
+        # interpreter's flush at exit writes nowhere and stays silent
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except CacheError as exc:
         print("cache error: %s" % exc, file=sys.stderr)
         return 1

@@ -360,13 +360,20 @@ def check_edge_cap(g: int, valence_filter, cap_edges=None) -> None:
         k = 3 if valence_filter == TRIVALENT else valence_filter[1]
         held = [TRIVALENT] + [("single", j) for j in range(4, k + 1)]
     for census in held:
-        # each class has |Aut| >= 1, so the closed count bounds the classes
-        bound = math.ceil(fatgraph_closed_count(g, census))
-        if bound > MAX_CENSUS_CLASSES:
-            # a Decimal prints an int past the int-to-str digit limit
-            raise ResourceLimit("census %r holds at least %s classes, cap is "
-                                "%d" % (fatgraph_descriptor(g, census),
-                                        Decimal(bound), MAX_CENSUS_CLASSES))
+        check_class_cap(g, census)
+
+
+def check_class_cap(g: int, valence_filter) -> None:
+    """Raise ResourceLimit when the closed count of the census
+    ``fatgraph_descriptor(g, valence_filter)`` exceeds
+    ``MAX_CENSUS_CLASSES``; each class has |Aut| >= 1, so the closed count
+    bounds its classes."""
+    bound = math.ceil(fatgraph_closed_count(g, valence_filter))
+    if bound > MAX_CENSUS_CLASSES:
+        # a Decimal prints an int past the int-to-str digit limit
+        raise ResourceLimit("census %r holds at least %s classes, cap is %d"
+                            % (fatgraph_descriptor(g, valence_filter),
+                               Decimal(bound), MAX_CENSUS_CLASSES))
 
 
 def collapse_closure(trivalent, g: int, valence_filter) -> OrbifoldCensus:
@@ -521,6 +528,7 @@ def _sum_over_binomials(terms) -> int:
     return steps(0, n)[1]
 
 
+@functools.lru_cache(maxsize=None)
 def rooted_one_face_count(profile) -> int:
     """Rooted one-face maps with vertex valences ``profile`` (a partition
     of 2E), which is the sum of 2E/|Aut| over the census classes with those
@@ -529,6 +537,8 @@ def rooted_one_face_count(profile) -> int:
     |C_profile| |C_(2^E)| / (2E)! sum_k chi_k(profile) chi_k(2^E) (-1)^k
     / C(2E-1, k).  The trivalent profile gives the Walsh-Lehman count.
     The sum is taken over the common denominator (2E-1)!, as an integer.
+    Each count is kept, since a census's class cap and its completeness
+    check (``Workspace.fatgraph_census``) both read it.
 
     >>> rooted_one_face_count((3, 3)), rooted_one_face_count((3,) * 6)
     (1, 105)

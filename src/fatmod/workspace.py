@@ -51,14 +51,19 @@ class Workspace:
         or raises WrongType): kept, read from its file, or built and
         written.  A trivalent census is searched, any other collapsed from
         this workspace's trivalent census once the cap allows it.  Raises
-        CacheError, keeping and writing nothing, for a census that misses a
-        closed count (:func:`_check_rooted_counts`) or, when building is
-        disabled, is not on disk."""
+        ResourceLimit, before reading any file, for a census whose closed
+        count exceeds ``enumeration.MAX_CENSUS_CLASSES``, and CacheError,
+        keeping and writing nothing, for a census that misses a closed count
+        (:func:`_check_rooted_counts`) or, when building is disabled, is not
+        on disk."""
         valence_filter = _enum.fatgraph_filter(g, valence_filter)
         descriptor = _enum.fatgraph_descriptor(g, valence_filter)
         census = self._store.get(descriptor)
         if census is not None:
             return census
+        # a load holds this one census, so only its own count bounds it;
+        # the edge cap and the levels a build passes through bound builds
+        _enum.check_class_cap(g, valence_filter)
         census = self._load(descriptor, g, valence_filter)
         path = None
         if census is None:
@@ -141,7 +146,8 @@ class Workspace:
 def _check_rooted_counts(census, g, valence_filter) -> None:
     """Raise CacheError unless the classes of each vertex profile sum
     2E/|Aut| to its rooted count; a lost class lowers its profile's sum.
-    Each class's profile is its payload, read once by ``word_entry``."""
+    Each class's profile is its payload, read once by ``word_entry``, and
+    each rooted count was kept when the class cap read it."""
     sums = dict.fromkeys(_enum.fatgraph_profiles(g, valence_filter), 0)
     for e in census:
         sums[e.payload] += len(e.key) // e.aut_order

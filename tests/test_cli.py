@@ -153,6 +153,38 @@ class TestCapEdges:
             "filter=trivalent' holds at least ")
         assert not list(tmp_path.iterdir())
 
+    def test_class_bound_is_checked_before_a_load(self, capsys, tmp_path,
+                                                  monkeypatch):
+        # a file named for the all-valence census of genus 4 is never read:
+        # that census's own closed count refuses it first
+        descriptor = "fatgraphs g=4 n=1 filter=all"
+        path = cache_path(tmp_path, descriptor)
+        save_records(path, descriptor, [(6, (3,) * 6)])
+        planted = path.read_bytes()
+
+        def refuse(*a, **k):
+            raise AssertionError("read a census past the class cap")
+        monkeypatch.setattr("fatmod.cache.load_records", refuse)
+        code = cli.main(["verify", "--identity", "euler", "--g", "4",
+                         "--cache", str(tmp_path)])
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == (
+            "size cap exceeded: census %r holds at least 2395931692 "
+            "classes, cap is %d\n" % (descriptor,
+                                      cli._enum.MAX_CENSUS_CLASSES))
+        assert [p.name for p in tmp_path.iterdir()] == [path.name]
+        assert path.read_bytes() == planted
+
+    def test_edge_cap_bounds_builds_only(self, capsys, tmp_path):
+        # a census on disk loads under a cap its build would not pass
+        argv = ("enumerate", "--type", "2,1", "--all-valences", "--cache",
+                str(tmp_path))
+        code, out = run(capsys, *argv)
+        assert code == 0
+        assert run(capsys, *argv, "--cap-edges", "8") == (code, out)
+
 
 class TestEnumerate:
     def test_torus_census_summary(self, capsys, tmp_path):
@@ -353,16 +385,20 @@ class TestEnumerate:
         ("enumerate", "--type", "1,1", "--cap-edges", "0"),
         ("enumerate", "--type", "1,1", "--cap-edges", "-1"),
         ("report", "--identities", "hevol,hevol", "--g", "2"),
+        ("report", "--identities", "genus0", "--g", "7"),
+        ("verify", "--identity", "psi-top", "--n", "5"),
     ], ids=["verify-g-reversed", "verify-g-not-integer", "verify-g-bad-end",
             "verify-n-reversed", "report-g-reversed", "report-g-not-integer",
             "report-g-bad-end", "report-n-bad-start",
             "report-unknown-identity", "report-no-identity",
             "verify-unknown-identity", "report-unknown-format",
             "verify-cap-not-integer", "enumerate-cap-zero",
-            "enumerate-cap-negative", "report-repeated-identity"])
+            "enumerate-cap-negative", "report-repeated-identity",
+            "report-g-taken-by-none", "verify-n-taken-by-none"])
     def test_bad_range_exit_one(self, capsys, tmp_path, argv):
         # an empty or malformed range never falls back to the default one,
-        # and an unknown identity stops the run before any census is built
+        # and an unknown identity, or a range that no chosen identity
+        # takes, stops the run before any census is built
         code = cli.main([*argv, "--cache", str(tmp_path)])
         captured = capsys.readouterr()
         assert code == 1
@@ -930,3 +966,25 @@ class TestReport:
         _, out1 = run(capsys, *argv)
         _, out2 = run(capsys, *argv)
         assert out1 == out2
+
+
+def test_closed_stdout_exits_one_quietly(tmp_path, child_env):
+    # a reader that stops early, as ``| head -c 100`` does, closes the pipe
+    # while the report is still being written: exit code 1, and neither a
+    # traceback nor the interpreter's complaint about its last flush
+    env = dict(child_env)
+    env.pop("FATMOD_CACHE", None)
+    with subprocess.Popen(
+            [sys.executable, "-m", "fatmod.cli", "report", "--format", "csv",
+             "--identities", "hevol", "--g", "5..300"], env=env,
+            cwd=str(tmp_path), stdout=subprocess.PIPE,
+            stderr=subprocess.PIPE) as child:
+        try:
+            assert child.stdout.read(100).startswith(b"identity,")
+            child.stdout.close()
+            err = child.stderr.read()
+            code = child.wait(timeout=120)
+        finally:
+            child.kill()
+    assert code == 1
+    assert b"Traceback" not in err and b"Exception ignored" not in err

@@ -36,7 +36,8 @@ Every canonical key and |Aut| comes from one rotation scan,
 ``fatgraph.least_rotation``, and tree and cell keys never reach the gap
 word of the census search.
 The value records are NamedTuples, so importing the CLI loads neither
-``dataclasses`` nor the ``inspect`` family it brings.  One door reads,
+``dataclasses`` nor the ``inspect`` family it brings, and importing the
+package loads none of its modules.  One door reads,
 builds and writes a fatgraph census, ``Workspace.fatgraph_census``: the
 CLI reaches no private workspace member and no census builder, only that
 method writes a census file or refuses a missing one under ``--no-build``,
@@ -425,6 +426,19 @@ def test_cli_import_skips_dataclasses(child_env):
     assert "fatmod.cli" in added
     assert not set(added) & {"dataclasses", "inspect", "ast", "dis",
                              "tokenize"}
+
+
+def test_package_import_loads_no_module(child_env):
+    # the package re-exports nothing, so a bare import reads only its own
+    # file; counted the same way as the CLI import above
+    code = ("import sys; start = set(sys.modules); import fatmod; "
+            "print(*sorted(set(sys.modules) - start))")
+    added = subprocess.run([sys.executable, "-c", code], env=child_env,
+                           capture_output=True, text=True,
+                           check=True).stdout.split()
+    assert "fatmod" in added
+    assert not [name for name in added if name.startswith("fatmod.")]
+    assert not set(added) & {"fractions", "decimal"}
 
 
 def functions_mentioning(name):

@@ -537,8 +537,9 @@ def rooted_one_face_count(profile) -> int:
     |C_profile| |C_(2^E)| / (2E)! sum_k chi_k(profile) chi_k(2^E) (-1)^k
     / C(2E-1, k).  The trivalent profile gives the Walsh-Lehman count.
     The sum is taken over the common denominator (2E-1)!, as an integer.
-    Each count is kept, since a census's class cap and its completeness
-    check (``Workspace.fatgraph_census``) both read it.
+    Each count is kept, since a census's class cap, read before a load
+    or a build, and its completeness check after both read it
+    (``Workspace.fatgraph_census``).
 
     >>> rooted_one_face_count((3, 3)), rooted_one_face_count((3,) * 6)
     (1, 105)

@@ -51,9 +51,11 @@ class Workspace:
         or raises WrongType): kept, read from its file, or built and
         written.  A trivalent census is searched, any other collapsed from
         this workspace's trivalent census once the cap allows it.  Raises
-        ResourceLimit, before reading any file, for a census whose closed
-        count exceeds ``enumeration.MAX_CENSUS_CLASSES``, and CacheError,
-        keeping and writing nothing, for a census that misses a closed count
+        ResourceLimit for a census past its bounds: :meth:`_load` checks
+        the class cap before reading a file, and
+        ``enumeration.check_edge_cap`` checks the edge and class caps
+        before a build.  Raises CacheError, keeping and writing nothing,
+        for a census that misses a closed count
         (:func:`_check_rooted_counts`) or, when building is disabled, is not
         on disk."""
         valence_filter = _enum.fatgraph_filter(g, valence_filter)
@@ -61,9 +63,6 @@ class Workspace:
         census = self._store.get(descriptor)
         if census is not None:
             return census
-        # a load holds this one census, so only its own count bounds it;
-        # the edge cap and the levels a build passes through bound builds
-        _enum.check_class_cap(g, valence_filter)
         census = self._load(descriptor, g, valence_filter)
         path = None
         if census is None:
@@ -121,12 +120,17 @@ class Workspace:
     def _load(self, descriptor, g, valence_filter):
         """The census in the file of ``descriptor``, every record checked
         by ``enumeration.word_census`` and its stored |Aut| against its
-        entry; None when there is no cache directory or no file."""
+        entry; None when there is no cache directory or no file.  Raises
+        ResourceLimit, reading nothing, when the census's closed count
+        exceeds ``enumeration.MAX_CENSUS_CLASSES``."""
         if self.cache_dir is None:
             return None
         path = _cache.cache_path(self.cache_dir, descriptor)
         if not path.exists():
             return None
+        # a load holds this one census, so only its own count bounds it;
+        # the edge cap and the levels a build passes through bound builds
+        _enum.check_class_cap(g, valence_filter)
         records = sorted(_cache.load_records(path, descriptor),
                          key=lambda record: record[1])
         words = [word for _, word in records]
@@ -147,7 +151,8 @@ def _check_rooted_counts(census, g, valence_filter) -> None:
     """Raise CacheError unless the classes of each vertex profile sum
     2E/|Aut| to its rooted count; a lost class lowers its profile's sum.
     Each class's profile is its payload, read once by ``word_entry``, and
-    each rooted count was kept when the class cap read it."""
+    each rooted count was kept when the class cap read it, in
+    :meth:`Workspace._load` or ``enumeration.check_edge_cap``."""
     sums = dict.fromkeys(_enum.fatgraph_profiles(g, valence_filter), 0)
     for e in census:
         sums[e.payload] += len(e.key) // e.aut_order

@@ -153,6 +153,29 @@ class TestCapEdges:
             "filter=trivalent' holds at least ")
         assert not list(tmp_path.iterdir())
 
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["no-cache", "empty-cache"])
+    def test_edge_cap_is_checked_first_without_a_file(
+            self, capsys, tmp_path, monkeypatch, cached):
+        # with no file to load, the 177 edges refuse the census before any
+        # closed count is taken; at genus 30 that count would be enormous
+        def refuse(*a, **k):
+            raise AssertionError("took a closed count before the edge cap")
+        monkeypatch.setattr(cli._enum, "fatgraph_closed_count", refuse)
+        monkeypatch.delenv("FATMOD_CACHE", raising=False)
+        argv = ["verify", "--identity", "euler", "--g", "30"]
+        if cached:
+            argv += ["--cache", str(tmp_path)]
+        start = time.perf_counter()
+        code = cli.main(argv)
+        assert time.perf_counter() - start < 1
+        captured = capsys.readouterr()
+        assert code == 2
+        assert captured.out == ""
+        assert captured.err == ("size cap exceeded: census needs 177 edges, "
+                                "cap is 9\n")
+        assert not list(tmp_path.iterdir())
+
     def test_class_bound_is_checked_before_a_load(self, capsys, tmp_path,
                                                   monkeypatch):
         # a file named for the all-valence census of genus 4 is never read:

@@ -27,8 +27,15 @@ vertices.  The search state is the gap word ``gap``, -1 at each unpaired
 slot, and, at both endpoints of each open path, its other endpoint
 (``end``) and its slot count (``size``), so a pair is linked and checked
 in O(1) with no path walked.  A path of three slots is closed as soon as
-it forms (forced closure).  Each node copies the state once and restores
-it by slice assignment after each try.  Two cuts keep the search small:
+it forms (forced closure): its tail is paired with the slot before its
+head.  One pairing step makes a pair and every closure it forces, from a
+worklist that starts with the pair; each pair taken from it sets both
+gaps and adds its two links in one loop, which pushes the closing pair
+of each path of three slots it makes.  A pair whose first slot is
+already paired must agree with its gap, and a pair of a slot with itself
+or with a paired slot fails the step.  Each node copies the state once
+and restores it by slice assignment after each try.  Two cuts keep the
+search small:
 
 * a pair whose links would make a path longer than three slots, or close
   one shorter, is skipped before anything is written;
@@ -169,8 +176,12 @@ def _trivalent_pairings(num_edges: int):
     Each open path keeps its other endpoint (``end``) and its slot count
     (``size``) at both its endpoints, so a link joins two paths or closes
     one in O(1).  A path of three slots is closed at once: its tail is
-    paired with the slot before its head.  Each node snapshots the three
-    arrays once and restores them by slice assignment after each try.
+    paired with the slot before its head.  One pairing step, ``assign``,
+    makes a pair and every pair it forces: a worklist starts with the
+    pair, and each pair taken from it is checked, sets both gaps, and
+    adds its two links in one loop, which pushes the closing pair of each
+    path of three slots it makes.  Each node snapshots the three arrays
+    once and restores them by slice assignment after each try.
     """
     m = 2 * num_edges
     gap = [-1] * m     # -1 at an unpaired slot; gaps are >= 1
@@ -178,70 +189,46 @@ def _trivalent_pairings(num_edges: int):
     size = [1] * m
 
     def assign(p, q):
-        """Pair p with q and close every path of three slots this makes;
-        False on a contradiction, leaving the arrays to be restored."""
-        gp = gap[p] = q - p if q > p else q - p + m
-        gq = gap[q] = m - gp
-        # a least rotation starts with its least gap
-        g0 = gap[0]
-        if gp < g0 or gq < g0:
-            return False
-        # the link p -> q + 1 joins the path ending at p to the one that
-        # starts at q + 1, or closes them if they are one path
-        b = q + 1 if q + 1 < m else 0
-        h1 = end[p]
-        if h1 == b:
-            if size[p] != 3:
+        """Pair p with q and every pair that this forces; False on a
+        contradiction, leaving the arrays to be restored.  A path
+        h -> .. -> t of three slots closes by t(t) = h, that is by pairing
+        t with h - 1, so each link that makes one pushes (t, h - 1) onto
+        the worklist of pairs still to make."""
+        todo = [(p, q)]
+        while todo:
+            p, q = todo.pop()
+            if gap[p] != -1:
+                # paired earlier in this step: it must be this same pair
+                if gap[p] != (q - p) % m:
+                    return False
+                continue
+            if p == q or gap[q] != -1:
                 return False
-            t1 = -1
-        else:
-            t1 = end[b]
-            n = size[p] + size[b]
-            if n > 3:
+            gp = gap[p] = q - p if q > p else q - p + m
+            gq = gap[q] = m - gp
+            # a least rotation starts with its least gap
+            g0 = gap[0]
+            if gp < g0 or gq < g0:
                 return False
-            end[h1] = t1
-            end[t1] = h1
-            size[h1] = size[t1] = n
-            if n != 3:
-                t1 = -1
-        # the link q -> p + 1, likewise
-        b = p + 1 if p + 1 < m else 0
-        h2 = end[q]
-        if h2 == b:
-            if size[q] != 3:
-                return False
-            t2 = -1
-        else:
-            t2 = end[b]
-            n = size[q] + size[b]
-            if n > 3:
-                return False
-            end[h2] = t2
-            end[t2] = h2
-            size[h2] = size[t2] = n
-            if n != 3:
-                t2 = -1
-        # a path h -> .. -> t of three slots closes by t(t) = h, that is
-        # by pairing t with h - 1; a paired tail means the second link
-        # closed the path of the first
-        if t1 >= 0 and gap[t1] == -1:
-            c1 = h1 - 1 if h1 else m - 1
-            if c1 == t1 or gap[c1] != -1:
-                return False
-        else:
-            t1 = -1
-        if t2 >= 0 and gap[t2] == -1:
-            c2 = h2 - 1 if h2 else m - 1
-            if c2 == t2 or gap[c2] != -1:
-                return False
-        else:
-            t2 = -1
-        if t1 >= 0 and not assign(t1, c1):
-            return False
-        if t2 >= 0:
-            if gap[t2] == -1 and gap[c2] == -1:
-                return assign(t2, c2)
-            return gap[t2] == (c2 - t2) % m
+            # the link a -> b joins the path ending at a to the one that
+            # starts at b, or closes them if they are one path
+            for a, b in ((p, q + 1), (q, p + 1)):
+                if b == m:
+                    b = 0
+                h = end[a]
+                if h == b:
+                    if size[a] != 3:
+                        return False
+                    continue
+                t = end[b]
+                n = size[a] + size[b]
+                if n > 3:
+                    return False
+                end[h] = t
+                end[t] = h
+                size[h] = size[t] = n
+                if n == 3:
+                    todo.append((t, h - 1 if h else m - 1))
         return True
 
     def rotation_is_smaller():

@@ -266,6 +266,12 @@ class TestTrivalentSearch:
         assert search_nodes(_trivalent_pairings, 9) <= \
             search_nodes(trivalent_pairings_reference, 9)
 
+    @pytest.mark.parametrize("num_edges,nodes", [(9, 73), (15, 17268)])
+    def test_node_counts_are_pinned(self, num_edges, nodes):
+        # exact counts, so a search that prunes less, or one whose frames
+        # are no longer named ``search`` and so count 0, fails
+        assert search_nodes(_trivalent_pairings, num_edges) == nodes
+
     def test_search_yields_its_words(self, ws):
         # a generator: nothing is searched until the census asks, and the
         # first word is the first key of the census
